@@ -12,23 +12,45 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// One MSE gradient step, allocating path vs preallocated workspace path:
 /// the kernel repeated `critic_epochs + actor_epochs` times per DNN-Opt
-/// iteration.
+/// iteration. Both rows start a fresh network and optimizer every
+/// `critic_epochs` steps, as DNN-Opt trains a fresh critic per iteration:
+/// one longer Adam run decays its moments into subnormals, and the rows
+/// would then mostly time subnormal arithmetic that DNN-Opt never runs.
 fn bench_train_step(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let x = Matrix::from_fn(128, 40, |_, _| rng.gen::<f64>());
     let y = Matrix::from_fn(128, 30, |_, _| rng.gen::<f64>());
+    let epochs = DnnOptConfig::default().critic_epochs;
+    let fresh = |rng: &mut StdRng| {
+        let net = Mlp::new(&[40, 48, 48, 30], Activation::Relu, rng);
+        (net, Adam::new(3e-3))
+    };
 
     c.bench_function("mlp_train_step_alloc_b128", |b| {
-        let mut net = Mlp::new(&[40, 48, 48, 30], Activation::Relu, &mut rng);
-        let mut adam = Adam::new(3e-3);
-        b.iter(|| nn::train_step_mse(&mut net, &mut adam, &x, &y))
+        let (mut net, mut adam) = fresh(&mut rng);
+        let mut step = 0;
+        b.iter(|| {
+            if step == epochs {
+                (net, adam) = fresh(&mut rng);
+                step = 0;
+            }
+            step += 1;
+            nn::train_step_mse(&mut net, &mut adam, &x, &y)
+        })
     });
 
     c.bench_function("mlp_train_step_workspace_b128", |b| {
-        let mut net = Mlp::new(&[40, 48, 48, 30], Activation::Relu, &mut rng);
-        let mut adam = Adam::new(3e-3);
+        let (mut net, mut adam) = fresh(&mut rng);
+        let mut step = 0;
         let mut ws = TrainWorkspace::new();
-        b.iter(|| nn::train_step_mse_ws(&mut net, &mut adam, &x, &y, &mut ws))
+        b.iter(|| {
+            if step == epochs {
+                (net, adam) = fresh(&mut rng);
+                step = 0;
+            }
+            step += 1;
+            nn::train_step_mse_ws(&mut net, &mut adam, &x, &y, &mut ws)
+        })
     });
 }
 

@@ -8,6 +8,7 @@
 use std::time::Duration;
 
 use dnn_opt::{DnnOpt, DnnOptConfig};
+use linalg::GemmOp;
 use opt::{
     BoWei, DifferentialEvolution, Fom, Gaspad, Optimizer, RunResult, SizingProblem, StopPolicy,
 };
@@ -296,6 +297,98 @@ pub fn secs(d: Duration) -> String {
     format!("{:.1}", d.as_secs_f64())
 }
 
+/// One `(label, m, n, k, (op_a, op_b))` GEMM bench shape.
+pub type GemmShape = (&'static str, usize, usize, usize, (GemmOp, GemmOp));
+
+const NN: (GemmOp, GemmOp) = (GemmOp::NoTrans, GemmOp::NoTrans);
+const NT: (GemmOp, GemmOp) = (GemmOp::NoTrans, GemmOp::Trans);
+const TN: (GemmOp, GemmOp) = (GemmOp::Trans, GemmOp::NoTrans);
+
+/// Naive-vs-`gemm` shapes: the critic's batch-128 forward (`x·Wᵀ`), its
+/// weight gradient (`δᵀ·x`), the actor's elite-batch shapes, and a
+/// panel-spanning square product.
+pub const GEMM_KERNEL_SHAPES: [GemmShape; 5] = [
+    ("10x48x20_nt", 10, 48, 20, NT),
+    ("48x48x10_tn", 48, 48, 10, TN),
+    ("128x48x40_nt", 128, 48, 40, NT),
+    ("48x40x128_tn", 48, 40, 128, TN),
+    ("160x160x160_nn", 160, 160, 160, NN),
+];
+
+/// The eight products of one critic training step (batch 128, widths
+/// 40→48→48→30): the three forward `x·Wᵀ`, then per layer from the last
+/// the weight gradient `δᵀ·x` and, above the first layer, the delta
+/// propagation `δ·W`.
+pub const CRITIC_STEP_SHAPES: [GemmShape; 8] = [
+    ("128x48x40_nt", 128, 48, 40, NT),
+    ("128x48x48_nt", 128, 48, 48, NT),
+    ("128x30x48_nt", 128, 30, 48, NT),
+    ("30x48x128_tn", 30, 48, 128, TN),
+    ("128x48x30_nn", 128, 48, 30, NN),
+    ("48x48x128_tn", 48, 48, 128, TN),
+    ("128x48x48_nn", 128, 48, 48, NN),
+    ("48x40x128_tn", 48, 40, 128, TN),
+];
+
+/// The GEMM-engine rows, shared by `benches/gemm_kernels.rs` and
+/// [`baseline::refresh`]: `gemm_kernel_naive_*` (the reference triple
+/// loop) and `gemm_kernel_blocked_*` (the `gemm` entry point) on
+/// [`GEMM_KERNEL_SHAPES`], then `gemm_kernel_critic_*` (the `gemm` entry
+/// point) on [`CRITIC_STEP_SHAPES`]. `gemm` runs the AVX-512 small path
+/// where the host has it, so the `blocked` rows time that path there.
+pub fn gemm_kernel_rows(c: &mut criterion::Criterion) {
+    use criterion::black_box;
+    use linalg::{gemm, gemm_naive, GemmWorkspace, Matrix};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(42);
+    // `(op(A), op(B))` of one shape, drawn from the shared stream.
+    let mut operands = |(_, m, n, k, (op_a, op_b)): GemmShape| {
+        let mut draw = |op: GemmOp, rows: usize, cols: usize| {
+            let (r, c) = match op {
+                GemmOp::NoTrans => (rows, cols),
+                GemmOp::Trans => (cols, rows),
+            };
+            Matrix::from_fn(r, c, |_, _| rng.gen::<f64>() - 0.5)
+        };
+        let a = draw(op_a, m, k);
+        (a, draw(op_b, k, n))
+    };
+    let entry = |c: &mut criterion::Criterion, name: &str, (op_a, op_b), a: &Matrix, b: &Matrix| {
+        c.bench_function(name, |bench| {
+            let mut ws = GemmWorkspace::new();
+            let mut out = Matrix::default();
+            bench.iter(|| {
+                gemm(
+                    op_a,
+                    op_b,
+                    1.0,
+                    black_box(a),
+                    black_box(b),
+                    0.0,
+                    &mut out,
+                    &mut ws,
+                );
+                black_box(out.as_slice()[0])
+            })
+        });
+    };
+    for shape @ (label, _, _, _, (op_a, op_b)) in GEMM_KERNEL_SHAPES {
+        let (a, b) = operands(shape);
+        c.bench_function(&format!("gemm_kernel_naive_{label}"), |bench| {
+            let mut out = Matrix::default();
+            bench.iter(|| {
+                gemm_naive(op_a, op_b, 1.0, black_box(&a), black_box(&b), 0.0, &mut out);
+                black_box(out.as_slice()[0])
+            })
+        });
+        entry(c, &format!("gemm_kernel_blocked_{label}"), shape.4, &a, &b);
+    }
+    for shape @ (label, ..) in CRITIC_STEP_SHAPES {
+        let (a, b) = operands(shape);
+        entry(c, &format!("gemm_kernel_critic_{label}"), shape.4, &a, &b);
+    }
+}
+
 /// Re-times the Newton-kernel, GEMM-engine, training-loop and evaluation
 /// benchmarks and merges the rows into a `BENCH_baseline.json` file (same
 /// one-JSON-object-per-row format the criterion shim records). Used by
@@ -478,100 +571,44 @@ pub mod baseline {
             });
         }
 
-        // The GEMM-engine kernels (identical bodies to
-        // `benches/gemm_kernels.rs`): naive reference vs cache-blocked
-        // register-tiled kernel on the critic's forward/weight-gradient
-        // shapes plus a panel-spanning square product.
+        // The threaded-GEMM rows (identical bodies to
+        // `benches/parallel_scaling.rs`): one product past
+        // `GEMM_PARALLEL_MIN_WORK`, timed at fixed worker counts. On a
+        // single-core host the counts time the same arithmetic plus
+        // dispatch overhead; the per-row `host_cpus` field says which
+        // regime a recorded number is from.
         {
-            use linalg::{gemm, gemm_naive, GemmOp, GemmWorkspace, Matrix};
+            use linalg::{gemm, GemmOp, GemmWorkspace, Matrix};
             use rand::{rngs::StdRng, Rng, SeedableRng};
-            let mut rng = StdRng::seed_from_u64(42);
-            let shapes: [(&str, usize, usize, usize, GemmOp, GemmOp); 5] = [
-                ("10x48x20_nt", 10, 48, 20, GemmOp::NoTrans, GemmOp::Trans),
-                ("48x48x10_tn", 48, 48, 10, GemmOp::Trans, GemmOp::NoTrans),
-                ("128x48x40_nt", 128, 48, 40, GemmOp::NoTrans, GemmOp::Trans),
-                ("48x40x128_tn", 48, 40, 128, GemmOp::Trans, GemmOp::NoTrans),
-                (
-                    "160x160x160_nn",
-                    160,
-                    160,
-                    160,
-                    GemmOp::NoTrans,
-                    GemmOp::NoTrans,
-                ),
-            ];
-            // The threaded-GEMM rows (identical bodies to
-            // `benches/parallel_scaling.rs`): one product past
-            // `GEMM_PARALLEL_MIN_WORK`, timed at fixed worker counts. On
-            // a single-core host the counts time the same arithmetic plus
-            // dispatch overhead; the per-row `host_cpus` field says which
-            // regime a recorded number is from.
-            {
-                let mut rng = StdRng::seed_from_u64(7);
-                let a = Matrix::from_fn(256, 256, |_, _| rng.gen::<f64>() - 0.5);
-                let b = Matrix::from_fn(256, 256, |_, _| rng.gen::<f64>() - 0.5);
-                for threads in [1usize, 2, 4, 8] {
-                    c.bench_function(
-                        &format!("gemm_parallel_256x256x256_nn_t{threads}"),
-                        |bench| {
-                            linalg::pool::set_max_threads(threads);
-                            let mut ws = GemmWorkspace::new();
-                            let mut out = Matrix::default();
-                            bench.iter(|| {
-                                gemm(
-                                    GemmOp::NoTrans,
-                                    GemmOp::NoTrans,
-                                    1.0,
-                                    black_box(&a),
-                                    black_box(&b),
-                                    0.0,
-                                    &mut out,
-                                    &mut ws,
-                                );
-                                black_box(out.as_slice()[0])
-                            });
-                            linalg::pool::set_max_threads(0);
-                        },
-                    );
-                }
-            }
-            for (label, m, n, k, op_a, op_b) in shapes {
-                let dims_a = match op_a {
-                    GemmOp::NoTrans => (m, k),
-                    GemmOp::Trans => (k, m),
-                };
-                let dims_b = match op_b {
-                    GemmOp::NoTrans => (k, n),
-                    GemmOp::Trans => (n, k),
-                };
-                let a = Matrix::from_fn(dims_a.0, dims_a.1, |_, _| rng.gen::<f64>() - 0.5);
-                let b = Matrix::from_fn(dims_b.0, dims_b.1, |_, _| rng.gen::<f64>() - 0.5);
-                c.bench_function(&format!("gemm_kernel_naive_{label}"), |bench| {
-                    let mut out = Matrix::default();
-                    bench.iter(|| {
-                        gemm_naive(op_a, op_b, 1.0, black_box(&a), black_box(&b), 0.0, &mut out);
-                        black_box(out.as_slice()[0])
-                    })
-                });
-                c.bench_function(&format!("gemm_kernel_blocked_{label}"), |bench| {
-                    let mut ws = GemmWorkspace::new();
-                    let mut out = Matrix::default();
-                    bench.iter(|| {
-                        gemm(
-                            op_a,
-                            op_b,
-                            1.0,
-                            black_box(&a),
-                            black_box(&b),
-                            0.0,
-                            &mut out,
-                            &mut ws,
-                        );
-                        black_box(out.as_slice()[0])
-                    })
-                });
+            let mut rng = StdRng::seed_from_u64(7);
+            let a = Matrix::from_fn(256, 256, |_, _| rng.gen::<f64>() - 0.5);
+            let b = Matrix::from_fn(256, 256, |_, _| rng.gen::<f64>() - 0.5);
+            for threads in [1usize, 2, 4, 8] {
+                c.bench_function(
+                    &format!("gemm_parallel_256x256x256_nn_t{threads}"),
+                    |bench| {
+                        linalg::pool::set_max_threads(threads);
+                        let mut ws = GemmWorkspace::new();
+                        let mut out = Matrix::default();
+                        bench.iter(|| {
+                            gemm(
+                                GemmOp::NoTrans,
+                                GemmOp::NoTrans,
+                                1.0,
+                                black_box(&a),
+                                black_box(&b),
+                                0.0,
+                                &mut out,
+                                &mut ws,
+                            );
+                            black_box(out.as_slice()[0])
+                        });
+                        linalg::pool::set_max_threads(0);
+                    },
+                );
             }
         }
+        crate::gemm_kernel_rows(&mut c);
 
         // The training-loop kernels (identical bodies and seeds to
         // `benches/model_kernels.rs`): one MSE gradient step and one full
@@ -586,16 +623,35 @@ pub mod baseline {
             let mut rng = StdRng::seed_from_u64(1);
             let x = Matrix::from_fn(128, 40, |_, _| rng.gen::<f64>());
             let y = Matrix::from_fn(128, 30, |_, _| rng.gen::<f64>());
+            let epochs = DnnOptConfig::default().critic_epochs;
+            let fresh = |rng: &mut StdRng| {
+                let net = Mlp::new(&[40, 48, 48, 30], Activation::Relu, rng);
+                (net, Adam::new(3e-3))
+            };
             c.bench_function("mlp_train_step_alloc_b128", |b| {
-                let mut net = Mlp::new(&[40, 48, 48, 30], Activation::Relu, &mut rng);
-                let mut adam = Adam::new(3e-3);
-                b.iter(|| nn::train_step_mse(&mut net, &mut adam, &x, &y))
+                let (mut net, mut adam) = fresh(&mut rng);
+                let mut step = 0;
+                b.iter(|| {
+                    if step == epochs {
+                        (net, adam) = fresh(&mut rng);
+                        step = 0;
+                    }
+                    step += 1;
+                    nn::train_step_mse(&mut net, &mut adam, &x, &y)
+                })
             });
             c.bench_function("mlp_train_step_workspace_b128", |b| {
-                let mut net = Mlp::new(&[40, 48, 48, 30], Activation::Relu, &mut rng);
-                let mut adam = Adam::new(3e-3);
+                let (mut net, mut adam) = fresh(&mut rng);
+                let mut step = 0;
                 let mut ws = TrainWorkspace::new();
-                b.iter(|| nn::train_step_mse_ws(&mut net, &mut adam, &x, &y, &mut ws))
+                b.iter(|| {
+                    if step == epochs {
+                        (net, adam) = fresh(&mut rng);
+                        step = 0;
+                    }
+                    step += 1;
+                    nn::train_step_mse_ws(&mut net, &mut adam, &x, &y, &mut ws)
+                })
             });
 
             let mut rng = StdRng::seed_from_u64(0);

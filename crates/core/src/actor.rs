@@ -125,9 +125,6 @@ impl Actor {
             net.backward_params_ws(&mut actor_ws, &grad_dx);
             adam.step(&mut net, actor_ws.gradients());
         }
-        // Training is done: pre-pack the actor's panels for the proposal
-        // batches of the optimizer loop.
-        net.freeze();
         Actor { net, dim: d }
     }
 

@@ -85,10 +85,6 @@ impl Critic {
             }
             nn::train_step_mse_ws(&mut net, &mut adam, &inp, &out, &mut ws);
         }
-        // The critic is frozen from here on (the actor trains *through*
-        // it): pre-pack its weight panels so every forward/backward of the
-        // actor loop skips the per-call GEMM packing.
-        net.freeze();
         Critic {
             net,
             y_scaler,

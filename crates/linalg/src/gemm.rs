@@ -29,9 +29,27 @@
 //! naive reference kernel, which is also exposed as [`gemm_naive`] for
 //! differential testing.
 //!
+//! # Small path
+//!
+//! MLP training products (batch 128, widths of a few dozen) are too small
+//! for the Goto loop nest to pay for its packing. On hosts with AVX-512F
+//! they take a register-tiled small path instead: every non-empty product
+//! with `k ≤` [`GEMM_SMALL_MAX_K`] and `n ≤` [`GEMM_SMALL_MAX_N`],
+//! including those at or below [`GEMM_NAIVE_CUTOFF`]. It reads `op(A)` in
+//! place — `NoTrans`
+//! broadcasts from row-major rows, `Trans` from the contiguous source rows
+//! of `A` — and copies `op(B)` once per call into a zero-padded `k × n̄`
+//! row-major panel (`n̄` rounds `n` up to the 8-lane vector width). The
+//! kernel then computes `SMR × 24` output tiles (three `zmm` accumulators
+//! per row), with masked stores for column tails and `SMR / 2`-row and
+//! 1-row tiles for row tails. The rule is decided before any thread split, so these products
+//! always run serially. Every other host runs the blocked and naive paths
+//! only.
+//!
 //! # Threading
 //!
-//! Products with `m·n·k ≥` [`GEMM_PARALLEL_MIN_WORK`] run on the shared
+//! Products with `m·n·k ≥` [`GEMM_PARALLEL_MIN_WORK`] that miss the small
+//! path run on the shared
 //! [`crate::pool`] when its two-level budget allows (the evaluation grid
 //! is idle and the caller is not itself a pool worker — see
 //! [`crate::pool::gemm_threads`]). The split is **static**: the output's
@@ -54,6 +72,12 @@
 //! any thread count. The FMA and portable micro-kernels may differ in
 //! final-bit rounding (fused vs separate multiply-add), but the selection
 //! is constant for the lifetime of the process.
+//!
+//! The small path is bit-identical to the blocked FMA kernel: with
+//! `k ≤ KC` both accumulate every element as a chain of fused
+//! multiply-adds over `p = 0..k` from zero, then take `α·acc`, store it
+//! (`β = 0`) or add it to `C` (`β = 1`) or to `β·C` (otherwise), and run
+//! the epilogue last.
 //!
 //! # Epilogues
 //!
@@ -106,14 +130,15 @@ impl Epilogue for NoEpilogue {
     fn apply(&mut self, _row: usize, _col0: usize, _seg: &mut [f64]) {}
 }
 
-/// Reusable packing buffers for the blocked kernel. One workspace serves
-/// any sequence of [`gemm`] calls; the buffers grow to the largest panel
-/// seen and are reused allocation-free afterwards.
+/// Reusable packing buffers for the blocked kernel and the small path.
+/// One workspace serves any sequence of [`gemm`] calls; the buffers grow
+/// to the largest panel seen and are reused allocation-free afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct GemmWorkspace {
     /// `MC × KC` panel of `op(A)`, packed in `MR`-row micro-panels.
     pack_a: Vec<f64>,
-    /// `KC × NC` panel of `op(B)`, packed in `NR`-column micro-panels.
+    /// `KC × NC` panel of `op(B)`, packed in `NR`-column micro-panels —
+    /// or, on the small path, the zero-padded `k × n̄` row-major panel.
     pack_b: Vec<f64>,
 }
 
@@ -136,7 +161,8 @@ const KC: usize = 256;
 const NC: usize = 4096;
 
 /// `m·n·k` at or below which [`gemm`] runs the naive reference kernel
-/// instead of the blocked one (packing overhead dominates tiny products).
+/// instead of the blocked one (packing overhead dominates tiny products),
+/// unless the AVX-512 small path takes the product.
 pub const GEMM_NAIVE_CUTOFF: usize = 4096;
 
 /// `m·n·k` below which the blocked kernel stays serial even when the
@@ -145,6 +171,24 @@ pub const GEMM_NAIVE_CUTOFF: usize = 4096;
 /// the output's larger tile dimension across the shared [`crate::pool`]
 /// (results stay bit-identical — see the module docs).
 pub const GEMM_PARALLEL_MIN_WORK: usize = 65_536;
+
+/// Deepest inner dimension the AVX-512 small path serves: one `KC` panel,
+/// so its single fused-multiply-add chain per element matches the blocked
+/// kernel's accumulation bit for bit. Deeper products stay blocked (and
+/// threaded above [`GEMM_PARALLEL_MIN_WORK`]).
+pub const GEMM_SMALL_MAX_K: usize = KC;
+
+/// Widest output the AVX-512 small path serves. Beyond it the unpacked
+/// `k × n̄` panel of `op(B)` outgrows the caches that the blocked kernel's
+/// `NR`-column micro-panels stay in: against the serial blocked kernel
+/// the small path wins 1.3–2.7× up to `n = 256`, and its lead shrinks to
+/// 0.98–1.3× at `n = 512`, `k = 256` (`probe_small_path_crossover`).
+pub const GEMM_SMALL_MAX_N: usize = 256;
+
+/// Row height of the small path's full register tiles.
+const SMR: usize = 8;
+/// Lanes of one `zmm` register of f64.
+const LANES: usize = 8;
 
 /// General matrix multiply `C := α·op(A)·op(B) + β·C`.
 ///
@@ -194,17 +238,30 @@ pub fn gemm_with<E: Epilogue>(
     debug_assert_finite_operand(b, "B");
     let (m, n, k) = checked_dims(op_a, op_b, a, b);
     prepare_output(beta, m, n, c);
-    if m * n * k <= GEMM_NAIVE_CUTOFF {
+    let work = m * n * k;
+    if work != 0 && takes_small_path(n, k) {
+        small_body(op_a, op_b, alpha, a, b, beta, c, ws, epilogue, (m, n, k));
+    } else if work <= GEMM_NAIVE_CUTOFF {
         naive_body(op_a, op_b, alpha, a, b, beta, c, epilogue, (m, n, k));
     } else {
         blocked_body(op_a, op_b, alpha, a, b, beta, c, ws, epilogue, (m, n, k));
     }
 }
 
+/// The small-path dispatch rule for a non-empty product of any size: an
+/// AVX-512F host, `k ≤` [`GEMM_SMALL_MAX_K`] and `n ≤`
+/// [`GEMM_SMALL_MAX_N`]. Decided before [`plan_threads`], so such products
+/// never split across the pool. Tiny products take it too: it beats the
+/// naive loops there, and it keeps inference through a trained network on
+/// the same fused-multiply-add arithmetic at every batch size.
+fn takes_small_path(n: usize, k: usize) -> bool {
+    k <= GEMM_SMALL_MAX_K && n <= GEMM_SMALL_MAX_N && small_path_available()
+}
+
 /// The naive reference kernel: straight i-j-k triple loops with the same
 /// `C := α·op(A)·op(B) + β·C` semantics as [`gemm`]. Used as the
 /// ground truth of the differential property tests and by [`gemm`] itself
-/// below [`GEMM_NAIVE_CUTOFF`].
+/// at or below [`GEMM_NAIVE_CUTOFF`] when the small path does not apply.
 ///
 /// # Panics
 ///
@@ -367,6 +424,22 @@ fn slot_range(
     ((t0 * tile).min(limit), (t1 * tile).min(limit))
 }
 
+/// Telemetry of one blocked or small-path product (one gate check when
+/// off): its flops, the split width when it runs threaded, and a `gemm`
+/// span only at or above the parallel work cutoff, so traced training
+/// loops don't drown in micro-product events.
+fn trace_product(work: usize, threads: usize) -> Option<telemetry::Span> {
+    if !telemetry::enabled() {
+        return None;
+    }
+    telemetry::record(telemetry::Metric::GemmFlops, 2 * work as u64);
+    if threads > 1 {
+        telemetry::record(telemetry::Metric::GemmSplitWidth, threads as u64);
+    }
+    (work >= GEMM_PARALLEL_MIN_WORK)
+        .then(|| telemetry::span_with(telemetry::SpanId::Gemm, threads as u64))
+}
+
 #[allow(clippy::too_many_arguments)]
 fn blocked_body<E: Epilogue>(
     op_a: GemmOp,
@@ -383,20 +456,7 @@ fn blocked_body<E: Epilogue>(
     let kernel = select_micro_kernel();
     let ccols = c.cols();
     let (threads, split_rows) = plan_threads(m, n, k);
-    // Telemetry (one gate check when off): flops and split width for every
-    // blocked product, a `gemm` span only at or above the parallel work
-    // cutoff so traced training loops don't drown in micro-product events.
-    let work = m.saturating_mul(n).saturating_mul(k);
-    let _span = if telemetry::enabled() {
-        telemetry::record(telemetry::Metric::GemmFlops, 2 * work as u64);
-        if threads > 1 {
-            telemetry::record(telemetry::Metric::GemmSplitWidth, threads as u64);
-        }
-        (work >= GEMM_PARALLEL_MIN_WORK)
-            .then(|| telemetry::span_with(telemetry::SpanId::Gemm, threads as u64))
-    } else {
-        None
-    };
+    let _span = trace_product(m * n * k, threads);
     if threads <= 1 {
         // SAFETY: exclusive access to all of `C` through its own base
         // pointer; the region covers exactly the output.
@@ -544,39 +604,261 @@ unsafe fn compute_region(
     }
 }
 
-/// A pre-packed right-hand operand for [`gemm_prepacked_with`]: the
-/// `NR`-column micro-panel layout of a *single* `KC × NC` panel, computed
-/// once and reused across many products. The fast path for frozen weight
-/// matrices (e.g. the DNN-Opt critic inside the actor's training loop),
-/// whose panels would otherwise be re-packed on every call.
-#[derive(Debug, Clone, Default)]
-pub struct PackedB {
-    data: Vec<f64>,
-    k: usize,
-    n: usize,
+/// The small path (see the module docs): copies `op(B)` into the padded
+/// row-major panel, runs the AVX-512 tiles over `op(A)` in place, then
+/// applies the epilogue in row order. Always serial.
+#[allow(clippy::too_many_arguments)]
+fn small_body<E: Epilogue>(
+    op_a: GemmOp,
+    op_b: GemmOp,
+    alpha: f64,
+    a: &Matrix,
+    b: &Matrix,
+    beta: f64,
+    c: &mut Matrix,
+    ws: &mut GemmWorkspace,
+    epilogue: &mut E,
+    (m, n, k): (usize, usize, usize),
+) {
+    let _span = trace_product(m * n * k, 1);
+    let nb = pack_small_b(op_b, b, k, n, &mut ws.pack_b);
+    small_product(op_a, a, &ws.pack_b, nb, (alpha, beta), c, (m, n, k));
+    for i in 0..m {
+        epilogue.apply(i, 0, c.row_mut(i));
+    }
 }
 
-impl PackedB {
-    /// Effective inner dimension of the packed operand.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Effective column count of the packed operand.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Packs `op(B)` when it fits a single panel, `None` otherwise (the
-    /// caller falls back to the on-the-fly path).
-    pub fn try_pack(op_b: GemmOp, b: &Matrix) -> Option<PackedB> {
-        let (k, n) = op_b.dims(b);
-        if k > KC || n > NC {
-            return None;
+/// The tile loops of [`small_body`] over a panel from [`pack_small_b`],
+/// writing the `m × n` output `c` (already shaped by `prepare_output`).
+#[cfg(target_arch = "x86_64")]
+fn small_product(
+    op_a: GemmOp,
+    a: &Matrix,
+    panel: &[f64],
+    nb: usize,
+    (alpha, beta): (f64, f64),
+    c: &mut Matrix,
+    (m, n, k): (usize, usize, usize),
+) {
+    assert!(small_path_available() && panel.len() >= k * nb && c.as_slice().len() == m * n);
+    let operands = SmallOperands {
+        a: a.as_slice().as_ptr(),
+        lda: a.cols(),
+        b: panel.as_ptr(),
+        nb,
+        k,
+        c: c.as_mut_slice().as_mut_ptr(),
+        ldc: n,
+        alpha,
+        beta,
+    };
+    // SAFETY: the assert above covers the AVX-512F requirement, the panel
+    // and the output; `op(A)` is `m × k` (`checked_dims`).
+    unsafe {
+        match op_a {
+            GemmOp::NoTrans => small_rows::<false>(&operands, m, n),
+            GemmOp::Trans => small_rows::<true>(&operands, m, n),
         }
-        let mut out = PackedB::default();
-        pack_b_into(op_b, b, &mut out);
-        Some(out)
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn small_product(
+    _: GemmOp,
+    _: &Matrix,
+    _: &[f64],
+    _: usize,
+    _: (f64, f64),
+    _: &mut Matrix,
+    _: (usize, usize, usize),
+) {
+    unreachable!("the small path is only dispatched on AVX-512F hosts");
+}
+
+/// Whether this host runs the small path: AVX-512F, with the blocked
+/// kernel on its FMA micro-kernel (the small path's bit-identity partner).
+#[cfg(target_arch = "x86_64")]
+fn small_path_available() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f") && select_micro_kernel() == MicroKernel::Fma
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn small_path_available() -> bool {
+    false
+}
+
+/// Copies `op(B)` (`k × n`) into `buf` as a row-major `k × n̄` panel,
+/// `n̄ = n` rounded up to [`LANES`], with zeroed padding columns: a plain
+/// row copy for `NoTrans`, a small transpose for `Trans`. Returns `n̄`.
+fn pack_small_b(op: GemmOp, b: &Matrix, k: usize, n: usize, buf: &mut Vec<f64>) -> usize {
+    let nb = n.next_multiple_of(LANES);
+    if buf.len() < k * nb {
+        buf.resize(k * nb, 0.0);
+    }
+    for (p, dst) in buf[..k * nb].chunks_exact_mut(nb).enumerate() {
+        match op {
+            GemmOp::NoTrans => dst[..n].copy_from_slice(b.row(p)),
+            // Effective B[p][j] = b[j][p].
+            GemmOp::Trans => {
+                for (j, v) in dst[..n].iter_mut().enumerate() {
+                    *v = b[(j, p)];
+                }
+            }
+        }
+        dst[n..].fill(0.0);
+    }
+    nb
+}
+
+/// Raw operands of one small-path product: `op(A)` in place (row stride
+/// `lda`), the padded `k × nb` panel of `op(B)`, and the `C` output (row
+/// stride `ldc`).
+#[cfg(target_arch = "x86_64")]
+struct SmallOperands {
+    a: *const f64,
+    lda: usize,
+    b: *const f64,
+    nb: usize,
+    k: usize,
+    c: *mut f64,
+    ldc: usize,
+    alpha: f64,
+    beta: f64,
+}
+
+/// Runs every small-path tile of an `m × n` output: `SMR`-row tiles, one
+/// `SMR / 2`-row tile, then 1-row tiles for the rest of the row tail.
+///
+/// # Safety
+///
+/// Requires AVX-512F, and `s` must describe an `m × k` `op(A)` (laid out
+/// as `TRANS_A` says), a `k × nb` panel and an `m × n` output with no
+/// other live access.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn small_rows<const TRANS_A: bool>(s: &SmallOperands, m: usize, n: usize) {
+    let mut i = 0;
+    // SAFETY: forwarded caller contract; every row block lies in `0..m`.
+    unsafe {
+        while m - i >= SMR {
+            small_row_block::<SMR, TRANS_A>(s, i, n);
+            i += SMR;
+        }
+        if m - i >= SMR / 2 {
+            small_row_block::<{ SMR / 2 }, TRANS_A>(s, i, n);
+            i += SMR / 2;
+        }
+        while i < m {
+            small_row_block::<1, TRANS_A>(s, i, n);
+            i += 1;
+        }
+    }
+}
+
+/// One `R`-row block of the output: full 24-column tiles (three `zmm` per
+/// row), then one tile of one to three vectors for the column tail, whose
+/// last vector stores through a lane mask.
+///
+/// # Safety
+///
+/// Same contract as [`small_rows`], with rows `i0 .. i0 + R` in range.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn small_row_block<const R: usize, const TRANS_A: bool>(
+    s: &SmallOperands,
+    i0: usize,
+    n: usize,
+) {
+    const W: usize = 3 * LANES;
+    let full = n - n % W;
+    // SAFETY: forwarded caller contract; every tile lies in `0..n`, and
+    // its vectors read padded panel columns below `nb`.
+    unsafe {
+        for j0 in (0..full).step_by(W) {
+            small_tile::<R, 3, TRANS_A>(s, i0, j0, u8::MAX);
+        }
+        let rem = n - full;
+        if rem > 0 {
+            let vectors = rem.div_ceil(LANES);
+            let mask = u8::MAX >> (vectors * LANES - rem);
+            match vectors {
+                1 => small_tile::<R, 1, TRANS_A>(s, i0, full, mask),
+                2 => small_tile::<R, 2, TRANS_A>(s, i0, full, mask),
+                _ => small_tile::<R, 3, TRANS_A>(s, i0, full, mask),
+            }
+        }
+    }
+}
+
+/// One `R × (V·8)` register tile at `(i0, j0)`: `R·V` accumulators, each
+/// a fused-multiply-add chain over `p = 0..k` from zero; then `α·acc` is
+/// stored (`β = 0`) or added to `C` (`β = 1`) or to `β·C`. `mask` selects
+/// the stored lanes of the last vector of each row.
+///
+/// # Safety
+///
+/// Same contract as [`small_row_block`], with columns `j0 .. j0 + V·8`
+/// inside the panel width `nb`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn small_tile<const R: usize, const V: usize, const TRANS_A: bool>(
+    s: &SmallOperands,
+    i0: usize,
+    j0: usize,
+    mask: u8,
+) {
+    use core::arch::x86_64::*;
+    // op(A)[i0 + r][p] sits at a[(i0 + r)·lda + p] (NoTrans) or at
+    // a[p·lda + i0 + r] (Trans, a contiguous run of one source row).
+    let (row_step, p_step) = if TRANS_A { (1, s.lda) } else { (s.lda, 1) };
+    // SAFETY: the caller guarantees AVX-512F and that every address below
+    // lies inside `op(A)`, the panel, or the tile's own rows of `C`;
+    // masked-out lanes are never read or written.
+    unsafe {
+        let a0 = if TRANS_A {
+            s.a.add(i0)
+        } else {
+            s.a.add(i0 * s.lda)
+        };
+        let mut acc = [[_mm512_setzero_pd(); V]; R];
+        for p in 0..s.k {
+            let brow = s.b.add(p * s.nb + j0);
+            let mut bv = [_mm512_setzero_pd(); V];
+            for (v, b) in bv.iter_mut().enumerate() {
+                *b = _mm512_loadu_pd(brow.add(v * LANES));
+            }
+            let ap = a0.add(p * p_step);
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let av = _mm512_set1_pd(*ap.add(r * row_step));
+                for (cv, &b) in accr.iter_mut().zip(&bv) {
+                    *cv = _mm512_fmadd_pd(av, b, *cv);
+                }
+            }
+        }
+        let va = _mm512_set1_pd(s.alpha);
+        let vb = _mm512_set1_pd(s.beta);
+        for (r, accr) in acc.iter().enumerate() {
+            let row = s.c.add((i0 + r) * s.ldc + j0);
+            for (v, &x) in accr.iter().enumerate() {
+                let lanes = if v + 1 == V { mask } else { u8::MAX };
+                let dst = row.add(v * LANES);
+                let prod = _mm512_mul_pd(va, x);
+                let out = if s.beta == 0.0 {
+                    prod
+                } else {
+                    let old = _mm512_maskz_loadu_pd(lanes, dst);
+                    let old = if s.beta == 1.0 {
+                        old
+                    } else {
+                        _mm512_mul_pd(vb, old)
+                    };
+                    _mm512_add_pd(old, prod)
+                };
+                _mm512_mask_storeu_pd(dst, lanes, out);
+            }
+        }
     }
 }
 
@@ -596,124 +878,6 @@ fn debug_assert_finite_operand(m: &Matrix, name: &str) {
                 );
             }
         }
-    }
-}
-
-/// Packs `op(B)` into `out` for reuse with [`gemm_prepacked_with`]. The
-/// layout is identical to the per-call packing of [`gemm`], so prepacked
-/// products are bit-identical to blocked on-the-fly ones.
-///
-/// # Panics
-///
-/// Panics if the effective dimensions exceed one panel (`k > KC` or
-/// `n > NC`) — multi-panel operands must use the on-the-fly path.
-pub fn pack_b_into(op_b: GemmOp, b: &Matrix, out: &mut PackedB) {
-    debug_assert_finite_operand(b, "packed B");
-    let (k, n) = op_b.dims(b);
-    assert!(
-        k <= KC && n <= NC,
-        "pack_b_into supports single-panel operands only (k ≤ {KC}, n ≤ {NC})"
-    );
-    pack_b(op_b, b, 0, k, 0, n, &mut out.data);
-    out.k = k;
-    out.n = n;
-}
-
-/// `C := α·op(A)·B + β·C` with a pre-packed right operand: identical
-/// result bits to the blocked [`gemm`] on the same operands, minus the
-/// per-call packing of `B`.
-///
-/// # Panics
-///
-/// Panics if the inner dimensions disagree, or if `beta != 0.0` and `C`
-/// has the wrong shape.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_prepacked_with<E: Epilogue>(
-    op_a: GemmOp,
-    alpha: f64,
-    a: &Matrix,
-    b: &PackedB,
-    beta: f64,
-    c: &mut Matrix,
-    ws: &mut GemmWorkspace,
-    epilogue: &mut E,
-) {
-    debug_assert_finite_operand(a, "A");
-    let (m, ka) = op_a.dims(a);
-    let (k, n) = (b.k, b.n);
-    assert_eq!(ka, k, "inner dimensions must agree");
-    prepare_output(beta, m, n, c);
-    if m == 0 || n == 0 {
-        return;
-    }
-    let kernel = select_micro_kernel();
-    let store = beta == 0.0;
-    let ccols = c.cols();
-    // The packed operand is a single panel (k ≤ KC), so a region here is
-    // just the MC-row loop; rows split across threads exactly like the
-    // on-the-fly path (the prepacked B panel is shared, never re-packed).
-    let row_region = |cbase: *mut f64, ws: &mut GemmWorkspace, rows: std::ops::Range<usize>| {
-        if beta != 0.0 && beta != 1.0 {
-            for i in rows.clone() {
-                // SAFETY: row `i` is inside the caller's exclusive range.
-                let row = unsafe { std::slice::from_raw_parts_mut(cbase.add(i * ccols), n) };
-                for v in row {
-                    *v *= beta;
-                }
-            }
-        }
-        let mut ic = rows.start;
-        while ic < rows.end {
-            let mc = MC.min(rows.end - ic);
-            pack_a(op_a, a, ic, mc, 0, k, &mut ws.pack_a);
-            // SAFETY: the `mc × n` block at row `ic` is inside the
-            // caller's exclusive range.
-            unsafe {
-                macro_kernel(
-                    alpha,
-                    (mc, n, k),
-                    &ws.pack_a,
-                    &b.data,
-                    cbase,
-                    ccols,
-                    ic,
-                    0,
-                    kernel,
-                    store,
-                );
-            }
-            ic += MC;
-        }
-    };
-    let (threads, _) = plan_threads(m, n, k);
-    // Row split only: prepacked products always share the one B panel.
-    let threads = threads.min(m.div_ceil(MR));
-    // Same telemetry as the on-the-fly blocked path.
-    let work = m.saturating_mul(n).saturating_mul(k);
-    let _span = if telemetry::enabled() {
-        telemetry::record(telemetry::Metric::GemmFlops, 2 * work as u64);
-        if threads > 1 {
-            telemetry::record(telemetry::Metric::GemmSplitWidth, threads as u64);
-        }
-        (work >= GEMM_PARALLEL_MIN_WORK)
-            .then(|| telemetry::span_with(telemetry::SpanId::Gemm, threads as u64))
-    } else {
-        None
-    };
-    if threads <= 1 {
-        row_region(c.as_mut_slice().as_mut_ptr(), ws, 0..m);
-    } else {
-        let cbase = SendPtr(c.as_mut_slice().as_mut_ptr());
-        let tiles = m.div_ceil(MR);
-        crate::pool::run(threads, &|slot| {
-            let (r0, r1) = slot_range(slot, threads, tiles, MR, m);
-            PARALLEL_WS.with(|cell| {
-                row_region(cbase.get(), &mut cell.borrow_mut(), r0..r1);
-            });
-        });
-    }
-    for i in 0..m {
-        epilogue.apply(i, 0, c.row_mut(i));
     }
 }
 
@@ -1226,5 +1390,232 @@ mod tests {
             &mut c,
             &mut ws,
         );
+    }
+
+    /// The MLP's fused epilogues as the `nn` crate applies them: bias-add,
+    /// bias + ReLU, bias + tanh, and the ReLU/tanh derivative products of
+    /// the backward propagation.
+    enum MlpEpilogue<'a> {
+        Plain,
+        Bias(&'a [f64]),
+        BiasRelu(&'a [f64]),
+        BiasTanh(&'a [f64]),
+        ReluPrime(&'a Matrix),
+        TanhPrime(&'a Matrix),
+    }
+
+    impl Epilogue for MlpEpilogue<'_> {
+        fn apply(&mut self, row: usize, col0: usize, seg: &mut [f64]) {
+            for (j, v) in seg.iter_mut().enumerate() {
+                let col = col0 + j;
+                *v = match self {
+                    MlpEpilogue::Plain => *v,
+                    MlpEpilogue::Bias(b) => *v + b[col],
+                    MlpEpilogue::BiasRelu(b) => (*v + b[col]).max(0.0),
+                    MlpEpilogue::BiasTanh(b) => (*v + b[col]).tanh(),
+                    MlpEpilogue::ReluPrime(a) => *v * if a[(row, col)] > 0.0 { 1.0 } else { 0.0 },
+                    MlpEpilogue::TanhPrime(a) => *v * (1.0 - a[(row, col)] * a[(row, col)]),
+                };
+            }
+        }
+    }
+
+    /// Runs one product on the small path (`small = true`) or the blocked
+    /// path, bypassing the dispatch rule — the crate-internal hook of the
+    /// bit-identity tests.
+    #[allow(clippy::too_many_arguments)]
+    fn product_on_path(
+        small: bool,
+        (op_a, op_b): (GemmOp, GemmOp),
+        alpha: f64,
+        a: &Matrix,
+        b: &Matrix,
+        beta: f64,
+        c: &mut Matrix,
+        ws: &mut GemmWorkspace,
+        epilogue: &mut MlpEpilogue<'_>,
+    ) {
+        let dims = checked_dims(op_a, op_b, a, b);
+        prepare_output(beta, dims.0, dims.1, c);
+        if small {
+            small_body(op_a, op_b, alpha, a, b, beta, c, ws, epilogue, dims);
+        } else {
+            blocked_body(op_a, op_b, alpha, a, b, beta, c, ws, epilogue, dims);
+        }
+    }
+
+    fn operand(op: GemmOp, rows: usize, cols: usize, seed: &[f64], salt: usize) -> Matrix {
+        let (r, c) = match op {
+            GemmOp::NoTrans => (rows, cols),
+            GemmOp::Trans => (cols, rows),
+        };
+        Matrix::from_fn(r, c, |i, j| seed[(i * 7 + j * 3 + salt) % seed.len()])
+    }
+
+    const OPS: [(GemmOp, GemmOp); 4] = [
+        (GemmOp::NoTrans, GemmOp::NoTrans),
+        (GemmOp::NoTrans, GemmOp::Trans),
+        (GemmOp::Trans, GemmOp::NoTrans),
+        (GemmOp::Trans, GemmOp::Trans),
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The small path is bit-identical to the blocked path for every
+        /// op combination, α ∈ {1, −0.5}, β ∈ {0, 0.5, 1} and every MLP
+        /// epilogue, on shapes covering full tiles, row tails (m = 1..9)
+        /// and column tails around the 8/24-column tile widths, at depths
+        /// up to one `KC` panel.
+        #[test]
+        fn small_path_is_bit_identical_to_blocked(
+            m_sel in 0usize..10,
+            n_sel in 0usize..10,
+            k_sel in 0usize..4,
+            epi_sel in 0usize..6,
+            seed in proptest::collection::vec(-1.0..1.0f64, 32..200),
+        ) {
+            if !small_path_available() {
+                return Ok(());
+            }
+            let m = [1, 2, 3, 4, 5, 6, 7, 8, 9, 128][m_sel];
+            let n = [1, 7, 8, 9, 23, 24, 25, 30, 40, 48][n_sel];
+            let k = [1, 40, 128, KC][k_sel];
+            let bias: Vec<f64> = (0..n).map(|j| seed[(5 * j + 1) % seed.len()]).collect();
+            let act = Matrix::from_fn(m, n, |i, j| seed[(i + 11 * j) % seed.len()]);
+            let c0 = Matrix::from_fn(m, n, |i, j| seed[(3 * i + 5 * j + 2) % seed.len()]);
+            for (op_a, op_b) in OPS {
+                let a = operand(op_a, m, k, &seed, 0);
+                let b = operand(op_b, k, n, &seed, 13);
+                for alpha in [1.0, -0.5] {
+                    for beta in [0.0, 0.5, 1.0] {
+                        let mut out = [c0.clone(), c0.clone()];
+                        for (small, c) in [true, false].into_iter().zip(&mut out) {
+                            let mut epi = match epi_sel {
+                                0 => MlpEpilogue::Plain,
+                                1 => MlpEpilogue::Bias(&bias),
+                                2 => MlpEpilogue::BiasRelu(&bias),
+                                3 => MlpEpilogue::BiasTanh(&bias),
+                                4 => MlpEpilogue::ReluPrime(&act),
+                                _ => MlpEpilogue::TanhPrime(&act),
+                            };
+                            let ws = &mut GemmWorkspace::new();
+                            product_on_path(small, (op_a, op_b), alpha, &a, &b, beta, c, ws, &mut epi);
+                        }
+                        for (x, y) in out[0].as_slice().iter().zip(out[1].as_slice()) {
+                            proptest::prop_assert_eq!(x.to_bits(), y.to_bits());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The dispatch rule: the eight products of a critic training step
+    /// (batch 128, widths 40→48→48→30) take the small path on AVX-512F
+    /// hosts; products deeper than one panel or wider than the cap do not.
+    #[test]
+    fn critic_products_take_the_small_path() {
+        let critic = [
+            (128, 48, 40),
+            (128, 48, 48),
+            (128, 30, 48),
+            (30, 48, 128),
+            (128, 48, 30),
+            (48, 48, 128),
+            (128, 48, 48),
+            (48, 40, 128),
+        ];
+        for (m, n, k) in critic {
+            assert!(m * n * k > GEMM_NAIVE_CUTOFF);
+            assert_eq!(
+                takes_small_path(n, k),
+                small_path_available(),
+                "{m}x{n}x{k}"
+            );
+        }
+        assert!(!takes_small_path(48, GEMM_SMALL_MAX_K + 1));
+        assert!(!takes_small_path(GEMM_SMALL_MAX_N + 1, 48));
+    }
+
+    /// Diagnostic (run with `--release -- --ignored --nocapture`): serial
+    /// small path vs blocked path (and the naive kernel on tiny products)
+    /// on the eight critic products and across larger shapes — the
+    /// measurements behind [`GEMM_SMALL_MAX_N`].
+    #[test]
+    #[ignore]
+    fn probe_small_path_crossover() {
+        type Shape = (usize, usize, usize, (GemmOp, GemmOp));
+        if !small_path_available() {
+            eprintln!("no AVX-512F on this host: nothing to probe");
+            return;
+        }
+        let seed: Vec<f64> = (0..97).map(|i| (i as f64 * 0.37).sin()).collect();
+        let nn = (GemmOp::NoTrans, GemmOp::NoTrans);
+        let nt = (GemmOp::NoTrans, GemmOp::Trans);
+        let tn = (GemmOp::Trans, GemmOp::NoTrans);
+        let critic: [Shape; 8] = [
+            (128, 48, 40, nt),
+            (128, 48, 48, nt),
+            (128, 30, 48, nt),
+            (30, 48, 128, tn),
+            (128, 48, 30, nn),
+            (48, 48, 128, tn),
+            (128, 48, 48, nn),
+            (48, 40, 128, tn),
+        ];
+        let sweep = [1, 8, 128, 512, 2048].into_iter().flat_map(|m| {
+            [8, 48, 128, 256, 512]
+                .into_iter()
+                .flat_map(move |n| [8, 48, 128, KC].map(|k| (m, n, k, nn)))
+        });
+        // Serial blocked products: the small path never threads.
+        crate::pool::set_max_threads(1);
+        let mut ws = GemmWorkspace::new();
+        let mut c = Matrix::default();
+        // Best-of-25 µs per product: small path, blocked path, or naive.
+        let mut time = |path: Option<bool>, (m, n, k, ops): Shape| {
+            let a = operand(ops.0, m, k, &seed, 0);
+            let b = operand(ops.1, k, n, &seed, 13);
+            let reps = (2_000_000 / (m * n * k)).clamp(3, 2000);
+            let mut best = f64::INFINITY;
+            for _ in 0..25 {
+                let t = std::time::Instant::now();
+                for _ in 0..reps {
+                    let epi = &mut MlpEpilogue::Plain;
+                    match path {
+                        Some(small) => {
+                            product_on_path(small, ops, 1.0, &a, &b, 0.0, &mut c, &mut ws, epi)
+                        }
+                        None => gemm_naive(ops.0, ops.1, 1.0, &a, &b, 0.0, &mut c),
+                    }
+                }
+                best = best.min(t.elapsed().as_secs_f64() / reps as f64);
+            }
+            best * 1e6
+        };
+        let mut step = (0.0, 0.0);
+        for (i, shape) in critic.into_iter().chain(sweep).enumerate() {
+            let (m, n, k, _) = shape;
+            let ts = time(Some(true), shape);
+            let tb = time(Some(false), shape);
+            let naive = if m * n * k <= GEMM_NAIVE_CUTOFF {
+                format!(" naive {:8.2}us", time(None, shape))
+            } else {
+                String::new()
+            };
+            eprintln!(
+                "m={m:4} n={n:4} k={k:3} small {ts:8.2}us blocked {tb:8.2}us \
+                 blocked/small {:.2}{naive}",
+                tb / ts
+            );
+            if i < critic.len() {
+                step = (step.0 + ts, step.1 + tb);
+            }
+            if i + 1 == critic.len() {
+                eprintln!("critic step: small {:.1}us blocked {:.1}us", step.0, step.1);
+            }
+        }
+        crate::pool::set_max_threads(0);
     }
 }

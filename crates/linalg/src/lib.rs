@@ -9,8 +9,10 @@
 //! - [`gemm`] / [`gemm_with`]: a cache-blocked, register-tiled GEMM engine
 //!   covering all `op(A)·op(B)` shapes with packed panels held in a
 //!   reusable [`GemmWorkspace`] and fused output epilogues — the training
-//!   kernel behind the DNN-Opt critic/actor networks. Large products
-//!   split across the shared [`pool`] into static tile-aligned panels,
+//!   kernel behind the DNN-Opt critic/actor networks. On AVX-512 hosts
+//!   the MLP-sized products take an unpacked register-tiled small path,
+//!   bit-identical to the blocked kernel. Other large products split
+//!   across the shared [`pool`] into static tile-aligned panels,
 //!   bit-identical to serial at any thread count.
 //! - [`pool`]: the process-wide worker pool behind both the threaded GEMM
 //!   and the optimizer's population grid, sized by `DNNOPT_THREADS` /
@@ -64,8 +66,8 @@ pub mod vecops;
 pub use cholesky::{Cholesky, CholeskyWorkspace};
 pub use complex::{ComplexLu, ComplexLuWorkspace, C64};
 pub use gemm::{
-    gemm, gemm_naive, gemm_naive_with, gemm_prepacked_with, gemm_with, pack_b_into, Epilogue,
-    GemmOp, GemmWorkspace, NoEpilogue, PackedB, GEMM_NAIVE_CUTOFF, GEMM_PARALLEL_MIN_WORK,
+    gemm, gemm_naive, gemm_naive_with, gemm_with, Epilogue, GemmOp, GemmWorkspace, NoEpilogue,
+    GEMM_NAIVE_CUTOFF, GEMM_PARALLEL_MIN_WORK, GEMM_SMALL_MAX_K, GEMM_SMALL_MAX_N,
 };
 pub use lu::{Lu, LuWorkspace};
 pub use matrix::Matrix;

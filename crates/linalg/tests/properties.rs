@@ -1,10 +1,10 @@
 //! Property-based tests on the factorization kernels.
 
 use linalg::{
-    gemm, gemm_naive, gemm_prepacked_with, gemm_with, pack_b_into, Cholesky, CholeskyWorkspace,
-    ComplexLu, ComplexLuWorkspace, CscComplexMatrix, CscMatrix, Epilogue, FactorError, GemmOp,
-    GemmWorkspace, Lu, LuWorkspace, Matrix, NoEpilogue, PackedB, SparseComplexLu, SparseLu,
-    SupernodalMode, C64, GEMM_PARALLEL_MIN_WORK,
+    gemm, gemm_naive, gemm_with, Cholesky, CholeskyWorkspace, ComplexLu, ComplexLuWorkspace,
+    CscComplexMatrix, CscMatrix, Epilogue, FactorError, GemmOp, GemmWorkspace, Lu, LuWorkspace,
+    Matrix, SparseComplexLu, SparseLu, SupernodalMode, C64, GEMM_PARALLEL_MIN_WORK,
+    GEMM_SMALL_MAX_K,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -605,23 +605,25 @@ proptest! {
 
     /// The threaded GEMM is **bit-identical** to the serial path for every
     /// op combination and alpha/beta case, at even and odd thread counts.
-    /// Dimensions are drawn to clear `GEMM_PARALLEL_MIN_WORK` (so the
-    /// parallel split really engages) while straddling the MR/NR/MC tile
-    /// boundaries (64..130 covers multiples, off-by-one, and remainders).
+    /// Dimensions are drawn to clear `GEMM_PARALLEL_MIN_WORK` and to run
+    /// deeper than the small path serves (`k > GEMM_SMALL_MAX_K`), so the
+    /// parallel split really engages, while straddling the MR/NR/MC tile
+    /// boundaries (64..130 covers multiples, off-by-one, and remainders)
+    /// and the second `KC` panel.
     #[test]
     fn gemm_threaded_is_bit_identical_to_serial(
         m in 64usize..130,
         n in 64usize..100,
-        k in 16usize..40,
+        k in 257usize..300,
         ops in 0usize..4,
         alpha in -2.0..2.0f64,
         beta_sel in 0usize..4,
         threads_sel in 0usize..3,
         seed in proptest::collection::vec(-1.0..1.0f64, 32..200),
     ) {
-        // The dimension floors guarantee m·n·k ≥ GEMM_PARALLEL_MIN_WORK
-        // (64·64·16 is exactly the cutoff), so the split always engages.
-        assert!(m * n * k >= GEMM_PARALLEL_MIN_WORK);
+        // The dimension floors put every product past the small path and
+        // the parallel work cutoff, so the split always engages.
+        assert!(k > GEMM_SMALL_MAX_K && m * n * k >= GEMM_PARALLEL_MIN_WORK);
         let threads = [2usize, 3, 7][threads_sel];
         let op_a = if ops & 1 == 0 { GemmOp::NoTrans } else { GemmOp::Trans };
         let op_b = if ops & 2 == 0 { GemmOp::NoTrans } else { GemmOp::Trans };
@@ -645,19 +647,19 @@ proptest! {
         }
     }
 
-    /// Same bit-identity for the fused-epilogue and prepacked entry points
-    /// (the two paths the `nn` hot loop actually drives): the epilogue is
-    /// applied exactly once per final element no matter how the middle of
-    /// the product was split across workers.
+    /// Same bit-identity for the fused-epilogue entry point (the path the
+    /// `nn` hot loop drives): the epilogue is applied exactly once per
+    /// final element no matter how the middle of the product was split
+    /// across workers.
     #[test]
-    fn gemm_threaded_epilogue_and_prepacked_match_serial(
+    fn gemm_threaded_epilogue_matches_serial(
         m in 64usize..130,
         n in 64usize..100,
-        k in 16usize..40,
+        k in 257usize..300,
         threads_sel in 0usize..3,
         seed in proptest::collection::vec(-1.0..1.0f64, 32..200),
     ) {
-        assert!(m * n * k >= GEMM_PARALLEL_MIN_WORK);
+        assert!(k > GEMM_SMALL_MAX_K && m * n * k >= GEMM_PARALLEL_MIN_WORK);
         let threads = [2usize, 3, 7][threads_sel];
         /// An affine per-column epilogue standing in for bias+activation.
         struct ColAffine<'a> {
@@ -675,31 +677,22 @@ proptest! {
         let b = gemm_operand(GemmOp::NoTrans, k, n, &seed, 13);
         let shift: Vec<f64> = (0..n).map(|j| seed[(j + 5) % seed.len()]).collect();
         let mut ws = GemmWorkspace::new();
-        let mut packed = PackedB::default();
-        pack_b_into(GemmOp::NoTrans, &b, &mut packed);
 
         let _lock = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let run = |threads: usize, ws: &mut GemmWorkspace, packed: &PackedB| {
+        let mut run = |threads: usize| {
             linalg::pool::set_max_threads(threads);
             let mut fused = Matrix::default();
             gemm_with(
                 GemmOp::NoTrans, GemmOp::NoTrans, 1.0, &a, &b, 0.0,
-                &mut fused, ws, &mut ColAffine { shift: &shift },
-            );
-            let mut pre = Matrix::from_fn(m, n, |i, j| seed[(i + 2 * j) % seed.len()]);
-            gemm_prepacked_with(
-                GemmOp::NoTrans, 1.0, &a, packed, 0.5, &mut pre, ws, &mut NoEpilogue,
+                &mut fused, &mut ws, &mut ColAffine { shift: &shift },
             );
             linalg::pool::set_max_threads(0);
-            (fused, pre)
+            fused
         };
-        let (fused_s, pre_s) = run(1, &mut ws, &packed);
-        let (fused_t, pre_t) = run(threads, &mut ws, &packed);
+        let serial = run(1);
+        let threaded = run(threads);
 
-        for (x, y) in fused_t.as_slice().iter().zip(fused_s.as_slice()) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
-        for (x, y) in pre_t.as_slice().iter().zip(pre_s.as_slice()) {
+        for (x, y) in threaded.as_slice().iter().zip(serial.as_slice()) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
     }

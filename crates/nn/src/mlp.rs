@@ -69,16 +69,6 @@ struct Dense {
     b: Vec<f64>,
 }
 
-/// Pre-packed GEMM panels of a frozen network's weights (see
-/// [`Mlp::freeze`]): per layer, `Wᵀ` packed for the forward `x·Wᵀ` and `W`
-/// packed for the backward `δ·W` propagation. `None` for layers too large
-/// for a single GEMM panel.
-#[derive(Debug, Clone, Default)]
-struct FrozenPacks {
-    fwd: Vec<Option<linalg::PackedB>>,
-    bwd: Vec<Option<linalg::PackedB>>,
-}
-
 /// Parameter gradients for a whole network, shaped like the network itself.
 #[derive(Debug, Clone, Default)]
 pub struct Gradients {
@@ -148,9 +138,6 @@ pub struct ForwardCache {
 pub struct Mlp {
     layers: Vec<Dense>,
     hidden_act: Activation,
-    /// Pre-packed weight panels, present only between a [`Mlp::freeze`]
-    /// call and the next parameter mutation.
-    frozen: Option<FrozenPacks>,
 }
 
 impl Mlp {
@@ -177,49 +164,7 @@ impl Mlp {
                 b: vec![0.0; fan_out],
             });
         }
-        Mlp {
-            layers,
-            hidden_act,
-            frozen: None,
-        }
-    }
-
-    /// Pre-packs every weight matrix into its GEMM panel layouts, so
-    /// subsequent forward/backward passes skip the per-call packing of the
-    /// right-hand operand. Call once the parameters are final (a trained
-    /// critic entering the actor loop, a trained actor proposing steps);
-    /// any later parameter mutation silently discards the packs. Products
-    /// with pre-packed weights are bit-identical to the blocked on-the-fly
-    /// path.
-    pub fn freeze(&mut self) {
-        telemetry::record(telemetry::Metric::ModelFreezes, 1);
-        let mut packs = FrozenPacks::default();
-        for layer in &self.layers {
-            // Forward: B = Wᵀ, effective (k = in, n = out).
-            packs
-                .fwd
-                .push(linalg::PackedB::try_pack(linalg::GemmOp::Trans, &layer.w));
-            // Backward propagation: B = W, effective (k = out, n = in).
-            packs
-                .bwd
-                .push(linalg::PackedB::try_pack(linalg::GemmOp::NoTrans, &layer.w));
-        }
-        self.frozen = Some(packs);
-    }
-
-    /// True if pre-packed weight panels are active (see [`Mlp::freeze`]).
-    pub fn is_frozen(&self) -> bool {
-        self.frozen.is_some()
-    }
-
-    /// The pre-packed forward panel of layer `k`, when frozen and sized.
-    pub(crate) fn packed_fwd(&self, k: usize) -> Option<&linalg::PackedB> {
-        self.frozen.as_ref().and_then(|f| f.fwd[k].as_ref())
-    }
-
-    /// The pre-packed backward panel of layer `k`, when frozen and sized.
-    pub(crate) fn packed_bwd(&self, k: usize) -> Option<&linalg::PackedB> {
-        self.frozen.as_ref().and_then(|f| f.bwd[k].as_ref())
+        Mlp { layers, hidden_act }
     }
 
     /// Input dimensionality.
@@ -252,10 +197,8 @@ impl Mlp {
     }
 
     /// Mutable borrow of layer `k`'s weights and biases (for in-place
-    /// optimizer updates). Discards any pre-packed panels: the parameters
-    /// are about to change.
+    /// optimizer updates).
     pub(crate) fn layer_params_mut(&mut self, k: usize) -> (&mut Matrix, &mut Vec<f64>) {
-        self.frozen = None;
         let l = &mut self.layers[k];
         (&mut l.w, &mut l.b)
     }
@@ -313,7 +256,6 @@ impl Mlp {
     /// `s` the network initially outputs near-zero values — the DDPG trick
     /// for actor networks whose outputs are corrections.
     pub fn scale_output_layer(&mut self, s: f64) {
-        self.frozen = None;
         let last = self.layers.len() - 1;
         self.layers[last].w.scale_inplace(s);
         for b in &mut self.layers[last].b {

@@ -19,9 +19,7 @@
 //! [`linalg::GemmWorkspace`] pack panels, so one full forward + backward +
 //! Adam step performs **zero heap allocations** once the buffers are warm.
 
-use linalg::{
-    gemm, gemm_prepacked_with, gemm_with, Epilogue, GemmOp, GemmWorkspace, Matrix, PackedB,
-};
+use linalg::{gemm, gemm_with, Epilogue, GemmOp, GemmWorkspace, Matrix};
 
 use crate::mlp::{ActFn, Activation, Gradients, Mlp, ReluAct, TanhAct};
 use crate::Adam;
@@ -179,58 +177,48 @@ impl<A: ActFn> Epilogue for ActPrimeEpilogue<'_, A> {
     }
 }
 
-/// One layer product `x_in · Wᵀ` with the given fused epilogue, through
-/// the pre-packed panel when the network is frozen.
+/// One layer product `x_in · Wᵀ` with the given fused epilogue.
 #[inline]
 fn layer_gemm<E: Epilogue>(
     x_in: &Matrix,
     w: &Matrix,
-    packed: Option<&PackedB>,
     out: &mut Matrix,
     gemm_ws: &mut GemmWorkspace,
     epi: &mut E,
 ) {
-    match packed {
-        Some(p) => gemm_prepacked_with(GemmOp::NoTrans, 1.0, x_in, p, 0.0, out, gemm_ws, epi),
-        None => gemm_with(
-            GemmOp::NoTrans,
-            GemmOp::Trans,
-            1.0,
-            x_in,
-            w,
-            0.0,
-            out,
-            gemm_ws,
-            epi,
-        ),
-    }
+    gemm_with(
+        GemmOp::NoTrans,
+        GemmOp::Trans,
+        1.0,
+        x_in,
+        w,
+        0.0,
+        out,
+        gemm_ws,
+        epi,
+    );
 }
 
-/// One delta propagation `δ · W` with the given fused epilogue, through
-/// the pre-packed panel when the network is frozen.
+/// One delta propagation `δ · W` with the given fused epilogue.
 #[inline]
 fn prop_gemm<E: Epilogue>(
     delta: &Matrix,
     w: &Matrix,
-    packed: Option<&PackedB>,
     out: &mut Matrix,
     gemm_ws: &mut GemmWorkspace,
     epi: &mut E,
 ) {
-    match packed {
-        Some(p) => gemm_prepacked_with(GemmOp::NoTrans, 1.0, delta, p, 0.0, out, gemm_ws, epi),
-        None => gemm_with(
-            GemmOp::NoTrans,
-            GemmOp::NoTrans,
-            1.0,
-            delta,
-            w,
-            0.0,
-            out,
-            gemm_ws,
-            epi,
-        ),
-    }
+    gemm_with(
+        GemmOp::NoTrans,
+        GemmOp::NoTrans,
+        1.0,
+        delta,
+        w,
+        0.0,
+        out,
+        gemm_ws,
+        epi,
+    );
 }
 
 impl Mlp {
@@ -249,7 +237,6 @@ impl Mlp {
         ws.acts[0].copy_from(x);
         for k in 0..=last {
             let (w, b) = self.layer(k);
-            let packed = self.packed_fwd(k);
             let (head, tail) = ws.acts.split_at_mut(k + 1);
             let x_in = &head[k];
             let out = &mut tail[0];
@@ -258,7 +245,6 @@ impl Mlp {
                     Activation::Relu => layer_gemm(
                         x_in,
                         w,
-                        packed,
                         out,
                         &mut ws.gemm,
                         &mut BiasActEpilogue::<ReluAct>::new(b),
@@ -266,7 +252,6 @@ impl Mlp {
                     Activation::Tanh => layer_gemm(
                         x_in,
                         w,
-                        packed,
                         out,
                         &mut ws.gemm,
                         &mut BiasActEpilogue::<TanhAct>::new(b),
@@ -274,14 +259,7 @@ impl Mlp {
                 }
             } else {
                 // Linear output layer: bias-add only.
-                layer_gemm(
-                    x_in,
-                    w,
-                    packed,
-                    out,
-                    &mut ws.gemm,
-                    &mut BiasEpilogue { bias: b },
-                );
+                layer_gemm(x_in, w, out, &mut ws.gemm, &mut BiasEpilogue { bias: b });
             }
         }
         ws.output()
@@ -373,13 +351,11 @@ impl Mlp {
             // activation-derivative product (δ ⊙ act'(acts[k])) into its
             // output tiles; for k == 0 it is the plain input gradient.
             let (w, _) = self.layer(k);
-            let packed = self.packed_bwd(k);
             if k > 0 {
                 match self.activation() {
                     Activation::Relu => prop_gemm(
                         &ws.delta,
                         w,
-                        packed,
                         &mut ws.delta_tmp,
                         &mut ws.gemm,
                         &mut ActPrimeEpilogue::<ReluAct>::new(&ws.acts[k]),
@@ -387,7 +363,6 @@ impl Mlp {
                     Activation::Tanh => prop_gemm(
                         &ws.delta,
                         w,
-                        packed,
                         &mut ws.delta_tmp,
                         &mut ws.gemm,
                         &mut ActPrimeEpilogue::<TanhAct>::new(&ws.acts[k]),
@@ -397,7 +372,6 @@ impl Mlp {
                 prop_gemm(
                     &ws.delta,
                     w,
-                    packed,
                     &mut ws.delta_tmp,
                     &mut ws.gemm,
                     &mut linalg::NoEpilogue,
@@ -514,41 +488,6 @@ mod tests {
             assert!((la - lb).abs() < 1e-12, "losses diverged: {la} vs {lb}");
         }
         assert_eq!(net_a.forward(&x), net_b.forward(&x));
-    }
-
-    /// Freezing pre-packs the weight panels; forward and backward through
-    /// the packed panels must match the on-the-fly blocked path bit for
-    /// bit, and any parameter mutation must silently discard the packs.
-    #[test]
-    fn frozen_packed_panels_match_on_the_fly_path() {
-        let mut rng = StdRng::seed_from_u64(29);
-        let mut net = Mlp::new(&[9, 7, 3], Activation::Relu, &mut rng);
-        // Batch large enough that every layer product exceeds the naive
-        // cutoff, so the unfrozen path is blocked too (the packed path is
-        // always blocked; bit equality only holds kernel-to-kernel).
-        let x = Matrix::from_fn(256, 9, |i, j| ((i * 5 + j) as f64 * 0.07).cos());
-        let grad_out = Matrix::from_fn(256, 3, |i, j| (i as f64 * 0.01) - j as f64);
-        let mut ws_plain = TrainWorkspace::new();
-        net.forward_ws(&x, &mut ws_plain);
-        net.backward_ws(&mut ws_plain, &grad_out);
-        let plain_out = ws_plain.output().clone();
-
-        net.freeze();
-        assert!(net.is_frozen());
-        let mut ws_frozen = TrainWorkspace::new();
-        net.forward_ws(&x, &mut ws_frozen);
-        net.backward_ws(&mut ws_frozen, &grad_out);
-        assert_eq!(plain_out, *ws_frozen.output());
-        for k in 0..net.num_layers() {
-            assert_eq!(ws_plain.gradients().dw[k], ws_frozen.gradients().dw[k]);
-        }
-        assert_eq!(ws_plain.input_gradient(), ws_frozen.input_gradient());
-
-        // A parameter mutation thaws the network.
-        let mut adam = Adam::new(1e-3);
-        let y = Matrix::from_fn(256, 3, |i, _| (i as f64 * 0.02).sin());
-        train_step_mse_ws(&mut net, &mut adam, &x, &y, &mut ws_frozen);
-        assert!(!net.is_frozen());
     }
 
     /// The fused bias/activation epilogues must agree bit-for-bit with the

@@ -216,8 +216,6 @@ pub enum Metric {
     FaultsInjected,
     /// MLP training steps (one fused forward/backward/update).
     TrainSteps,
-    /// Network freeze transitions (critic handed to the actor).
-    ModelFreezes,
     /// Supernodes (width ≥ 2 dense column blocks) detected per sparse
     /// symbolic plan.
     SparseSupernodes,
@@ -242,7 +240,7 @@ pub enum Metric {
 }
 
 /// Number of [`Metric`] variants.
-pub const NUM_METRICS: usize = 20;
+pub const NUM_METRICS: usize = 19;
 
 impl Metric {
     /// Every metric, in declaration order.
@@ -261,7 +259,6 @@ impl Metric {
         Metric::PoolBusyNs,
         Metric::FaultsInjected,
         Metric::TrainSteps,
-        Metric::ModelFreezes,
         Metric::SparseSupernodes,
         Metric::SparseBlockFlops,
         Metric::SparseBlockedDispatch,
@@ -286,7 +283,6 @@ impl Metric {
             Metric::PoolBusyNs => "pool_busy_ns",
             Metric::FaultsInjected => "faults_injected",
             Metric::TrainSteps => "train_steps",
-            Metric::ModelFreezes => "model_freezes",
             Metric::SparseSupernodes => "sparse_supernodes",
             Metric::SparseBlockFlops => "sparse_block_flops",
             Metric::SparseBlockedDispatch => "sparse_blocked_dispatch",

@@ -366,7 +366,7 @@ fn serial_and_parallel_runs_are_bit_identical() {
     );
 
     // Post-layout mesh topology through the supernodal blocked replay: the
-    // panel batches run the same threaded GEMM micro-kernel as training,
+    // panel batches run through the same GEMM engine as training,
     // and the replay itself fans the elimination-tree task partition out
     // over the shared pool at threads > 1 — so factor + refactor + solve
     // must stay bit-identical at any thread count, with the blocked path

@@ -237,9 +237,10 @@ fn runs_are_bit_identical_at_every_thread_count() {
 
     // --- The trained critic itself. Training shapes are chosen to clear
     // the threaded-GEMM work cutoff (256×64 batches over a width-40
-    // input), so the forward/backward GEMMs really run split across the
-    // pool at threads > 1. Bit-identical probe predictions at every
-    // thread count ⇒ bit-identical weights.
+    // input), so on hosts without AVX-512 the forward/backward GEMMs
+    // really run split across the pool at threads > 1; AVX-512 hosts run
+    // them on the serial small path at every thread count. Bit-identical
+    // probe predictions at every thread count ⇒ bit-identical weights.
     let dim = 20;
     let n = 40;
     let mut rng = StdRng::seed_from_u64(13);
