@@ -330,9 +330,29 @@ fn bench_spice(c: &mut Criterion) {
     });
 }
 
+/// One closed-loop OTA step transient (op + 400 ns at a 0.5 ns base
+/// step) on a pooled workspace, pre-layout (n = 32) and post-layout
+/// (n = 256, parasitic RC ladders on every node): the per-timestep
+/// Newton replay — constant restamp, MOS linearization, scalar sparse
+/// refactor and solve — that dominates the sizing runs' simulator time.
+fn bench_closed_loop_transient(c: &mut Criterion) {
+    for (label, ota) in [
+        ("ota_closed_loop_tran_n32", FoldedCascodeOta::new()),
+        (
+            "ota_closed_loop_tran_postlayout_n256",
+            FoldedCascodeOta::post_layout(),
+        ),
+    ] {
+        let x = ota.nominal();
+        c.bench_function(label, |b| {
+            b.iter(|| ota.closed_loop_transient(black_box(&x)).unwrap().len())
+        });
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_newton_kernel, bench_ac_sweep_kernel, bench_spice
+    targets = bench_newton_kernel, bench_ac_sweep_kernel, bench_spice, bench_closed_loop_transient
 }
 criterion_main!(benches);

@@ -15,7 +15,7 @@
 //!
 //! Scale knobs via the environment: `REPEATS` (default 3; paper 10),
 //! `BUDGET` (default 500; paper 500), `DE_BUDGET` (default 2000; paper
-//! 10000). See EXPERIMENTS.md for calibration notes.
+//! 10000); see `bench::Scale`.
 
 use bench::{ascii_plot, building_block_suite, secs, write_traces_csv, MethodRuns, Scale};
 use circuits::{Ctle, FoldedCascodeOta, InverterChain, Ldo, LevelShifter, StrongArmLatch};
@@ -86,7 +86,7 @@ fn run_ota(scale: &Scale) {
     let ota = FoldedCascodeOta::new();
     // Eq. 4 weights: objective in ~[0.5, 5] mW scaled to ~[0.05, 0.5];
     // constraint weights 0.25 keep typical violations inside the linear
-    // band of the min/max clipping (see EXPERIMENTS.md).
+    // band of the min/max clipping (see `opt::Fom`).
     let fom = Fom::new(100.0, vec![0.25; ota.num_constraints()]);
     eprintln!("[ota] running Table II / Fig. 3 suite...");
     let methods = building_block_suite(&ota, &fom, scale, StopPolicy::Exhaust);

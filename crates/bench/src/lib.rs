@@ -2,8 +2,9 @@
 //! per-method statistics, FoM-curve aggregation, and CSV output.
 //!
 //! The `repro` binary (this crate's `src/bin/repro.rs`) uses these helpers
-//! to regenerate every table and figure of the paper; see EXPERIMENTS.md
-//! for the mapping and the calibration notes.
+//! to regenerate every table and figure of the paper; its module docs map
+//! each command to its table or figure, and [`Scale`] documents the
+//! experiment-scale defaults against the paper's protocol.
 
 use std::time::Duration;
 
@@ -708,6 +709,24 @@ pub mod baseline {
         let latch = circuits::StrongArmLatch::new();
         let xl = latch.nominal();
         c.bench_function("latch_full_evaluation", |b| b.iter(|| latch.evaluate(&xl)));
+
+        // The closed-loop OTA transient rows (identical bodies to
+        // `benches/spice_kernels.rs::bench_closed_loop_transient`).
+        for (label, ota) in [
+            (
+                "ota_closed_loop_tran_n32",
+                circuits::FoldedCascodeOta::new(),
+            ),
+            (
+                "ota_closed_loop_tran_postlayout_n256",
+                circuits::FoldedCascodeOta::post_layout(),
+            ),
+        ] {
+            let x = ota.nominal();
+            c.bench_function(label, |b| {
+                b.iter(|| ota.closed_loop_transient(black_box(&x)).unwrap().len())
+            });
+        }
 
         // The PVT corner-sweep rows (identical bodies to
         // `benches/corner_eval.rs`): the same candidate through the

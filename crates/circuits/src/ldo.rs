@@ -482,8 +482,8 @@ impl Ldo {
             (30.0 - psrr_10k) / 20.0,
             // 8. Quiescent current < 200 µA.
             (iq - 200e-6) / 200e-6,
-            // 9. Output noise < 10 mV rms (flicker-dominated at this
-            // technology card's KF; see EXPERIMENTS.md calibration note).
+            // 9. Output noise < 10 mV rms (flicker-dominated at the KF
+            // of the `tech_advanced` model cards).
             (noise_rms - 10e-3) / 10e-3,
         ];
         SpecResult {

@@ -597,6 +597,29 @@ impl FoldedCascodeOta {
         Ok((ckt, self.closed_outs.0, self.closed_outs.1))
     }
 
+    /// The closed-loop step transient (400 ns at a 0.5 ns base step).
+    fn step_transient(
+        &self,
+        cl: &Circuit,
+        ws: &mut spice::NewtonWorkspace,
+    ) -> Result<spice::TranResult, SpiceError> {
+        spice::transient_with_workspace(cl, &self.opts, 400e-9, 0.5e-9, ws)
+    }
+
+    /// Runs one candidate's closed-loop step transient on a pooled
+    /// workspace — the simulator work that dominates the closed-loop
+    /// analysis (benchmark hook).
+    ///
+    /// # Errors
+    ///
+    /// Propagates netlist and simulator failures.
+    #[doc(hidden)]
+    pub fn closed_loop_transient(&self, x: &[f64]) -> Result<spice::TranResult, SpiceError> {
+        let (cl, _, _) = self.build_closed_loop(&OtaParams::decode(x), 0.5)?;
+        let mut ws = spice::lease_workspace(&cl);
+        self.step_transient(&cl, &mut ws)
+    }
+
     /// Estimated differential output swing from operating-point headrooms.
     fn output_swing(&self, op: &OpPoint) -> f64 {
         let vdsat_p = op
@@ -886,7 +909,7 @@ impl FoldedCascodeOta {
                         vnoise = nres.total_rms();
                     }
                 }
-                match spice::transient_with_workspace(&cl, &self.opts, 400e-9, 0.5e-9, &mut ws_cl) {
+                match self.step_transient(&cl, &mut ws_cl) {
                     Ok(tr) => {
                         let wave: Vec<(f64, f64)> = tr
                             .times()

@@ -434,16 +434,20 @@ pub struct SparseLuT<T: Scalar> {
     /// L pattern/values, column-major; rows are *original* indices,
     /// strictly-below-diagonal entries only.
     pub(crate) l_colptr: Vec<usize>,
-    pub(crate) l_rows: Vec<usize>,
+    pub(crate) l_rows: Vec<u32>,
     pub(crate) l_vals: Vec<T>,
     /// U pattern/values, column-major; rows are *pivotal positions* `< k`,
     /// stored ascending so a refactor replay is a valid elimination order.
     pub(crate) u_colptr: Vec<usize>,
-    pub(crate) u_rows: Vec<usize>,
+    pub(crate) u_rows: Vec<u32>,
+    /// `p[u_rows[t]]` precomposed: the *original* row of each U entry, so
+    /// the replay and the solves index the dense accumulator directly.
+    pub(crate) u_orig: Vec<u32>,
     pub(crate) u_vals: Vec<T>,
     /// Reciprocal pivots.
     pub(crate) inv_diag: Vec<T>,
-    /// Dense accumulator indexed by original row.
+    /// Dense accumulator indexed by original row; all-zero between calls
+    /// (every method that writes it zeroes what it touched).
     pub(crate) work: Vec<T>,
     /// DFS visitation stamps (stamp = current step).
     flag: Vec<usize>,
@@ -545,6 +549,10 @@ impl<T: Scalar> SparseLuT<T> {
             self.analyze(a);
         }
         let n = a.n;
+        assert!(
+            u32::try_from(n).is_ok(),
+            "sparse LU dimension {n} exceeds u32"
+        );
         self.factored = false;
         // The recording is being rebuilt; any blocked plan over the old
         // pattern is stale.
@@ -560,6 +568,7 @@ impl<T: Scalar> SparseLuT<T> {
         self.u_colptr.clear();
         self.u_colptr.push(0);
         self.u_rows.clear();
+        self.u_orig.clear();
         self.u_vals.clear();
         self.inv_diag.clear();
         self.inv_diag.resize(n, T::ZERO);
@@ -587,7 +596,7 @@ impl<T: Scalar> SparseLuT<T> {
                         let hi = self.l_colptr[step + 1];
                         let mut next = None;
                         while lo + *child < hi {
-                            let cand = self.l_rows[lo + *child];
+                            let cand = self.l_rows[lo + *child] as usize;
                             *child += 1;
                             if self.flag[cand] != k {
                                 self.flag[cand] = k;
@@ -624,11 +633,12 @@ impl<T: Scalar> SparseLuT<T> {
             self.upper.sort_unstable();
             for &(step, orig) in &self.upper {
                 let ux = self.work[orig];
-                self.u_rows.push(step);
+                self.u_rows.push(step as u32);
+                self.u_orig.push(orig as u32);
                 self.u_vals.push(ux);
                 if ux != T::ZERO {
                     for t in self.l_colptr[step]..self.l_colptr[step + 1] {
-                        self.work[self.l_rows[t]] -= ux * self.l_vals[t];
+                        self.work[self.l_rows[t] as usize] -= ux * self.l_vals[t];
                     }
                 }
             }
@@ -660,7 +670,7 @@ impl<T: Scalar> SparseLuT<T> {
             self.pinv[piv] = k;
             for &i in &self.pattern {
                 if i != piv && self.pinv[i] == usize::MAX {
-                    self.l_rows.push(i);
+                    self.l_rows.push(i as u32);
                     self.l_vals.push(self.work[i] * inv);
                 }
             }
@@ -688,7 +698,8 @@ impl<T: Scalar> SparseLuT<T> {
     /// replays the recorded elimination — fixed pivot sequence, fixed fill
     /// positions — with no pivot search and no reachability analysis. This
     /// is the per-Newton-iteration (real) and per-frequency-point
-    /// (complex) hot path.
+    /// (complex) hot path. `a` must carry the factored pattern (only its
+    /// values may differ).
     ///
     /// # Errors
     ///
@@ -716,39 +727,60 @@ impl<T: Scalar> SparseLuT<T> {
             return res;
         }
         self.factored = false;
-        let work = &mut self.work[..self.n];
-        for k in 0..self.n {
-            let col = self.q[k];
-            // The recorded pattern of this column is exactly
-            // {U rows, pivot, L rows}; clear those positions, scatter A.
-            for t in self.u_colptr[k]..self.u_colptr[k + 1] {
-                work[self.p[self.u_rows[t]]] = T::ZERO;
+        let SparseLuT {
+            n,
+            q,
+            p,
+            l_colptr,
+            l_rows,
+            l_vals,
+            u_colptr,
+            u_rows,
+            u_orig,
+            u_vals,
+            inv_diag,
+            work,
+            ..
+        } = self;
+        let work = &mut work[..*n];
+        // `work` is all-zero on entry and every position a column touches
+        // lies in its recorded pattern {U rows, pivot, L rows}, so zeroing
+        // each entry as it is read leaves it all-zero again — no separate
+        // clearing pass.
+        for k in 0..*n {
+            let col = q[k];
+            let (a0, a1) = (a.col_ptr[col], a.col_ptr[col + 1]);
+            for (&r, &v) in a.row_idx[a0..a1].iter().zip(&a.values[a0..a1]) {
+                work[r] += v;
             }
-            work[self.p[k]] = T::ZERO;
-            for t in self.l_colptr[k]..self.l_colptr[k + 1] {
-                work[self.l_rows[t]] = T::ZERO;
-            }
-            for t in a.col_ptr[col]..a.col_ptr[col + 1] {
-                work[a.row_idx[t]] += a.values[t];
-            }
-            for t in self.u_colptr[k]..self.u_colptr[k + 1] {
-                let step = self.u_rows[t];
-                let ux = work[self.p[step]];
-                self.u_vals[t] = ux;
+            let (u0, u1) = (u_colptr[k], u_colptr[k + 1]);
+            for ((&step, &r), uv) in u_rows[u0..u1]
+                .iter()
+                .zip(&u_orig[u0..u1])
+                .zip(&mut u_vals[u0..u1])
+            {
+                let ux = std::mem::replace(&mut work[r as usize], T::ZERO);
+                *uv = ux;
                 if ux != T::ZERO {
-                    for s in self.l_colptr[step]..self.l_colptr[step + 1] {
-                        work[self.l_rows[s]] -= ux * self.l_vals[s];
+                    let (s0, s1) = (l_colptr[step as usize], l_colptr[step as usize + 1]);
+                    for (&lr, &lv) in l_rows[s0..s1].iter().zip(&l_vals[s0..s1]) {
+                        work[lr as usize] -= ux * lv;
                     }
                 }
             }
-            let diag = work[self.p[k]];
+            let diag = std::mem::replace(&mut work[p[k]], T::ZERO);
+            let (l0, l1) = (l_colptr[k], l_colptr[k + 1]);
             if !(diag.mag() > PIVOT_EPS) {
+                // Leave the accumulator clean for the recovery factor.
+                for &r in &l_rows[l0..l1] {
+                    work[r as usize] = T::ZERO;
+                }
                 return Err(FactorError::Singular { pivot: k });
             }
             let inv = diag.recip();
-            self.inv_diag[k] = inv;
-            for t in self.l_colptr[k]..self.l_colptr[k + 1] {
-                self.l_vals[t] = work[self.l_rows[t]] * inv;
+            inv_diag[k] = inv;
+            for (&r, lv) in l_rows[l0..l1].iter().zip(&mut l_vals[l0..l1]) {
+                *lv = std::mem::replace(&mut work[r as usize], T::ZERO) * inv;
             }
         }
         self.factored = true;
@@ -773,32 +805,34 @@ impl<T: Scalar> SparseLuT<T> {
         let w = &mut self.work[..n];
         w.copy_from_slice(b);
         // Forward substitution with unit L: y[k] lives at w[p[k]].
-        for k in 0..n {
-            let yk = w[self.p[k]];
+        for (k, &pk) in self.p.iter().enumerate() {
+            let (l0, l1) = (self.l_colptr[k], self.l_colptr[k + 1]);
+            if l0 == l1 {
+                continue;
+            }
+            let yk = w[pk];
             if yk != T::ZERO {
-                for t in self.l_colptr[k]..self.l_colptr[k + 1] {
-                    w[self.l_rows[t]] -= self.l_vals[t] * yk;
+                for (&r, &lv) in self.l_rows[l0..l1].iter().zip(&self.l_vals[l0..l1]) {
+                    w[r as usize] -= lv * yk;
                 }
             }
         }
-        // Back substitution with U (rows are pivotal positions).
-        for k in (0..n).rev() {
-            let v = w[self.p[k]] * self.inv_diag[k];
-            w[self.p[k]] = v;
-            if v != T::ZERO {
-                for t in self.u_colptr[k]..self.u_colptr[k + 1] {
-                    w[self.p[self.u_rows[t]]] -= self.u_vals[t] * v;
-                }
-            }
-        }
-        // Undo the column permutation.
-        x.clear();
+        // Back substitution with U (rows addressed by original index).
+        // Step k finalizes w[p[k]] (later steps only touch rows pivotal
+        // before k), so it goes straight to x[q[k]] — undoing the column
+        // permutation — and its accumulator entry is cleared for the next
+        // factor/refactor.
         x.resize(n, T::ZERO);
-        for k in 0..n {
-            x[self.q[k]] = w[self.p[k]];
+        for k in (0..n).rev() {
+            let v = std::mem::replace(&mut w[self.p[k]], T::ZERO) * self.inv_diag[k];
+            x[self.q[k]] = v;
+            if v != T::ZERO {
+                let (u0, u1) = (self.u_colptr[k], self.u_colptr[k + 1]);
+                for (&r, &uv) in self.u_orig[u0..u1].iter().zip(&self.u_vals[u0..u1]) {
+                    w[r as usize] -= uv * v;
+                }
+            }
         }
-        // Leave the accumulator clean for the next factor/refactor.
-        w.fill(T::ZERO);
         Ok(())
     }
 
@@ -824,31 +858,34 @@ impl<T: Scalar> SparseLuT<T> {
             });
         }
         let w = &mut self.work[..n];
+        // The accumulator is indexed by original row: c[k] lives at
+        // w[p[k]], so U's `u_orig` and L's original rows address it
+        // directly.
         // Forward substitution with Uᵀ (lower triangular in pivotal
         // coordinates): c[k] = (b[q[k]] − Σ U[j,k]·c[j]) / U[k,k].
         for k in 0..n {
             let mut s = b[self.q[k]];
-            for t in self.u_colptr[k]..self.u_colptr[k + 1] {
-                s -= self.u_vals[t] * w[self.u_rows[t]];
+            let (u0, u1) = (self.u_colptr[k], self.u_colptr[k + 1]);
+            for (&r, &uv) in self.u_orig[u0..u1].iter().zip(&self.u_vals[u0..u1]) {
+                s -= uv * w[r as usize];
             }
-            w[k] = s * self.inv_diag[k];
+            w[self.p[k]] = s * self.inv_diag[k];
         }
         // Back substitution with Lᵀ (unit upper in pivotal coordinates):
         // L's column k holds original rows i with pivotal step pinv[i] > k.
         for k in (0..n).rev() {
-            let mut s = w[k];
-            for t in self.l_colptr[k]..self.l_colptr[k + 1] {
-                s -= self.l_vals[t] * w[self.pinv[self.l_rows[t]]];
+            let pk = self.p[k];
+            let mut s = w[pk];
+            let (l0, l1) = (self.l_colptr[k], self.l_colptr[k + 1]);
+            for (&r, &lv) in self.l_rows[l0..l1].iter().zip(&self.l_vals[l0..l1]) {
+                s -= lv * w[r as usize];
             }
-            w[k] = s;
+            w[pk] = s;
         }
-        // Undo the row permutation: y[p[k]] = w[k].
+        // y[p[k]] = c'[k] is already in place; hand it over and leave the
+        // accumulator clean.
         y.clear();
-        y.resize(n, T::ZERO);
-        for k in 0..n {
-            y[self.p[k]] = w[k];
-        }
-        w.fill(T::ZERO);
+        y.extend(w.iter_mut().map(|v| std::mem::replace(v, T::ZERO)));
         Ok(())
     }
 }
@@ -1170,6 +1207,274 @@ mod tests {
             Err(FactorError::Singular { .. })
         ));
         assert!(!lu.is_factored());
+    }
+
+    /// Bit patterns of a scalar, for exact comparisons (`==` would equate
+    /// `0.0` with `-0.0`).
+    trait Bits: Scalar {
+        fn bits(self) -> [u64; 2];
+    }
+    impl Bits for f64 {
+        fn bits(self) -> [u64; 2] {
+            [self.to_bits(), 0]
+        }
+    }
+    impl Bits for crate::C64 {
+        fn bits(self) -> [u64; 2] {
+            [self.re.to_bits(), self.im.to_bits()]
+        }
+    }
+    fn bits<T: Bits>(v: &[T]) -> Vec<[u64; 2]> {
+        v.iter().map(|&x| x.bits()).collect()
+    }
+
+    /// The scalar replay as it was before the flat-array compilation:
+    /// clear the column's recorded pattern, scatter, eliminate through
+    /// `p[u_rows[t]]`, read L through the original rows. Kept verbatim
+    /// as the bit-level reference for the compiled loops.
+    fn reference_refactor<T: Scalar>(lu: &mut SparseLuT<T>, a: &CscT<T>) -> Result<(), usize> {
+        let mut work = vec![T::ZERO; lu.n];
+        for k in 0..lu.n {
+            let col = lu.q[k];
+            for t in lu.u_colptr[k]..lu.u_colptr[k + 1] {
+                work[lu.p[lu.u_rows[t] as usize]] = T::ZERO;
+            }
+            work[lu.p[k]] = T::ZERO;
+            for t in lu.l_colptr[k]..lu.l_colptr[k + 1] {
+                work[lu.l_rows[t] as usize] = T::ZERO;
+            }
+            for t in a.col_ptr[col]..a.col_ptr[col + 1] {
+                work[a.row_idx[t]] += a.values[t];
+            }
+            for t in lu.u_colptr[k]..lu.u_colptr[k + 1] {
+                let step = lu.u_rows[t] as usize;
+                let ux = work[lu.p[step]];
+                lu.u_vals[t] = ux;
+                if ux != T::ZERO {
+                    for s in lu.l_colptr[step]..lu.l_colptr[step + 1] {
+                        work[lu.l_rows[s] as usize] -= ux * lu.l_vals[s];
+                    }
+                }
+            }
+            let diag = work[lu.p[k]];
+            if !(diag.mag() > PIVOT_EPS) {
+                return Err(k);
+            }
+            let inv = diag.recip();
+            lu.inv_diag[k] = inv;
+            for t in lu.l_colptr[k]..lu.l_colptr[k + 1] {
+                lu.l_vals[t] = work[lu.l_rows[t] as usize] * inv;
+            }
+        }
+        Ok(())
+    }
+
+    /// Pre-compilation `solve_into`, verbatim (pivotal-position U rows).
+    fn reference_solve<T: Scalar>(lu: &SparseLuT<T>, b: &[T]) -> Vec<T> {
+        let n = lu.n;
+        let mut w = b.to_vec();
+        for k in 0..n {
+            let yk = w[lu.p[k]];
+            if yk != T::ZERO {
+                for t in lu.l_colptr[k]..lu.l_colptr[k + 1] {
+                    w[lu.l_rows[t] as usize] -= lu.l_vals[t] * yk;
+                }
+            }
+        }
+        for k in (0..n).rev() {
+            let v = w[lu.p[k]] * lu.inv_diag[k];
+            w[lu.p[k]] = v;
+            if v != T::ZERO {
+                for t in lu.u_colptr[k]..lu.u_colptr[k + 1] {
+                    w[lu.p[lu.u_rows[t] as usize]] -= lu.u_vals[t] * v;
+                }
+            }
+        }
+        let mut x = vec![T::ZERO; n];
+        for k in 0..n {
+            x[lu.q[k]] = w[lu.p[k]];
+        }
+        x
+    }
+
+    /// Pre-compilation `solve_transpose_into`, verbatim (accumulator in
+    /// pivotal coordinates, L rows mapped through `pinv`).
+    fn reference_solve_transpose<T: Scalar>(lu: &SparseLuT<T>, b: &[T]) -> Vec<T> {
+        let n = lu.n;
+        let mut w = vec![T::ZERO; n];
+        for k in 0..n {
+            let mut s = b[lu.q[k]];
+            for t in lu.u_colptr[k]..lu.u_colptr[k + 1] {
+                s -= lu.u_vals[t] * w[lu.u_rows[t] as usize];
+            }
+            w[k] = s * lu.inv_diag[k];
+        }
+        for k in (0..n).rev() {
+            let mut s = w[k];
+            for t in lu.l_colptr[k]..lu.l_colptr[k + 1] {
+                s -= lu.l_vals[t] * w[lu.pinv[lu.l_rows[t] as usize]];
+            }
+            w[k] = s;
+        }
+        let mut y = vec![T::ZERO; n];
+        for k in 0..n {
+            y[lu.p[k]] = w[k];
+        }
+        y
+    }
+
+    /// An MNA-shaped system from a seed stream: `nodes` node rows with a
+    /// grounded conductance each, random two-terminal conductances and
+    /// small VCCS couplings between node pairs, and `branches` voltage
+    /// sources (zero branch diagonal, so the factorization must pivot off
+    /// the diagonal). `val(g, k)` turns a real stamp value into the
+    /// element type (`k` = seed index for an imaginary part).
+    fn mna_system<T: Scalar>(
+        nodes: usize,
+        branches: usize,
+        seed: &[f64],
+        val: impl Fn(f64, usize) -> T,
+    ) -> CscT<T> {
+        let n = nodes + branches;
+        let mut writes: Vec<((usize, usize), T)> = Vec::new();
+        let mut k = 0usize;
+        let mut next = || {
+            k += 1;
+            (seed[k % seed.len()], k)
+        };
+        for i in 0..nodes {
+            let (s, j) = next();
+            writes.push(((i, i), val(1.0 + s.abs(), j)));
+        }
+        for _ in 0..2 * nodes {
+            let (sa, _) = next();
+            let (sb, _) = next();
+            let (sg, j) = next();
+            let a = (sa.abs() * 1e6) as usize % nodes;
+            let b = (sb.abs() * 1e6) as usize % nodes;
+            if a == b {
+                continue;
+            }
+            let g = 0.1 + sg.abs();
+            writes.push(((a, a), val(g, j)));
+            writes.push(((b, b), val(g, j)));
+            writes.push(((a, b), val(-g, j)));
+            writes.push(((b, a), val(-g, j)));
+            if sg < -0.5 {
+                // A VCCS: one unsymmetric entry.
+                writes.push(((b, a), val(0.05 * sg, j + 1)));
+            }
+        }
+        for br in 0..branches {
+            let node = br % nodes;
+            writes.push(((node, nodes + br), T::ONE));
+            writes.push(((nodes + br, node), T::ONE));
+        }
+        let coords: Vec<(usize, usize)> = writes.iter().map(|&(c, _)| c).collect();
+        let (mut a, slots) = CscT::<T>::from_coordinates(n, &coords);
+        for (&(_, v), &slot) in writes.iter().zip(&slots) {
+            a.values_mut()[slot as usize] += v;
+        }
+        a
+    }
+
+    /// The flat-replay contract on one system (scalar path): refactoring
+    /// the factored values reproduces the fresh factor bit for bit; a
+    /// refactor on perturbed values and both solves match the
+    /// pre-compilation loops bit for bit; a pivot collapse mid-replay
+    /// leaves the accumulator clean.
+    fn check_flat_replay<T: Bits>(a: &CscT<T>, a1: &CscT<T>, b: &[T]) {
+        let mut lu = SparseLuT::<T>::new();
+        lu.set_supernodal_mode(SupernodalMode::ForceScalar);
+        lu.factor(a).expect("MNA test systems are non-singular");
+        assert!(lu.work.iter().all(|&v| v == T::ZERO));
+        let fresh = (bits(&lu.l_vals), bits(&lu.u_vals), bits(&lu.inv_diag));
+        lu.refactor_into(a).unwrap();
+        assert_eq!(
+            (bits(&lu.l_vals), bits(&lu.u_vals), bits(&lu.inv_diag)),
+            fresh
+        );
+
+        let mut reference = lu.clone();
+        let ref_ok = reference_refactor(&mut reference, a1);
+        let ok = lu.refactor_into(a1);
+        assert_eq!(ok.is_ok(), ref_ok.is_ok());
+        if ok.is_err() {
+            return;
+        }
+        assert_eq!(bits(&lu.l_vals), bits(&reference.l_vals));
+        assert_eq!(bits(&lu.u_vals), bits(&reference.u_vals));
+        assert_eq!(bits(&lu.inv_diag), bits(&reference.inv_diag));
+        assert!(lu.work.iter().all(|&v| v == T::ZERO));
+
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        lu.solve_into(b, &mut x).unwrap();
+        assert_eq!(bits(&x), bits(&reference_solve(&reference, b)));
+        lu.solve_transpose_into(b, &mut y).unwrap();
+        assert_eq!(bits(&y), bits(&reference_solve_transpose(&reference, b)));
+        assert!(lu.work.iter().all(|&v| v == T::ZERO));
+
+        // Pivot collapse with live L entries: keep column q[k]'s values
+        // only on rows pivotal after step k. Every U multiplier of that
+        // column is then exactly zero, so the pivot is exactly zero while
+        // the L positions hold nonzero values when the replay bails out.
+        let pick = (0..lu.n).find(|&k| {
+            let col = lu.q[k];
+            (a1.col_ptr[col]..a1.col_ptr[col + 1])
+                .any(|t| lu.pinv[a1.row_idx[t]] > k && a1.values[t] != T::ZERO)
+        });
+        if let Some(k) = pick {
+            let col = lu.q[k];
+            let mut bad = a1.clone();
+            for t in bad.col_ptr[col]..bad.col_ptr[col + 1] {
+                if lu.pinv[bad.row_idx[t]] <= k {
+                    bad.values[t] = T::ZERO;
+                }
+            }
+            assert!(matches!(
+                lu.refactor_into(&bad),
+                Err(FactorError::Singular { pivot }) if pivot == k
+            ));
+            assert!(lu.work.iter().all(|&v| v == T::ZERO));
+            // A clean accumulator makes the next replay exact again.
+            lu.refactor_into(a1).unwrap();
+            lu.solve_into(b, &mut x).unwrap();
+            assert_eq!(bits(&x), bits(&reference_solve(&reference, b)));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn flat_replay_is_bit_identical_to_reference_loops(
+            nodes in 2usize..40,
+            branches in 0usize..4,
+            seed in proptest::collection::vec(-1.0..1.0f64, 16..200),
+            shift in proptest::collection::vec(-0.3..0.3f64, 8..64),
+        ) {
+            let branches = branches.min(nodes);
+            let n = nodes + branches;
+            let rhs: Vec<f64> = (0..n).map(|i| seed[(3 * i + 1) % seed.len()] * 4.0).collect();
+
+            let real = |g: f64, _k: usize| g;
+            let a = mna_system(nodes, branches, &seed, real);
+            let mut a1 = a.clone();
+            for (k, v) in a1.values_mut().iter_mut().enumerate() {
+                *v *= 1.0 + shift[k % shift.len()];
+            }
+            check_flat_replay(&a, &a1, &rhs);
+
+            let cplx = |g: f64, k: usize| crate::C64::new(g, 0.3 * seed[(k * 7) % seed.len()]);
+            let ac = mna_system(nodes, branches, &seed, cplx);
+            let mut ac1 = ac.clone();
+            for (k, v) in ac1.values_mut().iter_mut().enumerate() {
+                v.im *= 1.0 + 3.0 * shift[k % shift.len()];
+            }
+            let crhs: Vec<crate::C64> =
+                rhs.iter().map(|&r| crate::C64::new(r, 0.5 * r)).collect();
+            check_flat_replay(&ac, &ac1, &crhs);
+        }
     }
 
     #[test]

@@ -282,9 +282,10 @@ struct Ctx<'a, T: Scalar> {
     q: &'a [usize],
     p: &'a [usize],
     l_colptr: &'a [usize],
-    l_rows: &'a [usize],
+    l_rows: &'a [u32],
     u_colptr: &'a [usize],
-    u_rows: &'a [usize],
+    u_rows: &'a [u32],
+    u_orig: &'a [u32],
     a_colptr: &'a [usize],
     a_rows: &'a [usize],
     a_vals: &'a [T],
@@ -435,7 +436,7 @@ impl<T: Scalar> Supernodal<T> {
                 for j in 0..n {
                     let mut col = 0u64;
                     for t in lu.u_colptr[j]..lu.u_colptr[j + 1] {
-                        let k = lu.u_rows[t];
+                        let k = lu.u_rows[t] as usize;
                         col += 1 + 2 * (lu.l_colptr[k + 1] - lu.l_colptr[k]) as u64;
                     }
                     total += col;
@@ -495,7 +496,11 @@ impl<T: Scalar> Supernodal<T> {
         let mut sn = Supernodal::default();
         // Per-column below rows in pivotal coordinates, segment-sorted
         // (the recorded `l_rows` are original indices in DFS order).
-        let mut bl_rows: Vec<u32> = lu.l_rows.iter().map(|&r| lu.pinv[r] as u32).collect();
+        let mut bl_rows: Vec<u32> = lu
+            .l_rows
+            .iter()
+            .map(|&r| lu.pinv[r as usize] as u32)
+            .collect();
         for k in 0..n {
             bl_rows[lu.l_colptr[k]..lu.l_colptr[k + 1]].sort_unstable();
         }
@@ -604,7 +609,7 @@ impl<T: Scalar> Supernodal<T> {
                 let mut sf = 0u64;
                 for k in s0..s1 {
                     for t in lu.u_colptr[k]..lu.u_colptr[k + 1] {
-                        let step = lu.u_rows[t];
+                        let step = lu.u_rows[t] as usize;
                         sf += 1 + 2 * (lu.l_colptr[step + 1] - lu.l_colptr[step]) as u64;
                     }
                 }
@@ -618,7 +623,7 @@ impl<T: Scalar> Supernodal<T> {
             let before = self.u_rows.len();
             for k in s0..s1 {
                 for t in lu.u_colptr[k]..lu.u_colptr[k + 1] {
-                    let step = lu.u_rows[t];
+                    let step = lu.u_rows[t] as usize;
                     if step < s0 && mark[step] != s as u32 {
                         mark[step] = s as u32;
                         self.u_rows.push(step as u32);
@@ -675,8 +680,8 @@ impl<T: Scalar> Supernodal<T> {
                 // suffices).
                 for jj in 0..w {
                     let useg = &lu.u_rows[lu.u_colptr[s0 + jj]..lu.u_colptr[s0 + jj + 1]];
-                    let at = useg.partition_point(|&step| step < t0);
-                    if at < useg.len() && useg[at] < t1 {
+                    let at = useg.partition_point(|&step| (step as usize) < t0);
+                    if at < useg.len() && (useg[at] as usize) < t1 {
                         self.pc_idx.push(jj as u32);
                     }
                 }
@@ -695,10 +700,11 @@ impl<T: Scalar> Supernodal<T> {
             // arrays.
             for k in s0..s1 {
                 for t in lu.u_colptr[k]..lu.u_colptr[k + 1] {
-                    self.store_idx.push(pos_step[lu.u_rows[t]]);
+                    self.store_idx.push(pos_step[lu.u_rows[t] as usize]);
                 }
                 for t in lu.l_colptr[k]..lu.l_colptr[k + 1] {
-                    self.store_idx.push(pos_step[lu.pinv[lu.l_rows[t]]]);
+                    self.store_idx
+                        .push(pos_step[lu.pinv[lu.l_rows[t] as usize]]);
                 }
             }
             self.store_ptr.push(self.store_idx.len() as u32);
@@ -766,7 +772,7 @@ impl<T: Scalar> Supernodal<T> {
             for k in s0..s1 {
                 let cc = k - s0;
                 for t in lu.l_colptr[k]..lu.l_colptr[k + 1] {
-                    let step = lu.pinv[lu.l_rows[t]];
+                    let step = lu.pinv[lu.l_rows[t] as usize];
                     let dest = if step < s1 {
                         (step - s0) * ws + cc
                     } else {
@@ -802,7 +808,7 @@ impl<T: Scalar> Supernodal<T> {
             let (s0, s1) = (self.sn_ptr[s] as usize, self.sn_ptr[s + 1] as usize);
             for k in s0..s1 {
                 for t in lu.u_colptr[k]..lu.u_colptr[k + 1] {
-                    let mut r = self.col_sn[lu.u_rows[t]] as usize;
+                    let mut r = self.col_sn[lu.u_rows[t] as usize] as usize;
                     while r != s && anc[r] != u32::MAX {
                         let nx = anc[r] as usize;
                         anc[r] = s as u32;
@@ -927,6 +933,7 @@ impl<T: Scalar> Supernodal<T> {
                 l_rows: &lu.l_rows,
                 u_colptr: &lu.u_colptr,
                 u_rows: &lu.u_rows,
+                u_orig: &lu.u_orig,
                 a_colptr: &a.col_ptr,
                 a_rows: &a.row_idx,
                 a_vals: &a.values,
@@ -1032,41 +1039,45 @@ impl<T: Scalar> Supernodal<T> {
     /// One column of the scalar Gilbert–Peierls replay — identical
     /// arithmetic, in the identical order, to
     /// [`SparseLuT::refactor_into`]'s loop body (bit-compatibility between
-    /// the paths depends on it). `work` is the slot's dense accumulator;
-    /// stale values are harmless because exactly the positions read are
-    /// cleared first.
+    /// the paths depends on it). `work` is the slot's dense accumulator,
+    /// all-zero on entry and on exit (success or pivot collapse): every
+    /// entry is zeroed as it is read, exactly like the scalar replay.
     #[inline]
     fn scalar_column(ctx: &Ctx<'_, T>, work: &mut [T], k: usize) -> Result<(), FactorError> {
+        // SAFETY (every `ctx` factor accessor below): the slots come from
+        // the recorded column pointers, so they are in bounds, and column
+        // `k` and the columns its U rows name lie in the calling task's
+        // subtree (disjoint task partition), so no other thread writes
+        // them.
         let col = ctx.q[k];
-        for t in ctx.u_colptr[k]..ctx.u_colptr[k + 1] {
-            work[ctx.p[ctx.u_rows[t]]] = T::ZERO;
-        }
-        work[ctx.p[k]] = T::ZERO;
-        for t in ctx.l_colptr[k]..ctx.l_colptr[k + 1] {
-            work[ctx.l_rows[t]] = T::ZERO;
-        }
-        for t in ctx.a_colptr[col]..ctx.a_colptr[col + 1] {
-            work[ctx.a_rows[t]] += ctx.a_vals[t];
+        let (a0, a1) = (ctx.a_colptr[col], ctx.a_colptr[col + 1]);
+        for (&r, &v) in ctx.a_rows[a0..a1].iter().zip(&ctx.a_vals[a0..a1]) {
+            work[r] += v;
         }
         for t in ctx.u_colptr[k]..ctx.u_colptr[k + 1] {
-            let step = ctx.u_rows[t];
-            let ux = work[ctx.p[step]];
+            let ux = std::mem::replace(&mut work[ctx.u_orig[t] as usize], T::ZERO);
             unsafe { ctx.set_uval(t, ux) };
             if ux != T::ZERO {
+                let step = ctx.u_rows[t] as usize;
                 for s in ctx.l_colptr[step]..ctx.l_colptr[step + 1] {
                     let lv = unsafe { ctx.lval(s) };
-                    work[ctx.l_rows[s]] -= ux * lv;
+                    work[ctx.l_rows[s] as usize] -= ux * lv;
                 }
             }
         }
-        let diag = work[ctx.p[k]];
+        let diag = std::mem::replace(&mut work[ctx.p[k]], T::ZERO);
+        let (l0, l1) = (ctx.l_colptr[k], ctx.l_colptr[k + 1]);
         if !(diag.mag() > PIVOT_EPS) {
+            for &r in &ctx.l_rows[l0..l1] {
+                work[r as usize] = T::ZERO;
+            }
             return Err(FactorError::Singular { pivot: k });
         }
         let inv = diag.recip();
         unsafe { ctx.set_inv_diag(k, inv) };
-        for t in ctx.l_colptr[k]..ctx.l_colptr[k + 1] {
-            unsafe { ctx.set_lval(t, work[ctx.l_rows[t]] * inv) };
+        for (t, &r) in (l0..l1).zip(&ctx.l_rows[l0..l1]) {
+            let v = std::mem::replace(&mut work[r as usize], T::ZERO);
+            unsafe { ctx.set_lval(t, v * inv) };
         }
         Ok(())
     }
@@ -1653,7 +1664,7 @@ mod probe {
             let (s0, s1) = (sn.sn_ptr[s] as usize, sn.sn_ptr[s + 1] as usize);
             for k in s0..s1 {
                 for t in lu.u_colptr[k]..lu.u_colptr[k + 1] {
-                    let d = sn.col_sn[lu.u_rows[t]] as usize;
+                    let d = sn.col_sn[lu.u_rows[t] as usize] as usize;
                     if d != s {
                         assert_eq!(
                             task_of[d], task_of[s],
@@ -1718,7 +1729,7 @@ mod probe {
             for j in 0..n {
                 let mut col = 0u64;
                 for t in lu.u_colptr[j]..lu.u_colptr[j + 1] {
-                    let k = lu.u_rows[t];
+                    let k = lu.u_rows[t] as usize;
                     col += 1 + 2 * (lu.l_colptr[k + 1] - lu.l_colptr[k]) as u64;
                 }
                 total += col;

@@ -176,6 +176,13 @@ pub(crate) fn newton_loop<A: Assemble>(
     out
 }
 
+/// `SPICE_DEBUG` (Newton-iteration traces on convergence failures), read
+/// once per process.
+fn spice_debug() -> bool {
+    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ON.get_or_init(|| std::env::var_os("SPICE_DEBUG").is_some())
+}
+
 fn newton_loop_inner<A: Assemble>(
     circuit: &Circuit,
     opts: &SimOptions,
@@ -198,7 +205,7 @@ fn newton_loop_inner<A: Assemble>(
             injected: true,
         });
     }
-    let trace = std::env::var_os("SPICE_DEBUG").is_some();
+    let trace = spice_debug();
     let n = circuit.num_unknowns();
     let n_v = circuit.num_nodes() - 1;
     let mut x = x0.to_vec();

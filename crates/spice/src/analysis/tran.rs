@@ -214,6 +214,13 @@ impl Assemble for TranAssemble<'_> {
     fn assemble_varying<S: Stamp>(&mut self, xk: &[f64], st: &mut S) {
         crate::stamp::stamp_resistive_mos(self.circuit, xk, st);
     }
+
+    /// The constant matrix is gmin loading, the linear devices (circuit
+    /// constants) and the companion conductances `2C/h`; the time `t` and
+    /// the capacitor states only move the right-hand side.
+    fn constant_matrix_key(&self) -> Option<[u64; 2]> {
+        Some([self.gmin.to_bits(), self.h.to_bits()])
+    }
 }
 
 /// NR solve of one timestep. `x` enters as the previous solution and leaves
@@ -584,6 +591,130 @@ mod tests {
         // The wavefront is ordered: upstream nodes lead downstream ones.
         let mid = c.find_node("n15").unwrap();
         assert!(r.sample(mid, 2e-9) >= r.sample(prev, 2e-9) - 1e-9);
+    }
+
+    /// A 24-stage MOS-loaded RC ladder (26 unknowns: sparse path, split
+    /// assembly) driven by a supply pulse with corners at multiples of
+    /// `tick`.
+    fn mos_ladder(tick: f64) -> Circuit {
+        use crate::mos::{MosModel, MosPolarity};
+        let m = MosModel {
+            polarity: MosPolarity::Nmos,
+            vth0: 0.45,
+            kp: 300e-6,
+            clm: 0.02e-6,
+            gamma: 0.4,
+            phi: 0.8,
+            nsub: 1.4,
+            cox: 8.5e-3,
+            cov: 3e-10,
+            cj: 1e-3,
+            ldiff: 0.4e-6,
+            kf: 1e-26,
+            af: 1.0,
+            noise_gamma: 2.0 / 3.0,
+        };
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        c.add_vsource(
+            "VDD",
+            vdd,
+            GND,
+            Waveform::pulse(
+                0.6,
+                1.8,
+                8.0 * tick,
+                tick,
+                2.0 * tick,
+                1000.0 * tick,
+                f64::INFINITY,
+            ),
+        )
+        .unwrap();
+        let mut prev = vdd;
+        for i in 0..24 {
+            let d = c.node(&format!("d{i}"));
+            c.add_resistor(&format!("R{i}"), prev, d, 5e3).unwrap();
+            c.add_mosfet(&format!("M{i}"), d, d, GND, GND, &m, 4e-6, 0.5e-6, 1.0)
+                .unwrap();
+            c.add_capacitor(&format!("C{i}"), d, GND, 2e-15).unwrap();
+            prev = d;
+        }
+        c
+    }
+
+    fn assert_same_bits(a: &TranResult, b: &TranResult) {
+        assert_eq!(a.times().len(), b.times().len());
+        for (ta, tb) in a.t.iter().zip(&b.t) {
+            assert_eq!(ta.to_bits(), tb.to_bits());
+        }
+        for (va, vb) in a.v.iter().zip(&b.v) {
+            for (x, y) in va.iter().zip(vb) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+    }
+
+    /// The right-hand-side-only constant restamp (matrix values kept when
+    /// the session and `(gmin, h)` match) is bit-identical to restamping
+    /// the whole constant segment every timestep: through step halvings —
+    /// `h` shrinks, then recovers to the base step — and across two
+    /// same-topology candidates with different element values sharing one
+    /// workspace, where the second candidate's first timestep has the same
+    /// `(gmin, h)` as the first candidate's last one. The base step is a
+    /// power of two and every waveform corner a multiple of it, so every
+    /// time point is exact and `t_stop` can sit on the step grid the
+    /// halvings leave behind, making the last step a full base step.
+    #[test]
+    fn rhs_only_constant_restamp_matches_full_restamp() {
+        let t_step = 2f64.powi(-34); // ≈ 58 ps
+        let a = mos_ladder(t_step);
+        let mut b = a.clone();
+        b.set_resistance("R3", 7e3).unwrap();
+        b.set_capacitance("C5", 3e-15).unwrap();
+        assert_eq!(a.topology_id(), b.topology_id());
+        // Tight Newton budget + strong damping: the supply edge does not
+        // converge at the base step, so the engine halves and recovers.
+        let opts = SimOptions {
+            max_nr_iters: 8,
+            v_limit: 0.05,
+            ..SimOptions::default()
+        };
+        // A dry run shows where the grid lies: its last point before the
+        // (possibly clipped) final step is on it.
+        let mut ws = crate::workspace::NewtonWorkspace::new(&a);
+        let dry = transient_with_workspace(&a, &opts, 96.0 * t_step, t_step, &mut ws).unwrap();
+        let t_stop = dry.times()[dry.len() - 2] + t_step;
+        let run = |rhs_restamp: bool| {
+            let mut ws = crate::workspace::NewtonWorkspace::new(&a);
+            ws.rhs_restamp = rhs_restamp;
+            let ra = transient_with_workspace(&a, &opts, t_stop, t_step, &mut ws).unwrap();
+            let rb = transient_with_workspace(&b, &opts, t_stop, t_step, &mut ws).unwrap();
+            assert!(ws.uses_sparse(true), "ladder must select the sparse path");
+            (ra, rb)
+        };
+        let (full_a, full_b) = run(false);
+        let (rhs_a, rhs_b) = run(true);
+        for r in [&full_a, &full_b] {
+            let dts: Vec<f64> = r.t.windows(2).map(|w| w[1] - w[0]).collect();
+            assert!(
+                dts.iter().any(|&dt| dt < 0.3 * t_step),
+                "the supply edge must force step halvings"
+            );
+            assert_eq!(
+                dts[dts.len() - 1],
+                t_step,
+                "the step must recover to the base step by the end"
+            );
+        }
+        assert_same_bits(&rhs_a, &full_a);
+        assert_same_bits(&rhs_b, &full_b);
+        // The candidates really differ, so a stale matrix would show.
+        let last = full_a.len() - 1;
+        assert_ne!(
+            full_a.voltage(last, 4).to_bits(),
+            full_b.voltage(last, 4).to_bits()
+        );
     }
 
     /// A MOS-loaded ladder (sparse path, split assembly) must give the same

@@ -161,6 +161,44 @@ pub struct MosEval {
     pub reversed: bool,
 }
 
+/// Per-device constants of the large-signal model, computed once per
+/// geometry (at [`crate::Circuit::add_mosfet`] /
+/// [`crate::Circuit::set_mosfet_geometry`]) so the Newton stamping path
+/// does not redo two divisions and a square root per evaluation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MosConsts {
+    /// Gain factor `KP·(W·M)/L` \[A/V²\].
+    pub beta: f64,
+    /// Channel-length modulation `clm / L` \[V⁻¹\].
+    pub lambda: f64,
+    /// `√φ` of the body-effect term \[√V\].
+    pub sqrt_phi: f64,
+}
+
+/// Computes the per-device model constants (the same expressions, in the
+/// same order, as [`eval_mos`] evaluates them).
+pub fn mos_consts(model: &MosModel, w: f64, l: f64, m: f64) -> MosConsts {
+    MosConsts {
+        beta: model.kp * (w * m) / l,
+        lambda: model.lambda(l),
+        sqrt_phi: model.phi.sqrt(),
+    }
+}
+
+/// The linearization the Newton stamps consume: drain current and its
+/// partials (the first four fields of [`MosEval`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MosStamp {
+    /// Drain terminal current \[A\] (into the drain).
+    pub id: f64,
+    /// ∂id/∂vgs \[S\].
+    pub gm: f64,
+    /// ∂id/∂vds \[S\].
+    pub gds: f64,
+    /// ∂id/∂vbs \[S\].
+    pub gmb: f64,
+}
+
 /// Numerically stable softplus and its derivative (the logistic sigmoid).
 fn softplus(x: f64) -> (f64, f64) {
     if x > 40.0 {
@@ -179,16 +217,16 @@ fn softplus(x: f64) -> (f64, f64) {
 #[allow(clippy::type_complexity)]
 fn normal_mode(
     model: &MosModel,
-    beta: f64,
-    lambda: f64,
+    k: &MosConsts,
     vgs: f64,
     vds: f64,
     vbs: f64,
 ) -> (f64, f64, f64, f64, f64, f64, MosRegion) {
+    let (beta, lambda) = (k.beta, k.lambda);
     // Body effect; vsb = -vbs, clamped to keep the sqrt real.
     let arg = (model.phi - vbs).max(1e-3);
     let sq = arg.sqrt();
-    let vth = model.vth0 + model.gamma * (sq - model.phi.sqrt());
+    let vth = model.vth0 + model.gamma * (sq - k.sqrt_phi);
     let dvth_dvbs = -model.gamma / (2.0 * sq);
 
     // Smooth overdrive via softplus on scale 2·n·Vt.
@@ -234,9 +272,33 @@ fn normal_mode(
 /// Evaluates the model at terminal voltages (relative to the source):
 /// `vgs`, `vds`, `vbs` are the *physical* terminal voltage differences.
 pub fn eval_mos(model: &MosModel, w: f64, l: f64, m: f64, vgs: f64, vds: f64, vbs: f64) -> MosEval {
-    let beta = model.kp * (w * m) / l;
-    let lambda = model.lambda(l);
+    eval_with(model, &mos_consts(model, w, l, m), vgs, vds, vbs)
+}
 
+/// The Newton stamping path: [`eval_mos`] on precomputed [`MosConsts`],
+/// returning only the linearization (bit-identical to the corresponding
+/// [`eval_mos`] fields).
+#[inline]
+pub(crate) fn eval_mos_stamp(
+    model: &MosModel,
+    k: &MosConsts,
+    vgs: f64,
+    vds: f64,
+    vbs: f64,
+) -> MosStamp {
+    let e = eval_with(model, k, vgs, vds, vbs);
+    MosStamp {
+        id: e.id,
+        gm: e.gm,
+        gds: e.gds,
+        gmb: e.gmb,
+    }
+}
+
+/// Shared body of [`eval_mos`] and [`eval_mos_stamp`]; inlined into both
+/// so the stamping copy drops the report-only fields.
+#[inline(always)]
+fn eval_with(model: &MosModel, k: &MosConsts, vgs: f64, vds: f64, vbs: f64) -> MosEval {
     // Map PMOS into the NMOS ("primed") frame.
     let (sign, vgs_p, vds_p, vbs_p) = match model.polarity {
         MosPolarity::Nmos => (1.0, vgs, vds, vbs),
@@ -244,13 +306,12 @@ pub fn eval_mos(model: &MosModel, w: f64, l: f64, m: f64, vgs: f64, vds: f64, vb
     };
 
     let (id_p, gm, gds, gmb, vth, vdsat, region, reversed) = if vds_p >= 0.0 {
-        let (id, f1, f2, f3, vth, vdsat, region) =
-            normal_mode(model, beta, lambda, vgs_p, vds_p, vbs_p);
+        let (id, f1, f2, f3, vth, vdsat, region) = normal_mode(model, k, vgs_p, vds_p, vbs_p);
         (id, f1, f2, f3, vth, vdsat, region, false)
     } else {
         // Swap drain and source: evaluate at (vgd, vsd, vbd).
         let (id_s, f1, f2, f3, vth, vdsat, region) =
-            normal_mode(model, beta, lambda, vgs_p - vds_p, -vds_p, vbs_p - vds_p);
+            normal_mode(model, k, vgs_p - vds_p, -vds_p, vbs_p - vds_p);
         let id = -id_s;
         let gm = -f1;
         let gds = f1 + f2 + f3;

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use crate::error::SpiceError;
-use crate::mos::{mos_caps, MosCaps, MosModel};
+use crate::mos::{mos_caps, mos_consts, MosCaps, MosConsts, MosModel};
 use crate::waveform::Waveform;
 
 /// Index of a circuit node. Node `0` is always ground.
@@ -121,6 +121,8 @@ pub enum Device {
         m: f64,
         /// Precomputed constant terminal capacitances.
         caps: MosCaps,
+        /// Precomputed large-signal model constants (stamping path).
+        consts: MosConsts,
     },
 }
 
@@ -162,6 +164,10 @@ pub struct Circuit {
     node_lookup: HashMap<String, NodeId>,
     devices: Vec<Device>,
     device_lookup: HashMap<String, usize>,
+    /// Indices of the MOSFETs in `devices`, ascending: the x-dependent
+    /// stamps, which the Newton replay walks without visiting every
+    /// linear device.
+    mosfets: Vec<usize>,
     nbranches: usize,
     /// Incrementally maintained structural fingerprint (see
     /// [`Circuit::topology_id`]).
@@ -188,6 +194,7 @@ impl Circuit {
             node_lookup,
             devices: Vec::new(),
             device_lookup: HashMap::new(),
+            mosfets: Vec::new(),
             nbranches: 0,
             topo_hash: 0xcbf2_9ce4_8422_2325, // FNV-1a offset basis
         }
@@ -525,6 +532,8 @@ impl Circuit {
         self.register(name)?;
         self.topo_mix(&[8, d, g, s, b]);
         let caps = mos_caps(model, w, l, m);
+        let consts = mos_consts(model, w, l, m);
+        self.mosfets.push(self.devices.len());
         self.devices.push(Device::Mosfet {
             name: name.to_string(),
             d,
@@ -536,6 +545,7 @@ impl Circuit {
             l,
             m,
             caps,
+            consts,
         });
         Ok(())
     }
@@ -607,12 +617,14 @@ impl Circuit {
                 l: dl,
                 m: dm,
                 caps,
+                consts,
                 ..
             } => {
                 *dw = w;
                 *dl = l;
                 *dm = m;
                 *caps = mos_caps(model, w, l, m);
+                *consts = mos_consts(model, w, l, m);
                 Ok(())
             }
             _ => Err(SpiceError::UnknownDevice {
@@ -730,10 +742,12 @@ impl Circuit {
 
     /// Total number of MOSFET devices (counting multipliers as one instance).
     pub fn num_mosfets(&self) -> usize {
-        self.devices
-            .iter()
-            .filter(|d| matches!(d, Device::Mosfet { .. }))
-            .count()
+        self.mosfets.len()
+    }
+
+    /// The MOSFETs, in device order.
+    pub(crate) fn mosfets(&self) -> impl Iterator<Item = &Device> {
+        self.mosfets.iter().map(|&i| &self.devices[i])
     }
 
     /// Sum of MOSFET multipliers — the "expanded" device count an extraction

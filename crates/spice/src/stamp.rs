@@ -14,7 +14,7 @@
 
 use linalg::{Matrix, C64};
 
-use crate::mos::MosEval;
+use crate::mos::{MosEval, MosStamp};
 use crate::netlist::{Circuit, Device, NodeId};
 use crate::waveform::Waveform;
 
@@ -357,6 +357,60 @@ impl Stamp for SlotStamper<'_> {
     }
 }
 
+/// Right-hand-side-only replay of a recorded write sequence: matrix writes
+/// only advance the cursor — the caller keeps the matrix values of an
+/// earlier pass whose matrix inputs were identical (see
+/// [`Assemble::constant_matrix_key`]) — while right-hand-side writes
+/// accumulate into a zeroed `z` in the recorded order, so `z` comes out
+/// bit-identical to a full slot-map pass.
+#[derive(Debug)]
+pub(crate) struct RhsStamper<'a> {
+    n_nodes: usize,
+    /// Length of the recorded matrix-write sequence.
+    writes: usize,
+    /// Right-hand side.
+    z: &'a mut [f64],
+    /// Index of the next matrix write.
+    cursor: usize,
+}
+
+impl<'a> RhsStamper<'a> {
+    /// Creates a right-hand-side stamper over a zeroed `z` for a recorded
+    /// sequence of `writes` matrix writes.
+    pub(crate) fn new(n_nodes: usize, writes: usize, z: &'a mut [f64]) -> Self {
+        z.fill(0.0);
+        RhsStamper {
+            n_nodes,
+            writes,
+            z,
+            cursor: 0,
+        }
+    }
+
+    /// True if the pass emitted exactly the recorded number of matrix
+    /// writes (same drift check as [`SlotStamper::complete`]).
+    pub(crate) fn complete(&self) -> bool {
+        self.cursor == self.writes
+    }
+}
+
+impl Stamp for RhsStamper<'_> {
+    #[inline]
+    fn num_nodes(&self) -> usize {
+        self.n_nodes
+    }
+
+    #[inline]
+    fn add_a(&mut self, _i: usize, _j: usize, _v: f64) {
+        self.cursor += 1;
+    }
+
+    #[inline]
+    fn add_z(&mut self, i: usize, v: f64) {
+        self.z[i] += v;
+    }
+}
+
 /// How source values are sampled during resistive assembly.
 #[derive(Debug, Clone, Copy)]
 pub enum SourceEval {
@@ -436,6 +490,16 @@ pub(crate) trait Assemble {
     fn assemble_varying<S: Stamp>(&mut self, x: &[f64], st: &mut S) {
         self.assemble(x, st);
     }
+
+    /// Bit key of every input the constant segment's *matrix* values
+    /// depend on besides the circuit itself. Within one solve session (one
+    /// circuit), two solves with equal keys stamp bit-identical constant
+    /// matrix values, so the slot-map engine re-stamps only the
+    /// right-hand side. `None` (the default) re-stamps the whole constant
+    /// segment every solve.
+    fn constant_matrix_key(&self) -> Option<[u64; 2]> {
+        None
+    }
 }
 
 /// Which devices a resistive assembly walk stamps. The linear/MOS split is
@@ -452,72 +516,42 @@ pub(crate) enum DeviceFilter {
     MosOnly,
 }
 
-/// Shared assembly walk: stamps every device selected by `filter` and
-/// hands each stamped device's MOSFET evaluation (or `None`) to `sink`,
-/// letting callers choose whether to collect them.
+/// Shared assembly walk: stamps every device selected by `filter` (the
+/// MOSFETs through [`stamp_mos`]), collecting each stamped device's
+/// evaluation (`None` for non-MOS devices) in device order when `report`
+/// is set.
 fn stamp_resistive_impl<S: Stamp>(
     circuit: &Circuit,
     x: &[f64],
     sources: SourceEval,
     st: &mut S,
     filter: DeviceFilter,
-    mut sink: impl FnMut(Option<MosEval>),
+    mut report: Option<&mut Vec<Option<MosEval>>>,
 ) {
+    if filter == DeviceFilter::MosOnly {
+        for dev in circuit.mosfets() {
+            stamp_mos(dev, x, st, report.as_deref_mut());
+        }
+        return;
+    }
     for dev in circuit.devices() {
-        if let Device::Mosfet {
-            d,
-            g,
-            s,
-            b,
-            model,
-            w,
-            l,
-            m,
-            ..
-        } = dev
-        {
-            if filter == DeviceFilter::LinearOnly {
-                continue;
+        if let Device::Mosfet { .. } = dev {
+            if filter == DeviceFilter::All {
+                stamp_mos(dev, x, st, report.as_deref_mut());
             }
-            let vd = node_voltage(x, *d);
-            let vg = node_voltage(x, *g);
-            let vs = node_voltage(x, *s);
-            let vb = node_voltage(x, *b);
-            let e = crate::mos::eval_mos(model, *w, *l, *m, vg - vs, vd - vs, vb - vs);
-            // Norton companion: i(v) ≈ ieq + gm·vgs + gds·vds + gmb·vbs.
-            let vgs = vg - vs;
-            let vds = vd - vs;
-            let vbs = vb - vs;
-            let ieq = e.id - e.gm * vgs - e.gds * vds - e.gmb * vbs;
-            st.vccs(*d, *s, *g, *s, e.gm);
-            st.conductance(*d, *s, e.gds);
-            st.vccs(*d, *s, *b, *s, e.gmb);
-            st.current_source(*d, *s, ieq);
-            sink(Some(e));
             continue;
         }
-        if filter == DeviceFilter::MosOnly {
-            continue;
+        if let Some(evals) = report.as_deref_mut() {
+            evals.push(None);
         }
         match dev {
-            Device::Resistor { a, b, g, .. } => {
-                st.conductance(*a, *b, *g);
-                sink(None);
-            }
-            Device::Capacitor { .. } => {
-                // Open circuit in DC; handled by the transient/AC engines.
-                sink(None);
-            }
+            Device::Resistor { a, b, g, .. } => st.conductance(*a, *b, *g),
+            // Open circuit in DC; handled by the transient/AC engines.
+            Device::Capacitor { .. } => {}
             Device::VSource {
                 p, n, wave, branch, ..
-            } => {
-                st.vsource(*branch, *p, *n, sources.value(wave));
-                sink(None);
-            }
-            Device::ISource { p, n, wave, .. } => {
-                st.current_source(*p, *n, sources.value(wave));
-                sink(None);
-            }
+            } => st.vsource(*branch, *p, *n, sources.value(wave)),
+            Device::ISource { p, n, wave, .. } => st.current_source(*p, *n, sources.value(wave)),
             Device::Vcvs {
                 p,
                 n,
@@ -526,19 +560,67 @@ fn stamp_resistive_impl<S: Stamp>(
                 gain,
                 branch,
                 ..
-            } => {
-                st.vcvs(*branch, *p, *n, *cp, *cn, *gain);
-                sink(None);
-            }
+            } => st.vcvs(*branch, *p, *n, *cp, *cn, *gain),
             Device::Vccs {
                 p, n, cp, cn, gm, ..
-            } => {
-                st.vccs(*p, *n, *cp, *cn, *gm);
-                sink(None);
-            }
+            } => st.vccs(*p, *n, *cp, *cn, *gm),
             Device::Mosfet { .. } => unreachable!("handled above"),
         }
     }
+}
+
+/// Stamps one MOSFET's Norton companion linearized at `x`, through the
+/// stamping path ([`crate::mos::eval_mos_stamp`] on the device's
+/// precomputed constants) — or, with `report` set, through the full
+/// [`crate::mos::eval_mos`], whose evaluation is appended to `report`.
+#[inline]
+fn stamp_mos<S: Stamp>(
+    dev: &Device,
+    x: &[f64],
+    st: &mut S,
+    report: Option<&mut Vec<Option<MosEval>>>,
+) {
+    let Device::Mosfet {
+        d,
+        g,
+        s,
+        b,
+        model,
+        w,
+        l,
+        m,
+        consts,
+        ..
+    } = dev
+    else {
+        unreachable!("stamp_mos takes MOSFETs only");
+    };
+    let vd = node_voltage(x, *d);
+    let vg = node_voltage(x, *g);
+    let vs = node_voltage(x, *s);
+    let vb = node_voltage(x, *b);
+    let e = match report {
+        None => crate::mos::eval_mos_stamp(model, consts, vg - vs, vd - vs, vb - vs),
+        Some(evals) => {
+            let e = crate::mos::eval_mos(model, *w, *l, *m, vg - vs, vd - vs, vb - vs);
+            evals.push(Some(e));
+            MosStamp {
+                id: e.id,
+                gm: e.gm,
+                gds: e.gds,
+                gmb: e.gmb,
+            }
+        }
+    };
+    // Norton companion: i(v) ≈ ieq + gm·vgs + gds·vds + gmb·vbs.
+    let vgs = vg - vs;
+    let vds = vd - vs;
+    let vbs = vb - vs;
+    let ieq = e.id - e.gm * vgs - e.gds * vds - e.gmb * vbs;
+    st.vccs(*d, *s, *g, *s, e.gm);
+    st.conductance(*d, *s, e.gds);
+    st.vccs(*d, *s, *b, *s, e.gmb);
+    st.current_source(*d, *s, ieq);
 }
 
 /// Stamps the *resistive* (memoryless) part of every device, linearized at
@@ -552,9 +634,7 @@ pub fn stamp_resistive(
     st: &mut RealStamper,
 ) -> Vec<Option<MosEval>> {
     let mut evals = Vec::with_capacity(circuit.devices().len());
-    stamp_resistive_impl(circuit, x, sources, st, DeviceFilter::All, |e| {
-        evals.push(e)
-    });
+    stamp_resistive_impl(circuit, x, sources, st, DeviceFilter::All, Some(&mut evals));
     evals
 }
 
@@ -566,13 +646,13 @@ pub fn stamp_resistive_system<S: Stamp>(
     sources: SourceEval,
     st: &mut S,
 ) {
-    stamp_resistive_impl(circuit, x, sources, st, DeviceFilter::All, |_| {});
+    stamp_resistive_impl(circuit, x, sources, st, DeviceFilter::All, None);
 }
 
 /// Stamps only the linear (x-independent) devices — the constant segment
 /// of a split assembly. Linear stamps never read the unknown vector.
 pub(crate) fn stamp_resistive_linear<S: Stamp>(circuit: &Circuit, sources: SourceEval, st: &mut S) {
-    stamp_resistive_impl(circuit, &[], sources, st, DeviceFilter::LinearOnly, |_| {});
+    stamp_resistive_impl(circuit, &[], sources, st, DeviceFilter::LinearOnly, None);
 }
 
 /// Stamps only the MOSFET linearizations at `x` — the varying segment of a
@@ -584,7 +664,7 @@ pub(crate) fn stamp_resistive_mos<S: Stamp>(circuit: &Circuit, x: &[f64], st: &m
         SourceEval::Dc { scale: 1.0 },
         st,
         DeviceFilter::MosOnly,
-        |_| {},
+        None,
     );
 }
 

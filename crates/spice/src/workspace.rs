@@ -51,7 +51,7 @@ use linalg::{
 use crate::netlist::Circuit;
 use crate::stamp::{
     Assemble, AssembleComplex, ComplexRecordStamper, ComplexSlotStamper, ComplexStamper,
-    RealStamper, RecordStamper, SlotStamper,
+    RealStamper, RecordStamper, RhsStamper, SlotStamper,
 };
 
 /// Systems smaller than this always use the dense kernel (the sparse
@@ -155,7 +155,9 @@ struct SparseState {
 /// pre-assembled CSC values and right-hand side. Refreshed once per Newton
 /// solve — every transient timestep re-stamps its sources and capacitor
 /// companions here exactly once, and the per-iteration replay touches only
-/// the MOS slots on top of a copy of these buffers.
+/// the MOS slots on top of a copy of these buffers. When the solve's
+/// [`Assemble::constant_matrix_key`] matches the one `values` was stamped
+/// under (same session, hence same circuit), only `z` is re-stamped.
 #[derive(Debug, Clone)]
 struct PreloadState {
     /// Per-write CSC value index of the constant segment, in stamp order.
@@ -166,6 +168,9 @@ struct PreloadState {
     z: Vec<f64>,
     /// [`NewtonWorkspace::solve_id`] the buffers were assembled for.
     solve_id: u64,
+    /// `(session, key)` `values` was stamped under; `None` when the
+    /// assembly gave no key.
+    matrix_key: Option<(u64, [u64; 2])>,
 }
 
 /// A cached complex sparse plan for the AC/noise small-signal pattern.
@@ -447,6 +452,10 @@ pub struct NewtonWorkspace {
     solve_id: u64,
     /// Cached sparse plans, indexed by [`StampKind`].
     plans: [Option<SparsePlan>; 2],
+    /// Allows the right-hand-side-only constant restamp (see
+    /// [`PreloadState`]). Always on outside tests, which turn it off to
+    /// compare against full restamps.
+    pub(crate) rhs_restamp: bool,
     /// Frequency-domain (AC/noise) state, created on first use so
     /// DC/transient-only circuits never pay for the complex buffers.
     ac: Option<Box<AcWorkspace>>,
@@ -465,6 +474,7 @@ impl NewtonWorkspace {
             session: 1,
             solve_id: 1,
             plans: [None, None],
+            rhs_restamp: true,
             ac: None,
         }
     }
@@ -489,6 +499,7 @@ impl NewtonWorkspace {
             let plans = std::mem::take(&mut self.plans);
             let session = self.session;
             let solve_id = self.solve_id;
+            let rhs_restamp = self.rhs_restamp;
             *self = NewtonWorkspace::new(circuit);
             // Keep the recorded plans: they are fingerprint-keyed, so a
             // later solve on the old topology can still reuse them. The
@@ -497,6 +508,7 @@ impl NewtonWorkspace {
             self.plans = plans;
             self.session = session;
             self.solve_id = solve_id;
+            self.rhs_restamp = rhs_restamp;
         }
         self.topo = circuit.topology_id();
     }
@@ -594,6 +606,7 @@ impl NewtonWorkspace {
                             values: vec![0.0; csc.nnz()],
                             z: vec![0.0; n],
                             solve_id: 0,
+                            matrix_key: None,
                         }),
                         slots[cl..].to_vec(),
                     ),
@@ -645,11 +658,19 @@ impl NewtonWorkspace {
         let Some(state) = plan.sparse.as_mut() else {
             return SparseStep::Fallback;
         };
+        let asm = telemetry::span(telemetry::SpanId::Assembly);
         let complete = if let Some(pre) = state.preload.as_mut() {
             if pre.solve_id != self.solve_id {
                 // New Newton solve (new timestep / gmin rung / source
-                // scale): re-stamp the constant segment once.
-                let ok = {
+                // scale): re-stamp the constant segment once — only its
+                // right-hand side when the matrix inputs are unchanged.
+                let key = assemble.constant_matrix_key().map(|k| (self.session, k));
+                let ok = if self.rhs_restamp && key.is_some() && key == pre.matrix_key {
+                    let mut st =
+                        RhsStamper::new(self.st.num_nodes(), pre.const_slots.len(), &mut pre.z);
+                    assemble.assemble_constant(&mut st);
+                    st.complete()
+                } else {
                     let mut st = SlotStamper::new(
                         self.st.num_nodes(),
                         &pre.const_slots,
@@ -664,6 +685,7 @@ impl NewtonWorkspace {
                     return SparseStep::Fallback;
                 }
                 pre.solve_id = self.solve_id;
+                pre.matrix_key = key;
             }
             // Preload the constant part, then replay only the MOS slots.
             state.csc.values_mut().copy_from_slice(&pre.values);
@@ -693,6 +715,7 @@ impl NewtonWorkspace {
             self.plans[kind as usize] = None;
             return SparseStep::Fallback;
         }
+        drop(asm);
         let fresh = state.pivot_session != self.session || !state.lu.is_factored();
         telemetry::record(
             if fresh {
