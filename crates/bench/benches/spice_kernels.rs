@@ -4,20 +4,17 @@
 //! motivated the zero-allocation refactor (`BENCH_baseline.json` records
 //! the reference numbers).
 
-use bench::{assemble_linear_small_signal, build_mos_ladder, build_rc_ladder};
+use bench::{assemble_linear_small_signal, build_mos_ladder, build_rc_ladder, complex_csc};
 use circuits::{FoldedCascodeOta, StrongArmLatch};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use linalg::{
-    ComplexLu, ComplexLuWorkspace, CscComplexMatrix, CscMatrix, Lu, LuWorkspace, SparseComplexLu,
-    SparseLu, C64,
-};
+use linalg::{ComplexLu, CscComplexMatrix, CscMatrix, Lu, SparseComplexLu, SparseLu, C64};
 use opt::SizingProblem;
 use spice::stamp::{stamp_resistive_system, RealStamper, SourceEval};
 use spice::SimOptions;
 
 /// Verbatim copy of the seed's LU factor + solve (index-op elimination, a
-/// fresh matrix clone and solution vector per call). The live `Lu::factor`
-/// now shares the optimized workspace kernel, so the historical allocating
+/// fresh matrix clone and solution vector per call). The live dense LU
+/// only has the reusable-storage form, so the historical allocating
 /// baseline is preserved here for the before/after comparison that
 /// `BENCH_baseline.json` records.
 mod seed_baseline {
@@ -121,10 +118,10 @@ fn bench_newton_kernel(c: &mut Criterion) {
         // All three kernels must agree before their times mean anything.
         {
             let expect = seed_baseline::factor(&st.a).solve(&st.z);
-            let mut ws = LuWorkspace::new(n);
-            Lu::factor_into(&st.a, &mut ws).unwrap();
+            let mut lu = Lu::new(n);
+            lu.factor(st.a.as_slice(), n).unwrap();
             let mut x = Vec::new();
-            ws.solve_into(&st.z, &mut x).unwrap();
+            lu.solve_into(&st.z, &mut x).unwrap();
             let csc = CscMatrix::from_dense(&st.a);
             let mut slu = SparseLu::new();
             slu.factor(&csc).unwrap();
@@ -145,11 +142,11 @@ fn bench_newton_kernel(c: &mut Criterion) {
         });
 
         c.bench_function(label_ws, |b| {
-            let mut ws = LuWorkspace::new(n);
+            let mut lu = Lu::new(n);
             let mut x = vec![0.0; n];
             b.iter(|| {
-                Lu::factor_into(black_box(&st.a), &mut ws).unwrap();
-                ws.solve_into(&st.z, &mut x).unwrap();
+                lu.factor(black_box(st.a.as_slice()), n).unwrap();
+                lu.solve_into(&st.z, &mut x).unwrap();
                 black_box(x[0])
             })
         });
@@ -176,8 +173,8 @@ fn bench_newton_kernel(c: &mut Criterion) {
 
     // The same comparison over a *complete* NR iteration (assembly
     // included), exactly as the two engine generations execute it —
-    // including the storage-donating `factor_in_place` the simulator now
-    // uses, which the isolated kernel above cannot express.
+    // including the storage-donating `RealStamper::factor_into` the
+    // simulator now uses, which the isolated kernel above cannot express.
     let ckt = build_mos_ladder(30);
     let n = ckt.num_unknowns();
     let x0 = vec![0.4; n];
@@ -199,14 +196,14 @@ fn bench_newton_kernel(c: &mut Criterion) {
 
     c.bench_function("newton_dc_iteration_workspace_n32", |b| {
         let mut st = RealStamper::new(&ckt);
-        let mut ws = LuWorkspace::new(n);
+        let mut lu = Lu::new(n);
         let mut x = vec![0.0; n];
         b.iter(|| {
             st.clear();
             st.load_gmin(1e-12);
             stamp_resistive_system(&ckt, &x0, SourceEval::Dc { scale: 1.0 }, &mut st);
-            Lu::factor_in_place(&mut st.a, &mut ws).unwrap();
-            ws.solve_into(&st.z, &mut x).unwrap();
+            st.factor_into(&mut lu).unwrap();
+            lu.solve_into(&st.z, &mut x).unwrap();
             black_box(x[0])
         })
     });
@@ -226,17 +223,14 @@ fn bench_ac_sweep_kernel(c: &mut Criterion) {
     let opts = SimOptions::default();
     let freqs = spice::log_freqs(1e3, 1e8, 5); // 26 points
     assert!(freqs.len() >= 20, "sweep must cover ≥20 frequency points");
-    let systems: Vec<(Vec<Vec<C64>>, Vec<C64>)> = freqs
+    let systems: Vec<(Vec<C64>, Vec<C64>)> = freqs
         .iter()
         .map(|&f| {
             let st = assemble_linear_small_signal(&ckt, 2.0 * std::f64::consts::PI * f, opts.gmin);
             (st.a, st.z)
         })
         .collect();
-    let cscs: Vec<CscComplexMatrix> = systems
-        .iter()
-        .map(|(a, _)| CscComplexMatrix::from_dense_rows(a))
-        .collect();
+    let cscs: Vec<CscComplexMatrix> = systems.iter().map(|(a, _)| complex_csc(a, n)).collect();
 
     // All kernels (and the full engine) must agree before their times mean
     // anything.
@@ -244,13 +238,13 @@ fn bench_ac_sweep_kernel(c: &mut Criterion) {
         let op = spice::op(&ckt, &opts).unwrap();
         let sweep = spice::ac(&ckt, &opts, &op, &freqs).unwrap();
         let out = ckt.find_node("n59").unwrap();
-        let mut ws = ComplexLuWorkspace::new(n);
+        let mut lu = ComplexLu::new(n);
         let mut slu = SparseComplexLu::new();
         slu.factor(&cscs[0]).unwrap();
         let (mut xd, mut xs) = (Vec::new(), Vec::new());
         for (fi, ((a, z), csc)) in systems.iter().zip(&cscs).enumerate() {
-            ComplexLu::factor_into(a, &mut ws).unwrap();
-            ws.solve_into(z, &mut xd).unwrap();
+            lu.factor(a, n).unwrap();
+            lu.solve_into(z, &mut xd).unwrap();
             slu.refactor_into(csc).unwrap();
             slu.solve_into(z, &mut xs).unwrap();
             for (d, s) in xd.iter().zip(&xs) {
@@ -266,12 +260,12 @@ fn bench_ac_sweep_kernel(c: &mut Criterion) {
     }
 
     c.bench_function("ac_sweep_kernel_dense_n62", |b| {
-        let mut ws = ComplexLuWorkspace::new(n);
+        let mut lu = ComplexLu::new(n);
         let mut x = Vec::new();
         b.iter(|| {
             for (a, z) in &systems {
-                ComplexLu::factor_into(black_box(a), &mut ws).unwrap();
-                ws.solve_into(z, &mut x).unwrap();
+                lu.factor(black_box(a), n).unwrap();
+                lu.solve_into(z, &mut x).unwrap();
             }
             black_box(x[0])
         })

@@ -65,9 +65,16 @@ pub fn mesh_ac_systems(n: usize) -> Vec<(linalg::CscComplexMatrix, Vec<linalg::C
         .iter()
         .map(|&f| {
             let st = assemble_linear_small_signal(&ckt, 2.0 * std::f64::consts::PI * f, gmin);
-            (linalg::CscComplexMatrix::from_dense_rows(&st.a), st.z)
+            (complex_csc(&st.a, n), st.z)
         })
         .collect()
+}
+
+/// The CSC form of a row-major `n×n` complex system (the dense storage of
+/// [`spice::stamp::ComplexStamper`]).
+pub fn complex_csc(a: &[linalg::C64], n: usize) -> linalg::CscComplexMatrix {
+    let rows: Vec<Vec<linalg::C64>> = a.chunks(n).map(<[linalg::C64]>::to_vec).collect();
+    linalg::CscComplexMatrix::from_dense_rows(&rows)
 }
 
 /// The MOS-loaded ladder of the Newton-kernel benchmarks (n = 32 unknowns
@@ -396,12 +403,9 @@ pub fn gemm_kernel_rows(c: &mut criterion::Criterion) {
 /// `repro baseline` so the checked-in baseline can be refreshed on the
 /// current host without running the full bench suite.
 pub mod baseline {
-    use crate::{assemble_linear_small_signal, build_mos_ladder, build_rc_ladder};
+    use crate::{assemble_linear_small_signal, build_mos_ladder, build_rc_ladder, complex_csc};
     use criterion::{black_box, Criterion};
-    use linalg::{
-        ComplexLu, ComplexLuWorkspace, CscComplexMatrix, CscMatrix, Lu, LuWorkspace,
-        SparseComplexLu, SparseLu, C64,
-    };
+    use linalg::{ComplexLu, CscComplexMatrix, CscMatrix, Lu, SparseComplexLu, SparseLu, C64};
     use opt::{parallel, Evaluator, Fom, SizingProblem};
     use spice::stamp::{stamp_resistive_system, RealStamper, SourceEval};
 
@@ -432,11 +436,11 @@ pub mod baseline {
             st.load_gmin(1e-12);
             stamp_resistive_system(&ckt, &x0, SourceEval::Dc { scale: 1.0 }, &mut st);
             c.bench_function(label_ws, |b| {
-                let mut ws = LuWorkspace::new(n);
+                let mut lu = Lu::new(n);
                 let mut x = vec![0.0; n];
                 b.iter(|| {
-                    Lu::factor_into(black_box(&st.a), &mut ws).unwrap();
-                    ws.solve_into(&st.z, &mut x).unwrap();
+                    lu.factor(black_box(st.a.as_slice()), n).unwrap();
+                    lu.solve_into(&st.z, &mut x).unwrap();
                     black_box(x[0])
                 })
             });
@@ -531,7 +535,7 @@ pub mod baseline {
             let n = ckt.num_unknowns();
             let freqs = spice::log_freqs(1e3, 1e8, 5);
             let gmin = spice::SimOptions::default().gmin;
-            let systems: Vec<(Vec<Vec<C64>>, Vec<C64>)> = freqs
+            let systems: Vec<(Vec<C64>, Vec<C64>)> = freqs
                 .iter()
                 .map(|&f| {
                     let st =
@@ -539,17 +543,15 @@ pub mod baseline {
                     (st.a, st.z)
                 })
                 .collect();
-            let cscs: Vec<CscComplexMatrix> = systems
-                .iter()
-                .map(|(a, _)| CscComplexMatrix::from_dense_rows(a))
-                .collect();
+            let cscs: Vec<CscComplexMatrix> =
+                systems.iter().map(|(a, _)| complex_csc(a, n)).collect();
             c.bench_function("ac_sweep_kernel_dense_n62", |b| {
-                let mut ws = ComplexLuWorkspace::new(n);
+                let mut lu = ComplexLu::new(n);
                 let mut x = Vec::new();
                 b.iter(|| {
                     for (a, z) in &systems {
-                        ComplexLu::factor_into(black_box(a), &mut ws).unwrap();
-                        ws.solve_into(z, &mut x).unwrap();
+                        lu.factor(black_box(a), n).unwrap();
+                        lu.solve_into(z, &mut x).unwrap();
                     }
                     black_box(x[0])
                 })
@@ -1000,13 +1002,13 @@ mod tests {
     }
 
     /// Diagnostic (run with `--ignored --nocapture`): dense
-    /// `factor_into` vs sparse `refactor_into` across system size and
+    /// `Lu::factor` vs sparse `refactor_into` across system size and
     /// density — the measurements behind `SPARSE_MIN_UNKNOWNS` /
     /// `SPARSE_MAX_DENSITY` in `spice::workspace`.
     #[test]
     #[ignore]
     fn probe_dense_sparse_crossover() {
-        use linalg::{CscMatrix, Lu, LuWorkspace, Matrix, SparseLu};
+        use linalg::{CscMatrix, Lu, Matrix, SparseLu};
         // Density sweep at fixed n: banded dominant matrices of varying
         // bandwidth; n sweep at mesh-like density.
         for n in [12usize, 16, 24, 32, 48, 64] {
@@ -1025,11 +1027,11 @@ mod tests {
                 let nnz = csc.values().len();
                 let density = nnz as f64 / (n * n) as f64;
                 let iters = 200_000 / n;
-                let mut ws = LuWorkspace::new(n);
-                Lu::factor_into(&dense, &mut ws).unwrap();
+                let mut lu = Lu::new(n);
+                lu.factor(dense.as_slice(), n).unwrap();
                 let t = std::time::Instant::now();
                 for _ in 0..iters {
-                    Lu::factor_into(&dense, &mut ws).unwrap();
+                    lu.factor(dense.as_slice(), n).unwrap();
                 }
                 let td = t.elapsed().as_secs_f64() / iters as f64;
                 let mut slu = SparseLu::new();

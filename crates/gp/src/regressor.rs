@@ -80,33 +80,20 @@ impl GpRegressor {
         let y_mean = y.iter().sum::<f64>() / n as f64;
         let yc: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
 
-        let mut gram = Matrix::from_fn(n, n, |i, j| kernel.eval(x.row(i), x.row(j)));
+        let gram = Matrix::from_fn(n, n, |i, j| kernel.eval(x.row(i), x.row(j)));
         // Escalating jitter keeps nearly duplicate rows factorable.
-        let mut chol = None;
-        let mut jitter = noise.max(1e-10);
-        for _ in 0..8 {
-            let mut k = gram.clone();
-            for i in 0..n {
-                k[(i, i)] += jitter;
-            }
-            match Cholesky::factor(&k) {
-                Ok(c) => {
-                    chol = Some(c);
-                    gram = k;
-                    break;
-                }
-                Err(_) => jitter *= 10.0,
-            }
-        }
-        let chol = chol.ok_or(GpError::NotPositiveDefinite)?;
-        let alpha = chol.solve(&yc);
+        let mut chol = Cholesky::new(n);
+        let jitter = chol
+            .factor_jittered(&gram, noise.max(1e-10), 8)
+            .map_err(|_| GpError::NotPositiveDefinite)?;
+        let mut alpha = Vec::with_capacity(n);
+        chol.solve_into(&yc, &mut alpha)
+            .expect("targets match the factored dimension");
 
         // log p(y|X) = −½ yᵀα − ½ log|K| − n/2 log 2π
         let fit_term: f64 = -0.5 * yc.iter().zip(&alpha).map(|(a, b)| a * b).sum::<f64>();
         let lml =
             fit_term - 0.5 * chol.log_det() - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
-
-        let _ = gram; // Gram matrix no longer needed after factorization.
         Ok(GpRegressor {
             kernel,
             noise: jitter,
@@ -137,16 +124,19 @@ impl GpRegressor {
     pub fn predict(&self, q: &[f64]) -> (f64, f64) {
         assert_eq!(q.len(), self.kernel.dim(), "query dimension mismatch");
         let n = self.len();
-        let kstar: Vec<f64> = (0..n).map(|i| self.kernel.eval(self.x.row(i), q)).collect();
+        let mut kstar: Vec<f64> = (0..n).map(|i| self.kernel.eval(self.x.row(i), q)).collect();
         let mean = self.y_mean
             + kstar
                 .iter()
                 .zip(&self.alpha)
                 .map(|(a, b)| a * b)
                 .sum::<f64>();
-        // var = k(q,q) − k*ᵀ (K+σ²I)⁻¹ k*, via the triangular solve L v = k*.
-        let v = self.chol.solve_lower(&kstar);
-        let var = self.kernel.eval(q, q) - v.iter().map(|x| x * x).sum::<f64>();
+        // var = k(q,q) − k*ᵀ (K+σ²I)⁻¹ k*, via the triangular solve L v = k*
+        // (in place: k* becomes v).
+        self.chol
+            .solve_lower_in_place(&mut kstar)
+            .expect("one kernel value per training point");
+        let var = self.kernel.eval(q, q) - kstar.iter().map(|x| x * x).sum::<f64>();
         (mean, var.max(0.0))
     }
 
@@ -327,5 +317,55 @@ mod tests {
         let gp = GpRegressor::fit(x, y, RbfKernel::isotropic(2, 0.8, 4.0), 1e-9).unwrap();
         let (mean, _) = gp.predict(&[0.5, 0.5]);
         assert!((mean - 1.5).abs() < 0.05, "2d mean {mean}");
+    }
+
+    /// Log marginal likelihood, prediction and jitter, recorded before the
+    /// Gram factorization moved into the reusable `linalg::Cholesky`: the
+    /// same operations in the same order must give the same bits. The
+    /// second case escalates the jitter three times (1e-10 → 1e-7).
+    #[test]
+    fn fit_and_predict_bits_are_pinned() {
+        let n = 14;
+        let x = Matrix::from_fn(n, 2, |i, j| {
+            let i = i % 12; // rows 12 and 13 duplicate rows 0 and 1
+            if j == 0 {
+                0.5 + 0.5 * (i as f64 * 1.3).sin()
+            } else {
+                0.5 + 0.5 * (i as f64 * 0.7).cos()
+            }
+        });
+        let y: Vec<f64> = (0..n)
+            .map(|i| (3.0 * x[(i, 0)]).sin() + x[(i, 1)] * x[(i, 1)])
+            .collect();
+        // [lengthscale, variance, noise] → [lml, mean, var, noise used]
+        let cases: [[f64; 7]; 2] = [
+            [
+                0.4,
+                1.0,
+                1e-6,
+                6.862861180421117,
+                1.0319996756307457,
+                0.027154607603868897,
+                1e-6,
+            ],
+            [
+                5.0,
+                1e9,
+                1e-14,
+                -49.5630425899094,
+                1.2110467084722962,
+                0.06653130054473877,
+                1e-7,
+            ],
+        ];
+        for [ls, var, noise, lml, mean, pvar, used] in cases {
+            let kernel = RbfKernel::isotropic(2, ls, var);
+            let gp = GpRegressor::fit(x.clone(), y.clone(), kernel, noise).unwrap();
+            let (m, v) = gp.predict(&[0.3, 0.6]);
+            assert_eq!(gp.log_marginal_likelihood().to_bits(), lml.to_bits());
+            assert_eq!(m.to_bits(), mean.to_bits());
+            assert_eq!(v.to_bits(), pvar.to_bits());
+            assert_eq!(gp.noise().to_bits(), used.to_bits());
+        }
     }
 }

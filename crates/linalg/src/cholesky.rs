@@ -2,11 +2,13 @@
 
 use crate::{FactorError, Matrix};
 
-/// Cholesky factorization `A = L·Lᵀ` of a symmetric positive-definite matrix.
+/// Cholesky factorization `A = L·Lᵀ` of a symmetric positive-definite
+/// matrix, in caller-owned storage that refactors same-sized systems
+/// without allocating.
 ///
 /// Used by Gaussian-process regression, where `A` is a kernel Gram matrix
-/// plus noise jitter; [`Cholesky::log_det`] feeds the log marginal
-/// likelihood.
+/// plus noise jitter ([`Cholesky::factor_jittered`]); [`Cholesky::log_det`]
+/// feeds the log marginal likelihood.
 ///
 /// # Example
 ///
@@ -14,174 +16,96 @@ use crate::{FactorError, Matrix};
 /// use linalg::{Cholesky, Matrix};
 ///
 /// let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-/// let ch = Cholesky::factor(&a).expect("SPD");
-/// let x = ch.solve(&[2.0, 1.0]);
+/// let mut ch = Cholesky::new(2);
+/// ch.factor(&a).expect("SPD");
+/// let mut x = Vec::new();
+/// ch.solve_into(&[2.0, 1.0], &mut x).unwrap();
 /// let r = a.matvec(&x);
 /// assert!((r[0] - 2.0).abs() < 1e-12 && (r[1] - 1.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cholesky {
-    /// Lower-triangular factor (upper part is garbage and never read).
-    l: Matrix,
-}
-
-/// Caller-owned storage for a Cholesky factorization — the allocation-free
-/// analogue of [`Cholesky`] for loops that refactor same-sized SPD systems
-/// repeatedly (GP refits, covariance updates).
-///
-/// # Example
-///
-/// ```
-/// use linalg::{Cholesky, CholeskyWorkspace, Matrix};
-///
-/// let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-/// let mut ws = CholeskyWorkspace::new(2);
-/// Cholesky::factor_into(&a, &mut ws).expect("SPD");
-/// let mut x = Vec::new();
-/// ws.solve_into(&[2.0, 1.0], &mut x).unwrap();
-/// let r = a.matvec(&x);
-/// assert!((r[0] - 2.0).abs() < 1e-12 && (r[1] - 1.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone)]
-pub struct CholeskyWorkspace {
     /// Lower-triangular factor, row-major `n×n` (upper part unspecified).
     l: Vec<f64>,
     n: usize,
     factored: bool,
 }
 
-impl CholeskyWorkspace {
-    /// Creates a workspace sized for `n×n` systems; it grows automatically
+impl Cholesky {
+    /// Creates storage sized for `n×n` systems; it grows automatically
     /// when factoring larger matrices.
     pub fn new(n: usize) -> Self {
-        CholeskyWorkspace {
+        Cholesky {
             l: vec![0.0; n * n],
             n,
             factored: false,
         }
     }
 
-    /// Dimension of the (last) factored matrix.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Solves `A·x = b` via the two triangular solves, writing into `x`.
+    /// Factors a symmetric positive-definite matrix. Only the lower
+    /// triangle of `a` is read; symmetry is assumed, not checked.
     ///
     /// # Errors
     ///
-    /// Returns [`FactorError::Shape`] if `b.len()` differs from the
-    /// factored dimension or no successful factorization is stored.
-    pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>) -> Result<(), FactorError> {
-        let n = self.n;
-        if !self.factored || b.len() != n {
-            return Err(FactorError::Shape {
-                rows: b.len(),
-                cols: n,
-            });
-        }
-        x.clear();
-        x.extend_from_slice(b);
-        // Forward substitution L·y = b.
-        for i in 0..n {
-            let (head, tail) = x.split_at_mut(i);
-            let row = &self.l[i * n..i * n + i];
-            let mut s = tail[0];
-            for (l, y) in row.iter().zip(head.iter()) {
-                s -= l * y;
+    /// Returns [`FactorError::Shape`] for non-square input, or
+    /// [`FactorError::NotPositiveDefinite`] if a diagonal entry becomes
+    /// non-positive during elimination. A failed factorization invalidates
+    /// the stored one until the next success.
+    pub fn factor(&mut self, a: &Matrix) -> Result<(), FactorError> {
+        self.load(a)?;
+        self.eliminate()
+    }
+
+    /// Factors `a + δ·I`, starting at `δ = jitter` and multiplying `δ` by
+    /// ten after each failed attempt, for at most `attempts` attempts —
+    /// the escalation that keeps a Gram matrix with nearly duplicate rows
+    /// factorable. Returns the `δ` that succeeded.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FactorError::Shape`] for non-square input and the last
+    /// attempt's [`FactorError::NotPositiveDefinite`] when every attempt
+    /// fails.
+    pub fn factor_jittered(
+        &mut self,
+        a: &Matrix,
+        mut jitter: f64,
+        attempts: usize,
+    ) -> Result<f64, FactorError> {
+        let mut last = FactorError::NotPositiveDefinite { order: 0 };
+        for _ in 0..attempts {
+            self.load(a)?;
+            for i in 0..self.n {
+                self.l[i * self.n + i] += jitter;
             }
-            tail[0] = s / self.l[i * n + i];
-        }
-        // Back substitution Lᵀ·x = y (column access on the row-major L).
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for j in (i + 1)..n {
-                s -= self.l[j * n + i] * x[j];
+            match self.eliminate() {
+                Ok(()) => return Ok(jitter),
+                Err(e) => last = e,
             }
-            x[i] = s / self.l[i * n + i];
+            jitter *= 10.0;
         }
-        Ok(())
+        Err(last)
     }
 
-    /// Solves `A·x = b`, validating the right-hand side first — the
-    /// allocating convenience over [`CholeskyWorkspace::solve_into`],
-    /// mirroring [`crate::Lu::try_solve`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FactorError::Shape`] if `b.len()` differs from the
-    /// factored dimension or no successful factorization is stored.
-    pub fn try_solve(&self, b: &[f64]) -> Result<Vec<f64>, FactorError> {
-        let mut x = Vec::new();
-        self.solve_into(b, &mut x)?;
-        Ok(x)
-    }
-
-    /// Solves `A·X = B` column by column, validating the shape first,
-    /// mirroring [`crate::Lu::try_solve_matrix`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FactorError::Shape`] if `b.rows()` differs from the
-    /// factored dimension or no successful factorization is stored.
-    pub fn try_solve_matrix(&self, b: &Matrix) -> Result<Matrix, FactorError> {
-        if !self.factored || b.rows() != self.n {
-            return Err(FactorError::Shape {
-                rows: b.rows(),
-                cols: b.cols(),
-            });
-        }
-        let mut out = Matrix::zeros(b.rows(), b.cols());
-        let mut col = Vec::with_capacity(b.rows());
-        let mut x = Vec::new();
-        for j in 0..b.cols() {
-            col.clear();
-            col.extend((0..b.rows()).map(|i| b[(i, j)]));
-            self.solve_into(&col, &mut x)?;
-            for i in 0..b.rows() {
-                out[(i, j)] = x[i];
-            }
-        }
-        Ok(out)
-    }
-
-    /// Log-determinant of `A`: `2·Σ log L[i,i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no successful factorization is stored.
-    pub fn log_det(&self) -> f64 {
-        assert!(self.factored, "no factorization stored");
-        (0..self.n)
-            .map(|i| self.l[i * self.n + i].ln())
-            .sum::<f64>()
-            * 2.0
-    }
-}
-
-impl Cholesky {
-    /// Factors a symmetric positive-definite matrix into caller-owned
-    /// storage without allocating (once the workspace has capacity). Same
-    /// operations in the same order as [`Cholesky::factor`], so the factors
-    /// are bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Cholesky::factor`]. A failed factorization
-    /// invalidates the workspace until the next successful one.
-    pub fn factor_into(a: &Matrix, ws: &mut CholeskyWorkspace) -> Result<(), FactorError> {
+    /// Copies `a` into the factor storage.
+    fn load(&mut self, a: &Matrix) -> Result<(), FactorError> {
         if a.rows() != a.cols() {
             return Err(FactorError::Shape {
                 rows: a.rows(),
                 cols: a.cols(),
             });
         }
-        let n = a.rows();
-        ws.n = n;
-        ws.factored = false;
-        ws.l.clear();
-        ws.l.extend_from_slice(a.as_slice());
-        let l = &mut ws.l[..n * n];
+        self.n = a.rows();
+        self.factored = false;
+        self.l.clear();
+        self.l.extend_from_slice(a.as_slice());
+        Ok(())
+    }
+
+    /// Column-by-column elimination of the matrix loaded into `self.l`.
+    fn eliminate(&mut self) -> Result<(), FactorError> {
+        let n = self.n;
+        let l = &mut self.l[..n * n];
         for j in 0..n {
             let mut d = l[j * n + j];
             for k in 0..j {
@@ -204,156 +128,72 @@ impl Cholesky {
                 row_i[j] = s / d;
             }
         }
-        ws.factored = true;
+        self.factored = true;
         Ok(())
     }
-    /// Factors a symmetric positive-definite matrix.
-    ///
-    /// Only the lower triangle of `a` is read; symmetry is assumed, not
-    /// checked.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FactorError::Shape`] for non-square input, or
-    /// [`FactorError::NotPositiveDefinite`] if a diagonal entry becomes
-    /// non-positive during elimination.
-    pub fn factor(a: &Matrix) -> Result<Self, FactorError> {
-        if a.rows() != a.cols() {
-            return Err(FactorError::Shape {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let n = a.rows();
-        let mut l = a.clone();
-        for j in 0..n {
-            let mut d = l[(j, j)];
-            for k in 0..j {
-                let v = l[(j, k)];
-                d -= v * v;
-            }
-            if !(d > 0.0) {
-                return Err(FactorError::NotPositiveDefinite { order: j + 1 });
-            }
-            let d = d.sqrt();
-            l[(j, j)] = d;
-            for i in (j + 1)..n {
-                let mut s = l[(i, j)];
-                for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)];
-                }
-                l[(i, j)] = s / d;
-            }
-        }
-        Ok(Cholesky { l })
-    }
 
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.l.rows()
-    }
-
-    /// Solves `A·x = b` via two triangular solves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` differs from the factored dimension; use
-    /// [`Cholesky::try_solve`] for a checked variant.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let y = self.solve_lower(b);
-        self.solve_upper(&y)
-    }
-
-    /// Solves `A·x = b`, validating the right-hand side first — the
-    /// checked variant of [`Cholesky::solve`], mirroring
-    /// [`crate::Lu::try_solve`].
+    /// Solves `L·y = b` in place: `b` enters as the right-hand side and
+    /// leaves as `y` (forward substitution) — the half solve behind a GP's
+    /// predictive variance.
     ///
     /// # Errors
     ///
     /// Returns [`FactorError::Shape`] if `b.len()` differs from the
-    /// factored dimension.
-    pub fn try_solve(&self, b: &[f64]) -> Result<Vec<f64>, FactorError> {
-        if b.len() != self.dim() {
+    /// factored dimension or no successful factorization is stored.
+    pub fn solve_lower_in_place(&self, b: &mut [f64]) -> Result<(), FactorError> {
+        let n = self.n;
+        if !self.factored || b.len() != n {
             return Err(FactorError::Shape {
                 rows: b.len(),
-                cols: self.dim(),
+                cols: n,
             });
         }
-        Ok(self.solve(b))
+        for i in 0..n {
+            let (head, tail) = b.split_at_mut(i);
+            let row = &self.l[i * n..i * n + i];
+            let mut s = tail[0];
+            for (l, y) in row.iter().zip(head.iter()) {
+                s -= l * y;
+            }
+            tail[0] = s / self.l[i * n + i];
+        }
+        Ok(())
     }
 
-    /// Solves `A·X = B` column by column, validating the shape first,
-    /// mirroring [`crate::Lu::try_solve_matrix`].
+    /// Solves `A·x = b` via the two triangular solves, writing into `x`
+    /// (resized, reusing its capacity).
     ///
     /// # Errors
     ///
-    /// Returns [`FactorError::Shape`] if `b.rows()` differs from the
-    /// factored dimension.
-    pub fn try_solve_matrix(&self, b: &Matrix) -> Result<Matrix, FactorError> {
-        if b.rows() != self.dim() {
-            return Err(FactorError::Shape {
-                rows: b.rows(),
-                cols: b.cols(),
-            });
-        }
-        let mut out = Matrix::zeros(b.rows(), b.cols());
-        for j in 0..b.cols() {
-            let col: Vec<f64> = (0..b.rows()).map(|i| b[(i, j)]).collect();
-            let x = self.solve(&col);
-            for i in 0..b.rows() {
-                out[(i, j)] = x[i];
-            }
-        }
-        Ok(out)
-    }
-
-    /// Solves `L·y = b` (forward substitution).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` differs from the factored dimension.
-    pub fn solve_lower(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.dim();
-        assert_eq!(b.len(), n, "rhs length must equal matrix dimension");
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut s = b[i];
-            for j in 0..i {
-                s -= self.l[(i, j)] * y[j];
-            }
-            y[i] = s / self.l[(i, i)];
-        }
-        y
-    }
-
-    /// Solves `Lᵀ·x = y` (back substitution).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len()` differs from the factored dimension.
-    pub fn solve_upper(&self, y: &[f64]) -> Vec<f64> {
-        let n = self.dim();
-        assert_eq!(y.len(), n, "rhs length must equal matrix dimension");
-        let mut x = vec![0.0; n];
+    /// Returns [`FactorError::Shape`] if `b.len()` differs from the
+    /// factored dimension or no successful factorization is stored.
+    pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>) -> Result<(), FactorError> {
+        x.clear();
+        x.extend_from_slice(b);
+        self.solve_lower_in_place(x)?;
+        // Back substitution Lᵀ·x = y (column access on the row-major L).
+        let n = self.n;
         for i in (0..n).rev() {
-            let mut s = y[i];
+            let mut s = x[i];
             for j in (i + 1)..n {
-                s -= self.l[(j, i)] * x[j];
+                s -= self.l[j * n + i] * x[j];
             }
-            x[i] = s / self.l[(i, i)];
+            x[i] = s / self.l[i * n + i];
         }
-        x
+        Ok(())
     }
 
     /// Log-determinant of `A`: `2·Σ log L[i,i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no successful factorization is stored.
     pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
-
-    /// Borrow the lower-triangular factor (entries above the diagonal are
-    /// unspecified).
-    pub fn lower(&self) -> &Matrix {
-        &self.l
+        assert!(self.factored, "no factorization stored");
+        (0..self.n)
+            .map(|i| self.l[i * self.n + i].ln())
+            .sum::<f64>()
+            * 2.0
     }
 }
 
@@ -361,31 +201,45 @@ impl Cholesky {
 mod tests {
     use super::*;
 
+    fn factored(a: &Matrix) -> Result<Cholesky, FactorError> {
+        let mut ch = Cholesky::new(a.rows());
+        ch.factor(a)?;
+        Ok(ch)
+    }
+
+    fn solve(ch: &Cholesky, b: &[f64]) -> Vec<f64> {
+        let mut x = Vec::new();
+        ch.solve_into(b, &mut x).unwrap();
+        x
+    }
+
     #[test]
     fn factors_known_matrix() {
         // A = [[4, 12, -16], [12, 37, -43], [-16, -43, 98]] has
-        // L = [[2,0,0],[6,1,0],[-8,5,3]] (classic textbook example).
+        // L = [[2,0,0],[6,1,0],[-8,5,3]] (classic textbook example):
+        // forward substitution with L maps L's columns to unit vectors.
         let a = Matrix::from_rows(&[
             &[4.0, 12.0, -16.0],
             &[12.0, 37.0, -43.0],
             &[-16.0, -43.0, 98.0],
         ]);
-        let ch = Cholesky::factor(&a).unwrap();
-        let l = ch.lower();
-        assert!((l[(0, 0)] - 2.0).abs() < 1e-12);
-        assert!((l[(1, 0)] - 6.0).abs() < 1e-12);
-        assert!((l[(1, 1)] - 1.0).abs() < 1e-12);
-        assert!((l[(2, 0)] + 8.0).abs() < 1e-12);
-        assert!((l[(2, 1)] - 5.0).abs() < 1e-12);
-        assert!((l[(2, 2)] - 3.0).abs() < 1e-12);
+        let ch = factored(&a).unwrap();
+        let l = Matrix::from_rows(&[&[2.0, 0.0, 0.0], &[6.0, 1.0, 0.0], &[-8.0, 5.0, 3.0]]);
+        for j in 0..3 {
+            let mut col: Vec<f64> = (0..3).map(|i| l[(i, j)]).collect();
+            ch.solve_lower_in_place(&mut col).unwrap();
+            for (i, v) in col.iter().enumerate() {
+                let want = if i == j { 1.0 } else { 0.0 };
+                assert!((v - want).abs() < 1e-12, "column {j}: {col:?}");
+            }
+        }
     }
 
     #[test]
     fn solve_matches_direct() {
         let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-        let ch = Cholesky::factor(&a).unwrap();
         let b = [2.0, 1.0];
-        let x = ch.solve(&b);
+        let x = solve(&factored(&a).unwrap(), &b);
         let r = a.matvec(&x);
         assert!((r[0] - b[0]).abs() < 1e-12);
         assert!((r[1] - b[1]).abs() < 1e-12);
@@ -394,16 +248,15 @@ mod tests {
     #[test]
     fn log_det_matches() {
         let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-        let ch = Cholesky::factor(&a).unwrap();
         let det: f64 = 4.0 * 3.0 - 2.0 * 2.0;
-        assert!((ch.log_det() - det.ln()).abs() < 1e-12);
+        assert!((factored(&a).unwrap().log_det() - det.ln()).abs() < 1e-12);
     }
 
     #[test]
     fn rejects_indefinite() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, -1
         assert!(matches!(
-            Cholesky::factor(&a),
+            factored(&a),
             Err(FactorError::NotPositiveDefinite { .. })
         ));
     }
@@ -411,94 +264,72 @@ mod tests {
     #[test]
     fn rejects_non_square() {
         assert!(matches!(
-            Cholesky::factor(&Matrix::zeros(2, 3)),
+            factored(&Matrix::zeros(2, 3)),
             Err(FactorError::Shape { .. })
         ));
-    }
-
-    #[test]
-    fn workspace_matches_owning_path_exactly() {
-        let a = Matrix::from_rows(&[&[9.0, 3.0, 1.0], &[3.0, 5.0, 2.0], &[1.0, 2.0, 6.0]]);
-        let ch = Cholesky::factor(&a).unwrap();
-        let mut ws = CholeskyWorkspace::new(3);
-        Cholesky::factor_into(&a, &mut ws).unwrap();
-        let b = [1.0, -2.0, 3.0];
-        let x_owned = ch.solve(&b);
-        let mut x_ws = Vec::new();
-        ws.solve_into(&b, &mut x_ws).unwrap();
-        assert_eq!(x_owned, x_ws);
-        assert_eq!(ch.log_det().to_bits(), ws.log_det().to_bits());
     }
 
     #[test]
     fn workspace_rejects_bad_shapes_and_indefinite() {
-        let mut ws = CholeskyWorkspace::new(2);
-        assert!(matches!(
-            Cholesky::factor_into(&Matrix::zeros(2, 3), &mut ws),
-            Err(FactorError::Shape { .. })
-        ));
+        let mut ch = Cholesky::new(2);
+        assert!(ch.solve_into(&[1.0, 1.0], &mut Vec::new()).is_err());
         let indefinite = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
         assert!(matches!(
-            Cholesky::factor_into(&indefinite, &mut ws),
+            ch.factor(&indefinite),
             Err(FactorError::NotPositiveDefinite { .. })
         ));
-        assert!(ws.solve_into(&[1.0, 1.0], &mut Vec::new()).is_err());
+        assert!(ch.solve_into(&[1.0, 1.0], &mut Vec::new()).is_err());
         let spd = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-        Cholesky::factor_into(&spd, &mut ws).unwrap();
-        assert!(ws.solve_into(&[1.0, 1.0, 1.0], &mut Vec::new()).is_err());
-        assert!(ws.solve_into(&[1.0, 1.0], &mut Vec::new()).is_ok());
+        ch.factor(&spd).unwrap();
+        assert!(ch.solve_into(&[1.0, 1.0, 1.0], &mut Vec::new()).is_err());
+        assert!(ch.solve_lower_in_place(&mut [1.0; 3]).is_err());
+        assert!(ch.solve_into(&[1.0, 1.0], &mut Vec::new()).is_ok());
+        // A shape error leaves the stored factorization usable.
+        assert!(matches!(
+            ch.factor(&Matrix::zeros(2, 3)),
+            Err(FactorError::Shape { .. })
+        ));
+        assert!(ch.solve_into(&[1.0, 1.0], &mut Vec::new()).is_ok());
     }
 
     #[test]
-    fn try_solve_reports_dimension_mismatch() {
-        let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-        let ch = Cholesky::factor(&a).unwrap();
+    fn jitter_escalates_until_factorable() {
+        // Rank one: without a shift the second pivot is exactly zero.
+        let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
+        let mut ch = Cholesky::new(2);
+        let jitter = ch.factor_jittered(&a, 0.0, 1);
         assert!(matches!(
-            ch.try_solve(&[1.0, 2.0, 3.0]),
-            Err(FactorError::Shape { .. })
+            jitter,
+            Err(FactorError::NotPositiveDefinite { order: 2 })
         ));
-        assert!(matches!(
-            ch.try_solve_matrix(&Matrix::zeros(3, 2)),
-            Err(FactorError::Shape { .. })
-        ));
-        assert_eq!(ch.try_solve(&[2.0, 1.0]).unwrap(), ch.solve(&[2.0, 1.0]));
-        let mut ws = CholeskyWorkspace::new(2);
-        // Workspace variants are checked even before a factorization exists.
-        assert!(ws.try_solve(&[1.0, 1.0]).is_err());
-        Cholesky::factor_into(&a, &mut ws).unwrap();
-        assert!(matches!(
-            ws.try_solve(&[1.0; 3]),
-            Err(FactorError::Shape { .. })
-        ));
-        assert_eq!(ws.try_solve(&[2.0, 1.0]).unwrap(), ch.solve(&[2.0, 1.0]));
-        assert!(matches!(
-            ws.try_solve_matrix(&Matrix::zeros(3, 3)),
-            Err(FactorError::Shape { .. })
-        ));
-    }
-
-    #[test]
-    fn try_solve_matrix_inverts() {
-        let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-        let ch = Cholesky::factor(&a).unwrap();
-        let inv = ch.try_solve_matrix(&Matrix::identity(2)).unwrap();
-        let prod = a.matmul(&inv);
-        assert!((&prod - &Matrix::identity(2)).max_abs() < 1e-12);
-        let mut ws = CholeskyWorkspace::new(2);
-        Cholesky::factor_into(&a, &mut ws).unwrap();
-        let inv_ws = ws.try_solve_matrix(&Matrix::identity(2)).unwrap();
-        assert_eq!(inv, inv_ws);
+        let indefinite = Matrix::from_rows(&[&[1.0, 3.0], &[3.0, 1.0]]);
+        // Eigenvalue −2 needs δ > 2: 1e-2, 1e-1, 1 fail; 10 succeeds.
+        assert!(ch.factor_jittered(&indefinite, 1e-2, 3).is_err());
+        let used = ch.factor_jittered(&indefinite, 1e-2, 4).unwrap();
+        assert_eq!(used, 1e-2 * 10.0 * 10.0 * 10.0);
+        let mut shifted = indefinite.clone();
+        for i in 0..2 {
+            shifted[(i, i)] += used;
+        }
+        let mut direct = Cholesky::new(2);
+        direct.factor(&shifted).unwrap();
+        assert_eq!(solve(&ch, &[1.0, -1.0]), solve(&direct, &[1.0, -1.0]));
+        assert_eq!(ch.log_det().to_bits(), direct.log_det().to_bits());
     }
 
     #[test]
     fn triangular_solves_compose() {
         let a = Matrix::from_rows(&[&[9.0, 3.0, 1.0], &[3.0, 5.0, 2.0], &[1.0, 2.0, 6.0]]);
-        let ch = Cholesky::factor(&a).unwrap();
+        let ch = factored(&a).unwrap();
         let b = [1.0, -2.0, 3.0];
-        let y = ch.solve_lower(&b);
-        let x = ch.solve_upper(&y);
-        let direct = ch.solve(&b);
-        for (u, v) in x.iter().zip(&direct) {
+        // L·y = b, then A·x = b: Lᵀ·x = y must hold.
+        let mut y = b.to_vec();
+        ch.solve_lower_in_place(&mut y).unwrap();
+        let x = solve(&ch, &b);
+        let lt_x: Vec<f64> = (0..3)
+            .map(|i| (i..3).map(|j| ch.l[j * 3 + i] * x[j]).sum())
+            .collect();
+        for (u, v) in lt_x.iter().zip(&y) {
             assert!((u - v).abs() < 1e-14);
         }
     }

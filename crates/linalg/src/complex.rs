@@ -1,4 +1,5 @@
-//! Minimal complex arithmetic and a complex LU solver for AC analysis.
+//! Minimal complex arithmetic for AC analysis (the dense complex LU is
+//! [`crate::ComplexLu`], the `C64` instance of [`crate::LuT`]).
 
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
@@ -156,397 +157,6 @@ impl std::fmt::Display for C64 {
     }
 }
 
-/// Dense complex LU factorization with partial pivoting, used for the AC
-/// small-signal MNA system `(G + jωC)·x = b`.
-///
-/// # Example
-///
-/// ```
-/// use linalg::{C64, ComplexLu};
-///
-/// // [[1, i], [0, 2]] x = [1+i, 2] -> x = [1, 1]
-/// let a = vec![
-///     vec![C64::new(1.0, 0.0), C64::new(0.0, 1.0)],
-///     vec![C64::new(0.0, 0.0), C64::new(2.0, 0.0)],
-/// ];
-/// let lu = ComplexLu::factor(a).expect("non-singular");
-/// let x = lu.solve(&[C64::new(1.0, 1.0), C64::new(2.0, 0.0)]);
-/// assert!((x[0] - C64::new(1.0, 0.0)).abs() < 1e-12);
-/// assert!((x[1] - C64::new(1.0, 0.0)).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ComplexLu {
-    lu: Vec<Vec<C64>>,
-    perm: Vec<usize>,
-}
-
-impl ComplexLu {
-    /// Factors a square complex matrix given as rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::FactorError::Singular`] when a pivot is numerically
-    /// zero, and [`crate::FactorError::Shape`] for ragged or non-square
-    /// input.
-    pub fn factor(mut a: Vec<Vec<C64>>) -> Result<Self, crate::FactorError> {
-        let n = a.len();
-        if a.iter().any(|row| row.len() != n) {
-            let cols = a.first().map_or(0, |r| r.len());
-            return Err(crate::FactorError::Shape { rows: n, cols });
-        }
-        let mut perm: Vec<usize> = (0..n).collect();
-        for k in 0..n {
-            let mut p = k;
-            let mut max = a[k][k].abs();
-            for (i, row) in a.iter().enumerate().skip(k + 1) {
-                let v = row[k].abs();
-                if v > max {
-                    max = v;
-                    p = i;
-                }
-            }
-            if !(max > 1e-300) {
-                return Err(crate::FactorError::Singular { pivot: k });
-            }
-            if p != k {
-                a.swap(p, k);
-                perm.swap(p, k);
-            }
-            let pivot = a[k][k];
-            for i in (k + 1)..n {
-                let m = a[i][k] / pivot;
-                a[i][k] = m;
-                if m != C64::ZERO {
-                    for j in (k + 1)..n {
-                        let u = a[k][j];
-                        a[i][j] -= m * u;
-                    }
-                }
-            }
-        }
-        Ok(ComplexLu { lu: a, perm })
-    }
-
-    /// Factors a square complex matrix (given as row slices) into
-    /// caller-owned storage, allocating nothing once the workspace has the
-    /// right capacity. This is the dense fallback of the AC sweep: one
-    /// refactorization per frequency point with **no matrix clone per
-    /// point**. The elimination performs the same operations in the same
-    /// order as [`ComplexLu::factor`], so the two paths produce
-    /// bit-identical factors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::FactorError::Shape`] for ragged or non-square input
-    /// and [`crate::FactorError::Singular`] when a pivot is numerically
-    /// zero.
-    pub fn factor_into(
-        a: &[Vec<C64>],
-        ws: &mut ComplexLuWorkspace,
-    ) -> Result<(), crate::FactorError> {
-        let n = a.len();
-        if a.iter().any(|row| row.len() != n) {
-            let cols = a.first().map_or(0, |r| r.len());
-            return Err(crate::FactorError::Shape { rows: n, cols });
-        }
-        ws.reset(n);
-        for (row, dst) in a.iter().zip(ws.lu.chunks_mut(n.max(1))) {
-            dst.copy_from_slice(row);
-        }
-        ws.eliminate()
-    }
-
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.lu.len()
-    }
-
-    /// Solves `A·x = b`, validating the right-hand side first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::FactorError::Shape`] if `b.len()` differs from the
-    /// factored dimension.
-    pub fn try_solve(&self, b: &[C64]) -> Result<Vec<C64>, crate::FactorError> {
-        if b.len() != self.dim() {
-            return Err(crate::FactorError::Shape {
-                rows: b.len(),
-                cols: self.dim(),
-            });
-        }
-        Ok(self.solve(b))
-    }
-
-    /// Solves `A·X = B` column by column, where `B` is given as row slices,
-    /// validating the shape first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::FactorError::Shape`] if `B` has a row count
-    /// different from the factored dimension or ragged rows.
-    pub fn try_solve_matrix(&self, b: &[Vec<C64>]) -> Result<Vec<Vec<C64>>, crate::FactorError> {
-        let n = self.dim();
-        let cols = b.first().map_or(0, |r| r.len());
-        if b.len() != n || b.iter().any(|row| row.len() != cols) {
-            return Err(crate::FactorError::Shape {
-                rows: b.len(),
-                cols,
-            });
-        }
-        let mut out = vec![vec![C64::ZERO; cols]; n];
-        let mut col = vec![C64::ZERO; n];
-        for j in 0..cols {
-            for (i, row) in b.iter().enumerate() {
-                col[i] = row[j];
-            }
-            let x = self.solve(&col);
-            for (i, xi) in x.into_iter().enumerate() {
-                out[i][j] = xi;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Solves `A·x = b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` differs from the factored dimension; use
-    /// [`ComplexLu::try_solve`] for a checked variant.
-    pub fn solve(&self, b: &[C64]) -> Vec<C64> {
-        let n = self.dim();
-        assert_eq!(b.len(), n, "rhs length must equal matrix dimension");
-        let mut x: Vec<C64> = self.perm.iter().map(|&i| b[i]).collect();
-        for i in 1..n {
-            let mut s = x[i];
-            for j in 0..i {
-                s -= self.lu[i][j] * x[j];
-            }
-            x[i] = s;
-        }
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for j in (i + 1)..n {
-                s -= self.lu[i][j] * x[j];
-            }
-            x[i] = s / self.lu[i][i];
-        }
-        x
-    }
-}
-
-/// Caller-owned storage for a dense complex LU factorization: the combined
-/// `L`/`U` factors (flat row-major), the row permutation, the reciprocal
-/// pivots, and the dimension. Mirrors [`crate::LuWorkspace`] for the AC
-/// sweep's dense fallback: [`ComplexLu::factor_into`] refactors into the
-/// same buffers every frequency point without allocating.
-///
-/// # Example
-///
-/// ```
-/// use linalg::{C64, ComplexLu, ComplexLuWorkspace};
-///
-/// let a = vec![
-///     vec![C64::new(1.0, 0.0), C64::new(0.0, 1.0)],
-///     vec![C64::new(0.0, 0.0), C64::new(2.0, 0.0)],
-/// ];
-/// let mut ws = ComplexLuWorkspace::new(2);
-/// let mut x = Vec::new();
-/// for _ in 0..3 {
-///     ComplexLu::factor_into(&a, &mut ws).expect("non-singular");
-///     ws.solve_into(&[C64::new(1.0, 1.0), C64::new(2.0, 0.0)], &mut x).unwrap();
-/// }
-/// assert!((x[0] - C64::ONE).abs() < 1e-12 && (x[1] - C64::ONE).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ComplexLuWorkspace {
-    /// Combined factors, row-major `n×n`.
-    lu: Vec<C64>,
-    /// Row permutation: `perm[i]` is the original row now at position `i`.
-    perm: Vec<usize>,
-    /// Reciprocal pivots (`1 / U[i][i]`), computed once during
-    /// factorization.
-    inv_diag: Vec<C64>,
-    /// Scratch for the transpose solve's permutation scatter.
-    scratch: Vec<C64>,
-    /// Factored dimension.
-    n: usize,
-    /// True once `factor_into` has succeeded at the current dimension.
-    factored: bool,
-}
-
-impl ComplexLuWorkspace {
-    /// Creates a workspace sized for `n×n` systems. The workspace grows
-    /// automatically if later used with a larger matrix.
-    pub fn new(n: usize) -> Self {
-        ComplexLuWorkspace {
-            lu: vec![C64::ZERO; n * n],
-            perm: (0..n).collect(),
-            inv_diag: vec![C64::ZERO; n],
-            scratch: Vec::new(),
-            n,
-            factored: false,
-        }
-    }
-
-    /// Dimension of the (last) factored matrix.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// True once a successful factorization is stored.
-    pub fn is_factored(&self) -> bool {
-        self.factored
-    }
-
-    /// Resizes the internal buffers for an `n×n` system without shrinking
-    /// capacity, invalidating any previous factorization.
-    fn reset(&mut self, n: usize) {
-        self.n = n;
-        self.factored = false;
-        self.lu.clear();
-        self.lu.resize(n * n, C64::ZERO);
-        self.perm.clear();
-        self.perm.extend(0..n);
-        self.inv_diag.clear();
-        self.inv_diag.resize(n, C64::ZERO);
-    }
-
-    /// Partial-pivoting elimination over the dimension-`n` system already
-    /// loaded into `self.lu`. Same pivot policy (largest magnitude, first
-    /// on ties) and same operation order as [`ComplexLu::factor`].
-    fn eliminate(&mut self) -> Result<(), crate::FactorError> {
-        let n = self.n;
-        let lu = &mut self.lu[..n * n];
-        for k in 0..n {
-            let mut p = k;
-            let mut max = lu[k * n + k].abs();
-            for i in (k + 1)..n {
-                let v = lu[i * n + k].abs();
-                if v > max {
-                    max = v;
-                    p = i;
-                }
-            }
-            if !(max > 1e-300) {
-                return Err(crate::FactorError::Singular { pivot: k });
-            }
-            if p != k {
-                self.perm.swap(p, k);
-                // p > k, so the two row slices are disjoint.
-                let (top, bottom) = lu.split_at_mut(p * n);
-                top[k * n..k * n + n].swap_with_slice(&mut bottom[..n]);
-            }
-            let inv_pivot = lu[k * n + k].recip();
-            self.inv_diag[k] = inv_pivot;
-            let (top, bottom) = lu.split_at_mut((k + 1) * n);
-            let row_k = &top[k * n + k + 1..k * n + n];
-            for i in (k + 1)..n {
-                let row_i = &mut bottom[(i - k - 1) * n..(i - k) * n];
-                // Same arithmetic as `ComplexLu::factor`'s `a[i][k] /
-                // pivot` (complex division is multiplication by the
-                // reciprocal).
-                let m = row_i[k] * inv_pivot;
-                row_i[k] = m;
-                if m != C64::ZERO {
-                    for (x, &u) in row_i[k + 1..].iter_mut().zip(row_k) {
-                        *x -= m * u;
-                    }
-                }
-            }
-        }
-        self.factored = true;
-        Ok(())
-    }
-
-    /// Solves `A·x = b` with the stored factors, writing into `x` (resized,
-    /// reusing capacity).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::FactorError::Shape`] if no successful factorization
-    /// is stored or `b.len()` differs from the factored dimension.
-    pub fn solve_into(&self, b: &[C64], x: &mut Vec<C64>) -> Result<(), crate::FactorError> {
-        let n = self.n;
-        if !self.factored || b.len() != n {
-            return Err(crate::FactorError::Shape {
-                rows: b.len(),
-                cols: n,
-            });
-        }
-        x.clear();
-        x.extend(self.perm.iter().map(|&i| b[i]));
-        // Forward substitution with unit L.
-        for i in 1..n {
-            let mut s = x[i];
-            for j in 0..i {
-                s -= self.lu[i * n + j] * x[j];
-            }
-            x[i] = s;
-        }
-        // Back substitution with U (reciprocal-pivot multiply matches the
-        // owning path's division bit for bit).
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for j in (i + 1)..n {
-                s -= self.lu[i * n + j] * x[j];
-            }
-            x[i] = s * self.inv_diag[i];
-        }
-        Ok(())
-    }
-
-    /// Solves the *transposed* system `Aᵀ·y = b` with the stored factors —
-    /// the dense fallback of the noise analysis' adjoint solve. With
-    /// `P·A = L·U` the transpose is `Aᵀ = Uᵀ·Lᵀ·P`, so the solve is a
-    /// forward substitution with `Uᵀ`, a back substitution with `Lᵀ`, and
-    /// a final row-permutation scatter. No transposed matrix is built.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::FactorError::Shape`] if no successful factorization
-    /// is stored or `b.len()` differs from the factored dimension.
-    pub fn solve_transpose_into(
-        &mut self,
-        b: &[C64],
-        y: &mut Vec<C64>,
-    ) -> Result<(), crate::FactorError> {
-        let n = self.n;
-        if !self.factored || b.len() != n {
-            return Err(crate::FactorError::Shape {
-                rows: b.len(),
-                cols: n,
-            });
-        }
-        let w = &mut self.scratch;
-        w.clear();
-        w.resize(n, C64::ZERO);
-        // Forward substitution with Uᵀ (lower triangular).
-        for i in 0..n {
-            let mut s = b[i];
-            for j in 0..i {
-                s -= self.lu[j * n + i] * w[j];
-            }
-            w[i] = s * self.inv_diag[i];
-        }
-        // Back substitution with Lᵀ (unit upper).
-        for i in (0..n).rev() {
-            let mut s = w[i];
-            for j in (i + 1)..n {
-                s -= self.lu[j * n + i] * w[j];
-            }
-            w[i] = s;
-        }
-        // Undo the row permutation: Aᵀ·y = b with y = Pᵀ·w.
-        y.clear();
-        y.resize(n, C64::ZERO);
-        for (i, &pi) in self.perm.iter().enumerate() {
-            y[pi] = w[i];
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,42 +177,5 @@ mod tests {
         let a = C64::new(0.0, 1.0);
         assert_eq!(a.conj(), C64::new(0.0, -1.0));
         assert!((a.arg() - std::f64::consts::FRAC_PI_2).abs() < 1e-15);
-    }
-
-    #[test]
-    fn complex_solve_roundtrip() {
-        let a = vec![
-            vec![C64::new(2.0, 1.0), C64::new(-1.0, 0.5)],
-            vec![C64::new(0.0, -1.0), C64::new(3.0, 2.0)],
-        ];
-        let b = [C64::new(1.0, 0.0), C64::new(0.0, 1.0)];
-        let lu = ComplexLu::factor(a.clone()).unwrap();
-        let x = lu.solve(&b);
-        // Verify A x == b.
-        for i in 0..2 {
-            let mut s = C64::ZERO;
-            for j in 0..2 {
-                s += a[i][j] * x[j];
-            }
-            assert!((s - b[i]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn complex_singular_detected() {
-        let a = vec![
-            vec![C64::new(1.0, 1.0), C64::new(2.0, 2.0)],
-            vec![C64::new(2.0, 2.0), C64::new(4.0, 4.0)],
-        ];
-        assert!(ComplexLu::factor(a).is_err());
-    }
-
-    #[test]
-    fn pivoting_in_complex_solver() {
-        let a = vec![vec![C64::ZERO, C64::ONE], vec![C64::ONE, C64::ZERO]];
-        let lu = ComplexLu::factor(a).unwrap();
-        let x = lu.solve(&[C64::real(3.0), C64::real(4.0)]);
-        assert!((x[0] - C64::real(4.0)).abs() < 1e-15);
-        assert!((x[1] - C64::real(3.0)).abs() < 1e-15);
     }
 }

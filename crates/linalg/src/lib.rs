@@ -18,8 +18,10 @@
 //!   and the optimizer's population grid, sized by `DNNOPT_THREADS` /
 //!   [`pool::set_max_threads`], with a two-level budget so nested GEMMs
 //!   stay serial while a grid dispatch holds the cores.
-//! - [`Lu`]: partially pivoted LU factorization for the real MNA systems of
-//!   the circuit simulator and as a general linear solver.
+//! - [`LuT`]: dense LU with partial pivoting, written once over [`Scalar`]
+//!   in reusable storage — [`Lu`] for the real MNA systems of the circuit
+//!   simulator's Newton loop, [`ComplexLu`] for the AC/noise dense
+//!   fallback (with the transpose solve of the noise adjoint).
 //! - [`CscMatrix`] and [`SparseLu`]: KLU-style sparse LU with a recorded
 //!   elimination pattern — one symbolic analysis per topology, a scan-free
 //!   [`SparseLu::refactor_into`] per Newton iteration. The simulator
@@ -28,12 +30,10 @@
 //!   ([`CscT`]/[`SparseLuT`]), monomorphized for `f64` and [`C64`], and
 //!   includes a supernodal blocked replay with a deterministic
 //!   etree-parallel mode over the shared [`pool`].
-//! - [`Cholesky`]: factorization of symmetric positive-definite matrices,
-//!   used by Gaussian-process regression (with log-determinants for the
-//!   marginal likelihood).
-//! - [`C64`] and [`ComplexLu`] (with [`ComplexLuWorkspace`]): minimal
-//!   complex arithmetic and a dense complex LU solver for AC small-signal
-//!   analysis.
+//! - [`Cholesky`]: factorization of symmetric positive-definite matrices in
+//!   reusable storage, used by Gaussian-process regression (with jitter
+//!   escalation and log-determinants for the marginal likelihood).
+//! - [`C64`]: minimal complex arithmetic for AC small-signal analysis.
 //! - [`CscComplexMatrix`] and [`SparseComplexLu`]: the complex mirror of
 //!   the sparse pipeline for the frequency-domain MNA systems `G + jωC`,
 //!   with a transpose solve for the noise analysis' adjoint system. The
@@ -42,11 +42,13 @@
 //! # Example
 //!
 //! ```
-//! use linalg::{Matrix, Lu};
+//! use linalg::{Lu, Matrix};
 //!
 //! let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]);
-//! let lu = Lu::factor(&a).expect("non-singular");
-//! let x = lu.solve(&[1.0, 2.0]);
+//! let mut lu = Lu::new(2);
+//! lu.factor(a.as_slice(), 2).expect("non-singular");
+//! let mut x = Vec::new();
+//! lu.solve_into(&[1.0, 2.0], &mut x).unwrap();
 //! assert!((4.0 * x[0] + x[1] - 1.0).abs() < 1e-12);
 //! assert!((x[0] + 3.0 * x[1] - 2.0).abs() < 1e-12);
 //! ```
@@ -63,13 +65,13 @@ mod sparse_complex;
 mod supernodal;
 pub mod vecops;
 
-pub use cholesky::{Cholesky, CholeskyWorkspace};
-pub use complex::{ComplexLu, ComplexLuWorkspace, C64};
+pub use cholesky::Cholesky;
+pub use complex::C64;
 pub use gemm::{
     gemm, gemm_naive, gemm_naive_with, gemm_with, Epilogue, GemmOp, GemmWorkspace, NoEpilogue,
     GEMM_NAIVE_CUTOFF, GEMM_PARALLEL_MIN_WORK, GEMM_SMALL_MAX_K, GEMM_SMALL_MAX_N,
 };
-pub use lu::{Lu, LuWorkspace};
+pub use lu::{ComplexLu, Lu, LuT};
 pub use matrix::Matrix;
 pub use scalar::{C64Planes, ComplexGemmScratch, Scalar};
 pub use sparse::{CscMatrix, CscT, SparseLu, SparseLuT};

@@ -1,115 +1,248 @@
-//! Partially pivoted LU factorization, with both an owning API ([`Lu`])
-//! and a zero-allocation workspace API ([`LuWorkspace`]) for hot loops
-//! that factor and solve the same-sized system thousands of times (the
-//! circuit simulator's Newton iterations).
+//! Dense LU factorization with partial pivoting, written once over
+//! [`Scalar`]: [`Lu`] (`f64`) factors the real MNA systems of the circuit
+//! simulator's Newton loop, [`ComplexLu`] ([`C64`]) the frequency-domain
+//! systems `(G + jωC)·x = b` of the AC/noise dense fallback. Both refactor
+//! a same-sized system thousands of times, so the factorization lives in
+//! caller-owned storage and allocates nothing once it has capacity.
 
-use crate::{FactorError, Matrix};
+use crate::scalar::Scalar;
+use crate::sparse::PIVOT_EPS;
+use crate::{FactorError, C64};
 
-/// Caller-owned storage for an LU factorization: the combined `L`/`U`
-/// factors, the row permutation, and scratch space. Designed for reuse —
-/// [`Lu::factor_into`] refactors into the same buffers without allocating,
-/// and [`LuWorkspace::solve_into`] solves into a caller-owned vector.
+/// Real dense LU.
+pub type Lu = LuT<f64>;
+
+/// Complex dense LU for the AC small-signal system `(G + jωC)·x = b`.
+pub type ComplexLu = LuT<C64>;
+
+/// LU factorization with partial pivoting, `P·A = L·U`, in reusable
+/// storage: the combined `L`/`U` factors, the row permutation, the pivot
+/// reciprocals and scratch. [`LuT::factor`] copies a row-major `n×n`
+/// matrix in; [`LuT::factor_in_place`] takes the matrix's buffer instead
+/// (an O(1) swap). Either refactors into the same buffers without
+/// allocating, and [`LuT::solve_into`] / [`LuT::solve_transpose_into`]
+/// solve into caller-owned vectors.
 ///
 /// # Example
 ///
 /// ```
-/// use linalg::{Lu, LuWorkspace, Matrix};
+/// use linalg::{ComplexLu, Lu, C64};
 ///
-/// let a = Matrix::from_rows(&[&[0.0, 2.0], &[1.0, 1.0]]);
-/// let mut ws = LuWorkspace::new(2);
+/// let a = [0.0, 2.0, 1.0, 1.0]; // row-major 2×2, needs pivoting
+/// let mut lu = Lu::new(2);
 /// let mut x = Vec::new();
 /// for _ in 0..3 {
-///     Lu::factor_into(&a, &mut ws).expect("non-singular");
-///     ws.solve_into(&[2.0, 2.0], &mut x).unwrap(); // no allocation after the first pass
+///     lu.factor(&a, 2).expect("non-singular");
+///     lu.solve_into(&[2.0, 2.0], &mut x).unwrap(); // no allocation after the first pass
 /// }
 /// assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 1.0).abs() < 1e-12);
+///
+/// // [[1, i], [0, 2]] z = [1+i, 2] -> z = [1, 1]
+/// let a = [C64::ONE, C64::I, C64::ZERO, C64::real(2.0)];
+/// let mut clu = ComplexLu::new(2);
+/// clu.factor(&a, 2).expect("non-singular");
+/// let mut z = Vec::new();
+/// clu.solve_into(&[C64::new(1.0, 1.0), C64::real(2.0)], &mut z).unwrap();
+/// assert!((z[0] - C64::ONE).abs() < 1e-12 && (z[1] - C64::ONE).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone)]
-pub struct LuWorkspace {
-    /// Combined factors, row-major `n×n`.
-    lu: Vec<f64>,
+pub struct LuT<S: Scalar> {
+    /// Combined factors, row-major `n×n`: unit lower `L` below the
+    /// diagonal, `U` on and above it.
+    lu: Vec<S>,
     /// Row permutation: `perm[i]` is the original row now at position `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation.
-    sign: f64,
+    /// Sign of the permutation (±1), for the determinant.
+    sign: S,
     /// Factored dimension.
     n: usize,
-    /// True once `factor_into` has succeeded at the current dimension.
+    /// True once a factorization has succeeded at the current dimension.
     factored: bool,
     /// Scratch: rows with a nonzero entry in the current pivot column.
     nonzero_rows: Vec<usize>,
     /// Reciprocals of the pivots, computed once during factorization so
     /// neither the elimination nor the solves pay a division per entry.
-    inv_diag: Vec<f64>,
+    inv_diag: Vec<S>,
     /// Per row, the first column holding a multiplier (`L` entry); `i` when
     /// the row has none. Lets forward substitution skip the structural
     /// zeros of the sparse `L` factor.
     row_start: Vec<usize>,
+    /// Scratch for the transpose solve's permutation scatter.
+    scratch: Vec<S>,
 }
 
-impl LuWorkspace {
-    /// Creates a workspace sized for `n×n` systems. The workspace grows
-    /// automatically if later used with a larger matrix.
+impl<S: Scalar> LuT<S> {
+    /// Creates storage sized for `n×n` systems. It grows automatically if
+    /// later used with a larger matrix.
     pub fn new(n: usize) -> Self {
-        LuWorkspace {
-            lu: vec![0.0; n * n],
+        LuT {
+            lu: vec![S::ZERO; n * n],
             perm: (0..n).collect(),
-            sign: 1.0,
+            sign: S::ONE,
             n,
             factored: false,
             nonzero_rows: Vec::with_capacity(n),
-            inv_diag: vec![0.0; n],
+            inv_diag: vec![S::ZERO; n],
             row_start: (0..n).collect(),
+            scratch: Vec::new(),
         }
     }
 
-    /// Dimension of the (last) factored matrix.
-    pub fn dim(&self) -> usize {
-        self.n
+    /// True once a successful factorization is stored.
+    pub fn is_factored(&self) -> bool {
+        self.factored
     }
 
-    /// Resizes the internal buffers for an `n×n` system without shrinking
+    /// Factors the row-major `n×n` matrix `a`, copying it into the factor
+    /// storage.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FactorError::Shape`] when `a.len() != n²` (the stored
+    /// factorization is then left as it was) and
+    /// [`FactorError::Singular`] when a pivot collapses to (near) zero. A
+    /// singular verdict invalidates the stored factorization.
+    pub fn factor(&mut self, a: &[S], n: usize) -> Result<(), FactorError> {
+        check_square(a.len(), n)?;
+        self.reset(n);
+        self.lu.clear();
+        self.lu.extend_from_slice(a);
+        self.eliminate()
+    }
+
+    /// Like [`LuT::factor`], but *takes the matrix storage*: `a`'s buffer
+    /// becomes the factor storage (no `n²` copy at all) and `a` is handed
+    /// the previous factor buffer, resized to `n²` with unspecified
+    /// contents. The intended rhythm is the Newton loop's and the AC
+    /// sweep's: the caller clears and re-assembles `a` from scratch every
+    /// iteration anyway, so donating its storage costs nothing.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`LuT::factor`]; on a shape error `a` is
+    /// left untouched.
+    pub fn factor_in_place(&mut self, a: &mut Vec<S>, n: usize) -> Result<(), FactorError> {
+        check_square(a.len(), n)?;
+        self.reset(n);
+        std::mem::swap(&mut self.lu, a);
+        a.resize(n * n, S::ZERO);
+        self.eliminate()
+    }
+
+    /// Resizes the bookkeeping for an `n×n` system without shrinking
     /// capacity, invalidating any previous factorization.
     fn reset(&mut self, n: usize) {
         self.n = n;
         self.factored = false;
-        self.lu.clear();
-        self.lu.resize(n * n, 0.0);
         self.perm.clear();
         self.perm.extend(0..n);
-        self.sign = 1.0;
+        self.sign = S::ONE;
         self.inv_diag.clear();
-        self.inv_diag.resize(n, 0.0);
+        self.inv_diag.resize(n, S::ZERO);
         self.row_start.clear();
         self.row_start.extend(0..n);
     }
 
-    /// Solves `A·x = b` using the stored factorization, writing into `x`
-    /// (which is resized, reusing its capacity).
+    /// Partial-pivoting elimination over the dimension-`n` system already
+    /// loaded into `self.lu`. The pivot is the entry of largest magnitude
+    /// ([`Scalar::mag`]), the first one on ties.
     ///
-    /// # Errors
-    ///
-    /// Returns [`FactorError::Shape`] if `b.len()` differs from the
-    /// factored dimension, or if no successful factorization is stored.
-    pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>) -> Result<(), FactorError> {
+    /// Kept out of line: inlined into its callers' buffer handling, the
+    /// pivot scan ran out of registers and spilled its running maximum and
+    /// row pointers to the stack on every entry.
+    #[inline(never)]
+    fn eliminate(&mut self) -> Result<(), FactorError> {
         let n = self.n;
-        if !self.factored || b.len() != n {
-            return Err(FactorError::Shape {
-                rows: b.len(),
-                cols: n,
-            });
+        let lu = &mut self.lu[..n * n];
+        let nonzero_rows = &mut self.nonzero_rows;
+
+        for k in 0..n {
+            // One strided pass over column k does double duty: it finds the
+            // pivot *and* records which rows have a nonzero entry. Column
+            // access in a row-major layout is the cache-hostile part of
+            // dense LU, and MNA systems are sparse — eliminating only the
+            // recorded rows afterwards skips both the second column scan
+            // and the per-zero-row multiply of the textbook loop.
+            nonzero_rows.clear();
+            let diag = lu[k * n + k];
+            let mut p = k;
+            let mut max = diag.mag();
+            for i in (k + 1)..n {
+                let v = lu[i * n + k];
+                if v != S::ZERO {
+                    nonzero_rows.push(i);
+                    let m = v.mag();
+                    if m > max {
+                        max = m;
+                        p = i;
+                    }
+                }
+            }
+            if !(max > PIVOT_EPS) {
+                return Err(FactorError::Singular { pivot: k });
+            }
+            if p != k {
+                self.perm.swap(p, k);
+                self.sign = -self.sign;
+                // p > k always, so the two row slices are disjoint.
+                let (top, bottom) = lu.split_at_mut(p * n);
+                top[k * n..k * n + n].swap_with_slice(&mut bottom[..n]);
+                // The accumulated multipliers swap along with the rows.
+                self.row_start.swap(p, k);
+                // Row p now holds the old row k, whose column-k entry was
+                // `diag`; drop it from the elimination set if that is zero.
+                if diag == S::ZERO {
+                    nonzero_rows.retain(|&i| i != p);
+                }
+            }
+            let inv_pivot = lu[k * n + k].recip();
+            self.inv_diag[k] = inv_pivot;
+            let (top, bottom) = lu.split_at_mut((k + 1) * n);
+            let row_k = &top[k * n + k + 1..k * n + n];
+            for &i in nonzero_rows.iter() {
+                let row_i = &mut bottom[(i - k - 1) * n..(i - k) * n];
+                let aik = row_i[k];
+                // A swap may have zeroed an entry recorded as nonzero.
+                if aik == S::ZERO {
+                    continue;
+                }
+                let m = aik * inv_pivot;
+                row_i[k] = m;
+                if self.row_start[i] > k {
+                    self.row_start[i] = k;
+                }
+                for (x, &u) in row_i[k + 1..].iter_mut().zip(row_k) {
+                    *x -= m * u;
+                }
+            }
         }
-        x.clear();
-        x.extend(self.perm.iter().map(|&i| b[i]));
-        self.solve_permuted_in_place(x);
+        self.factored = true;
         Ok(())
     }
 
-    /// Solves `A·x = b` where `x` enters holding `b` *already permuted* by
-    /// the row permutation. Forward then backward substitution, allocation
-    /// free.
-    fn solve_permuted_in_place(&self, x: &mut [f64]) {
+    /// Errors unless a factorization is stored and `len` matches it.
+    fn check_rhs(&self, len: usize) -> Result<(), FactorError> {
+        if !self.factored || len != self.n {
+            return Err(FactorError::Shape {
+                rows: len,
+                cols: self.n,
+            });
+        }
+        Ok(())
+    }
+
+    /// Solves `A·x = b` with the stored factors, writing into `x` (resized,
+    /// reusing its capacity): forward then backward substitution.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FactorError::Shape`] if no successful factorization is
+    /// stored or `b.len()` differs from the factored dimension.
+    pub fn solve_into(&self, b: &[S], x: &mut Vec<S>) -> Result<(), FactorError> {
+        self.check_rhs(b.len())?;
         let n = self.n;
+        x.clear();
+        x.extend(self.perm.iter().map(|&i| b[i]));
         // Forward substitution with the unit lower factor. `row_start`
         // bounds each row's multipliers, so the structural zeros of the
         // sparse `L` factor cost nothing.
@@ -121,7 +254,7 @@ impl LuWorkspace {
             let (head, tail) = x.split_at_mut(i);
             let row = &self.lu[i * n + start..i * n + i];
             let mut s = tail[0];
-            for (&l, xv) in row.iter().zip(head[start..].iter()) {
+            for (&l, &xv) in row.iter().zip(head[start..].iter()) {
                 s -= l * xv;
             }
             tail[0] = s;
@@ -131,11 +264,53 @@ impl LuWorkspace {
             let (head, tail) = x.split_at_mut(i + 1);
             let row = &self.lu[i * n + i + 1..(i + 1) * n];
             let mut s = head[i];
-            for (&u, xv) in row.iter().zip(tail.iter()) {
+            for (&u, &xv) in row.iter().zip(tail.iter()) {
                 s -= u * xv;
             }
             head[i] = s * self.inv_diag[i];
         }
+        Ok(())
+    }
+
+    /// Solves the *transposed* system `Aᵀ·y = b` with the stored factors —
+    /// the noise analysis' adjoint solve. With `P·A = L·U` the transpose is
+    /// `Aᵀ = Uᵀ·Lᵀ·P`, so the solve is a forward substitution with `Uᵀ`, a
+    /// back substitution with `Lᵀ`, and a final row-permutation scatter. No
+    /// transposed matrix is built.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FactorError::Shape`] if no successful factorization is
+    /// stored or `b.len()` differs from the factored dimension.
+    pub fn solve_transpose_into(&mut self, b: &[S], y: &mut Vec<S>) -> Result<(), FactorError> {
+        self.check_rhs(b.len())?;
+        let n = self.n;
+        let w = &mut self.scratch;
+        w.clear();
+        w.resize(n, S::ZERO);
+        // Forward substitution with Uᵀ (lower triangular).
+        for i in 0..n {
+            let mut s = b[i];
+            for j in 0..i {
+                s -= self.lu[j * n + i] * w[j];
+            }
+            w[i] = s * self.inv_diag[i];
+        }
+        // Back substitution with Lᵀ (unit upper).
+        for i in (0..n).rev() {
+            let mut s = w[i];
+            for j in (i + 1)..n {
+                s -= self.lu[j * n + i] * w[j];
+            }
+            w[i] = s;
+        }
+        // Undo the row permutation: Aᵀ·y = b with y = Pᵀ·w.
+        y.clear();
+        y.resize(n, S::ZERO);
+        for (i, &pi) in self.perm.iter().enumerate() {
+            y[pi] = w[i];
+        }
+        Ok(())
     }
 
     /// Determinant of the factored matrix.
@@ -143,298 +318,31 @@ impl LuWorkspace {
     /// # Panics
     ///
     /// Panics if no successful factorization is stored.
-    pub fn det(&self) -> f64 {
+    pub fn det(&self) -> S {
         assert!(self.factored, "no factorization stored");
         let mut d = self.sign;
         for i in 0..self.n {
-            d *= self.lu[i * self.n + i];
+            d = d * self.lu[i * self.n + i];
         }
         d
     }
 }
 
-/// LU factorization with partial pivoting: `P·A = L·U`.
-///
-/// This is the workhorse solver for the circuit simulator's MNA systems,
-/// which are square, generally non-symmetric, and small (tens to a few
-/// hundred unknowns).
-///
-/// # Example
-///
-/// ```
-/// use linalg::{Lu, Matrix};
-///
-/// let a = Matrix::from_rows(&[&[0.0, 2.0], &[1.0, 1.0]]); // needs pivoting
-/// let lu = Lu::factor(&a).expect("non-singular");
-/// let x = lu.solve(&[2.0, 2.0]);
-/// assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 1.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Lu {
-    /// Combined L (unit lower, below diagonal) and U (upper) factors.
-    lu: Matrix,
-    /// Row permutation: `perm[i]` is the original row now at position `i`.
-    perm: Vec<usize>,
-    /// Sign of the permutation, for determinants.
-    sign: f64,
-}
-
-/// Pivots smaller than this (relative to the largest pivot seen) are treated
-/// as singular.
-const PIVOT_EPS: f64 = 1e-300;
-
-impl Lu {
-    /// Factors a square matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FactorError::Shape`] for non-square input and
-    /// [`FactorError::Singular`] when a pivot collapses to (near) zero.
-    pub fn factor(a: &Matrix) -> Result<Self, FactorError> {
-        let mut ws = LuWorkspace::new(a.rows());
-        Lu::factor_into(a, &mut ws)?;
-        Ok(Lu {
-            lu: Matrix::from_vec(ws.n, ws.n, ws.lu),
-            perm: ws.perm,
-            sign: ws.sign,
-        })
+/// Errors unless a buffer of `len` entries holds a row-major `n×n` matrix.
+fn check_square(len: usize, n: usize) -> Result<(), FactorError> {
+    if len != n * n {
+        return Err(FactorError::Shape {
+            rows: n,
+            cols: len.checked_div(n).unwrap_or(len),
+        });
     }
-
-    /// Factors a square matrix into caller-owned storage, allocating
-    /// nothing once the workspace has the right capacity. This is the hot
-    /// path of the circuit simulator's Newton loop, which refactors a
-    /// same-sized system every iteration.
-    ///
-    /// The elimination performs the same operations in the same order as
-    /// [`Lu::factor`], so the two paths produce bit-identical factors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FactorError::Shape`] for non-square input and
-    /// [`FactorError::Singular`] when a pivot collapses to (near) zero.
-    pub fn factor_into(a: &Matrix, ws: &mut LuWorkspace) -> Result<(), FactorError> {
-        if a.rows() != a.cols() {
-            return Err(FactorError::Shape {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let n = a.rows();
-        ws.reset(n);
-        ws.lu.copy_from_slice(a.as_slice());
-        ws.eliminate()
-    }
-
-    /// Like [`Lu::factor_into`], but *consumes the matrix storage*: `a`'s
-    /// buffer becomes the factor storage (no `n²` copy at all) and `a` is
-    /// handed the workspace's previous buffer, reshaped to the same size
-    /// and zero-filled. The intended rhythm is the Newton loop's: the
-    /// caller re-assembles `a` from scratch every iteration anyway, so
-    /// donating its storage costs nothing.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Lu::factor_into`].
-    pub fn factor_in_place(a: &mut Matrix, ws: &mut LuWorkspace) -> Result<(), FactorError> {
-        if a.rows() != a.cols() {
-            return Err(FactorError::Shape {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let n = a.rows();
-        ws.reset(n);
-        // O(1) storage swap: the stamped values become ws.lu, and the old
-        // factor buffer (already n²-sized and zeroed by `reset`) goes back
-        // to the caller.
-        let buf = std::mem::take(&mut ws.lu);
-        let stamped = std::mem::replace(a, Matrix::from_vec(n, n, buf));
-        ws.lu = stamped.into_vec();
-        ws.eliminate()
-    }
-}
-
-impl LuWorkspace {
-    /// Partial-pivoting elimination over the dimension-`n` system already
-    /// loaded into `self.lu`.
-    fn eliminate(&mut self) -> Result<(), FactorError> {
-        let ws = self;
-        let n = ws.n;
-        let lu = &mut ws.lu[..n * n];
-        let nonzero_rows = &mut ws.nonzero_rows;
-
-        for k in 0..n {
-            // One strided pass over column k does double duty: it finds the
-            // pivot *and* records which rows have a nonzero entry. Column
-            // access in a row-major layout is the cache-hostile part of
-            // dense LU, and MNA systems are sparse — eliminating only the
-            // recorded rows afterwards skips both the second column scan
-            // and the per-zero-row division of the textbook loop.
-            nonzero_rows.clear();
-            let diag = lu[k * n + k];
-            let mut p = k;
-            let mut max = diag.abs();
-            for i in (k + 1)..n {
-                let v = lu[i * n + k];
-                if v != 0.0 {
-                    nonzero_rows.push(i);
-                    if v.abs() > max {
-                        max = v.abs();
-                        p = i;
-                    }
-                }
-            }
-            if !(max > PIVOT_EPS) {
-                return Err(FactorError::Singular { pivot: k });
-            }
-            if p != k {
-                ws.perm.swap(p, k);
-                ws.sign = -ws.sign;
-                // p > k always, so the two row slices are disjoint.
-                let (top, bottom) = lu.split_at_mut(p * n);
-                top[k * n..k * n + n].swap_with_slice(&mut bottom[..n]);
-                // The accumulated multipliers swap along with the rows.
-                ws.row_start.swap(p, k);
-                // Row p now holds the old row k, whose column-k entry was
-                // `diag`; drop it from the elimination set if that is zero.
-                if diag == 0.0 {
-                    nonzero_rows.retain(|&i| i != p);
-                }
-            }
-            let inv_pivot = 1.0 / lu[k * n + k];
-            ws.inv_diag[k] = inv_pivot;
-            let (top, bottom) = lu.split_at_mut((k + 1) * n);
-            let row_k = &top[k * n + k + 1..k * n + n];
-            for &i in nonzero_rows.iter() {
-                let row_i = &mut bottom[(i - k - 1) * n..(i - k) * n];
-                let aik = row_i[k];
-                // A swap may have zeroed an entry recorded as nonzero.
-                if aik == 0.0 {
-                    continue;
-                }
-                let m = aik * inv_pivot;
-                row_i[k] = m;
-                if ws.row_start[i] > k {
-                    ws.row_start[i] = k;
-                }
-                for (x, &u) in row_i[k + 1..].iter_mut().zip(row_k) {
-                    *x -= m * u;
-                }
-            }
-        }
-        ws.factored = true;
-        Ok(())
-    }
-}
-
-impl Lu {
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.lu.rows()
-    }
-
-    /// Solves `A·x = b`, validating the right-hand side first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FactorError::Shape`] if `b.len()` differs from the
-    /// factored dimension.
-    pub fn try_solve(&self, b: &[f64]) -> Result<Vec<f64>, FactorError> {
-        if b.len() != self.dim() {
-            return Err(FactorError::Shape {
-                rows: b.len(),
-                cols: self.dim(),
-            });
-        }
-        Ok(self.solve_unchecked(b))
-    }
-
-    /// Solves `A·X = B` column by column, validating the shape first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FactorError::Shape`] if `b.rows()` differs from the
-    /// factored dimension.
-    pub fn try_solve_matrix(&self, b: &Matrix) -> Result<Matrix, FactorError> {
-        if b.rows() != self.dim() {
-            return Err(FactorError::Shape {
-                rows: b.rows(),
-                cols: b.cols(),
-            });
-        }
-        let mut out = Matrix::zeros(b.rows(), b.cols());
-        for j in 0..b.cols() {
-            let col: Vec<f64> = (0..b.rows()).map(|i| b[(i, j)]).collect();
-            let x = self.solve_unchecked(&col);
-            for i in 0..b.rows() {
-                out[(i, j)] = x[i];
-            }
-        }
-        Ok(out)
-    }
-
-    /// Solves `A·x = b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` differs from the factored dimension; use
-    /// [`Lu::try_solve`] for a checked variant.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            b.len(),
-            self.dim(),
-            "rhs length must equal matrix dimension"
-        );
-        self.solve_unchecked(b)
-    }
-
-    fn solve_unchecked(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.dim();
-        // Apply permutation.
-        let mut x: Vec<f64> = self.perm.iter().map(|&i| b[i]).collect();
-        // Forward substitution with unit lower factor.
-        for i in 1..n {
-            let mut s = x[i];
-            for j in 0..i {
-                s -= self.lu[(i, j)] * x[j];
-            }
-            x[i] = s;
-        }
-        // Back substitution with upper factor.
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for j in (i + 1)..n {
-                s -= self.lu[(i, j)] * x[j];
-            }
-            x[i] = s / self.lu[(i, i)];
-        }
-        x
-    }
-
-    /// Solves `A·X = B` column by column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.rows()` differs from the factored dimension; use
-    /// [`Lu::try_solve_matrix`] for a checked variant.
-    pub fn solve_matrix(&self, b: &Matrix) -> Matrix {
-        self.try_solve_matrix(b)
-            .expect("rhs rows must equal matrix dimension")
-    }
-
-    /// Determinant of the original matrix.
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Matrix;
 
     fn residual(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
         a.matvec(x)
@@ -444,61 +352,39 @@ mod tests {
             .fold(0.0, f64::max)
     }
 
-    #[test]
-    fn solves_simple_system() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let lu = Lu::factor(&a).unwrap();
-        let b = [3.0, 5.0];
-        let x = lu.solve(&b);
-        assert!(residual(&a, &x, &b) < 1e-12);
+    /// Max-norm residual of `A·x = b` (or `Aᵀ·x = b` when `transpose`) for
+    /// a row-major complex `A`.
+    fn complex_residual(n: usize, a: &[C64], x: &[C64], b: &[C64], transpose: bool) -> f64 {
+        (0..n)
+            .map(|i| {
+                let mut s = C64::ZERO;
+                for j in 0..n {
+                    let aij = if transpose {
+                        a[j * n + i]
+                    } else {
+                        a[i * n + j]
+                    };
+                    s += aij * x[j];
+                }
+                (s - b[i]).abs()
+            })
+            .fold(0.0, f64::max)
     }
 
-    #[test]
-    fn pivoting_handles_zero_diagonal() {
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let lu = Lu::factor(&a).unwrap();
-        let x = lu.solve(&[5.0, 7.0]);
-        assert!((x[0] - 7.0).abs() < 1e-12);
-        assert!((x[1] - 5.0).abs() < 1e-12);
+    fn factored(a: &Matrix) -> Result<Lu, FactorError> {
+        let mut lu = Lu::new(a.rows());
+        lu.factor(a.as_slice(), a.rows())?;
+        Ok(lu)
     }
 
-    #[test]
-    fn detects_singularity() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert!(matches!(Lu::factor(&a), Err(FactorError::Singular { .. })));
+    fn solve(lu: &Lu, b: &[f64]) -> Vec<f64> {
+        let mut x = Vec::new();
+        lu.solve_into(b, &mut x).unwrap();
+        x
     }
 
-    #[test]
-    fn rejects_non_square() {
-        let a = Matrix::zeros(2, 3);
-        assert!(matches!(Lu::factor(&a), Err(FactorError::Shape { .. })));
-    }
-
-    #[test]
-    fn determinant_matches_formula() {
-        let a = Matrix::from_rows(&[&[3.0, 8.0], &[4.0, 6.0]]);
-        let lu = Lu::factor(&a).unwrap();
-        assert!((lu.det() - (3.0 * 6.0 - 8.0 * 4.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn determinant_sign_with_pivot() {
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let lu = Lu::factor(&a).unwrap();
-        assert!((lu.det() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn solve_matrix_inverts() {
-        let a = Matrix::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]);
-        let lu = Lu::factor(&a).unwrap();
-        let inv = lu.solve_matrix(&Matrix::identity(2));
-        let prod = a.matmul(&inv);
-        assert!((&prod - &Matrix::identity(2)).max_abs() < 1e-12);
-    }
-
-    #[test]
-    fn workspace_factor_matches_owning_path_exactly() {
+    /// The fixed real system whose factor and solve bits are pinned below.
+    fn pinned_real_system() -> (Matrix, Vec<f64>) {
         let n = 23;
         let a = Matrix::from_fn(n, n, |i, j| {
             if i == j {
@@ -507,23 +393,231 @@ mod tests {
                 ((i * 31 + j * 17) % 13) as f64 / 13.0 - 0.5
             }
         });
-        let lu = Lu::factor(&a).unwrap();
-        let mut ws = LuWorkspace::new(n);
-        Lu::factor_into(&a, &mut ws).unwrap();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
-        let x_owned = lu.solve(&b);
-        let mut x_ws = Vec::new();
-        ws.solve_into(&b, &mut x_ws).unwrap();
-        // The factors are bit-identical (shared elimination); the solves
-        // differ only by the workspace's reciprocal-pivot multiply.
-        for (a, c) in x_owned.iter().zip(&x_ws) {
-            assert!((a - c).abs() <= 1e-13 * a.abs().max(1.0), "{a} vs {c}");
-        }
-        assert_eq!(lu.det().to_bits(), ws.det().to_bits());
+        let b = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
+        (a, b)
+    }
+
+    /// A fixed sparse `G + jωC`-shaped system (dominant diagonal, ~25%
+    /// fill) with its rows scattered by `i ↦ 5i mod n`, so that seven
+    /// diagonal entries vanish and the elimination has to pivot.
+    fn pinned_ac_system() -> (usize, Vec<C64>, Vec<C64>) {
+        let n = 13;
+        let seed = |k: usize| ((k * 37 + 11) % 101) as f64 / 50.5 - 1.0;
+        let omega = 2.5;
+        let entry = |i: usize, j: usize| {
+            let (v, w) = (seed(i * n + j), seed(i + j * n + 11));
+            if i == j {
+                C64::new(n as f64 + 1.0 + v.abs(), omega * (0.1 + w.abs()))
+            } else if ((v * 100.0).abs() as usize).is_multiple_of(4) {
+                C64::new(v * 0.3, omega * w * 0.1)
+            } else {
+                C64::ZERO
+            }
+        };
+        let a = (0..n * n).map(|k| entry((k / n) * 5 % n, k % n)).collect();
+        let b = (0..n).map(|i| C64::new(seed(i), seed(i + 5))).collect();
+        (n, a, b)
     }
 
     #[test]
-    fn factor_in_place_matches_factor_into_and_returns_buffer() {
+    fn solves_simple_system() {
+        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
+        let b = [3.0, 5.0];
+        let x = solve(&factored(&a).unwrap(), &b);
+        assert!(residual(&a, &x, &b) < 1e-12);
+    }
+
+    #[test]
+    fn pivoting_handles_zero_diagonal() {
+        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
+        let x = solve(&factored(&a).unwrap(), &[5.0, 7.0]);
+        assert!((x[0] - 7.0).abs() < 1e-12);
+        assert!((x[1] - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn detects_singularity() {
+        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
+        assert!(matches!(factored(&a), Err(FactorError::Singular { .. })));
+    }
+
+    #[test]
+    fn rejects_non_square() {
+        let a = Matrix::zeros(2, 3);
+        assert!(matches!(
+            factored(&a),
+            Err(FactorError::Shape { rows: 2, cols: 3 })
+        ));
+    }
+
+    #[test]
+    fn determinant_matches_formula() {
+        let a = Matrix::from_rows(&[&[3.0, 8.0], &[4.0, 6.0]]);
+        let lu = factored(&a).unwrap();
+        assert!((lu.det() - (3.0 * 6.0 - 8.0 * 4.0)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn determinant_sign_with_pivot() {
+        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
+        assert!((factored(&a).unwrap().det() + 1.0).abs() < 1e-12);
+    }
+
+    /// Bits of the real elimination and solve, recorded before the dense
+    /// LU became generic over `Scalar`: the `f64` instance must keep
+    /// performing the same operations in the same order.
+    #[test]
+    fn real_factor_and_solve_bits_are_pinned() {
+        const X: [u64; 23] = [
+            0x3fe189d9b1895104,
+            0x3f9de145ee9c3fd0,
+            0xbfd052745d55844e,
+            0xbfdb4523e0295f60,
+            0x3ff122618ba14818,
+            0x400969d82f20f8da,
+            0xbfee27dd2356b3fa,
+            0xbfd26df372ab9602,
+            0x3fde1edbd06ff6e8,
+            0x3feb3ea9e63d1bd2,
+            0xbface7ee909c8539,
+            0xbfd454e3abf8c2d2,
+            0xbfde1ffb76ed3f4d,
+            0xbfef899e0014f29a,
+            0xbff47a9ac471ed60,
+            0xbfea26c33bae5406,
+            0x3fd9a22d9a886779,
+            0xbff982f5e27b35c0,
+            0xc00697f5b7794325,
+            0x3fe6747d8d882ba4,
+            0xbfd0fe6a387d3f75,
+            0xbfdee068fa13be95,
+            0xbff3ed58c23b69c5,
+        ];
+        let (a, b) = pinned_real_system();
+        let lu = factored(&a).unwrap();
+        assert_eq!(lu.det().to_bits(), 0x4006147c75cf4ada);
+        let x = solve(&lu, &b);
+        assert_eq!(x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), X);
+    }
+
+    /// Values of the complex solve and transpose solve, recorded before the
+    /// dense LU became generic over `Scalar`. Compared with `==` per
+    /// component: the generic elimination skips exactly-zero multipliers
+    /// the old complex loop multiplied through, which can only flip the
+    /// sign of a zero.
+    #[test]
+    fn complex_solve_values_are_pinned() {
+        const X: [(f64, f64); 13] = [
+            (-0.04218287017304258, 0.06816063895410887),
+            (-0.057638207799954974, 0.055511241189755214),
+            (-0.046464245193810066, -0.0604605759369641),
+            (-0.04912968821344145, 0.06731541527441552),
+            (-0.03141736548418169, -0.046537091748309806),
+            (-0.006124999807092519, -0.02539817469825737),
+            (-0.017388571104808903, -0.03291364214509644),
+            (0.007672385721533237, -0.015301981456472566),
+            (-0.0019950641462939908, -0.020777096213715793),
+            (0.02367544610101114, -9.279108358213931e-5),
+            (0.04658136187077166, 0.023771601390155998),
+            (0.042321055428794246, 0.01294192229845289),
+            (0.06357762363164472, 0.03435831095642055),
+        ];
+        const Y: [(f64, f64); 13] = [
+            (-0.04471762932029224, 0.06266849334281006),
+            (0.06663824150178792, 0.03164617702618111),
+            (0.03795826341485438, 0.014479533244276808),
+            (0.050876291347302975, 0.02111543825762812),
+            (0.022643091583470398, 0.0008993765700046836),
+            (-0.002776271832234216, -0.023706425100604642),
+            (0.012432260708664841, -0.016068896046597125),
+            (-0.013088330512054587, -0.03423755484329678),
+            (0.0005775766465436668, -0.026123983604790974),
+            (-0.031454634990894764, -0.04353289519204314),
+            (-0.052310684095489, 0.07119814968341108),
+            (-0.04251912035487537, -0.06354940159412024),
+            (-0.05611759359094302, 0.05767403911213256),
+        ];
+        let (n, a, b) = pinned_ac_system();
+        assert_eq!((0..n).filter(|&i| a[i * n + i] == C64::ZERO).count(), 7);
+        let mut lu = ComplexLu::new(n);
+        lu.factor(&a, n).unwrap();
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        lu.solve_into(&b, &mut x).unwrap();
+        lu.solve_transpose_into(&b, &mut y).unwrap();
+        for (got, want) in [(&x, &X), (&y, &Y)] {
+            for (g, &(re, im)) in got.iter().zip(want) {
+                assert!(g.re == re && g.im == im, "{g} vs {re}+{im}i");
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_solve_residual_is_small() {
+        let (a, b) = pinned_real_system();
+        let n = a.rows();
+        let mut lu = factored(&a).unwrap();
+        let mut y = Vec::new();
+        lu.solve_transpose_into(&b, &mut y).unwrap();
+        assert!(residual(&a.transpose(), &y, &b) < 1e-12);
+
+        let (n_c, a_c, b_c) = pinned_ac_system();
+        let mut clu = ComplexLu::new(n_c);
+        clu.factor(&a_c, n_c).unwrap();
+        let mut yc = Vec::new();
+        clu.solve_transpose_into(&b_c, &mut yc).unwrap();
+        assert!(complex_residual(n_c, &a_c, &yc, &b_c, true) < 1e-14);
+        // Transpose solves share the forward factorization.
+        let mut x = Vec::new();
+        clu.solve_into(&b_c, &mut x).unwrap();
+        assert!(complex_residual(n_c, &a_c, &x, &b_c, false) < 1e-14);
+        assert!(lu.solve_transpose_into(&vec![0.0; n + 1], &mut y).is_err());
+    }
+
+    #[test]
+    fn complex_solve_roundtrip() {
+        let a = [
+            C64::new(2.0, 1.0),
+            C64::new(-1.0, 0.5),
+            C64::new(0.0, -1.0),
+            C64::new(3.0, 2.0),
+        ];
+        let b = [C64::new(1.0, 0.0), C64::new(0.0, 1.0)];
+        let mut lu = ComplexLu::new(2);
+        lu.factor(&a, 2).unwrap();
+        let mut x = Vec::new();
+        lu.solve_into(&b, &mut x).unwrap();
+        assert!(complex_residual(2, &a, &x, &b, false) < 1e-12);
+    }
+
+    #[test]
+    fn complex_singular_detected() {
+        let a = [
+            C64::new(1.0, 1.0),
+            C64::new(2.0, 2.0),
+            C64::new(2.0, 2.0),
+            C64::new(4.0, 4.0),
+        ];
+        let mut lu = ComplexLu::new(2);
+        assert!(matches!(
+            lu.factor(&a, 2),
+            Err(FactorError::Singular { .. })
+        ));
+    }
+
+    #[test]
+    fn pivoting_in_complex_solver() {
+        let a = [C64::ZERO, C64::ONE, C64::ONE, C64::ZERO];
+        let mut lu = ComplexLu::new(2);
+        lu.factor(&a, 2).unwrap();
+        let mut x = Vec::new();
+        lu.solve_into(&[C64::real(3.0), C64::real(4.0)], &mut x)
+            .unwrap();
+        assert!((x[0] - C64::real(4.0)).abs() < 1e-15);
+        assert!((x[1] - C64::real(3.0)).abs() < 1e-15);
+    }
+
+    #[test]
+    fn factor_in_place_matches_factor_and_returns_buffer() {
         let n = 17;
         let a = Matrix::from_fn(n, n, |i, j| {
             if i == j {
@@ -534,79 +628,61 @@ mod tests {
                 0.0
             }
         });
-        let mut ws_ref = LuWorkspace::new(n);
-        Lu::factor_into(&a, &mut ws_ref).unwrap();
-        let mut ws = LuWorkspace::new(n);
-        let mut donated = a.clone();
-        Lu::factor_in_place(&mut donated, &mut ws).unwrap();
-        // The donated matrix comes back zeroed at the same shape.
-        assert_eq!((donated.rows(), donated.cols()), (n, n));
-        assert!(donated.as_slice().iter().all(|&v| v == 0.0));
+        let lu_ref = factored(&a).unwrap();
+        let mut lu = Lu::new(n);
+        let mut donated = a.as_slice().to_vec();
+        lu.factor_in_place(&mut donated, n).unwrap();
+        // The donated buffer comes back at the same size.
+        assert_eq!(donated.len(), n * n);
         // Identical factorization.
         let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
-        let (mut x1, mut x2) = (Vec::new(), Vec::new());
-        ws_ref.solve_into(&b, &mut x1).unwrap();
-        ws.solve_into(&b, &mut x2).unwrap();
-        assert_eq!(x1, x2);
-        // Non-square input is rejected without touching the buffers.
-        let mut bad = Matrix::zeros(2, 3);
+        assert_eq!(solve(&lu_ref, &b), solve(&lu, &b));
+        // A wrongly sized buffer is rejected without touching the buffers.
+        let mut bad = vec![1.0; 6];
         assert!(matches!(
-            Lu::factor_in_place(&mut bad, &mut ws),
+            lu.factor_in_place(&mut bad, 2),
             Err(FactorError::Shape { .. })
         ));
-        assert_eq!((bad.rows(), bad.cols()), (2, 3));
+        assert_eq!(bad, vec![1.0; 6]);
+        assert!(lu.is_factored());
+        assert_eq!(solve(&lu_ref, &b), solve(&lu, &b));
     }
 
     #[test]
     fn workspace_is_reusable_across_sizes() {
-        let mut ws = LuWorkspace::new(2);
+        let mut lu = Lu::new(2);
         let mut x = Vec::new();
         for n in [2usize, 5, 3] {
             let a = Matrix::from_fn(n, n, |i, j| if i == j { n as f64 } else { 0.5 });
-            Lu::factor_into(&a, &mut ws).unwrap();
+            lu.factor(a.as_slice(), n).unwrap();
             let b = vec![1.0; n];
-            ws.solve_into(&b, &mut x).unwrap();
+            lu.solve_into(&b, &mut x).unwrap();
             assert!(residual(&a, &x, &b) < 1e-12);
         }
     }
 
     #[test]
     fn workspace_rejects_bad_shapes() {
-        let mut ws = LuWorkspace::new(3);
+        let mut lu = Lu::new(3);
         // Solving before factoring is a shape error, not UB.
         assert!(matches!(
-            ws.solve_into(&[1.0; 3], &mut Vec::new()),
+            lu.solve_into(&[1.0; 3], &mut Vec::new()),
             Err(FactorError::Shape { .. })
         ));
-        let a = Matrix::identity(3);
-        Lu::factor_into(&a, &mut ws).unwrap();
+        lu.factor(Matrix::identity(3).as_slice(), 3).unwrap();
         assert!(matches!(
-            ws.solve_into(&[1.0; 4], &mut Vec::new()),
+            lu.solve_into(&[1.0; 4], &mut Vec::new()),
             Err(FactorError::Shape { .. })
         ));
         assert!(matches!(
-            Lu::factor_into(&Matrix::zeros(2, 3), &mut ws),
+            lu.factor(&[0.0; 6], 2),
             Err(FactorError::Shape { .. })
         ));
         // A failed factorization invalidates the previous one.
-        let singular = Matrix::zeros(3, 3);
-        assert!(Lu::factor_into(&singular, &mut ws).is_err());
-        assert!(ws.solve_into(&[1.0; 3], &mut Vec::new()).is_err());
-    }
-
-    #[test]
-    fn try_solve_reports_dimension_mismatch() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let lu = Lu::factor(&a).unwrap();
-        assert!(matches!(
-            lu.try_solve(&[1.0, 2.0, 3.0]),
-            Err(FactorError::Shape { .. })
-        ));
-        assert!(matches!(
-            lu.try_solve_matrix(&Matrix::zeros(3, 2)),
-            Err(FactorError::Shape { .. })
-        ));
-        assert!(lu.try_solve(&[1.0, 2.0]).is_ok());
+        assert!(lu.factor(&[0.0; 9], 3).is_err());
+        assert!(!lu.is_factored());
+        assert!(lu.solve_into(&[1.0; 3], &mut Vec::new()).is_err());
+        assert!(lu.solve_transpose_into(&[1.0; 3], &mut Vec::new()).is_err());
     }
 
     #[test]
@@ -620,8 +696,7 @@ mod tests {
             }
         });
         let b: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let lu = Lu::factor(&a).unwrap();
-        let x = lu.solve(&b);
+        let x = solve(&factored(&a).unwrap(), &b);
         assert!(residual(&a, &x, &b) < 1e-9);
     }
 }

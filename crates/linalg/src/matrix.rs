@@ -211,82 +211,6 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Matrix product `self * other` written into `out` (reshaped to fit),
-    /// with no intermediate allocation. Produces the same accumulation
-    /// order — hence bit-identical results — as [`Matrix::matmul`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        out.reshape_zeroed(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let brow = &other.data[k * other.cols..(k + 1) * other.cols];
-                let orow = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
-    }
-
-    /// Product with the transposed right factor, `self * otherᵀ`, written
-    /// into `out`. Equivalent to `self.matmul(&other.transpose())` without
-    /// materializing the transpose — the shape of every dense-layer forward
-    /// pass (`y = x·Wᵀ`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.cols()`.
-    pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.cols, "inner dimensions must agree");
-        out.reshape_zeroed(self.rows, other.rows);
-        for i in 0..self.rows {
-            let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-            let orow = &mut out.data[i * other.rows..(i + 1) * other.rows];
-            for (o, j) in orow.iter_mut().zip(0..other.rows) {
-                let brow = &other.data[j * other.cols..(j + 1) * other.cols];
-                let mut s = 0.0;
-                for (&a, &b) in arow.iter().zip(brow) {
-                    s += a * b;
-                }
-                *o = s;
-            }
-        }
-    }
-
-    /// Product with the transposed left factor, `selfᵀ * other`, written
-    /// into `out`. Equivalent to `self.transpose().matmul(other)` without
-    /// materializing the transpose — the shape of every dense-layer weight
-    /// gradient (`dW = δᵀ·x`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows() != other.rows()`.
-    pub fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.rows, other.rows, "inner dimensions must agree");
-        out.reshape_zeroed(self.cols, other.cols);
-        for k in 0..self.rows {
-            let arow = &self.data[k * self.cols..(k + 1) * self.cols];
-            let brow = &other.data[k * other.cols..(k + 1) * other.cols];
-            for (i, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
-    }
-
     /// Copies `src` into this matrix, reshaping and reusing the allocation.
     pub fn copy_from(&mut self, src: &Matrix) {
         self.rows = src.rows;
@@ -602,23 +526,6 @@ mod tests {
         let mut b = a.clone();
         b[(0, 0)] = f64::NAN;
         assert!(b.has_non_finite());
-    }
-
-    #[test]
-    fn into_variants_match_allocating_products() {
-        let a = Matrix::from_fn(3, 4, |i, j| (i * 4 + j) as f64 * 0.3 - 1.0);
-        let b = Matrix::from_fn(4, 2, |i, j| (i as f64 - j as f64) * 0.7);
-        let mut out = Matrix::zeros(1, 1);
-        a.matmul_into(&b, &mut out);
-        assert_eq!(out, a.matmul(&b));
-
-        let c = Matrix::from_fn(5, 4, |i, j| (i + 2 * j) as f64 * 0.1);
-        a.matmul_nt_into(&c, &mut out);
-        assert_eq!(out, a.matmul(&c.transpose()));
-
-        let d = Matrix::from_fn(3, 6, |i, j| ((i * j) as f64).sin());
-        a.matmul_tn_into(&d, &mut out);
-        assert_eq!(out, a.transpose().matmul(&d));
     }
 
     #[test]

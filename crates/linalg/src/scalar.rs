@@ -1,8 +1,8 @@
-//! The scalar abstraction shared by the real and complex sparse LU paths.
+//! The scalar abstraction shared by the real and complex LU paths.
 //!
-//! `sparse.rs` and `supernodal.rs` are written once over [`Scalar`] and
-//! monomorphized for `f64` (DC/transient Newton systems) and [`C64`]
-//! (frequency-domain `G + jωC` systems). The trait pins down exactly the
+//! `lu.rs` (dense), `sparse.rs` and `supernodal.rs` are written once over
+//! [`Scalar`] and monomorphized for `f64` (DC/transient Newton systems)
+//! and [`C64`] (frequency-domain `G + jωC` systems). The trait pins down exactly the
 //! operations the elimination needs — zero/one, magnitude for pivot
 //! checks, the reciprocal used to turn divisions into multiplications —
 //! plus one dense kernel hook, [`Scalar::gemm_nn`], through which the
@@ -11,9 +11,9 @@
 //! Bit-compatibility contract: each impl must perform the *same arithmetic
 //! in the same order* as the previously hand-written scalar code. In
 //! particular `f64::recip` here is literally `1.0 / self` and
-//! [`C64::recip`] is the conjugate-over-squared-magnitude form the dense
-//! complex solvers use, so the generic elimination reproduces the old
-//! per-type implementations bit for bit.
+//! [`C64::recip`] is the conjugate-over-squared-magnitude form of complex
+//! division, so the generic eliminations reproduce the old per-type
+//! implementations bit for bit.
 //!
 //! The complex GEMM hook splits its operands into real/imaginary/sum
 //! planes and issues three real [`crate::gemm`] products — the
@@ -33,8 +33,9 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 use crate::complex::C64;
 use crate::{gemm, GemmOp, GemmWorkspace, Matrix};
 
-/// Element type of the generic sparse factorization
-/// ([`crate::SparseLu`] = `f64`, [`crate::SparseComplexLu`] = [`C64`]).
+/// Element type of the generic dense and sparse factorizations
+/// ([`crate::Lu`]/[`crate::SparseLu`] = `f64`,
+/// [`crate::ComplexLu`]/[`crate::SparseComplexLu`] = [`C64`]).
 ///
 /// Implemented for `f64` and [`C64`] only; the methods exist for the
 /// solver internals and are not a general numeric-tower abstraction.

@@ -1,10 +1,9 @@
 //! Property-based tests on the factorization kernels.
 
 use linalg::{
-    gemm, gemm_naive, gemm_with, Cholesky, CholeskyWorkspace, ComplexLu, ComplexLuWorkspace,
-    CscComplexMatrix, CscMatrix, Epilogue, FactorError, GemmOp, GemmWorkspace, Lu, LuWorkspace,
-    Matrix, SparseComplexLu, SparseLu, SupernodalMode, C64, GEMM_PARALLEL_MIN_WORK,
-    GEMM_SMALL_MAX_K,
+    gemm, gemm_naive, gemm_with, Cholesky, ComplexLu, CscComplexMatrix, CscMatrix, Epilogue,
+    FactorError, GemmOp, GemmWorkspace, Lu, Matrix, SparseComplexLu, SparseLu, SupernodalMode, C64,
+    GEMM_PARALLEL_MIN_WORK, GEMM_SMALL_MAX_K,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -114,6 +113,20 @@ fn sparse_dominant_matrix(n: usize, seed: &[f64]) -> Matrix {
     })
 }
 
+/// Factors a square real matrix with the dense LU.
+fn dense_lu(a: &Matrix) -> Result<Lu, FactorError> {
+    let mut lu = Lu::new(a.rows());
+    lu.factor(a.as_slice(), a.rows())?;
+    Ok(lu)
+}
+
+/// Solves with a factored dense LU into a fresh vector.
+fn lu_solve(lu: &Lu, b: &[f64]) -> Vec<f64> {
+    let mut x = Vec::new();
+    lu.solve_into(b, &mut x).unwrap();
+    x
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -126,76 +139,58 @@ proptest! {
     ) {
         let a = dominant_matrix(n, &seed);
         let b = &rhs[..n];
-        let lu = Lu::factor(&a).unwrap();
-        let x = lu.solve(b);
+        let x = lu_solve(&dense_lu(&a).unwrap(), b);
         let r = a.matvec(&x);
         for (ri, bi) in r.iter().zip(b) {
             prop_assert!((ri - bi).abs() < 1e-8);
         }
     }
 
-    /// The in-place workspace kernels agree with the allocating `Lu` path
-    /// far below 1e-12 (they perform identical operations).
+    /// The buffer-donating entry point factors bit-identically to the
+    /// copying one (they share the elimination).
     #[test]
-    fn lu_factor_into_agrees_with_factor(
+    fn lu_factor_in_place_agrees_with_factor(
         n in 1usize..12,
         seed in proptest::collection::vec(-1.0..1.0f64, 16..200),
         rhs in proptest::collection::vec(-10.0..10.0f64, 12),
     ) {
         let a = dominant_matrix(n, &seed);
         let b = &rhs[..n];
-        let x_owned = Lu::factor(&a).unwrap().solve(b);
-        let mut ws = LuWorkspace::new(n);
-        Lu::factor_into(&a, &mut ws).unwrap();
-        let mut x_ws = Vec::new();
-        ws.solve_into(b, &mut x_ws).unwrap();
-        for (u, v) in x_owned.iter().zip(&x_ws) {
-            prop_assert!((u - v).abs() < 1e-12);
-        }
+        let x_copied = lu_solve(&dense_lu(&a).unwrap(), b);
+        let mut lu = Lu::new(n);
+        lu.factor_in_place(&mut a.clone().into_vec(), n).unwrap();
+        prop_assert_eq!(lu_solve(&lu, b), x_copied);
     }
 
-    /// Workspace reuse across differently sized systems stays correct.
+    /// Reuse across differently sized systems stays correct, for both
+    /// scalars: each size factors a real system and a complex `G + jωC`
+    /// one into the same two factor stores.
     #[test]
     fn lu_workspace_reuse_is_sound(
         sizes in proptest::collection::vec(1usize..10, 2..6),
         seed in proptest::collection::vec(-1.0..1.0f64, 32..200),
     ) {
-        let mut ws = LuWorkspace::new(1);
-        let mut x = Vec::new();
+        let mut lu = Lu::new(1);
+        let mut clu = ComplexLu::new(1);
+        let (mut x, mut z) = (Vec::new(), Vec::new());
         for &n in &sizes {
             let a = dominant_matrix(n, &seed);
             let b: Vec<f64> = (0..n).map(|i| seed[i % seed.len()] * 3.0).collect();
-            Lu::factor_into(&a, &mut ws).unwrap();
-            ws.solve_into(&b, &mut x).unwrap();
+            lu.factor(a.as_slice(), n).unwrap();
+            lu.solve_into(&b, &mut x).unwrap();
             let r = a.matvec(&x);
             for (ri, bi) in r.iter().zip(&b) {
                 prop_assert!((ri - bi).abs() < 1e-8);
             }
+            let ac = sparse_ac_matrix(n, 1.5, &seed);
+            let bc = complex_rhs(n, &seed);
+            clu.factor(&ac.concat(), n).unwrap();
+            clu.solve_into(&bc, &mut z).unwrap();
+            for (row, bi) in ac.iter().zip(&bc) {
+                let s = row.iter().zip(&z).fold(C64::ZERO, |s, (&aij, &zj)| s + aij * zj);
+                prop_assert!((s - *bi).abs() < 1e-8);
+            }
         }
-    }
-
-    /// The in-place Cholesky kernels agree with the allocating path.
-    #[test]
-    fn cholesky_factor_into_agrees_with_factor(
-        n in 1usize..10,
-        seed in proptest::collection::vec(-2.0..2.0f64, 16..150),
-        rhs in proptest::collection::vec(-5.0..5.0f64, 10),
-    ) {
-        let g = Matrix::from_fn(n, n, |i, j| seed[(i * n + j) % seed.len()]);
-        let mut a = g.transpose().matmul(&g);
-        for i in 0..n {
-            a[(i, i)] += 1.0;
-        }
-        let b = &rhs[..n];
-        let ch = Cholesky::factor(&a).unwrap();
-        let mut ws = CholeskyWorkspace::new(n);
-        Cholesky::factor_into(&a, &mut ws).unwrap();
-        let mut x_ws = Vec::new();
-        ws.solve_into(b, &mut x_ws).unwrap();
-        for (u, v) in ch.solve(b).iter().zip(&x_ws) {
-            prop_assert!((u - v).abs() < 1e-12);
-        }
-        prop_assert!((ch.log_det() - ws.log_det()).abs() < 1e-12);
     }
 
     /// det(A·A) = det(A)² through the LU determinant.
@@ -206,8 +201,8 @@ proptest! {
     ) {
         let a = dominant_matrix(n, &seed);
         let aa = a.matmul(&a);
-        let da = Lu::factor(&a).unwrap().det();
-        let daa = Lu::factor(&aa).unwrap().det();
+        let da = dense_lu(&a).unwrap().det();
+        let daa = dense_lu(&aa).unwrap().det();
         prop_assert!((daa - da * da).abs() < 1e-6 * da.abs().max(1.0) * da.abs().max(1.0));
     }
 
@@ -224,14 +219,16 @@ proptest! {
             a[(i, i)] += 1.0;
         }
         let b = &rhs[..n];
-        let ch = Cholesky::factor(&a).unwrap();
-        let x = ch.solve(b);
+        let mut ch = Cholesky::new(n);
+        ch.factor(&a).unwrap();
+        let mut x = Vec::new();
+        ch.solve_into(b, &mut x).unwrap();
         let r = a.matvec(&x);
         for (ri, bi) in r.iter().zip(b) {
             prop_assert!((ri - bi).abs() < 1e-7);
         }
         // log|A| finite and consistent with the LU determinant.
-        let det_lu = Lu::factor(&a).unwrap().det();
+        let det_lu = dense_lu(&a).unwrap().det();
         prop_assert!((ch.log_det() - det_lu.ln()).abs() < 1e-6);
     }
 
@@ -251,10 +248,10 @@ proptest! {
     }
 
     /// The sparse `refactor_into` path agrees with the dense
-    /// `Lu::factor_into` path within 1e-10 on random sparse systems — the
+    /// `Lu::factor` path within 1e-10 on random sparse systems — the
     /// contract that lets the simulator auto-select between them.
     #[test]
-    fn sparse_refactor_agrees_with_dense_factor_into(
+    fn sparse_refactor_agrees_with_dense_factor(
         n in 1usize..14,
         seed in proptest::collection::vec(-1.0..1.0f64, 16..250),
         shift in proptest::collection::vec(-0.4..0.4f64, 16..250),
@@ -276,10 +273,7 @@ proptest! {
         let mut x_sparse = Vec::new();
         slu.solve_into(b, &mut x_sparse).unwrap();
 
-        let mut ws = LuWorkspace::new(n);
-        Lu::factor_into(&dense1, &mut ws).unwrap();
-        let mut x_dense = Vec::new();
-        ws.solve_into(b, &mut x_dense).unwrap();
+        let x_dense = lu_solve(&dense_lu(&dense1).unwrap(), b);
         for (s, d) in x_sparse.iter().zip(&x_dense) {
             prop_assert!((s - d).abs() <= 1e-10 * d.abs().max(1.0), "{} vs {}", s, d);
         }
@@ -287,6 +281,7 @@ proptest! {
 
     /// Singular-detection parity: when the dense path reports a singular
     /// matrix, so does the sparse path (and vice versa on these inputs).
+    /// A failed dense factor invalidates the one stored before it.
     #[test]
     fn sparse_and_dense_agree_on_singularity(
         n in 2usize..10,
@@ -307,8 +302,10 @@ proptest! {
                 dense[(j, dst)] = 0.0;
             }
         }
-        let mut ws = LuWorkspace::new(n);
-        let dense_result = Lu::factor_into(&dense, &mut ws);
+        let healthy = sparse_dominant_matrix(n, &seed);
+        let mut lu = dense_lu(&healthy).unwrap();
+        let dense_result = lu.factor(dense.as_slice(), n);
+        prop_assert!(lu.solve_into(&vec![1.0; n], &mut Vec::new()).is_err());
         let mut slu = SparseLu::new();
         // from_dense drops exact zeros; a fully zeroed row is structural.
         let sparse_result = slu.factor(&CscMatrix::from_dense(&dense));
@@ -321,40 +318,8 @@ proptest! {
             "sparse path must flag singular, got {:?}", sparse_result
         );
         // And the same pipelines succeed on the unmodified matrix.
-        let healthy = sparse_dominant_matrix(n, &seed);
-        prop_assert!(Lu::factor_into(&healthy, &mut ws).is_ok());
+        prop_assert!(lu.factor(healthy.as_slice(), n).is_ok());
         prop_assert!(slu.factor(&CscMatrix::from_dense(&healthy)).is_ok());
-    }
-
-    /// Checked Cholesky solves match the panicking ones and reject bad
-    /// shapes (the `try_*` mirror of the LU API).
-    #[test]
-    fn cholesky_try_solve_matches_solve(
-        n in 1usize..9,
-        seed in proptest::collection::vec(-2.0..2.0f64, 16..150),
-        rhs in proptest::collection::vec(-5.0..5.0f64, 9),
-    ) {
-        let g = Matrix::from_fn(n, n, |i, j| seed[(i * n + j) % seed.len()]);
-        let mut a = g.transpose().matmul(&g);
-        for i in 0..n {
-            a[(i, i)] += 1.0;
-        }
-        let b = &rhs[..n];
-        let ch = Cholesky::factor(&a).unwrap();
-        prop_assert_eq!(ch.try_solve(b).unwrap(), ch.solve(b));
-        let mut ws = CholeskyWorkspace::new(n);
-        Cholesky::factor_into(&a, &mut ws).unwrap();
-        let mut x_ws = Vec::new();
-        ws.solve_into(b, &mut x_ws).unwrap();
-        prop_assert_eq!(ws.try_solve(b).unwrap(), x_ws);
-        let bad = vec![0.0; n + 1];
-        prop_assert!(ch.try_solve(&bad).is_err());
-        prop_assert!(ws.try_solve(&bad).is_err());
-        let eye = Matrix::identity(n);
-        let inv = ch.try_solve_matrix(&eye).unwrap();
-        prop_assert!((&a.matmul(&inv) - &eye).max_abs() < 1e-7);
-        prop_assert!(ch.try_solve_matrix(&Matrix::zeros(n + 1, 1)).is_err());
-        prop_assert!(ws.try_solve_matrix(&Matrix::zeros(n + 1, 1)).is_err());
     }
 
     /// Complex LU solves diagonally dominant complex systems.
@@ -380,8 +345,10 @@ proptest! {
             .collect();
         let b: Vec<C64> =
             (0..n).map(|i| C64::new(seed[i % seed.len()], seed[(i + 3) % seed.len()])).collect();
-        let lu = ComplexLu::factor(a.clone()).unwrap();
-        let x = lu.solve(&b);
+        let mut lu = ComplexLu::new(n);
+        lu.factor(&a.concat(), n).unwrap();
+        let mut x = Vec::new();
+        lu.solve_into(&b, &mut x).unwrap();
         for i in 0..n {
             let mut s = C64::ZERO;
             for j in 0..n {
@@ -389,20 +356,11 @@ proptest! {
             }
             prop_assert!((s - b[i]).abs() < 1e-8);
         }
-        // The checked variants agree with the panicking ones and reject
-        // bad shapes (the `try_*` mirror of the real LU API).
-        prop_assert_eq!(lu.try_solve(&b).unwrap(), x.clone());
-        prop_assert!(lu.try_solve(&vec![C64::ZERO; n + 1]).is_err());
-        let bm: Vec<Vec<C64>> = b.iter().map(|&v| vec![v]).collect();
-        let xm = lu.try_solve_matrix(&bm).unwrap();
-        for (xi, row) in x.iter().zip(&xm) {
-            prop_assert_eq!(*xi, row[0]);
-        }
-        prop_assert!(lu.try_solve_matrix(&vec![vec![C64::ZERO]; n + 1]).is_err());
+        // Bad right-hand sides are rejected.
+        prop_assert!(lu.solve_into(&vec![C64::ZERO; n + 1], &mut x).is_err());
     }
 
-    /// The sparse complex kernel agrees with the dense complex workspace
-    /// kernel within 1e-10 on random well-conditioned `G + jωC` systems —
+    /// The sparse complex kernel agrees with the dense complex LU within 1e-10 on random well-conditioned `G + jωC` systems —
     /// forward *and* transpose (adjoint) solves — the contract that lets
     /// the AC/noise engine auto-select between them.
     #[test]
@@ -416,8 +374,8 @@ proptest! {
         let a = CscComplexMatrix::from_dense_rows(&dense);
         let mut slu = SparseComplexLu::new();
         slu.factor(&a).unwrap();
-        let mut ws = ComplexLuWorkspace::new(n);
-        ComplexLu::factor_into(&dense, &mut ws).unwrap();
+        let mut ws = ComplexLu::new(n);
+        ws.factor(&dense.concat(), n).unwrap();
 
         let (mut xs, mut xd) = (Vec::new(), Vec::new());
         slu.solve_into(&b, &mut xs).unwrap();
@@ -431,19 +389,12 @@ proptest! {
         for (s, d) in ys.iter().zip(&yd) {
             prop_assert!((*s - *d).abs() <= 1e-10 * d.abs().max(1.0), "adjoint {} vs {}", s, d);
         }
-        // The dense workspace factors bit-identically to the owning
-        // `ComplexLu::factor` path (shared elimination).
-        let lu = ComplexLu::factor(dense.clone()).unwrap();
-        let x_own = lu.solve(&b);
-        for (w, o) in xd.iter().zip(&x_own) {
-            prop_assert_eq!(w.re.to_bits(), o.re.to_bits());
-            prop_assert_eq!(w.im.to_bits(), o.im.to_bits());
-        }
     }
 
     /// Singular-detection parity for the complex kernels: when the dense
     /// path reports a singular matrix, so does the sparse path (and both
-    /// succeed on the unmodified system).
+    /// succeed on the unmodified system). A failed dense factor
+    /// invalidates the one stored before it.
     #[test]
     fn sparse_and_dense_complex_agree_on_singularity(
         n in 2usize..10,
@@ -461,8 +412,11 @@ proptest! {
                 dense[j][dst] = C64::ZERO;
             }
         }
-        let mut ws = ComplexLuWorkspace::new(n);
-        let dense_result = ComplexLu::factor_into(&dense, &mut ws);
+        let healthy = sparse_ac_matrix(n, omega, &seed);
+        let mut ws = ComplexLu::new(n);
+        ws.factor(&healthy.concat(), n).unwrap();
+        let dense_result = ws.factor(&dense.concat(), n);
+        prop_assert!(ws.solve_into(&vec![C64::ONE; n], &mut Vec::new()).is_err());
         let mut slu = SparseComplexLu::new();
         // from_dense_rows drops exact zeros; a zeroed row is structural.
         let sparse_result = slu.factor(&CscComplexMatrix::from_dense_rows(&dense));
@@ -474,8 +428,7 @@ proptest! {
             matches!(sparse_result, Err(FactorError::Singular { .. })),
             "sparse complex path must flag singular, got {:?}", sparse_result
         );
-        let healthy = sparse_ac_matrix(n, omega, &seed);
-        prop_assert!(ComplexLu::factor_into(&healthy, &mut ws).is_ok());
+        prop_assert!(ws.factor(&healthy.concat(), n).is_ok());
         prop_assert!(slu.factor(&CscComplexMatrix::from_dense_rows(&healthy)).is_ok());
     }
 

@@ -59,7 +59,7 @@ impl Adam {
     /// Applies one Adam update of `net` along `-grads`, writing the update
     /// directly into the parameters — no per-step allocation. Weights and
     /// biases run through the same flat-slice kernel
-    /// ([`Adam::update_slice`]), the single-pass walk shared with
+    /// (`Adam::update_slice`), the single-pass walk shared with
     /// [`Gradients::norm_sq`] / [`Gradients::scale`].
     ///
     /// # Panics

@@ -106,7 +106,7 @@ pub mod collection {
     use super::TestRng;
     use rand::Rng;
 
-    /// Length specification for [`vec`]: an exact size or a range.
+    /// Length specification for [`vec()`]: an exact size or a range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

@@ -8,8 +8,6 @@
 
 use std::collections::HashMap;
 
-use linalg::Lu;
-
 use crate::diag::{FailureDiag, FailureKind, LadderStage, NewtonFailure};
 use crate::error::SpiceError;
 use crate::mos::{MosEval, MosRegion};
@@ -243,13 +241,13 @@ fn newton_loop_inner<A: Assemble>(
                 ws.st.clear();
                 assemble.assemble(&x, &mut ws.st);
             }
-            // `factor_in_place` steals the stamped matrix's storage (an
-            // O(1) buffer swap) — the next iteration's `clear` + `assemble`
+            // `factor_into` donates the stamped matrix's storage (an O(1)
+            // buffer swap) — the next iteration's `clear` + `assemble`
             // rebuild it from scratch anyway. A failed factor here is the
             // real singular-matrix verdict: the dense kernel is the last
             // fallback, so the cause must survive instead of collapsing
             // into the same `None` a NaN residual produces.
-            if Lu::factor_in_place(&mut ws.st.a, &mut ws.lu).is_err() {
+            if ws.st.factor_into(&mut ws.lu).is_err() {
                 return Err(fail(FailureKind::Singular, iter));
             }
             if ws.lu.solve_into(&ws.st.z, &mut ws.x_new).is_err() {

@@ -12,7 +12,7 @@
 //! - voltage source branch current is defined flowing from `p` into the
 //!   source and out of `n`.
 
-use linalg::{Matrix, C64};
+use linalg::{FactorError, Lu, Matrix, C64};
 
 use crate::mos::{MosEval, MosStamp};
 use crate::netlist::{Circuit, Device, NodeId};
@@ -28,9 +28,9 @@ use crate::waveform::Waveform;
 /// dispatch:
 ///
 /// - [`RealStamper`]: classic `a[(i, j)] += v` into the dense matrix;
-/// - [`RecordStamper`]: logs each `(row, col)` once to learn the sequence,
+/// - `RecordStamper`: logs each `(row, col)` once to learn the sequence,
 ///   which becomes a CSC pattern plus a stamp→slot map;
-/// - [`SlotStamper`]: replays through the slot map —
+/// - `SlotStamper`: replays through the slot map —
 ///   `values[slots[cursor]] += v` — assembling straight into the CSC value
 ///   array with no index search at all.
 pub trait Stamp {
@@ -191,6 +191,22 @@ impl RealStamper {
     pub fn clear(&mut self) {
         self.a.as_mut_slice().fill(0.0);
         self.z.fill(0.0);
+    }
+
+    /// Factors the assembled matrix into `lu`, donating its storage (an
+    /// O(1) buffer swap, see [`Lu::factor_in_place`]); the stamper keeps a
+    /// matrix of the same shape whose contents are unspecified until the
+    /// next [`RealStamper::clear`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FactorError::Singular`] when the system is singular.
+    pub fn factor_into(&mut self, lu: &mut Lu) -> Result<(), FactorError> {
+        let n = self.z.len();
+        let mut a = std::mem::take(&mut self.a).into_vec();
+        let result = lu.factor_in_place(&mut a, n);
+        self.a = Matrix::from_vec(n, n, a);
+        result
     }
 
     /// Number of nodes (including ground) the stamper was built for.
@@ -676,11 +692,11 @@ pub(crate) fn stamp_resistive_mos<S: Stamp>(circuit: &Circuit, x: &[f64], st: &m
 /// recorded pass serve every frequency point of a sweep. Three
 /// monomorphized implementations exist:
 ///
-/// - [`ComplexStamper`]: classic dense `a[i][j] += y` assembly (the
+/// - [`ComplexStamper`]: classic dense `a[i·n + j] += y` assembly (the
 ///   universal fallback);
-/// - [`ComplexRecordStamper`]: logs each `(row, col)` once to learn the
+/// - `ComplexRecordStamper`: logs each `(row, col)` once to learn the
 ///   sequence, which becomes a CSC pattern plus a stamp→slot map;
-/// - [`ComplexSlotStamper`]: replays through the slot map —
+/// - `ComplexSlotStamper`: replays through the slot map —
 ///   `values[slots[cursor]] += y` — assembling straight into the complex
 ///   CSC value array with no index search at all.
 pub trait ComplexStamp {
@@ -813,8 +829,8 @@ pub(crate) trait AssembleComplex {
 #[derive(Debug, Clone)]
 pub struct ComplexStamper {
     n_nodes: usize,
-    /// System matrix rows.
-    pub a: Vec<Vec<C64>>,
+    /// System matrix, row-major `n×n`.
+    pub a: Vec<C64>,
     /// Right-hand side.
     pub z: Vec<C64>,
 }
@@ -827,7 +843,7 @@ impl ComplexStamp for ComplexStamper {
 
     #[inline]
     fn add_a(&mut self, i: usize, j: usize, v: C64) {
-        self.a[i][j] += v;
+        self.a[i * self.z.len() + j] += v;
     }
 
     #[inline]
@@ -842,16 +858,14 @@ impl ComplexStamper {
         let n = circuit.num_unknowns();
         ComplexStamper {
             n_nodes: circuit.num_nodes(),
-            a: vec![vec![C64::ZERO; n]; n],
+            a: vec![C64::ZERO; n * n],
             z: vec![C64::ZERO; n],
         }
     }
 
     /// Zeroes the system for re-assembly.
     pub fn clear(&mut self) {
-        for row in &mut self.a {
-            row.fill(C64::ZERO);
-        }
+        self.a.fill(C64::ZERO);
         self.z.fill(C64::ZERO);
     }
 

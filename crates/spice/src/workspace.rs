@@ -3,9 +3,13 @@
 //! The DC and transient engines linearize and solve the same-sized MNA
 //! system every Newton iteration, every gmin/source-stepping retry, and
 //! every transient timestep. A [`NewtonWorkspace`] owns all of that state —
-//! the [`RealStamper`], the dense LU factors, the sparse solver state, and
-//! the solution scratch vector — so the hot loop performs **zero heap
-//! allocations** per iteration.
+//! the [`RealStamper`], the dense [`linalg::Lu`] factors, the sparse solver
+//! state, and the solution scratch vector — so the hot loop performs **zero
+//! heap allocations** per iteration. The dense kernel factors the stamped
+//! matrix in place ([`RealStamper::factor_into`] donates its storage to the
+//! factor, an O(1) buffer swap); the AC/noise dense fallback does the same
+//! with [`linalg::ComplexLu`], the complex instance of the same generic
+//! LU.
 //!
 //! # Sparse pipeline
 //!
@@ -44,8 +48,7 @@
 use std::sync::Mutex;
 
 use linalg::{
-    ComplexLu, ComplexLuWorkspace, CscComplexMatrix, CscMatrix, LuWorkspace, SparseComplexLu,
-    SparseLu, SupernodalMode, C64,
+    ComplexLu, CscComplexMatrix, CscMatrix, Lu, SparseComplexLu, SparseLu, SupernodalMode, C64,
 };
 
 use crate::netlist::Circuit;
@@ -64,7 +67,7 @@ use crate::stamp::{
 const SPARSE_MIN_UNKNOWNS: usize = 24;
 
 /// Assembled densities above this fraction keep the dense kernel. The
-/// measured refactor-vs-`factor_into` crossover sits at ≈0.45 density
+/// measured sparse-refactor-vs-dense-factor crossover sits at ≈0.45 density
 /// for n = 16–64 (dense wins 1.1–3× above it, sparse wins up to 3.7×
 /// below it with the supernodal blocked replay on Auto dispatch); 0.45
 /// takes the sparse side of the band.
@@ -87,7 +90,7 @@ pub(crate) enum StampKind {
 /// Which solver kernel a Newton solve should run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SolveMode {
-    /// Dense `LuWorkspace` path.
+    /// Dense [`Lu`] path.
     Dense,
     /// Sparse slot-map assembly + `SparseLu` path.
     Sparse,
@@ -112,7 +115,7 @@ pub(crate) enum SparseStep {
 pub(crate) enum AcKernel {
     /// Sparse complex slot-map assembly + `SparseComplexLu`.
     Sparse,
-    /// Dense `ComplexStamper` + `ComplexLuWorkspace` fallback.
+    /// Dense `ComplexStamper` + [`ComplexLu`] fallback.
     Dense,
 }
 
@@ -215,9 +218,10 @@ struct AcSparseState {
 /// point runs a pivoting [`SparseComplexLu::factor`], and every subsequent
 /// point pays only slot-map assembly plus the scan-free
 /// [`SparseComplexLu::refactor_into`] — the pattern of `G + jωC` is fixed
-/// per topology, only the values change with ω. The dense
-/// [`ComplexLuWorkspace`] path remains the universal fallback (small or
-/// dense systems, write-sequence drift, sparse-singular points).
+/// per topology, only the values change with ω. The dense [`ComplexLu`]
+/// path remains the universal fallback (small or dense systems,
+/// write-sequence drift, sparse-singular points): it factors the stamped
+/// matrix in place, donating its storage instead of copying it.
 #[derive(Debug, Clone)]
 pub(crate) struct AcWorkspace {
     /// Dense fallback state, created on the first frequency point that
@@ -233,11 +237,11 @@ pub(crate) struct AcWorkspace {
 }
 
 /// The dense fallback kernel's buffers: the system under assembly and the
-/// complex LU factor storage (no per-point matrix clone).
+/// complex LU factor storage (no per-point matrix clone or copy).
 #[derive(Debug, Clone)]
 struct DenseAcState {
     st: ComplexStamper,
-    clu: ComplexLuWorkspace,
+    clu: ComplexLu,
 }
 
 impl AcWorkspace {
@@ -351,12 +355,17 @@ impl AcWorkspace {
         let dense = self.dense.get_or_insert_with(|| {
             Box::new(DenseAcState {
                 st: ComplexStamper::new(circuit),
-                clu: ComplexLuWorkspace::new(n),
+                clu: ComplexLu::new(n),
             })
         });
         dense.st.clear();
         assemble.assemble(&mut dense.st);
-        ComplexLu::factor_into(&dense.st.a, &mut dense.clu).map_err(|_| ())?;
+        // Donates the stamped storage (an O(1) swap); the next point's
+        // `clear` + `assemble` rebuild it from scratch anyway.
+        dense
+            .clu
+            .factor_in_place(&mut dense.st.a, n)
+            .map_err(|_| ())?;
         Ok(AcKernel::Dense)
     }
 
@@ -436,7 +445,7 @@ pub struct NewtonWorkspace {
     /// The MNA system under assembly.
     pub(crate) st: RealStamper,
     /// Dense LU factors of the linearized system.
-    pub(crate) lu: LuWorkspace,
+    pub(crate) lu: Lu,
     /// Newton-step solution buffer.
     pub(crate) x_new: Vec<f64>,
     /// Unknown count the buffers are sized for.
@@ -467,7 +476,7 @@ impl NewtonWorkspace {
         let n = circuit.num_unknowns();
         NewtonWorkspace {
             st: RealStamper::new(circuit),
-            lu: LuWorkspace::new(n),
+            lu: Lu::new(n),
             x_new: vec![0.0; n],
             n,
             topo: circuit.topology_id(),
