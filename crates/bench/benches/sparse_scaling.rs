@@ -5,8 +5,8 @@
 //! factorization — exactly what the simulator pays per Newton step once
 //! the pivot sequence is recorded (the triangular solves are identical on
 //! both paths and timed elsewhere). The complex rows replay every
-//! `G + jωC` point of the mesh AC sweep; the `_t{N}` rows time the
-//! etree-parallel replay at fixed worker counts. `BENCH_baseline.json`
+//! `G + jωC` point of the mesh AC sweep. Both replays are serial; the
+//! evaluation grid runs many of them at once. `BENCH_baseline.json`
 //! records the reference numbers (acceptance targets: real supernodal
 //! ≥2× and complex supernodal ≥1.8× at n ≥ 500).
 
@@ -101,28 +101,9 @@ fn bench_ac_mesh_scaling(c: &mut Criterion) {
     }
 }
 
-fn bench_parallel_replay(c: &mut Criterion) {
-    let (csc, _z) = mesh_dc_system(1000);
-    for threads in [1usize, 2, 4, 8] {
-        c.bench_function(
-            &format!("newton_dc_kernel_mesh_n1000_supernodal_t{threads}"),
-            |b| {
-                linalg::pool::set_max_threads(threads);
-                let mut slu = SparseLu::new();
-                slu.set_supernodal_mode(SupernodalMode::ForceBlocked);
-                slu.factor(&csc).unwrap();
-                b.iter(|| {
-                    slu.refactor_into(black_box(&csc)).unwrap();
-                });
-                linalg::pool::set_max_threads(0);
-            },
-        );
-    }
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_sparse_scaling, bench_ac_mesh_scaling, bench_parallel_replay
+    targets = bench_sparse_scaling, bench_ac_mesh_scaling
 }
 criterion_main!(benches);

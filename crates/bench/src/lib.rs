@@ -502,30 +502,6 @@ pub mod baseline {
             }
         }
 
-        // The etree-parallel replay rows (identical bodies to
-        // `benches/sparse_scaling.rs`): the n = 1000 mesh refactorization
-        // at fixed worker counts through the shared pool. Bit-identical
-        // results at every count; the per-row `host_cpus` field says
-        // whether a recorded number is from a real multi-core regime.
-        {
-            let (csc, _z) = crate::mesh_dc_system(1000);
-            for threads in [1usize, 2, 4, 8] {
-                c.bench_function(
-                    &format!("newton_dc_kernel_mesh_n1000_supernodal_t{threads}"),
-                    |b| {
-                        linalg::pool::set_max_threads(threads);
-                        let mut slu = SparseLu::new();
-                        slu.set_supernodal_mode(linalg::SupernodalMode::ForceBlocked);
-                        slu.factor(&csc).unwrap();
-                        b.iter(|| {
-                            slu.refactor_into(black_box(&csc)).unwrap();
-                        });
-                        linalg::pool::set_max_threads(0);
-                    },
-                );
-            }
-        }
-
         // The AC-sweep kernels (identical bodies to
         // `benches/spice_kernels.rs::bench_ac_sweep_kernel`): factor +
         // solve at all 26 points of the n = 62 RC-ladder sweep, dense
@@ -574,43 +550,6 @@ pub mod baseline {
             });
         }
 
-        // The threaded-GEMM rows (identical bodies to
-        // `benches/parallel_scaling.rs`): one product past
-        // `GEMM_PARALLEL_MIN_WORK`, timed at fixed worker counts. On a
-        // single-core host the counts time the same arithmetic plus
-        // dispatch overhead; the per-row `host_cpus` field says which
-        // regime a recorded number is from.
-        {
-            use linalg::{gemm, GemmOp, GemmWorkspace, Matrix};
-            use rand::{rngs::StdRng, Rng, SeedableRng};
-            let mut rng = StdRng::seed_from_u64(7);
-            let a = Matrix::from_fn(256, 256, |_, _| rng.gen::<f64>() - 0.5);
-            let b = Matrix::from_fn(256, 256, |_, _| rng.gen::<f64>() - 0.5);
-            for threads in [1usize, 2, 4, 8] {
-                c.bench_function(
-                    &format!("gemm_parallel_256x256x256_nn_t{threads}"),
-                    |bench| {
-                        linalg::pool::set_max_threads(threads);
-                        let mut ws = GemmWorkspace::new();
-                        let mut out = Matrix::default();
-                        bench.iter(|| {
-                            gemm(
-                                GemmOp::NoTrans,
-                                GemmOp::NoTrans,
-                                1.0,
-                                black_box(&a),
-                                black_box(&b),
-                                0.0,
-                                &mut out,
-                                &mut ws,
-                            );
-                            black_box(out.as_slice()[0])
-                        });
-                        linalg::pool::set_max_threads(0);
-                    },
-                );
-            }
-        }
         crate::gemm_kernel_rows(&mut c);
 
         // The training-loop kernels (identical bodies and seeds to
@@ -673,15 +612,6 @@ pub mod baseline {
             c.bench_function("critic_train_n150_d20_m30", |b| {
                 b.iter(|| Critic::train(&cfg, &xs, &fs, &mut rng))
             });
-            // The same training pass with the GEMM thread budget swept
-            // (identical bodies to `benches/parallel_scaling.rs`).
-            for threads in [2usize, 4, 8] {
-                c.bench_function(&format!("critic_train_n150_d20_m30_mt{threads}"), |b| {
-                    parallel::set_max_threads(threads);
-                    b.iter(|| Critic::train(&cfg, &xs, &fs, &mut rng));
-                    parallel::set_max_threads(0);
-                });
-            }
             let critic = Critic::train(&cfg, &xs, &fs, &mut rng);
             let fom = Fom::uniform(1.0, 29);
             let elite: Vec<Vec<f64>> = xs[..10].to_vec();

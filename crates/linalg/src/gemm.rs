@@ -42,36 +42,23 @@
 //! row-major panel (`n̄` rounds `n` up to the 8-lane vector width). The
 //! kernel then computes `SMR × 24` output tiles (three `zmm` accumulators
 //! per row), with masked stores for column tails and `SMR / 2`-row and
-//! 1-row tiles for row tails. The rule is decided before any thread split, so these products
-//! always run serially. Every other host runs the blocked and naive paths
-//! only.
+//! 1-row tiles for row tails. Every other host runs the blocked and naive
+//! paths only.
 //!
 //! # Threading
 //!
-//! Products with `m·n·k ≥` [`GEMM_PARALLEL_MIN_WORK`] that miss the small
-//! path run on the shared
-//! [`crate::pool`] when its two-level budget allows (the evaluation grid
-//! is idle and the caller is not itself a pool worker — see
-//! [`crate::pool::gemm_threads`]). The split is **static**: the output's
-//! `MR`-row (or `NR`-column, whichever dimension has more tiles) tile
-//! index space is divided into one contiguous, tile-aligned range per
-//! thread by a pure function of (shape, thread count); each thread packs
-//! its own operand panels and computes its own disjoint output tiles.
-//! There is no work queue, no stealing, and no atomics or reductions
-//! anywhere in the floating-point path.
+//! Every product runs serially on the calling thread. The workspace's one
+//! parallel layer is the evaluation grid one level up ([`crate::pool`]),
+//! which already keeps every core busy with independent simulations.
 //!
 //! # Determinism
 //!
 //! The tiling is fixed (compile-time `MC`/`KC`/`NC`/`MR`/`NR`) and the
-//! per-element accumulation order depends only on the operand shapes —
-//! never on thread count or scheduling — so repeated calls are
-//! bit-identical on a given host. Because the thread split above is
-//! tile-aligned, every thread sees exactly the tiles (and the `KC`-panel
-//! accumulation sequence per element) that the serial kernel would
-//! produce, so the threaded path is bit-identical to the serial one at
-//! any thread count. The FMA and portable micro-kernels may differ in
-//! final-bit rounding (fused vs separate multiply-add), but the selection
-//! is constant for the lifetime of the process.
+//! per-element accumulation order depends only on the operand shapes, so
+//! repeated calls are bit-identical on a given host. The FMA and portable
+//! micro-kernels may differ in final-bit rounding (fused vs separate
+//! multiply-add), but the selection is constant for the lifetime of the
+//! process.
 //!
 //! The small path is bit-identical to the blocked FMA kernel: with
 //! `k ≤ KC` both accumulate every element as a chain of fused
@@ -165,17 +152,13 @@ const NC: usize = 4096;
 /// unless the AVX-512 small path takes the product.
 pub const GEMM_NAIVE_CUTOFF: usize = 4096;
 
-/// `m·n·k` below which the blocked kernel stays serial even when the
-/// thread budget would allow more: dispatch + duplicated packing overhead
-/// beats the speedup on small products. At or above it, [`gemm`] splits
-/// the output's larger tile dimension across the shared [`crate::pool`]
-/// (results stay bit-identical — see the module docs).
-pub const GEMM_PARALLEL_MIN_WORK: usize = 65_536;
+/// `m·n·k` at or above which a traced product opens a `gemm` span, so
+/// traced training loops don't drown in micro-product events.
+const TRACE_SPAN_MIN_WORK: usize = 65_536;
 
 /// Deepest inner dimension the AVX-512 small path serves: one `KC` panel,
 /// so its single fused-multiply-add chain per element matches the blocked
-/// kernel's accumulation bit for bit. Deeper products stay blocked (and
-/// threaded above [`GEMM_PARALLEL_MIN_WORK`]).
+/// kernel's accumulation bit for bit. Deeper products stay blocked.
 pub const GEMM_SMALL_MAX_K: usize = KC;
 
 /// Widest output the AVX-512 small path serves. Beyond it the unpacked
@@ -250,8 +233,7 @@ pub fn gemm_with<E: Epilogue>(
 
 /// The small-path dispatch rule for a non-empty product of any size: an
 /// AVX-512F host, `k ≤` [`GEMM_SMALL_MAX_K`] and `n ≤`
-/// [`GEMM_SMALL_MAX_N`]. Decided before [`plan_threads`], so such products
-/// never split across the pool. Tiny products take it too: it beats the
+/// [`GEMM_SMALL_MAX_N`]. Tiny products take it too: it beats the
 /// naive loops there, and it keeps inference through a trained network on
 /// the same fused-multiply-add arithmetic at every batch size.
 fn takes_small_path(n: usize, k: usize) -> bool {
@@ -359,85 +341,15 @@ fn naive_body<E: Epilogue>(
     }
 }
 
-/// Raw mutable base pointer into `C`'s storage, shared across the threads
-/// of one parallel product. Each thread writes a disjoint, statically
-/// assigned set of output elements (see [`plan_threads`]), so the shared
-/// mutable access is race-free.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f64);
-
-impl SendPtr {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `Sync` wrapper, not the raw pointer field.
-    fn get(self) -> *mut f64 {
-        self.0
-    }
-}
-
-// SAFETY: the pointer is only ever dereferenced on disjoint element sets
-// per thread (the tile split is a partition), and the owning `Matrix`
-// outlives the dispatch.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-thread_local! {
-    /// Packing buffers for parallel products: each participating thread
-    /// (including the caller running slot 0) packs into its own
-    /// thread-local workspace, reused allocation-free across dispatches.
-    static PARALLEL_WS: std::cell::RefCell<GemmWorkspace> =
-        std::cell::RefCell::new(GemmWorkspace::new());
-}
-
-/// The static thread split for an `m × n` (inner `k`) product: how many
-/// threads to use and whether to split the `MR`-row or `NR`-column tile
-/// dimension. A pure function of (shape, thread budget) — never of load
-/// or timing — so the partition is reproducible.
-fn plan_threads(m: usize, n: usize, k: usize) -> (usize, bool) {
-    if m.saturating_mul(n).saturating_mul(k) < GEMM_PARALLEL_MIN_WORK {
-        return (1, true);
-    }
-    let budget = crate::pool::gemm_threads();
-    if budget <= 1 {
-        return (1, true);
-    }
-    let row_tiles = m.div_ceil(MR);
-    let col_tiles = n.div_ceil(NR);
-    let split_rows = row_tiles >= col_tiles;
-    let tiles = if split_rows { row_tiles } else { col_tiles };
-    (budget.min(tiles), split_rows)
-}
-
-/// Contiguous tile range owned by `slot` out of `threads`: the first
-/// `tiles % threads` slots get one extra tile. Returned as an element
-/// range clamped to `limit`, with every interior boundary tile-aligned.
-fn slot_range(
-    slot: usize,
-    threads: usize,
-    tiles: usize,
-    tile: usize,
-    limit: usize,
-) -> (usize, usize) {
-    let base = tiles / threads;
-    let rem = tiles % threads;
-    let t0 = slot * base + slot.min(rem);
-    let t1 = t0 + base + usize::from(slot < rem);
-    ((t0 * tile).min(limit), (t1 * tile).min(limit))
-}
-
 /// Telemetry of one blocked or small-path product (one gate check when
-/// off): its flops, the split width when it runs threaded, and a `gemm`
-/// span only at or above the parallel work cutoff, so traced training
-/// loops don't drown in micro-product events.
-fn trace_product(work: usize, threads: usize) -> Option<telemetry::Span> {
+/// off): its flops, and a `gemm` span only at or above
+/// [`TRACE_SPAN_MIN_WORK`].
+fn trace_product(work: usize) -> Option<telemetry::Span> {
     if !telemetry::enabled() {
         return None;
     }
     telemetry::record(telemetry::Metric::GemmFlops, 2 * work as u64);
-    if threads > 1 {
-        telemetry::record(telemetry::Metric::GemmSplitWidth, threads as u64);
-    }
-    (work >= GEMM_PARALLEL_MIN_WORK)
-        .then(|| telemetry::span_with(telemetry::SpanId::Gemm, threads as u64))
+    (work >= TRACE_SPAN_MIN_WORK).then(|| telemetry::span(telemetry::SpanId::Gemm))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -451,119 +363,58 @@ fn blocked_body<E: Epilogue>(
     c: &mut Matrix,
     ws: &mut GemmWorkspace,
     epilogue: &mut E,
-    (m, n, k): (usize, usize, usize),
+    dims: (usize, usize, usize),
 ) {
-    let kernel = select_micro_kernel();
-    let ccols = c.cols();
-    let (threads, split_rows) = plan_threads(m, n, k);
-    let _span = trace_product(m * n * k, threads);
-    if threads <= 1 {
-        // SAFETY: exclusive access to all of `C` through its own base
-        // pointer; the region covers exactly the output.
-        unsafe {
-            compute_region(
-                op_a,
-                op_b,
-                alpha,
-                a,
-                b,
-                beta,
-                c.as_mut_slice().as_mut_ptr(),
-                ccols,
-                ws,
-                0..m,
-                0..n,
-                k,
-                kernel,
-            );
-        }
-    } else {
-        let cbase = SendPtr(c.as_mut_slice().as_mut_ptr());
-        let (tiles, tile, limit) = if split_rows {
-            (m.div_ceil(MR), MR, m)
-        } else {
-            (n.div_ceil(NR), NR, n)
-        };
-        crate::pool::run(threads, &|slot| {
-            let (e0, e1) = slot_range(slot, threads, tiles, tile, limit);
-            let (rows, cols) = if split_rows {
-                (e0..e1, 0..n)
-            } else {
-                (0..m, e0..e1)
-            };
-            PARALLEL_WS.with(|cell| {
-                let mut ws = cell.borrow_mut();
-                // SAFETY: slot ranges partition the tile index space, so
-                // every output element is written by exactly one thread;
-                // boundaries are tile-aligned, keeping per-element
-                // arithmetic identical to the serial kernel.
-                unsafe {
-                    compute_region(
-                        op_a,
-                        op_b,
-                        alpha,
-                        a,
-                        b,
-                        beta,
-                        cbase.get(),
-                        ccols,
-                        &mut ws,
-                        rows,
-                        cols,
-                        k,
-                        kernel,
-                    );
-                }
-            });
-        });
-    }
-    // All panels of every region have accumulated: the elements are
-    // final, so the fused epilogue runs now (serially, in row order).
-    for i in 0..m {
+    let _span = trace_product(dims.0 * dims.1 * dims.2);
+    let ldc = c.cols();
+    compute_region(
+        op_a,
+        op_b,
+        alpha,
+        a,
+        b,
+        beta,
+        c.as_mut_slice(),
+        ldc,
+        ws,
+        dims,
+        select_micro_kernel(),
+    );
+    // All panels have accumulated: the elements are final, so the fused
+    // epilogue runs now, in row order.
+    for i in 0..dims.0 {
         epilogue.apply(i, 0, c.row_mut(i));
     }
 }
 
-/// The serial Goto loop nest over one rectangular region of the output:
+/// The Goto loop nest over the `m × n` output `c` (row stride `ldc`):
 /// `NC`-column blocks × `KC`-depth panels × `MC`-row blocks, packing from
 /// `ws` and merging through the micro-kernel. The epilogue is *not*
-/// applied here — callers run it once the whole output is final.
-///
-/// # Safety
-///
-/// `cbase` must point to the start of a `rows.end × ccols` (at least)
-/// row-major buffer, and no other thread may concurrently access the
-/// `rows × cols` region. For bit-identity with the serial kernel,
-/// `rows.start` must be `MR`-aligned and `cols.start` `NR`-aligned.
+/// applied here — the caller runs it once the whole output is final.
 #[allow(clippy::too_many_arguments)]
-unsafe fn compute_region(
+fn compute_region(
     op_a: GemmOp,
     op_b: GemmOp,
     alpha: f64,
     a: &Matrix,
     b: &Matrix,
     beta: f64,
-    cbase: *mut f64,
-    ccols: usize,
+    c: &mut [f64],
+    ldc: usize,
     ws: &mut GemmWorkspace,
-    rows: std::ops::Range<usize>,
-    cols: std::ops::Range<usize>,
-    k: usize,
+    (m, n, k): (usize, usize, usize),
     kernel: MicroKernel,
 ) {
-    let mut jc = cols.start;
-    while jc < cols.end {
-        let nc = NC.min(cols.end - jc);
+    let mut jc = 0;
+    while jc < n {
+        let nc = NC.min(n - jc);
         // One beta pass per column block. beta == 0 needs none: the output
         // holds stale values (`prepare_output` skips the memset), and the
         // first KC panel below *stores* its tiles instead of accumulating,
         // overwriting every element. beta == 1 accumulates as-is.
         if beta != 0.0 && beta != 1.0 {
-            for i in rows.clone() {
-                // SAFETY: row `i` and columns `jc..jc + nc` are inside the
-                // caller-guaranteed exclusive region.
-                let row = unsafe { std::slice::from_raw_parts_mut(cbase.add(i * ccols + jc), nc) };
-                for v in row {
+            for i in 0..m {
+                for v in &mut c[i * ldc + jc..i * ldc + jc + nc] {
                     *v *= beta;
                 }
             }
@@ -576,26 +427,22 @@ unsafe fn compute_region(
             let store = beta == 0.0 && pc == 0;
 
             pack_b(op_b, b, pc, kc, jc, nc, &mut ws.pack_b);
-            let mut ic = rows.start;
-            while ic < rows.end {
-                let mc = MC.min(rows.end - ic);
+            let mut ic = 0;
+            while ic < m {
+                let mc = MC.min(m - ic);
                 pack_a(op_a, a, ic, mc, pc, kc, &mut ws.pack_a);
-                // SAFETY: the `mc × nc` block at `(ic, jc)` lies inside
-                // the caller-guaranteed exclusive region.
-                unsafe {
-                    macro_kernel(
-                        alpha,
-                        (mc, nc, kc),
-                        &ws.pack_a,
-                        &ws.pack_b,
-                        cbase,
-                        ccols,
-                        ic,
-                        jc,
-                        kernel,
-                        store,
-                    );
-                }
+                macro_kernel(
+                    alpha,
+                    (mc, nc, kc),
+                    &ws.pack_a,
+                    &ws.pack_b,
+                    c,
+                    ldc,
+                    ic,
+                    jc,
+                    kernel,
+                    store,
+                );
                 ic += MC;
             }
             pc += KC;
@@ -620,7 +467,7 @@ fn small_body<E: Epilogue>(
     epilogue: &mut E,
     (m, n, k): (usize, usize, usize),
 ) {
-    let _span = trace_product(m * n * k, 1);
+    let _span = trace_product(m * n * k);
     let nb = pack_small_b(op_b, b, k, n, &mut ws.pack_b);
     small_product(op_a, a, &ws.pack_b, nb, (alpha, beta), c, (m, n, k));
     for i in 0..m {
@@ -960,23 +807,17 @@ fn pack_b(op: GemmOp, b: &Matrix, pc: usize, kc: usize, jc: usize, nc: usize, bu
 }
 
 /// Runs the register-tiled micro-kernel over every `MR × NR` tile of the
-/// packed `mc × nc` block and merges `α`-scaled results into the output
-/// (`store` replaces instead of accumulating — the first-panel fast path).
-///
-/// # Safety
-///
-/// `cbase` must point to the start of a row-major buffer of row length
-/// `ccols` covering at least rows `ic..ic + mc` and columns
-/// `jc..jc + nc`, with no concurrent access to that block from any other
-/// thread.
+/// packed `mc × nc` block at `(ic, jc)` of the row-major output `c` (row
+/// stride `ldc`) and merges `α`-scaled results into it (`store` replaces
+/// instead of accumulating — the first-panel fast path).
 #[allow(clippy::too_many_arguments)]
-unsafe fn macro_kernel(
+fn macro_kernel(
     alpha: f64,
     (mc, nc, kc): (usize, usize, usize),
     pack_a: &[f64],
     pack_b: &[f64],
-    cbase: *mut f64,
-    ccols: usize,
+    c: &mut [f64],
+    ldc: usize,
     ic: usize,
     jc: usize,
     kernel: MicroKernel,
@@ -998,23 +839,19 @@ unsafe fn macro_kernel(
                 // write α-scaled results straight into C — no stack
                 // spill + separate writeback pass. Identical arithmetic to
                 // the buffered path below.
-                // SAFETY: rows ic+ir .. ic+ir+MR and columns jc+jr .. +NR
-                // are in bounds (full tile), and the FMA features were
-                // detected at selection time.
-                unsafe {
-                    let dst = cbase.add((ic + ir) * ccols + jc + jr);
-                    micro_kernel_fma_direct(ap, bp, dst, ccols, alpha, store);
-                }
+                let off = (ic + ir) * ldc + jc + jr;
+                let tile = &mut c[off..off + (MR - 1) * ldc + NR];
+                // SAFETY: `tile` holds all `MR` rows of `NR` elements at
+                // stride `ldc`, and the FMA features were detected at
+                // selection time.
+                unsafe { micro_kernel_fma_direct(ap, bp, tile.as_mut_ptr(), ldc, alpha, store) };
                 continue;
             }
             let mut acc = [[0.0f64; NR]; MR];
             run_micro_kernel(ap, bp, &mut acc, kernel);
             for r in 0..mr {
-                // SAFETY: row ic+ir+r, columns jc+jr .. +nr are inside the
-                // caller-guaranteed exclusive block.
-                let crow = unsafe {
-                    std::slice::from_raw_parts_mut(cbase.add((ic + ir + r) * ccols + jc + jr), nr)
-                };
+                let off = (ic + ir + r) * ldc + jc + jr;
+                let crow = &mut c[off..off + nr];
                 if store {
                     for (cv, &av) in crow.iter_mut().zip(&acc[r][..nr]) {
                         *cv = alpha * av;
@@ -1511,6 +1348,44 @@ mod tests {
         }
     }
 
+    /// The blocked kernel's bits, pinned: one `gemm_with` product three
+    /// `KC` panels deep, with α, β = 0.5, a bias + tanh epilogue, and row
+    /// and column edge tiles. Any change to the loop nest's accumulation
+    /// order moves the digest. The digest holds on the AVX2+FMA
+    /// micro-kernel; the portable one rounds differently.
+    #[test]
+    fn blocked_multi_panel_bits_are_pinned() {
+        let (m, n, k) = (MC + 13, 3 * NR + 5, 2 * KC + 37);
+        let seed: Vec<f64> = (0..97).map(|i| (i as f64 * 0.37).sin()).collect();
+        let a = operand(GemmOp::NoTrans, m, k, &seed, 0);
+        let b = operand(GemmOp::Trans, k, n, &seed, 13);
+        let bias: Vec<f64> = (0..n).map(|j| seed[(5 * j + 1) % seed.len()]).collect();
+        let mut c = Matrix::from_fn(m, n, |i, j| seed[(3 * i + 5 * j + 2) % seed.len()]);
+        gemm_with(
+            GemmOp::NoTrans,
+            GemmOp::Trans,
+            -0.75,
+            &a,
+            &b,
+            0.5,
+            &mut c,
+            &mut GemmWorkspace::new(),
+            &mut MlpEpilogue::BiasTanh(&bias),
+        );
+        let digest = c.as_slice().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        #[cfg(target_arch = "x86_64")]
+        if select_micro_kernel() == MicroKernel::Fma {
+            assert_eq!(
+                digest, 0x131b_ff97_45fb_0cf1,
+                "blocked product bits moved: {digest:#018x}"
+            );
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = digest;
+    }
+
     /// The dispatch rule: the eight products of a critic training step
     /// (batch 128, widths 40→48→48→30) take the small path on AVX-512F
     /// hosts; products deeper than one panel or wider than the cap do not.
@@ -1569,8 +1444,6 @@ mod tests {
                 .into_iter()
                 .flat_map(move |n| [8, 48, 128, KC].map(|k| (m, n, k, nn)))
         });
-        // Serial blocked products: the small path never threads.
-        crate::pool::set_max_threads(1);
         let mut ws = GemmWorkspace::new();
         let mut c = Matrix::default();
         // Best-of-25 µs per product: small path, blocked path, or naive.
@@ -1616,6 +1489,5 @@ mod tests {
                 eprintln!("critic step: small {:.1}us blocked {:.1}us", step.0, step.1);
             }
         }
-        crate::pool::set_max_threads(0);
     }
 }

@@ -11,13 +11,12 @@
 //!   reusable [`GemmWorkspace`] and fused output epilogues — the training
 //!   kernel behind the DNN-Opt critic/actor networks. On AVX-512 hosts
 //!   the MLP-sized products take an unpacked register-tiled small path,
-//!   bit-identical to the blocked kernel. Other large products split
-//!   across the shared [`pool`] into static tile-aligned panels,
-//!   bit-identical to serial at any thread count.
-//! - [`pool`]: the process-wide worker pool behind both the threaded GEMM
-//!   and the optimizer's population grid, sized by `DNNOPT_THREADS` /
-//!   [`pool::set_max_threads`], with a two-level budget so nested GEMMs
-//!   stay serial while a grid dispatch holds the cores.
+//!   bit-identical to the blocked kernel. Every product runs serially on
+//!   the calling thread.
+//! - [`pool`]: the process-wide worker pool behind the optimizer's
+//!   population grid, sized by `DNNOPT_THREADS` /
+//!   [`pool::set_max_threads`]. It is the only parallel layer: every
+//!   kernel in this crate runs serially inside a grid worker.
 //! - [`LuT`]: dense LU with partial pivoting, written once over [`Scalar`]
 //!   in reusable storage — [`Lu`] for the real MNA systems of the circuit
 //!   simulator's Newton loop, [`ComplexLu`] for the AC/noise dense
@@ -28,8 +27,8 @@
 //!   auto-selects this path for large, sparse MNA systems. The whole
 //!   sparse pipeline is one generic implementation over [`Scalar`]
 //!   ([`CscT`]/[`SparseLuT`]), monomorphized for `f64` and [`C64`], and
-//!   includes a supernodal blocked replay with a deterministic
-//!   etree-parallel mode over the shared [`pool`].
+//!   includes a supernodal blocked replay for the dense trailing blocks
+//!   of post-layout meshes.
 //! - [`Cholesky`]: factorization of symmetric positive-definite matrices in
 //!   reusable storage, used by Gaussian-process regression (with jitter
 //!   escalation and log-determinants for the marginal likelihood).
@@ -69,7 +68,7 @@ pub use cholesky::Cholesky;
 pub use complex::C64;
 pub use gemm::{
     gemm, gemm_naive, gemm_naive_with, gemm_with, Epilogue, GemmOp, GemmWorkspace, NoEpilogue,
-    GEMM_NAIVE_CUTOFF, GEMM_PARALLEL_MIN_WORK, GEMM_SMALL_MAX_K, GEMM_SMALL_MAX_N,
+    GEMM_NAIVE_CUTOFF, GEMM_SMALL_MAX_K, GEMM_SMALL_MAX_N,
 };
 pub use lu::{ComplexLu, Lu, LuT};
 pub use matrix::Matrix;

@@ -1,23 +1,15 @@
-//! Process-wide worker pool and the two-level thread budget.
+//! Process-wide worker pool for the evaluation grid.
 //!
-//! Both parallel layers of the workspace — the candidate×corner×analysis
-//! evaluation grid in `opt::parallel` and the threaded GEMM path in
-//! [`crate::gemm`] — draw workers from the single pool in this module, so
-//! the process never oversubscribes the host no matter how the layers
-//! nest. The budget is strictly two-level:
+//! The pool serves one parallel layer: the candidate×corner×analysis
+//! evaluation grid in `opt::parallel`. Every kernel below a grid unit —
+//! the sparse replays, the dense LU, the GEMM behind critic and actor
+//! training — runs serial on whichever thread calls it, so the process
+//! never oversubscribes the host and the grid owns every core.
 //!
-//! - the **evaluation grid** gets the full thread budget. While a grid
-//!   fan-out is in flight (tracked by [`grid_scope`]), [`gemm_threads`]
-//!   reports `1`, so any GEMM issued from inside a worker runs serial —
-//!   the grid already owns every core.
-//! - **GEMM** goes parallel only when the grid is idle — exactly the
-//!   critic/actor training windows between optimizer generations, which
-//!   is where the multi-threaded GEMM payoff lives.
-//!
-//! The budget itself comes from [`max_threads`]: a programmatic
+//! The thread budget comes from [`max_threads`]: a programmatic
 //! [`set_max_threads`] override if set, else the `DNNOPT_THREADS`
 //! environment variable, else the machine's available parallelism. `1`
-//! forces fully serial execution everywhere.
+//! forces fully serial execution.
 //!
 //! # Determinism
 //!
@@ -30,8 +22,8 @@
 //!
 //! Workers are spawned lazily up to the largest slot count ever requested
 //! and then persist for the life of the process, parked on a condvar
-//! between jobs. This keeps repeated small dispatches (one per GEMM inside
-//! a training loop) cheap: no thread spawn/join per call.
+//! between jobs, so repeated dispatches (one per evaluated batch) pay no
+//! thread spawn/join.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,10 +32,6 @@ use std::sync::{Condvar, Mutex, OnceLock};
 /// 0 = "not set, use the environment/hardware default".
 static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Number of evaluation-grid fan-outs currently in flight (see
-/// [`grid_scope`]).
-static GRID_ACTIVE: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
     /// True on pool worker threads and on a caller while it runs slot 0 of
     /// a dispatched job: any nested [`run`] must degrade to inline serial
@@ -51,8 +39,8 @@ thread_local! {
     static IN_POOL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Overrides the process-wide thread budget for both the evaluation grid
-/// and GEMM. `1` forces fully serial execution; `0` restores the default
+/// Overrides the process-wide thread budget of the evaluation grid. `1`
+/// forces fully serial execution; `0` restores the default
 /// (`DNNOPT_THREADS`, else available parallelism).
 pub fn set_max_threads(n: usize) {
     MAX_THREADS.store(n, Ordering::Relaxed);
@@ -77,37 +65,6 @@ pub fn max_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Marks an evaluation-grid fan-out as in flight for the guard's lifetime.
-/// While any grid scope is active, [`gemm_threads`] reports `1` (the grid
-/// owns the budget), implementing the two-level budget described in the
-/// module docs.
-pub fn grid_scope() -> GridGuard {
-    GRID_ACTIVE.fetch_add(1, Ordering::Relaxed);
-    GridGuard { _priv: () }
-}
-
-/// RAII guard returned by [`grid_scope`].
-#[derive(Debug)]
-pub struct GridGuard {
-    _priv: (),
-}
-
-impl Drop for GridGuard {
-    fn drop(&mut self) {
-        GRID_ACTIVE.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// The thread budget available to a GEMM issued *right now*: the full
-/// [`max_threads`] budget when the evaluation grid is idle and the caller
-/// is not itself a pool worker, `1` otherwise.
-pub fn gemm_threads() -> usize {
-    if GRID_ACTIVE.load(Ordering::Relaxed) > 0 || IN_POOL.with(|c| c.get()) {
-        return 1;
-    }
-    max_threads()
 }
 
 /// One pending dispatch: a lifetime-erased borrow of the caller's task
@@ -305,8 +262,8 @@ pub fn run(threads: usize, task: &(dyn Fn(usize) + Sync)) {
     drop(st);
     pool.work.notify_all();
 
-    // The caller is slot 0. Mark it in-pool so nested dispatches (e.g. a
-    // GEMM inside a grid worker task) run inline.
+    // The caller is slot 0. Mark it in-pool so a nested dispatch from
+    // inside a task runs inline.
     IN_POOL.with(|c| c.set(true));
     let own = catch_unwind(AssertUnwindSafe(|| {
         let _busy = time_slot(0);
@@ -372,23 +329,6 @@ mod tests {
             });
         });
         assert_eq!(inner_hits.load(Ordering::Relaxed), 3 * 4);
-    }
-
-    #[test]
-    fn grid_scope_throttles_gemm_threads() {
-        set_max_threads(4);
-        assert_eq!(gemm_threads(), 4);
-        {
-            let _g = grid_scope();
-            assert_eq!(gemm_threads(), 1);
-            {
-                let _g2 = grid_scope();
-                assert_eq!(gemm_threads(), 1);
-            }
-            assert_eq!(gemm_threads(), 1);
-        }
-        assert_eq!(gemm_threads(), 4);
-        set_max_threads(0);
     }
 
     #[test]

@@ -516,14 +516,6 @@ impl<T: Scalar> SparseLuT<T> {
         self.supernodal.as_ref().map_or(0, |s| s.wide_supernodes)
     }
 
-    /// Number of independent subtree tasks in the active blocked plan's
-    /// etree partition (0 when the scalar path is active). A plan with
-    /// ≥ 2 tasks replays them over the shared pool when the thread budget
-    /// allows. Diagnostic for tests and benches.
-    pub fn parallel_tasks(&self) -> usize {
-        self.supernodal.as_ref().map_or(0, |s| s.num_tasks())
-    }
-
     /// Computes the fill-reducing column ordering for `a`'s pattern. Called
     /// automatically by [`SparseLuT::factor`] when needed; calling it again
     /// re-analyzes (use after the pattern itself changed).

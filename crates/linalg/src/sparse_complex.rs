@@ -8,9 +8,9 @@
 //! [`CscComplexMatrix`] and [`SparseComplexLu`] are the [`C64`]
 //! instantiations of the generic [`CscT`]/[`crate::SparseLuT`] sparse core
 //! in `sparse.rs`, sharing the minimum-degree ordering, the Gilbert–Peierls
-//! recording, the scan-free refactor replay, the supernodal blocked replay
-//! (and its deterministic etree-parallel mode), and the transpose solve the
-//! noise analysis' adjoint system needs. One elimination, two element
+//! recording, the scan-free refactor replay, the supernodal blocked
+//! replay, and the transpose solve the noise analysis' adjoint system
+//! needs. One elimination, two element
 //! types — the pivot logic cannot drift between them.
 //!
 //! The intended rhythm (mirrored by `spice`'s AC workspace): analyze the

@@ -24,8 +24,8 @@
 //!   updater's diagonal block finalizes the panel's U rows, and a product
 //!   with the updater's sub-diagonal block retires the rows below — both
 //!   blocked through the [`Scalar::gemm_nn`] hook into the [`crate::gemm`]
-//!   micro-kernel (serial inside grid workers per the two-level thread
-//!   budget), with a fused multiply-scatter fallback for small batches.
+//!   micro-kernel, with a fused multiply-scatter fallback for small
+//!   batches.
 //!   Precomputed per-pair row maps and reached-column lists keep the
 //!   gathers direct and skip columns whose contribution is exactly zero;
 //! - the panel itself is factored dense blocked right-looking
@@ -49,47 +49,24 @@
 //! zero operand (otherwise the position would have filled in symbolically),
 //! so relaxed positions stay zero bitwise and are never scattered back.
 //!
-//! # Deterministic etree-parallel replay
+//! # Serial replay
 //!
-//! The recorded dependencies between supernodes form a forest (the
-//! supernode elimination tree, built with Liu's ancestor compression):
-//! everything a supernode reads — earlier L columns in the scalar kernel,
-//! updater blocks in a panel — lives in its *descendants*. The plan
-//! therefore partitions the postordered supernodes into independent
-//! subtree **tasks** (subtrees whose accumulated flops fall under a chunk
-//! target) plus a sequential top-of-tree **spine**, and
-//! [`Supernodal::refactor`] dispatches the tasks over the shared
-//! [`crate::pool`] with a fixed round-robin task → slot assignment:
+//! [`Supernodal::refactor`] walks the supernodes in ascending pivotal
+//! order on the calling thread. Everything a supernode reads — earlier L
+//! columns in the scalar kernel, updater blocks in a panel — belongs to
+//! an earlier supernode, so one ascending pass sees every input final.
+//! The replay stops at the first pivot that collapses and reports it.
+//! Parallelism lives one level up, in the evaluation grid: many replays
+//! run at once, one per grid worker, each on its own factor.
 //!
-//! - no work stealing and no atomics anywhere in the floating-point path —
-//!   which task computes which column is a pure function of the pattern
-//!   and the thread count;
-//! - every task writes disjoint slices of `l_vals`/`u_vals`/`inv_diag` and
-//!   its own supernodes' dense blocks, with per-slot numeric scratch, so
-//!   each column's arithmetic is *the same instructions in the same order*
-//!   as the serial replay — bit-identical at any thread count;
-//! - the spine runs serially after the barrier, reading the task results
-//!   exactly as the serial walk would;
-//! - a singular pivot inside a task stops that task only; the replay
-//!   reports the minimum failing pivot across tasks, which equals the
-//!   pivot the serial walk would have tripped on first.
-//!
-//! Parallel dispatch engages only when the plan has ≥ 2 tasks, the
-//! weighted flop estimate clears [`PAR_MIN_FLOPS`], and the two-level
-//! thread budget grants workers (nested inside a grid dispatch it stays
-//! serial, like the threaded GEMM).
-//!
-//! Determinism: the plan is a pure function of the recorded pattern, the
-//! panel walk is sequential within a task, and the only nested-parallel
-//! kernel ([`crate::gemm`]) is bit-identical to serial at any thread
-//! count — so the blocked replay satisfies the same serial ≡ parallel
-//! contract as the scalar one. To keep *fresh factor ≡ refactor*
-//! bit-identity on this path, [`SparseLuT::factor`] re-runs the blocked
-//! replay on the same values immediately after the scalar pivoting pass
-//! pins the pattern: stored factors always come from blocked arithmetic
-//! whenever the blocked plan is active.
+//! Determinism: the plan is a pure function of the recorded pattern and
+//! the walk is sequential, so the blocked replay satisfies the same
+//! serial ≡ parallel-grid contract as the scalar one. To keep *fresh
+//! factor ≡ refactor* bit-identity on this path, [`SparseLuT::factor`]
+//! re-runs the blocked replay on the same values immediately after the
+//! scalar pivoting pass pins the pattern: stored factors always come from
+//! blocked arithmetic whenever the blocked plan is active.
 
-use crate::pool;
 use crate::scalar::Scalar;
 use crate::sparse::{CscT, SparseLuT, PIVOT_EPS};
 use crate::FactorError;
@@ -155,20 +132,6 @@ const MAX_PANEL_PAD_RATIO: u64 = 2;
 /// they save.
 const GEMM_MIN_FLOPS: usize = 1 << 14;
 
-/// The etree task partition targets this many tasks per replay — enough
-/// slack for an 8–16 worker pool to balance statically without shredding
-/// the subtrees into cache-hostile fragments.
-const TASK_TARGET: u64 = 48;
-
-/// Floor on the per-task flop chunk: subtrees are never split finer than
-/// this, whatever [`TASK_TARGET`] asks for.
-const TASK_MIN_FLOPS: u64 = 1 << 16;
-
-/// Parallel replay engages only when the weighted dense-block flop
-/// estimate ([`Scalar::FLOP_WEIGHT`] × `block_flops`) clears this bar —
-/// under it the pool dispatch overhead beats the win.
-const PAR_MIN_FLOPS: u64 = 1 << 21;
-
 /// Relaxed-supernode slack: a column may join a panel whose row union
 /// differs from the column's own below structure by at most this many rows
 /// on either side. Grows with the width already accumulated — a wide panel
@@ -207,9 +170,7 @@ struct Block<T: Scalar> {
     linv_planes: T::Planes,
 }
 
-/// Per-worker numeric scratch. Slot 0 serves the serial replay and the
-/// spine; parallel dispatch grows one slot per engaged worker so the
-/// floating-point path shares nothing mutable across threads.
+/// Numeric scratch of the replay, sized once per plan.
 #[derive(Debug, Clone, Default)]
 struct Scratch<T: Scalar> {
     /// Dense working panel, column-major (`nr` rows per column).
@@ -218,7 +179,7 @@ struct Scratch<T: Scalar> {
     /// (`u32::MAX` = absent).
     pos: Vec<u32>,
     /// Dense accumulator of the scalar column kernel, indexed by original
-    /// row (the per-slot replacement for `SparseLuT::work`).
+    /// row.
     work: Vec<T>,
     /// Gathered U block of the updater being applied (w_s × w_target).
     ub: Vec<T>,
@@ -251,33 +212,8 @@ impl<T: Scalar> Scratch<T> {
     }
 }
 
-/// Raw pointer wrapper the fixed-slot dispatch shares across workers. Each
-/// worker only dereferences indices its task partition owns, so the
-/// aliasing is disjoint by construction (same idiom as the threaded GEMM's
-/// tile writers).
-struct SendPtr<T>(*mut T);
-
-impl<T> SendPtr<T> {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `Sync` wrapper, not the raw pointer field.
-    fn get(self) -> *mut T {
-        self.0
-    }
-}
-
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-/// Shared numeric-replay context: the recorded pattern (shared slices) and
-/// the output arrays (raw pointers, disjointly written per task). One
-/// `Ctx` serves both the serial walk and every pool worker, so the serial
-/// and parallel paths run literally the same code.
+/// Numeric-replay context: the recorded pattern and `A`'s values
+/// (shared) plus the factor arrays and dense blocks the replay writes.
 struct Ctx<'a, T: Scalar> {
     q: &'a [usize],
     p: &'a [usize],
@@ -289,41 +225,10 @@ struct Ctx<'a, T: Scalar> {
     a_colptr: &'a [usize],
     a_rows: &'a [usize],
     a_vals: &'a [T],
-    l_vals: SendPtr<T>,
-    u_vals: SendPtr<T>,
-    inv_diag: SendPtr<T>,
-    blocks: SendPtr<Block<T>>,
-}
-
-impl<T: Scalar> Ctx<'_, T> {
-    /// # Safety
-    /// `t` must be in-bounds for `l_vals`, and no other thread may be
-    /// writing slot `t` (guaranteed by the disjoint task partition).
-    #[inline(always)]
-    unsafe fn lval(&self, t: usize) -> T {
-        *self.l_vals.0.add(t)
-    }
-    #[inline(always)]
-    unsafe fn set_lval(&self, t: usize, v: T) {
-        *self.l_vals.0.add(t) = v;
-    }
-    #[inline(always)]
-    unsafe fn set_uval(&self, t: usize, v: T) {
-        *self.u_vals.0.add(t) = v;
-    }
-    #[inline(always)]
-    unsafe fn set_inv_diag(&self, k: usize, v: T) {
-        *self.inv_diag.0.add(k) = v;
-    }
-    /// # Safety
-    /// `s` must be in-bounds and the supernode's blocks must be owned by
-    /// the calling task (its own supernode or a descendant), or the call
-    /// must happen outside `pool::run` (spine / serial walk).
-    #[allow(clippy::mut_from_ref)]
-    #[inline(always)]
-    unsafe fn block_mut(&self, s: usize) -> &mut Block<T> {
-        &mut *self.blocks.0.add(s)
-    }
+    l_vals: &'a mut [T],
+    u_vals: &'a mut [T],
+    inv_diag: &'a mut [T],
+    blocks: &'a mut [Block<T>],
 }
 
 /// The supernodal execution plan plus all numeric scratch. Built once per
@@ -383,31 +288,18 @@ pub(crate) struct Supernodal<T: Scalar> {
     /// reads).
     nfill_ptr: Vec<u32>,
     nfill_idx: Vec<u32>,
-    /// Estimated dense-block flops per numeric replay (telemetry and the
-    /// parallel-dispatch gate).
+    /// Estimated dense-block flops per numeric replay (telemetry).
     block_flops: u64,
     /// Supernodes of width ≥ 2 (telemetry / dispatch statistics).
     pub(crate) wide_supernodes: u64,
     /// Largest panel area, for sizing the working buffers once.
     max_panel: usize,
 
-    // ---- etree task partition (deterministic parallel replay) ----
-    /// Independent subtree tasks over the supernode elimination forest:
-    /// task `t` owns supernodes `task_sn[task_ptr[t]..task_ptr[t + 1]]`,
-    /// ascending within the task. Every dependency of a task member is a
-    /// task member (subtree closure), so tasks replay concurrently with
-    /// no cross-task reads.
-    task_ptr: Vec<u32>,
-    task_sn: Vec<u32>,
-    /// Top-of-tree supernodes (subtree flops above the chunk target),
-    /// ascending; replayed serially after the task barrier.
-    spine: Vec<u32>,
-
     // ---- numeric storage ----
     /// Dense L blocks per supernode (see [`Block`]).
     blocks: Vec<Block<T>>,
-    /// Per-worker scratch; slot 0 always exists once the plan is built.
-    scratch: Vec<Scratch<T>>,
+    /// Replay scratch, sized when the plan is finished.
+    scratch: Scratch<T>,
 }
 
 impl<T: Scalar> Supernodal<T> {
@@ -475,12 +367,6 @@ impl<T: Scalar> Supernodal<T> {
 
     fn num_supernodes(&self) -> usize {
         self.sn_ptr.len().saturating_sub(1)
-    }
-
-    /// Independent subtree tasks in the etree partition (0 until the plan
-    /// is finished).
-    pub(crate) fn num_tasks(&self) -> usize {
-        self.task_ptr.len().saturating_sub(1)
     }
 
     fn width(&self, s: usize) -> usize {
@@ -577,8 +463,8 @@ impl<T: Scalar> Supernodal<T> {
     }
 
     /// Builds the target-side structures (U rows, wide-updater lists, panel
-    /// storage, flop estimate, etree task partition) once the partition is
-    /// fixed and the blocked path is selected. Narrow supernodes get empty
+    /// storage, flop estimate) once the partition is fixed and the blocked
+    /// path is selected. Narrow supernodes get empty
     /// segments — they never form panels.
     fn finish_structures(&mut self, lu: &SparseLuT<T>) {
         let nsn = self.num_supernodes();
@@ -593,10 +479,6 @@ impl<T: Scalar> Supernodal<T> {
         // (`u32::MAX` = not a panel row). Built and cleared per panel.
         let mut pos_step = vec![u32::MAX; n];
         let mut flops = 0u64;
-        // Per-supernode flop estimate, feeding the etree task partition:
-        // dense-panel arithmetic for the wide ones, the scalar replay
-        // estimate for the narrow ones.
-        let mut sn_flops = vec![0u64; nsn];
         // Total panel columns this supernode retires through GEMM-sized
         // batch TRSMs — when that reaches the supernode's own width, the
         // O(w³/6) explicit inverse of its unit-lower block pays for itself
@@ -606,14 +488,6 @@ impl<T: Scalar> Supernodal<T> {
             let (s0, s1) = (self.sn_ptr[s] as usize, self.sn_ptr[s + 1] as usize);
             let w = s1 - s0;
             if w < T::PANEL_MIN_WIDTH {
-                let mut sf = 0u64;
-                for k in s0..s1 {
-                    for t in lu.u_colptr[k]..lu.u_colptr[k + 1] {
-                        let step = lu.u_rows[t] as usize;
-                        sf += 1 + 2 * (lu.l_colptr[step + 1] - lu.l_colptr[step]) as u64;
-                    }
-                }
-                sn_flops[s] = sf;
                 self.u_ptr.push(self.u_rows.len() as u32);
                 self.up_ptr.push(self.up_ids.len() as u32);
                 self.store_ptr.push(self.store_idx.len() as u32);
@@ -663,7 +537,6 @@ impl<T: Scalar> Supernodal<T> {
             }
             // Per-updater index maps + flop estimate: TRSM + GEMM per wide
             // updater, plus the dense right-looking panel factor.
-            let mut sf = 0u64;
             for t in up_before..self.up_ids.len() {
                 let us = self.up_ids[t] as usize;
                 let (t0, t1) = (self.sn_ptr[us] as usize, self.sn_ptr[us + 1] as usize);
@@ -688,14 +561,12 @@ impl<T: Scalar> Supernodal<T> {
                 let wc = self.pc_idx.len() - *self.pc_ptr.last().unwrap() as usize;
                 self.pc_ptr.push(self.pc_idx.len() as u32);
                 let bs = (self.b_ptr[us + 1] - self.b_ptr[us]) as usize;
-                sf += (ws * ws * wc + 2 * bs * ws * wc) as u64;
+                flops += (ws * ws * wc + 2 * bs * ws * wc) as u64;
                 if 2 * ws * ws * wc >= GEMM_MIN_FLOPS {
                     linv_wc[us] += wc as u64;
                 }
             }
-            sf += (w * w * (blen + w)) as u64;
-            sn_flops[s] = sf;
-            flops += sf;
+            flops += (w * w * (blen + w)) as u64;
             // Scatter-order map from panel rows into the recorded factor
             // arrays.
             for k in s0..s1 {
@@ -720,7 +591,6 @@ impl<T: Scalar> Supernodal<T> {
             }
         }
         self.block_flops = flops;
-        self.build_task_partition(lu, &sn_flops);
         // Dense value storage: every supernode some panel reads (and every
         // panel) gets a unit-lower diagonal block (diagonal fixed once
         // here, strict upper left at exact zero) and a sub-diagonal panel.
@@ -785,108 +655,12 @@ impl<T: Scalar> Supernodal<T> {
             }
             self.nfill_ptr.push(self.nfill_idx.len() as u32);
         }
-        self.scratch = vec![Scratch::new(n, self.max_panel)];
-    }
-
-    /// Partitions the postordered supernodes into independent subtree
-    /// tasks plus the sequential spine.
-    ///
-    /// The supernode elimination forest comes from Liu's construction with
-    /// ancestor path compression: every dependency edge (a recorded U row
-    /// of supernode `s` owned by an earlier supernode `d`) makes `s` an
-    /// ancestor of `d`, so everything a supernode reads during the replay
-    /// lives in its subtree. Subtree flop totals are monotone along parent
-    /// paths, which makes the classification a partition: a supernode
-    /// whose subtree fits under the chunk target belongs to exactly one
-    /// maximal such subtree (a task); everything above the target is
-    /// spine.
-    fn build_task_partition(&mut self, lu: &SparseLuT<T>, sn_flops: &[u64]) {
-        let nsn = self.num_supernodes();
-        let mut parent = vec![u32::MAX; nsn];
-        let mut anc = vec![u32::MAX; nsn];
-        for s in 0..nsn {
-            let (s0, s1) = (self.sn_ptr[s] as usize, self.sn_ptr[s + 1] as usize);
-            for k in s0..s1 {
-                for t in lu.u_colptr[k]..lu.u_colptr[k + 1] {
-                    let mut r = self.col_sn[lu.u_rows[t] as usize] as usize;
-                    while r != s && anc[r] != u32::MAX {
-                        let nx = anc[r] as usize;
-                        anc[r] = s as u32;
-                        r = nx;
-                    }
-                    if r != s {
-                        anc[r] = s as u32;
-                        parent[r] = s as u32;
-                    }
-                }
-            }
-        }
-        // Subtree flop totals (parents always follow children in the
-        // postorder, so one ascending accumulation suffices).
-        let mut subfl: Vec<u64> = sn_flops.to_vec();
-        for s in 0..nsn {
-            if parent[s] != u32::MAX {
-                subfl[parent[s] as usize] += subfl[s];
-            }
-        }
-        let total: u64 = sn_flops.iter().sum();
-        let chunk = (total / TASK_TARGET).max(TASK_MIN_FLOPS);
-        let mut is_root = vec![false; nsn];
-        self.spine.clear();
-        for s in 0..nsn {
-            if subfl[s] > chunk {
-                self.spine.push(s as u32);
-            } else if parent[s] == u32::MAX || subfl[parent[s] as usize] > chunk {
-                is_root[s] = true;
-            }
-        }
-        // Children adjacency, then one DFS per task root collecting its
-        // subtree (all of it fits under the chunk by monotonicity). The
-        // members are sorted ascending — subtrees are not contiguous step
-        // ranges, but ascending order preserves the serial dependency
-        // order inside the task.
-        let mut ch_ptr = vec![0u32; nsn + 1];
-        for s in 0..nsn {
-            if parent[s] != u32::MAX {
-                ch_ptr[parent[s] as usize + 1] += 1;
-            }
-        }
-        for i in 0..nsn {
-            ch_ptr[i + 1] += ch_ptr[i];
-        }
-        let mut ch_idx = vec![0u32; *ch_ptr.last().unwrap_or(&0) as usize];
-        let mut cursor = ch_ptr.clone();
-        for s in 0..nsn {
-            if parent[s] != u32::MAX {
-                let p = parent[s] as usize;
-                ch_idx[cursor[p] as usize] = s as u32;
-                cursor[p] += 1;
-            }
-        }
-        self.task_ptr.clear();
-        self.task_ptr.push(0);
-        self.task_sn.clear();
-        let mut stack: Vec<u32> = Vec::new();
-        for s in 0..nsn {
-            if !is_root[s] {
-                continue;
-            }
-            let before = self.task_sn.len();
-            stack.push(s as u32);
-            while let Some(x) = stack.pop() {
-                self.task_sn.push(x);
-                let (c0, c1) = (ch_ptr[x as usize] as usize, ch_ptr[x as usize + 1] as usize);
-                stack.extend_from_slice(&ch_idx[c0..c1]);
-            }
-            self.task_sn[before..].sort_unstable();
-            self.task_ptr.push(self.task_sn.len() as u32);
-        }
+        self.scratch = Scratch::new(n, self.max_panel);
     }
 
     /// Hybrid numeric replay of new values through the blocked plan (see
-    /// the module docs for the shape), dispatching the etree task
-    /// partition over the shared pool when the thread budget and the flop
-    /// gate allow.
+    /// the module docs for the shape): one ascending walk over the
+    /// supernodes.
     ///
     /// # Errors
     ///
@@ -897,55 +671,31 @@ impl<T: Scalar> Supernodal<T> {
         lu: &mut SparseLuT<T>,
         a: &CscT<T>,
     ) -> Result<(), FactorError> {
-        let ntasks = self.num_tasks();
-        let mut threads = pool::gemm_threads().min(ntasks);
-        if ntasks < 2 || self.block_flops.saturating_mul(T::FLOP_WEIGHT as u64) < PAR_MIN_FLOPS {
-            threads = 1;
-        }
-        self.refactor_threads(lu, a, threads)
-    }
-
-    /// [`Supernodal::refactor`] with the worker count pinned (the direct
-    /// entry point of the determinism tests; `threads <= 1` is the serial
-    /// walk).
-    pub(crate) fn refactor_threads(
-        &mut self,
-        lu: &mut SparseLuT<T>,
-        a: &CscT<T>,
-        threads: usize,
-    ) -> Result<(), FactorError> {
         lu.factored = false;
-        let threads = threads.clamp(1, self.num_tasks().max(1));
-        while self.scratch.len() < threads {
-            self.scratch.push(Scratch::new(lu.n, self.max_panel));
-        }
-        // The replay works through raw output pointers shared by every
-        // worker (disjoint writes per task), so the blocks and per-slot
-        // scratch move out of `self` for its duration — `self` stays a
-        // shared read-only plan.
+        // The blocks and scratch move out of `self` for the walk, so the
+        // plan stays a shared read-only borrow beside them.
         let mut blocks = std::mem::take(&mut self.blocks);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let res = {
-            let ctx = Ctx {
-                q: &lu.q,
-                p: &lu.p,
-                l_colptr: &lu.l_colptr,
-                l_rows: &lu.l_rows,
-                u_colptr: &lu.u_colptr,
-                u_rows: &lu.u_rows,
-                u_orig: &lu.u_orig,
-                a_colptr: &a.col_ptr,
-                a_rows: &a.row_idx,
-                a_vals: &a.values,
-                l_vals: SendPtr(lu.l_vals.as_mut_ptr()),
-                u_vals: SendPtr(lu.u_vals.as_mut_ptr()),
-                inv_diag: SendPtr(lu.inv_diag.as_mut_ptr()),
-                blocks: SendPtr(blocks.as_mut_ptr()),
-            };
-            self.replay(&ctx, &mut scratch, threads)
+        let mut scr = std::mem::take(&mut self.scratch);
+        let mut ctx = Ctx {
+            q: &lu.q,
+            p: &lu.p,
+            l_colptr: &lu.l_colptr,
+            l_rows: &lu.l_rows,
+            u_colptr: &lu.u_colptr,
+            u_rows: &lu.u_rows,
+            u_orig: &lu.u_orig,
+            a_colptr: &a.col_ptr,
+            a_rows: &a.row_idx,
+            a_vals: &a.values,
+            l_vals: &mut lu.l_vals,
+            u_vals: &mut lu.u_vals,
+            inv_diag: &mut lu.inv_diag,
+            blocks: &mut blocks,
         };
+        let res = (0..self.num_supernodes())
+            .try_for_each(|s| self.process_supernode(&mut ctx, &mut scr, s));
         self.blocks = blocks;
-        self.scratch = scratch;
+        self.scratch = scr;
         if res.is_ok() {
             telemetry::record(telemetry::Metric::SparseBlockFlops, self.block_flops);
             lu.factored = true;
@@ -953,74 +703,14 @@ impl<T: Scalar> Supernodal<T> {
         res
     }
 
-    /// Walks the plan: serial ascending when `threads <= 1`, otherwise the
-    /// fixed-slot task dispatch followed by the serial spine.
-    fn replay(
-        &self,
-        ctx: &Ctx<'_, T>,
-        scratch: &mut [Scratch<T>],
-        threads: usize,
-    ) -> Result<(), FactorError> {
-        if threads <= 1 {
-            let scr = &mut scratch[0];
-            for s in 0..self.num_supernodes() {
-                self.process_supernode(ctx, scr, s)?;
-            }
-            return Ok(());
-        }
-        let ntasks = self.num_tasks();
-        // Per-slot first-failure records, written through the same
-        // disjoint-pointer pattern as the factor arrays.
-        let mut errs: Vec<Option<usize>> = vec![None; threads];
-        let errp = SendPtr(errs.as_mut_ptr());
-        let scrp = SendPtr(scratch.as_mut_ptr());
-        pool::run(threads, &move |slot| {
-            // Each slot owns tasks slot, slot + threads, … — a pure
-            // function of the plan and the thread count, no stealing.
-            let scr = unsafe { &mut *scrp.get().add(slot) };
-            let mut first: Option<usize> = None;
-            let mut ti = slot;
-            while ti < ntasks {
-                let (t0, t1) = (self.task_ptr[ti] as usize, self.task_ptr[ti + 1] as usize);
-                for &sid in &self.task_sn[t0..t1] {
-                    if let Err(err) = self.process_supernode(ctx, scr, sid as usize) {
-                        let pivot = match err {
-                            FactorError::Singular { pivot } => pivot,
-                            _ => 0,
-                        };
-                        first = Some(first.map_or(pivot, |f| f.min(pivot)));
-                        // A failed pivot poisons only this subtree; the
-                        // slot's remaining (independent) tasks still run
-                        // so the minimum failing pivot is exact.
-                        break;
-                    }
-                }
-                ti += threads;
-            }
-            unsafe {
-                *errp.get().add(slot) = first;
-            }
-        });
-        telemetry::record(telemetry::Metric::SparseParallelReplays, threads as u64);
-        if let Some(&pivot) = errs.iter().flatten().min() {
-            // The minimum over per-task first failures is the pivot the
-            // serial walk trips on first: every task computes its columns
-            // with arithmetic identical to serial, and no task can fail
-            // at a column the serial walk passed.
-            return Err(FactorError::Singular { pivot });
-        }
-        let scr = &mut scratch[0];
-        for &s in &self.spine {
-            self.process_supernode(ctx, scr, s as usize)?;
-        }
-        Ok(())
-    }
-
     /// Replays one supernode: scalar columns + dense mirror for the narrow
-    /// ones, the blocked panel for the wide ones.
+    /// ones, the blocked panel for the wide ones. Kept out of line: inlined
+    /// into its one caller, the whole replay measured 4–7% slower on the
+    /// mesh refactor rows.
+    #[inline(never)]
     fn process_supernode(
         &self,
-        ctx: &Ctx<'_, T>,
+        ctx: &mut Ctx<'_, T>,
         scr: &mut Scratch<T>,
         s: usize,
     ) -> Result<(), FactorError> {
@@ -1039,29 +729,28 @@ impl<T: Scalar> Supernodal<T> {
     /// One column of the scalar Gilbert–Peierls replay — identical
     /// arithmetic, in the identical order, to
     /// [`SparseLuT::refactor_into`]'s loop body (bit-compatibility between
-    /// the paths depends on it). `work` is the slot's dense accumulator,
+    /// the paths depends on it). `work` is the replay's dense accumulator,
     /// all-zero on entry and on exit (success or pivot collapse): every
     /// entry is zeroed as it is read, exactly like the scalar replay.
     #[inline]
-    fn scalar_column(ctx: &Ctx<'_, T>, work: &mut [T], k: usize) -> Result<(), FactorError> {
-        // SAFETY (every `ctx` factor accessor below): the slots come from
-        // the recorded column pointers, so they are in bounds, and column
-        // `k` and the columns its U rows name lie in the calling task's
-        // subtree (disjoint task partition), so no other thread writes
-        // them.
+    fn scalar_column(ctx: &mut Ctx<'_, T>, work: &mut [T], k: usize) -> Result<(), FactorError> {
         let col = ctx.q[k];
         let (a0, a1) = (ctx.a_colptr[col], ctx.a_colptr[col + 1]);
         for (&r, &v) in ctx.a_rows[a0..a1].iter().zip(&ctx.a_vals[a0..a1]) {
             work[r] += v;
         }
-        for t in ctx.u_colptr[k]..ctx.u_colptr[k + 1] {
-            let ux = std::mem::replace(&mut work[ctx.u_orig[t] as usize], T::ZERO);
-            unsafe { ctx.set_uval(t, ux) };
+        let (u0, u1) = (ctx.u_colptr[k], ctx.u_colptr[k + 1]);
+        for ((&step, &r), uv) in ctx.u_rows[u0..u1]
+            .iter()
+            .zip(&ctx.u_orig[u0..u1])
+            .zip(&mut ctx.u_vals[u0..u1])
+        {
+            let ux = std::mem::replace(&mut work[r as usize], T::ZERO);
+            *uv = ux;
             if ux != T::ZERO {
-                let step = ctx.u_rows[t] as usize;
-                for s in ctx.l_colptr[step]..ctx.l_colptr[step + 1] {
-                    let lv = unsafe { ctx.lval(s) };
-                    work[ctx.l_rows[s] as usize] -= ux * lv;
+                let (s0, s1) = (ctx.l_colptr[step as usize], ctx.l_colptr[step as usize + 1]);
+                for (&lr, &lv) in ctx.l_rows[s0..s1].iter().zip(&ctx.l_vals[s0..s1]) {
+                    work[lr as usize] -= ux * lv;
                 }
             }
         }
@@ -1074,16 +763,20 @@ impl<T: Scalar> Supernodal<T> {
             return Err(FactorError::Singular { pivot: k });
         }
         let inv = diag.recip();
-        unsafe { ctx.set_inv_diag(k, inv) };
-        for (t, &r) in (l0..l1).zip(&ctx.l_rows[l0..l1]) {
-            let v = std::mem::replace(&mut work[r as usize], T::ZERO);
-            unsafe { ctx.set_lval(t, v * inv) };
+        ctx.inv_diag[k] = inv;
+        for (&r, lv) in ctx.l_rows[l0..l1].iter().zip(&mut ctx.l_vals[l0..l1]) {
+            *lv = std::mem::replace(&mut work[r as usize], T::ZERO) * inv;
         }
         Ok(())
     }
 
     /// Processes one wide supernode through its dense panel.
-    fn panel(&self, ctx: &Ctx<'_, T>, scr: &mut Scratch<T>, s: usize) -> Result<(), FactorError> {
+    fn panel(
+        &self,
+        ctx: &mut Ctx<'_, T>,
+        scr: &mut Scratch<T>,
+        s: usize,
+    ) -> Result<(), FactorError> {
         let (s0, s1) = (self.sn_ptr[s] as usize, self.sn_ptr[s + 1] as usize);
         let w = s1 - s0;
         let (ub0, ub1) = (self.u_ptr[s] as usize, self.u_ptr[s + 1] as usize);
@@ -1118,7 +811,7 @@ impl<T: Scalar> Supernodal<T> {
         // panel, in ascending pivotal order, as a dense batch.
         for t in self.up_ptr[s] as usize..self.up_ptr[s + 1] as usize {
             let us = self.up_ids[t] as usize;
-            self.batch_wide(ctx, scr, s, nr, us, t);
+            self.batch_wide(&mut ctx.blocks[us], scr, s, nr, us, t);
         }
         // Dense blocked right-looking factor of the panel's trapezoid:
         // factor `Scalar::PANEL_NB`-column blocks with rank-1 updates kept
@@ -1138,7 +831,7 @@ impl<T: Scalar> Supernodal<T> {
                     return Err(FactorError::Singular { pivot: s0 + jj });
                 }
                 let inv = diag.recip();
-                unsafe { ctx.set_inv_diag(s0 + jj, inv) };
+                ctx.inv_diag[s0 + jj] = inv;
                 for r in jj * nr + dr + 1..(jj + 1) * nr {
                     wbuf[r] = wbuf[r] * inv;
                 }
@@ -1230,11 +923,9 @@ impl<T: Scalar> Supernodal<T> {
             jb = tc;
         }
         let wbuf = &scr.w[..nr * w];
-        // Store the supernode's blocks for later batch updates (the blocks
-        // of `s` belong to this task — or to the serial walk — so the
-        // exclusive access is safe).
+        // Store the supernode's blocks for later batch updates.
         {
-            let blk = unsafe { ctx.block_mut(s) };
+            let blk = &mut ctx.blocks[s];
             for cc in 0..w {
                 let wcol = &wbuf[cc * nr..(cc + 1) * nr];
                 for rr in cc + 1..w {
@@ -1258,11 +949,11 @@ impl<T: Scalar> Supernodal<T> {
             let k = s0 + jj;
             let wcol = &wbuf[jj * nr..(jj + 1) * nr];
             for t in ctx.u_colptr[k]..ctx.u_colptr[k + 1] {
-                unsafe { ctx.set_uval(t, wcol[self.store_idx[si] as usize]) };
+                ctx.u_vals[t] = wcol[self.store_idx[si] as usize];
                 si += 1;
             }
             for t in ctx.l_colptr[k]..ctx.l_colptr[k + 1] {
-                unsafe { ctx.set_lval(t, wcol[self.store_idx[si] as usize]) };
+                ctx.l_vals[t] = wcol[self.store_idx[si] as usize];
                 si += 1;
             }
         }
@@ -1290,20 +981,20 @@ impl<T: Scalar> Supernodal<T> {
     /// Mirrors a just-computed narrow supernode's recorded L values into
     /// its dense `ldiag`/`lbelow` blocks through the precomputed `nfill`
     /// scatter map, so later panels can batch it like any wide updater.
-    fn fill_narrow(&self, ctx: &Ctx<'_, T>, s: usize) {
+    fn fill_narrow(&self, ctx: &mut Ctx<'_, T>, s: usize) {
         let (f0, f1) = (self.nfill_ptr[s] as usize, self.nfill_ptr[s + 1] as usize);
         if f0 == f1 {
             return;
         }
         let (s0, s1) = (self.sn_ptr[s] as usize, self.sn_ptr[s + 1] as usize);
         let sq = (s1 - s0) * (s1 - s0);
-        let blk = unsafe { ctx.block_mut(s) };
+        let blk = &mut ctx.blocks[s];
         let mut fi = f0;
         for k in s0..s1 {
             for t in ctx.l_colptr[k]..ctx.l_colptr[k + 1] {
                 let dest = self.nfill_idx[fi] as usize;
                 fi += 1;
-                let v = unsafe { ctx.lval(t) };
+                let v = ctx.l_vals[t];
                 if dest < sq {
                     blk.ldiag[dest] = v;
                 } else {
@@ -1315,7 +1006,8 @@ impl<T: Scalar> Supernodal<T> {
         T::split_planes(blk.lbelow.len() / w, w, &blk.lbelow, &mut blk.planes);
     }
 
-    /// Applies updater supernode `us` to panel supernode `s` as a batch:
+    /// Applies updater supernode `us` (dense blocks `blk`) to panel
+    /// supernode `s` as a batch:
     /// gather the U block, finalize it with a unit-lower TRSM against the
     /// updater's diagonal block, write it back, then subtract the product
     /// of the updater's sub-diagonal block with it. `pair` indexes the
@@ -1326,7 +1018,7 @@ impl<T: Scalar> Supernodal<T> {
     #[inline]
     fn batch_wide(
         &self,
-        ctx: &Ctx<'_, T>,
+        blk: &mut Block<T>,
         scr: &mut Scratch<T>,
         s: usize,
         nr: usize,
@@ -1352,7 +1044,6 @@ impl<T: Scalar> Supernodal<T> {
             }
             let wbuf = &mut scr.w[..nr * w];
             let pu = ub_map[0] as usize;
-            let blk = unsafe { ctx.block_mut(us) };
             let trow = &mut scr.trow[..wc];
             for (ci, v) in trow.iter_mut().enumerate() {
                 *v = wbuf[cols[ci] as usize * nr + pu];
@@ -1390,7 +1081,6 @@ impl<T: Scalar> Supernodal<T> {
         // like the panel factor — scalar solves on `Scalar::PANEL_NB`-row
         // blocks, the rows below each block retired through one gemm
         // product.
-        let blk = unsafe { ctx.block_mut(us) };
         if !blk.linv.is_empty() && 2 * ws * ws * wc >= GEMM_MIN_FLOPS {
             T::gemm_nn_planes(
                 ws,
@@ -1474,10 +1164,8 @@ impl<T: Scalar> Supernodal<T> {
         }
         if 2 * blen * ws * wc >= GEMM_MIN_FLOPS {
             // Dense trailing blocks: the packed micro-kernel wins. The
-            // updater's `lbelow` is task-local (a descendant in this
-            // task's subtree, or the spine running alone), so the `&mut`
-            // the gemm hook needs is exclusive; its contents are
-            // unchanged on return. The cached planes were refreshed when
+            // gemm hook borrows the updater's `lbelow` mutably but leaves
+            // its contents unchanged on return. The cached planes were refreshed when
             // the updater's values landed (skipping the complex path's
             // per-call split of the dominant `blen×ws` operand), and the
             // hook merges the product directly into the mapped panel
@@ -1538,9 +1226,9 @@ impl<T: Scalar> Supernodal<T> {
 }
 
 #[cfg(test)]
-mod probe {
+mod tests {
     use super::*;
-    use crate::{CscMatrix, Matrix, SparseLu};
+    use crate::{CscComplexMatrix, CscMatrix, Matrix, SparseComplexLu, SparseLu, C64};
 
     fn grid_matrix(rows: usize, cols: usize) -> CscMatrix {
         let n = rows * cols;
@@ -1629,86 +1317,98 @@ mod probe {
         );
     }
 
-    /// The etree partition is a true partition (tasks ∪ spine covers every
-    /// supernode exactly once) and tasks are dependency-closed: every
-    /// supernode a task member reads belongs to the same task.
-    #[test]
-    fn etree_partition_covers_supernodes_and_closes_deps() {
-        let a = grid_matrix(23, 23);
-        let mut lu = SparseLu::new();
-        lu.set_supernodal_mode(SupernodalMode::ForceBlocked);
-        lu.factor(&a).unwrap();
-        let sn = lu.supernodal.as_ref().unwrap();
-        let nsn = sn.num_supernodes();
-        assert!(sn.num_tasks() >= 2, "mesh plan must split into tasks");
-        let mut seen = vec![0usize; nsn];
-        let mut task_of = vec![usize::MAX; nsn];
-        for ti in 0..sn.num_tasks() {
-            for i in sn.task_ptr[ti] as usize..sn.task_ptr[ti + 1] as usize {
-                let s = sn.task_sn[i] as usize;
-                seen[s] += 1;
-                task_of[s] = ti;
-            }
+    /// FNV-1a over the bit patterns of a solution, for exact comparisons
+    /// (`==` on values would equate `0.0` with `-0.0`).
+    fn bits_digest(bits: impl IntoIterator<Item = u64>) -> u64 {
+        bits.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// True when the GEMM kernel behind the blocked replay is the fused
+    /// multiply-add one the pinned digests were recorded with.
+    fn fma_host() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
         }
-        for &s in &sn.spine {
-            seen[s as usize] += 1;
-        }
-        assert!(
-            seen.iter().all(|&c| c == 1),
-            "tasks ∪ spine must cover each supernode exactly once"
-        );
-        for s in 0..nsn {
-            if task_of[s] == usize::MAX {
-                continue; // spine reads everything after the barrier
-            }
-            let (s0, s1) = (sn.sn_ptr[s] as usize, sn.sn_ptr[s + 1] as usize);
-            for k in s0..s1 {
-                for t in lu.u_colptr[k]..lu.u_colptr[k + 1] {
-                    let d = sn.col_sn[lu.u_rows[t] as usize] as usize;
-                    if d != s {
-                        assert_eq!(
-                            task_of[d], task_of[s],
-                            "dependency {d} of task supernode {s} crosses tasks"
-                        );
-                    }
-                }
-            }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
         }
     }
 
-    /// Parallel replay contract: the factors produced with 2 and 4 workers
-    /// are bitwise identical to the serial walk on a refactor with new
-    /// values.
+    /// The blocked replay's bits, pinned: a `ForceBlocked` factor, a
+    /// refactor on perturbed values and a solve on a 500-unknown mesh,
+    /// real (DC) and complex (one AC point, `G + jωC` with grounded
+    /// capacitors). Any change to the replay's arithmetic or its order
+    /// moves a digest. The digests hold on x86-64 hosts with AVX2+FMA; the
+    /// portable micro-kernel rounds differently.
     #[test]
-    fn parallel_replay_is_bit_identical_to_serial() {
-        let a = grid_matrix(30, 30);
-        let mut lu = SparseLu::new();
-        lu.set_supernodal_mode(SupernodalMode::ForceBlocked);
-        lu.factor(&a).unwrap();
-        assert!(lu.supernodal_active());
-        let mut a2 = a.clone();
-        for (i, v) in a2.values_mut().iter_mut().enumerate() {
+    fn blocked_replay_bits_are_pinned() {
+        let g = grid_matrix(20, 25);
+        let n = g.n;
+        let mut g2 = g.clone();
+        for (i, v) in g2.values_mut().iter_mut().enumerate() {
             *v *= 1.0 + (i % 7) as f64 * 1e-3;
         }
-        let mut serial = lu.clone();
-        let mut sn = serial.supernodal.take().unwrap();
-        sn.refactor_threads(&mut serial, &a2, 1).unwrap();
-        serial.supernodal = Some(sn);
-        for threads in [2usize, 4] {
-            let mut par = lu.clone();
-            let mut sn = par.supernodal.take().unwrap();
-            assert!(sn.num_tasks() >= 2);
-            sn.refactor_threads(&mut par, &a2, threads).unwrap();
-            par.supernodal = Some(sn);
-            assert_eq!(serial.l_vals, par.l_vals, "L ({threads} threads)");
-            assert_eq!(serial.u_vals, par.u_vals, "U ({threads} threads)");
-            assert_eq!(serial.inv_diag, par.inv_diag, "pivots ({threads} threads)");
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let mut lu = SparseLu::new();
+        lu.set_supernodal_mode(SupernodalMode::ForceBlocked);
+        lu.factor(&g).unwrap();
+        assert!(lu.wide_supernodes() > 0, "mesh produced no dense panels");
+        lu.refactor_into(&g2).unwrap();
+        let mut x = Vec::new();
+        lu.solve_into(&b, &mut x).unwrap();
+        let dc = bits_digest(x.iter().map(|v| v.to_bits()));
+
+        let ac_rows = |g: &CscMatrix| -> Vec<Vec<C64>> {
+            let dense = g.to_dense();
+            (0..n)
+                .map(|i| {
+                    (0..n)
+                        .map(|j| {
+                            let wc = if i == j {
+                                0.2 + 0.01 * (i % 5) as f64
+                            } else {
+                                0.0
+                            };
+                            C64::new(dense[(i, j)], wc)
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let (a, a2) = (
+            CscComplexMatrix::from_dense_rows(&ac_rows(&g)),
+            CscComplexMatrix::from_dense_rows(&ac_rows(&g2)),
+        );
+        let z: Vec<C64> = b.iter().map(|&v| C64::new(v, 0.5 * v)).collect();
+        let mut clu = SparseComplexLu::new();
+        clu.set_supernodal_mode(SupernodalMode::ForceBlocked);
+        clu.factor(&a).unwrap();
+        assert!(clu.supernodal_active());
+        clu.refactor_into(&a2).unwrap();
+        let mut xc = Vec::new();
+        clu.solve_into(&z, &mut xc).unwrap();
+        let ac = bits_digest(xc.iter().flat_map(|v| [v.re.to_bits(), v.im.to_bits()]));
+
+        if fma_host() {
+            assert_eq!(
+                dc, 0x91e2_2dfd_e892_1ab8,
+                "DC solution bits moved: {dc:#018x}"
+            );
+            assert_eq!(
+                ac, 0x1250_cdbc_1c8a_d493,
+                "AC solution bits moved: {ac:#018x}"
+            );
         }
     }
 
     /// Diagnostic (run with `--ignored --nocapture`): supernode width
-    /// histogram, the flop share carried by panel columns, and the task
-    /// partition on grid Laplacians — the statistics the dispatch
+    /// histogram and the flop share carried by panel columns on grid
+    /// Laplacians — the statistics the dispatch
     /// thresholds were tuned against.
     #[test]
     #[ignore]
@@ -1738,12 +1438,9 @@ mod probe {
                 }
             }
             eprintln!(
-                "n={n}: {nsn} supernodes ({} wide), {} tasks + {} spine, \
+                "n={n}: {nsn} supernodes ({} wide), \
                  panel-col flops {panel}/{total}, plan_flops={}, widths {hist:?}",
-                sn.wide_supernodes,
-                sn.num_tasks(),
-                sn.spine.len(),
-                sn.block_flops
+                sn.wide_supernodes, sn.block_flops
             );
         }
     }

@@ -24,11 +24,10 @@
 //! The worker count defaults to the machine's available parallelism,
 //! clamped by the `DNNOPT_THREADS` environment variable and overridable
 //! programmatically with [`set_max_threads`] (used by the determinism
-//! tests to compare serial and parallel runs). The cap is shared with the
-//! threaded GEMM path: while a fan-out from this module is in flight it
-//! holds a [`linalg::pool::grid_scope`] guard, so any GEMM issued from
-//! inside a worker runs serial instead of oversubscribing the host (the
-//! two-level thread budget — see [`linalg::pool`]).
+//! tests to compare serial and parallel runs). This grid is the
+//! workspace's only parallel layer: the kernels a unit runs — sparse and
+//! dense solves, GEMM — are serial, so a fan-out never oversubscribes the
+//! host.
 //!
 //! [`par_map_with`] additionally gives every worker thread a private
 //! context that lives for its whole share of the batch.
@@ -41,7 +40,7 @@
 //! a batch is in flight, shared across batches afterwards — without ever
 //! affecting results (enforced by `tests/parallel_determinism.rs`).
 
-// The budget lives in `linalg::pool` so the GEMM layer can see it too;
+// The budget lives in `linalg::pool` beside the workers it sizes;
 // re-exported here because the optimizer-facing API has always been
 // `opt::parallel::{set_max_threads, max_threads}`.
 pub use linalg::pool::{max_threads, set_max_threads};
@@ -60,9 +59,9 @@ pub fn candidate_seed(seed: u64, round: u64, index: u64) -> u64 {
 }
 
 /// Applies `f` to every item, in parallel when it pays off, returning the
-/// results **in input order**. Items are split into one contiguous chunk
-/// per worker; each worker maps its chunk independently, so `f` must be
-/// pure with respect to ordering (it sees only its item).
+/// results **in input order**. Items are dealt round-robin: worker `t` of
+/// `T` maps items `t, t + T, t + 2T, …`, so `f` must be pure with respect
+/// to ordering (it sees only its item).
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -73,7 +72,7 @@ where
 }
 
 /// Like [`par_map`], but with **worker-local state**: every worker thread
-/// builds one context via `init` and threads it through its whole chunk —
+/// builds one context via `init` and threads it through all its items —
 /// the hook for expensive per-thread resources (scratch buffers, counters,
 /// leased simulator workspaces) that should be reused *across candidates*
 /// instead of being rebuilt per evaluation. Returns the in-order results
@@ -146,9 +145,6 @@ where
         let out = items.iter().map(|item| catch(&mut ctx, item)).collect();
         return (out, vec![ctx]);
     }
-    // Hold the grid half of the two-level thread budget for the duration
-    // of the fan-out: GEMMs issued from inside a worker run serial.
-    let _grid = linalg::pool::grid_scope();
     // Worker `t` owns items `t, t + T, t + 2T, …` — the fixed round-robin
     // assignment. Each slot deposits its in-order partial results plus its
     // context; the mutexes are per-slot and uncontended (one writer each).

@@ -206,7 +206,11 @@ pub enum Metric {
     WorkspaceMisses,
     /// Floating-point operations per GEMM call (`2·m·n·k`).
     GemmFlops,
-    /// Worker count per threaded GEMM dispatch (recorded when > 1).
+    /// Worker count per threaded GEMM dispatch. Nothing records it any
+    /// more: GEMM runs serially on the calling thread, so the count is
+    /// always 0. It stays because the sizing-run benchmark reads it for
+    /// `linalg.gemm_threaded_calls`; removing it waits for a change to
+    /// that benchmark.
     GemmSplitWidth,
     /// Nanoseconds from pool job post to a worker picking it up.
     PoolDispatchNs,
@@ -234,13 +238,10 @@ pub enum Metric {
     /// fill for ordering time). Worth investigating when a workload
     /// triggers it systematically.
     SparseFillGuardFallbacks,
-    /// Supernodal numeric replays dispatched over the shared pool as
-    /// independent etree subtree tasks (`v` = worker count used).
-    SparseParallelReplays,
 }
 
 /// Number of [`Metric`] variants.
-pub const NUM_METRICS: usize = 19;
+pub const NUM_METRICS: usize = 18;
 
 impl Metric {
     /// Every metric, in declaration order.
@@ -263,7 +264,6 @@ impl Metric {
         Metric::SparseBlockFlops,
         Metric::SparseBlockedDispatch,
         Metric::SparseFillGuardFallbacks,
-        Metric::SparseParallelReplays,
     ];
 
     /// Stable snake_case name (JSONL field, summary row).
@@ -287,7 +287,6 @@ impl Metric {
             Metric::SparseBlockFlops => "sparse_block_flops",
             Metric::SparseBlockedDispatch => "sparse_blocked_dispatch",
             Metric::SparseFillGuardFallbacks => "sparse_fill_guard_fallbacks",
-            Metric::SparseParallelReplays => "sparse_parallel_replays",
         }
     }
 }

@@ -1,14 +1,16 @@
 //! Thread-count invariance: the whole stack — population fan-out over the
-//! shared worker pool, the hierarchical candidate×corner×analysis grid,
-//! *and* the threaded GEMM under critic/actor training — must produce
-//! bit-identical results at **any** thread count, not just serial vs "8".
+//! shared worker pool and the hierarchical candidate×corner×analysis grid
+//! — must produce bit-identical results at **any** thread count, not just
+//! serial vs "8".
 //!
 //! `tests/parallel_determinism.rs` pins serial ≡ 8-thread for the
 //! optimizer histories; this suite sweeps the awkward counts (1, 2, 7 —
-//! even splits, odd splits, more workers than work) and additionally pins
-//! the trained critic itself: two critics trained at different GEMM
-//! thread counts must agree to the last bit on every probe prediction,
-//! which can only happen if their weights are bit-identical.
+//! even splits, odd splits, more workers than work) and additionally
+//! guards the kernels below the grid: critic training and the mesh AC +
+//! noise sweep run outside any grid dispatch, and the thread count must
+//! never reach them — two critics trained at different thread counts must
+//! agree to the last bit on every probe prediction, which can only happen
+//! if their weights are bit-identical.
 
 use circuits::tech::CornerSet;
 use circuits::FoldedCascodeOta;
@@ -235,12 +237,12 @@ fn runs_are_bit_identical_at_every_thread_count() {
         }
     }
 
-    // --- The trained critic itself. Training shapes are chosen to clear
-    // the threaded-GEMM work cutoff (256×64 batches over a width-40
-    // input), so on hosts without AVX-512 the forward/backward GEMMs
-    // really run split across the pool at threads > 1; AVX-512 hosts run
-    // them on the serial small path at every thread count. Bit-identical
-    // probe predictions at every thread count ⇒ bit-identical weights.
+    // --- The trained critic itself, outside any grid dispatch. Training
+    // shapes (256×64 batches over a width-40 input) take the blocked
+    // GEMM on hosts without AVX-512 and the small path on AVX-512 hosts;
+    // both are serial, so the thread count must not reach them.
+    // Bit-identical probe predictions at every thread count ⇒
+    // bit-identical weights.
     let dim = 20;
     let n = 40;
     let mut rng = StdRng::seed_from_u64(13);
@@ -283,13 +285,12 @@ fn runs_are_bit_identical_at_every_thread_count() {
         );
     }
 
-    // --- The etree-parallel supernodal replay through the full AC + noise
-    // pipeline. The post-layout RC mesh engages the blocked complex replay
-    // (pinned via `DNNOPT_SUPERNODAL`, read when the pooled workspace
-    // first builds its solver plan), and the replay's elimination-tree
-    // task partition fans out over the shared pool at threads > 1 — the
-    // solved sweep voltages and the integrated output noise must stay
-    // bit-identical at 1 / 2 / 8 workers.
+    // --- The supernodal replay through the full AC + noise pipeline,
+    // outside any grid dispatch. The post-layout RC mesh engages the
+    // blocked complex replay (pinned via `DNNOPT_SUPERNODAL`, read when the
+    // pooled workspace first builds its solver plan), which is serial, so
+    // the solved sweep voltages and the integrated output noise must stay
+    // bit-identical at a 1 / 2 / 8 worker budget.
     std::env::set_var("DNNOPT_SUPERNODAL", "force_blocked");
     let mesh_ac_bits = |threads: usize| -> Vec<u64> {
         parallel::set_max_threads(threads);
