@@ -22,9 +22,10 @@
 //! saturation-region constraints (29 total).
 //!
 //! Measurements per evaluation: DC operating point (power, margins,
-//! swing), three AC sweeps (differential, common-mode, supply), a noise
-//! integration, and a closed-loop (gain −1) step transient for settling
-//! time and static error.
+//! swing), one AC sweep under three excitations (differential,
+//! common-mode, supply), and, on the closed-loop (gain −1) testbench, a
+//! noise integration and a step transient for settling time and static
+//! error, both from one operating point.
 
 use opt::{AnalysisSpec, SizingProblem, SpecResult};
 use spice::{Circuit, OpPoint, SimOptions, SpiceError, Waveform, GND};
@@ -597,18 +598,9 @@ impl FoldedCascodeOta {
         Ok((ckt, self.closed_outs.0, self.closed_outs.1))
     }
 
-    /// The closed-loop step transient (400 ns at a 0.5 ns base step).
-    fn step_transient(
-        &self,
-        cl: &Circuit,
-        ws: &mut spice::NewtonWorkspace,
-    ) -> Result<spice::TranResult, SpiceError> {
-        spice::transient_with_workspace(cl, &self.opts, 400e-9, 0.5e-9, ws)
-    }
-
-    /// Runs one candidate's closed-loop step transient on a pooled
-    /// workspace — the simulator work that dominates the closed-loop
-    /// analysis (benchmark hook).
+    /// Runs one candidate's closed-loop operating point and step transient
+    /// on a pooled workspace — the simulator work that dominates the
+    /// closed-loop analysis (benchmark hook).
     ///
     /// # Errors
     ///
@@ -617,7 +609,7 @@ impl FoldedCascodeOta {
     pub fn closed_loop_transient(&self, x: &[f64]) -> Result<spice::TranResult, SpiceError> {
         let (cl, _, _) = self.build_closed_loop(&OtaParams::decode(x), 0.5)?;
         let mut ws = spice::lease_workspace(&cl);
-        self.step_transient(&cl, &mut ws)
+        spice::transient_with_workspace(&cl, &self.opts, STEP_T_STOP, STEP_T_STEP, &mut ws)
     }
 
     /// Estimated differential output swing from operating-point headrooms.
@@ -633,6 +625,41 @@ impl FoldedCascodeOta {
             .unwrap_or(1.0)
             .max(op.mos_op("MN_drvR").map(|m| m.vdsat).unwrap_or(1.0));
         2.0 * (self.tech.vdd - vdsat_p - vdsat_n).max(0.0)
+    }
+}
+
+/// Closed-loop step transient window: 400 ns at a 0.5 ns base step.
+const STEP_T_STOP: f64 = 400e-9;
+/// Base step of the closed-loop step transient \[s\].
+const STEP_T_STEP: f64 = 0.5e-9;
+
+/// The differential, common-mode and supply excitations of the open-loop
+/// AC sweep, in that order.
+const OPEN_LOOP_EXCITATIONS: [&[(&str, f64)]; 3] = [
+    &[("VIP", 0.5), ("VIN", -0.5)],
+    &[("VIP", 1.0), ("VIN", 1.0)],
+    &[("VDD", 1.0)],
+];
+
+/// Raw open-loop measurements of one design: what
+/// [`FoldedCascodeOta::open_loop_analysis`] turns into constraints and
+/// [`FoldedCascodeOta::report`] reports.
+struct OpenLoop {
+    power: f64,
+    dc_gain_db: f64,
+    ugf: Option<f64>,
+    phase_margin: Option<f64>,
+    cmrr_db: f64,
+    psrr_db: f64,
+    swing: f64,
+    /// Saturation margin of each of [`SAT_DEVICES`] (−1 V if missing).
+    margins: Vec<f64>,
+}
+
+impl OpenLoop {
+    /// The worst device's saturation margin \[V\].
+    fn min_margin(&self) -> f64 {
+        self.margins.iter().cloned().fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -766,121 +793,166 @@ impl FoldedCascodeOta {
         AnalysisSpec::assemble(m, &[ol, cl])
     }
 
-    /// Open-loop analysis unit: OP + three AC excitations. Owns the
-    /// objective (power) and constraints 1, 3–7, 10–29 (gain, CMRR,
-    /// saturation margins, PSRR, UGF, swing, phase margin). Simulator
-    /// errors here are hard failures that fail the whole corner.
-    fn open_loop_analysis(&self, x: &[f64]) -> AnalysisSpec {
+    /// Open-loop measurements: one OP, then one AC sweep under the
+    /// differential, common-mode and supply excitations. A simulator error
+    /// comes back with the name of the step that failed.
+    fn measure_open_loop(&self, x: &[f64]) -> Result<OpenLoop, (SpiceError, &'static str)> {
         let p = OtaParams::decode(x);
-        let hard = |e: &SpiceError, analysis: &str| {
-            AnalysisSpec::hard_failed(Some(crate::diag_from_spice(e, analysis)))
-        };
-
-        let (mut ol, out_p, out_n) = match self.build_open_loop(&p) {
-            Ok(v) => v,
-            Err(e) => return hard(&e, "ota netlist"),
-        };
+        let (ol, out_p, out_n) = self.build_open_loop(&p).map_err(|e| (e, "ota netlist"))?;
         // Pooled workspaces (one per testbench topology): every candidate
         // reuses the recorded stamp→slot maps and factor storage.
         let mut ws_ol = spice::lease_workspace(&ol);
-        let op = match spice::op_with_workspace(&ol, &self.opts, None, &mut ws_ol) {
-            Ok(op) => op,
-            Err(e) => return hard(&e, "ota op"),
-        };
+        let op = spice::op_with_workspace(&ol, &self.opts, None, &mut ws_ol)
+            .map_err(|e| (e, "ota op"))?;
 
         // Power: total supply current × VDD (battery current is negative).
-        let i_vdd = match op.source_current(&ol, "VDD") {
-            Ok(i) => -i,
-            Err(e) => return hard(&e, "ota power"),
-        };
+        let i_vdd = -op
+            .source_current(&ol, "VDD")
+            .map_err(|e| (e, "ota power"))?;
         // Bias reference branches that terminate at ideal sources also draw
         // from VDD in a real implementation; IB1/IB2 sink to ground already
         // through VDD, IB3/IB4 are modeled from the rail. Total power:
         let power = (i_vdd + 2.0 * self.iref) * self.tech.vdd;
 
         let freqs = spice::log_freqs(1e3, 1e9, 8);
-        // Differential gain.
-        ol.clear_ac_mags();
-        let _ = ol.set_ac_mag("VIP", 0.5);
-        let _ = ol.set_ac_mag("VIN", -0.5);
-        let ac_dm = match spice::ac_with_workspace(&ol, &self.opts, &op, &freqs, &mut ws_ol) {
-            Ok(ac) => ac,
-            Err(e) => return hard(&e, "ota diff ac"),
+        let sweeps = spice::ac_multi_with_workspace(
+            &ol,
+            &self.opts,
+            &op,
+            &freqs,
+            &OPEN_LOOP_EXCITATIONS,
+            &mut ws_ol,
+        )
+        .map_err(|e| (e, "ota ac"))?;
+        let [ac_dm, ac_cm, ac_ps] = &sweeps[..] else {
+            unreachable!("one sweep per excitation");
         };
+        // Differential gain.
         let mag_dm = ac_dm.diff_magnitude(out_p, out_n);
         let ph_dm = ac_dm.diff_phase_unwrapped(out_p, out_n);
         let dc_gain_db = measure::db(mag_dm[0]);
-        let ugf = measure::unity_gain_frequency(&freqs, &mag_dm);
-        let pm = measure::phase_margin(&freqs, &mag_dm, &ph_dm);
-
-        // Common-mode gain (CM in → CM out).
-        ol.clear_ac_mags();
-        let _ = ol.set_ac_mag("VIP", 1.0);
-        let _ = ol.set_ac_mag("VIN", 1.0);
-        let ac_cm = match spice::ac_with_workspace(&ol, &self.opts, &op, &freqs, &mut ws_ol) {
-            Ok(ac) => ac,
-            Err(e) => return hard(&e, "ota cm ac"),
-        };
+        // Common-mode gain (CM in → CM out) and supply gain (VDD ripple →
+        // CM out).
         let a_cm = (ac_cm.voltage(0, out_p) + ac_cm.voltage(0, out_n)).abs() / 2.0;
-        let cmrr_db = dc_gain_db - measure::db(a_cm);
-
-        // Supply gain (VDD ripple → CM out).
-        ol.clear_ac_mags();
-        let _ = ol.set_ac_mag("VDD", 1.0);
-        let ac_ps = match spice::ac_with_workspace(&ol, &self.opts, &op, &freqs, &mut ws_ol) {
-            Ok(ac) => ac,
-            Err(e) => return hard(&e, "ota psrr ac"),
-        };
         let a_ps = (ac_ps.voltage(0, out_p) + ac_ps.voltage(0, out_n)).abs() / 2.0;
-        let psrr_db = dc_gain_db - measure::db(a_ps);
+        Ok(OpenLoop {
+            power,
+            dc_gain_db,
+            ugf: measure::unity_gain_frequency(&freqs, &mag_dm),
+            phase_margin: measure::phase_margin(&freqs, &mag_dm, &ph_dm),
+            cmrr_db: dc_gain_db - measure::db(a_cm),
+            psrr_db: dc_gain_db - measure::db(a_ps),
+            swing: self.output_swing(&op),
+            margins: SAT_DEVICES
+                .iter()
+                .map(|name| op.mos_op(name).map(|mo| mo.vsat_margin).unwrap_or(-1.0))
+                .collect(),
+        })
+    }
 
-        // Saturation margins.
-        let margins: Vec<f64> = SAT_DEVICES
-            .iter()
-            .map(|name| op.mos_op(name).map(|mo| mo.vsat_margin).unwrap_or(-1.0))
-            .collect();
-        let min_margin = margins.iter().cloned().fold(f64::INFINITY, f64::min);
-        let swing = self.output_swing(&op);
+    /// Open-loop analysis unit: OP + one three-excitation AC sweep. Owns
+    /// the objective (power) and constraints 1, 3–7, 10–29 (gain, CMRR,
+    /// saturation margins, PSRR, UGF, swing, phase margin). Simulator
+    /// errors here are hard failures that fail the whole corner.
+    fn open_loop_analysis(&self, x: &[f64]) -> AnalysisSpec {
+        let m = match self.measure_open_loop(x) {
+            Ok(m) => m,
+            Err((e, analysis)) => {
+                return AnalysisSpec::hard_failed(Some(crate::diag_from_spice(&e, analysis)))
+            }
+        };
 
         // This unit's slice of the Eq. 9 constraint vector, by global index.
-        let mut constraints = Vec::with_capacity(7 + margins.len());
+        let mut constraints = Vec::with_capacity(7 + m.margins.len());
         // 1. DC gain > 60 dB.
-        constraints.push((0, at_least(dc_gain_db, 60.0, 20.0)));
+        constraints.push((0, at_least(m.dc_gain_db, 60.0, 20.0)));
         // 3. CMRR > 80 dB.
-        constraints.push((2, at_least(cmrr_db, 80.0, 40.0)));
+        constraints.push((2, at_least(m.cmrr_db, 80.0, 40.0)));
         // 4. Saturation margin > 50 mV (worst device).
-        constraints.push((3, at_least(min_margin, 0.05, 0.1)));
+        constraints.push((3, at_least(m.min_margin(), 0.05, 0.1)));
         // 5. PSRR > 80 dB.
-        constraints.push((4, at_least(psrr_db, 80.0, 40.0)));
+        constraints.push((4, at_least(m.psrr_db, 80.0, 40.0)));
         // 6. Unity-gain frequency > 30 MHz.
         constraints.push((
             5,
-            match ugf {
+            match m.ugf {
                 Some(f) => at_least(f, 30e6, 30e6),
                 None => 2.0,
             },
         ));
         // 7. Output swing > 2.4 V (differential).
-        constraints.push((6, at_least(swing, 2.4, 1.0)));
+        constraints.push((6, at_least(m.swing, 2.4, 1.0)));
         // 10. Phase margin > 60°.
         constraints.push((
             9,
-            match pm {
+            match m.phase_margin {
                 Some(deg) => at_least(deg, 60.0, 30.0),
                 None => 2.0,
             },
         ));
         // 11–29. Per-device saturation-region requirements (margin > 0).
-        for (i, margin) in margins.into_iter().enumerate() {
-            constraints.push((10 + i, at_most(-margin, 0.0, 0.1)));
+        for (i, margin) in m.margins.iter().enumerate() {
+            constraints.push((10 + i, at_most(-*margin, 0.0, 0.1)));
         }
 
         AnalysisSpec {
-            objective: Some(power),
+            objective: Some(m.power),
             constraints,
             failure: None,
             failed: false,
         }
+    }
+
+    /// Closed-loop measurements: integrated output noise \[V rms\],
+    /// settling time and static error \[%\]. Simulator failures degrade
+    /// to ∞ noise, no settling time and a 100 % static error.
+    fn measure_closed_loop(&self, x: &[f64]) -> (f64, Option<f64>, f64) {
+        const FAILED: (f64, Option<f64>, f64) = (f64::INFINITY, None, 100.0);
+        let step = 0.5;
+        let Ok((cl, cout_p, cout_n)) = self.build_closed_loop(&OtaParams::decode(x), step) else {
+            return FAILED;
+        };
+        let mut ws_cl = spice::lease_workspace(&cl);
+        // One operating point serves the noise analysis and the transient's
+        // initial condition. When it fails there is no transient to run.
+        let Ok(op_cl) = spice::op_with_workspace(&cl, &self.opts, None, &mut ws_cl) else {
+            return FAILED;
+        };
+        let noise_freqs = spice::log_freqs(1e3, 1e8, 4);
+        let vnoise = spice::noise_with_workspace(
+            &cl,
+            &self.opts,
+            &op_cl,
+            cout_p,
+            cout_n,
+            &noise_freqs,
+            &mut ws_cl,
+        )
+        .map_or(f64::INFINITY, |nres| nres.total_rms());
+        let Ok(tr) = spice::transient_from_op(
+            &cl,
+            &self.opts,
+            &op_cl,
+            STEP_T_STOP,
+            STEP_T_STEP,
+            &mut ws_cl,
+        ) else {
+            return (vnoise, None, 100.0);
+        };
+        let wave: Vec<(f64, f64)> = tr
+            .times()
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (t, tr.voltage(i, cout_p) - tr.voltage(i, cout_n)))
+            .collect();
+        // Gain −1 with crossed outputs: the differential output equals
+        // +step in this orientation; measure against the actual final value
+        // for settling and against the ideal target for static error.
+        let target = step;
+        let v_final = wave.last().map(|p| p.1).unwrap_or(0.0);
+        let settle = measure::settling_time(&wave, 101e-9, v_final, 0.01 * step.abs());
+        let err = 100.0 * ((v_final.abs() - target.abs()) / target).abs();
+        (vnoise, settle, err)
     }
 
     /// Closed-loop analysis unit: output noise (in the configuration the
@@ -889,51 +961,7 @@ impl FoldedCascodeOta {
     /// simulator error here degrades softly into strong constraint
     /// violations — this unit never hard-fails the corner.
     fn closed_loop_analysis(&self, x: &[f64]) -> AnalysisSpec {
-        let p = OtaParams::decode(x);
-        let step = 0.5;
-        let mut vnoise = f64::INFINITY;
-        let (settle, static_err_pct) = match self.build_closed_loop(&p, step) {
-            Ok((cl, cout_p, cout_n)) => {
-                let mut ws_cl = spice::lease_workspace(&cl);
-                if let Ok(op_cl) = spice::op_with_workspace(&cl, &self.opts, None, &mut ws_cl) {
-                    let noise_freqs = spice::log_freqs(1e3, 1e8, 4);
-                    if let Ok(nres) = spice::noise_with_workspace(
-                        &cl,
-                        &self.opts,
-                        &op_cl,
-                        cout_p,
-                        cout_n,
-                        &noise_freqs,
-                        &mut ws_cl,
-                    ) {
-                        vnoise = nres.total_rms();
-                    }
-                }
-                match self.step_transient(&cl, &mut ws_cl) {
-                    Ok(tr) => {
-                        let wave: Vec<(f64, f64)> = tr
-                            .times()
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &t)| (t, tr.voltage(i, cout_p) - tr.voltage(i, cout_n)))
-                            .collect();
-                        // Gain −1 with crossed outputs: the differential
-                        // output equals +step in this orientation; measure
-                        // against the actual final value for settling and
-                        // against the ideal target for static error.
-                        let target = step;
-                        let v_final = wave.last().map(|p| p.1).unwrap_or(0.0);
-                        let settle =
-                            measure::settling_time(&wave, 101e-9, v_final, 0.01 * step.abs());
-                        let err = 100.0 * ((v_final.abs() - target.abs()) / target).abs();
-                        (settle, err)
-                    }
-                    Err(_) => (None, 100.0),
-                }
-            }
-            Err(_) => (None, 100.0),
-        };
-
+        let (vnoise, settle, static_err_pct) = self.measure_closed_loop(x);
         AnalysisSpec {
             objective: None,
             constraints: vec![
@@ -990,31 +1018,9 @@ impl FoldedCascodeOta {
     /// Propagates simulator failures instead of encoding them as penalty
     /// constraints.
     pub fn report(&self, x: &[f64]) -> Result<OtaReport, SpiceError> {
-        let p = OtaParams::decode(x);
-        let (mut ol, out_p, out_n) = self.build_open_loop(&p)?;
-        // Same pooled-workspace rhythm as `evaluate`: all three AC sweeps
-        // share one leased frequency-domain workspace per topology.
-        let mut ws_ol = spice::lease_workspace(&ol);
-        let op = spice::op_with_workspace(&ol, &self.opts, None, &mut ws_ol)?;
-        let i_vdd = -op.source_current(&ol, "VDD")?;
-        let power = (i_vdd + 2.0 * self.iref) * self.tech.vdd;
-        let freqs = spice::log_freqs(1e3, 1e9, 8);
-        ol.clear_ac_mags();
-        ol.set_ac_mag("VIP", 0.5)?;
-        ol.set_ac_mag("VIN", -0.5)?;
-        let ac_dm = spice::ac_with_workspace(&ol, &self.opts, &op, &freqs, &mut ws_ol)?;
-        let mag = ac_dm.diff_magnitude(out_p, out_n);
-        let ph = ac_dm.diff_phase_unwrapped(out_p, out_n);
-        ol.clear_ac_mags();
-        ol.set_ac_mag("VIP", 1.0)?;
-        ol.set_ac_mag("VIN", 1.0)?;
-        let ac_cm = spice::ac_with_workspace(&ol, &self.opts, &op, &freqs, &mut ws_ol)?;
-        ol.clear_ac_mags();
-        ol.set_ac_mag("VDD", 1.0)?;
-        let ac_ps = spice::ac_with_workspace(&ol, &self.opts, &op, &freqs, &mut ws_ol)?;
-        ol.clear_ac_mags();
+        let ol = self.measure_open_loop(x).map_err(|(e, _)| e)?;
         // Closed-loop output noise (the spec's configuration).
-        let (cl, cout_p, cout_n) = self.build_closed_loop(&p, 0.5)?;
+        let (cl, cout_p, cout_n) = self.build_closed_loop(&OtaParams::decode(x), 0.5)?;
         let mut ws_cl = spice::lease_workspace(&cl);
         let op_cl = spice::op_with_workspace(&cl, &self.opts, None, &mut ws_cl)?;
         let nres = spice::noise_with_workspace(
@@ -1026,23 +1032,16 @@ impl FoldedCascodeOta {
             &spice::log_freqs(1e3, 1e8, 4),
             &mut ws_cl,
         )?;
-        let dc_gain_db = measure::db(mag[0]);
-        let a_cm = (ac_cm.voltage(0, out_p) + ac_cm.voltage(0, out_n)).abs() / 2.0;
-        let a_ps = (ac_ps.voltage(0, out_p) + ac_ps.voltage(0, out_n)).abs() / 2.0;
-        let margins: Vec<f64> = SAT_DEVICES
-            .iter()
-            .map(|name| op.mos_op(name).map(|mo| mo.vsat_margin).unwrap_or(-1.0))
-            .collect();
         Ok(OtaReport {
-            power,
-            dc_gain_db,
-            ugf: measure::unity_gain_frequency(&freqs, &mag),
-            phase_margin: measure::phase_margin(&freqs, &mag, &ph),
-            cmrr_db: dc_gain_db - measure::db(a_cm),
-            psrr_db: dc_gain_db - measure::db(a_ps),
+            power: ol.power,
+            dc_gain_db: ol.dc_gain_db,
+            ugf: ol.ugf,
+            phase_margin: ol.phase_margin,
+            cmrr_db: ol.cmrr_db,
+            psrr_db: ol.psrr_db,
             noise_rms: nres.total_rms(),
-            swing: self.output_swing(&op),
-            min_sat_margin: margins.iter().cloned().fold(f64::INFINITY, f64::min),
+            swing: ol.swing,
+            min_sat_margin: ol.min_margin(),
         })
     }
 }
@@ -1055,7 +1054,7 @@ impl FoldedCascodeOta {
         let (cl, out_p, out_n) = self.build_closed_loop(&p, 0.5).expect("netlist");
         let inp = cl.find_node("inp").unwrap();
         let inn = cl.find_node("inn").unwrap();
-        let tr = match spice::transient(&cl, &self.opts, 400e-9, 0.5e-9) {
+        let tr = match spice::transient(&cl, &self.opts, STEP_T_STOP, STEP_T_STEP) {
             Ok(tr) => tr,
             Err(e) => {
                 println!("transient failed: {e}");
@@ -1280,5 +1279,148 @@ mod tests {
         for (w, n) in worst.constraints.iter().zip(&nom.constraints) {
             assert!(w >= n, "worst case can only tighten: {w} < {n}");
         }
+    }
+
+    /// Every time point and node voltage of a transient, plus the supply
+    /// current, as raw bits.
+    fn tran_bits(ckt: &Circuit, tr: &spice::TranResult) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for (i, t) in tr.times().iter().enumerate() {
+            bits.push(t.to_bits());
+            bits.extend((0..ckt.num_nodes()).map(|node| tr.voltage(i, node).to_bits()));
+            bits.push(tr.source_current(ckt, "VDD", i).unwrap().to_bits());
+        }
+        bits
+    }
+
+    #[test]
+    fn transient_from_the_noise_op_matches_the_full_transient() {
+        let ota = FoldedCascodeOta::new();
+        let (lb, _) = ota.bounds();
+        // L1 at its lower bound: the closed-loop operating point fails
+        // plain Newton and is found by gmin stepping (checked with solver
+        // telemetry in `tests/telemetry.rs`).
+        let mut gmin_design = ota.nominal();
+        gmin_design[0] = lb[0];
+        // One workspace runs every design's transient back to back, from
+        // operating points solved elsewhere: each run must still open its
+        // own pivot session.
+        let mut chained = None;
+
+        for x in [ota.nominal(), gmin_design] {
+            let (cl, out_p, out_n) = ota.build_closed_loop(&OtaParams::decode(&x), 0.5).unwrap();
+            let fresh = || spice::NewtonWorkspace::new(&cl);
+            let full = spice::transient_with_workspace(
+                &cl,
+                &ota.opts,
+                STEP_T_STOP,
+                STEP_T_STEP,
+                &mut fresh(),
+            )
+            .unwrap();
+            let want = tran_bits(&cl, &full);
+
+            let op = spice::op_with_workspace(&cl, &ota.opts, None, &mut fresh()).unwrap();
+            let from_op = spice::transient_from_op(
+                &cl,
+                &ota.opts,
+                &op,
+                STEP_T_STOP,
+                STEP_T_STEP,
+                &mut fresh(),
+            )
+            .unwrap();
+            assert_eq!(tran_bits(&cl, &from_op), want, "fresh workspaces");
+
+            // The closed-loop unit's rhythm: one pooled workspace runs the
+            // operating point, the noise analysis, then the transient.
+            let mut ws = spice::lease_workspace(&cl);
+            let op = spice::op_with_workspace(&cl, &ota.opts, None, &mut ws).unwrap();
+            let freqs = spice::log_freqs(1e3, 1e8, 4);
+            spice::noise_with_workspace(&cl, &ota.opts, &op, out_p, out_n, &freqs, &mut ws)
+                .unwrap();
+            let pooled =
+                spice::transient_from_op(&cl, &ota.opts, &op, STEP_T_STOP, STEP_T_STEP, &mut ws)
+                    .unwrap();
+            assert_eq!(tran_bits(&cl, &pooled), want, "pooled after noise");
+
+            let ws = chained.get_or_insert_with(fresh);
+            let op = spice::op_with_workspace(&cl, &ota.opts, None, &mut fresh()).unwrap();
+            let chain = spice::transient_from_op(&cl, &ota.opts, &op, STEP_T_STOP, STEP_T_STEP, ws)
+                .unwrap();
+            assert_eq!(tran_bits(&cl, &chain), want, "back-to-back transients");
+        }
+    }
+
+    #[test]
+    fn open_loop_excitations_match_three_single_sweeps() {
+        let ota = FoldedCascodeOta::new();
+        let (ol, _, _) = ota
+            .build_open_loop(&OtaParams::decode(&ota.nominal()))
+            .unwrap();
+        let op = spice::op(&ol, &ota.opts).unwrap();
+        let freqs = spice::log_freqs(1e3, 1e9, 8);
+        let mut ws = spice::NewtonWorkspace::new(&ol);
+        let multi = spice::ac_multi_with_workspace(
+            &ol,
+            &ota.opts,
+            &op,
+            &freqs,
+            &OPEN_LOOP_EXCITATIONS,
+            &mut ws,
+        )
+        .unwrap();
+        assert!(
+            ws.uses_sparse_ac(),
+            "the open loop runs the sparse AC kernel"
+        );
+        for (sources, got) in OPEN_LOOP_EXCITATIONS.iter().zip(&multi) {
+            let mut single = ol.clone();
+            single.clear_ac_mags();
+            for &(name, mag) in *sources {
+                single.set_ac_mag(name, mag).unwrap();
+            }
+            let want = spice::ac_with_workspace(
+                &single,
+                &ota.opts,
+                &op,
+                &freqs,
+                &mut spice::NewtonWorkspace::new(&single),
+            )
+            .unwrap();
+            for fi in 0..freqs.len() {
+                for node in 0..ol.num_nodes() {
+                    let (g, w) = (got.voltage(fi, node), want.voltage(fi, node));
+                    assert_eq!(
+                        (g.re.to_bits(), g.im.to_bits()),
+                        (w.re.to_bits(), w.im.to_bits()),
+                        "{sources:?}: point {fi}, node {node}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn report_reproduces_the_open_loop_constraints() {
+        let ota = FoldedCascodeOta::new();
+        let x = ota.nominal();
+        let rep = ota.report(&x).unwrap();
+        let spec = ota.evaluate(&x);
+        let c = |i: usize| spec.constraints[i].to_bits();
+        assert_eq!(spec.objective.to_bits(), rep.power.to_bits(), "power");
+        assert_eq!(c(0), at_least(rep.dc_gain_db, 60.0, 20.0).to_bits(), "gain");
+        assert_eq!(c(2), at_least(rep.cmrr_db, 80.0, 40.0).to_bits(), "CMRR");
+        assert_eq!(c(4), at_least(rep.psrr_db, 80.0, 40.0).to_bits(), "PSRR");
+        let ugf = rep.ugf.expect("nominal crosses unity");
+        assert_eq!(c(5), at_least(ugf, 30e6, 30e6).to_bits(), "UGF");
+        let pm = rep.phase_margin.expect("nominal has a phase margin");
+        assert_eq!(c(9), at_least(pm, 60.0, 30.0).to_bits(), "phase margin");
+        assert_eq!(c(6), at_least(rep.swing, 2.4, 1.0).to_bits(), "swing");
+        assert_eq!(
+            c(3),
+            at_least(rep.min_sat_margin, 0.05, 0.1).to_bits(),
+            "margin"
+        );
     }
 }

@@ -4,7 +4,10 @@
 //! complex system `(G + jωC)·x = b` is solved, where `G` holds the
 //! small-signal conductances (gm/gds/gmb of each MOSFET plus resistors and
 //! controlled sources), `C` the constant capacitances, and `b` the AC
-//! magnitudes of the independent sources.
+//! magnitudes of the independent sources. Sources only touch `b`, so one
+//! sweep serves several excitations: it factors `G + jωC` once per
+//! frequency and solves one right-hand side per excitation
+//! ([`ac_multi_with_workspace`]).
 //!
 //! The sweep runs on the pooled frequency-domain workspace: the sparsity
 //! pattern of `G + jωC` is fixed by the topology (ω only scales values), so
@@ -107,97 +110,109 @@ pub fn log_freqs(f_start: f64, f_stop: f64, points_per_decade: usize) -> Vec<f64
 
 /// One small-signal assembly pass, generic over the complex stamp sink
 /// (dense rows, write recorder, or CSC slot map — each monomorphized).
-/// Captures the linearization point and ω; `zero_sources` quiesces the
-/// independent-source excitation (used by the noise adjoint solver, whose
-/// right-hand side is the output selector instead).
+/// Captures the linearization point and ω. Independent sources are
+/// quiesced: AC excitations enter through [`stamp_excitation`] and the
+/// noise adjoint solver's right-hand side is the output selector.
 pub(crate) struct SmallSignalAssembler<'a> {
     pub(crate) circuit: &'a Circuit,
     pub(crate) op: &'a OpPoint,
     pub(crate) opts: &'a SimOptions,
     pub(crate) omega: f64,
-    pub(crate) zero_sources: bool,
 }
 
 impl AssembleComplex for SmallSignalAssembler<'_> {
+    /// Assembles `G + jωC` with every independent source quiesced. The
+    /// write sequence is identical for every ω, which is what makes the
+    /// recorded slot map valid across a sweep.
     fn assemble<S: ComplexStamp>(&mut self, st: &mut S) {
-        assemble_small_signal(
-            self.circuit,
-            self.op,
-            self.opts,
-            self.omega,
-            self.zero_sources,
-            st,
-        );
+        let omega = self.omega;
+        st.load_gmin(self.opts.gmin);
+        for dev in self.circuit.devices() {
+            match dev {
+                Device::Resistor { a, b, g, .. } => st.admittance(*a, *b, C64::real(*g)),
+                Device::Capacitor { a, b, c, .. } => {
+                    st.admittance(*a, *b, C64::new(0.0, omega * c))
+                }
+                Device::VSource { p, n, branch, .. } => st.vsource(*branch, *p, *n, C64::ZERO),
+                Device::ISource { .. } => {}
+                Device::Vcvs {
+                    p,
+                    n,
+                    cp,
+                    cn,
+                    gain,
+                    branch,
+                    ..
+                } => {
+                    st.vcvs(*branch, *p, *n, *cp, *cn, *gain);
+                }
+                Device::Vccs {
+                    p, n, cp, cn, gm, ..
+                } => st.vccs(*p, *n, *cp, *cn, *gm),
+                Device::Mosfet {
+                    name,
+                    d,
+                    g,
+                    s,
+                    b,
+                    caps,
+                    ..
+                } => {
+                    let mop = self
+                        .op
+                        .mos_op(name)
+                        .expect("operating point must cover every MOSFET");
+                    st.vccs(*d, *s, *g, *s, mop.gm);
+                    st.admittance(*d, *s, C64::real(mop.gds));
+                    st.vccs(*d, *s, *b, *s, mop.gmb);
+                    st.admittance(*g, *s, C64::new(0.0, omega * caps.cgs));
+                    st.admittance(*g, *d, C64::new(0.0, omega * caps.cgd));
+                    st.admittance(*g, *b, C64::new(0.0, omega * caps.cgb));
+                    st.admittance(*d, *b, C64::new(0.0, omega * caps.cdb));
+                    st.admittance(*s, *b, C64::new(0.0, omega * caps.csb));
+                }
+            }
+        }
     }
 }
 
-/// Assembles the small-signal system at angular frequency `omega` with
-/// source excitation taken from the devices' `ac_mag` fields (or zeroed when
-/// `zero_sources` — used by the noise adjoint solver). The sink must be
-/// zeroed by the caller; the write sequence is identical for every ω, which
-/// is what makes the recorded slot map valid across a sweep.
-pub(crate) fn assemble_small_signal<S: ComplexStamp>(
-    circuit: &Circuit,
-    op: &OpPoint,
-    opts: &SimOptions,
-    omega: f64,
-    zero_sources: bool,
-    st: &mut S,
-) {
-    st.load_gmin(opts.gmin);
-    for dev in circuit.devices() {
+/// A complex stamp sink that keeps only right-hand-side writes.
+struct RhsStamper<'a> {
+    n_nodes: usize,
+    z: &'a mut [C64],
+}
+
+impl ComplexStamp for RhsStamper<'_> {
+    #[inline]
+    fn num_nodes(&self) -> usize {
+        self.n_nodes
+    }
+
+    #[inline]
+    fn add_a(&mut self, _i: usize, _j: usize, _v: C64) {}
+
+    #[inline]
+    fn add_z(&mut self, i: usize, v: C64) {
+        self.z[i] += v;
+    }
+}
+
+/// Stamps one excitation's right-hand side into `z`: every independent
+/// source in device order, at its magnitude in `mags` (indexed like
+/// [`Circuit::devices`]), through the same [`ComplexStamp`] writes a
+/// full assembly with those `ac_mag` values makes — so `z` is bit-identical
+/// to that assembly's right-hand side.
+fn stamp_excitation(circuit: &Circuit, mags: &[f64], z: &mut [C64]) {
+    z.fill(C64::ZERO);
+    let mut st = RhsStamper {
+        n_nodes: circuit.num_nodes(),
+        z,
+    };
+    for (dev, &mag) in circuit.devices().iter().zip(mags) {
         match dev {
-            Device::Resistor { a, b, g, .. } => st.admittance(*a, *b, C64::real(*g)),
-            Device::Capacitor { a, b, c, .. } => st.admittance(*a, *b, C64::new(0.0, omega * c)),
-            Device::VSource {
-                p,
-                n,
-                ac_mag,
-                branch,
-                ..
-            } => {
-                let v = if zero_sources { 0.0 } else { *ac_mag };
-                st.vsource(*branch, *p, *n, C64::real(v));
-            }
-            Device::ISource { p, n, ac_mag, .. } => {
-                let i = if zero_sources { 0.0 } else { *ac_mag };
-                st.current_source(*p, *n, C64::real(i));
-            }
-            Device::Vcvs {
-                p,
-                n,
-                cp,
-                cn,
-                gain,
-                branch,
-                ..
-            } => {
-                st.vcvs(*branch, *p, *n, *cp, *cn, *gain);
-            }
-            Device::Vccs {
-                p, n, cp, cn, gm, ..
-            } => st.vccs(*p, *n, *cp, *cn, *gm),
-            Device::Mosfet {
-                name,
-                d,
-                g,
-                s,
-                b,
-                caps,
-                ..
-            } => {
-                let mop = op
-                    .mos_op(name)
-                    .expect("operating point must cover every MOSFET");
-                st.vccs(*d, *s, *g, *s, mop.gm);
-                st.admittance(*d, *s, C64::real(mop.gds));
-                st.vccs(*d, *s, *b, *s, mop.gmb);
-                st.admittance(*g, *s, C64::new(0.0, omega * caps.cgs));
-                st.admittance(*g, *d, C64::new(0.0, omega * caps.cgd));
-                st.admittance(*g, *b, C64::new(0.0, omega * caps.cgb));
-                st.admittance(*d, *b, C64::new(0.0, omega * caps.cdb));
-                st.admittance(*s, *b, C64::new(0.0, omega * caps.csb));
-            }
+            Device::VSource { p, n, branch, .. } => st.vsource(*branch, *p, *n, C64::real(mag)),
+            Device::ISource { p, n, .. } => st.current_source(*p, *n, C64::real(mag)),
+            _ => {}
         }
     }
 }
@@ -225,8 +240,10 @@ pub fn ac(
 
 /// [`ac`] with an explicit workspace: the sweep reuses the workspace's
 /// recorded complex pattern, slot map, and factor storage, so repeated
-/// sweeps on one topology (a sizing loop's candidates, or the several AC
-/// excitations of one testbench) pay the symbolic analysis once.
+/// sweeps on one topology (a sizing loop's candidates, or a testbench's
+/// AC and noise analyses) pay the symbolic analysis once. This is the
+/// one-excitation case of [`ac_multi_with_workspace`], with the excitation
+/// read from the sources' `ac_mag` values.
 ///
 /// Results are bit-identical whether the workspace is fresh or pooled: the
 /// sparse pivot sequence is re-derived from this sweep's own first
@@ -242,17 +259,103 @@ pub fn ac_with_workspace(
     freqs: &[f64],
     ws: &mut NewtonWorkspace,
 ) -> Result<AcSweep, SpiceError> {
+    let mags: Vec<f64> = circuit
+        .devices()
+        .iter()
+        .map(|dev| match dev {
+            Device::VSource { ac_mag, .. } | Device::ISource { ac_mag, .. } => *ac_mag,
+            _ => 0.0,
+        })
+        .collect();
+    let mut sweeps = sweep(circuit, opts, op, freqs, &[mags], ws)?;
+    Ok(sweeps.pop().expect("one sweep per excitation"))
+}
+
+/// One AC sweep under several source excitations at once. Each excitation
+/// lists `(source name, AC magnitude)` pairs; every independent source it
+/// does not name is quiesced, whatever its `ac_mag` value. Returns one
+/// [`AcSweep`] per excitation, in order.
+///
+/// `G + jωC` does not depend on the excitation, so each frequency point is
+/// assembled and factored once and solved once per excitation. Each sweep
+/// is bit-identical to an [`ac_with_workspace`] sweep run after
+/// [`Circuit::clear_ac_mags`] and [`Circuit::set_ac_mag`] for that
+/// excitation.
+///
+/// # Errors
+///
+/// [`SpiceError::UnknownDevice`] if a name is not an independent source of
+/// `circuit`; otherwise the failure modes of [`ac`].
+pub fn ac_multi_with_workspace(
+    circuit: &Circuit,
+    opts: &SimOptions,
+    op: &OpPoint,
+    freqs: &[f64],
+    excitations: &[&[(&str, f64)]],
+    ws: &mut NewtonWorkspace,
+) -> Result<Vec<AcSweep>, SpiceError> {
+    let devices = circuit.devices();
+    let mags = excitations
+        .iter()
+        .map(|sources| {
+            let mut mags = vec![0.0; devices.len()];
+            for &(name, mag) in *sources {
+                match circuit.device_index(name) {
+                    Some(i)
+                        if matches!(
+                            devices[i],
+                            Device::VSource { .. } | Device::ISource { .. }
+                        ) =>
+                    {
+                        mags[i] = mag;
+                    }
+                    _ => {
+                        return Err(SpiceError::UnknownDevice {
+                            name: name.to_string(),
+                        })
+                    }
+                }
+            }
+            Ok(mags)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    sweep(circuit, opts, op, freqs, &mags, ws)
+}
+
+/// The sweep body: per frequency, one assembly and factorization of
+/// `G + jωC`, then one solve per excitation (`mags[e]` holds excitation
+/// `e`'s source magnitudes, indexed like [`Circuit::devices`]).
+fn sweep(
+    circuit: &Circuit,
+    opts: &SimOptions,
+    op: &OpPoint,
+    freqs: &[f64],
+    mags: &[Vec<f64>],
+    ws: &mut NewtonWorkspace,
+) -> Result<Vec<AcSweep>, SpiceError> {
     if freqs.is_empty() {
         return Err(SpiceError::BadAnalysis {
             reason: "empty frequency grid".to_string(),
         });
     }
+    let _span = telemetry::span(telemetry::SpanId::Ac);
     ws.ensure(circuit);
     ws.begin_session();
     let session = ws.session();
     let n_nodes = circuit.num_nodes();
+    let rhs: Vec<Vec<C64>> = mags
+        .iter()
+        .map(|m| {
+            let mut z = vec![C64::ZERO; circuit.num_unknowns()];
+            stamp_excitation(circuit, m, &mut z);
+            z
+        })
+        .collect();
     let ac_ws = ws.ac_mut(circuit);
-    let mut v = Vec::with_capacity(freqs.len());
+    let mut v: Vec<Vec<Vec<C64>>> = mags
+        .iter()
+        .map(|_| Vec::with_capacity(freqs.len()))
+        .collect();
     let mut x = Vec::new();
     for &f in freqs {
         let omega = 2.0 * std::f64::consts::PI * f;
@@ -261,24 +364,27 @@ pub fn ac_with_workspace(
             op,
             opts,
             omega,
-            zero_sources: false,
         };
         let kernel = ac_ws
             .factor_point(circuit, session, &mut assembler)
             .map_err(|()| SpiceError::SingularMatrix { analysis: "ac" })?;
-        if !ac_ws.solve(kernel, &mut x) {
-            return Err(SpiceError::SingularMatrix { analysis: "ac" });
+        for (b, ve) in rhs.iter().zip(&mut v) {
+            if !ac_ws.solve(kernel, b, &mut x) {
+                return Err(SpiceError::SingularMatrix { analysis: "ac" });
+            }
+            let mut vf = vec![C64::ZERO; n_nodes];
+            for (node, vn) in vf.iter_mut().enumerate().skip(1) {
+                *vn = x[node - 1];
+            }
+            ve.push(vf);
         }
-        let mut vf = vec![C64::ZERO; n_nodes];
-        for (node, vn) in vf.iter_mut().enumerate().skip(1) {
-            *vn = x[node - 1];
-        }
-        v.push(vf);
     }
-    Ok(AcSweep {
-        freqs: freqs.to_vec(),
-        v,
-    })
+    Ok(v.into_iter()
+        .map(|v| AcSweep {
+            freqs: freqs.to_vec(),
+            v,
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -380,5 +486,101 @@ mod tests {
         let opts = SimOptions::default();
         let op = crate::analysis::dc::op(&c, &opts).unwrap();
         assert!(ac(&c, &opts, &op, &[]).is_err());
+    }
+
+    /// An RC ladder of `stages` sections driven by a voltage source at the
+    /// head, with a current source injecting at the middle node and a
+    /// second one between two interior nodes.
+    fn driven_ladder(stages: usize) -> Circuit {
+        let mut c = Circuit::new();
+        let head = c.node("n0");
+        c.add_vsource_ac("V1", head, GND, Waveform::Dc(1.0), 0.25)
+            .unwrap();
+        let mut prev = head;
+        let mut nodes = Vec::new();
+        for k in 1..=stages {
+            let nk = c.node(&format!("n{k}"));
+            c.add_resistor(&format!("R{k}"), prev, nk, 1e3 * k as f64)
+                .unwrap();
+            c.add_capacitor(&format!("C{k}"), nk, GND, 1e-12 * (1 + k % 3) as f64)
+                .unwrap();
+            nodes.push(nk);
+            prev = nk;
+        }
+        c.add_resistor("RL", prev, GND, 5e3).unwrap();
+        c.add_isource("I1", GND, nodes[stages / 2], Waveform::Dc(0.0))
+            .unwrap();
+        c.add_isource("I2", nodes[1], nodes[stages - 2], Waveform::Dc(0.0))
+            .unwrap();
+        c
+    }
+
+    /// The multi-excitation sweep must equal, bit for bit, one
+    /// `ac_with_workspace` sweep per excitation after `clear_ac_mags` +
+    /// `set_ac_mag` — on whichever kernel the circuit selects.
+    fn assert_multi_matches_single(c: &Circuit, excitations: &[&[(&str, f64)]], sparse: bool) {
+        let opts = SimOptions::default();
+        let op = crate::analysis::dc::op(c, &opts).unwrap();
+        let freqs = log_freqs(1e3, 1e10, 5);
+        let mut ws = NewtonWorkspace::new(c);
+        let multi = ac_multi_with_workspace(c, &opts, &op, &freqs, excitations, &mut ws).unwrap();
+        assert_eq!(ws.uses_sparse_ac(), sparse, "kernel selection");
+        assert_eq!(multi.len(), excitations.len());
+        for (sources, got) in excitations.iter().zip(&multi) {
+            let mut single = c.clone();
+            single.clear_ac_mags();
+            for &(name, mag) in *sources {
+                single.set_ac_mag(name, mag).unwrap();
+            }
+            let mut ws1 = NewtonWorkspace::new(&single);
+            let want = ac_with_workspace(&single, &opts, &op, &freqs, &mut ws1).unwrap();
+            assert_eq!(got.freqs(), want.freqs());
+            for fi in 0..freqs.len() {
+                for node in 0..c.num_nodes() {
+                    let (g, w) = (got.voltage(fi, node), want.voltage(fi, node));
+                    assert_eq!(
+                        (g.re.to_bits(), g.im.to_bits()),
+                        (w.re.to_bits(), w.im.to_bits()),
+                        "{sources:?}: point {fi}, node {node}"
+                    );
+                }
+            }
+        }
+    }
+
+    const LADDER_EXCITATIONS: [&[(&str, f64)]; 4] = [
+        &[("V1", 1.0)],
+        &[("I1", 1e-3)],
+        &[("V1", 0.5), ("I2", -2e-3)],
+        &[],
+    ];
+
+    #[test]
+    fn multi_excitation_sweep_matches_single_sweeps_dense() {
+        let c = driven_ladder(6);
+        assert!(c.num_unknowns() < crate::workspace::SPARSE_MIN_UNKNOWNS);
+        assert_multi_matches_single(&c, &LADDER_EXCITATIONS, false);
+    }
+
+    #[test]
+    fn multi_excitation_sweep_matches_single_sweeps_sparse() {
+        let c = driven_ladder(40);
+        assert_multi_matches_single(&c, &LADDER_EXCITATIONS, true);
+    }
+
+    #[test]
+    fn multi_excitation_rejects_non_sources() {
+        let c = driven_ladder(6);
+        let opts = SimOptions::default();
+        let op = crate::analysis::dc::op(&c, &opts).unwrap();
+        let mut ws = NewtonWorkspace::new(&c);
+        for name in ["R1", "nope"] {
+            let err = ac_multi_with_workspace(&c, &opts, &op, &[1e3], &[&[(name, 1.0)]], &mut ws)
+                .unwrap_err();
+            assert!(
+                matches!(err, SpiceError::UnknownDevice { .. }),
+                "{name}: {err}"
+            );
+        }
     }
 }

@@ -474,6 +474,7 @@ pub fn op_with_workspace(
             reason: "empty circuit".to_string(),
         });
     }
+    let _span = telemetry::span(telemetry::SpanId::Op);
     ws.ensure(circuit);
     // New candidate/analysis: re-derive sparse pivot sequences from this
     // circuit's own values (the workspace-pooling determinism boundary).

@@ -97,6 +97,7 @@ pub fn noise_with_workspace(
             reason: "empty frequency grid".to_string(),
         });
     }
+    let _span = telemetry::span(telemetry::SpanId::Noise);
     let n = circuit.num_unknowns();
     ws.ensure(circuit);
     ws.begin_session();
@@ -119,7 +120,6 @@ pub fn noise_with_workspace(
             op,
             opts,
             omega,
-            zero_sources: true,
         };
         // Factor the forward system, then solve the adjoint Aᵀ y = e_out
         // on the same factors.

@@ -276,10 +276,11 @@ pub fn transient(
 }
 
 /// Runs a transient analysis using caller-owned solver state (see
-/// [`transient`]). The workspace is shared by the initial operating point,
-/// every timestep, and every step-halving retry; reuse one workspace across
-/// runs of the same topology (optimizer candidates) for the full benefit of
-/// the recorded sparse patterns.
+/// [`transient`]): the initial operating point, then
+/// [`transient_from_op`] from it. The workspace is shared by the operating
+/// point, every timestep, and every step-halving retry; reuse one workspace
+/// across runs of the same topology (optimizer candidates) for the full
+/// benefit of the recorded sparse patterns.
 ///
 /// # Errors
 ///
@@ -291,14 +292,43 @@ pub fn transient_with_workspace(
     t_step: f64,
     ws: &mut NewtonWorkspace,
 ) -> Result<TranResult, SpiceError> {
-    if !(t_stop > 0.0) || !(t_step > 0.0) || t_step > t_stop {
+    check_window(t_stop, t_step)?;
+    let op0 = dc::op_with_workspace(circuit, opts, None, ws)?;
+    transient_from_op(circuit, opts, &op0, t_stop, t_step, ws)
+}
+
+/// Runs a transient analysis from a given initial condition: `op` must be
+/// the DC operating point of `circuit` with sources at their `t = 0`
+/// values, as [`crate::op_with_workspace`] returns it. A testbench that
+/// already solved that point for another analysis (noise, say) passes it
+/// here instead of solving it again; the result is bit-identical to
+/// [`transient_with_workspace`], because the run opens its own solve
+/// session and so re-derives its sparse pivot sequences from its own
+/// first timestep whatever the workspace ran before.
+///
+/// # Errors
+///
+/// Fails if the parameters are invalid, if `op` does not match the
+/// circuit's unknowns, or if some timestep refuses to converge even at the
+/// minimum step size.
+pub fn transient_from_op(
+    circuit: &Circuit,
+    opts: &SimOptions,
+    op: &dc::OpPoint,
+    t_stop: f64,
+    t_step: f64,
+    ws: &mut NewtonWorkspace,
+) -> Result<TranResult, SpiceError> {
+    check_window(t_stop, t_step)?;
+    if op.raw().len() != circuit.num_unknowns() {
         return Err(SpiceError::BadAnalysis {
-            reason: format!("invalid transient window: stop={t_stop}, step={t_step}"),
+            reason: "operating point does not match the circuit".to_string(),
         });
     }
-    // Initial condition.
-    let op0 = dc::op_with_workspace(circuit, opts, None, ws)?;
-    let mut x = op0.raw().to_vec();
+    let _span = telemetry::span(telemetry::SpanId::Tran);
+    ws.ensure(circuit);
+    ws.begin_session();
+    let mut x = op.raw().to_vec();
 
     // Collect waveform breakpoints, sorted and deduplicated.
     let mut breakpoints: Vec<f64> = Vec::new();
@@ -409,6 +439,15 @@ pub fn transient_with_workspace(
         }
     }
     Ok(result)
+}
+
+fn check_window(t_stop: f64, t_step: f64) -> Result<(), SpiceError> {
+    if !(t_stop > 0.0) || !(t_step > 0.0) || t_step > t_stop {
+        return Err(SpiceError::BadAnalysis {
+            reason: format!("invalid transient window: stop={t_stop}, step={t_step}"),
+        });
+    }
+    Ok(())
 }
 
 fn unknowns_to_voltages(circuit: &Circuit, x: &[f64]) -> Vec<f64> {

@@ -86,6 +86,12 @@ pub enum FaultSolves {
     /// Only the solve with this 0-based index (counted per candidate
     /// scope) fails — later solves succeed, so the recovery ladder and
     /// retry machinery get exercised and usually rescue the analysis.
+    ///
+    /// Indices count the solves a testbench actually runs. An analysis
+    /// that starts from an operating point solved earlier in the scope
+    /// (the OTA closed loop's transient starts from its noise operating
+    /// point via [`crate::transient_from_op`]) runs no second recovery
+    /// ladder, so its solves follow the first ladder's directly.
     Index(u64),
 }
 

@@ -47,10 +47,10 @@ pub mod stamp;
 mod waveform;
 mod workspace;
 
-pub use analysis::ac::{ac, ac_with_workspace, log_freqs, AcSweep};
+pub use analysis::ac::{ac, ac_multi_with_workspace, ac_with_workspace, log_freqs, AcSweep};
 pub use analysis::dc::{dc_sweep, op, op_with_guess, op_with_workspace, MosOp, OpPoint};
 pub use analysis::noise::{noise, noise_with_workspace, NoiseResult};
-pub use analysis::tran::{transient, transient_with_workspace, TranResult};
+pub use analysis::tran::{transient, transient_from_op, transient_with_workspace, TranResult};
 pub use diag::{FailureDiag, FailureKind, LadderStage};
 pub use error::SpiceError;
 pub use mos::{MosModel, MosPolarity, MosRegion, T_NOM};

@@ -64,7 +64,7 @@ use crate::stamp::{
 /// crate): below n ≈ 16–24 the two kernels are within noise of each
 /// other at MNA-like densities, so the simpler dense path keeps the
 /// small-circuit hot loop.
-const SPARSE_MIN_UNKNOWNS: usize = 24;
+pub(crate) const SPARSE_MIN_UNKNOWNS: usize = 24;
 
 /// Assembled densities above this fraction keep the dense kernel. The
 /// measured sparse-refactor-vs-dense-factor crossover sits at ≈0.45 density
@@ -228,7 +228,9 @@ pub(crate) struct AcWorkspace {
     /// actually runs the dense kernel — sparse-selected topologies never
     /// allocate the two O(n²) complex buffers.
     dense: Option<Box<DenseAcState>>,
-    /// Right-hand side of the sparse slot-map assembly.
+    /// Right-hand side of the sparse slot-map assembly. Sources are
+    /// quiesced there, so it stays zero: each solve brings its own
+    /// right-hand side (an AC excitation, or the noise output selector).
     z: Vec<C64>,
     /// Unknown count the buffers are sized for.
     n: usize,
@@ -369,21 +371,21 @@ impl AcWorkspace {
         Ok(AcKernel::Dense)
     }
 
-    /// Solves the factored point's system `A·x = z` (right-hand side from
-    /// the same assembly pass) into `x`.
-    pub(crate) fn solve(&mut self, kernel: AcKernel, x: &mut Vec<C64>) -> bool {
+    /// Solves the factored point's system `A·x = b` into `x` — one
+    /// excitation of an AC sweep.
+    pub(crate) fn solve(&mut self, kernel: AcKernel, b: &[C64], x: &mut Vec<C64>) -> bool {
         match kernel {
             AcKernel::Sparse => {
                 let Some(state) = self.plan.as_mut().and_then(|p| p.sparse.as_mut()) else {
                     return false;
                 };
-                state.lu.solve_into(&self.z, x).is_ok()
+                state.lu.solve_into(b, x).is_ok()
             }
             AcKernel::Dense => {
                 let Some(d) = self.dense.as_mut() else {
                     return false;
                 };
-                d.clu.solve_into(&d.st.z, x).is_ok()
+                d.clu.solve_into(b, x).is_ok()
             }
         }
     }
@@ -524,9 +526,9 @@ impl NewtonWorkspace {
 
     /// Starts a new solve session: the next sparse factorization of each
     /// pattern re-derives its pivot sequence from the incoming values.
-    /// Called by every public solve entry point (`op_with_workspace`,
-    /// `transient_with_workspace`, `ac_with_workspace`,
-    /// `noise_with_workspace`), i.e. whenever the workspace may have been
+    /// Called by every analysis body (`op_with_workspace`,
+    /// `transient_from_op`, the AC sweep, `noise_with_workspace`), i.e.
+    /// whenever the workspace may have been
     /// handed a different candidate's circuit — the determinism boundary
     /// for workspace pooling.
     pub(crate) fn begin_session(&mut self) {

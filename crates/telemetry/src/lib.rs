@@ -331,6 +331,14 @@ pub enum SpanId {
     Analysis,
     /// One circuit testbench body (`circuits`).
     Testbench,
+    /// One DC operating-point solve, recovery ladder included (`spice`).
+    Op,
+    /// One AC sweep, every excitation of it included (`spice`).
+    Ac,
+    /// One noise analysis (`spice`).
+    Noise,
+    /// One transient from a given operating point (`spice`).
+    Tran,
     /// One Newton solve (`spice` DC/transient kernel).
     Solve,
     /// Matrix assembly/stamping for one Newton iteration.
@@ -354,7 +362,7 @@ pub enum SpanId {
 }
 
 /// Number of [`SpanId`] variants.
-pub const NUM_SPANS: usize = 18;
+pub const NUM_SPANS: usize = 22;
 
 impl SpanId {
     /// Every span id, in declaration order.
@@ -367,6 +375,10 @@ impl SpanId {
         SpanId::Corner,
         SpanId::Analysis,
         SpanId::Testbench,
+        SpanId::Op,
+        SpanId::Ac,
+        SpanId::Noise,
+        SpanId::Tran,
         SpanId::Solve,
         SpanId::Assembly,
         SpanId::Factor,
@@ -390,6 +402,10 @@ impl SpanId {
             SpanId::Corner => "corner",
             SpanId::Analysis => "analysis",
             SpanId::Testbench => "testbench",
+            SpanId::Op => "op",
+            SpanId::Ac => "ac",
+            SpanId::Noise => "noise",
+            SpanId::Tran => "tran",
             SpanId::Solve => "solve",
             SpanId::Assembly => "assembly",
             SpanId::Factor => "factor",

@@ -153,6 +153,12 @@ fn span_accounting_is_thread_count_invariant() {
         reference.span_count(SpanId::Solve) >= units as u64,
         "every unit runs at least one Newton solve"
     );
+    // Every unit solves one operating point; the analyses split each
+    // testbench span below it.
+    assert_eq!(reference.span_count(SpanId::Op), units as u64);
+    for id in [SpanId::Ac, SpanId::Noise, SpanId::Tran] {
+        assert!(reference.span_count(id) >= 1, "{id:?} span recorded");
+    }
     assert!(
         reference.max_depth >= 5,
         "hierarchy reaches 5+ levels, got {}",
@@ -169,6 +175,10 @@ fn span_accounting_is_thread_count_invariant() {
             SpanId::Corner,
             SpanId::Analysis,
             SpanId::Testbench,
+            SpanId::Op,
+            SpanId::Ac,
+            SpanId::Noise,
+            SpanId::Tran,
             SpanId::Solve,
             SpanId::Factor,
             SpanId::Refactor,
@@ -342,4 +352,94 @@ fn unit_grid_attributes_failures_per_analysis() {
     let out = ev.evaluate_batch(&xs[..1]);
     assert!(!out[0].spec.is_failure(), "healthy without a plan");
     assert!(ev.history().robustness_report().by_analysis.is_empty());
+}
+
+/// The closed-loop unit solves its operating point once: noise and the
+/// step transient both start from it, and when it fails no transient runs.
+/// On a design whose closed-loop operating point fails, the unit's
+/// constraints equal the old two-ladder composition's (the transient
+/// re-ran the same failing ladder: no settling time, 100 % static error,
+/// no noise figure), and its solver work is exactly one ladder — the
+/// `closed_loop_transient` benchmark hook (operating point + transient,
+/// the old second half) spends the same.
+#[test]
+fn failed_closed_loop_op_runs_no_transient() {
+    let _l = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = Scoped;
+    let ota = FoldedCascodeOta::new();
+    let (_, ub) = ota.bounds();
+    // L1 at its upper bound: the open loop biases up, the closed loop's
+    // recovery ladder fails.
+    let mut x = ota.nominal();
+    x[0] = ub[0];
+    let traced = |f: &dyn Fn()| {
+        telemetry::install(Some(SinkKind::Summary));
+        telemetry::reset();
+        f();
+        let summary = telemetry::finish().expect("plane is installed");
+        telemetry::install(None);
+        summary
+    };
+
+    let hook = traced(&|| assert!(ota.closed_loop_transient(&x).is_err()));
+    let unit = traced(&|| {
+        let spec = SizingProblem::evaluate_analysis(&ota, &x, 0, 1);
+        assert!(!spec.failed, "the closed-loop unit degrades softly");
+        let bits: Vec<(usize, u64)> = spec
+            .constraints
+            .iter()
+            .map(|&(i, v)| (i, v.to_bits()))
+            .collect();
+        let want = [
+            (1, 3.0f64),
+            (7, (f64::INFINITY - 30e-3) / 30e-3),
+            (8, (100.0 - 0.1) / 0.2),
+        ];
+        let want: Vec<(usize, u64)> = want.iter().map(|&(i, v)| (i, v.to_bits())).collect();
+        assert_eq!(bits, want, "settling, noise, static error");
+    });
+
+    for (label, s) in [("hook", &hook), ("unit", &unit)] {
+        assert_eq!(s.span_count(SpanId::Op), 1, "{label}: one operating point");
+        assert_eq!(s.span_count(SpanId::Tran), 0, "{label}: no transient");
+        assert_eq!(s.span_count(SpanId::Noise), 0, "{label}: no noise analysis");
+    }
+    assert!(
+        hook.span_count(SpanId::Solve) > 1,
+        "the ladder climbs past plain Newton"
+    );
+    assert_eq!(
+        unit.span_count(SpanId::Solve),
+        hook.span_count(SpanId::Solve),
+        "one ladder's solves, not two"
+    );
+    assert_eq!(
+        unit.metric(Metric::NewtonIterations),
+        hook.metric(Metric::NewtonIterations)
+    );
+}
+
+/// The design `circuits::ota`'s transient bit-identity test uses for the
+/// recovery-ladder case — the nominal OTA with L1 at its lower bound —
+/// does reach its closed-loop operating point through gmin stepping.
+#[test]
+fn short_l1_closed_loop_op_needs_gmin_stepping() {
+    let _l = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = Scoped;
+    let ota = FoldedCascodeOta::new();
+    let (lb, _) = ota.bounds();
+    let mut x = ota.nominal();
+    x[0] = lb[0];
+    telemetry::install(Some(SinkKind::Summary));
+    telemetry::reset();
+    ota.closed_loop_transient(&x)
+        .expect("the ladder finds the point");
+    let s = telemetry::finish().expect("plane is installed");
+    assert_eq!(s.span_count(SpanId::Op), 1);
+    assert!(s.metric(Metric::GminSteps).count > 0, "gmin stepping ran");
+    assert_eq!(
+        s.metric(Metric::SourceSteps).count,
+        0,
+        "gmin stepping succeeded"
+    );
 }
