@@ -39,8 +39,8 @@ fn bench_level_shifter_corner_eval(c: &mut Criterion) {
     });
 }
 
-/// A small population through the candidate×corner grid of
-/// `Evaluator::evaluate_corners_batch`, serial vs parallel.
+/// A small population through the candidate×corner unit grid of
+/// `Evaluator::evaluate_batch`, serial vs parallel.
 fn bench_corner_grid_batch(c: &mut Criterion) {
     let ls = LevelShifter::new();
     let fom = Fom::uniform(1.0, ls.num_constraints());

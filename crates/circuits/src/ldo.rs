@@ -17,7 +17,7 @@ use spice::{Circuit, SimOptions, SpiceError, Waveform, GND};
 
 use crate::measure;
 use crate::parasitics::{apply_parasitics, update_parasitics, ParasiticConfig};
-use crate::tech::{tech_advanced, Corner, CornerSet, Technology};
+use crate::tech::{tech_advanced, Corner, CornerPlanes, CornerSet, Technology};
 
 /// The LDO sizing problem (10 variables — ~6 critical — and 9 constraints).
 #[derive(Debug, Clone)]
@@ -44,10 +44,10 @@ pub struct Ldo {
     /// Node ids `(vout, vfb)` in the broken-loop template (the extra
     /// `fb_drive` node shifts them).
     nodes_open: (usize, usize),
-    /// The PVT scenario plane this instance evaluates across.
-    corners: CornerSet,
-    /// Evaluation planes for `corners[1..]` (plane 0 is this instance).
-    extra_planes: Vec<Ldo>,
+    /// The PVT scenario plane this instance evaluates across, with the
+    /// fully-built planes of corners 1.. (derated technology,
+    /// corner-temperature options, corner-retargeted templates).
+    planes: CornerPlanes<Ldo>,
 }
 
 impl Default for Ldo {
@@ -73,9 +73,8 @@ impl Ldo {
     ///
     /// Panics if the set is empty or a template fails to build.
     pub fn with_corners(corners: CornerSet) -> Self {
-        let (mut base, extras) = corners.split_planes(Self::build_plane);
-        base.corners = corners;
-        base.extra_planes = extras;
+        let (mut base, planes) = CornerPlanes::build(corners, Self::build_plane);
+        base.planes = planes;
         base
     }
 
@@ -93,8 +92,7 @@ impl Ldo {
             template_open: Circuit::new(),
             nodes_closed: (0, 0),
             nodes_open: (0, 0),
-            corners: CornerSet::single(*corner),
-            extra_planes: Vec::new(),
+            planes: CornerPlanes::default(),
         };
         let (closed, vout, vfb) = ldo
             .build_topology(false)
@@ -107,20 +105,6 @@ impl Ldo {
         ldo.nodes_closed = (vout, vfb);
         ldo.nodes_open = (vout_o, vfb_o);
         ldo
-    }
-
-    /// The scenario plane this instance evaluates across.
-    pub fn corners(&self) -> &CornerSet {
-        &self.corners
-    }
-
-    /// The evaluation plane of corner `k` (0 = this instance).
-    fn plane(&self, k: usize) -> &Ldo {
-        if k == 0 {
-            self
-        } else {
-            &self.extra_planes[k - 1]
-        }
     }
 
     /// A hand-tuned near-feasible design.
@@ -328,17 +312,17 @@ impl SizingProblem for Ldo {
     }
 
     fn num_corners(&self) -> usize {
-        self.corners.len()
+        self.planes.set().len()
     }
 
     fn corner_name(&self, k: usize) -> String {
-        self.corners.corners[k].label()
+        self.planes.set().corners[k].label()
     }
 
     fn evaluate_corner(&self, x: &[f64], k: usize) -> SpecResult {
         // Deterministic fault-plane scope, keyed by candidate bits × corner.
         let _scope = spice::fault::candidate_scope(spice::fault::candidate_key(x, k as u64));
-        self.plane(k).evaluate_plane(x)
+        self.planes.get(self, k).evaluate_plane(x)
     }
 
     fn evaluate(&self, x: &[f64]) -> SpecResult {

@@ -10,7 +10,7 @@
 //! **scenario plane**: 6 supply corners (VDDL ∈ {0.40, 0.45, 0.50} V ×
 //! VDDH ∈ {0.70, 0.75} V) × 10 measurements per corner, evaluated through
 //! the shared corner engine ([`SizingProblem::evaluate_corner`] /
-//! `opt::Evaluator::evaluate_corners`) rather than a private loop — the
+//! the `opt::Evaluator` unit grid) rather than a private loop — the
 //! sign-off view ([`SizingProblem::evaluate`]) is the worst case over the
 //! plane (10 constraints), and the corner-resolved 60-wide view is what
 //! the per-corner critic mode consumes. The variable vector is a 16-wide

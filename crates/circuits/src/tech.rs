@@ -191,6 +191,61 @@ pub struct CornerSet {
     pub corners: Vec<Corner>,
 }
 
+/// The scenario plane of a corner-capable testbench `T`: its corner set
+/// plus one fully-built evaluation plane per corner after the reference
+/// one. Plane 0 is the owning testbench itself.
+#[derive(Debug, Clone)]
+pub(crate) struct CornerPlanes<T> {
+    set: CornerSet,
+    extra: Vec<T>,
+}
+
+impl<T> Default for CornerPlanes<T> {
+    /// No corners and no planes: the bookkeeping of a plane that another
+    /// testbench's `CornerPlanes` owns.
+    fn default() -> Self {
+        CornerPlanes {
+            set: CornerSet {
+                name: "plane",
+                corners: Vec::new(),
+            },
+            extra: Vec::new(),
+        }
+    }
+}
+
+impl<T> CornerPlanes<T> {
+    /// Builds one plane per corner of `set` with `build_plane` and returns
+    /// the reference plane (corner 0) beside the bookkeeping holding the
+    /// set and the other planes — the shared body of every corner-capable
+    /// testbench's `with_corners` constructor.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty set.
+    pub(crate) fn build(set: CornerSet, build_plane: impl FnMut(&Corner) -> T) -> (T, Self) {
+        assert!(!set.is_empty(), "corner set must not be empty");
+        let mut extra: Vec<T> = set.corners.iter().map(build_plane).collect();
+        let base = extra.remove(0);
+        (base, CornerPlanes { set, extra })
+    }
+
+    /// The corner set.
+    pub(crate) fn set(&self) -> &CornerSet {
+        &self.set
+    }
+
+    /// The evaluation plane of corner `k`: `base` (the owning testbench)
+    /// for corner 0.
+    pub(crate) fn get<'a>(&'a self, base: &'a T, k: usize) -> &'a T {
+        if k == 0 {
+            base
+        } else {
+            &self.extra[k - 1]
+        }
+    }
+}
+
 /// Cold military/industrial extreme (−40 °C) \[K\].
 pub const TEMP_COLD: f64 = 233.15;
 /// Hot sign-off extreme (+125 °C) \[K\].
@@ -202,15 +257,6 @@ impl CornerSet {
         CornerSet {
             name: "nominal",
             corners: vec![Corner::nominal()],
-        }
-    }
-
-    /// A one-corner set holding `corner` — the per-plane bookkeeping set
-    /// each extra evaluation plane of a corner-capable testbench carries.
-    pub fn single(corner: Corner) -> Self {
-        CornerSet {
-            name: "plane",
-            corners: vec![corner],
         }
     }
 
@@ -255,21 +301,6 @@ impl CornerSet {
             name: "full-grid",
             corners,
         }
-    }
-
-    /// Builds one evaluation plane per corner with `build` and splits off
-    /// the reference plane (corner 0) from the extras — the shared
-    /// scaffolding behind every corner-capable testbench's
-    /// `with_corners` constructor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty set.
-    pub fn split_planes<T>(&self, build: impl FnMut(&Corner) -> T) -> (T, Vec<T>) {
-        assert!(!self.is_empty(), "corner set must not be empty");
-        let mut planes: Vec<T> = self.corners.iter().map(build).collect();
-        let base = planes.remove(0);
-        (base, planes)
     }
 
     /// Number of corners in the set.

@@ -7,7 +7,7 @@
 //! space effectively, allowing us to work on large scale circuits."
 
 use linalg::Matrix;
-use opt::{SizingProblem, SpecResult};
+use opt::{Evaluator, Fom, SizingProblem, SpecResult};
 
 /// Result of a sensitivity sweep: the `(m+1)×d` sensitivity matrix of
 /// Eq. 7, computed with central differences on range-normalized variables.
@@ -35,9 +35,10 @@ impl SensitivityReport {
     ///
     /// Costs `2·d` full evaluations (central differences; the nominal
     /// itself is not needed) — each a whole corner sweep on a corner
-    /// problem, exactly like `evaluate`. The perturbation points fan out
-    /// over worker threads (`opt::parallel`), with results consumed in
-    /// variable order so the matrix is thread-count independent.
+    /// problem, exactly like `evaluate`. The perturbation points run as
+    /// one [`Evaluator::evaluate_batch`] over the unit grid, so a
+    /// panicking point degrades to a clipped failure placeholder and the
+    /// matrix is thread-count independent.
     ///
     /// # Panics
     ///
@@ -52,21 +53,6 @@ impl SensitivityReport {
         let (lb, ub) = problem.bounds();
         let m = problem.num_constraints();
         let k = problem.num_corners();
-        // Corner-resolved spec vector: each corner's full
-        // `[f0, f1, …, fm]` in corner order, so *every* per-corner spec —
-        // objective included — votes on its own row.
-        let spec_vector = |x: &[f64]| -> Vec<f64> {
-            if k <= 1 {
-                return clip_spec(problem.evaluate(x));
-            }
-            let mut v = Vec::with_capacity(k * (1 + m));
-            for c in 0..k {
-                let spec = problem.evaluate_corner(x, c);
-                v.push(spec.objective);
-                v.extend_from_slice(&spec.constraints);
-            }
-            clip_values(v)
-        };
         let rows = k * (1 + m);
         // The 2·d perturbation points (and their corners) are independent
         // simulations: evaluate them like a population batch.
@@ -83,7 +69,25 @@ impl SensitivityReport {
             points.push(xp);
             points.push(xm);
         }
-        let specs = opt::parallel::par_map(&points, |x| spec_vector(x));
+        let fom = Fom::uniform(1.0, m);
+        let evals = Evaluator::new(problem, &fom, points.len()).evaluate_batch(&points);
+        // Corner-resolved spec vector: each corner's full
+        // `[f0, f1, …, fm]` in corner order, so *every* per-corner spec —
+        // objective included — votes on its own row.
+        let specs: Vec<Vec<f64>> = evals
+            .into_iter()
+            .map(|e| {
+                if k <= 1 {
+                    return clip_spec(e.spec);
+                }
+                let mut v = Vec::with_capacity(rows);
+                for spec in &e.corner_specs {
+                    v.push(spec.objective);
+                    v.extend_from_slice(&spec.constraints);
+                }
+                clip_values(v)
+            })
+            .collect();
         let mut s = Matrix::zeros(rows, d);
         for j in 0..d {
             let (fp, fm) = (&specs[2 * j], &specs[2 * j + 1]);
@@ -441,6 +445,70 @@ mod tests {
             crit.contains(&0),
             "x0 only moves a non-dominant corner's *objective* but must not be pruned: {crit:?}"
         );
+    }
+
+    /// The reference sweep, composed point by point from direct problem
+    /// calls: `evaluate` on a single-corner problem, one `evaluate_corner`
+    /// per corner otherwise.
+    fn per_point_matrix(problem: &dyn SizingProblem, x0: &[f64], step: f64) -> Matrix {
+        let (lb, ub) = problem.bounds();
+        let k = problem.num_corners();
+        let spec_vector = |x: &[f64]| -> Vec<f64> {
+            if k <= 1 {
+                return clip_spec(problem.evaluate(x));
+            }
+            let mut v = Vec::new();
+            for c in 0..k {
+                let spec = problem.evaluate_corner(x, c);
+                v.push(spec.objective);
+                v.extend_from_slice(&spec.constraints);
+            }
+            clip_values(v)
+        };
+        let rows = k * (1 + problem.num_constraints());
+        let mut s = Matrix::zeros(rows, x0.len());
+        for j in 0..x0.len() {
+            let range = (ub[j] - lb[j]).max(1e-300);
+            let mut xp = x0.to_vec();
+            xp[j] = (x0[j] + step * range).min(ub[j]);
+            let mut xm = x0.to_vec();
+            xm[j] = (x0[j] - step * range).max(lb[j]);
+            let du = (xp[j] - xm[j]) / range;
+            let (fp, fm) = (spec_vector(&xp), spec_vector(&xm));
+            for i in 0..rows {
+                let diff = (fp[i] - fm[i]).abs();
+                s[(i, j)] = if du > 0.0 { diff / du } else { 0.0 };
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn evaluator_sweep_matches_the_per_point_composition() {
+        let problems: [(&dyn SizingProblem, &[f64]); 3] = [
+            (&PartiallyInert, &[0.5; 4]),
+            (&CorneredInert, &[0.3, 0.6, 0.45, 0.98]),
+            (&MaskedCornerVar, &[0.5, 0.5]),
+        ];
+        for (i, (p, x0)) in problems.into_iter().enumerate() {
+            let reference = per_point_matrix(p, x0, 0.05);
+            for threads in [1usize, 2] {
+                opt::parallel::set_max_threads(threads);
+                let rep = SensitivityReport::compute(p, x0, 0.05);
+                opt::parallel::set_max_threads(0);
+                let m = rep.matrix();
+                assert_eq!((m.rows(), m.cols()), (reference.rows(), reference.cols()));
+                for r in 0..m.rows() {
+                    for c in 0..m.cols() {
+                        assert_eq!(
+                            m[(r, c)].to_bits(),
+                            reference[(r, c)].to_bits(),
+                            "problem {i}, entry ({r}, {c}), threads={threads}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

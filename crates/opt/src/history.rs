@@ -20,10 +20,10 @@ pub struct Evaluation {
     /// Whether all constraints were met (at every corner, for a corner
     /// problem — the merge is pessimal).
     pub feasible: bool,
-    /// Per-corner metric vectors, in corner order — populated when the
-    /// evaluation ran through the corner grid
-    /// ([`Evaluator::evaluate_corners`]); empty on the legacy
-    /// single-corner path.
+    /// Per-corner metric vectors, in corner order — populated for a
+    /// corner-indexed problem ([`SizingProblem::num_corners`] > 1); empty
+    /// for a single-corner problem, whose one corner is
+    /// [`Evaluation::spec`].
     pub corner_specs: Vec<SpecResult>,
 }
 
@@ -277,11 +277,6 @@ impl std::fmt::Display for RobustnessReport {
     }
 }
 
-/// The failed outcome a caught testbench panic maps to.
-fn panic_spec(num_constraints: usize, message: String) -> SpecResult {
-    SpecResult::failed_with(num_constraints, FailureDiag::panic(message))
-}
-
 /// Budgeted, history-recording wrapper around a [`SizingProblem`]: the one
 /// object optimizers call to spend simulations.
 pub struct Evaluator<'a> {
@@ -304,187 +299,55 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Runs (and records) one expensive evaluation. A candidate of a
-    /// corner-indexed problem transparently runs the whole corner grid
-    /// ([`Evaluator::evaluate_corners`]) — optimizers stay unchanged and
-    /// consume the aggregated worst-case result.
+    /// Runs (and records) one expensive evaluation: a one-candidate
+    /// [`Evaluator::evaluate_batch`], so even one-candidate-per-iteration
+    /// optimizers (DNN-Opt's main loop, SA) fan a corner problem's units
+    /// out across the worker pool.
     ///
     /// # Panics
     ///
     /// Panics if the budget is already exhausted; optimizers must check
     /// [`Evaluator::exhausted`] first.
     pub fn evaluate(&mut self, x: &[f64]) -> Evaluation {
-        if self.problem.num_corners() > 1 || self.problem.num_analyses() > 1 {
-            return self.evaluate_corners(x);
-        }
         assert!(!self.exhausted(), "simulation budget exhausted");
-        let t0 = Instant::now();
-        let problem = self.problem;
-        let spec = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _cand = telemetry::span(telemetry::SpanId::Candidate);
-            problem.evaluate(x)
-        }))
-        .unwrap_or_else(|payload| {
-            panic_spec(
-                problem.num_constraints(),
-                crate::parallel::panic_message(payload),
-            )
-        });
-        self.sim_time += t0.elapsed();
-        self.record(x.to_vec(), spec, Vec::new())
-    }
-
-    /// Expands one candidate into its corner grid, evaluates every corner,
-    /// and records the worst-case merge ([`SpecResult::worst_case`]) with
-    /// the per-corner metric vectors attached. One history entry (one unit
-    /// of budget) per *candidate*, regardless of corner count — the corner
-    /// plane multiplies simulator work, not the paper's "# of sims".
-    ///
-    /// Delegates to [`Evaluator::evaluate_corners_batch`] with a
-    /// single-candidate batch, so even one-candidate-per-iteration
-    /// optimizers (DNN-Opt's main loop, SA) fan the K corners out across
-    /// worker threads — bit-identical to the serial grid by the batch
-    /// path's ordering contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the budget is already exhausted.
-    pub fn evaluate_corners(&mut self, x: &[f64]) -> Evaluation {
-        assert!(!self.exhausted(), "simulation budget exhausted");
-        let xs = [x.to_vec()];
-        self.evaluate_corners_batch(&xs)
+        self.evaluate_batch(&[x.to_vec()])
             .pop()
             .expect("budget checked above")
     }
 
-    /// Evaluates a whole candidate population, fanning the expensive
-    /// simulations out over worker threads (see [`crate::parallel`]), and
-    /// records the results **in candidate order** — so histories, best
-    /// traces and first-feasible indices are bit-identical to evaluating
-    /// the same candidates serially, regardless of thread count.
+    /// Evaluates a whole candidate population and records the results
+    /// **in candidate order**.
     ///
-    /// Corner-indexed problems route through
-    /// [`Evaluator::evaluate_corners_batch`], which parallelizes over the
-    /// flattened candidate×corner grid.
+    /// The population is flattened into the candidate × corner × analysis
+    /// unit grid (`(i, c, a)` in lexicographic order; a plain problem has
+    /// one corner and one analysis, so one unit per candidate) and the
+    /// grid is fanned out over the worker pool (see [`crate::parallel`]).
+    /// Each unit is one [`SizingProblem::evaluate_analysis`] call; a unit
+    /// that panics becomes a hard-failed unit with a panic diagnosis, never
+    /// a dead batch. Units are reassembled per (candidate, corner) with
+    /// [`AnalysisSpec::assemble`]. A corner problem then records the
+    /// worst-case merge ([`SpecResult::worst_case`]) with the per-corner
+    /// vectors attached; a single-corner problem records its one corner
+    /// as is, with no per-corner records. Either way one history entry
+    /// (one unit of budget) per *candidate*: the grid multiplies simulator
+    /// work, not the paper's "# of sims".
     ///
+    /// Histories, best traces and first-feasible indices are bit-identical
+    /// to evaluating the same candidates serially, for any thread count.
     /// At most [`Evaluator::remaining`] candidates are evaluated; the rest
     /// are silently dropped, which keeps optimizers' budget accounting a
     /// non-event. Returns the recorded evaluations.
     pub fn evaluate_batch(&mut self, xs: &[Vec<f64>]) -> Vec<Evaluation> {
-        if self.problem.num_corners() > 1 || self.problem.num_analyses() > 1 {
-            return self.evaluate_corners_batch(xs);
-        }
-        let take = xs.len().min(self.remaining());
-        let batch = &xs[..take];
+        let batch = &xs[..xs.len().min(self.remaining())];
         let problem = self.problem;
-        let _eb = telemetry::span_with(telemetry::SpanId::EvalBatch, take as u64);
-        // Each worker thread keeps one context for its whole chunk: a
-        // simulator-time accumulator here, and — inside the testbenches —
-        // pool-leased solver workspaces that are thereby reused across the
-        // chunk's candidates. Durations are timed inside the workers and
-        // summed, so `sim_time` keeps the same meaning as the serial
-        // `evaluate` path (total simulator time, not batch wall-clock) for
-        // any thread count.
-        // `try_par_map_with` catches per-candidate panics in both the
-        // serial and parallel paths, so a panicking testbench costs one
-        // diagnosed failed outcome instead of the whole batch — and the
-        // recorded history stays bit-identical for any thread count.
-        let (specs, worker_times) = crate::parallel::try_par_map_with(
-            batch,
-            || Duration::ZERO,
-            |spent, x| {
-                let _cand = telemetry::span(telemetry::SpanId::Candidate);
-                let t0 = Instant::now();
-                let spec = problem.evaluate(x);
-                *spent += t0.elapsed();
-                spec
-            },
-        );
-        self.sim_time += worker_times.iter().sum::<Duration>();
-        let m = problem.num_constraints();
-        let mut out = Vec::with_capacity(take);
-        for (x, spec) in batch.iter().zip(specs) {
-            let spec = spec.unwrap_or_else(|msg| panic_spec(m, msg));
-            out.push(self.record(x.clone(), spec, Vec::new()));
-        }
-        out
-    }
-
-    /// The batch variant of [`Evaluator::evaluate_corners`]: flattens the
-    /// population into the **candidate×corner grid** — or, when the
-    /// testbench exposes independent analyses
-    /// ([`SizingProblem::num_analyses`] > 1), the finer
-    /// **candidate×corner×analysis grid** — and fans that grid out over
-    /// worker threads, so sub-candidate parallelism is available even for
-    /// a single-candidate-per-iteration optimizer. Per-unit results are
-    /// regrouped in fixed (corner, analysis) order and recorded in
-    /// candidate order, so histories (including the attached per-corner
-    /// vectors) are bit-identical to the serial path for any thread count.
-    /// Workers reuse pool-leased per-topology solver workspaces across
-    /// their whole share of the grid, exactly like the candidate-level
-    /// path.
-    pub fn evaluate_corners_batch(&mut self, xs: &[Vec<f64>]) -> Vec<Evaluation> {
-        let take = xs.len().min(self.remaining());
-        let batch = &xs[..take];
-        let problem = self.problem;
-        let k = problem.num_corners();
-        let na = problem.num_analyses();
-        if na > 1 {
-            return self.evaluate_units_batch(batch, k, na);
-        }
-        let grid: Vec<(usize, usize)> = (0..take)
-            .flat_map(|i| (0..k).map(move |c| (i, c)))
-            .collect();
-        let _eb = telemetry::span_with(telemetry::SpanId::EvalBatch, grid.len() as u64);
-        // Per-grid-item panic isolation: one panicking corner evaluation
-        // becomes one diagnosed failed corner (which then dominates its
-        // candidate's worst-case merge), never a dead batch.
-        let (specs, worker_times) = crate::parallel::try_par_map_with(
-            &grid,
-            || Duration::ZERO,
-            |spent, &(i, c)| {
-                let _cand = telemetry::span_with(telemetry::SpanId::Candidate, i as u64);
-                let _corner = telemetry::span_with(telemetry::SpanId::Corner, c as u64);
-                let t0 = Instant::now();
-                let spec = problem.evaluate_corner(&batch[i], c);
-                *spent += t0.elapsed();
-                spec
-            },
-        );
-        self.sim_time += worker_times.iter().sum::<Duration>();
-        let m = problem.num_constraints();
-        let specs: Vec<SpecResult> = specs
-            .into_iter()
-            .map(|spec| spec.unwrap_or_else(|msg| panic_spec(m, msg)))
-            .collect();
-        let mut out = Vec::with_capacity(take);
-        for (i, x) in batch.iter().enumerate() {
-            let corner_specs = specs[i * k..(i + 1) * k].to_vec();
-            let spec = SpecResult::worst_case(&corner_specs);
-            out.push(self.record(x.clone(), spec, corner_specs));
-        }
-        out
-    }
-
-    /// The hierarchical leg of [`Evaluator::evaluate_corners_batch`]: the
-    /// flattened candidate×corner×analysis unit grid, in `(i, c, a)`
-    /// lexicographic order, fanned out round-robin over the worker pool.
-    /// Units are reassembled per (candidate, corner) with
-    /// [`AnalysisSpec::assemble`] — bit-identical to the monolithic
-    /// `evaluate_corner` by the [`SizingProblem::num_analyses`] contract —
-    /// and then merged/recorded exactly like the coarser grid. A
-    /// single-corner problem records the assembled nominal result raw
-    /// (no worst-case fold, no per-corner vectors), preserving the legacy
-    /// history shape.
-    fn evaluate_units_batch(&mut self, batch: &[Vec<f64>], k: usize, na: usize) -> Vec<Evaluation> {
-        let problem = self.problem;
+        let (k, na) = (problem.num_corners(), problem.num_analyses());
         let grid: Vec<(usize, usize, usize)> = (0..batch.len())
             .flat_map(|i| (0..k).flat_map(move |c| (0..na).map(move |a| (i, c, a))))
             .collect();
         let _eb = telemetry::span_with(telemetry::SpanId::EvalBatch, grid.len() as u64);
-        // Per-unit panic isolation: one panicking analysis becomes one
-        // hard-failed unit (which then collapses its corner to a diagnosed
-        // failed placeholder), never a dead batch.
+        // Each worker keeps one simulator-time accumulator for its whole
+        // share of the grid; summing them keeps `sim_time` the total
+        // simulator time (not batch wall-clock) for any thread count.
         let (units, worker_times) = crate::parallel::try_par_map_with(
             &grid,
             || Duration::ZERO,
@@ -499,7 +362,6 @@ impl<'a> Evaluator<'a> {
             },
         );
         self.sim_time += worker_times.iter().sum::<Duration>();
-        let m = problem.num_constraints();
         let units: Vec<AnalysisSpec> = units
             .into_iter()
             .zip(&grid)
@@ -509,10 +371,8 @@ impl<'a> Evaluator<'a> {
                 // Attribute the diagnosis to the unit that produced it: the
                 // testbench-level diag only names the inner analysis kind
                 // ("dc operating point"), which is ambiguous once several
-                // independent units assemble into one corner record. Done
-                // identically on every path (serial or grid, any thread
-                // count), so histories stay bit-identical.
-                if let Some(diag) = unit.failure.as_deref_mut() {
+                // independent units assemble into one corner record.
+                if let Some(diag) = unit.failure.as_deref_mut().filter(|_| na > 1) {
                     let label = problem.analysis_name(a);
                     if !diag.analysis.starts_with(&label) {
                         diag.analysis = format!("{label}: {}", diag.analysis);
@@ -521,24 +381,21 @@ impl<'a> Evaluator<'a> {
                 unit
             })
             .collect();
+        let m = problem.num_constraints();
         let mut out = Vec::with_capacity(batch.len());
-        for (i, x) in batch.iter().enumerate() {
-            let corner_specs: Vec<SpecResult> = (0..k)
-                .map(|c| {
-                    let base = (i * k + c) * na;
-                    AnalysisSpec::assemble(m, &units[base..base + na])
-                })
+        for (x, units) in batch.iter().zip(units.chunks(k * na)) {
+            let mut corner_specs: Vec<SpecResult> = units
+                .chunks(na)
+                .map(|corner| AnalysisSpec::assemble(m, corner))
                 .collect();
-            if k <= 1 {
-                let spec = corner_specs
-                    .into_iter()
-                    .next()
-                    .expect("single-corner plane has corner 0");
-                out.push(self.record(x.clone(), spec, Vec::new()));
+            let spec = if k <= 1 {
+                corner_specs
+                    .pop()
+                    .expect("single-corner plane has corner 0")
             } else {
-                let spec = SpecResult::worst_case(&corner_specs);
-                out.push(self.record(x.clone(), spec, corner_specs));
-            }
+                SpecResult::worst_case(&corner_specs)
+            };
+            out.push(self.record(x.clone(), spec, corner_specs));
         }
         out
     }
@@ -592,7 +449,8 @@ impl<'a> Evaluator<'a> {
         &self.history
     }
 
-    /// Wall-clock time spent inside [`SizingProblem::evaluate`].
+    /// Simulator time: wall-clock time spent inside
+    /// [`SizingProblem::evaluate_analysis`], summed over every unit.
     pub fn sim_time(&self) -> Duration {
         self.sim_time
     }
@@ -798,7 +656,7 @@ mod tests {
     fn evaluator_expands_corner_problems_transparently() {
         let p = CorneredSphere;
         let fom = Fom::uniform(1.0, 1);
-        let mut ev = Evaluator::new(&p, &fom, 4);
+        let mut ev = Evaluator::new(&p, &fom, 2);
         // `evaluate` routes through the grid: worst case over 3 corners.
         let e = ev.evaluate(&[0.6, 0.2]);
         assert_eq!(e.corner_specs.len(), 3);
@@ -816,16 +674,6 @@ mod tests {
         // Feasible only when every corner passes.
         let e2 = ev.evaluate(&[0.45, 0.0]);
         assert!(!e2.feasible, "corner 2 requires x0 > 0.5");
-        // Batch path produces identical records.
-        let batch = ev.evaluate_batch(&[vec![0.6, 0.2], vec![0.45, 0.0]]);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0].spec, e.spec);
-        assert_eq!(batch[0].corner_specs.len(), 3);
-        for (a, b) in batch[0].corner_specs.iter().zip(&e.corner_specs) {
-            assert_eq!(a, b);
-        }
-        assert_eq!(batch[1].feasible, e2.feasible);
-        assert_eq!(ev.used(), 4);
         assert!(ev.exhausted());
     }
 
@@ -1091,6 +939,11 @@ mod tests {
                     let d = e.spec.failure_diag().expect("panic must be diagnosed");
                     assert_eq!(d.kind, FailureKind::Panic);
                     assert!(d.analysis.contains("injected testbench panic"));
+                    // One analysis: the label is not prefixed with the
+                    // unit's name.
+                    assert!(d.analysis.starts_with("panic: "), "{}", d.analysis);
+                    let unit = format!("{}: ", p.analysis_name(0));
+                    assert!(!d.analysis.starts_with(&unit), "{}", d.analysis);
                 } else {
                     assert!(!e.spec.is_failure());
                     assert_eq!(e.x, xs[i]);
@@ -1106,6 +959,50 @@ mod tests {
         let mut ev = Evaluator::new(&p, &fom, 1);
         let e = ev.evaluate(&[0.5, 0.5]);
         assert_eq!(e.spec.failure_diag().unwrap().kind, FailureKind::Panic);
+    }
+
+    /// `evaluate(x)` is a one-candidate `evaluate_batch` on every problem
+    /// shape: same spec, FoM bits, per-corner records and failure
+    /// diagnosis, at one and at two threads.
+    #[test]
+    fn evaluate_matches_a_one_candidate_batch() {
+        let cases: [(&dyn SizingProblem, &[f64], bool); 5] = [
+            (&Sphere { d: 2 }, &[0.3, 0.4], false),
+            (&CorneredSphere, &[0.6, 0.2], false),
+            (&SplitCorneredSphere, &[0.45, 0.0], false),
+            (&PanickySphere, &[0.5, 0.5], true),
+            (&PanickyAnalysis, &[0.5], true),
+        ];
+        for (i, (p, x, fails)) in cases.into_iter().enumerate() {
+            let fom = Fom::uniform(1.0, p.num_constraints());
+            for threads in [1usize, 2] {
+                crate::parallel::set_max_threads(threads);
+                let single = Evaluator::new(p, &fom, 1).evaluate(x);
+                let batch = Evaluator::new(p, &fom, 1).evaluate_batch(&[x.to_vec()]);
+                crate::parallel::set_max_threads(0);
+                let label = format!("case {i}, threads={threads}");
+                assert_eq!(batch.len(), 1, "{label}");
+                let batch = &batch[0];
+                assert_eq!(single.x, batch.x, "{label}");
+                assert_eq!(single.spec, batch.spec, "{label}");
+                assert_eq!(single.fom.to_bits(), batch.fom.to_bits(), "{label}");
+                assert_eq!(single.feasible, batch.feasible, "{label}");
+                assert_eq!(single.corner_specs, batch.corner_specs, "{label}");
+                assert_eq!(
+                    single.spec.failure_diag().map(|d| format!("{d:?}")),
+                    batch.spec.failure_diag().map(|d| format!("{d:?}")),
+                    "{label}"
+                );
+                assert_eq!(single.spec.is_failure(), fails, "{label}");
+                // Per-corner records only on a corner problem.
+                let corners = if p.num_corners() > 1 {
+                    p.num_corners()
+                } else {
+                    0
+                };
+                assert_eq!(single.corner_specs.len(), corners, "{label}");
+            }
+        }
     }
 
     #[test]

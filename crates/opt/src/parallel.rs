@@ -1,10 +1,10 @@
 //! Deterministic data parallelism for population evaluation.
 //!
 //! Optimizers evaluate candidate populations through
-//! [`crate::Evaluator::evaluate_batch`], which fans the expensive
-//! simulations out over the process-wide worker pool ([`linalg::pool`])
-//! via [`par_map`]. Parallelism changes **wall-clock time only**, never
-//! results:
+//! [`crate::Evaluator::evaluate_batch`], which fans the candidate ×
+//! corner × analysis unit grid out over the process-wide worker pool
+//! ([`linalg::pool`]) via [`try_par_map_with`]. Parallelism changes
+//! **wall-clock time only**, never results:
 //!
 //! - candidates are generated *before* evaluation (with per-candidate
 //!   seeded RNGs where generation is stochastic, see [`candidate_seed`]),
@@ -29,16 +29,14 @@
 //! dense solves, GEMM — are serial, so a fan-out never oversubscribes the
 //! host.
 //!
-//! [`par_map_with`] additionally gives every worker thread a private
-//! context that lives for its whole share of the batch.
-//! [`crate::Evaluator::evaluate_batch`] uses it for per-worker timing
-//! accumulators, and the circuit testbenches compose with it
-//! transparently: each `evaluate` leases simulator workspaces from
-//! `spice`'s topology-keyed pool, so a worker evaluating its share of
-//! candidates reuses the same recorded solver state (stamp→slot maps,
-//! sparse patterns, factor storage) across all of them — per-thread while
-//! a batch is in flight, shared across batches afterwards — without ever
-//! affecting results (enforced by `tests/parallel_determinism.rs`).
+//! Each worker's private context lives for its whole share of the batch;
+//! the evaluator keeps a simulator-time accumulator there. Solver state
+//! is reused without it: every testbench leases its simulator workspaces
+//! from `spice`'s topology-keyed pool, so a worker evaluating its share
+//! of the grid reuses the same recorded solver state (stamp→slot maps,
+//! sparse patterns, factor storage) across all of its units — per-thread
+//! while a batch is in flight, shared across batches afterwards — without
+//! ever affecting results (enforced by `tests/parallel_determinism.rs`).
 
 // The budget lives in `linalg::pool` beside the workers it sizes;
 // re-exported here because the optimizer-facing API has always been
@@ -58,48 +56,6 @@ pub fn candidate_seed(seed: u64, round: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Applies `f` to every item, in parallel when it pays off, returning the
-/// results **in input order**. Items are dealt round-robin: worker `t` of
-/// `T` maps items `t, t + T, t + 2T, …`, so `f` must be pure with respect
-/// to ordering (it sees only its item).
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map_with(items, || (), |(), item| f(item)).0
-}
-
-/// Like [`par_map`], but with **worker-local state**: every worker thread
-/// builds one context via `init` and threads it through all its items —
-/// the hook for expensive per-thread resources (scratch buffers, counters,
-/// leased simulator workspaces) that should be reused *across candidates*
-/// instead of being rebuilt per evaluation. Returns the in-order results
-/// plus every worker's final context (serial path: exactly one context).
-///
-/// Determinism contract: `f`'s *result* must not depend on the context's
-/// contents — contexts may only carry caches and accumulators — because
-/// which items share a context depends on the thread count.
-pub fn par_map_with<T, U, C, Init, F>(items: &[T], init: Init, f: F) -> (Vec<U>, Vec<C>)
-where
-    T: Sync,
-    U: Send,
-    C: Send,
-    Init: Fn() -> C + Sync,
-    F: Fn(&mut C, &T) -> U + Sync,
-{
-    let (out, ctxs) = try_par_map_with(items, init, |ctx, item| f(ctx, item));
-    let unwrapped = out
-        .into_iter()
-        .map(|r| match r {
-            Ok(u) => u,
-            Err(msg) => panic!("population evaluation worker panicked: {msg}"),
-        })
-        .collect();
-    (unwrapped, ctxs)
-}
-
 /// Extracts a readable message from a caught panic payload.
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -111,18 +67,23 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Panic-isolating [`par_map_with`]: each item is mapped inside
-/// `catch_unwind`, so one panicking candidate yields one `Err(message)`
-/// slot while the rest of the batch completes normally — in input order,
-/// bit-identical between the serial and parallel paths (both catch per
-/// item). The batch evaluator converts the `Err` slots into failed
-/// outcomes so a panicking testbench degrades to a diagnosed failure
-/// instead of killing the whole optimization.
+/// Applies `f` to every item over the worker pool and returns the results
+/// **in input order**, each mapped inside `catch_unwind`: one panicking
+/// item yields one `Err(message)` slot while the rest of the batch
+/// completes normally, bit-identically on the serial and parallel paths
+/// (both catch per item). Items are dealt round-robin: worker `t` of `T`
+/// maps items `t, t + T, t + 2T, …`.
 ///
-/// A worker whose context is poisoned by the panic simply keeps going:
-/// contexts hold only caches/accumulators (see the determinism contract
-/// on [`par_map_with`]), and `f` is required to be unwind-safe in the
-/// sense that a panicking item leaves the context usable.
+/// Every worker builds one context via `init` and threads it through all
+/// its items — the hook for per-thread accumulators that should live
+/// across items. Returns the in-order results plus every worker's final
+/// context (serial path: exactly one context).
+///
+/// Determinism contract: `f`'s *result* must not depend on the context's
+/// contents — contexts may only carry caches and accumulators — because
+/// which items share a context depends on the thread count. A worker
+/// whose context saw a panicking item simply keeps going, so `f` must
+/// leave the context usable when it unwinds.
 pub fn try_par_map_with<T, U, C, Init, F>(
     items: &[T],
     init: Init,
@@ -190,10 +151,20 @@ where
 mod tests {
     use super::*;
 
+    /// `try_par_map_with` without a context, unwrapping every slot.
+    fn map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
+        let (out, _) = try_par_map_with(items, || (), |(), item| f(item));
+        out.into_iter()
+            .map(|r| r.expect("no item panics"))
+            .collect()
+    }
+
     #[test]
     fn preserves_input_order() {
         let items: Vec<usize> = (0..103).collect();
-        let out = par_map(&items, |&x| x * 2);
+        set_max_threads(4);
+        let out = map(&items, |&x| x * 2);
+        set_max_threads(0);
         assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
@@ -201,9 +172,9 @@ mod tests {
     fn serial_and_parallel_agree() {
         let items: Vec<f64> = (0..57).map(|i| i as f64 * 0.37).collect();
         set_max_threads(1);
-        let serial = par_map(&items, |&x| (x.sin() * 1e6).to_bits());
+        let serial = map(&items, |&x| (x.sin() * 1e6).to_bits());
         set_max_threads(8);
-        let parallel = par_map(&items, |&x| (x.sin() * 1e6).to_bits());
+        let parallel = map(&items, |&x| (x.sin() * 1e6).to_bits());
         set_max_threads(0);
         assert_eq!(serial, parallel);
     }
@@ -211,15 +182,15 @@ mod tests {
     #[test]
     fn handles_empty_and_singleton() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map(&empty, |&x| x).is_empty());
-        assert_eq!(par_map(&[7u32], |&x| x + 1), vec![8]);
+        assert!(map(&empty, |&x| x).is_empty());
+        assert_eq!(map(&[7u32], |&x| x + 1), vec![8]);
     }
 
     #[test]
-    fn par_map_with_reuses_one_context_per_worker() {
+    fn reuses_one_context_per_worker() {
         let items: Vec<u32> = (0..37).collect();
         set_max_threads(4);
-        let (out, ctxs) = par_map_with(
+        let (out, ctxs) = try_par_map_with(
             &items,
             || 0usize,
             |count, &x| {
@@ -228,13 +199,14 @@ mod tests {
             },
         );
         set_max_threads(0);
+        let out: Vec<u32> = out.into_iter().map(Result::unwrap).collect();
         assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
         // Every item was seen exactly once, spread over the workers.
         assert_eq!(ctxs.iter().sum::<usize>(), items.len());
         assert!(ctxs.len() <= 4 && !ctxs.is_empty());
         // Serial path: a single context sees everything.
         set_max_threads(1);
-        let (_, ctxs) = par_map_with(&items, || 0usize, |c, _| *c += 1);
+        let (_, ctxs) = try_par_map_with(&items, || 0usize, |c, _| *c += 1);
         set_max_threads(0);
         assert_eq!(ctxs, vec![items.len()]);
     }

@@ -347,9 +347,16 @@ pub trait SizingProblem: Sync {
         1
     }
 
-    /// Human-readable label of analysis `a` (defaults to `"analysis<a>"`).
+    /// Human-readable label of analysis `a`. The default is the problem
+    /// [`name`](SizingProblem::name) for a monolithic testbench (one
+    /// analysis: the unit *is* the testbench) and `"analysis<a>"`
+    /// otherwise.
     fn analysis_name(&self, a: usize) -> String {
-        format!("analysis{a}")
+        if self.num_analyses() == 1 {
+            self.name().to_string()
+        } else {
+            format!("analysis{a}")
+        }
     }
 
     /// Runs one independent analysis of corner `k`. The default (valid
@@ -901,7 +908,7 @@ mod tests {
     fn default_analysis_plane_is_monolithic() {
         let p = Sphere { d: 2 };
         assert_eq!(p.num_analyses(), 1);
-        assert_eq!(p.analysis_name(0), "analysis0");
+        assert_eq!(p.analysis_name(0), p.name());
         let x = [0.4, 0.4];
         let unit = p.evaluate_analysis(&x, 0, 0);
         let assembled = AnalysisSpec::assemble(p.num_constraints(), &[unit]);

@@ -166,8 +166,8 @@ impl SizingProblem for SparseLadder {
 }
 
 /// The [`SparseLadder`] with a three-corner supply plane: every candidate
-/// expands into the candidate×corner grid inside
-/// `opt::Evaluator::evaluate_corners_batch`, each corner leasing pooled
+/// expands into the candidate×corner unit grid inside
+/// `opt::Evaluator::evaluate_batch`, each corner leasing pooled
 /// workspaces for the *same* topology — exactly the reuse pattern whose
 /// thread/corner assignment must never show up in the results.
 struct CorneredLadder;
@@ -310,8 +310,8 @@ fn serial_and_parallel_runs_are_bit_identical() {
         );
     }
     // The corner-grid engine under the same contract: candidates of a
-    // corner-indexed problem expand into the candidate×corner grid
-    // (`Evaluator::evaluate_corners_batch`), whose flattened work items
+    // corner-indexed problem expand into the candidate×corner unit grid
+    // (`Evaluator::evaluate_batch`), whose flattened work items
     // are what the worker threads chunk — so both the candidate→thread
     // *and* corner→thread assignments vary with thread count while the
     // recorded histories (merged specs, FoMs, and the attached per-corner

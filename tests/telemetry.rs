@@ -18,7 +18,7 @@
 use std::sync::Mutex;
 
 use circuits::tech::CornerSet;
-use circuits::FoldedCascodeOta;
+use circuits::{FoldedCascodeOta, StrongArmLatch};
 use dnn_opt::{DnnOpt, DnnOptConfig};
 use opt::{parallel, Evaluator, Fom, Optimizer, RunResult, SizingProblem, StopPolicy};
 use proptest::prelude::*;
@@ -98,19 +98,11 @@ proptest! {
     }
 }
 
-/// Span counts over the candidate×corner×analysis grid must not depend on
-/// the worker-pool thread count, the nesting depth must unwind to zero,
-/// and the hierarchy must reach at least five levels
-/// (EvalBatch→Candidate→Corner→Analysis→Testbench→Solve).
-#[test]
-fn span_accounting_is_thread_count_invariant() {
-    let _l = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _guard = Scoped;
-    let ota = FoldedCascodeOta::with_corners(CornerSet::pvt5());
-    let fom = Fom::new(100.0, vec![0.25; SizingProblem::num_constraints(&ota)]);
-    let (lb, ub) = ota.bounds();
-    let nominal = ota.nominal();
-    let xs: Vec<Vec<f64>> = (0..3)
+/// Three candidates spread around a problem's nominal design.
+fn around_nominal(problem: &dyn SizingProblem) -> Vec<Vec<f64>> {
+    let (lb, ub) = problem.bounds();
+    let nominal = problem.nominal();
+    (0..3)
         .map(|i| {
             let t = (i as f64 - 1.0) * 0.03;
             nominal
@@ -119,21 +111,43 @@ fn span_accounting_is_thread_count_invariant() {
                 .map(|(&v, (&l, &u))| (v + t * (u - l)).clamp(l, u))
                 .collect()
         })
-        .collect();
-    let units = xs.len() * ota.num_corners() * SizingProblem::num_analyses(&ota);
+        .collect()
+}
 
-    let summary_at = |threads: usize| -> telemetry::Summary {
-        parallel::set_max_threads(threads);
-        telemetry::install(Some(SinkKind::Summary));
-        telemetry::reset();
-        let mut ev = Evaluator::new(&ota, &fom, xs.len());
-        ev.evaluate_batch(&xs);
-        parallel::set_max_threads(0);
-        let summary = telemetry::finish().expect("plane is installed");
-        assert_eq!(telemetry::current_depth(), 0, "depth unwinds to zero");
-        telemetry::install(None);
-        summary
-    };
+/// The telemetry summary of one `evaluate_batch` of `xs` at `threads`
+/// pool threads.
+fn batch_summary(
+    problem: &dyn SizingProblem,
+    xs: &[Vec<f64>],
+    threads: usize,
+) -> telemetry::Summary {
+    let fom = Fom::new(100.0, vec![0.25; problem.num_constraints()]);
+    parallel::set_max_threads(threads);
+    telemetry::install(Some(SinkKind::Summary));
+    telemetry::reset();
+    let mut ev = Evaluator::new(problem, &fom, xs.len());
+    ev.evaluate_batch(xs);
+    parallel::set_max_threads(0);
+    let summary = telemetry::finish().expect("plane is installed");
+    assert_eq!(telemetry::current_depth(), 0, "depth unwinds to zero");
+    telemetry::install(None);
+    summary
+}
+
+/// Span counts over the candidate×corner×analysis grid must not depend on
+/// the worker-pool thread count, the nesting depth must unwind to zero,
+/// and the hierarchy must reach at least five levels
+/// (EvalBatch→Candidate→Corner→Analysis→Testbench→Solve). A
+/// single-corner, single-analysis testbench runs the same grid with one
+/// unit per candidate.
+#[test]
+fn span_accounting_is_thread_count_invariant() {
+    let _l = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = Scoped;
+    let ota = FoldedCascodeOta::with_corners(CornerSet::pvt5());
+    let xs = around_nominal(&ota);
+    let units = xs.len() * ota.num_corners() * SizingProblem::num_analyses(&ota);
+    let summary_at = |threads: usize| batch_summary(&ota, &xs, threads);
 
     let reference = summary_at(1);
     assert_eq!(reference.span_count(SpanId::EvalBatch), 1);
@@ -197,6 +211,20 @@ fn span_accounting_is_thread_count_invariant() {
             "NewtonIterations histogram @ {threads} threads"
         );
         assert!(s.max_depth >= 5, "@ {threads} threads");
+    }
+
+    let latch = StrongArmLatch::new();
+    let xs = around_nominal(&latch);
+    for threads in [1usize, 2, 7] {
+        let s = batch_summary(&latch, &xs, threads);
+        assert_eq!(s.span_count(SpanId::EvalBatch), 1, "latch @ {threads}");
+        for id in [SpanId::Candidate, SpanId::Corner, SpanId::Analysis] {
+            assert_eq!(
+                s.span_count(id),
+                xs.len() as u64,
+                "latch {id:?}: one span per candidate @ {threads} threads"
+            );
+        }
     }
 }
 
