@@ -932,9 +932,12 @@ mod tests {
     }
 
     /// Diagnostic (run with `--ignored --nocapture`): dense
-    /// `Lu::factor` vs sparse `refactor_into` across system size and
-    /// density — the measurements behind `SPARSE_MIN_UNKNOWNS` /
-    /// `SPARSE_MAX_DENSITY` in `spice::workspace`.
+    /// `Lu::factor` vs sparse `refactor_into` across density — the probe
+    /// behind the density gate `SPARSE_MAX_DENSITY` in `spice::workspace`.
+    /// It times the bare factor kernels only, so it says nothing about
+    /// system size: the whole sparse Newton step (split assembly plus
+    /// refactor) wins at every shipped size, as the per-evaluation table
+    /// in the gate's doc records.
     #[test]
     #[ignore]
     fn probe_dense_sparse_crossover() {

@@ -647,4 +647,47 @@ mod tests {
         assert_eq!(spec.constraints.len(), 10);
         assert!(!spec.feasible());
     }
+
+    /// The latch's 15-unknown DC and transient systems are sparse by
+    /// density (0.24 and 0.31), so both plans take the sparse kernel, and
+    /// the nominal design measures what the dense kernel measured: the
+    /// values below were recorded when systems under 24 unknowns were
+    /// forced onto dense LU. The two eliminations differ only in rounding.
+    #[test]
+    fn latch_takes_the_sparse_kernel_with_dense_kernel_values() {
+        const DENSE_OBJECTIVE: f64 = 1.1241154873035952e-5;
+        const DENSE_CONSTRAINTS: [f64; 10] = [
+            -0.9716356334700329,
+            -0.9654426235477672,
+            -0.004800000000000012,
+            -0.12156369323574744,
+            -0.009986633434367887,
+            -1.2099999541411357,
+            -0.004501375872572406,
+            -0.0058027471348431805,
+            -0.009999984091724631,
+            -0.009999987794723523,
+        ];
+        let latch = StrongArmLatch::new();
+        let x = latch.nominal();
+        let (ckt, ..) = latch.build(&LatchParams::decode(&x)).unwrap();
+        assert_eq!(ckt.num_unknowns(), 15);
+        let mut ws = spice::lease_workspace(&ckt);
+        spice::transient_with_workspace(&ckt, &latch.opts, latch.period, 50e-12, &mut ws).unwrap();
+        assert!(ws.uses_sparse(false), "DC plan must be sparse");
+        assert!(ws.uses_sparse(true), "transient plan must be sparse");
+        drop(ws);
+
+        let spec = latch.evaluate(&x);
+        let close = |got: f64, want: f64| (got - want).abs() <= 1e-9 * want.abs();
+        assert!(
+            close(spec.objective, DENSE_OBJECTIVE),
+            "objective {} vs {DENSE_OBJECTIVE}",
+            spec.objective
+        );
+        for (k, (&got, &want)) in spec.constraints.iter().zip(&DENSE_CONSTRAINTS).enumerate() {
+            assert!(close(got, want), "constraint {k}: {got} vs {want}");
+        }
+        assert_eq!(spec.constraints.len(), DENSE_CONSTRAINTS.len());
+    }
 }

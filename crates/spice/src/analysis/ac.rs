@@ -555,10 +555,34 @@ mod tests {
         &[],
     ];
 
+    /// A resistor clique of `nodes` nodes, each with a capacitor to
+    /// ground, driven and excited like [`driven_ladder`]. Every node pair
+    /// is coupled, so the assembled density is far above the sparse gate
+    /// at any size: the dense kernel's fixture.
+    fn driven_clique(nodes: usize) -> Circuit {
+        let mut c = Circuit::new();
+        let ns: Vec<_> = (0..nodes).map(|k| c.node(&format!("n{k}"))).collect();
+        c.add_vsource_ac("V1", ns[0], GND, Waveform::Dc(1.0), 0.25)
+            .unwrap();
+        for (i, &a) in ns.iter().enumerate() {
+            for (j, &b) in ns.iter().enumerate().skip(i + 1) {
+                c.add_resistor(&format!("R{i}_{j}"), a, b, 1e3 * (1 + i + j) as f64)
+                    .unwrap();
+            }
+            c.add_capacitor(&format!("C{i}"), a, GND, 1e-12 * (1 + i % 3) as f64)
+                .unwrap();
+        }
+        c.add_resistor("RL", ns[nodes - 1], GND, 5e3).unwrap();
+        c.add_isource("I1", GND, ns[nodes / 2], Waveform::Dc(0.0))
+            .unwrap();
+        c.add_isource("I2", ns[1], ns[nodes - 2], Waveform::Dc(0.0))
+            .unwrap();
+        c
+    }
+
     #[test]
     fn multi_excitation_sweep_matches_single_sweeps_dense() {
-        let c = driven_ladder(6);
-        assert!(c.num_unknowns() < crate::workspace::SPARSE_MIN_UNKNOWNS);
+        let c = driven_clique(6);
         assert_multi_matches_single(&c, &LADDER_EXCITATIONS, false);
     }
 

@@ -766,7 +766,11 @@ mod tests {
         let m = nmos();
         c.add_mosfet("M1", d, d, GND, GND, &m, 10e-6, 1e-6, 1.0)
             .unwrap();
-        let op = op(&c, &SimOptions::default()).unwrap();
+        // 3 unknowns, 6 of 9 entries structurally nonzero: above the
+        // sparse density gate, so this solve runs the dense kernel.
+        let mut ws = crate::workspace::NewtonWorkspace::new(&c);
+        let op = op_with_workspace(&c, &SimOptions::default(), None, &mut ws).unwrap();
+        assert!(!ws.uses_sparse(false), "dense-by-density system");
         let v = op.voltage(d);
         assert!(v > 0.45 && v < 1.2, "diode voltage {v}");
         let mop = op.mos_op("M1").unwrap();
@@ -846,8 +850,8 @@ mod tests {
 
     #[test]
     fn sparse_kernel_solves_large_mos_ladder() {
-        // 30 diode-connected-NMOS stages: 32 unknowns, well above the
-        // sparse threshold. KCL at every stage pins the whole solution, so
+        // 30 diode-connected-NMOS stages: 32 unknowns, well under the
+        // sparse density gate. KCL at every stage pins the whole solution, so
         // this exercises the recorded stamp→slot assembly, the pivoting
         // first factor, and the refactor path end to end.
         let mut c = Circuit::new();

@@ -29,10 +29,11 @@
 //!    [`linalg::SparseLu::refactor_into`] on every subsequent iteration.
 //!
 //! Whether a circuit uses the sparse or the dense kernel is decided
-//! automatically from its size and assembled density, with the dense
-//! kernel kept as the universal fallback. The plan cache is keyed by
-//! [`Circuit::topology_id`], so a pooled workspace handed a *different*
-//! same-sized topology rebuilds its plans instead of corrupting results.
+//! automatically from its assembled density alone, at every size, with
+//! the dense kernel kept as the universal fallback. The plan cache is
+//! keyed by [`Circuit::topology_id`], so a pooled workspace handed a
+//! *different* same-sized topology rebuilds its plans instead of
+//! corrupting results.
 //!
 //! # Workspace pool
 //!
@@ -57,20 +58,28 @@ use crate::stamp::{
     RealStamper, RecordStamper, RhsStamper, SlotStamper,
 };
 
-/// Systems smaller than this always use the dense kernel (the sparse
-/// machinery's per-column bookkeeping only pays off once the O(n³) dense
-/// elimination dominates). Measured against the supernodal engine on
-/// banded dominant systems (`probe_dense_sparse_crossover` in the bench
-/// crate): below n ≈ 16–24 the two kernels are within noise of each
-/// other at MNA-like densities, so the simpler dense path keeps the
-/// small-circuit hot loop.
-pub(crate) const SPARSE_MIN_UNKNOWNS: usize = 24;
-
-/// Assembled densities above this fraction keep the dense kernel. The
-/// measured sparse-refactor-vs-dense-factor crossover sits at ≈0.45 density
-/// for n = 16–64 (dense wins 1.1–3× above it, sparse wins up to 3.7×
-/// below it with the supernodal blocked replay on Auto dispatch); 0.45
-/// takes the sparse side of the band.
+/// Assembled densities above this fraction keep the dense kernel; the
+/// gate is the only kernel choice, at every system size. The measured
+/// sparse-refactor-vs-dense-factor crossover sits at ≈0.45 density for
+/// n = 16–64 (dense wins 1.1–3× above it, sparse wins up to 3.7× below it
+/// with the supernodal blocked replay on Auto dispatch); 0.45 takes the
+/// sparse side of the band.
+///
+/// There is no size floor. Below n ≈ 24 a bare sparse refactor only ties
+/// a bare dense factor, but the whole sparse Newton step also stamps the
+/// constant segment once per solve and replays only the MOS slots, and
+/// that step wins on every shipped small testbench. Nominal-design
+/// evaluation time, dense kernel forced below 24 unknowns vs density gate
+/// alone (per-process medians over 5 interleaved pairs, one thread,
+/// 2-CPU x86-64 host; every plan listed is sparse under the gate):
+///
+/// | testbench       | unknowns: density of each plan      | dense, ms | sparse, ms |
+/// |-----------------|-------------------------------------|-----------|------------|
+/// | StrongARM latch | 15: DC 0.24, tran 0.31              | 6.8–7.7   | 5.0–7.0    |
+/// | CTLE            | 13: DC 0.24, AC 0.30                | 0.18–0.19 | 0.11–0.13  |
+/// | LDO             | 10 and 12: DC 0.31/0.24, AC 0.38/0.29 | 0.84–0.86 | 0.53–0.63 |
+/// | level shifter   | 11: DC 0.26, tran 0.31 (6 corners)  | 22.1–25.5 | 16.9–18.6  |
+/// | inverter chain  | 8: DC 0.36, tran 0.44               | 2.3–2.5   | 1.6–1.8    |
 const SPARSE_MAX_DENSITY: f64 = 0.45;
 
 /// Upper bound on pooled workspaces kept alive for reuse.
@@ -219,7 +228,7 @@ struct AcSparseState {
 /// point pays only slot-map assembly plus the scan-free
 /// [`SparseComplexLu::refactor_into`] — the pattern of `G + jωC` is fixed
 /// per topology, only the values change with ω. The dense [`ComplexLu`]
-/// path remains the universal fallback (small or dense systems,
+/// path remains the universal fallback (dense-by-density systems,
 /// write-sequence drift, sparse-singular points): it factors the stamped
 /// matrix in place, donating its storage instead of copying it.
 #[derive(Debug, Clone)]
@@ -267,8 +276,8 @@ impl AcWorkspace {
     ///
     /// On a plan miss (new topology for this workspace) one extra
     /// *recorded* assembly pass learns the write sequence and builds the
-    /// CSC pattern + slot map; sparse vs dense is selected by size and
-    /// assembled density exactly like the Newton engine.
+    /// CSC pattern + slot map; sparse vs dense is selected by assembled
+    /// density exactly like the Newton engine.
     ///
     /// Returns the kernel that factored the point, or `Err(())` when the
     /// system is singular under both eliminations.
@@ -285,27 +294,23 @@ impl AcWorkspace {
             .as_ref()
             .is_none_or(|p| p.topo != topo || p.n != n);
         if plan_stale {
-            let sparse = if n < SPARSE_MIN_UNKNOWNS {
+            let mut rec = ComplexRecordStamper::new(circuit);
+            assemble.assemble(&mut rec);
+            let (csc, slots) = CscComplexMatrix::from_coordinates(n, &rec.writes);
+            let density = csc.nnz() as f64 / (n * n) as f64;
+            let sparse = if density > SPARSE_MAX_DENSITY {
                 None
             } else {
-                let mut rec = ComplexRecordStamper::new(circuit);
-                assemble.assemble(&mut rec);
-                let (csc, slots) = CscComplexMatrix::from_coordinates(n, &rec.writes);
-                let density = csc.nnz() as f64 / (n * n) as f64;
-                if density > SPARSE_MAX_DENSITY {
-                    None
-                } else {
-                    // `DNNOPT_SUPERNODAL` pins the numeric replay path
-                    // (CI determinism suites, experiments); default Auto.
-                    let mut lu = SparseComplexLu::new();
-                    lu.set_supernodal_mode(SupernodalMode::from_env());
-                    Some(AcSparseState {
-                        slots,
-                        csc,
-                        lu,
-                        pivot_session: 0,
-                    })
-                }
+                // `DNNOPT_SUPERNODAL` pins the numeric replay path
+                // (CI determinism suites, experiments); default Auto.
+                let mut lu = SparseComplexLu::new();
+                lu.set_supernodal_mode(SupernodalMode::from_env());
+                Some(AcSparseState {
+                    slots,
+                    csc,
+                    lu,
+                    pivot_session: 0,
+                })
             };
             self.plan = Some(AcPlan { topo, n, sparse });
         }
@@ -569,7 +574,7 @@ impl NewtonWorkspace {
     /// Decides (and caches) the solver kernel for `(circuit, kind)`. On a
     /// cache miss this runs one *recorded* assembly pass (via `assemble` at
     /// `x0`) to learn the write sequence, builds the CSC pattern and slot
-    /// map, and selects sparse vs dense by size and density.
+    /// map, and selects sparse vs dense by density.
     pub(crate) fn prepare<A: Assemble>(
         &mut self,
         circuit: &Circuit,
@@ -588,53 +593,49 @@ impl NewtonWorkspace {
                 };
             }
         }
-        let sparse = if n < SPARSE_MIN_UNKNOWNS {
+        // Record the write sequence. Split-capable assemblies record the
+        // constant segment first, then the varying one, so the
+        // concatenated coordinates build one CSC pattern whose slot map
+        // splits cleanly at the segment boundary.
+        let mut rec = RecordStamper::new(circuit);
+        let const_writes = if assemble.supports_split() {
+            assemble.assemble_constant(&mut rec);
+            let cl = rec.writes.len();
+            assemble.assemble_varying(x0, &mut rec);
+            Some(cl)
+        } else {
+            assemble.assemble(x0, &mut rec);
+            None
+        };
+        let (csc, slots) = CscMatrix::from_coordinates(n, &rec.writes);
+        let density = csc.nnz() as f64 / (n * n) as f64;
+        let sparse = if density > SPARSE_MAX_DENSITY {
             None
         } else {
-            // Record the write sequence. Split-capable assemblies record
-            // the constant segment first, then the varying one, so the
-            // concatenated coordinates build one CSC pattern whose slot
-            // map splits cleanly at the segment boundary.
-            let mut rec = RecordStamper::new(circuit);
-            let const_writes = if assemble.supports_split() {
-                assemble.assemble_constant(&mut rec);
-                let cl = rec.writes.len();
-                assemble.assemble_varying(x0, &mut rec);
-                Some(cl)
-            } else {
-                assemble.assemble(x0, &mut rec);
-                None
+            let (preload, var_slots) = match const_writes {
+                Some(cl) => (
+                    Some(PreloadState {
+                        const_slots: slots[..cl].to_vec(),
+                        values: vec![0.0; csc.nnz()],
+                        z: vec![0.0; n],
+                        solve_id: 0,
+                        matrix_key: None,
+                    }),
+                    slots[cl..].to_vec(),
+                ),
+                None => (None, slots),
             };
-            let (csc, slots) = CscMatrix::from_coordinates(n, &rec.writes);
-            let density = csc.nnz() as f64 / (n * n) as f64;
-            if density > SPARSE_MAX_DENSITY {
-                None
-            } else {
-                let (preload, var_slots) = match const_writes {
-                    Some(cl) => (
-                        Some(PreloadState {
-                            const_slots: slots[..cl].to_vec(),
-                            values: vec![0.0; csc.nnz()],
-                            z: vec![0.0; n],
-                            solve_id: 0,
-                            matrix_key: None,
-                        }),
-                        slots[cl..].to_vec(),
-                    ),
-                    None => (None, slots),
-                };
-                // `DNNOPT_SUPERNODAL` pins the numeric replay path (CI
-                // determinism suites, experiments); default Auto.
-                let mut lu = SparseLu::new();
-                lu.set_supernodal_mode(SupernodalMode::from_env());
-                Some(SparseState {
-                    var_slots,
-                    preload,
-                    csc,
-                    lu,
-                    pivot_session: 0,
-                })
-            }
+            // `DNNOPT_SUPERNODAL` pins the numeric replay path (CI
+            // determinism suites, experiments); default Auto.
+            let mut lu = SparseLu::new();
+            lu.set_supernodal_mode(SupernodalMode::from_env());
+            Some(SparseState {
+                var_slots,
+                preload,
+                csc,
+                lu,
+                pivot_session: 0,
+            })
         };
         let mode = if sparse.is_some() {
             SolveMode::Sparse

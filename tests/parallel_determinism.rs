@@ -8,8 +8,10 @@
 //! candidate inherits which workspace (and its recorded sparse patterns /
 //! factor storage) depends on thread count and scheduling. The
 //! [`SparseLadder`] problem exercises exactly that machinery — its MNA
-//! system is large enough for the sparse stamp→slot kernel — and its
-//! histories must still be bit-identical serial vs parallel.
+//! system is sparse enough for the sparse stamp→slot kernel — and its
+//! histories must still be bit-identical serial vs parallel. So must those
+//! of the StrongARM latch, whose small (15-unknown) systems run the same
+//! sparse kernels.
 
 use dnn_opt::{DnnOpt, DnnOptConfig};
 use opt::{
@@ -364,6 +366,23 @@ fn serial_and_parallel_runs_are_bit_identical() {
         ws.uses_sparse_ac(),
         "ladder AC/noise sweeps must run the sparse complex kernel"
     );
+
+    // A small paper testbench: the StrongARM latch's 15-unknown DC and
+    // transient systems run the sparse kernels, and a DE run must be
+    // bit-identical serially on a cold pool, at 8 threads, and serially
+    // again on the pooled workspaces both runs left behind.
+    let latch = circuits::StrongArmLatch::new();
+    let fom = Fom::uniform(1.0, latch.num_constraints());
+    let de = DifferentialEvolution::default();
+    let latch_run = |threads: usize| {
+        parallel::set_max_threads(threads);
+        let run = de.run(&latch, &fom, 40, StopPolicy::Exhaust, 3);
+        parallel::set_max_threads(0);
+        run
+    };
+    let serial = latch_run(1);
+    assert_identical(&serial, &latch_run(8), "latch DE (8 threads)");
+    assert_identical(&serial, &latch_run(1), "latch DE (pooled reuse)");
 
     // Post-layout mesh topology through the supernodal blocked replay,
     // outside any grid dispatch: the panel batches run through the same
