@@ -100,3 +100,83 @@ mod diag_tests {
         assert_eq!(d.stage, opt::RecoveryStage::SmallSignal);
     }
 }
+
+#[cfg(test)]
+mod nominal_bits_tests {
+    use opt::SizingProblem;
+
+    /// Bits of the nominal design's objective followed by its constraints.
+    fn nominal_bits<P: SizingProblem>(p: &P) -> Vec<u64> {
+        let spec = p.evaluate(&p.nominal());
+        assert!(spec.failure.is_none(), "nominal design must simulate");
+        std::iter::once(spec.objective)
+            .chain(spec.constraints)
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    /// The small testbenches' nominal evaluations, pinned to the bit. The
+    /// golden perfbench digests cover only the OTA and the latch; these
+    /// values catch a simulator change that moves the CTLE (DC + AC), the
+    /// LDO (DC + AC), the level shifter (six transient corners) or the
+    /// inverter chain (transient) by even one rounding.
+    #[test]
+    fn small_testbench_nominal_bits_are_pinned() {
+        const CTLE: [u64; 15] = [
+            0x3f53f33ba55f3848,
+            0xbfea477a9efd49f3,
+            0xbfe5b8856102b60d,
+            0xbfe250c13ad53150,
+            0xbff6d79f62956758,
+            0xbffb2864ae578cfc,
+            0xbfe8d79b51a87304,
+            0xbfe7dc1201c2880f,
+            0xbfeee0b2388aa4ae,
+            0xbfe302fa80560207,
+            0xbfddb7100cb63294,
+            0xbfe5f144c671b382,
+            0xbfeff779354ec2f8,
+            0xc0026ed0dc183d3d,
+            0xbfea2f86a029a4a8,
+        ];
+        const LDO: [u64; 10] = [
+            0x3f0c485d775c5f40,
+            0xbfeb4dc6a42c8158,
+            0xbfec20fbc965fa90,
+            0xbff57e810c700cba,
+            0xbfeaca72ccfb7880,
+            0xc00a24b6a065e3a6,
+            0xc011c7d94d51d48f,
+            0xbff7ea43aceeecc0,
+            0xbfe75e6a79f2ef6f,
+            0xbfc4d112bf2fe09d,
+        ];
+        const LEVEL_SHIFTER: [u64; 11] = [
+            0x3fa843ab5dbeb86d,
+            0xbfe8c112e2a704e1,
+            0xbfe39491b93f11a9,
+            0xbfee462a74103a0d,
+            0xbfee3d8b7cf976a1,
+            0xbfa99959bf81e400,
+            0xbfa999256f6d1b26,
+            0xbfee9df9472bc971,
+            0xbfefeb7ebd5cb9ab,
+            0xbfc0d5ac778bc34e,
+            0xbfe5e3cdee45ddd2,
+        ];
+        const INVERTER_CHAIN: [u64; 3] =
+            [0x3fa062904cf63483, 0xbfe6d2a0e5f05138, 0xbfe332ff43dfa6fa];
+        assert_eq!(nominal_bits(&super::Ctle::new()), CTLE, "CTLE");
+        assert_eq!(nominal_bits(&super::Ldo::new()), LDO, "LDO");
+        assert_eq!(
+            nominal_bits(&super::LevelShifter::new()),
+            LEVEL_SHIFTER,
+            "level shifter"
+        );
+        assert_eq!(
+            nominal_bits(&super::InverterChain::new()),
+            INVERTER_CHAIN,
+            "inverter chain"
+        );
+    }
+}

@@ -212,11 +212,11 @@ fn newton_loop_inner<A: Assemble>(
     let mut prev_dv = f64::INFINITY;
     let mut prev_damp = 1.0_f64;
     ws.ensure(circuit);
-    let mut mode = ws.prepare(circuit, kind, &mut assemble, x0);
-    // One Newton solve = one constant-segment preload: split sparse plans
-    // stamp the x-independent writes (linear devices, sources at this
-    // solve's time/scale, capacitor companions) once here-after, and
-    // replay only the MOS slots per iteration.
+    let mut mode = ws.prepare(circuit, kind, &mut assemble);
+    // One Newton solve = one constant-segment preload: sparse plans stamp
+    // the x-independent writes (linear devices, sources at this solve's
+    // time/scale, capacitor companions) once here-after, and replay only
+    // the compiled MOS table per iteration.
     ws.begin_solve();
     let fail = |kind: FailureKind, iterations: usize| NewtonFailure {
         kind,
@@ -323,10 +323,6 @@ impl Assemble for DcAssemble<'_> {
         stamp_resistive_system(self.circuit, x, SourceEval::Dc { scale: self.scale }, st);
     }
 
-    fn supports_split(&self) -> bool {
-        true
-    }
-
     fn assemble_constant<S: Stamp>(&mut self, st: &mut S) {
         st.load_gmin(self.gmin);
         crate::stamp::stamp_resistive_linear(
@@ -336,8 +332,8 @@ impl Assemble for DcAssemble<'_> {
         );
     }
 
-    fn assemble_varying<S: Stamp>(&mut self, x: &[f64], st: &mut S) {
-        crate::stamp::stamp_resistive_mos(self.circuit, x, st);
+    fn circuit(&self) -> &Circuit {
+        self.circuit
     }
 }
 

@@ -201,18 +201,14 @@ impl Assemble for TranAssemble<'_> {
         self.stamp_companions(st);
     }
 
-    fn supports_split(&self) -> bool {
-        true
-    }
-
     fn assemble_constant<S: Stamp>(&mut self, st: &mut S) {
         st.load_gmin(self.gmin);
         crate::stamp::stamp_resistive_linear(self.circuit, SourceEval::Time { t: self.t }, st);
         self.stamp_companions(st);
     }
 
-    fn assemble_varying<S: Stamp>(&mut self, xk: &[f64], st: &mut S) {
-        crate::stamp::stamp_resistive_mos(self.circuit, xk, st);
+    fn circuit(&self) -> &Circuit {
+        self.circuit
     }
 
     /// The constant matrix is gmin loading, the linear devices (circuit
@@ -466,6 +462,7 @@ fn unknowns_to_branches(circuit: &Circuit, x: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::netlist::GND;
+    use crate::stamp::tests::{mos_ladder, test_nmos};
     use crate::waveform::Waveform;
 
     #[test]
@@ -632,56 +629,6 @@ mod tests {
         assert!(r.sample(mid, 2e-9) >= r.sample(prev, 2e-9) - 1e-9);
     }
 
-    /// A 24-stage MOS-loaded RC ladder (26 unknowns: sparse path, split
-    /// assembly) driven by a supply pulse with corners at multiples of
-    /// `tick`.
-    fn mos_ladder(tick: f64) -> Circuit {
-        use crate::mos::{MosModel, MosPolarity};
-        let m = MosModel {
-            polarity: MosPolarity::Nmos,
-            vth0: 0.45,
-            kp: 300e-6,
-            clm: 0.02e-6,
-            gamma: 0.4,
-            phi: 0.8,
-            nsub: 1.4,
-            cox: 8.5e-3,
-            cov: 3e-10,
-            cj: 1e-3,
-            ldiff: 0.4e-6,
-            kf: 1e-26,
-            af: 1.0,
-            noise_gamma: 2.0 / 3.0,
-        };
-        let mut c = Circuit::new();
-        let vdd = c.node("vdd");
-        c.add_vsource(
-            "VDD",
-            vdd,
-            GND,
-            Waveform::pulse(
-                0.6,
-                1.8,
-                8.0 * tick,
-                tick,
-                2.0 * tick,
-                1000.0 * tick,
-                f64::INFINITY,
-            ),
-        )
-        .unwrap();
-        let mut prev = vdd;
-        for i in 0..24 {
-            let d = c.node(&format!("d{i}"));
-            c.add_resistor(&format!("R{i}"), prev, d, 5e3).unwrap();
-            c.add_mosfet(&format!("M{i}"), d, d, GND, GND, &m, 4e-6, 0.5e-6, 1.0)
-                .unwrap();
-            c.add_capacitor(&format!("C{i}"), d, GND, 2e-15).unwrap();
-            prev = d;
-        }
-        c
-    }
-
     fn assert_same_bits(a: &TranResult, b: &TranResult) {
         assert_eq!(a.times().len(), b.times().len());
         for (ta, tb) in a.t.iter().zip(&b.t) {
@@ -707,7 +654,7 @@ mod tests {
     #[test]
     fn rhs_only_constant_restamp_matches_full_restamp() {
         let t_step = 2f64.powi(-34); // ≈ 58 ps
-        let a = mos_ladder(t_step);
+        let a = mos_ladder(t_step, &test_nmos());
         let mut b = a.clone();
         b.set_resistance("R3", 7e3).unwrap();
         b.set_capacitance("C5", 3e-15).unwrap();
@@ -756,60 +703,48 @@ mod tests {
         );
     }
 
-    /// A MOS-loaded ladder (sparse path, split assembly) must give the same
-    /// bits on a pooled re-run: the constant-slot preload is refreshed per
-    /// timestep and never leaks state between runs.
+    /// A MOS-loaded ladder (sparse path, compiled MOS table) must give the
+    /// same bits on a pooled re-run: the constant-slot preload is refreshed
+    /// per timestep and never leaks state between runs. The table holds
+    /// topology only, so same-topology candidates — new W/L, or a card at
+    /// another temperature — interleaved on one workspace (A → B → A →
+    /// C → A) each reproduce the bits of a fresh workspace.
     #[test]
     fn split_transient_is_bit_reproducible_across_workspace_reuse() {
-        use crate::mos::{MosModel, MosPolarity};
-        let m = MosModel {
-            polarity: MosPolarity::Nmos,
-            vth0: 0.45,
-            kp: 300e-6,
-            clm: 0.02e-6,
-            gamma: 0.4,
-            phi: 0.8,
-            nsub: 1.4,
-            cox: 8.5e-3,
-            cov: 3e-10,
-            cj: 1e-3,
-            ldiff: 0.4e-6,
-            kf: 1e-26,
-            af: 1.0,
-            noise_gamma: 2.0 / 3.0,
-        };
-        let mut c = Circuit::new();
-        let vdd = c.node("vdd");
-        c.add_vsource(
-            "VDD",
-            vdd,
-            GND,
-            Waveform::pulse(0.0, 1.8, 0.5e-9, 0.1e-9, 0.1e-9, 20e-9, f64::INFINITY),
-        )
-        .unwrap();
-        let mut prev = vdd;
-        for i in 0..24 {
-            let d = c.node(&format!("d{i}"));
-            c.add_resistor(&format!("R{i}"), prev, d, 5e3).unwrap();
-            c.add_mosfet(&format!("M{i}"), d, d, GND, GND, &m, 4e-6, 0.5e-6, 1.0)
+        let tick = 50e-12;
+        let a = mos_ladder(tick, &test_nmos());
+        let mut b = a.clone();
+        for i in [0, 7, 23] {
+            b.set_mosfet_geometry(&format!("M{i}"), 6e-6, 0.35e-6, 1.0)
                 .unwrap();
-            c.add_capacitor(&format!("C{i}"), d, GND, 2e-15).unwrap();
-            prev = d;
         }
-        let mut ws = crate::workspace::NewtonWorkspace::new(&c);
+        let hot = mos_ladder(tick, &test_nmos().at_temperature(398.15));
+        assert_eq!(a.topology_id(), b.topology_id());
+        assert_eq!(a.topology_id(), hot.topology_id());
         let opts = SimOptions::default();
-        let r1 = transient_with_workspace(&c, &opts, 5e-9, 50e-12, &mut ws).unwrap();
-        assert!(ws.uses_sparse(true), "ladder must select the sparse path");
-        let r2 = transient_with_workspace(&c, &opts, 5e-9, 50e-12, &mut ws).unwrap();
-        assert_eq!(r1.len(), r2.len());
-        for i in 0..r1.len() {
-            for n in 0..c.num_nodes() {
-                assert_eq!(
-                    r1.voltage(i, n).to_bits(),
-                    r2.voltage(i, n).to_bits(),
-                    "step {i} node {n}"
-                );
-            }
+        let run = |c: &Circuit, ws: &mut crate::workspace::NewtonWorkspace| {
+            transient_with_workspace(c, &opts, 5e-9, tick, ws).unwrap()
+        };
+        let fresh = |c: &Circuit| run(c, &mut crate::workspace::NewtonWorkspace::new(c));
+        let (fresh_a, fresh_b, fresh_hot) = (fresh(&a), fresh(&b), fresh(&hot));
+        let mut ws = crate::workspace::NewtonWorkspace::new(&a);
+        for (c, want) in [
+            (&a, &fresh_a),
+            (&b, &fresh_b),
+            (&a, &fresh_a),
+            (&hot, &fresh_hot),
+            (&a, &fresh_a),
+        ] {
+            assert_same_bits(&run(c, &mut ws), want);
+            assert!(ws.uses_sparse(true), "ladder must select the sparse path");
+        }
+        // The candidates really differ, so a stale table entry would show.
+        let last = fresh_a.len() - 1;
+        for other in [&fresh_b, &fresh_hot] {
+            assert_ne!(
+                fresh_a.voltage(last, 4).to_bits(),
+                other.voltage(last, 4).to_bits()
+            );
         }
     }
 

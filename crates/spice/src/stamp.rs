@@ -23,7 +23,7 @@ use crate::waveform::Waveform;
 /// The write *sequence* of an assembly pass is fixed by the circuit
 /// topology — every stamp method touches the same matrix positions in the
 /// same order regardless of device values — which is what makes replaying
-/// a recorded sequence sound. Three monomorphized implementations exist,
+/// a recorded sequence sound. Four monomorphized implementations exist,
 /// so each assembly path compiles to straight-line code with no per-write
 /// dispatch:
 ///
@@ -32,7 +32,13 @@ use crate::waveform::Waveform;
 ///   which becomes a CSC pattern plus a stamp→slot map;
 /// - `SlotStamper`: replays through the slot map —
 ///   `values[slots[cursor]] += v` — assembling straight into the CSC value
-///   array with no index search at all.
+///   array with no index search at all;
+/// - `RhsStamper`: replays only the right-hand-side writes, for a solve
+///   whose matrix values an earlier pass already stamped.
+///
+/// The sparse Newton step stamps its MOSFETs through none of these: a
+/// `MosTable` compiles the fixed MOS write pattern to CSC value indices
+/// once per plan and replays it directly.
 pub trait Stamp {
     /// Number of nodes including ground.
     fn num_nodes(&self) -> usize;
@@ -321,18 +327,6 @@ impl<'a> SlotStamper<'a> {
     ) -> Self {
         values.fill(0.0);
         z.fill(0.0);
-        Self::resume(n_nodes, slots, values, z)
-    }
-
-    /// Creates a slot stamper that accumulates *on top of* the buffers'
-    /// current contents — the varying-segment replay of a split assembly,
-    /// where `values`/`z` were preloaded with the constant part.
-    pub(crate) fn resume(
-        n_nodes: usize,
-        slots: &'a [u32],
-        values: &'a mut [f64],
-        z: &'a mut [f64],
-    ) -> Self {
         SlotStamper {
             n_nodes,
             slots,
@@ -474,38 +468,24 @@ pub fn node_voltage(x: &[f64], n: NodeId) -> f64 {
 /// Within one Newton solve only the MOS linearizations depend on the
 /// unknown vector `x`; every other stamp (gmin loading, linear devices,
 /// sources at the solve's time/scale, capacitor companion models) is
-/// constant across the solve's iterations. Implementors that advertise
-/// [`Assemble::supports_split`] expose the two segments separately so the
-/// sparse slot-map engine can assemble the constant part **once per
-/// solve** and replay only the varying slots per iteration:
+/// constant across the solve's iterations. The sparse slot-map engine
+/// therefore assembles the constant part **once per solve** through
+/// [`Assemble::assemble_constant`], and per iteration replays only the
+/// MOSFETs of [`Assemble::circuit`] through a compiled [`MosTable`].
 ///
-/// - [`Assemble::assemble_constant`] stamps the x-independent writes;
-/// - [`Assemble::assemble_varying`] stamps the x-dependent writes.
-///
-/// The union of the two write sequences must cover exactly the positions
-/// [`Assemble::assemble`] touches, and both sequences must be
-/// value-independent (fixed by the topology), like the full sequence.
+/// The constant writes followed by every MOSFET's [`stamp_mos`] writes
+/// must cover exactly the positions [`Assemble::assemble`] touches, and
+/// the constant sequence must be value-independent (fixed by the
+/// topology), like the full sequence.
 pub(crate) trait Assemble {
     /// Stamps the full linearized system at the unknown vector `x`.
     fn assemble<S: Stamp>(&mut self, x: &[f64], st: &mut S);
 
-    /// True when the implementor distinguishes constant from x-dependent
-    /// writes (see the trait docs).
-    fn supports_split(&self) -> bool {
-        false
-    }
+    /// Stamps the x-independent writes: everything but the MOSFETs.
+    fn assemble_constant<S: Stamp>(&mut self, st: &mut S);
 
-    /// Stamps the x-independent writes. Only called when
-    /// [`Assemble::supports_split`] returns true.
-    fn assemble_constant<S: Stamp>(&mut self, st: &mut S) {
-        let _ = st;
-    }
-
-    /// Stamps the x-dependent writes. Only called when
-    /// [`Assemble::supports_split`] returns true.
-    fn assemble_varying<S: Stamp>(&mut self, x: &[f64], st: &mut S) {
-        self.assemble(x, st);
-    }
+    /// The circuit whose MOSFETs form the x-dependent segment.
+    fn circuit(&self) -> &Circuit;
 
     /// Bit key of every input the constant segment's *matrix* values
     /// depend on besides the circuit itself. Within one solve session (one
@@ -528,8 +508,6 @@ pub(crate) enum DeviceFilter {
     /// Linear (x-independent) devices only: resistors, sources, controlled
     /// sources. Their stamps never read the unknown vector.
     LinearOnly,
-    /// MOSFET linearizations only — the stamps that change with `x`.
-    MosOnly,
 }
 
 /// Shared assembly walk: stamps every device selected by `filter` (the
@@ -544,12 +522,6 @@ fn stamp_resistive_impl<S: Stamp>(
     filter: DeviceFilter,
     mut report: Option<&mut Vec<Option<MosEval>>>,
 ) {
-    if filter == DeviceFilter::MosOnly {
-        for dev in circuit.mosfets() {
-            stamp_mos(dev, x, st, report.as_deref_mut());
-        }
-        return;
-    }
     for dev in circuit.devices() {
         if let Device::Mosfet { .. } = dev {
             if filter == DeviceFilter::All {
@@ -585,10 +557,57 @@ fn stamp_resistive_impl<S: Stamp>(
     }
 }
 
-/// Stamps one MOSFET's Norton companion linearized at `x`, through the
-/// stamping path ([`crate::mos::eval_mos_stamp`] on the device's
-/// precomputed constants) — or, with `report` set, through the full
-/// [`crate::mos::eval_mos`], whose evaluation is appended to `report`.
+/// Terminal positions in a MOSFET's `[d, g, s, b]` quadruple.
+const DRAIN: usize = 0;
+const GATE: usize = 1;
+const SOURCE: usize = 2;
+const BULK: usize = 3;
+
+/// A MOSFET's Norton-companion matrix writes, in stamp order, as
+/// `(row terminal, column terminal)` pairs: the `gm` VCCS
+/// (d,g)+ (d,s)− (s,g)− (s,s)+, the `gds` conductance (d,d)+ (s,s)+ (d,s)−
+/// (s,d)−, and the `gmb` VCCS (d,b)+ (d,s)− (s,b)− (s,s)+. A write is
+/// present only when both of its terminals are off ground; its value is
+/// the matching entry of [`mos_pattern_values`]. The dense walk
+/// ([`stamp_mos`]) and the compiled sparse replay ([`MosTable`]) both read
+/// this one description, so they emit the same writes in the same order.
+const MOS_PATTERN: [(usize, usize); 12] = [
+    (DRAIN, GATE),
+    (DRAIN, SOURCE),
+    (SOURCE, GATE),
+    (SOURCE, SOURCE),
+    (DRAIN, DRAIN),
+    (SOURCE, SOURCE),
+    (DRAIN, SOURCE),
+    (SOURCE, DRAIN),
+    (DRAIN, BULK),
+    (DRAIN, SOURCE),
+    (SOURCE, BULK),
+    (SOURCE, SOURCE),
+];
+
+/// The value of each [`MOS_PATTERN`] write.
+#[inline(always)]
+fn mos_pattern_values(e: &MosStamp) -> [f64; 12] {
+    [
+        e.gm, -e.gm, -e.gm, e.gm, e.gds, e.gds, -e.gds, -e.gds, e.gmb, -e.gmb, -e.gmb, e.gmb,
+    ]
+}
+
+/// Norton-companion current `ieq` of a linearization at
+/// `(vgs, vds, vbs)`: i(v) ≈ ieq + gm·vgs + gds·vds + gmb·vbs. It flows
+/// d → s through the device, so it leaves the right-hand side as
+/// `z[d] −= ieq`, `z[s] += ieq`.
+#[inline(always)]
+fn mos_ieq(e: &MosStamp, vgs: f64, vds: f64, vbs: f64) -> f64 {
+    e.id - e.gm * vgs - e.gds * vds - e.gmb * vbs
+}
+
+/// Stamps one MOSFET's Norton companion linearized at `x` by walking
+/// [`MOS_PATTERN`] through [`Stamp::add_a`], through the stamping path
+/// ([`crate::mos::eval_mos_stamp`] on the device's precomputed constants)
+/// — or, with `report` set, through the full [`crate::mos::eval_mos`],
+/// whose evaluation is appended to `report`.
 #[inline]
 fn stamp_mos<S: Stamp>(
     dev: &Device,
@@ -615,10 +634,11 @@ fn stamp_mos<S: Stamp>(
     let vg = node_voltage(x, *g);
     let vs = node_voltage(x, *s);
     let vb = node_voltage(x, *b);
+    let (vgs, vds, vbs) = (vg - vs, vd - vs, vb - vs);
     let e = match report {
-        None => crate::mos::eval_mos_stamp(model, consts, vg - vs, vd - vs, vb - vs),
+        None => crate::mos::eval_mos_stamp(model, consts, vgs, vds, vbs),
         Some(evals) => {
-            let e = crate::mos::eval_mos(model, *w, *l, *m, vg - vs, vd - vs, vb - vs);
+            let e = crate::mos::eval_mos(model, *w, *l, *m, vgs, vds, vbs);
             evals.push(Some(e));
             MosStamp {
                 id: e.id,
@@ -628,15 +648,123 @@ fn stamp_mos<S: Stamp>(
             }
         }
     };
-    // Norton companion: i(v) ≈ ieq + gm·vgs + gds·vds + gmb·vbs.
-    let vgs = vg - vs;
-    let vds = vd - vs;
-    let vbs = vb - vs;
-    let ieq = e.id - e.gm * vgs - e.gds * vds - e.gmb * vbs;
-    st.vccs(*d, *s, *g, *s, e.gm);
-    st.conductance(*d, *s, e.gds);
-    st.vccs(*d, *s, *b, *s, e.gmb);
+    let ieq = mos_ieq(&e, vgs, vds, vbs);
+    let idx = [d, g, s, b].map(|&t| st.node_idx(t));
+    for (&(r, c), v) in MOS_PATTERN.iter().zip(mos_pattern_values(&e)) {
+        if let (Some(i), Some(j)) = (idx[r], idx[c]) {
+            st.add_a(i, j, v);
+        }
+    }
     st.current_source(*d, *s, ieq);
+}
+
+/// Sentinel of a [`MosTable`] entry: a ground terminal, or a pattern write
+/// that is absent because one of its terminals is ground.
+const ABSENT: u32 = u32::MAX;
+
+/// One MOSFET's compiled stamp.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MosSlots {
+    /// Unknown index of each terminal `[d, g, s, b]`, or [`ABSENT`] for
+    /// ground.
+    nodes: [u32; 4],
+    /// CSC value index of each [`MOS_PATTERN`] write, or [`ABSENT`].
+    slots: [u32; 12],
+}
+
+/// The x-dependent segment of a sparse Newton plan, compiled: per MOSFET
+/// (in device order), its terminal unknowns and the resolved CSC value
+/// index of each [`MOS_PATTERN`] write. The table holds topology only —
+/// model cards and `MosConsts` are read from the circuit on every replay —
+/// so one table serves every candidate and corner of a topology.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct MosTable {
+    devs: Vec<MosSlots>,
+}
+
+impl MosTable {
+    /// Appends the coordinates of every MOSFET's present pattern writes to
+    /// `writes`, in stamp order, and returns the table with each present
+    /// write's slot set to its index in `writes`; [`MosTable::resolve`]
+    /// then maps those through the stamp→slot map.
+    pub(crate) fn record(circuit: &Circuit, writes: &mut Vec<(usize, usize)>) -> MosTable {
+        let devs = circuit
+            .mosfets()
+            .map(|dev| {
+                let Device::Mosfet { d, g, s, b, .. } = dev else {
+                    unreachable!("mosfets() yields MOSFETs only");
+                };
+                let idx = [d, g, s, b].map(|&t| t.checked_sub(1));
+                let mut slots = [ABSENT; 12];
+                for (slot, &(r, c)) in slots.iter_mut().zip(&MOS_PATTERN) {
+                    if let (Some(i), Some(j)) = (idx[r], idx[c]) {
+                        *slot = u32::try_from(writes.len()).expect("write index fits u32");
+                        writes.push((i, j));
+                    }
+                }
+                MosSlots {
+                    nodes: idx.map(|i| {
+                        i.map_or(ABSENT, |i| {
+                            u32::try_from(i).expect("unknown index fits u32")
+                        })
+                    }),
+                    slots,
+                }
+            })
+            .collect();
+        MosTable { devs }
+    }
+
+    /// Maps each recorded write index through `slot_map` (the per-write
+    /// CSC value index of `linalg::CscMatrix::from_coordinates`).
+    pub(crate) fn resolve(&mut self, slot_map: &[u32]) {
+        for slot in self.devs.iter_mut().flat_map(|t| &mut t.slots) {
+            if *slot != ABSENT {
+                *slot = slot_map[*slot as usize];
+            }
+        }
+    }
+
+    /// Stamps every MOSFET of `circuit` linearized at `x` on top of the
+    /// CSC `values` and right-hand side `z` — write for write what
+    /// [`stamp_mos`] emits through a `SlotStamper` over the same slots.
+    /// Returns `false`, stamping nothing, when the circuit's MOSFET count
+    /// disagrees with the table's.
+    pub(crate) fn stamp(
+        &self,
+        circuit: &Circuit,
+        x: &[f64],
+        values: &mut [f64],
+        z: &mut [f64],
+    ) -> bool {
+        if circuit.num_mosfets() != self.devs.len() {
+            return false;
+        }
+        for (dev, t) in circuit.mosfets().zip(&self.devs) {
+            let Device::Mosfet { model, consts, .. } = dev else {
+                unreachable!("mosfets() yields MOSFETs only");
+            };
+            let v = t
+                .nodes
+                .map(|i| if i == ABSENT { 0.0 } else { x[i as usize] });
+            let vs = v[SOURCE];
+            let (vgs, vds, vbs) = (v[GATE] - vs, v[DRAIN] - vs, v[BULK] - vs);
+            let e = crate::mos::eval_mos_stamp(model, consts, vgs, vds, vbs);
+            let ieq = mos_ieq(&e, vgs, vds, vbs);
+            for (&slot, c) in t.slots.iter().zip(mos_pattern_values(&e)) {
+                if slot != ABSENT {
+                    values[slot as usize] += c;
+                }
+            }
+            if t.nodes[DRAIN] != ABSENT {
+                z[t.nodes[DRAIN] as usize] += -ieq;
+            }
+            if t.nodes[SOURCE] != ABSENT {
+                z[t.nodes[SOURCE] as usize] += ieq;
+            }
+        }
+        true
+    }
 }
 
 /// Stamps the *resistive* (memoryless) part of every device, linearized at
@@ -669,19 +797,6 @@ pub fn stamp_resistive_system<S: Stamp>(
 /// of a split assembly. Linear stamps never read the unknown vector.
 pub(crate) fn stamp_resistive_linear<S: Stamp>(circuit: &Circuit, sources: SourceEval, st: &mut S) {
     stamp_resistive_impl(circuit, &[], sources, st, DeviceFilter::LinearOnly, None);
-}
-
-/// Stamps only the MOSFET linearizations at `x` — the varying segment of a
-/// split assembly.
-pub(crate) fn stamp_resistive_mos<S: Stamp>(circuit: &Circuit, x: &[f64], st: &mut S) {
-    stamp_resistive_impl(
-        circuit,
-        x,
-        SourceEval::Dc { scale: 1.0 },
-        st,
-        DeviceFilter::MosOnly,
-        None,
-    );
 }
 
 /// A complex MNA stamp sink: the frequency-domain mirror of [`Stamp`].
@@ -1018,8 +1133,9 @@ impl ComplexStamp for ComplexSlotStamper<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::mos::{MosModel, MosPolarity};
     use crate::netlist::GND;
 
     #[test]
@@ -1081,14 +1197,9 @@ mod tests {
         assert_eq!(st.z[1], 1e-3);
     }
 
-    #[test]
-    fn split_assembly_covers_the_full_system() {
-        // Mixed circuit: linear front-end plus MOS load. Constant + varying
-        // passes must reproduce the full assembly exactly (the MOS device
-        // is registered last, so the per-cell accumulation order of the
-        // split walk matches the full walk bit for bit).
-        use crate::mos::{MosModel, MosPolarity};
-        let m = MosModel {
+    /// The NMOS card of the spice unit tests.
+    pub(crate) fn test_nmos() -> MosModel {
+        MosModel {
             polarity: MosPolarity::Nmos,
             vth0: 0.45,
             kp: 300e-6,
@@ -1103,25 +1214,139 @@ mod tests {
             kf: 1e-26,
             af: 1.0,
             noise_gamma: 2.0 / 3.0,
+        }
+    }
+
+    /// A 24-stage RC ladder loaded by diode-connected MOSFETs of card `m`
+    /// (26 unknowns: sparse path, compiled MOS table), driven by a supply
+    /// pulse with corners at multiples of `tick`.
+    pub(crate) fn mos_ladder(tick: f64, m: &MosModel) -> Circuit {
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        c.add_vsource(
+            "VDD",
+            vdd,
+            GND,
+            Waveform::pulse(
+                0.6,
+                1.8,
+                8.0 * tick,
+                tick,
+                2.0 * tick,
+                1000.0 * tick,
+                f64::INFINITY,
+            ),
+        )
+        .unwrap();
+        let mut prev = vdd;
+        for i in 0..24 {
+            let d = c.node(&format!("d{i}"));
+            c.add_resistor(&format!("R{i}"), prev, d, 5e3).unwrap();
+            c.add_mosfet(&format!("M{i}"), d, d, GND, GND, m, 4e-6, 0.5e-6, 1.0)
+                .unwrap();
+            c.add_capacitor(&format!("C{i}"), d, GND, 2e-15).unwrap();
+            prev = d;
+        }
+        c
+    }
+
+    /// The constant segment both sides of the equivalence test preload.
+    fn stamp_constant<S: Stamp>(c: &Circuit, st: &mut S) {
+        st.load_gmin(1e-12);
+        stamp_resistive_linear(c, SourceEval::Dc { scale: 1.0 }, st);
+    }
+
+    /// Replaying a compiled [`MosTable`] on top of the preloaded constant
+    /// segment gives the same bits as walking [`stamp_mos`] through a
+    /// `SlotStamper` over the same slot map, and the MOS writes keep the
+    /// classic `vccs(gm)`, `conductance(gds)`, `vccs(gmb)` order.
+    fn assert_table_matches_walk(c: &Circuit) {
+        let n = c.num_unknowns();
+        let nn = c.num_nodes();
+        // Spread the iterate over ±2 V so NMOS and PMOS devices visit the
+        // forward and the drain/source-swapped linearizations.
+        let x: Vec<f64> = (0..n)
+            .map(|i| -2.0 + 4.0 * ((i * 37 + 11) % 23) as f64 / 22.0)
+            .collect();
+
+        let mut rec = RecordStamper::new(c);
+        stamp_constant(c, &mut rec);
+        let cl = rec.writes.len();
+        let mut walk = rec.clone();
+        let mut classic = rec.clone();
+        for dev in c.mosfets() {
+            stamp_mos(dev, &x, &mut walk, None);
+            let Device::Mosfet { d, g, s, b, .. } = *dev else {
+                unreachable!()
+            };
+            classic.vccs(d, s, g, s, 1.0);
+            classic.conductance(d, s, 1.0);
+            classic.vccs(d, s, b, s, 1.0);
+        }
+        let mut table = MosTable::record(c, &mut rec.writes);
+        assert_eq!(table.devs.len(), c.num_mosfets());
+        assert_eq!(rec.writes, walk.writes, "pattern coordinates or presence");
+        assert_eq!(rec.writes, classic.writes, "pattern order");
+
+        let (csc, slots) = linalg::CscMatrix::from_coordinates(n, &rec.writes);
+        table.resolve(&slots);
+
+        let mut walk_values = vec![0.0; csc.nnz()];
+        let mut walk_z = vec![0.0; n];
+        let mut st = SlotStamper::new(nn, &slots, &mut walk_values, &mut walk_z);
+        stamp_constant(c, &mut st);
+        for dev in c.mosfets() {
+            stamp_mos(dev, &x, &mut st, None);
+        }
+        assert!(st.complete());
+
+        let mut values = vec![0.0; csc.nnz()];
+        let mut z = vec![0.0; n];
+        let mut st = SlotStamper::new(nn, &slots[..cl], &mut values, &mut z);
+        stamp_constant(c, &mut st);
+        assert!(st.complete());
+        assert!(table.stamp(c, &x, &mut values, &mut z));
+
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&values), bits(&walk_values));
+        assert_eq!(bits(&z), bits(&walk_z));
+        assert!(z.iter().any(|&v| v != 0.0), "the MOS stamps must reach z");
+    }
+
+    #[test]
+    fn compiled_mos_table_matches_the_generic_stamp_walk() {
+        let nmos = test_nmos();
+        let pmos = MosModel {
+            polarity: MosPolarity::Pmos,
+            kp: 80e-6,
+            ..test_nmos()
         };
         let mut c = Circuit::new();
         let vdd = c.node("vdd");
-        let d = c.node("d");
+        let nodes: Vec<NodeId> = (0..8).map(|i| c.node(&format!("n{i}"))).collect();
+        let [a, b, d, e, f, g, h, k] = nodes[..] else {
+            unreachable!()
+        };
         c.add_vsource("V1", vdd, GND, Waveform::Dc(1.8)).unwrap();
-        c.add_resistor("R1", vdd, d, 10e3).unwrap();
-        c.add_mosfet("M1", d, d, GND, GND, &m, 4e-6, 0.5e-6, 1.0)
+        for (i, &n) in nodes.iter().enumerate() {
+            c.add_resistor(&format!("R{i}"), vdd, n, 10e3).unwrap();
+        }
+        let (w, l) = (4e-6, 0.5e-6);
+        // Source and bulk at ground.
+        c.add_mosfet("M1", a, b, GND, GND, &nmos, w, l, 1.0)
             .unwrap();
-        let x = vec![1.8, 0.6, 0.0];
-
-        let mut full = RealStamper::new(&c);
-        stamp_resistive_system(&c, &x, SourceEval::Dc { scale: 1.0 }, &mut full);
-
-        let mut split = RealStamper::new(&c);
-        stamp_resistive_linear(&c, SourceEval::Dc { scale: 1.0 }, &mut split);
-        stamp_resistive_mos(&c, &x, &mut split);
-
-        assert_eq!(full.a, split.a);
-        assert_eq!(full.z, split.z);
+        // Diode-connected, g = d.
+        c.add_mosfet("M2", d, d, GND, GND, &nmos, w, l, 1.0)
+            .unwrap();
+        // Gate tied to source, both off ground.
+        c.add_mosfet("M3", e, f, f, GND, &nmos, w, l, 1.0).unwrap();
+        // Drain at ground, bulk off ground.
+        c.add_mosfet("M4", GND, g, h, k, &nmos, w, l, 1.0).unwrap();
+        // PMOS with source and bulk at the supply.
+        c.add_mosfet("M5", a, k, vdd, vdd, &pmos, w, l, 2.0)
+            .unwrap();
+        assert_table_matches_walk(&c);
+        assert_table_matches_walk(&mos_ladder(1e-10, &nmos));
     }
 
     #[test]

@@ -20,13 +20,24 @@
 //! workspace exploits this by keeping, per assembly kind (DC-resistive /
 //! transient), a cached [`SparsePlan`]:
 //!
-//! 1. one *recorded* assembly pass learns the stamp-write sequence;
-//! 2. the sequence becomes a CSC pattern plus a stamp→slot map
-//!    ([`linalg::CscMatrix::from_coordinates`]), so later assemblies write
-//!    straight into the CSC value array;
-//! 3. [`linalg::SparseLu`] runs one pivoting factorization per Newton
-//!    solve (first iteration) and a scan-free
-//!    [`linalg::SparseLu::refactor_into`] on every subsequent iteration.
+//! 1. one *recorded* pass learns the write sequence of the constant
+//!    (x-independent) segment — gmin, linear devices, sources, capacitor
+//!    companions — and appends every MOSFET's fixed 12-write
+//!    Norton-companion pattern after it;
+//! 2. one [`linalg::CscMatrix::from_coordinates`] call turns both into a
+//!    CSC pattern plus a stamp→slot map: the constant segment's slots
+//!    drive a `SlotStamper` replay once per Newton solve, and the MOS
+//!    writes' slots are compiled into a [`MosTable`] (per MOSFET: 4
+//!    terminal unknowns, 12 CSC value indices);
+//! 3. every Newton iteration copies in the constant values and replays
+//!    the table — model evaluation plus 12 `values[slot] += c` and 2
+//!    right-hand-side writes per MOSFET — then [`linalg::SparseLu`] runs
+//!    one pivoting factorization per solve session and a scan-free
+//!    [`linalg::SparseLu::refactor_into`] on every later iteration.
+//!
+//! The table holds topology only (model cards and `MosConsts` are read
+//! from the circuit each iteration), so it stays valid across the
+//! candidates and corners a pooled workspace serves.
 //!
 //! Whether a circuit uses the sparse or the dense kernel is decided
 //! automatically from its assembled density alone, at every size, with
@@ -54,7 +65,7 @@ use linalg::{
 
 use crate::netlist::Circuit;
 use crate::stamp::{
-    Assemble, AssembleComplex, ComplexRecordStamper, ComplexSlotStamper, ComplexStamper,
+    Assemble, AssembleComplex, ComplexRecordStamper, ComplexSlotStamper, ComplexStamper, MosTable,
     RealStamper, RecordStamper, RhsStamper, SlotStamper,
 };
 
@@ -114,8 +125,10 @@ pub(crate) enum SparseStep {
     /// caller falls back to the dense kernel, whose different elimination
     /// order may still survive).
     Singular,
-    /// The plan was invalidated (write-sequence drift); the caller should
-    /// fall back to the dense kernel for the rest of this solve.
+    /// The plan was invalidated (constant write-sequence drift, or a
+    /// circuit whose MOSFET count disagrees with the compiled
+    /// [`MosTable`]); the caller should fall back to the dense kernel for
+    /// the rest of this solve.
     Fallback,
 }
 
@@ -142,14 +155,13 @@ struct SparsePlan {
 /// Recorded stamp→slot map plus the sparse factorization state.
 #[derive(Debug, Clone)]
 struct SparseState {
-    /// Per-write CSC value index of the x-*varying* assembly segment, in
-    /// stamp order — the full write sequence when the assembly has no
-    /// constant/varying split.
-    var_slots: Vec<u32>,
-    /// Constant-segment preload (split assemblies only): the x-independent
-    /// writes are assembled once per Newton solve and copied in before
-    /// each iteration's varying replay.
-    preload: Option<PreloadState>,
+    /// Constant-segment preload: the x-independent writes are assembled
+    /// once per Newton solve and copied in before each iteration's MOS
+    /// replay.
+    preload: PreloadState,
+    /// The x-dependent (MOS) segment, compiled to CSC value indices and
+    /// replayed on top of the preload every iteration.
+    mos: MosTable,
     /// The MNA system in CSC form (pattern fixed, values per assembly).
     csc: CscMatrix,
     /// Symbolic + numeric LU state.
@@ -163,13 +175,14 @@ struct SparseState {
     pivot_session: u64,
 }
 
-/// The constant (x-independent) half of a split assembly: slot map,
+/// The constant (x-independent) segment of the assembly: slot map,
 /// pre-assembled CSC values and right-hand side. Refreshed once per Newton
 /// solve — every transient timestep re-stamps its sources and capacitor
-/// companions here exactly once, and the per-iteration replay touches only
-/// the MOS slots on top of a copy of these buffers. When the solve's
-/// [`Assemble::constant_matrix_key`] matches the one `values` was stamped
-/// under (same session, hence same circuit), only `z` is re-stamped.
+/// companions here exactly once, and the per-iteration [`MosTable`] replay
+/// touches only the MOS slots on top of a copy of these buffers. When the
+/// solve's [`Assemble::constant_matrix_key`] matches the one `values` was
+/// stamped under (same session, hence same circuit), only `z` is
+/// re-stamped.
 #[derive(Debug, Clone)]
 struct PreloadState {
     /// Per-write CSC value index of the constant segment, in stamp order.
@@ -572,15 +585,15 @@ impl NewtonWorkspace {
     }
 
     /// Decides (and caches) the solver kernel for `(circuit, kind)`. On a
-    /// cache miss this runs one *recorded* assembly pass (via `assemble` at
-    /// `x0`) to learn the write sequence, builds the CSC pattern and slot
-    /// map, and selects sparse vs dense by density.
+    /// cache miss this records the constant segment's write sequence (one
+    /// [`Assemble::assemble_constant`] pass), appends the MOSFETs' pattern
+    /// writes ([`MosTable::record`]), builds the CSC pattern and slot map
+    /// from both in one go, and selects sparse vs dense by density.
     pub(crate) fn prepare<A: Assemble>(
         &mut self,
         circuit: &Circuit,
         kind: StampKind,
         assemble: &mut A,
-        x0: &[f64],
     ) -> SolveMode {
         let topo = circuit.topology_id();
         let n = circuit.num_unknowns();
@@ -593,45 +606,33 @@ impl NewtonWorkspace {
                 };
             }
         }
-        // Record the write sequence. Split-capable assemblies record the
-        // constant segment first, then the varying one, so the
-        // concatenated coordinates build one CSC pattern whose slot map
-        // splits cleanly at the segment boundary.
+        // Record the constant segment, then the MOS pattern after it, so
+        // one CSC pattern covers both and the slot map splits cleanly at
+        // the segment boundary.
         let mut rec = RecordStamper::new(circuit);
-        let const_writes = if assemble.supports_split() {
-            assemble.assemble_constant(&mut rec);
-            let cl = rec.writes.len();
-            assemble.assemble_varying(x0, &mut rec);
-            Some(cl)
-        } else {
-            assemble.assemble(x0, &mut rec);
-            None
-        };
-        let (csc, slots) = CscMatrix::from_coordinates(n, &rec.writes);
+        assemble.assemble_constant(&mut rec);
+        let cl = rec.writes.len();
+        let mut mos = MosTable::record(circuit, &mut rec.writes);
+        let (csc, mut slots) = CscMatrix::from_coordinates(n, &rec.writes);
         let density = csc.nnz() as f64 / (n * n) as f64;
         let sparse = if density > SPARSE_MAX_DENSITY {
             None
         } else {
-            let (preload, var_slots) = match const_writes {
-                Some(cl) => (
-                    Some(PreloadState {
-                        const_slots: slots[..cl].to_vec(),
-                        values: vec![0.0; csc.nnz()],
-                        z: vec![0.0; n],
-                        solve_id: 0,
-                        matrix_key: None,
-                    }),
-                    slots[cl..].to_vec(),
-                ),
-                None => (None, slots),
-            };
+            mos.resolve(&slots);
+            slots.truncate(cl);
             // `DNNOPT_SUPERNODAL` pins the numeric replay path (CI
             // determinism suites, experiments); default Auto.
             let mut lu = SparseLu::new();
             lu.set_supernodal_mode(SupernodalMode::from_env());
             Some(SparseState {
-                var_slots,
-                preload,
+                preload: PreloadState {
+                    const_slots: slots,
+                    values: vec![0.0; csc.nnz()],
+                    z: vec![0.0; n],
+                    solve_id: 0,
+                    matrix_key: None,
+                },
+                mos,
                 csc,
                 lu,
                 pivot_session: 0,
@@ -654,10 +655,14 @@ impl NewtonWorkspace {
     /// runs the scan-free refactorization, falling back to a pivoting
     /// factor if a recorded pivot collapses numerically.
     ///
-    /// Split plans assemble only the x-*varying* (MOS) slots here: the
-    /// constant segment is assembled once per Newton solve (the first
-    /// iteration after [`NewtonWorkspace::begin_solve`]) and copied in
-    /// before each varying replay.
+    /// Assembly stamps only the MOSFETs here: the constant segment is
+    /// assembled once per Newton solve (the first iteration after
+    /// [`NewtonWorkspace::begin_solve`]) and copied in, then the plan's
+    /// [`MosTable`] replays each MOSFET's linearization at `x` straight
+    /// into its resolved CSC slots. A constant segment whose write count
+    /// drifted from the recording, or a circuit whose MOSFET count
+    /// disagrees with the table, drops the plan and returns
+    /// [`SparseStep::Fallback`].
     pub(crate) fn sparse_step<A: Assemble>(
         &mut self,
         kind: StampKind,
@@ -671,59 +676,47 @@ impl NewtonWorkspace {
             return SparseStep::Fallback;
         };
         let asm = telemetry::span(telemetry::SpanId::Assembly);
-        let complete = if let Some(pre) = state.preload.as_mut() {
-            if pre.solve_id != self.solve_id {
-                // New Newton solve (new timestep / gmin rung / source
-                // scale): re-stamp the constant segment once — only its
-                // right-hand side when the matrix inputs are unchanged.
-                let key = assemble.constant_matrix_key().map(|k| (self.session, k));
-                let ok = if self.rhs_restamp && key.is_some() && key == pre.matrix_key {
-                    let mut st =
-                        RhsStamper::new(self.st.num_nodes(), pre.const_slots.len(), &mut pre.z);
-                    assemble.assemble_constant(&mut st);
-                    st.complete()
-                } else {
-                    let mut st = SlotStamper::new(
-                        self.st.num_nodes(),
-                        &pre.const_slots,
-                        &mut pre.values,
-                        &mut pre.z,
-                    );
-                    assemble.assemble_constant(&mut st);
-                    st.complete()
-                };
-                if !ok {
-                    self.plans[kind as usize] = None;
-                    return SparseStep::Fallback;
-                }
-                pre.solve_id = self.solve_id;
-                pre.matrix_key = key;
+        let pre = &mut state.preload;
+        if pre.solve_id != self.solve_id {
+            // New Newton solve (new timestep / gmin rung / source scale):
+            // re-stamp the constant segment once — only its right-hand
+            // side when the matrix inputs are unchanged.
+            let key = assemble.constant_matrix_key().map(|k| (self.session, k));
+            let ok = if self.rhs_restamp && key.is_some() && key == pre.matrix_key {
+                let mut st =
+                    RhsStamper::new(self.st.num_nodes(), pre.const_slots.len(), &mut pre.z);
+                assemble.assemble_constant(&mut st);
+                st.complete()
+            } else {
+                let mut st = SlotStamper::new(
+                    self.st.num_nodes(),
+                    &pre.const_slots,
+                    &mut pre.values,
+                    &mut pre.z,
+                );
+                assemble.assemble_constant(&mut st);
+                st.complete()
+            };
+            if !ok {
+                // The write sequence drifted from the recording (should
+                // not happen for a fingerprint-matched topology); drop the
+                // plan and let the caller run the dense kernel.
+                self.plans[kind as usize] = None;
+                return SparseStep::Fallback;
             }
-            // Preload the constant part, then replay only the MOS slots.
-            state.csc.values_mut().copy_from_slice(&pre.values);
-            self.st.z.copy_from_slice(&pre.z);
-            let mut st = SlotStamper::resume(
-                self.st.num_nodes(),
-                &state.var_slots,
-                state.csc.values_mut(),
-                &mut self.st.z,
-            );
-            assemble.assemble_varying(x, &mut st);
-            st.complete()
-        } else {
-            let mut st = SlotStamper::new(
-                self.st.num_nodes(),
-                &state.var_slots,
-                state.csc.values_mut(),
-                &mut self.st.z,
-            );
-            assemble.assemble(x, &mut st);
-            st.complete()
-        };
-        if !complete {
-            // The write sequence drifted from the recording (should not
-            // happen for a fingerprint-matched topology); drop the plan and
-            // let the caller run the dense kernel.
+            pre.solve_id = self.solve_id;
+            pre.matrix_key = key;
+        }
+        // Preload the constant part, then replay only the MOS slots.
+        state.csc.values_mut().copy_from_slice(&pre.values);
+        self.st.z.copy_from_slice(&pre.z);
+        if !state.mos.stamp(
+            assemble.circuit(),
+            x,
+            state.csc.values_mut(),
+            &mut self.st.z,
+        ) {
+            // The circuit's MOSFET count disagrees with the table.
             self.plans[kind as usize] = None;
             return SparseStep::Fallback;
         }
@@ -863,7 +856,82 @@ pub fn lease_workspace(circuit: &Circuit) -> PooledWorkspace {
 mod tests {
     use super::*;
     use crate::netlist::GND;
+    use crate::options::SimOptions;
+    use crate::stamp::tests::{mos_ladder, test_nmos};
+    use crate::stamp::{stamp_resistive_linear, stamp_resistive_system, SourceEval, Stamp};
     use crate::waveform::Waveform;
+
+    /// A plain DC assembly: gmin loading plus the resistive stamps.
+    struct Resistive<'a>(&'a Circuit);
+
+    impl Assemble for Resistive<'_> {
+        fn assemble<S: Stamp>(&mut self, x: &[f64], st: &mut S) {
+            st.load_gmin(1e-12);
+            stamp_resistive_system(self.0, x, SourceEval::Dc { scale: 1.0 }, st);
+        }
+
+        fn assemble_constant<S: Stamp>(&mut self, st: &mut S) {
+            st.load_gmin(1e-12);
+            stamp_resistive_linear(self.0, SourceEval::Dc { scale: 1.0 }, st);
+        }
+
+        fn circuit(&self) -> &Circuit {
+            self.0
+        }
+    }
+
+    /// Replaces the DC plan's compiled MOS table with one recorded from
+    /// `other`, whose MOSFET count differs from the plan's circuit.
+    fn plant_foreign_table(ws: &mut NewtonWorkspace, other: &Circuit) {
+        let state = ws.plans[StampKind::Dc as usize]
+            .as_mut()
+            .and_then(|p| p.sparse.as_mut())
+            .expect("sparse DC plan");
+        state.mos = MosTable::record(other, &mut Vec::new());
+    }
+
+    #[test]
+    fn mos_count_drift_falls_back_to_the_dense_kernel() {
+        let c = mos_ladder(1e-10, &test_nmos());
+        let mut short = Circuit::new();
+        let d = short.node("d");
+        short
+            .add_mosfet("M0", d, d, GND, GND, &test_nmos(), 4e-6, 0.5e-6, 1.0)
+            .unwrap();
+        assert_ne!(short.num_mosfets(), c.num_mosfets());
+        let opts = SimOptions::default();
+        let sparse_op =
+            crate::op_with_workspace(&c, &opts, None, &mut NewtonWorkspace::new(&c)).unwrap();
+
+        // The step itself reports the drift and drops the plan.
+        let mut ws = NewtonWorkspace::new(&c);
+        let x0 = vec![0.0; c.num_unknowns()];
+        let mode = ws.prepare(&c, StampKind::Dc, &mut Resistive(&c));
+        assert_eq!(mode, SolveMode::Sparse);
+        ws.begin_solve();
+        let step = ws.sparse_step(StampKind::Dc, &x0, &mut Resistive(&c));
+        assert_eq!(step, SparseStep::Factored);
+        plant_foreign_table(&mut ws, &short);
+        ws.begin_solve();
+        let step = ws.sparse_step(StampKind::Dc, &x0, &mut Resistive(&c));
+        assert_eq!(step, SparseStep::Fallback);
+        assert!(!ws.uses_sparse(false), "a drifted plan must be dropped");
+
+        // A whole solve over a drifted plan finishes on the dense kernel.
+        let mut ws = NewtonWorkspace::new(&c);
+        crate::op_with_workspace(&c, &opts, None, &mut ws).unwrap();
+        assert!(ws.uses_sparse(false), "the ladder's DC plan is sparse");
+        plant_foreign_table(&mut ws, &short);
+        let dense_op = crate::op_with_workspace(&c, &opts, None, &mut ws).unwrap();
+        assert!(!ws.uses_sparse(false), "the solve must have left the plan");
+        for node in 1..c.num_nodes() {
+            let (a, b) = (dense_op.voltage(node), sparse_op.voltage(node));
+            assert!(
+                (a - b).abs() <= 1e-9 * (1.0 + b.abs()),
+                "node {node}: {a} vs {b}"
+            );
+        }
+    }
 
     #[test]
     fn workspace_adapts_to_circuit_growth() {
