@@ -34,13 +34,12 @@ pub fn build_rc_ladder(n: usize) -> spice::Circuit {
     c
 }
 
-/// The stamped DC system of the post-layout RC mesh
-/// ([`circuits::mesh::build_rc_grid`]) at `n` unknowns: the matrix the
-/// supernodal sparse engine is tuned on. One definition shared by
-/// `benches/sparse_scaling.rs` and [`baseline::refresh`], so the recorded
-/// scalar-vs-supernodal rows always measure the same system as
+/// The stamped DC matrix of the post-layout RC mesh
+/// ([`circuits::mesh::build_rc_grid`]) at `n` unknowns. One definition
+/// shared by `benches/sparse_scaling.rs` and [`baseline::refresh`], so
+/// the recorded mesh rows always measure the same system as
 /// `cargo bench`.
-pub fn mesh_dc_system(n: usize) -> (linalg::CscMatrix, Vec<f64>) {
+pub fn mesh_dc_system(n: usize) -> linalg::CscMatrix {
     use spice::stamp::{stamp_resistive_system, RealStamper, SourceEval};
     let ckt = circuits::mesh::build_rc_grid(n);
     let mut st = RealStamper::new(&ckt);
@@ -48,24 +47,23 @@ pub fn mesh_dc_system(n: usize) -> (linalg::CscMatrix, Vec<f64>) {
     st.clear();
     st.load_gmin(1e-12);
     stamp_resistive_system(&ckt, &x0, SourceEval::Dc { scale: 1.0 }, &mut st);
-    (linalg::CscMatrix::from_dense(&st.a), st.z)
+    linalg::CscMatrix::from_dense(&st.a)
 }
 
-/// The assembled complex AC systems `(G + jωC)·x = z` of the post-layout
+/// The assembled complex AC matrices `G + jωC` of the post-layout
 /// RC mesh ([`circuits::mesh::build_rc_grid`]) at `n` unknowns, one per
-/// point of a one-point-per-decade 1 MHz–1 GHz sweep: the systems the
-/// complex supernodal replay is tuned on. One definition shared by
-/// `benches/sparse_scaling.rs` and [`baseline::refresh`], so the recorded
-/// scalar-vs-supernodal AC rows always measure the same sweep as
+/// point of a one-point-per-decade 1 MHz–1 GHz sweep. One definition
+/// shared by `benches/sparse_scaling.rs` and [`baseline::refresh`], so
+/// the recorded AC mesh rows always measure the same sweep as
 /// `cargo bench`.
-pub fn mesh_ac_systems(n: usize) -> Vec<(linalg::CscComplexMatrix, Vec<linalg::C64>)> {
+pub fn mesh_ac_systems(n: usize) -> Vec<linalg::CscComplexMatrix> {
     let ckt = circuits::mesh::build_rc_grid(n);
     let gmin = spice::SimOptions::default().gmin;
     spice::log_freqs(1e6, 1e9, 1)
         .iter()
         .map(|&f| {
             let st = assemble_linear_small_signal(&ckt, 2.0 * std::f64::consts::PI * f, gmin);
-            (complex_csc(&st.a, n), st.z)
+            complex_csc(&st.a, n)
         })
         .collect()
 }
@@ -457,49 +455,34 @@ pub mod baseline {
             });
         }
 
-        // The post-layout sparse-engine rows (identical bodies to
+        // The post-layout mesh rows (identical bodies to
         // `benches/sparse_scaling.rs`): one scan-free numeric
-        // factorization of the parasitic RC-mesh system per iteration,
-        // scalar Gilbert–Peierls vs the supernodal blocked replay.
+        // factorization of the parasitic RC-mesh system per iteration.
         for n in [200usize, 500, 1000] {
-            let (csc, _z) = crate::mesh_dc_system(n);
-            for (suffix, mode) in [
-                ("scalar", linalg::SupernodalMode::ForceScalar),
-                ("supernodal", linalg::SupernodalMode::ForceBlocked),
-            ] {
-                c.bench_function(&format!("newton_dc_kernel_mesh_n{n}_{suffix}"), |b| {
-                    let mut slu = SparseLu::new();
-                    slu.set_supernodal_mode(mode);
-                    slu.factor(&csc).unwrap();
-                    b.iter(|| {
-                        slu.refactor_into(black_box(&csc)).unwrap();
-                    })
-                });
-            }
+            let csc = crate::mesh_dc_system(n);
+            c.bench_function(&format!("newton_dc_kernel_mesh_n{n}_scalar"), |b| {
+                let mut slu = SparseLu::new();
+                slu.factor(&csc).unwrap();
+                b.iter(|| {
+                    slu.refactor_into(black_box(&csc)).unwrap();
+                })
+            });
         }
 
         // The complex AC-mesh rows (identical bodies to
         // `benches/sparse_scaling.rs`): one scan-free numeric replay of
-        // every `G + jωC` point of the RC-mesh sweep per iteration,
-        // scalar complex Gilbert–Peierls vs the supernodal blocked
-        // replay (acceptance target: supernodal ≥1.8× at n ≥ 500).
+        // every `G + jωC` point of the RC-mesh sweep per iteration.
         for n in [200usize, 500, 1000] {
             let systems = crate::mesh_ac_systems(n);
-            for (suffix, mode) in [
-                ("scalar", linalg::SupernodalMode::ForceScalar),
-                ("supernodal", linalg::SupernodalMode::ForceBlocked),
-            ] {
-                c.bench_function(&format!("ac_sweep_kernel_mesh_n{n}_{suffix}"), |b| {
-                    let mut slu = SparseComplexLu::new();
-                    slu.set_supernodal_mode(mode);
-                    slu.factor(&systems[0].0).unwrap();
-                    b.iter(|| {
-                        for (csc, _) in &systems {
-                            slu.refactor_into(black_box(csc)).unwrap();
-                        }
-                    })
-                });
-            }
+            c.bench_function(&format!("ac_sweep_kernel_mesh_n{n}_scalar"), |b| {
+                let mut slu = SparseComplexLu::new();
+                slu.factor(&systems[0]).unwrap();
+                b.iter(|| {
+                    for csc in &systems {
+                        slu.refactor_into(black_box(csc)).unwrap();
+                    }
+                })
+            });
         }
 
         // The AC-sweep kernels (identical bodies to
@@ -981,36 +964,6 @@ mod tests {
                     td / ts
                 );
             }
-        }
-    }
-
-    /// Diagnostic (run with `--ignored --nocapture`): scalar vs supernodal
-    /// refactor times on the generated parasitic meshes — the workload the
-    /// `sparse_scaling` bench records, without criterion overhead.
-    #[test]
-    #[ignore]
-    fn probe_mesh_refactor_paths() {
-        use linalg::{SparseLu, SupernodalMode};
-        for n in [200usize, 500, 1000] {
-            let (csc, _z) = mesh_dc_system(n);
-            let mut times = Vec::new();
-            for mode in [SupernodalMode::ForceScalar, SupernodalMode::ForceBlocked] {
-                let mut slu = SparseLu::new();
-                slu.set_supernodal_mode(mode);
-                slu.factor(&csc).unwrap();
-                let iters = 200_000 / n;
-                let t = std::time::Instant::now();
-                for _ in 0..iters {
-                    slu.refactor_into(&csc).unwrap();
-                }
-                times.push(t.elapsed().as_secs_f64() / iters as f64);
-            }
-            eprintln!(
-                "n={n}: scalar {:.1}us supernodal {:.1}us ratio {:.2}x",
-                times[0] * 1e6,
-                times[1] * 1e6,
-                times[0] / times[1]
-            );
         }
     }
 }

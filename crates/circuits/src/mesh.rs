@@ -1,5 +1,5 @@
 //! Deterministic parasitic RC-mesh workloads — the post-layout-scale
-//! netlists the supernodal sparse engine is tuned on.
+//! netlists of several hundred to a thousand unknowns.
 //!
 //! Pre-layout netlists in this workspace are n ≈ 30–120 unknowns; an
 //! extracted (post-layout) industrial block is hundreds to thousands,
@@ -9,8 +9,8 @@
 //! - [`build_rc_grid`] — a standalone rectangular resistor grid with
 //!   grounded capacitors and a corner-to-corner current path, the
 //!   canonical extraction-style topology whose factorization fill-in
-//!   produces the dense trailing blocks supernodal elimination exploits.
-//!   Used by the `sparse_scaling` bench and the determinism suite.
+//!   produces dense trailing blocks. Used by the `sparse_scaling` bench
+//!   and the determinism suites.
 //! - [`apply_post_layout`] / [`update_post_layout`] — distributed RC
 //!   ladders layered on an existing circuit: every estimated node
 //!   capacitance (the [`crate::parasitics`] MLParest stand-in) is split
@@ -60,7 +60,7 @@ fn jitter(k: u64) -> f64 {
 /// adjacent metal layers and via stitching connect beyond the abutting
 /// cell. This longer-range coupling is what gives post-layout matrices
 /// their characteristic fill-in: factorization produces dense trailing
-/// blocks, the structure the supernodal engine in `linalg` feeds on.
+/// blocks.
 ///
 /// Element values carry deterministic ±50% jitter so no two pivots tie
 /// artificially; the circuit is a pure function of `n`.

@@ -180,8 +180,8 @@ impl FoldedCascodeOta {
     /// Creates the *post-layout* variant of the problem: both testbench
     /// templates carry distributed parasitic RC ladders on every node (the
     /// extraction-style mesh of [`crate::mesh`]), pushing the MNA systems
-    /// from n ≈ 60 pre-layout to several hundred unknowns — the regime the
-    /// supernodal sparse engine targets. Per-candidate resizes refresh the
+    /// from n ≈ 60 pre-layout to several hundred unknowns, solved by the
+    /// sparse LU in `linalg`. Per-candidate resizes refresh the
     /// ladder capacitance shares in place, so the topology fingerprint
     /// (and thus the pooled solver state) is still shared across
     /// candidates. Nominal corner only.

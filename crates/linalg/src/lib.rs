@@ -24,11 +24,11 @@
 //! - [`CscMatrix`] and [`SparseLu`]: KLU-style sparse LU with a recorded
 //!   elimination pattern — one symbolic analysis per topology, a scan-free
 //!   [`SparseLu::refactor_into`] per Newton iteration. The simulator
-//!   auto-selects this path for large, sparse MNA systems. The whole
-//!   sparse pipeline is one generic implementation over [`Scalar`]
-//!   ([`CscT`]/[`SparseLuT`]), monomorphized for `f64` and [`C64`], and
-//!   includes a supernodal blocked replay for the dense trailing blocks
-//!   of post-layout meshes.
+//!   auto-selects this path for sparse MNA systems. The whole sparse
+//!   pipeline is one generic implementation over [`Scalar`]
+//!   ([`CscT`]/[`SparseLuT`]), monomorphized for `f64` and [`C64`], with
+//!   one numeric path: the scalar Gilbert–Peierls replay over flat
+//!   recorded index arrays.
 //! - [`Cholesky`]: factorization of symmetric positive-definite matrices in
 //!   reusable storage, used by Gaussian-process regression (with jitter
 //!   escalation and log-determinants for the marginal likelihood).
@@ -36,7 +36,7 @@
 //! - [`CscComplexMatrix`] and [`SparseComplexLu`]: the complex mirror of
 //!   the sparse pipeline for the frequency-domain MNA systems `G + jωC`,
 //!   with a transpose solve for the noise analysis' adjoint system. The
-//!   simulator auto-selects this path for large, sparse AC systems.
+//!   simulator auto-selects this path for sparse AC systems.
 //!
 //! # Example
 //!
@@ -61,7 +61,6 @@ pub mod pool;
 mod scalar;
 mod sparse;
 mod sparse_complex;
-mod supernodal;
 pub mod vecops;
 
 pub use cholesky::Cholesky;
@@ -72,10 +71,9 @@ pub use gemm::{
 };
 pub use lu::{ComplexLu, Lu, LuT};
 pub use matrix::Matrix;
-pub use scalar::{C64Planes, ComplexGemmScratch, Scalar};
+pub use scalar::Scalar;
 pub use sparse::{CscMatrix, CscT, SparseLu, SparseLuT};
 pub use sparse_complex::{CscComplexMatrix, SparseComplexLu};
-pub use supernodal::SupernodalMode;
 
 /// Error produced by factorizations when the input matrix is unusable.
 #[derive(Debug, Clone, PartialEq)]

@@ -23,9 +23,10 @@
 //!   factors — the noise analysis' adjoint system shares one
 //!   factorization per frequency point with the forward AC solve.
 //!
-//! The whole numeric plane — scalar replay *and* the supernodal blocked
-//! replay in `supernodal.rs` — is generic over [`Scalar`], so the real and
-//! complex paths are one implementation and cannot drift.
+//! The whole numeric plane is generic over [`Scalar`], so the real and
+//! complex paths are one implementation and cannot drift. There is one
+//! numeric path: the flat replay above, column by column over recorded
+//! index arrays.
 //!
 //! The intended rhythm (mirrored by `spice::NewtonWorkspace`): analyze the
 //! pattern once per topology, `factor` once per solve to pin the pivot
@@ -33,8 +34,7 @@
 //! subsequent iteration.
 
 use crate::scalar::Scalar;
-use crate::supernodal::Supernodal;
-use crate::{FactorError, Matrix, SupernodalMode};
+use crate::{FactorError, Matrix};
 
 /// Pivots whose magnitude is not above this absolute threshold are treated
 /// as singular, by the sparse [`SparseLuT`] and the dense [`crate::LuT`]
@@ -70,7 +70,7 @@ pub type CscMatrix = CscT<f64>;
 /// # Panics
 ///
 /// Panics if any coordinate is out of range.
-pub(crate) fn pattern_from_coordinates(
+fn pattern_from_coordinates(
     n: usize,
     coords: &[(usize, usize)],
 ) -> (Vec<usize>, Vec<usize>, Vec<u32>) {
@@ -230,11 +230,7 @@ const FILL_GUARD_NODE_FACTOR: usize = 64;
 /// records one [`telemetry::Metric::SparseFillGuardFallbacks`] count (the
 /// fallback trades factorization fill for ordering time, which is worth
 /// knowing about when a workload triggers it systematically).
-pub(crate) fn min_degree_order_pattern(
-    n: usize,
-    col_ptr: &[usize],
-    row_idx: &[usize],
-) -> Vec<usize> {
+fn min_degree_order_pattern(n: usize, col_ptr: &[usize], row_idx: &[usize]) -> Vec<usize> {
     // Symmetric adjacency, excluding the diagonal.
     let mut adj: Vec<std::collections::BTreeSet<usize>> = vec![Default::default(); n];
     let mut edges = 0usize;
@@ -285,11 +281,9 @@ pub(crate) fn min_degree_order_pattern(
 /// of the symmetrized pattern under `order` (Liu's algorithm with path
 /// compression), then renumbers each subtree contiguously, children in
 /// ascending order — fully deterministic. A postorder is fill-equivalent
-/// to the input order (same elimination tree, same fill), but numbers the
-/// columns of each fundamental supernode consecutively, which is what the
-/// supernodal detection in `supernodal.rs` needs to find dense panels: the
-/// raw min-degree order scatters structurally identical columns, leaving
-/// mostly singleton supernodes.
+/// to the input order (same elimination tree, same fill) and numbers the
+/// columns of each subtree consecutively. The resulting column order
+/// fixes the pivot sequence, and so the bits, of every sparse factor.
 fn etree_postorder(n: usize, col_ptr: &[usize], row_idx: &[usize], order: &mut [usize]) {
     if n == 0 {
         return;
@@ -423,32 +417,32 @@ fn min_degree_order<T: Scalar>(a: &CscT<T>) -> Vec<usize> {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SparseLuT<T: Scalar> {
-    pub(crate) n: usize,
+    n: usize,
     /// Fill-reducing column preorder: step `k` factors column `q[k]` of `A`.
-    pub(crate) q: Vec<usize>,
+    q: Vec<usize>,
     /// `p[k]` = original row pivotal at step `k`.
-    pub(crate) p: Vec<usize>,
+    p: Vec<usize>,
     /// Inverse row permutation: `pinv[orig_row]` = pivotal step, or
     /// `usize::MAX` while unassigned during factorization.
-    pub(crate) pinv: Vec<usize>,
+    pinv: Vec<usize>,
     /// L pattern/values, column-major; rows are *original* indices,
     /// strictly-below-diagonal entries only.
-    pub(crate) l_colptr: Vec<usize>,
-    pub(crate) l_rows: Vec<u32>,
-    pub(crate) l_vals: Vec<T>,
+    l_colptr: Vec<usize>,
+    l_rows: Vec<u32>,
+    l_vals: Vec<T>,
     /// U pattern/values, column-major; rows are *pivotal positions* `< k`,
     /// stored ascending so a refactor replay is a valid elimination order.
-    pub(crate) u_colptr: Vec<usize>,
-    pub(crate) u_rows: Vec<u32>,
+    u_colptr: Vec<usize>,
+    u_rows: Vec<u32>,
     /// `p[u_rows[t]]` precomposed: the *original* row of each U entry, so
     /// the replay and the solves index the dense accumulator directly.
-    pub(crate) u_orig: Vec<u32>,
-    pub(crate) u_vals: Vec<T>,
+    u_orig: Vec<u32>,
+    u_vals: Vec<T>,
     /// Reciprocal pivots.
-    pub(crate) inv_diag: Vec<T>,
+    inv_diag: Vec<T>,
     /// Dense accumulator indexed by original row; all-zero between calls
     /// (every method that writes it zeroes what it touched).
-    pub(crate) work: Vec<T>,
+    work: Vec<T>,
     /// DFS visitation stamps (stamp = current step).
     flag: Vec<usize>,
     /// DFS stack of `(node, next-child offset)` frames.
@@ -460,12 +454,7 @@ pub struct SparseLuT<T: Scalar> {
     /// Column ordering computed for the current pattern.
     analyzed: bool,
     /// A successful numeric factorization is stored.
-    pub(crate) factored: bool,
-    /// Numeric-path selection policy (see [`SupernodalMode`]).
-    mode: SupernodalMode,
-    /// Blocked execution plan + scratch when the supernodal path is active
-    /// for the currently recorded pattern.
-    pub(crate) supernodal: Option<Box<Supernodal<T>>>,
+    factored: bool,
 }
 
 /// Real sparse LU (the per-Newton-iteration DC/transient kernel).
@@ -492,28 +481,6 @@ impl<T: Scalar> SparseLuT<T> {
     /// fill the elimination produced.
     pub fn factor_nnz(&self) -> usize {
         self.l_rows.len() + self.u_rows.len() + self.n
-    }
-
-    /// Selects the numeric execution path for subsequent
-    /// [`SparseLuT::factor`] calls (the plan is rebuilt at the next full
-    /// factorization; a stored blocked plan is dropped immediately).
-    pub fn set_supernodal_mode(&mut self, mode: SupernodalMode) {
-        self.mode = mode;
-        self.supernodal = None;
-    }
-
-    /// True when the supernodal (blocked) numeric path is active for the
-    /// currently recorded pattern — i.e. [`SparseLuT::refactor_into`] will
-    /// replay through dense panels and GEMM instead of scalar column
-    /// updates.
-    pub fn supernodal_active(&self) -> bool {
-        self.supernodal.is_some()
-    }
-
-    /// Number of width-≥2 supernodes in the active blocked plan (0 when
-    /// the scalar path is active). Diagnostic for tests and benches.
-    pub fn wide_supernodes(&self) -> u64 {
-        self.supernodal.as_ref().map_or(0, |s| s.wide_supernodes)
     }
 
     /// Computes the fill-reducing column ordering for `a`'s pattern. Called
@@ -546,9 +513,6 @@ impl<T: Scalar> SparseLuT<T> {
             "sparse LU dimension {n} exceeds u32"
         );
         self.factored = false;
-        // The recording is being rebuilt; any blocked plan over the old
-        // pattern is stale.
-        self.supernodal = None;
         self.p.clear();
         self.p.resize(n, 0);
         self.pinv.clear();
@@ -672,17 +636,6 @@ impl<T: Scalar> SparseLuT<T> {
             }
         }
         self.factored = true;
-        // With the pivot sequence and pattern pinned, decide the numeric
-        // replay path. When the blocked path is selected, immediately
-        // re-run the blocked replay on the same values so the *stored*
-        // factors always come from blocked arithmetic — a later
-        // `refactor_into` with identical values is then bit-identical to
-        // this fresh factor.
-        if let Some(mut sn) = Supernodal::build(self, self.mode) {
-            let res = sn.refactor(self, a);
-            self.supernodal = Some(sn);
-            res?;
-        }
         Ok(())
     }
 
@@ -711,12 +664,6 @@ impl<T: Scalar> SparseLuT<T> {
                 rows: a.n,
                 cols: self.n,
             });
-        }
-        if self.supernodal.is_some() {
-            let mut sn = self.supernodal.take().expect("checked above");
-            let res = sn.refactor(self, a);
-            self.supernodal = Some(sn);
-            return res;
         }
         self.factored = false;
         let SparseLuT {
@@ -833,9 +780,7 @@ impl<T: Scalar> SparseLuT<T> {
     /// (the permuted factorization recorded by [`SparseLuT::factor`]), the
     /// transpose inverse is `Pᵀ L⁻ᵀ U⁻ᵀ Qᵀ`: a forward substitution with
     /// `Uᵀ`, a back substitution with `Lᵀ`, both on the same factor
-    /// storage. No transposed matrix is ever built, and the factors may
-    /// come from either the scalar or the supernodal blocked replay (both
-    /// land in the same recorded arrays).
+    /// storage. No transposed matrix is ever built.
     ///
     /// # Errors
     ///
@@ -1136,71 +1081,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn forced_blocked_agrees_with_scalar_path() {
-        for n in [1usize, 2, 5, 17, 40, 71] {
-            let dense = mna_like(n, n as u64 + 100);
-            let a = CscMatrix::from_dense(&dense);
-            let mut scalar = SparseLu::new();
-            scalar.set_supernodal_mode(SupernodalMode::ForceScalar);
-            scalar.factor(&a).unwrap();
-            let mut blocked = SparseLu::new();
-            blocked.set_supernodal_mode(SupernodalMode::ForceBlocked);
-            blocked.factor(&a).unwrap();
-            assert!(blocked.supernodal_active(), "n = {n}");
-            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos() + 0.5).collect();
-            let (mut xs, mut xb) = (Vec::new(), Vec::new());
-            scalar.solve_into(&b, &mut xs).unwrap();
-            blocked.solve_into(&b, &mut xb).unwrap();
-            for (s, v) in xs.iter().zip(&xb) {
-                assert!(
-                    (s - v).abs() <= 1e-10 * s.abs().max(1.0),
-                    "n = {n}: {s} vs {v}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn forced_blocked_refactor_is_bit_identical_to_fresh_factor() {
-        let n = 48;
-        let dense = mna_like(n, 9);
-        let a = CscMatrix::from_dense(&dense);
-        let mut lu = SparseLu::new();
-        lu.set_supernodal_mode(SupernodalMode::ForceBlocked);
-        lu.factor(&a).unwrap();
-        let (l0, u0, d0) = (lu.l_vals.clone(), lu.u_vals.clone(), lu.inv_diag.clone());
-        lu.refactor_into(&a).unwrap();
-        assert_eq!(lu.l_vals, l0);
-        assert_eq!(lu.u_vals, u0);
-        assert_eq!(lu.inv_diag, d0);
-        // New values through the same pattern still agree with dense.
-        let mut a1 = a.clone();
-        for v in a1.values_mut() {
-            *v *= 1.25;
-        }
-        lu.refactor_into(&a1).unwrap();
-        let b = vec![1.0; n];
-        let mut x = Vec::new();
-        lu.solve_into(&b, &mut x).unwrap();
-        assert!(residual(&a1.to_dense(), &x, &b) < 1e-9);
-    }
-
-    #[test]
-    fn blocked_refactor_reports_singular_pivot_collapse() {
-        let dense = mna_like(30, 4);
-        let mut a = CscMatrix::from_dense(&dense);
-        let mut lu = SparseLu::new();
-        lu.set_supernodal_mode(SupernodalMode::ForceBlocked);
-        lu.factor(&a).unwrap();
-        a.set_zero();
-        assert!(matches!(
-            lu.refactor_into(&a),
-            Err(FactorError::Singular { .. })
-        ));
-        assert!(!lu.is_factored());
-    }
-
     /// Bit patterns of a scalar, for exact comparisons (`==` would equate
     /// `0.0` with `-0.0`).
     trait Bits: Scalar {
@@ -1370,14 +1250,13 @@ mod tests {
         a
     }
 
-    /// The flat-replay contract on one system (scalar path): refactoring
+    /// The flat-replay contract on one system: refactoring
     /// the factored values reproduces the fresh factor bit for bit; a
     /// refactor on perturbed values and both solves match the
     /// pre-compilation loops bit for bit; a pivot collapse mid-replay
     /// leaves the accumulator clean.
     fn check_flat_replay<T: Bits>(a: &CscT<T>, a1: &CscT<T>, b: &[T]) {
         let mut lu = SparseLuT::<T>::new();
-        lu.set_supernodal_mode(SupernodalMode::ForceScalar);
         lu.factor(a).expect("MNA test systems are non-singular");
         assert!(lu.work.iter().all(|&v| v == T::ZERO));
         let fresh = (bits(&lu.l_vals), bits(&lu.u_vals), bits(&lu.inv_diag));

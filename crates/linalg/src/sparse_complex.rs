@@ -8,9 +8,8 @@
 //! [`CscComplexMatrix`] and [`SparseComplexLu`] are the [`C64`]
 //! instantiations of the generic [`CscT`]/[`crate::SparseLuT`] sparse core
 //! in `sparse.rs`, sharing the minimum-degree ordering, the Gilbert–Peierls
-//! recording, the scan-free refactor replay, the supernodal blocked
-//! replay, and the transpose solve the noise analysis' adjoint system
-//! needs. One elimination, two element
+//! recording, the scan-free refactor replay, and the transpose solve the
+//! noise analysis' adjoint system needs. One elimination, two element
 //! types — the pivot logic cannot drift between them.
 //!
 //! The intended rhythm (mirrored by `spice`'s AC workspace): analyze the
@@ -95,7 +94,7 @@ impl CscT<C64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FactorError, SupernodalMode};
+    use crate::FactorError;
 
     /// Deterministic pseudo-random `G + jωC`-flavored test system: strong
     /// real diagonal, sparse complex off-diagonals.
@@ -292,96 +291,5 @@ mod tests {
             lu.refactor_into(&b2),
             Err(FactorError::Shape { .. })
         ));
-    }
-
-    // --- Complex supernodal path (generic blocked replay over C64). ---
-
-    #[test]
-    fn supernodal_modes_agree_on_forward_and_adjoint_solves() {
-        for n in [5usize, 40, 71, 90] {
-            let dense = ac_like(n, 3.0, n as u64 + 50);
-            let a = CscComplexMatrix::from_dense_rows(&dense);
-            let b = rhs(n);
-            let mut solutions: Vec<(Vec<C64>, Vec<C64>)> = Vec::new();
-            for mode in [
-                SupernodalMode::Auto,
-                SupernodalMode::ForceScalar,
-                SupernodalMode::ForceBlocked,
-            ] {
-                let mut lu = SparseComplexLu::new();
-                lu.set_supernodal_mode(mode);
-                lu.factor(&a).unwrap();
-                if mode == SupernodalMode::ForceBlocked {
-                    assert!(lu.supernodal_active(), "n = {n}");
-                }
-                let (mut x, mut y) = (Vec::new(), Vec::new());
-                lu.solve_into(&b, &mut x).unwrap();
-                lu.solve_transpose_into(&b, &mut y).unwrap();
-                assert!(residual(&dense, &x, &b) < 1e-9, "n = {n} mode {mode:?}");
-                solutions.push((x, y));
-            }
-            let (x0, y0) = &solutions[0];
-            for (x, y) in &solutions[1..] {
-                for (s, v) in x0.iter().zip(x) {
-                    assert!((*s - *v).abs() <= 1e-10 * s.abs().max(1.0), "n = {n}");
-                }
-                for (s, v) in y0.iter().zip(y) {
-                    assert!((*s - *v).abs() <= 1e-10 * s.abs().max(1.0), "n = {n}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_refactor_is_bit_identical_to_fresh_factor_across_omega_sweep() {
-        let n = 64;
-        let mut sweep = SparseComplexLu::new();
-        sweep.set_supernodal_mode(SupernodalMode::ForceBlocked);
-        sweep
-            .factor(&CscComplexMatrix::from_dense_rows(&ac_like(n, 0.5, 21)))
-            .unwrap();
-        assert!(sweep.supernodal_active());
-        for step in 0..6 {
-            let omega = 0.5 + step as f64 * 2.5;
-            let a = CscComplexMatrix::from_dense_rows(&ac_like(n, omega, 21));
-            sweep.refactor_into(&a).unwrap();
-            // A fresh pivoting factor of the same values must store
-            // bit-identical factors (factor() re-runs the blocked replay
-            // after its pivoting pass exactly so this holds).
-            let mut fresh = SparseComplexLu::new();
-            fresh.set_supernodal_mode(SupernodalMode::ForceBlocked);
-            fresh.factor(&a).unwrap();
-            assert_eq!(sweep.l_vals, fresh.l_vals, "omega = {omega}");
-            assert_eq!(sweep.u_vals, fresh.u_vals, "omega = {omega}");
-            assert_eq!(sweep.inv_diag, fresh.inv_diag, "omega = {omega}");
-        }
-    }
-
-    #[test]
-    fn blocked_adjoint_matches_scalar_adjoint_on_refactored_sweep() {
-        let n = 77;
-        let b = rhs(n);
-        let mut scalar = SparseComplexLu::new();
-        scalar.set_supernodal_mode(SupernodalMode::ForceScalar);
-        let mut blocked = SparseComplexLu::new();
-        blocked.set_supernodal_mode(SupernodalMode::ForceBlocked);
-        let a0 = CscComplexMatrix::from_dense_rows(&ac_like(n, 1.0, 33));
-        scalar.factor(&a0).unwrap();
-        blocked.factor(&a0).unwrap();
-        for step in 1..5 {
-            let omega = 1.0 + step as f64 * 4.0;
-            let a = CscComplexMatrix::from_dense_rows(&ac_like(n, omega, 33));
-            scalar.refactor_into(&a).unwrap();
-            blocked.refactor_into(&a).unwrap();
-            let (mut ys, mut yb) = (Vec::new(), Vec::new());
-            scalar.solve_transpose_into(&b, &mut ys).unwrap();
-            blocked.solve_transpose_into(&b, &mut yb).unwrap();
-            for (s, v) in ys.iter().zip(&yb) {
-                assert!(
-                    (*s - *v).abs() <= 1e-10 * s.abs().max(1.0),
-                    "omega = {omega}"
-                );
-            }
-        }
     }
 }

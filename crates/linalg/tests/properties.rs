@@ -2,7 +2,7 @@
 
 use linalg::{
     gemm, gemm_naive, gemm_with, Cholesky, ComplexLu, CscComplexMatrix, CscMatrix, Epilogue,
-    FactorError, GemmOp, GemmWorkspace, Lu, Matrix, SparseComplexLu, SparseLu, SupernodalMode, C64,
+    FactorError, GemmOp, GemmWorkspace, Lu, Matrix, SparseComplexLu, SparseLu, C64,
     GEMM_SMALL_MAX_K,
 };
 use proptest::prelude::*;
@@ -14,9 +14,8 @@ use proptest::prelude::*;
 /// far above the value perturbations the tests apply, so the partial
 /// pivot search always lands on the diagonal — a prerequisite for the
 /// bit-identity test below, which compares factorizations of *different*
-/// values on the same pattern. This is the workload class the supernodal
-/// engine dispatches on: its factor fills into dense trailing blocks that
-/// form wide supernodes.
+/// values on the same pattern. This is the post-layout workload class: its
+/// factor fills into dense trailing blocks.
 fn mesh_matrix(rows: usize, cols: usize, seed: &[f64]) -> Matrix {
     fn couple(dense: &mut Matrix, a: usize, b: usize, g: f64) {
         dense[(a, b)] -= g;
@@ -555,56 +554,45 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The supernodal blocked replay and the scalar Gilbert–Peierls replay
-    /// agree to 1e-10 relative on mesh systems straddling the Auto
-    /// dispatch boundary (n = 16…121 around `SUPERNODAL_MIN_N` = 64, with
-    /// panel flop shares on both sides of the threshold) — whichever path
-    /// Auto picks, and on both forced paths. The kernels regroup the same
-    /// updates differently (TRSM + GEMM batches vs per-column axpys), so
-    /// bitwise equality is not expected here; see the refactor test below
-    /// for the bit-level contract within the blocked path.
+    /// The sparse LU agrees with the dense partial-pivoting [`Lu`] to
+    /// 1e-10 relative on mesh systems of n = 16…144 unknowns, whose
+    /// factors fill into dense trailing blocks. The two eliminations order
+    /// their updates differently, so bitwise equality is not expected
+    /// here; see the refactor test below for the bit-level contract of the
+    /// sparse replay.
     #[test]
-    fn supernodal_agrees_with_scalar_across_dispatch_boundary(
-        rows in 4usize..12,
-        cols in 4usize..12,
+    fn sparse_lu_agrees_with_dense_lu_on_meshes(
+        rows in 4usize..13,
+        cols in 4usize..13,
         seed in proptest::collection::vec(-1.0..1.0f64, 16..250),
         rhs in proptest::collection::vec(-10.0..10.0f64, 144),
     ) {
         let n = rows * cols;
-        let a = CscMatrix::from_dense(&mesh_matrix(rows, cols, &seed));
+        let dense = mesh_matrix(rows, cols, &seed);
         let b = &rhs[..n];
-        let modes = [
-            SupernodalMode::ForceScalar,
-            SupernodalMode::Auto,
-            SupernodalMode::ForceBlocked,
-        ];
-        let mut xs: Vec<Vec<f64>> = Vec::new();
-        for mode in modes {
-            let mut slu = SparseLu::new();
-            slu.set_supernodal_mode(mode);
-            slu.factor(&a).unwrap();
-            let mut x = Vec::new();
-            slu.solve_into(b, &mut x).unwrap();
-            xs.push(x);
-        }
-        for x in &xs[1..] {
-            for (s, d) in x.iter().zip(&xs[0]) {
-                prop_assert!(
-                    (s - d).abs() <= 1e-10 * d.abs().max(1.0),
-                    "{} vs {}", s, d
-                );
-            }
+        let mut slu = SparseLu::new();
+        slu.factor(&CscMatrix::from_dense(&dense)).unwrap();
+        let mut x_sparse = Vec::new();
+        slu.solve_into(b, &mut x_sparse).unwrap();
+        let mut lu = Lu::new(n);
+        lu.factor(dense.as_slice(), n).unwrap();
+        let mut x_dense = Vec::new();
+        lu.solve_into(b, &mut x_dense).unwrap();
+        for (s, d) in x_sparse.iter().zip(&x_dense) {
+            prop_assert!(
+                (s - d).abs() <= 1e-10 * d.abs().max(1.0),
+                "{} vs {}", s, d
+            );
         }
     }
 
-    /// Within the blocked path, the scan-free `refactor_into` replay is
+    /// On mesh systems the scan-free `refactor_into` replay is
     /// **bit-identical** to a fresh pivoting `factor` on the perturbed
-    /// values: `factor` re-runs the blocked replay once the scalar
-    /// pivoting pass has pinned the pattern, so both paths perform the
-    /// same panel arithmetic in the same order. (Diagonal dominance keeps
-    /// the fresh pivot search on the recorded sequence.)
+    /// values: the replay performs the recorded column updates in the same
+    /// order as the pivoting pass. (Diagonal dominance keeps the fresh
+    /// pivot search on the recorded sequence.)
     #[test]
-    fn supernodal_refactor_bit_agrees_with_fresh_factor_on_meshes(
+    fn sparse_refactor_bit_agrees_with_fresh_factor_on_meshes(
         rows in 6usize..11,
         cols in 6usize..11,
         seed in proptest::collection::vec(-1.0..1.0f64, 16..250),
@@ -615,9 +603,7 @@ proptest! {
         let a0 = CscMatrix::from_dense(&mesh_matrix(rows, cols, &seed));
         let b = &rhs[..n];
         let mut sweep = SparseLu::new();
-        sweep.set_supernodal_mode(SupernodalMode::ForceBlocked);
         sweep.factor(&a0).unwrap();
-        prop_assert!(sweep.supernodal_active());
 
         // Perturb the values multiplicatively on the fixed pattern (±4%
         // preserves diagonal dominance) and replay.
@@ -630,7 +616,6 @@ proptest! {
         sweep.solve_into(b, &mut x_replay).unwrap();
 
         let mut fresh = SparseLu::new();
-        fresh.set_supernodal_mode(SupernodalMode::ForceBlocked);
         fresh.factor(&a1).unwrap();
         let mut x_fresh = Vec::new();
         fresh.solve_into(b, &mut x_fresh).unwrap();

@@ -59,9 +59,7 @@
 
 use std::sync::Mutex;
 
-use linalg::{
-    ComplexLu, CscComplexMatrix, CscMatrix, Lu, SparseComplexLu, SparseLu, SupernodalMode, C64,
-};
+use linalg::{ComplexLu, CscComplexMatrix, CscMatrix, Lu, SparseComplexLu, SparseLu, C64};
 
 use crate::netlist::Circuit;
 use crate::stamp::{
@@ -72,9 +70,8 @@ use crate::stamp::{
 /// Assembled densities above this fraction keep the dense kernel; the
 /// gate is the only kernel choice, at every system size. The measured
 /// sparse-refactor-vs-dense-factor crossover sits at ≈0.45 density for
-/// n = 16–64 (dense wins 1.1–3× above it, sparse wins up to 3.7× below it
-/// with the supernodal blocked replay on Auto dispatch); 0.45 takes the
-/// sparse side of the band.
+/// n = 16–64 (dense wins 1.1–3× above it, sparse wins up to 3.7× below
+/// it); 0.45 takes the sparse side of the band.
 ///
 /// There is no size floor. Below n ≈ 24 a bare sparse refactor only ties
 /// a bare dense factor, but the whole sparse Newton step also stamps the
@@ -314,14 +311,10 @@ impl AcWorkspace {
             let sparse = if density > SPARSE_MAX_DENSITY {
                 None
             } else {
-                // `DNNOPT_SUPERNODAL` pins the numeric replay path
-                // (CI determinism suites, experiments); default Auto.
-                let mut lu = SparseComplexLu::new();
-                lu.set_supernodal_mode(SupernodalMode::from_env());
                 Some(AcSparseState {
                     slots,
                     csc,
-                    lu,
+                    lu: SparseComplexLu::new(),
                     pivot_session: 0,
                 })
             };
@@ -620,10 +613,6 @@ impl NewtonWorkspace {
         } else {
             mos.resolve(&slots);
             slots.truncate(cl);
-            // `DNNOPT_SUPERNODAL` pins the numeric replay path (CI
-            // determinism suites, experiments); default Auto.
-            let mut lu = SparseLu::new();
-            lu.set_supernodal_mode(SupernodalMode::from_env());
             Some(SparseState {
                 preload: PreloadState {
                     const_slots: slots,
@@ -634,7 +623,7 @@ impl NewtonWorkspace {
                 },
                 mos,
                 csc,
-                lu,
+                lu: SparseLu::new(),
                 pivot_session: 0,
             })
         };
@@ -764,20 +753,6 @@ impl NewtonWorkspace {
         self.plans[idx]
             .as_ref()
             .is_some_and(|p| p.topo == self.topo && p.sparse.is_some())
-    }
-
-    /// True if the `(current topology, kind)` pair's sparse kernel is
-    /// running the supernodal *blocked* numeric replay — post-layout-scale
-    /// systems whose recorded pattern formed dense panels under
-    /// [`linalg::SupernodalMode::Auto`] dispatch (diagnostics/tests).
-    pub fn uses_blocked_sparse(&self, kind_is_tran: bool) -> bool {
-        let idx = usize::from(kind_is_tran);
-        self.plans[idx].as_ref().is_some_and(|p| {
-            p.topo == self.topo
-                && p.sparse
-                    .as_ref()
-                    .is_some_and(|st| st.lu.supernodal_active())
-        })
     }
 }
 

@@ -220,17 +220,18 @@ pub enum Metric {
     FaultsInjected,
     /// MLP training steps (one fused forward/backward/update).
     TrainSteps,
-    /// Supernodes (width ≥ 2 dense column blocks) detected per sparse
-    /// symbolic plan.
+    /// Supernodes detected per sparse symbolic plan. Nothing records it
+    /// any more: the blocked sparse replay that detected them is gone, so
+    /// the count is always 0. It stays because the sizing-run benchmark
+    /// reads it for `linalg.sparse_supernodes`; removing it waits for a
+    /// change to that benchmark.
     SparseSupernodes,
-    /// Dense-block floating-point operations per supernodal (blocked)
-    /// numeric factorization — the work routed through TRSM/GEMM panels
-    /// instead of scalar column updates.
-    SparseBlockFlops,
-    /// Sparse numeric-path dispatch decisions: recorded once per symbolic
-    /// plan with `v = 1` when the supernodal (blocked) path was selected
-    /// and `v = 0` for scalar Gilbert–Peierls (count = decisions, sum =
-    /// blocked selections).
+    /// Sparse numeric-path dispatch decisions that picked the blocked
+    /// replay. Nothing records it any more: the flat scalar replay is the
+    /// only sparse numeric path, so the count is always 0. It stays
+    /// because the sizing-run benchmark reads it for
+    /// `linalg.sparse_blocked_dispatch`; removing it waits for a change to
+    /// that benchmark.
     SparseBlockedDispatch,
     /// Fill-explosion-guard bailouts in the minimum-degree ordering: the
     /// elimination-clique simulation exceeded its fill budget and the
@@ -241,7 +242,7 @@ pub enum Metric {
 }
 
 /// Number of [`Metric`] variants.
-pub const NUM_METRICS: usize = 18;
+pub const NUM_METRICS: usize = 17;
 
 impl Metric {
     /// Every metric, in declaration order.
@@ -261,7 +262,6 @@ impl Metric {
         Metric::FaultsInjected,
         Metric::TrainSteps,
         Metric::SparseSupernodes,
-        Metric::SparseBlockFlops,
         Metric::SparseBlockedDispatch,
         Metric::SparseFillGuardFallbacks,
     ];
@@ -284,7 +284,6 @@ impl Metric {
             Metric::FaultsInjected => "faults_injected",
             Metric::TrainSteps => "train_steps",
             Metric::SparseSupernodes => "sparse_supernodes",
-            Metric::SparseBlockFlops => "sparse_block_flops",
             Metric::SparseBlockedDispatch => "sparse_blocked_dispatch",
             Metric::SparseFillGuardFallbacks => "sparse_fill_guard_fallbacks",
         }

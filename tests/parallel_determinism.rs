@@ -384,12 +384,10 @@ fn serial_and_parallel_runs_are_bit_identical() {
     assert_identical(&serial, &latch_run(8), "latch DE (8 threads)");
     assert_identical(&serial, &latch_run(1), "latch DE (pooled reuse)");
 
-    // Post-layout mesh topology through the supernodal blocked replay,
-    // outside any grid dispatch: the panel batches run through the same
-    // serial GEMM engine as training, and the thread budget must never
-    // reach the replay — so factor + refactor + solve must stay
-    // bit-identical at any thread count, with the blocked path
-    // demonstrably active.
+    // Post-layout mesh topology through the sparse replay, outside any
+    // grid dispatch: the thread budget must never reach the replay — so
+    // factor + refactor + solve must stay bit-identical at any thread
+    // count.
     let mesh_solution = |threads: usize| {
         use spice::stamp::{stamp_resistive_system, RealStamper, SourceEval};
         parallel::set_max_threads(threads);
@@ -401,10 +399,7 @@ fn serial_and_parallel_runs_are_bit_identical() {
         stamp_resistive_system(&ckt, &x0, SourceEval::Dc { scale: 1.0 }, &mut st);
         let a = linalg::CscMatrix::from_dense(&st.a);
         let mut slu = linalg::SparseLu::new();
-        slu.set_supernodal_mode(linalg::SupernodalMode::ForceBlocked);
         slu.factor(&a).unwrap();
-        assert!(slu.supernodal_active(), "mesh must engage the blocked path");
-        assert!(slu.wide_supernodes() > 0, "mesh must form dense panels");
         slu.refactor_into(&a).unwrap();
         let mut x = Vec::new();
         slu.solve_into(&st.z, &mut x).unwrap();
@@ -416,7 +411,7 @@ fn serial_and_parallel_runs_are_bit_identical() {
         assert_eq!(
             mesh_solution(threads),
             mesh_reference,
-            "supernodal mesh factorization must be bit-identical serial vs {threads}-thread"
+            "mesh factorization must be bit-identical serial vs {threads}-thread"
         );
     }
 }

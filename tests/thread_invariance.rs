@@ -285,13 +285,11 @@ fn runs_are_bit_identical_at_every_thread_count() {
         );
     }
 
-    // --- The supernodal replay through the full AC + noise pipeline,
-    // outside any grid dispatch. The post-layout RC mesh engages the
-    // blocked complex replay (pinned via `DNNOPT_SUPERNODAL`, read when the
-    // pooled workspace first builds its solver plan), which is serial, so
-    // the solved sweep voltages and the integrated output noise must stay
-    // bit-identical at a 1 / 2 / 8 worker budget.
-    std::env::set_var("DNNOPT_SUPERNODAL", "force_blocked");
+    // --- The sparse complex replay through the full AC + noise
+    // pipeline, outside any grid dispatch. The post-layout RC mesh runs
+    // the serial sparse complex kernel, so the solved sweep voltages and
+    // the integrated output noise must stay bit-identical at a 1 / 2 / 8
+    // worker budget.
     let mesh_ac_bits = |threads: usize| -> Vec<u64> {
         parallel::set_max_threads(threads);
         let ckt = circuits::mesh::build_rc_grid(500);
@@ -336,5 +334,4 @@ fn runs_are_bit_identical_at_every_thread_count() {
             "mesh AC + noise must be bit-identical at {threads} threads"
         );
     }
-    std::env::remove_var("DNNOPT_SUPERNODAL");
 }
