@@ -7,9 +7,9 @@
 use bench::{assemble_linear_small_signal, build_mos_ladder, build_rc_ladder, complex_csc};
 use circuits::{FoldedCascodeOta, StrongArmLatch};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use linalg::{ComplexLu, CscComplexMatrix, CscMatrix, Lu, SparseComplexLu, SparseLu, C64};
+use linalg::{ComplexLu, CscComplexMatrix, CscMatrix, Lu, Matrix, SparseComplexLu, SparseLu, C64};
 use opt::SizingProblem;
-use spice::stamp::{stamp_resistive_system, RealStamper, SourceEval};
+use spice::stamp::{stamp_resistive_system, RealStamper, SourceEval, Stamp};
 use spice::SimOptions;
 
 /// Verbatim copy of the seed's LU factor + solve (index-op elimination, a
@@ -25,9 +25,9 @@ mod seed_baseline {
         perm: Vec<usize>,
     }
 
-    pub fn factor(a: &Matrix) -> SeedLu {
-        let n = a.rows();
-        let mut lu = a.clone();
+    /// Factors the row-major `n×n` matrix `a` (copied, as the seed did).
+    pub fn factor(a: &[f64], n: usize) -> SeedLu {
+        let mut lu = Matrix::from_vec(n, n, a.to_vec());
         let mut perm: Vec<usize> = (0..n).collect();
         for k in 0..n {
             let mut p = k;
@@ -117,12 +117,12 @@ fn bench_newton_kernel(c: &mut Criterion) {
 
         // All three kernels must agree before their times mean anything.
         {
-            let expect = seed_baseline::factor(&st.a).solve(&st.z);
+            let expect = seed_baseline::factor(&st.a, n).solve(&st.z);
             let mut lu = Lu::new(n);
             lu.factor(st.a.as_slice(), n).unwrap();
             let mut x = Vec::new();
             lu.solve_into(&st.z, &mut x).unwrap();
-            let csc = CscMatrix::from_dense(&st.a);
+            let csc = CscMatrix::from_dense(&Matrix::from_vec(n, n, st.a.clone()));
             let mut slu = SparseLu::new();
             slu.factor(&csc).unwrap();
             slu.refactor_into(&csc).unwrap();
@@ -136,7 +136,7 @@ fn bench_newton_kernel(c: &mut Criterion) {
 
         c.bench_function(label_seed, |b| {
             b.iter(|| {
-                let lu = seed_baseline::factor(black_box(&st.a));
+                let lu = seed_baseline::factor(black_box(&st.a), n);
                 black_box(lu.solve(&st.z))
             })
         });
@@ -159,7 +159,7 @@ fn bench_newton_kernel(c: &mut Criterion) {
         // kernel above, which also re-factors the same values per
         // iteration.
         c.bench_function(label_sparse, |b| {
-            let csc = CscMatrix::from_dense(&st.a);
+            let csc = CscMatrix::from_dense(&Matrix::from_vec(n, n, st.a.clone()));
             let mut slu = SparseLu::new();
             slu.factor(&csc).unwrap();
             let mut x = Vec::new();
@@ -189,7 +189,7 @@ fn bench_newton_kernel(c: &mut Criterion) {
                 SourceEval::Dc { scale: 1.0 },
                 &mut st,
             ));
-            let lu = seed_baseline::factor(&st.a);
+            let lu = seed_baseline::factor(&st.a, n);
             black_box(lu.solve(&st.z))
         })
     });

@@ -40,14 +40,14 @@ pub fn build_rc_ladder(n: usize) -> spice::Circuit {
 /// the recorded mesh rows always measure the same system as
 /// `cargo bench`.
 pub fn mesh_dc_system(n: usize) -> linalg::CscMatrix {
-    use spice::stamp::{stamp_resistive_system, RealStamper, SourceEval};
+    use spice::stamp::{stamp_resistive_system, RealStamper, SourceEval, Stamp};
     let ckt = circuits::mesh::build_rc_grid(n);
     let mut st = RealStamper::new(&ckt);
     let x0 = vec![0.0; n];
     st.clear();
     st.load_gmin(1e-12);
     stamp_resistive_system(&ckt, &x0, SourceEval::Dc { scale: 1.0 }, &mut st);
-    linalg::CscMatrix::from_dense(&st.a)
+    linalg::CscMatrix::from_dense(&linalg::Matrix::from_vec(n, n, st.a))
 }
 
 /// The assembled complex AC matrices `G + jωC` of the post-layout
@@ -69,7 +69,7 @@ pub fn mesh_ac_systems(n: usize) -> Vec<linalg::CscComplexMatrix> {
 }
 
 /// The CSC form of a row-major `n×n` complex system (the dense storage of
-/// [`spice::stamp::ComplexStamper`]).
+/// [`spice::stamp::DenseStamper`]).
 pub fn complex_csc(a: &[linalg::C64], n: usize) -> linalg::CscComplexMatrix {
     let rows: Vec<Vec<linalg::C64>> = a.chunks(n).map(<[linalg::C64]>::to_vec).collect();
     linalg::CscComplexMatrix::from_dense_rows(&rows)
@@ -112,14 +112,14 @@ pub fn assemble_linear_small_signal(
     gmin: f64,
 ) -> spice::stamp::ComplexStamper {
     use linalg::C64;
-    use spice::stamp::ComplexStamper;
+    use spice::stamp::{ComplexStamper, Stamp};
     use spice::Device;
     let mut st = ComplexStamper::new(ckt);
     st.load_gmin(gmin);
     for dev in ckt.devices() {
         match dev {
-            Device::Resistor { a, b, g, .. } => st.admittance(*a, *b, C64::real(*g)),
-            Device::Capacitor { a, b, c, .. } => st.admittance(*a, *b, C64::new(0.0, omega * c)),
+            Device::Resistor { a, b, g, .. } => st.conductance(*a, *b, C64::real(*g)),
+            Device::Capacitor { a, b, c, .. } => st.conductance(*a, *b, C64::new(0.0, omega * c)),
             Device::VSource {
                 p,
                 n,
@@ -403,9 +403,11 @@ pub fn gemm_kernel_rows(c: &mut criterion::Criterion) {
 pub mod baseline {
     use crate::{assemble_linear_small_signal, build_mos_ladder, build_rc_ladder, complex_csc};
     use criterion::{black_box, Criterion};
-    use linalg::{ComplexLu, CscComplexMatrix, CscMatrix, Lu, SparseComplexLu, SparseLu, C64};
+    use linalg::{
+        ComplexLu, CscComplexMatrix, CscMatrix, Lu, Matrix, SparseComplexLu, SparseLu, C64,
+    };
     use opt::{parallel, Evaluator, Fom, SizingProblem};
-    use spice::stamp::{stamp_resistive_system, RealStamper, SourceEval};
+    use spice::stamp::{stamp_resistive_system, RealStamper, SourceEval, Stamp};
 
     /// Runs the affected kernels (identical bodies to the criterion
     /// benches) with `CRITERION_JSON` pointed at `path`, appending one row
@@ -443,7 +445,7 @@ pub mod baseline {
                 })
             });
             c.bench_function(label_sparse, |b| {
-                let csc = CscMatrix::from_dense(&st.a);
+                let csc = CscMatrix::from_dense(&Matrix::from_vec(n, n, st.a.clone()));
                 let mut slu = SparseLu::new();
                 slu.factor(&csc).unwrap();
                 let mut x = Vec::new();

@@ -33,10 +33,11 @@
 //!   reusable storage, used by Gaussian-process regression (with jitter
 //!   escalation and log-determinants for the marginal likelihood).
 //! - [`C64`]: minimal complex arithmetic for AC small-signal analysis.
-//! - [`CscComplexMatrix`] and [`SparseComplexLu`]: the complex mirror of
-//!   the sparse pipeline for the frequency-domain MNA systems `G + jωC`,
-//!   with a transpose solve for the noise analysis' adjoint system. The
-//!   simulator auto-selects this path for sparse AC systems.
+//! - [`CscComplexMatrix`] and [`SparseComplexLu`]: the [`C64`] instances
+//!   of the same generic sparse pipeline, for the frequency-domain MNA
+//!   systems `G + jωC`, with a transpose solve for the noise analysis'
+//!   adjoint system. The simulator auto-selects this path for sparse AC
+//!   systems.
 //!
 //! # Example
 //!

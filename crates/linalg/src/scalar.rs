@@ -5,7 +5,9 @@
 //! (frequency-domain `G + jωC` systems). The trait pins down exactly the
 //! operations the elimination needs — zero/one, magnitude for pivot
 //! checks, and the reciprocal used to turn divisions into
-//! multiplications.
+//! multiplications — plus the `From<f64>` conversion the simulator's MNA
+//! stamp layer (`spice::stamp::Stamp<T>`) uses to write real device
+//! parameters into a system of either type.
 //!
 //! Bit-compatibility contract: each impl must perform the *same arithmetic
 //! in the same order* as the previously hand-written scalar code. In
@@ -39,6 +41,7 @@ pub trait Scalar:
     + Neg<Output = Self>
     + AddAssign
     + SubAssign
+    + From<f64>
 {
     /// Additive identity.
     const ZERO: Self;

@@ -13,9 +13,9 @@
 //! pattern of `G + jωC` is fixed by the topology (ω only scales values), so
 //! the pattern and stamp→slot map are recorded once, the first point runs a
 //! pivoting sparse factorization, and every further point pays slot-map
-//! assembly plus a scan-free refactorization. Small or dense systems fall
-//! back to the dense complex LU, which factors into a reusable workspace —
-//! no per-point matrix clone on either path.
+//! assembly plus a scan-free refactorization. Dense systems fall back to
+//! the dense complex LU, which factors into a reusable workspace — no
+//! per-point matrix clone on either path.
 
 use linalg::C64;
 
@@ -23,7 +23,7 @@ use crate::analysis::dc::OpPoint;
 use crate::error::SpiceError;
 use crate::netlist::{Circuit, Device, NodeId};
 use crate::options::SimOptions;
-use crate::stamp::{AssembleComplex, ComplexStamp};
+use crate::stamp::{AssembleComplex, RhsStamper, Stamp};
 use crate::workspace::{lease_workspace, NewtonWorkspace};
 
 /// Result of an AC sweep: complex node voltages per frequency.
@@ -108,7 +108,7 @@ pub fn log_freqs(f_start: f64, f_stop: f64, points_per_decade: usize) -> Vec<f64
         .collect()
 }
 
-/// One small-signal assembly pass, generic over the complex stamp sink
+/// One small-signal assembly pass, generic over the [`C64`] stamp sink
 /// (dense rows, write recorder, or CSC slot map — each monomorphized).
 /// Captures the linearization point and ω. Independent sources are
 /// quiesced: AC excitations enter through [`stamp_excitation`] and the
@@ -124,14 +124,14 @@ impl AssembleComplex for SmallSignalAssembler<'_> {
     /// Assembles `G + jωC` with every independent source quiesced. The
     /// write sequence is identical for every ω, which is what makes the
     /// recorded slot map valid across a sweep.
-    fn assemble<S: ComplexStamp>(&mut self, st: &mut S) {
+    fn assemble<S: Stamp<C64>>(&mut self, st: &mut S) {
         let omega = self.omega;
         st.load_gmin(self.opts.gmin);
         for dev in self.circuit.devices() {
             match dev {
-                Device::Resistor { a, b, g, .. } => st.admittance(*a, *b, C64::real(*g)),
+                Device::Resistor { a, b, g, .. } => st.conductance(*a, *b, C64::real(*g)),
                 Device::Capacitor { a, b, c, .. } => {
-                    st.admittance(*a, *b, C64::new(0.0, omega * c))
+                    st.conductance(*a, *b, C64::new(0.0, omega * c))
                 }
                 Device::VSource { p, n, branch, .. } => st.vsource(*branch, *p, *n, C64::ZERO),
                 Device::ISource { .. } => {}
@@ -163,51 +163,27 @@ impl AssembleComplex for SmallSignalAssembler<'_> {
                         .mos_op(name)
                         .expect("operating point must cover every MOSFET");
                     st.vccs(*d, *s, *g, *s, mop.gm);
-                    st.admittance(*d, *s, C64::real(mop.gds));
+                    st.conductance(*d, *s, C64::real(mop.gds));
                     st.vccs(*d, *s, *b, *s, mop.gmb);
-                    st.admittance(*g, *s, C64::new(0.0, omega * caps.cgs));
-                    st.admittance(*g, *d, C64::new(0.0, omega * caps.cgd));
-                    st.admittance(*g, *b, C64::new(0.0, omega * caps.cgb));
-                    st.admittance(*d, *b, C64::new(0.0, omega * caps.cdb));
-                    st.admittance(*s, *b, C64::new(0.0, omega * caps.csb));
+                    st.conductance(*g, *s, C64::new(0.0, omega * caps.cgs));
+                    st.conductance(*g, *d, C64::new(0.0, omega * caps.cgd));
+                    st.conductance(*g, *b, C64::new(0.0, omega * caps.cgb));
+                    st.conductance(*d, *b, C64::new(0.0, omega * caps.cdb));
+                    st.conductance(*s, *b, C64::new(0.0, omega * caps.csb));
                 }
             }
         }
     }
 }
 
-/// A complex stamp sink that keeps only right-hand-side writes.
-struct RhsStamper<'a> {
-    n_nodes: usize,
-    z: &'a mut [C64],
-}
-
-impl ComplexStamp for RhsStamper<'_> {
-    #[inline]
-    fn num_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
-    #[inline]
-    fn add_a(&mut self, _i: usize, _j: usize, _v: C64) {}
-
-    #[inline]
-    fn add_z(&mut self, i: usize, v: C64) {
-        self.z[i] += v;
-    }
-}
-
 /// Stamps one excitation's right-hand side into `z`: every independent
 /// source in device order, at its magnitude in `mags` (indexed like
-/// [`Circuit::devices`]), through the same [`ComplexStamp`] writes a
-/// full assembly with those `ac_mag` values makes — so `z` is bit-identical
-/// to that assembly's right-hand side.
+/// [`Circuit::devices`]), through the same [`Stamp`] writes a full
+/// assembly with those `ac_mag` values makes — so `z` is bit-identical to
+/// that assembly's right-hand side. No recorded sequence backs this pass,
+/// so the sink's write count is not checked.
 fn stamp_excitation(circuit: &Circuit, mags: &[f64], z: &mut [C64]) {
-    z.fill(C64::ZERO);
-    let mut st = RhsStamper {
-        n_nodes: circuit.num_nodes(),
-        z,
-    };
+    let mut st = RhsStamper::new(circuit.num_nodes(), 0, z);
     for (dev, &mag) in circuit.devices().iter().zip(mags) {
         match dev {
             Device::VSource { p, n, branch, .. } => st.vsource(*branch, *p, *n, C64::real(mag)),

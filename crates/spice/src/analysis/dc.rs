@@ -318,12 +318,12 @@ struct DcAssemble<'a> {
 }
 
 impl Assemble for DcAssemble<'_> {
-    fn assemble<S: Stamp>(&mut self, x: &[f64], st: &mut S) {
+    fn assemble<S: Stamp<f64>>(&mut self, x: &[f64], st: &mut S) {
         st.load_gmin(self.gmin);
         stamp_resistive_system(self.circuit, x, SourceEval::Dc { scale: self.scale }, st);
     }
 
-    fn assemble_constant<S: Stamp>(&mut self, st: &mut S) {
+    fn assemble_constant<S: Stamp<f64>>(&mut self, st: &mut S) {
         st.load_gmin(self.gmin);
         crate::stamp::stamp_resistive_linear(
             self.circuit,

@@ -184,7 +184,7 @@ impl TranAssemble<'_> {
     /// = `geq·v_{n+1} + i0` with `geq = 2C/h`, `i0 = −geq·v_n − i_n`.
     /// The companion values depend on the timestep state (`h`, `v_prev`,
     /// `i_prev`) but not on the Newton iterate — constant within a solve.
-    fn stamp_companions<S: Stamp>(&self, st: &mut S) {
+    fn stamp_companions<S: Stamp<f64>>(&self, st: &mut S) {
         for cap in self.caps {
             let geq = 2.0 * cap.c / self.h;
             let i0 = -geq * cap.v_prev - cap.i_prev;
@@ -195,13 +195,13 @@ impl TranAssemble<'_> {
 }
 
 impl Assemble for TranAssemble<'_> {
-    fn assemble<S: Stamp>(&mut self, xk: &[f64], st: &mut S) {
+    fn assemble<S: Stamp<f64>>(&mut self, xk: &[f64], st: &mut S) {
         st.load_gmin(self.gmin);
         stamp_resistive_system(self.circuit, xk, SourceEval::Time { t: self.t }, st);
         self.stamp_companions(st);
     }
 
-    fn assemble_constant<S: Stamp>(&mut self, st: &mut S) {
+    fn assemble_constant<S: Stamp<f64>>(&mut self, st: &mut S) {
         st.load_gmin(self.gmin);
         crate::stamp::stamp_resistive_linear(self.circuit, SourceEval::Time { t: self.t }, st);
         self.stamp_companions(st);

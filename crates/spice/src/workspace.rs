@@ -6,10 +6,10 @@
 //! the [`RealStamper`], the dense [`linalg::Lu`] factors, the sparse solver
 //! state, and the solution scratch vector — so the hot loop performs **zero
 //! heap allocations** per iteration. The dense kernel factors the stamped
-//! matrix in place ([`RealStamper::factor_into`] donates its storage to the
-//! factor, an O(1) buffer swap); the AC/noise dense fallback does the same
-//! with [`linalg::ComplexLu`], the complex instance of the same generic
-//! LU.
+//! matrix in place ([`crate::stamp::DenseStamper::factor_into`] donates
+//! its storage to the factor, an O(1) buffer swap); the AC/noise dense
+//! fallback is the same code over [`C64`] ([`ComplexStamper`] into
+//! [`linalg::ComplexLu`]).
 //!
 //! # Sparse pipeline
 //!
@@ -18,7 +18,7 @@
 //! iterations, gmin/source-stepping retries, sweep points, transient
 //! timesteps, and even across candidates of the same sizing testbench. The
 //! workspace exploits this by keeping, per assembly kind (DC-resistive /
-//! transient), a cached [`SparsePlan`]:
+//! transient), a cached [`Plan`]:
 //!
 //! 1. one *recorded* pass learns the write sequence of the constant
 //!    (x-independent) segment — gmin, linear devices, sources, capacitor
@@ -44,7 +44,11 @@
 //! the dense kernel kept as the universal fallback. The plan cache is
 //! keyed by [`Circuit::topology_id`], so a pooled workspace handed a
 //! *different* same-sized topology rebuilds its plans instead of
-//! corrupting results.
+//! corrupting results. The frequency-domain [`AcWorkspace`] runs the same
+//! pipeline over [`C64`] (one recorded pattern for the whole sweep, no MOS
+//! table: the small-signal stamps are linear): the density gate and the
+//! per-session factor-or-refactor step are one generic [`SparseSystem`]
+//! shared by both.
 //!
 //! # Workspace pool
 //!
@@ -59,12 +63,12 @@
 
 use std::sync::Mutex;
 
-use linalg::{ComplexLu, CscComplexMatrix, CscMatrix, Lu, SparseComplexLu, SparseLu, C64};
+use linalg::{ComplexLu, CscT, Lu, Scalar, SparseLuT, C64};
 
 use crate::netlist::Circuit;
 use crate::stamp::{
-    Assemble, AssembleComplex, ComplexRecordStamper, ComplexSlotStamper, ComplexStamper, MosTable,
-    RealStamper, RecordStamper, RhsStamper, SlotStamper,
+    Assemble, AssembleComplex, ComplexStamper, MosTable, RealStamper, RecordStamper, RhsStamper,
+    SlotStamper, Stamp,
 };
 
 /// Assembled densities above this fraction keep the dense kernel; the
@@ -132,24 +136,100 @@ pub(crate) enum SparseStep {
 /// Which solver kernel factored the current AC/noise frequency point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum AcKernel {
-    /// Sparse complex slot-map assembly + `SparseComplexLu`.
+    /// Sparse complex slot-map assembly + [`linalg::SparseComplexLu`].
     Sparse,
-    /// Dense `ComplexStamper` + [`ComplexLu`] fallback.
+    /// Dense [`ComplexStamper`] + [`ComplexLu`] fallback.
     Dense,
 }
 
-/// A cached decision + state for one `(topology, kind)` pair.
+/// A cached kernel decision + state for one topology: per
+/// `(topology, kind)` for the Newton engine, per topology for AC/noise.
 #[derive(Debug, Clone)]
-struct SparsePlan {
+struct Plan<S> {
     /// Topology fingerprint the plan was recorded for.
     topo: u64,
     /// Unknown count the plan was recorded for.
     n: usize,
     /// Sparse state, or `None` when the dense kernel was selected.
-    sparse: Option<SparseState>,
+    sparse: Option<S>,
 }
 
-/// Recorded stamp→slot map plus the sparse factorization state.
+impl<S> Plan<S> {
+    /// True if the plan was recorded for this topology and size.
+    fn matches(&self, topo: u64, n: usize) -> bool {
+        self.topo == topo && self.n == n
+    }
+}
+
+/// The sparse system of a plan, in either scalar type: CSC pattern and
+/// values, the sparse LU, and the pooling determinism boundary.
+#[derive(Debug, Clone)]
+struct SparseSystem<T: Scalar> {
+    /// The MNA system in CSC form (pattern fixed, values per assembly).
+    csc: CscT<T>,
+    /// Symbolic + numeric LU state.
+    lu: SparseLuT<T>,
+    /// Solve session of the last *pivoting* factorization. A new session
+    /// (new candidate/analysis handed to this workspace) forces one fresh
+    /// pivot selection so results never depend on which candidate used the
+    /// workspace before; within a session — across Newton iterations, gmin
+    /// and source-stepping retries, transient timesteps, and the frequency
+    /// points of one AC sweep / noise analysis — the pivot sequence is
+    /// reused by the scan-free refactorization.
+    pivot_session: u64,
+}
+
+impl<T: Scalar> SparseSystem<T> {
+    /// The density gate: builds the CSC pattern and stamp→slot map of a
+    /// recorded write sequence, or returns `None` when the assembled
+    /// density keeps the dense kernel (see [`SPARSE_MAX_DENSITY`]).
+    fn gate(n: usize, writes: &[(usize, usize)]) -> Option<(Self, Vec<u32>)> {
+        let (csc, slots) = CscT::from_coordinates(n, writes);
+        let density = csc.nnz() as f64 / (n * n) as f64;
+        if density > SPARSE_MAX_DENSITY {
+            return None;
+        }
+        let sys = SparseSystem {
+            csc,
+            lu: SparseLuT::new(),
+            pivot_session: 0,
+        };
+        Some((sys, slots))
+    }
+
+    /// Factors the assembled values for solve `session`. The first
+    /// factorization of a session is a full pivoting one, so the pivot
+    /// sequence depends only on the system being solved (bit-identical
+    /// results whether or not the workspace was reused); every later one
+    /// runs the scan-free refactorization, falling back to a pivoting
+    /// factor if a recorded pivot collapses numerically. Returns `false`
+    /// when the system is singular under the sparse elimination order.
+    fn factor(&mut self, session: u64) -> bool {
+        let fresh = self.pivot_session != session || !self.lu.is_factored();
+        telemetry::record(
+            if fresh {
+                telemetry::Metric::SparseFactors
+            } else {
+                telemetry::Metric::SparseRefactors
+            },
+            1,
+        );
+        let factored = if fresh {
+            let _f = telemetry::span(telemetry::SpanId::Factor);
+            self.lu.factor(&self.csc).is_ok()
+        } else {
+            let _f = telemetry::span(telemetry::SpanId::Refactor);
+            self.lu.refactor_into(&self.csc).is_ok() || self.lu.factor(&self.csc).is_ok()
+        };
+        if factored {
+            self.pivot_session = session;
+        }
+        factored
+    }
+}
+
+/// Recorded stamp→slot map plus the sparse factorization state of a Newton
+/// plan.
 #[derive(Debug, Clone)]
 struct SparseState {
     /// Constant-segment preload: the x-independent writes are assembled
@@ -159,17 +239,8 @@ struct SparseState {
     /// The x-dependent (MOS) segment, compiled to CSC value indices and
     /// replayed on top of the preload every iteration.
     mos: MosTable,
-    /// The MNA system in CSC form (pattern fixed, values per assembly).
-    csc: CscMatrix,
-    /// Symbolic + numeric LU state.
-    lu: SparseLu,
-    /// Solve session of the last *pivoting* factorization. A new session
-    /// (new candidate/analysis handed to this workspace) forces one fresh
-    /// pivot selection so results never depend on which candidate used the
-    /// workspace before; within a session — across Newton iterations, gmin
-    /// and source-stepping retries, and transient timesteps — the pivot
-    /// sequence is reused by the scan-free refactorization.
-    pivot_session: u64,
+    /// The MNA system and its factorization.
+    sys: SparseSystem<f64>,
 }
 
 /// The constant (x-independent) segment of the assembly: slot map,
@@ -195,35 +266,17 @@ struct PreloadState {
     matrix_key: Option<(u64, [u64; 2])>,
 }
 
-/// A cached complex sparse plan for the AC/noise small-signal pattern.
-/// AC and noise assemble the *same* matrix (source `ac_mag` values only
-/// touch the right-hand side), so one plan serves both analyses.
-#[derive(Debug, Clone)]
-struct AcPlan {
-    /// Topology fingerprint the plan was recorded for.
-    topo: u64,
-    /// Unknown count the plan was recorded for.
-    n: usize,
-    /// Sparse state, or `None` when the dense kernel was selected.
-    sparse: Option<AcSparseState>,
-}
-
-/// Recorded complex stamp→slot map plus the sparse factorization state.
+/// Recorded complex stamp→slot map plus the sparse factorization state of
+/// the AC/noise plan. AC and noise assemble the *same* matrix (source
+/// `ac_mag` values only touch the right-hand side), so one plan serves
+/// both analyses.
 #[derive(Debug, Clone)]
 struct AcSparseState {
     /// Per-write CSC value index, in stamp order.
     slots: Vec<u32>,
-    /// The small-signal system `G + jωC` in CSC form (pattern fixed,
-    /// values re-assembled per frequency point).
-    csc: CscComplexMatrix,
-    /// Symbolic + numeric complex LU state.
-    lu: SparseComplexLu,
-    /// Solve session of the last *pivoting* factorization — the same
-    /// determinism boundary as [`SparseState::pivot_session`]: each AC
-    /// sweep / noise analysis re-derives the pivot sequence from its own
-    /// first frequency point, never inheriting it from whichever sweep
-    /// used the pooled workspace before.
-    pivot_session: u64,
+    /// The small-signal system `G + jωC` (pattern fixed, values
+    /// re-assembled per frequency point) and its factorization.
+    sys: SparseSystem<C64>,
 }
 
 /// Preallocated state for the frequency-domain analyses (AC sweeps and the
@@ -234,10 +287,10 @@ struct AcSparseState {
 ///
 /// Per sweep the rhythm is: one recorded assembly pass learns the complex
 /// write sequence (cache hit for a pooled topology), the first frequency
-/// point runs a pivoting [`SparseComplexLu::factor`], and every subsequent
-/// point pays only slot-map assembly plus the scan-free
-/// [`SparseComplexLu::refactor_into`] — the pattern of `G + jωC` is fixed
-/// per topology, only the values change with ω. The dense [`ComplexLu`]
+/// point runs a pivoting sparse factorization, and every subsequent point
+/// pays only slot-map assembly plus the scan-free refactorization — the
+/// pattern of `G + jωC` is fixed per topology, only the values change
+/// with ω. The dense [`ComplexLu`]
 /// path remains the universal fallback (dense-by-density systems,
 /// write-sequence drift, sparse-singular points): it factors the stamped
 /// matrix in place, donating its storage instead of copying it.
@@ -254,7 +307,7 @@ pub(crate) struct AcWorkspace {
     /// Unknown count the buffers are sized for.
     n: usize,
     /// Cached sparse plan for the AC/noise pattern.
-    plan: Option<AcPlan>,
+    plan: Option<Plan<AcSparseState>>,
 }
 
 /// The dense fallback kernel's buffers: the system under assembly and the
@@ -282,7 +335,7 @@ impl AcWorkspace {
     /// cached plan selected it and falling back to the dense kernel
     /// otherwise. The first point of a solve `session` runs a full
     /// pivoting factorization; later points replay the recorded pivots
-    /// with [`SparseComplexLu::refactor_into`].
+    /// ([`SparseSystem::factor`]).
     ///
     /// On a plan miss (new topology for this workspace) one extra
     /// *recorded* assembly pass learns the write sequence and builds the
@@ -299,34 +352,20 @@ impl AcWorkspace {
     ) -> Result<AcKernel, ()> {
         let topo = circuit.topology_id();
         let n = circuit.num_unknowns();
-        let plan_stale = self
-            .plan
-            .as_ref()
-            .is_none_or(|p| p.topo != topo || p.n != n);
-        if plan_stale {
-            let mut rec = ComplexRecordStamper::new(circuit);
+        if !self.plan.as_ref().is_some_and(|p| p.matches(topo, n)) {
+            let mut rec = RecordStamper::new(circuit);
             assemble.assemble(&mut rec);
-            let (csc, slots) = CscComplexMatrix::from_coordinates(n, &rec.writes);
-            let density = csc.nnz() as f64 / (n * n) as f64;
-            let sparse = if density > SPARSE_MAX_DENSITY {
-                None
-            } else {
-                Some(AcSparseState {
-                    slots,
-                    csc,
-                    lu: SparseComplexLu::new(),
-                    pivot_session: 0,
-                })
-            };
-            self.plan = Some(AcPlan { topo, n, sparse });
+            let sparse =
+                SparseSystem::gate(n, &rec.writes).map(|(sys, slots)| AcSparseState { slots, sys });
+            self.plan = Some(Plan { topo, n, sparse });
         }
         let plan = self.plan.as_mut().expect("plan ensured above");
         if let Some(state) = plan.sparse.as_mut() {
             let complete = {
-                let mut st = ComplexSlotStamper::new(
+                let mut st = SlotStamper::new(
                     circuit.num_nodes(),
                     &state.slots,
-                    state.csc.values_mut(),
+                    state.sys.csc.values_mut(),
                     &mut self.z,
                 );
                 assemble.assemble(&mut st);
@@ -339,31 +378,11 @@ impl AcWorkspace {
                 // points and sweeps go straight to the dense path instead
                 // of re-recording every call.
                 plan.sparse = None;
-            } else {
-                let fresh = state.pivot_session != session || !state.lu.is_factored();
-                telemetry::record(
-                    if fresh {
-                        telemetry::Metric::SparseFactors
-                    } else {
-                        telemetry::Metric::SparseRefactors
-                    },
-                    1,
-                );
-                let factored = if fresh {
-                    let _f = telemetry::span(telemetry::SpanId::Factor);
-                    state.lu.factor(&state.csc).is_ok()
-                } else {
-                    let _f = telemetry::span(telemetry::SpanId::Refactor);
-                    state.lu.refactor_into(&state.csc).is_ok()
-                        || state.lu.factor(&state.csc).is_ok()
-                };
-                if factored {
-                    state.pivot_session = session;
-                    return Ok(AcKernel::Sparse);
-                }
-                // Numerically singular under the sparse elimination order;
-                // the dense elimination below may still survive.
+            } else if state.sys.factor(session) {
+                return Ok(AcKernel::Sparse);
             }
+            // A point that is singular under the sparse elimination order
+            // may still survive the dense elimination below.
         }
         let dense = self.dense.get_or_insert_with(|| {
             Box::new(DenseAcState {
@@ -375,10 +394,7 @@ impl AcWorkspace {
         assemble.assemble(&mut dense.st);
         // Donates the stamped storage (an O(1) swap); the next point's
         // `clear` + `assemble` rebuild it from scratch anyway.
-        dense
-            .clu
-            .factor_in_place(&mut dense.st.a, n)
-            .map_err(|_| ())?;
+        dense.st.factor_into(&mut dense.clu).map_err(|_| ())?;
         Ok(AcKernel::Dense)
     }
 
@@ -390,7 +406,7 @@ impl AcWorkspace {
                 let Some(state) = self.plan.as_mut().and_then(|p| p.sparse.as_mut()) else {
                     return false;
                 };
-                state.lu.solve_into(b, x).is_ok()
+                state.sys.lu.solve_into(b, x).is_ok()
             }
             AcKernel::Dense => {
                 let Some(d) = self.dense.as_mut() else {
@@ -415,7 +431,7 @@ impl AcWorkspace {
                 let Some(state) = self.plan.as_mut().and_then(|p| p.sparse.as_mut()) else {
                     return false;
                 };
-                state.lu.solve_transpose_into(e, y).is_ok()
+                state.sys.lu.solve_transpose_into(e, y).is_ok()
             }
             AcKernel::Dense => {
                 let Some(d) = self.dense.as_mut() else {
@@ -465,7 +481,7 @@ pub struct NewtonWorkspace {
     n: usize,
     /// Topology fingerprint of the circuit last ensured.
     topo: u64,
-    /// Monotonic solve-session id (see [`SparseState::pivot_session`]).
+    /// Monotonic solve-session id (see [`SparseSystem::pivot_session`]).
     session: u64,
     /// Monotonic Newton-solve id: bumped once per `newton_loop` call (each
     /// DC attempt, each gmin/source-stepping rung, each transient
@@ -473,7 +489,7 @@ pub struct NewtonWorkspace {
     /// assembly segment is valid for exactly one solve.
     solve_id: u64,
     /// Cached sparse plans, indexed by [`StampKind`].
-    plans: [Option<SparsePlan>; 2],
+    plans: [Option<Plan<SparseState>>; 2],
     /// Allows the right-hand-side-only constant restamp (see
     /// [`PreloadState`]). Always on outside tests, which turn it off to
     /// compare against full restamps.
@@ -590,59 +606,43 @@ impl NewtonWorkspace {
     ) -> SolveMode {
         let topo = circuit.topology_id();
         let n = circuit.num_unknowns();
-        if let Some(plan) = &self.plans[kind as usize] {
-            if plan.topo == topo && plan.n == n {
-                return if plan.sparse.is_some() {
-                    SolveMode::Sparse
-                } else {
-                    SolveMode::Dense
-                };
-            }
+        let plan = &mut self.plans[kind as usize];
+        if !plan.as_ref().is_some_and(|p| p.matches(topo, n)) {
+            // Record the constant segment, then the MOS pattern after it,
+            // so one CSC pattern covers both and the slot map splits
+            // cleanly at the segment boundary.
+            let mut rec = RecordStamper::new(circuit);
+            assemble.assemble_constant(&mut rec);
+            let cl = rec.writes.len();
+            let mut mos = MosTable::record(circuit, &mut rec.writes);
+            let sparse = SparseSystem::gate(n, &rec.writes).map(|(sys, mut slots)| {
+                mos.resolve(&slots);
+                slots.truncate(cl);
+                SparseState {
+                    preload: PreloadState {
+                        values: vec![0.0; sys.csc.nnz()],
+                        const_slots: slots,
+                        z: vec![0.0; n],
+                        solve_id: 0,
+                        matrix_key: None,
+                    },
+                    mos,
+                    sys,
+                }
+            });
+            *plan = Some(Plan { topo, n, sparse });
         }
-        // Record the constant segment, then the MOS pattern after it, so
-        // one CSC pattern covers both and the slot map splits cleanly at
-        // the segment boundary.
-        let mut rec = RecordStamper::new(circuit);
-        assemble.assemble_constant(&mut rec);
-        let cl = rec.writes.len();
-        let mut mos = MosTable::record(circuit, &mut rec.writes);
-        let (csc, mut slots) = CscMatrix::from_coordinates(n, &rec.writes);
-        let density = csc.nnz() as f64 / (n * n) as f64;
-        let sparse = if density > SPARSE_MAX_DENSITY {
-            None
-        } else {
-            mos.resolve(&slots);
-            slots.truncate(cl);
-            Some(SparseState {
-                preload: PreloadState {
-                    const_slots: slots,
-                    values: vec![0.0; csc.nnz()],
-                    z: vec![0.0; n],
-                    solve_id: 0,
-                    matrix_key: None,
-                },
-                mos,
-                csc,
-                lu: SparseLu::new(),
-                pivot_session: 0,
-            })
-        };
-        let mode = if sparse.is_some() {
+        if plan.as_ref().is_some_and(|p| p.sparse.is_some()) {
             SolveMode::Sparse
         } else {
             SolveMode::Dense
-        };
-        self.plans[kind as usize] = Some(SparsePlan { topo, n, sparse });
-        mode
+        }
     }
 
-    /// One sparse Newton step: slot-map assembly at `x`, then numeric
-    /// factorization. The first factorization of a solve session is a full
-    /// pivoting one, so the pivot sequence depends only on the candidate
-    /// being solved (bit-identical results whether or not the workspace was
-    /// reused); every later iteration, retry, and timestep of the session
-    /// runs the scan-free refactorization, falling back to a pivoting
-    /// factor if a recorded pivot collapses numerically.
+    /// One sparse Newton step: slot-map assembly at `x`, then the
+    /// session's numeric factorization ([`SparseSystem::factor`]: pivoting
+    /// on the first step of a solve session, scan-free refactor on every
+    /// later iteration, retry, and timestep).
     ///
     /// Assembly stamps only the MOSFETs here: the constant segment is
     /// assembled once per Newton solve (the first iteration after
@@ -697,12 +697,12 @@ impl NewtonWorkspace {
             pre.matrix_key = key;
         }
         // Preload the constant part, then replay only the MOS slots.
-        state.csc.values_mut().copy_from_slice(&pre.values);
+        state.sys.csc.values_mut().copy_from_slice(&pre.values);
         self.st.z.copy_from_slice(&pre.z);
         if !state.mos.stamp(
             assemble.circuit(),
             x,
-            state.csc.values_mut(),
+            state.sys.csc.values_mut(),
             &mut self.st.z,
         ) {
             // The circuit's MOSFET count disagrees with the table.
@@ -710,24 +710,7 @@ impl NewtonWorkspace {
             return SparseStep::Fallback;
         }
         drop(asm);
-        let fresh = state.pivot_session != self.session || !state.lu.is_factored();
-        telemetry::record(
-            if fresh {
-                telemetry::Metric::SparseFactors
-            } else {
-                telemetry::Metric::SparseRefactors
-            },
-            1,
-        );
-        let factored = if fresh {
-            let _f = telemetry::span(telemetry::SpanId::Factor);
-            state.lu.factor(&state.csc).is_ok()
-        } else {
-            let _f = telemetry::span(telemetry::SpanId::Refactor);
-            state.lu.refactor_into(&state.csc).is_ok() || state.lu.factor(&state.csc).is_ok()
-        };
-        if factored {
-            state.pivot_session = self.session;
+        if state.sys.factor(self.session) {
             SparseStep::Factored
         } else {
             SparseStep::Singular
@@ -743,7 +726,7 @@ impl NewtonWorkspace {
         else {
             return false;
         };
-        state.lu.solve_into(&self.st.z, &mut self.x_new).is_ok()
+        state.sys.lu.solve_into(&self.st.z, &mut self.x_new).is_ok()
     }
 
     /// True if the `(current topology, kind)` pair resolved to the sparse
@@ -785,16 +768,29 @@ impl Drop for PooledWorkspace {
             let mut pool = POOL
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            // FIFO eviction: returning workspaces displace the oldest
-            // entries, so long-running processes that cycle through many
-            // topologies keep pooling the ones currently in use instead of
-            // pinning whichever came first.
-            if pool.len() >= POOL_CAP {
-                pool.remove(0);
-            }
-            pool.push(ws);
+            put(&mut pool, ws);
         }
     }
+}
+
+/// Takes the pooled workspace built for `(topo, n)` out of `pool`, keeping
+/// the others in the order they were returned (oldest first).
+fn take(pool: &mut Vec<NewtonWorkspace>, topo: u64, n: usize) -> Option<NewtonWorkspace> {
+    let i = pool
+        .iter()
+        .position(|w| w.topo == topo && w.num_unknowns() == n)?;
+    Some(pool.remove(i))
+}
+
+/// Returns `ws` to `pool`. FIFO eviction: at capacity the returning
+/// workspace displaces the oldest entry, so long-running processes that
+/// cycle through many topologies keep pooling the ones currently in use
+/// instead of pinning whichever came first.
+fn put(pool: &mut Vec<NewtonWorkspace>, ws: NewtonWorkspace) {
+    if pool.len() >= POOL_CAP {
+        pool.remove(0);
+    }
+    pool.push(ws);
 }
 
 /// Checks a workspace out of the process-wide pool, preferring one whose
@@ -806,14 +802,13 @@ impl Drop for PooledWorkspace {
 pub fn lease_workspace(circuit: &Circuit) -> PooledWorkspace {
     let topo = circuit.topology_id();
     let n = circuit.num_unknowns();
-    let reused = {
-        let mut pool = POOL
+    let reused = take(
+        &mut POOL
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        pool.iter()
-            .position(|w| w.topo == topo && w.num_unknowns() == n)
-            .map(|i| pool.swap_remove(i))
-    };
+            .unwrap_or_else(std::sync::PoisonError::into_inner),
+        topo,
+        n,
+    );
     telemetry::record(
         if reused.is_some() {
             telemetry::Metric::WorkspaceHits
@@ -840,12 +835,12 @@ mod tests {
     struct Resistive<'a>(&'a Circuit);
 
     impl Assemble for Resistive<'_> {
-        fn assemble<S: Stamp>(&mut self, x: &[f64], st: &mut S) {
+        fn assemble<S: Stamp<f64>>(&mut self, x: &[f64], st: &mut S) {
             st.load_gmin(1e-12);
             stamp_resistive_system(self.0, x, SourceEval::Dc { scale: 1.0 }, st);
         }
 
-        fn assemble_constant<S: Stamp>(&mut self, st: &mut S) {
+        fn assemble_constant<S: Stamp<f64>>(&mut self, st: &mut S) {
             st.load_gmin(1e-12);
             stamp_resistive_linear(self.0, SourceEval::Dc { scale: 1.0 }, st);
         }
@@ -926,28 +921,55 @@ mod tests {
 
     #[test]
     fn pool_reuses_matching_topology() {
+        // A 13-node resistor chain with a VCCS across it: sparse, and a
+        // topology no other test builds, so no concurrent test can lease
+        // this workspace between the two leases below.
         let mut c = Circuit::new();
-        let a = c.node("pool_test_a");
-        c.add_vsource("V1", a, GND, Waveform::Dc(1.0)).unwrap();
-        c.add_resistor("R1", a, GND, 1e3).unwrap();
-        let first_ptr;
-        {
-            let ws = lease_workspace(&c);
-            first_ptr = &*ws as *const NewtonWorkspace as usize;
-            let _ = first_ptr;
-        } // returned to the pool
-        {
-            let ws2 = lease_workspace(&c);
-            assert_eq!(ws2.topology_id(), c.topology_id());
-            assert_eq!(ws2.num_unknowns(), c.num_unknowns());
+        let nodes: Vec<_> = (0..13).map(|i| c.node(&format!("pool_n{i}"))).collect();
+        c.add_vsource("V1", nodes[0], GND, Waveform::Dc(1.0))
+            .unwrap();
+        for (i, w) in nodes.windows(2).enumerate() {
+            c.add_resistor(&format!("R{i}"), w[0], w[1], 1e3).unwrap();
         }
-        // A different topology gets a correctly sized workspace too.
-        let mut c2 = Circuit::new();
-        let b = c2.node("pool_test_b");
-        c2.add_vsource("V1", b, GND, Waveform::Dc(1.0)).unwrap();
-        c2.add_resistor("R1", b, GND, 1e3).unwrap();
-        c2.add_capacitor("C1", b, GND, 1e-12).unwrap();
-        let ws3 = lease_workspace(&c2);
-        assert_eq!(ws3.topology_id(), c2.topology_id());
+        c.add_resistor("RL", nodes[12], GND, 1e3).unwrap();
+        c.add_vccs("G1", nodes[9], GND, nodes[3], GND, 1e-4)
+            .unwrap();
+        let opts = SimOptions::default();
+        {
+            let mut ws = lease_workspace(&c);
+            crate::op_with_workspace(&c, &opts, None, &mut ws).unwrap();
+            assert!(ws.uses_sparse(false), "the chain's DC plan is sparse");
+        } // returned to the pool
+        let ws = lease_workspace(&c);
+        assert!(
+            ws.uses_sparse(false),
+            "the re-leased workspace must carry the recorded plan"
+        );
+    }
+
+    #[test]
+    fn pool_evicts_the_oldest_entry() {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        c.add_resistor("R1", a, GND, 1e3).unwrap();
+        let n = c.num_unknowns();
+        let tagged = |topo: u64| {
+            let mut ws = NewtonWorkspace::new(&c);
+            ws.topo = topo;
+            ws
+        };
+        let mut pool = Vec::new();
+        for topo in 0..POOL_CAP as u64 {
+            put(&mut pool, tagged(topo));
+        }
+        // Taking the oldest entry and returning it makes it the newest; a
+        // further return at capacity then evicts entry 1, now the oldest.
+        let ws = take(&mut pool, 0, n).expect("pooled");
+        assert!(take(&mut pool, 0, n).is_none());
+        put(&mut pool, ws);
+        put(&mut pool, tagged(1000));
+        let topos: Vec<u64> = pool.iter().map(NewtonWorkspace::topology_id).collect();
+        let expect: Vec<u64> = (2..POOL_CAP as u64).chain([0, 1000]).collect();
+        assert_eq!(topos, expect);
     }
 }

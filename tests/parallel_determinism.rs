@@ -389,7 +389,7 @@ fn serial_and_parallel_runs_are_bit_identical() {
     // factor + refactor + solve must stay bit-identical at any thread
     // count.
     let mesh_solution = |threads: usize| {
-        use spice::stamp::{stamp_resistive_system, RealStamper, SourceEval};
+        use spice::stamp::{stamp_resistive_system, RealStamper, SourceEval, Stamp};
         parallel::set_max_threads(threads);
         let ckt = circuits::mesh::build_rc_grid(500);
         let mut st = RealStamper::new(&ckt);
@@ -397,7 +397,7 @@ fn serial_and_parallel_runs_are_bit_identical() {
         st.clear();
         st.load_gmin(1e-12);
         stamp_resistive_system(&ckt, &x0, SourceEval::Dc { scale: 1.0 }, &mut st);
-        let a = linalg::CscMatrix::from_dense(&st.a);
+        let a = linalg::CscMatrix::from_dense(&linalg::Matrix::from_vec(500, 500, st.a.clone()));
         let mut slu = linalg::SparseLu::new();
         slu.factor(&a).unwrap();
         slu.refactor_into(&a).unwrap();
