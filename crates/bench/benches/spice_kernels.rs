@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the simulator substrate: the per-analysis
-//! costs that make one "SPICE simulation" expensive, plus the
-//! allocating-vs-workspace comparison for the DC Newton-solve kernel that
-//! motivated the zero-allocation refactor (`BENCH_baseline.json` records
-//! the reference numbers).
+//! costs that make one "SPICE simulation" expensive, plus the sparse LU
+//! the simulator runs against two dense-LU reference rows — the seed's
+//! allocating elimination and the reusable `linalg::Lu` workspace —
+//! (`BENCH_baseline.json` records the reference numbers).
 
 use bench::{assemble_linear_small_signal, build_mos_ladder, build_rc_ladder, complex_csc};
 use circuits::{FoldedCascodeOta, StrongArmLatch};
@@ -87,10 +87,11 @@ mod seed_baseline {
 }
 
 /// The DC Newton-solve kernel in isolation: factor + solve of the stamped
-/// MNA system, comparing the seed's allocating path with the workspace
-/// path the simulator now uses (acceptance target: ≥2×). Run on the
-/// 60-stage RC interconnect ladder (n = 62) and the 30-stage MOS ladder
-/// (n = 32).
+/// MNA system. The simulator's kernel is the sparse refactorization
+/// (`_sparse_`); the seed's allocating dense LU (`_alloc_`) and the
+/// reusable `linalg::Lu` (`_workspace_`) are dense-LU reference rows. Run
+/// on the 60-stage RC interconnect ladder (n = 62) and the 30-stage MOS
+/// ladder (n = 32).
 fn bench_newton_kernel(c: &mut Criterion) {
     for (label_seed, label_ws, label_sparse, ckt, x_guess) in [
         (
@@ -171,10 +172,11 @@ fn bench_newton_kernel(c: &mut Criterion) {
         });
     }
 
-    // The same comparison over a *complete* NR iteration (assembly
-    // included), exactly as the two engine generations execute it —
-    // including the storage-donating `RealStamper::factor_into` the
-    // simulator now uses, which the isolated kernel above cannot express.
+    // The same dense-LU reference rows over a *complete* NR iteration
+    // (dense assembly included): the seed's allocating path vs. the
+    // reusable `linalg::Lu` factoring the stamped matrix in place (it
+    // takes the stamper's storage, which the isolated kernel above cannot
+    // express).
     let ckt = build_mos_ladder(30);
     let n = ckt.num_unknowns();
     let x0 = vec![0.4; n];
@@ -202,7 +204,7 @@ fn bench_newton_kernel(c: &mut Criterion) {
             st.clear();
             st.load_gmin(1e-12);
             stamp_resistive_system(&ckt, &x0, SourceEval::Dc { scale: 1.0 }, &mut st);
-            st.factor_into(&mut lu).unwrap();
+            lu.factor_in_place(&mut st.a, n).unwrap();
             lu.solve_into(&st.z, &mut x).unwrap();
             black_box(x[0])
         })
@@ -211,12 +213,11 @@ fn bench_newton_kernel(c: &mut Criterion) {
 
 /// The AC-sweep kernel in isolation: factor + solve of the small-signal
 /// system `(G + jωC)·x = z` at all 26 points of a log sweep on the 60-stage
-/// RC interconnect ladder (n = 62), comparing the dense per-point path
-/// (workspace complex LU — already clone-free) with the sparse
-/// pattern-shared path the AC engine now auto-selects: one pivoting
-/// factorization at the first point of the sweep, then a scan-free
-/// refactorization per point (acceptance target: ≥3×). Assembly is
-/// excluded from both loops, exactly like the DC Newton kernels above.
+/// RC interconnect ladder (n = 62): the sparse pattern-shared path the AC
+/// engine runs — one pivoting factorization at the first point of the
+/// sweep, then a scan-free refactorization per point — against a dense
+/// per-point `linalg::ComplexLu` reference row. Assembly is excluded from
+/// both loops, exactly like the DC Newton kernels above.
 fn bench_ac_sweep_kernel(c: &mut Criterion) {
     let ckt = build_rc_ladder(60);
     let n = ckt.num_unknowns();

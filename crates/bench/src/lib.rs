@@ -489,8 +489,8 @@ pub mod baseline {
 
         // The AC-sweep kernels (identical bodies to
         // `benches/spice_kernels.rs::bench_ac_sweep_kernel`): factor +
-        // solve at all 26 points of the n = 62 RC-ladder sweep, dense
-        // per-point vs sparse pattern-shared.
+        // solve at all 26 points of the n = 62 RC-ladder sweep, the dense
+        // per-point reference row vs the sparse pattern-shared kernel.
         {
             let ckt = build_rc_ladder(60);
             let n = ckt.num_unknowns();
@@ -914,58 +914,5 @@ mod tests {
         let s = Scale::from_env();
         assert!(s.repeats >= 1);
         assert!(s.budget >= 10);
-    }
-
-    /// Diagnostic (run with `--ignored --nocapture`): dense
-    /// `Lu::factor` vs sparse `refactor_into` across density — the probe
-    /// behind the density gate `SPARSE_MAX_DENSITY` in `spice::workspace`.
-    /// It times the bare factor kernels only, so it says nothing about
-    /// system size: the whole sparse Newton step (split assembly plus
-    /// refactor) wins at every shipped size, as the per-evaluation table
-    /// in the gate's doc records.
-    #[test]
-    #[ignore]
-    fn probe_dense_sparse_crossover() {
-        use linalg::{CscMatrix, Lu, Matrix, SparseLu};
-        // Density sweep at fixed n: banded dominant matrices of varying
-        // bandwidth; n sweep at mesh-like density.
-        for n in [12usize, 16, 24, 32, 48, 64] {
-            for band in [2usize, n / 4, n / 2, n] {
-                let dense = Matrix::from_fn(n, n, |i, j| {
-                    let d = i.abs_diff(j);
-                    if d == 0 {
-                        4.0 + (i as f64) * 0.01
-                    } else if d <= band {
-                        -1.0 / (1.0 + d as f64) * (1.0 + ((i * 7 + j) % 5) as f64 * 0.1)
-                    } else {
-                        0.0
-                    }
-                });
-                let csc = CscMatrix::from_dense(&dense);
-                let nnz = csc.values().len();
-                let density = nnz as f64 / (n * n) as f64;
-                let iters = 200_000 / n;
-                let mut lu = Lu::new(n);
-                lu.factor(dense.as_slice(), n).unwrap();
-                let t = std::time::Instant::now();
-                for _ in 0..iters {
-                    lu.factor(dense.as_slice(), n).unwrap();
-                }
-                let td = t.elapsed().as_secs_f64() / iters as f64;
-                let mut slu = SparseLu::new();
-                slu.factor(&csc).unwrap();
-                let t = std::time::Instant::now();
-                for _ in 0..iters {
-                    slu.refactor_into(&csc).unwrap();
-                }
-                let ts = t.elapsed().as_secs_f64() / iters as f64;
-                eprintln!(
-                    "n={n:3} density={density:.2} dense {:7.2}us sparse {:7.2}us ratio {:.2}",
-                    td * 1e6,
-                    ts * 1e6,
-                    td / ts
-                );
-            }
-        }
     }
 }

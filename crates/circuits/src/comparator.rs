@@ -330,46 +330,6 @@ impl StrongArmLatch {
     }
 }
 
-impl StrongArmLatch {
-    /// Prints the transient waveforms of the key nodes (debugging aid).
-    #[doc(hidden)]
-    pub fn debug_transient(&self, x: &[f64]) {
-        let p = LatchParams::decode(x);
-        let (ckt, outp, outn, xp, xn, di_p, di_n) = self.build(&p).expect("netlist");
-        let clk = ckt.find_node("clk").unwrap();
-        let tr = match spice::transient(&ckt, &self.opts, self.period, 50e-12) {
-            Ok(tr) => tr,
-            Err(e) => {
-                println!("transient failed: {e}");
-                return;
-            }
-        };
-        println!("      t(ns)     clk     xp      xn      di_p    di_n    outp    outn");
-        for i in 0..=40 {
-            let t = self.period * i as f64 / 40.0;
-            println!(
-                "t={:>8.2}  {:>6.3} {:>7.4} {:>7.4} {:>7.4} {:>7.4} {:>7.4} {:>7.4}",
-                t * 1e9,
-                tr.sample(clk, t),
-                tr.sample(xp, t),
-                tr.sample(xn, t),
-                tr.sample(di_p, t),
-                tr.sample(di_n, t),
-                tr.sample(outp, t),
-                tr.sample(outn, t)
-            );
-        }
-        let q = tr.delivered_charge(&ckt, "VDD", 0.0, self.period).unwrap();
-        println!(
-            "cycle energy = {:.3e} J, power = {:.3e} W",
-            q * self.tech.vdd,
-            q * self.tech.vdd / self.period
-        );
-        println!("input noise est = {:.3e} V", self.input_noise(&p));
-        println!("area = {:.3e} um^2", p.area() * 1e12);
-    }
-}
-
 /// `v` must be at least `limit`: `f = (limit − v)/scale`.
 fn at_least(v: f64, limit: f64, scale: f64) -> f64 {
     (limit - v) / scale
@@ -648,9 +608,8 @@ mod tests {
         assert!(!spec.feasible());
     }
 
-    /// The latch's 15-unknown DC and transient systems are sparse by
-    /// density (0.24 and 0.31), so both plans take the sparse kernel, and
-    /// the nominal design measures what the dense kernel measured: the
+    /// The latch's 15-unknown DC and transient systems run on the sparse
+    /// LU, and the nominal design measures what a dense LU measured: the
     /// values below were recorded when systems under 24 unknowns were
     /// forced onto dense LU. The two eliminations differ only in rounding.
     #[test]
@@ -672,11 +631,6 @@ mod tests {
         let x = latch.nominal();
         let (ckt, ..) = latch.build(&LatchParams::decode(&x)).unwrap();
         assert_eq!(ckt.num_unknowns(), 15);
-        let mut ws = spice::lease_workspace(&ckt);
-        spice::transient_with_workspace(&ckt, &latch.opts, latch.period, 50e-12, &mut ws).unwrap();
-        assert!(ws.uses_sparse(false), "DC plan must be sparse");
-        assert!(ws.uses_sparse(true), "transient plan must be sparse");
-        drop(ws);
 
         let spec = latch.evaluate(&x);
         let close = |got: f64, want: f64| (got - want).abs() <= 1e-9 * want.abs();

@@ -2,7 +2,19 @@
 //! sizing problems of the DNN-Opt paper.
 //!
 //! Small building blocks (180nm-class, paper §III-A):
-//! - [`FoldedCascodeOta`] — Table I / Eq. 9 (20 variables, 29 constraints)
+//! - [`FoldedCascodeOta`] — Fig. 2 / Table I / Eq. 9 (20 variables, 29
+//!   constraints); [`FoldedCascodeOta::post_layout`] is its variant with
+//!   an extracted RC mesh;
+//! - [`StrongArmLatch`] — Fig. 5 / Table III / Eq. 10 (13 variables, 10
+//!   constraints).
+//!
+//! Industrial circuits (paper Table V, one row each, with estimated
+//! parasitics and arrayed devices):
+//! - [`InverterChain`] — row 1 (8 variables, 2 constraints);
+//! - [`LevelShifter`] — row 2 (16 variables, 10 constraints per supply
+//!   corner, 60 specs over its six corners);
+//! - [`Ldo`] — row 3 (10 variables, 9 constraints);
+//! - [`Ctle`] — row 4 (12 variables, 14 constraints).
 //!
 //! All problems implement [`opt::SizingProblem`], so every optimizer in the
 //! workspace (including DNN-Opt) runs on them unchanged.

@@ -1028,66 +1028,6 @@ impl FoldedCascodeOta {
     }
 }
 
-impl FoldedCascodeOta {
-    /// Prints closed-loop step diagnostics (debugging aid).
-    #[doc(hidden)]
-    pub fn debug_closed_loop(&self, x: &[f64]) {
-        let p = OtaParams::decode(x);
-        let (cl, out_p, out_n) = self.build_closed_loop(&p, 0.5).expect("netlist");
-        let inp = cl.find_node("inp").unwrap();
-        let inn = cl.find_node("inn").unwrap();
-        let tr = match spice::transient(&cl, &self.opts, STEP_T_STOP, STEP_T_STEP) {
-            Ok(tr) => tr,
-            Err(e) => {
-                println!("transient failed: {e}");
-                return;
-            }
-        };
-        for &t in &[0.0, 99e-9, 110e-9, 130e-9, 160e-9, 200e-9, 300e-9, 399e-9] {
-            let vd = tr.sample(out_p, t) - tr.sample(out_n, t);
-            let vi = tr.sample(inp, t) - tr.sample(inn, t);
-            let cm = 0.5 * (tr.sample(out_p, t) + tr.sample(out_n, t));
-            println!(
-                "t={:>6.0}ns  out_diff={vd:>9.5}  in_diff={vi:>10.6}  out_cm={cm:>8.5}",
-                t * 1e9
-            );
-        }
-    }
-
-    /// Prints the operating point of a design — a debugging aid kept in the
-    /// public API because sizing failures are far easier to diagnose from
-    /// bias voltages than from constraint values.
-    pub fn debug_op(&self, x: &[f64]) {
-        let p = OtaParams::decode(x);
-        let Ok((ol, _, _)) = self.build_open_loop(&p) else {
-            println!("netlist construction failed");
-            return;
-        };
-        match spice::op(&ol, &self.opts) {
-            Ok(op) => {
-                for node in [
-                    "vdd", "tail", "fold_l", "srcp_l", "out1_l", "out1_r", "out_p", "out_n",
-                    "vcmfb", "vsense", "vbp1", "vbp2", "vbn2", "vbn",
-                ] {
-                    if let Ok(id) = ol.find_node(node) {
-                        println!("V({node}) = {:.4}", op.voltage(id));
-                    }
-                }
-                let mut names: Vec<&String> = op.mos_ops().keys().collect();
-                names.sort();
-                for name in names {
-                    let m = op.mos_ops()[name];
-                    println!(
-                        "{name:14} id={:>10.3e} vgs={:>7.3} vds={:>7.3} vdsat={:>6.3} margin={:>7.3} {:?}",
-                        m.id, m.vgs, m.vds, m.vdsat, m.vsat_margin, m.region
-                    );
-                }
-            }
-            Err(e) => println!("op failed: {e}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1352,10 +1292,6 @@ mod tests {
             &mut ws,
         )
         .unwrap();
-        assert!(
-            ws.uses_sparse_ac(),
-            "the open loop runs the sparse AC kernel"
-        );
         for (sources, got) in OPEN_LOOP_EXCITATIONS.iter().zip(&multi) {
             let mut single = ol.clone();
             single.clear_ac_mags();

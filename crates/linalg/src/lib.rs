@@ -18,13 +18,13 @@
 //!   [`pool::set_max_threads`]. It is the only parallel layer: every
 //!   kernel in this crate runs serially inside a grid worker.
 //! - [`LuT`]: dense LU with partial pivoting, written once over [`Scalar`]
-//!   in reusable storage — [`Lu`] for the real MNA systems of the circuit
-//!   simulator's Newton loop, [`ComplexLu`] for the AC/noise dense
-//!   fallback (with the transpose solve of the noise adjoint).
+//!   in reusable storage — [`Lu`] and [`ComplexLu`] (with a transpose
+//!   solve): the dense reference the simulator's sparse path is tested
+//!   against.
 //! - [`CscMatrix`] and [`SparseLu`]: KLU-style sparse LU with a recorded
 //!   elimination pattern — one symbolic analysis per topology, a scan-free
 //!   [`SparseLu::refactor_into`] per Newton iteration. The simulator
-//!   auto-selects this path for sparse MNA systems. The whole sparse
+//!   solves every MNA system on this path. The whole sparse
 //!   pipeline is one generic implementation over [`Scalar`]
 //!   ([`CscT`]/[`SparseLuT`]), monomorphized for `f64` and [`C64`], with
 //!   one numeric path: the scalar Gilbert–Peierls replay over flat
@@ -36,8 +36,8 @@
 //! - [`CscComplexMatrix`] and [`SparseComplexLu`]: the [`C64`] instances
 //!   of the same generic sparse pipeline, for the frequency-domain MNA
 //!   systems `G + jωC`, with a transpose solve for the noise analysis'
-//!   adjoint system. The simulator auto-selects this path for sparse AC
-//!   systems.
+//!   adjoint system. The simulator solves every AC/noise point on this
+//!   path.
 //!
 //! # Example
 //!

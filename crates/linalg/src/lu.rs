@@ -1,9 +1,9 @@
 //! Dense LU factorization with partial pivoting, written once over
-//! [`Scalar`]: [`Lu`] (`f64`) factors the real MNA systems of the circuit
-//! simulator's Newton loop, [`ComplexLu`] ([`C64`]) the frequency-domain
-//! systems `(G + jωC)·x = b` of the AC/noise dense fallback. Both refactor
-//! a same-sized system thousands of times, so the factorization lives in
-//! caller-owned storage and allocates nothing once it has capacity.
+//! [`Scalar`]: [`Lu`] (`f64`) and [`ComplexLu`] ([`C64`]). The circuit
+//! simulator solves every system on the sparse LU; the dense LU is the
+//! reference its tests and the dense-LU bench rows solve the dense MNA
+//! assembly with. The factorization lives in caller-owned storage and
+//! allocates nothing once it has capacity.
 
 use crate::scalar::Scalar;
 use crate::sparse::PIVOT_EPS;

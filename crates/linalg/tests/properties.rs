@@ -242,7 +242,7 @@ proptest! {
 
     /// The sparse `refactor_into` path agrees with the dense
     /// `Lu::factor` path within 1e-10 on random sparse systems — the
-    /// contract that lets the simulator auto-select between them.
+    /// dense reference the simulator's sparse kernel is held to.
     #[test]
     fn sparse_refactor_agrees_with_dense_factor(
         n in 1usize..14,
@@ -354,8 +354,8 @@ proptest! {
     }
 
     /// The sparse complex kernel agrees with the dense complex LU within 1e-10 on random well-conditioned `G + jωC` systems —
-    /// forward *and* transpose (adjoint) solves — the contract that lets
-    /// the AC/noise engine auto-select between them.
+    /// forward *and* transpose (adjoint) solves — the dense reference the
+    /// AC/noise engine's sparse kernel is held to.
     #[test]
     fn sparse_complex_agrees_with_dense_complex(
         n in 1usize..14,

@@ -71,8 +71,11 @@ pub use sa::SimulatedAnnealing;
 
 /// A budgeted black-box optimizer for [`SizingProblem`]s.
 ///
-/// Implementations must be deterministic given `seed` and must never exceed
-/// `budget` calls to [`SizingProblem::evaluate`].
+/// Implementations must be deterministic given `seed` and must never
+/// evaluate more than `budget` candidates. Every evaluation goes through an
+/// [`Evaluator`], which runs a candidate as the corner × analysis grid of
+/// [`SizingProblem::evaluate_analysis`] calls and charges one unit of
+/// budget per candidate, however many calls its grid makes.
 pub trait Optimizer {
     /// Short display name used in tables and figures.
     fn name(&self) -> &'static str;

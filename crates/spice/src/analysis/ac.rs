@@ -13,9 +13,8 @@
 //! pattern of `G + jωC` is fixed by the topology (ω only scales values), so
 //! the pattern and stamp→slot map are recorded once, the first point runs a
 //! pivoting sparse factorization, and every further point pays slot-map
-//! assembly plus a scan-free refactorization. Dense systems fall back to
-//! the dense complex LU, which factors into a reusable workspace — no
-//! per-point matrix clone on either path.
+//! assembly plus a scan-free refactorization — no per-point matrix clone
+//! or fresh factor storage.
 
 use linalg::C64;
 
@@ -109,7 +108,8 @@ pub fn log_freqs(f_start: f64, f_stop: f64, points_per_decade: usize) -> Vec<f64
 }
 
 /// One small-signal assembly pass, generic over the [`C64`] stamp sink
-/// (dense rows, write recorder, or CSC slot map — each monomorphized).
+/// (write recorder or CSC slot map; dense rows in tests — each
+/// monomorphized).
 /// Captures the linearization point and ω. Independent sources are
 /// quiesced: AC excitations enter through [`stamp_excitation`] and the
 /// noise adjoint solver's right-hand side is the output selector.
@@ -341,11 +341,11 @@ fn sweep(
             opts,
             omega,
         };
-        let kernel = ac_ws
-            .factor_point(circuit, session, &mut assembler)
-            .map_err(|()| SpiceError::SingularMatrix { analysis: "ac" })?;
+        if !ac_ws.factor_point(circuit, session, &mut assembler) {
+            return Err(SpiceError::SingularMatrix { analysis: "ac" });
+        }
         for (b, ve) in rhs.iter().zip(&mut v) {
-            if !ac_ws.solve(kernel, b, &mut x) {
+            if !ac_ws.solve(b, &mut x) {
                 return Err(SpiceError::SingularMatrix { analysis: "ac" });
             }
             let mut vf = vec![C64::ZERO; n_nodes];
@@ -493,14 +493,13 @@ mod tests {
 
     /// The multi-excitation sweep must equal, bit for bit, one
     /// `ac_with_workspace` sweep per excitation after `clear_ac_mags` +
-    /// `set_ac_mag` — on whichever kernel the circuit selects.
-    fn assert_multi_matches_single(c: &Circuit, excitations: &[&[(&str, f64)]], sparse: bool) {
+    /// `set_ac_mag`.
+    fn assert_multi_matches_single(c: &Circuit, excitations: &[&[(&str, f64)]]) {
         let opts = SimOptions::default();
         let op = crate::analysis::dc::op(c, &opts).unwrap();
         let freqs = log_freqs(1e3, 1e10, 5);
         let mut ws = NewtonWorkspace::new(c);
         let multi = ac_multi_with_workspace(c, &opts, &op, &freqs, excitations, &mut ws).unwrap();
-        assert_eq!(ws.uses_sparse_ac(), sparse, "kernel selection");
         assert_eq!(multi.len(), excitations.len());
         for (sources, got) in excitations.iter().zip(&multi) {
             let mut single = c.clone();
@@ -533,8 +532,8 @@ mod tests {
 
     /// A resistor clique of `nodes` nodes, each with a capacitor to
     /// ground, driven and excited like [`driven_ladder`]. Every node pair
-    /// is coupled, so the assembled density is far above the sparse gate
-    /// at any size: the dense kernel's fixture.
+    /// is coupled, so the assembled system is nearly dense at any size
+    /// (density 0.78 at 6 nodes).
     fn driven_clique(nodes: usize) -> Circuit {
         let mut c = Circuit::new();
         let ns: Vec<_> = (0..nodes).map(|k| c.node(&format!("n{k}"))).collect();
@@ -557,15 +556,59 @@ mod tests {
     }
 
     #[test]
-    fn multi_excitation_sweep_matches_single_sweeps_dense() {
+    fn multi_excitation_sweep_matches_single_sweeps_clique() {
         let c = driven_clique(6);
-        assert_multi_matches_single(&c, &LADDER_EXCITATIONS, false);
+        assert_multi_matches_single(&c, &LADDER_EXCITATIONS);
     }
 
     #[test]
-    fn multi_excitation_sweep_matches_single_sweeps_sparse() {
+    fn multi_excitation_sweep_matches_single_sweeps_ladder() {
         let c = driven_ladder(40);
-        assert_multi_matches_single(&c, &LADDER_EXCITATIONS, true);
+        assert_multi_matches_single(&c, &LADDER_EXCITATIONS);
+    }
+
+    /// The nearly dense clique solves, at every point of a sweep, what a
+    /// dense complex LU solves on the dense reference assembly of the same
+    /// `G + jωC` and excitation.
+    #[test]
+    fn dense_clique_sweep_matches_the_dense_reference() {
+        let c = driven_clique(6);
+        let n = c.num_unknowns();
+        let opts = SimOptions::default();
+        let op = crate::analysis::dc::op(&c, &opts).unwrap();
+        let freqs = log_freqs(1e3, 1e10, 5);
+        let sweep = ac(&c, &opts, &op, &freqs).unwrap();
+        let mags: Vec<f64> = c
+            .devices()
+            .iter()
+            .map(|dev| match dev {
+                Device::VSource { ac_mag, .. } | Device::ISource { ac_mag, .. } => *ac_mag,
+                _ => 0.0,
+            })
+            .collect();
+        for (fi, &f) in freqs.iter().enumerate() {
+            let mut st = crate::stamp::ComplexStamper::new(&c);
+            SmallSignalAssembler {
+                circuit: &c,
+                op: &op,
+                opts: &opts,
+                omega: 2.0 * std::f64::consts::PI * f,
+            }
+            .assemble(&mut st);
+            stamp_excitation(&c, &mags, &mut st.z);
+            let mut lu = linalg::ComplexLu::new(n);
+            lu.factor(&st.a, n).unwrap();
+            let mut want = Vec::new();
+            lu.solve_into(&st.z, &mut want).unwrap();
+            let scale = want.iter().fold(0.0_f64, |m, w| m.max(w.abs()));
+            for node in 1..c.num_nodes() {
+                let (got, want) = (sweep.voltage(fi, node), want[node - 1]);
+                assert!(
+                    (got - want).abs() <= 1e-12 * scale,
+                    "point {fi}, node {node}: {got:?} vs {want:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@ use crate::error::SpiceError;
 use crate::mos::{MosEval, MosRegion};
 use crate::netlist::{Circuit, Device, NodeId};
 use crate::options::SimOptions;
-use crate::stamp::{node_voltage, stamp_resistive_system, Assemble, SourceEval, Stamp};
-use crate::workspace::{NewtonWorkspace, SolveMode, SparseStep, StampKind};
+use crate::stamp::{node_voltage, Assemble, SourceEval, Stamp};
+use crate::workspace::{NewtonWorkspace, StampKind};
 
 /// Per-MOSFET operating-point report.
 #[derive(Debug, Clone, Copy)]
@@ -124,9 +124,9 @@ impl OpPoint {
 
 /// Generic damped Newton loop shared by the DC and transient engines.
 ///
-/// `assemble` must fill the (cleared) stamper with the full linearized
-/// system at the given unknown vector. Two robustness devices on top of
-/// plain Newton:
+/// `assemble` describes the linearized system: its constant segment, and
+/// the circuit whose MOSFETs are re-linearized at every iterate. Two
+/// robustness devices on top of plain Newton:
 ///
 /// - a per-iteration voltage limiter (`opts.v_limit`), the classic SPICE
 ///   damping;
@@ -136,16 +136,15 @@ impl OpPoint {
 ///   oscillations; it recovers geometrically once progress resumes.
 ///
 /// All solver state lives in `ws`, so one iteration performs no heap
-/// allocation: the stamper, LU (dense or sparse) factors, and step vector
-/// are reused across iterations, retries, and (for the transient engine)
+/// allocation: the recorded plan, sparse LU factors, and step vector are
+/// reused across iterations, retries, and (for the transient engine)
 /// timesteps.
 ///
-/// The linear kernel is selected per `(topology, kind)` by
-/// [`NewtonWorkspace::prepare`]: large, sparse systems assemble through a
-/// recorded stamp→slot map into CSC storage and run one pivoting sparse
-/// factorization per solve session followed by scan-free numeric
-/// refactorizations; everything else uses the dense workspace kernel,
-/// which also remains the universal fallback path.
+/// Every step runs [`NewtonWorkspace::newton_step`]: assembly through the
+/// recorded stamp→slot map of the `(topology, kind)` plan into CSC
+/// storage, one pivoting sparse factorization per solve session followed
+/// by scan-free numeric refactorizations. A system the sparse LU cannot
+/// factor is the [`FailureKind::Singular`] verdict.
 pub(crate) fn newton_loop<A: Assemble>(
     circuit: &Circuit,
     opts: &SimOptions,
@@ -174,13 +173,6 @@ pub(crate) fn newton_loop<A: Assemble>(
     out
 }
 
-/// `SPICE_DEBUG` (Newton-iteration traces on convergence failures), read
-/// once per process.
-fn spice_debug() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("SPICE_DEBUG").is_some())
-}
-
 fn newton_loop_inner<A: Assemble>(
     circuit: &Circuit,
     opts: &SimOptions,
@@ -203,7 +195,6 @@ fn newton_loop_inner<A: Assemble>(
             injected: true,
         });
     }
-    let trace = spice_debug();
     let n = circuit.num_unknowns();
     let n_v = circuit.num_nodes() - 1;
     let mut x = x0.to_vec();
@@ -212,10 +203,9 @@ fn newton_loop_inner<A: Assemble>(
     let mut prev_dv = f64::INFINITY;
     let mut prev_damp = 1.0_f64;
     ws.ensure(circuit);
-    let mut mode = ws.prepare(circuit, kind, &mut assemble);
-    // One Newton solve = one constant-segment preload: sparse plans stamp
-    // the x-independent writes (linear devices, sources at this solve's
-    // time/scale, capacitor companions) once here-after, and replay only
+    // One Newton solve = one constant-segment preload: the plan stamps the
+    // x-independent writes (linear devices, sources at this solve's
+    // time/scale, capacitor companions) once here-after, and replays only
     // the compiled MOS table per iteration.
     ws.begin_solve();
     let fail = |kind: FailureKind, iterations: usize| NewtonFailure {
@@ -224,35 +214,8 @@ fn newton_loop_inner<A: Assemble>(
         injected: false,
     };
     for iter in 0..max_iters {
-        let mut solved = false;
-        if mode == SolveMode::Sparse {
-            match ws.sparse_step(kind, &x, &mut assemble) {
-                SparseStep::Factored => solved = ws.sparse_solve(kind),
-                // The dense kernel eliminates in a different (row-pivoted,
-                // natural-order) sequence, so a pivot that collapsed under
-                // the sparse ordering may still survive — fall back for the
-                // rest of this solve rather than failing outright.
-                SparseStep::Singular | SparseStep::Fallback => mode = SolveMode::Dense,
-            }
-        }
-        if !solved {
-            {
-                let _asm = telemetry::span(telemetry::SpanId::Assembly);
-                ws.st.clear();
-                assemble.assemble(&x, &mut ws.st);
-            }
-            // `factor_into` donates the stamped matrix's storage (an O(1)
-            // buffer swap) — the next iteration's `clear` + `assemble`
-            // rebuild it from scratch anyway. A failed factor here is the
-            // real singular-matrix verdict: the dense kernel is the last
-            // fallback, so the cause must survive instead of collapsing
-            // into the same `None` a NaN residual produces.
-            if ws.st.factor_into(&mut ws.lu).is_err() {
-                return Err(fail(FailureKind::Singular, iter));
-            }
-            if ws.lu.solve_into(&ws.st.z, &mut ws.x_new).is_err() {
-                return Err(fail(FailureKind::Singular, iter));
-            }
+        if !ws.newton_step(kind, &x, &mut assemble) {
+            return Err(fail(FailureKind::Singular, iter));
         }
         let x_new = &ws.x_new;
         if x_new.iter().any(|v| !v.is_finite()) {
@@ -299,18 +262,13 @@ fn newton_loop_inner<A: Assemble>(
         for i in 0..n {
             x[i] += damp * (x_new[i] - x[i]);
         }
-        if trace && iter >= max_iters.saturating_sub(6) {
-            eprintln!("nr iter={iter} max_dv={max_dv:.3e} damp={damp:.3} relax={relax:.3}");
-        }
-    }
-    if trace {
-        eprintln!("nr FAILED after {max_iters} iters, last_dv={prev_dv:.3e}");
     }
     Err(fail(FailureKind::NoConvergence, max_iters))
 }
 
-/// The DC-resistive assembly: gmin loading plus the linearized resistive
-/// stamps of every device at the given source scale.
+/// The DC-resistive assembly: gmin loading and the linear devices at the
+/// given source scale, plus the circuit's MOSFETs linearized at each
+/// iterate.
 struct DcAssemble<'a> {
     circuit: &'a Circuit,
     gmin: f64,
@@ -318,11 +276,6 @@ struct DcAssemble<'a> {
 }
 
 impl Assemble for DcAssemble<'_> {
-    fn assemble<S: Stamp<f64>>(&mut self, x: &[f64], st: &mut S) {
-        st.load_gmin(self.gmin);
-        stamp_resistive_system(self.circuit, x, SourceEval::Dc { scale: self.scale }, st);
-    }
-
     fn assemble_constant<S: Stamp<f64>>(&mut self, st: &mut S) {
         st.load_gmin(self.gmin);
         crate::stamp::stamp_resistive_linear(
@@ -449,11 +402,12 @@ pub fn op_with_guess(
 
 /// Computes the DC operating point using caller-owned solver state.
 ///
-/// The workspace (stamper, LU factors, step buffers) is reused across every
-/// Newton iteration and every gmin/source-stepping retry, so the solve
-/// performs no per-iteration allocation. Reuse one workspace across many
-/// solves of the same topology (sweeps, optimizer populations) for the full
-/// benefit; it resizes itself if the circuit's unknown count changes.
+/// The workspace (recorded plans, LU factors, step buffers) is reused
+/// across every Newton iteration and every gmin/source-stepping retry, so
+/// the solve performs no per-iteration allocation. Reuse one workspace
+/// across many solves of the same topology (sweeps, optimizer
+/// populations) for the full benefit; it resizes itself if the circuit's
+/// unknown count changes.
 ///
 /// # Errors
 ///
@@ -582,8 +536,8 @@ pub fn dc_sweep(
     let mut ckt = circuit.clone();
     let mut out = Vec::with_capacity(values.len());
     let mut guess: Option<Vec<f64>> = None;
-    // One workspace for the whole sweep: every point reuses the stamper and
-    // LU storage.
+    // One workspace for the whole sweep: every point reuses the recorded
+    // plan and LU storage.
     let mut ws = NewtonWorkspace::new(&ckt);
     for &val in values {
         if let Device::VSource { wave, .. } = &mut ckt.devices_mut()[idx] {
@@ -762,11 +716,33 @@ mod tests {
         let m = nmos();
         c.add_mosfet("M1", d, d, GND, GND, &m, 10e-6, 1e-6, 1.0)
             .unwrap();
-        // 3 unknowns, 6 of 9 entries structurally nonzero: above the
-        // sparse density gate, so this solve runs the dense kernel.
-        let mut ws = crate::workspace::NewtonWorkspace::new(&c);
-        let op = op_with_workspace(&c, &SimOptions::default(), None, &mut ws).unwrap();
-        assert!(!ws.uses_sparse(false), "dense-by-density system");
+        // 3 unknowns, 6 of 9 entries structurally nonzero: the densest
+        // system a Newton test solves, on the same sparse LU as the rest.
+        let opts = SimOptions::default();
+        let mut ws = NewtonWorkspace::new(&c);
+        let op = op_with_workspace(&c, &opts, None, &mut ws).unwrap();
+        // Each Newton step solves what a dense LU solves on the dense
+        // reference assembly of the same linearization.
+        for x in [vec![0.0; 3], vec![1.8, 0.7, -1e-4], op.raw().to_vec()] {
+            let mut asm = DcAssemble {
+                circuit: &c,
+                gmin: opts.gmin,
+                scale: 1.0,
+            };
+            ws.begin_solve();
+            assert!(ws.newton_step(StampKind::Dc, &x, &mut asm));
+            let mut st = crate::stamp::RealStamper::new(&c);
+            st.load_gmin(opts.gmin);
+            crate::stamp::stamp_resistive_system(&c, &x, SourceEval::Dc { scale: 1.0 }, &mut st);
+            let mut lu = linalg::Lu::new(3);
+            lu.factor(&st.a, 3).unwrap();
+            let mut want = Vec::new();
+            lu.solve_into(&st.z, &mut want).unwrap();
+            let scale = want.iter().fold(0.0_f64, |m, w| m.max(w.abs()));
+            for (got, want) in ws.x_new.iter().zip(&want) {
+                assert!((got - want).abs() <= 1e-12 * scale, "{got} vs {want}");
+            }
+        }
         let v = op.voltage(d);
         assert!(v > 0.45 && v < 1.2, "diode voltage {v}");
         let mop = op.mos_op("M1").unwrap();
@@ -846,9 +822,8 @@ mod tests {
 
     #[test]
     fn sparse_kernel_solves_large_mos_ladder() {
-        // 30 diode-connected-NMOS stages: 32 unknowns, well under the
-        // sparse density gate. KCL at every stage pins the whole solution, so
-        // this exercises the recorded stamp→slot assembly, the pivoting
+        // 30 diode-connected-NMOS stages: 32 unknowns. KCL at every stage
+        // pins the whole solution, so this exercises the recorded stamp→slot assembly, the pivoting
         // first factor, and the refactor path end to end.
         let mut c = Circuit::new();
         let vdd = c.node("vdd");
@@ -864,7 +839,6 @@ mod tests {
         }
         let mut ws = crate::workspace::NewtonWorkspace::new(&c);
         let op = op_with_workspace(&c, &SimOptions::default(), None, &mut ws).unwrap();
-        assert!(ws.uses_sparse(false), "ladder must select the sparse path");
         // KCL at every internal node: the incoming resistor current equals
         // the stage's diode current plus the current into the next stage.
         let mut up = vdd;
@@ -909,6 +883,22 @@ mod tests {
             (ir - id).abs() <= 1e-6 * id.abs().max(1e-12) + 1e-9,
             "ir={ir} id={id}"
         );
+    }
+
+    #[test]
+    fn parallel_voltage_sources_are_singular() {
+        // Two ideal sources of different value across one node: their
+        // branch columns are identical, so no pivot order factors the
+        // system, and no gmin or source-stepping rung changes that.
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        c.add_vsource("V1", a, GND, Waveform::Dc(1.0)).unwrap();
+        c.add_vsource("V2", a, GND, Waveform::Dc(2.0)).unwrap();
+        c.add_resistor("R1", a, GND, 1e3).unwrap();
+        let err = op(&c, &SimOptions::default()).unwrap_err();
+        let diag = err.failure_diag().expect("solver failure carries a diag");
+        assert_eq!(diag.kind, FailureKind::Singular, "{diag}");
+        assert!(!diag.injected, "{diag}");
     }
 
     #[test]

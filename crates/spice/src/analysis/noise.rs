@@ -14,7 +14,7 @@
 //! pattern and slot map, factors the *forward* system once per point
 //! (pivoting at the first frequency, scan-free refactorization after), and
 //! solves the transpose on those same factors — no transposed matrix is
-//! ever built, on either the sparse or the dense path.
+//! ever built.
 
 use linalg::C64;
 
@@ -123,10 +123,9 @@ pub fn noise_with_workspace(
         };
         // Factor the forward system, then solve the adjoint Aᵀ y = e_out
         // on the same factors.
-        let kernel = ac_ws
-            .factor_point(circuit, session, &mut assembler)
-            .map_err(|()| SpiceError::SingularMatrix { analysis: "noise" })?;
-        if !ac_ws.solve_transpose(kernel, &e_out, &mut y) {
+        if !ac_ws.factor_point(circuit, session, &mut assembler)
+            || !ac_ws.solve_transpose(&e_out, &mut y)
+        {
             return Err(SpiceError::SingularMatrix { analysis: "noise" });
         }
         let transfer_sq = |a: NodeId, b: NodeId| -> f64 {

@@ -13,7 +13,7 @@ use crate::diag::{FailureDiag, LadderStage, NewtonFailure};
 use crate::error::SpiceError;
 use crate::netlist::{Circuit, NodeId};
 use crate::options::SimOptions;
-use crate::stamp::{node_voltage, stamp_resistive_system, Assemble, SourceEval, Stamp};
+use crate::stamp::{node_voltage, Assemble, SourceEval, Stamp};
 use crate::workspace::{NewtonWorkspace, StampKind};
 
 /// Result of a transient run: node voltages (and source branch currents)
@@ -166,8 +166,9 @@ struct CapState {
     i_prev: f64,
 }
 
-/// The transient assembly: gmin loading, the linearized resistive stamps
-/// at time `t`, and the trapezoidal companion of every capacitor.
+/// The transient assembly: gmin loading, the linear devices at time `t`
+/// and the trapezoidal companion of every capacitor, plus the circuit's
+/// MOSFETs linearized at each iterate.
 struct TranAssemble<'a> {
     circuit: &'a Circuit,
     caps: &'a [CapState],
@@ -195,12 +196,6 @@ impl TranAssemble<'_> {
 }
 
 impl Assemble for TranAssemble<'_> {
-    fn assemble<S: Stamp<f64>>(&mut self, xk: &[f64], st: &mut S) {
-        st.load_gmin(self.gmin);
-        stamp_resistive_system(self.circuit, xk, SourceEval::Time { t: self.t }, st);
-        self.stamp_companions(st);
-    }
-
     fn assemble_constant<S: Stamp<f64>>(&mut self, st: &mut S) {
         st.load_gmin(self.gmin);
         crate::stamp::stamp_resistive_linear(self.circuit, SourceEval::Time { t: self.t }, st);
@@ -606,7 +601,6 @@ mod tests {
         let mut ws = crate::workspace::NewtonWorkspace::new(&c);
         let r =
             transient_with_workspace(&c, &SimOptions::default(), 50e-9, 100e-12, &mut ws).unwrap();
-        assert!(ws.uses_sparse(true), "ladder must select the sparse path");
         // The line's slowest mode is ≈ R_tot·C_tot·(2/π)² ≈ 3.6 ns, so by
         // 50 ns the end of the line has settled to the source value.
         assert!(
@@ -676,7 +670,6 @@ mod tests {
             ws.rhs_restamp = rhs_restamp;
             let ra = transient_with_workspace(&a, &opts, t_stop, t_step, &mut ws).unwrap();
             let rb = transient_with_workspace(&b, &opts, t_stop, t_step, &mut ws).unwrap();
-            assert!(ws.uses_sparse(true), "ladder must select the sparse path");
             (ra, rb)
         };
         let (full_a, full_b) = run(false);
@@ -736,7 +729,6 @@ mod tests {
             (&a, &fresh_a),
         ] {
             assert_same_bits(&run(c, &mut ws), want);
-            assert!(ws.uses_sparse(true), "ladder must select the sparse path");
         }
         // The candidates really differ, so a stale table entry would show.
         let last = fresh_a.len() - 1;

