@@ -6,8 +6,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dnn_opt::{DnnOpt, DnnOptConfig};
 use opt::{
-    parallel, DifferentialEvolution, Evaluator, Fom, Gaspad, Optimizer, SizingProblem, SpecResult,
-    StopPolicy,
+    parallel, AnalysisSpec, DifferentialEvolution, Evaluator, Fom, Gaspad, Optimizer,
+    SizingProblem, SpecResult, StopPolicy,
 };
 use spice::{Circuit, SimOptions, Waveform, GND};
 
@@ -22,12 +22,13 @@ impl SizingProblem for Cheap {
     fn num_constraints(&self) -> usize {
         3
     }
-    fn evaluate(&self, x: &[f64]) -> SpecResult {
+    fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
         SpecResult {
             failure: None,
             objective: x.iter().map(|v| (v - 0.4).powi(2)).sum(),
             constraints: vec![0.2 - x[0], 0.2 - x[1], x.iter().sum::<f64>() - 8.0],
         }
+        .into()
     }
 }
 
@@ -47,7 +48,7 @@ impl SizingProblem for SpiceStage {
     fn num_constraints(&self) -> usize {
         1
     }
-    fn evaluate(&self, x: &[f64]) -> SpecResult {
+    fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
         let (w, rd) = (x[0], x[1]);
         let mut c = Circuit::new();
         let vdd = c.node("vdd");
@@ -67,8 +68,9 @@ impl SizingProblem for SpiceStage {
                     objective: m.id * 1e3,
                     constraints: vec![0.4 - op.voltage(d)],
                 }
+                .into()
             }
-            Err(_) => SpecResult::failed(1),
+            Err(_) => SpecResult::failed(1).into(),
         }
     }
 }

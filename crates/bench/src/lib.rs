@@ -838,7 +838,7 @@ pub fn ascii_plot(methods: &[MethodRuns], len: usize, title: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opt::{RandomSearch, SpecResult};
+    use opt::{AnalysisSpec, RandomSearch, SpecResult};
 
     struct Toy;
     impl SizingProblem for Toy {
@@ -851,12 +851,13 @@ mod tests {
         fn num_constraints(&self) -> usize {
             1
         }
-        fn evaluate(&self, x: &[f64]) -> SpecResult {
+        fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
             SpecResult {
                 failure: None,
                 objective: x[0],
                 constraints: vec![0.2 - x[1]],
             }
+            .into()
         }
     }
 

@@ -20,7 +20,7 @@
 //! simulator substrate's scope; the estimator uses the standard
 //! `√(2kTγ/C_X)/G_int` sampling-noise form on simulated operating data).
 
-use opt::{SizingProblem, SpecResult};
+use opt::{AnalysisSpec, SizingProblem, SpecResult};
 use spice::mos::BOLTZMANN;
 use spice::{Circuit, SimOptions, SpiceError, Waveform, GND};
 
@@ -384,7 +384,7 @@ impl SizingProblem for StrongArmLatch {
         self.nominal()
     }
 
-    fn evaluate(&self, x: &[f64]) -> SpecResult {
+    fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
         let m = self.num_constraints();
         // Single-corner problem: the fault-plane scope keys on the
         // candidate alone (corner salt 0).
@@ -394,6 +394,7 @@ impl SizingProblem for StrongArmLatch {
             Ok(v) => v,
             Err(e) => {
                 return SpecResult::failed_with(m, crate::diag_from_spice(&e, "latch netlist"))
+                    .into()
             }
         };
         let t = &self.tech;
@@ -411,6 +412,7 @@ impl SizingProblem for StrongArmLatch {
                         m,
                         crate::diag_from_spice(&e, "latch transient"),
                     )
+                    .into()
                 }
             };
 
@@ -473,6 +475,7 @@ impl SizingProblem for StrongArmLatch {
             Ok(q) => q * t.vdd,
             Err(e) => {
                 return SpecResult::failed_with(m, crate::diag_from_spice(&e, "latch energy"))
+                    .into()
             }
         };
         let power = energy / self.period;
@@ -520,6 +523,7 @@ impl SizingProblem for StrongArmLatch {
             objective: power,
             constraints,
         }
+        .into()
     }
 }
 

@@ -10,8 +10,12 @@
 //! window, Nyquist-rate boost, bandwidth, power, output common mode,
 //! offset, and saturation margins — matching the paper's "DC Gain, offset,
 //! Nyquist Gain, Fpeak, Peaking Max, Power, etc." list.
+//!
+//! One corner's DC + AC suite is the problem's only evaluation body
+//! ([`SizingProblem::evaluate_analysis`]); `opt` derives the per-corner
+//! and worst-case views of a [`Ctle::with_corners`] plane from it.
 
-use opt::{SizingProblem, SpecResult};
+use opt::{AnalysisSpec, SizingProblem, SpecResult};
 use spice::{Circuit, SimOptions, SpiceError, Waveform, GND};
 
 use crate::measure;
@@ -319,14 +323,10 @@ impl SizingProblem for Ctle {
         self.planes.set().corners[k].label()
     }
 
-    fn evaluate_corner(&self, x: &[f64], k: usize) -> SpecResult {
+    fn evaluate_analysis(&self, x: &[f64], k: usize, _a: usize) -> AnalysisSpec {
         // Deterministic fault-plane scope, keyed by candidate bits × corner.
         let _scope = spice::fault::candidate_scope(spice::fault::candidate_key(x, k as u64));
-        self.planes.get(self, k).evaluate_plane(x)
-    }
-
-    fn evaluate(&self, x: &[f64]) -> SpecResult {
-        opt::evaluate_worst_case(self, x)
+        self.planes.get(self, k).evaluate_plane(x).into()
     }
 }
 

@@ -7,7 +7,7 @@
 //! parasitics are applied before every simulation, mirroring the paper's
 //! MLParest-in-the-loop flow.
 
-use opt::{SizingProblem, SpecResult};
+use opt::{AnalysisSpec, SizingProblem, SpecResult};
 use spice::{Circuit, SimOptions, SpiceError, Waveform, GND};
 
 use crate::measure;
@@ -189,7 +189,7 @@ impl SizingProblem for InverterChain {
         self.nominal()
     }
 
-    fn evaluate(&self, x: &[f64]) -> SpecResult {
+    fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
         let m = self.num_constraints();
         // Single-corner problem: the fault-plane scope keys on the
         // candidate alone (corner salt 0).
@@ -201,6 +201,7 @@ impl SizingProblem for InverterChain {
                     m,
                     crate::diag_from_spice(&e, "inverter-chain netlist"),
                 )
+                .into()
             }
         };
         let t = &self.tech;
@@ -214,6 +215,7 @@ impl SizingProblem for InverterChain {
                     m,
                     crate::diag_from_spice(&e, "inverter-chain transient"),
                 )
+                .into()
             }
         };
         // Second cycle: rising input edge at 550 ps, falling at 805 ps.
@@ -238,6 +240,7 @@ impl SizingProblem for InverterChain {
                     objective: 1.0,
                     constraints: vec![3.0; m],
                 }
+                .into()
             }
         };
         // Energy for one full cycle (two transitions), halved.
@@ -248,6 +251,7 @@ impl SizingProblem for InverterChain {
                     m,
                     crate::diag_from_spice(&e, "inverter-chain energy"),
                 )
+                .into()
             }
         };
 
@@ -263,6 +267,7 @@ impl SizingProblem for InverterChain {
             objective: energy * 1e12,
             constraints,
         }
+        .into()
     }
 }
 

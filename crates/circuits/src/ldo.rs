@@ -11,8 +11,12 @@
 //! measurements use the two-step break-the-loop method: a closed-loop
 //! operating point pins the feedback voltage, then an open-loop replica is
 //! driven at that bias to sweep the loop transmission.
+//!
+//! One corner's suite is the problem's only evaluation body
+//! ([`SizingProblem::evaluate_analysis`]); `opt` derives the per-corner
+//! and worst-case views of an [`Ldo::with_corners`] plane from it.
 
-use opt::{SizingProblem, SpecResult};
+use opt::{AnalysisSpec, SizingProblem, SpecResult};
 use spice::{Circuit, SimOptions, SpiceError, Waveform, GND};
 
 use crate::measure;
@@ -319,14 +323,10 @@ impl SizingProblem for Ldo {
         self.planes.set().corners[k].label()
     }
 
-    fn evaluate_corner(&self, x: &[f64], k: usize) -> SpecResult {
+    fn evaluate_analysis(&self, x: &[f64], k: usize, _a: usize) -> AnalysisSpec {
         // Deterministic fault-plane scope, keyed by candidate bits × corner.
         let _scope = spice::fault::candidate_scope(spice::fault::candidate_key(x, k as u64));
-        self.planes.get(self, k).evaluate_plane(x)
-    }
-
-    fn evaluate(&self, x: &[f64]) -> SpecResult {
-        opt::evaluate_worst_case(self, x)
+        self.planes.get(self, k).evaluate_plane(x).into()
     }
 }
 

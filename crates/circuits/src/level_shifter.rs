@@ -8,17 +8,18 @@
 //! The paper reports *60 total specs* ("delay, rise, fall, power, current,
 //! etc.") and ten sensitivity-critical devices. Here those 60 specs are a
 //! **scenario plane**: 6 supply corners (VDDL ∈ {0.40, 0.45, 0.50} V ×
-//! VDDH ∈ {0.70, 0.75} V) × 10 measurements per corner, evaluated through
-//! the shared corner engine ([`SizingProblem::evaluate_corner`] /
-//! the `opt::Evaluator` unit grid) rather than a private loop — the
-//! sign-off view ([`SizingProblem::evaluate`]) is the worst case over the
-//! plane (10 constraints), and the corner-resolved 60-wide view is what
-//! the per-corner critic mode consumes. The variable vector is a 16-wide
+//! VDDH ∈ {0.70, 0.75} V) × 10 measurements per corner. One corner's
+//! transient suite is the problem's only evaluation body
+//! ([`SizingProblem::evaluate_analysis`]); the corner loop and the fold
+//! live in `opt` — the sign-off view ([`SizingProblem::evaluate`], or the
+//! `opt::Evaluator` unit grid) is the worst case over the plane (10
+//! constraints), and the corner-resolved 60-wide view is what the
+//! per-corner critic mode consumes. The variable vector is a 16-wide
 //! superset — 10 genuinely critical device sizes plus 6 near-inert ones
 //! (decap array geometry, a dummy output load) that sensitivity analysis
 //! is expected to prune, mirroring the paper's flow.
 
-use opt::{SizingProblem, SpecResult};
+use opt::{AnalysisSpec, SizingProblem, SpecResult};
 use spice::{Circuit, SimOptions, SpiceError, Waveform, GND};
 
 use crate::measure;
@@ -269,11 +270,12 @@ impl SizingProblem for LevelShifter {
     }
 
     /// One supply corner of the scenario plane: the full 10-measurement
-    /// transient suite at `(VDDL, VDDH)` pair `k`. The worst-case fold
-    /// across all six corners (the paper's 60 total specs) lives in the
-    /// shared engine — [`SizingProblem::evaluate`] below and the
-    /// candidate×corner grid of `opt::Evaluator`.
-    fn evaluate_corner(&self, x: &[f64], k: usize) -> SpecResult {
+    /// transient suite at `(VDDL, VDDH)` pair `k`, the problem's one
+    /// analysis unit. The worst-case fold across all six corners (the
+    /// paper's 60 total specs) lives in `opt`: the provided
+    /// [`SizingProblem::evaluate`] and the candidate×corner grid of
+    /// `opt::Evaluator`.
+    fn evaluate_analysis(&self, x: &[f64], k: usize, _a: usize) -> AnalysisSpec {
         let m = self.num_constraints();
         let (vddl_v, vddh_v) = SUPPLY_CORNERS[k];
         // Deterministic fault-plane scope, keyed by candidate bits × corner.
@@ -288,6 +290,7 @@ impl SizingProblem for LevelShifter {
                     m,
                     crate::diag_from_spice(&e, "level-shifter netlist"),
                 )
+                .into()
             }
         };
         let tr = match spice::transient_with_workspace(&ckt, &self.opts, 1.1e-9, 2.5e-12, &mut ws) {
@@ -297,6 +300,7 @@ impl SizingProblem for LevelShifter {
                     m,
                     crate::diag_from_spice(&e, "level-shifter transient"),
                 )
+                .into()
             }
         };
         let w_in = tr.waveform(inp);
@@ -319,7 +323,8 @@ impl SizingProblem for LevelShifter {
                     failure: None,
                     objective: 0.0,
                     constraints: vec![3.0; m],
-                };
+                }
+                .into();
             }
         };
         // Output edge rates (10%..90%).
@@ -387,10 +392,7 @@ impl SizingProblem for LevelShifter {
             objective: energy * 1e12,
             constraints,
         }
-    }
-
-    fn evaluate(&self, x: &[f64]) -> SpecResult {
-        opt::evaluate_worst_case(self, x)
+        .into()
     }
 }
 

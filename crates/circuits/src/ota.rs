@@ -27,7 +27,7 @@
 //! noise integration and a step transient for settling time and static
 //! error, both from one operating point.
 
-use opt::{AnalysisSpec, SizingProblem, SpecResult};
+use opt::{AnalysisSpec, SizingProblem};
 use spice::{Circuit, OpPoint, SimOptions, SpiceError, Waveform, GND};
 
 use crate::measure;
@@ -715,16 +715,6 @@ impl SizingProblem for FoldedCascodeOta {
         self.planes.set().corners[k].label()
     }
 
-    fn evaluate_corner(&self, x: &[f64], k: usize) -> SpecResult {
-        // Deterministic fault-plane scope: injection decisions are a pure
-        // function of (plan seed, candidate bits, corner index) — identical
-        // no matter which worker thread runs this corner. One scope spans
-        // both analyses, so direct corner evaluation keeps the legacy
-        // whole-corner solve numbering.
-        let _scope = spice::fault::candidate_scope(spice::fault::candidate_key(x, k as u64));
-        self.planes.get(self, k).evaluate_plane(x)
-    }
-
     fn num_analyses(&self) -> usize {
         2
     }
@@ -738,11 +728,10 @@ impl SizingProblem for FoldedCascodeOta {
     }
 
     fn evaluate_analysis(&self, x: &[f64], k: usize, a: usize) -> AnalysisSpec {
-        // Same fault key as `evaluate_corner`: decisions depend only on
-        // (plan seed, candidate bits, corner), so in `FaultSolves::All`
-        // mode the analysis grid and the monolithic corner path see
-        // identical injections. (Per-solve `Index` plans number solves
-        // within each analysis scope rather than across the whole corner.)
+        // Deterministic fault-plane scope: injection decisions are a pure
+        // function of (plan seed, candidate bits, corner index), identical
+        // on any worker thread. Per-solve `Index` plans number the solves
+        // of each analysis unit from 0.
         let _scope = spice::fault::candidate_scope(spice::fault::candidate_key(x, k as u64));
         let _tb = telemetry::span_with(telemetry::SpanId::Testbench, a as u64);
         let plane = self.planes.get(self, k);
@@ -752,29 +741,9 @@ impl SizingProblem for FoldedCascodeOta {
             _ => panic!("folded-cascode OTA has 2 analyses, got index {a}"),
         }
     }
-
-    fn evaluate(&self, x: &[f64]) -> SpecResult {
-        opt::evaluate_worst_case(self, x)
-    }
 }
 
 impl FoldedCascodeOta {
-    /// Runs the full Eq. 9 measurement suite on this plane's corner — the
-    /// single-scenario evaluation every corner of the plane shares,
-    /// assembled from the two independent analysis units.
-    fn evaluate_plane(&self, x: &[f64]) -> SpecResult {
-        let m = SizingProblem::num_constraints(self);
-        let ol = self.open_loop_analysis(x);
-        if ol.failed {
-            // A hard open-loop failure fails the whole corner before the
-            // closed-loop testbench runs — the pre-split short-circuit,
-            // preserved solve for solve.
-            return AnalysisSpec::assemble(m, &[ol]);
-        }
-        let cl = self.closed_loop_analysis(x);
-        AnalysisSpec::assemble(m, &[ol, cl])
-    }
-
     /// Open-loop measurements: one OP, then one AC sweep under the
     /// differential, common-mode and supply excitations. A simulator error
     /// comes back with the name of the step that failed.
@@ -1113,43 +1082,6 @@ mod tests {
         assert_eq!(a.constraints.len(), b.constraints.len());
         for (p, q) in a.constraints.iter().zip(&b.constraints) {
             assert_eq!(p.to_bits(), q.to_bits());
-        }
-    }
-
-    #[test]
-    fn analysis_units_assemble_to_the_monolithic_corner() {
-        // The analysis-grid contract: evaluating the open-loop and
-        // closed-loop units independently and assembling their partials
-        // reproduces the whole-corner evaluation bit for bit, on every
-        // corner of the plane.
-        let ota = FoldedCascodeOta::with_corners(CornerSet::pvt5());
-        assert_eq!(SizingProblem::num_analyses(&ota), 2);
-        assert_eq!(SizingProblem::analysis_name(&ota, 0), "open-loop");
-        assert_eq!(SizingProblem::analysis_name(&ota, 1), "closed-loop");
-        let m = SizingProblem::num_constraints(&ota);
-        let x = ota.nominal();
-        for k in 0..SizingProblem::num_corners(&ota) {
-            let whole = ota.evaluate_corner(&x, k);
-            let units = [
-                ota.evaluate_analysis(&x, k, 0),
-                ota.evaluate_analysis(&x, k, 1),
-            ];
-            let assembled = AnalysisSpec::assemble(m, &units);
-            assert_eq!(
-                whole.objective.to_bits(),
-                assembled.objective.to_bits(),
-                "corner {k} objective"
-            );
-            assert_eq!(whole.constraints.len(), assembled.constraints.len());
-            for (i, (p, q)) in whole
-                .constraints
-                .iter()
-                .zip(&assembled.constraints)
-                .enumerate()
-            {
-                assert_eq!(p.to_bits(), q.to_bits(), "corner {k} constraint {i}");
-            }
-            assert_eq!(whole.failure, assembled.failure, "corner {k} diagnosis");
         }
     }
 

@@ -26,7 +26,7 @@
 //!
 //! ```
 //! use dnn_opt::{DnnOpt, DnnOptConfig};
-//! use opt::{Fom, Optimizer, SizingProblem, SpecResult, StopPolicy};
+//! use opt::{AnalysisSpec, Fom, Optimizer, SizingProblem, SpecResult, StopPolicy};
 //!
 //! // A toy constrained problem standing in for a circuit.
 //! struct Toy;
@@ -34,11 +34,12 @@
 //!     fn dim(&self) -> usize { 3 }
 //!     fn bounds(&self) -> (Vec<f64>, Vec<f64>) { (vec![0.0; 3], vec![1.0; 3]) }
 //!     fn num_constraints(&self) -> usize { 1 }
-//!     fn evaluate(&self, x: &[f64]) -> SpecResult {
+//!     fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
 //!         SpecResult { failure: None,
 //!             objective: x.iter().map(|v| (v - 0.6) * (v - 0.6)).sum(),
 //!             constraints: vec![0.3 - x[0]],
 //!         }
+//!         .into()
 //!     }
 //! }
 //!

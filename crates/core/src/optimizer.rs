@@ -25,18 +25,19 @@ use crate::elite::{elite_indices, restricted_bounds};
 ///
 /// ```
 /// use dnn_opt::DnnOpt;
-/// use opt::{Fom, Optimizer, SizingProblem, SpecResult, StopPolicy};
+/// use opt::{AnalysisSpec, Fom, Optimizer, SizingProblem, SpecResult, StopPolicy};
 ///
 /// struct Toy;
 /// impl SizingProblem for Toy {
 ///     fn dim(&self) -> usize { 2 }
 ///     fn bounds(&self) -> (Vec<f64>, Vec<f64>) { (vec![0.0; 2], vec![1.0; 2]) }
 ///     fn num_constraints(&self) -> usize { 1 }
-///     fn evaluate(&self, x: &[f64]) -> SpecResult {
+///     fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
 ///         SpecResult { failure: None,
 ///             objective: (x[0] - 0.7).powi(2) + (x[1] - 0.2).powi(2),
 ///             constraints: vec![0.4 - x[0]],
 ///         }
+///         .into()
 ///     }
 /// }
 ///
@@ -289,7 +290,7 @@ fn finish(name: &str, ev: Evaluator<'_>, t0: Instant, model_time: Duration) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opt::SpecResult;
+    use opt::{AnalysisSpec, SpecResult};
 
     /// Constrained quadratic: minimize ‖x−0.3‖², s.t. every x_i ≥ 0.1 and
     /// Σx ≤ 0.8·d (a generous feasible region).
@@ -307,7 +308,7 @@ mod tests {
         fn num_constraints(&self) -> usize {
             self.d + 1
         }
-        fn evaluate(&self, x: &[f64]) -> SpecResult {
+        fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
             let objective = x.iter().map(|v| (v - 0.3).powi(2)).sum();
             let mut constraints: Vec<f64> = x.iter().map(|v| 0.1 - v).collect();
             constraints.push(x.iter().sum::<f64>() - 0.8 * self.d as f64);
@@ -316,6 +317,7 @@ mod tests {
                 objective,
                 constraints,
             }
+            .into()
         }
     }
 
@@ -335,12 +337,13 @@ mod tests {
         fn num_constraints(&self) -> usize {
             self.d
         }
-        fn evaluate(&self, x: &[f64]) -> SpecResult {
+        fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
             SpecResult {
                 failure: None,
                 objective: x.iter().sum(),
                 constraints: x.iter().map(|v| (v - 0.7).abs() - 0.06).collect(),
             }
+            .into()
         }
     }
 
@@ -432,16 +435,14 @@ mod tests {
         fn num_corners(&self) -> usize {
             self.k
         }
-        fn evaluate_corner(&self, x: &[f64], k: usize) -> SpecResult {
+        fn evaluate_analysis(&self, x: &[f64], k: usize, _a: usize) -> AnalysisSpec {
             let shift = 0.05 * k as f64;
             SpecResult {
                 failure: None,
                 objective: x.iter().map(|v| (v - 0.3).powi(2)).sum::<f64>() + shift,
                 constraints: x.iter().map(|v| 0.1 + shift - v).collect(),
             }
-        }
-        fn evaluate(&self, x: &[f64]) -> SpecResult {
-            opt::evaluate_worst_case(self, x)
+            .into()
         }
     }
 
@@ -505,8 +506,8 @@ mod tests {
             fn num_constraints(&self) -> usize {
                 1
             }
-            fn evaluate(&self, x: &[f64]) -> SpecResult {
-                if x[0] > 0.5 {
+            fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
+                let spec = if x[0] > 0.5 {
                     SpecResult::failed(1)
                 } else {
                     SpecResult {
@@ -514,7 +515,8 @@ mod tests {
                         objective: (x[0] - 0.25).powi(2) + (x[1] - 0.5).powi(2),
                         constraints: vec![0.1 - x[1]],
                     }
-                }
+                };
+                spec.into()
             }
         }
         let fom = Fom::uniform(1.0, 1);

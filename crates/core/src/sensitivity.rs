@@ -7,7 +7,7 @@
 //! space effectively, allowing us to work on large scale circuits."
 
 use linalg::Matrix;
-use opt::{Evaluator, Fom, SizingProblem, SpecResult};
+use opt::{AnalysisSpec, Evaluator, Fom, SizingProblem, SpecResult};
 
 /// Result of a sensitivity sweep: the `(m+1)×d` sensitivity matrix of
 /// Eq. 7, computed with central differences on range-normalized variables.
@@ -251,12 +251,16 @@ impl SizingProblem for ReducedProblem<'_> {
         self.inner.corner_name(k)
     }
 
-    fn evaluate_corner(&self, x: &[f64], k: usize) -> SpecResult {
-        self.inner.evaluate_corner(&self.expand(x), k)
+    fn num_analyses(&self) -> usize {
+        self.inner.num_analyses()
     }
 
-    fn evaluate(&self, x: &[f64]) -> SpecResult {
-        self.inner.evaluate(&self.expand(x))
+    fn analysis_name(&self, a: usize) -> String {
+        self.inner.analysis_name(a)
+    }
+
+    fn evaluate_analysis(&self, x: &[f64], k: usize, a: usize) -> AnalysisSpec {
+        self.inner.evaluate_analysis(&self.expand(x), k, a)
     }
 
     fn name(&self) -> &str {
@@ -290,12 +294,13 @@ mod tests {
         fn num_constraints(&self) -> usize {
             1
         }
-        fn evaluate(&self, x: &[f64]) -> SpecResult {
+        fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
             SpecResult {
                 failure: None,
                 objective: 3.0 * x[0] + 0.5 * x[2],
                 constraints: vec![x[2] - 0.5],
             }
+            .into()
         }
     }
 
@@ -371,15 +376,13 @@ mod tests {
         fn corner_name(&self, k: usize) -> String {
             format!("c{k}")
         }
-        fn evaluate_corner(&self, x: &[f64], k: usize) -> SpecResult {
+        fn evaluate_analysis(&self, x: &[f64], k: usize, _a: usize) -> AnalysisSpec {
             SpecResult {
                 failure: None,
                 objective: 3.0 * x[0] + 0.5 * x[2],
                 constraints: vec![x[2] - 0.5 + 0.1 * k as f64],
             }
-        }
-        fn evaluate(&self, x: &[f64]) -> SpecResult {
-            opt::evaluate_worst_case(self, x)
+            .into()
         }
     }
 
@@ -402,8 +405,8 @@ mod tests {
         fn num_corners(&self) -> usize {
             2
         }
-        fn evaluate_corner(&self, x: &[f64], k: usize) -> SpecResult {
-            if k == 0 {
+        fn evaluate_analysis(&self, x: &[f64], k: usize, _a: usize) -> AnalysisSpec {
+            let spec = if k == 0 {
                 // Dominant constant corner: the fold is flat in x.
                 SpecResult {
                     failure: None,
@@ -418,10 +421,8 @@ mod tests {
                     objective: 3.0 * x[0],
                     constraints: vec![x[1] - 20.0],
                 }
-            }
-        }
-        fn evaluate(&self, x: &[f64]) -> SpecResult {
-            opt::evaluate_worst_case(self, x)
+            };
+            spec.into()
         }
     }
 

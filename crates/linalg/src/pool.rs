@@ -2,8 +2,8 @@
 //!
 //! The pool serves one parallel layer: the candidate×corner×analysis
 //! evaluation grid in `opt::parallel`. Every kernel below a grid unit —
-//! the sparse replays, the dense LU, the GEMM behind critic and actor
-//! training — runs serial on whichever thread calls it, so the process
+//! the sparse LU replays of the simulator, the GEMM behind critic and
+//! actor training — runs serial on whichever thread calls it, so the process
 //! never oversubscribes the host and the grid owns every core.
 //!
 //! The thread budget comes from [`max_threads`]: a programmatic

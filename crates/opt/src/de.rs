@@ -26,14 +26,15 @@ use crate::Optimizer;
 ///
 /// ```
 /// use opt::{DifferentialEvolution, Fom, Optimizer, StopPolicy};
-/// # use opt::{SizingProblem, SpecResult};
+/// # use opt::{AnalysisSpec, SizingProblem, SpecResult};
 /// # struct P;
 /// # impl SizingProblem for P {
 /// #     fn dim(&self) -> usize { 2 }
 /// #     fn bounds(&self) -> (Vec<f64>, Vec<f64>) { (vec![0.0; 2], vec![1.0; 2]) }
 /// #     fn num_constraints(&self) -> usize { 0 }
-/// #     fn evaluate(&self, x: &[f64]) -> SpecResult {
+/// #     fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
 /// #         SpecResult { failure: None, objective: x.iter().map(|v| v * v).sum(), constraints: vec![] }
+/// #             .into()
 /// #     }
 /// # }
 /// let de = DifferentialEvolution::default();

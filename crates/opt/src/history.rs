@@ -4,7 +4,7 @@ use std::time::{Duration, Instant};
 
 use crate::failure::{FailureDiag, FailureKind, RecoveryStage};
 use crate::fom::Fom;
-use crate::problem::{AnalysisSpec, SizingProblem, SpecResult};
+use crate::problem::{assemble_corner, fold_corners, AnalysisSpec, SizingProblem, SpecResult};
 
 /// One recorded evaluation.
 #[derive(Debug, Clone)]
@@ -324,11 +324,13 @@ impl<'a> Evaluator<'a> {
     /// grid is fanned out over the worker pool (see [`crate::parallel`]).
     /// Each unit is one [`SizingProblem::evaluate_analysis`] call; a unit
     /// that panics becomes a hard-failed unit with a panic diagnosis, never
-    /// a dead batch. Units are reassembled per (candidate, corner) with
-    /// [`AnalysisSpec::assemble`]. A corner problem then records the
-    /// worst-case merge ([`SpecResult::worst_case`]) with the per-corner
-    /// vectors attached; a single-corner problem records its one corner
-    /// as is, with no per-corner records. Either way one history entry
+    /// a dead batch. Units then go through the pipeline of
+    /// [`SizingProblem::evaluate`]: attributed and assembled per
+    /// (candidate, corner) with [`AnalysisSpec::assemble`], and folded
+    /// per candidate. A corner problem records the worst-case merge
+    /// ([`SpecResult::worst_case`]) with the per-corner vectors attached;
+    /// a single-corner problem records its one corner as is, with no
+    /// per-corner records. Either way one history entry
     /// (one unit of budget) per *candidate*: the grid multiplies simulator
     /// work, not the paper's "# of sims".
     ///
@@ -362,39 +364,19 @@ impl<'a> Evaluator<'a> {
             },
         );
         self.sim_time += worker_times.iter().sum::<Duration>();
-        let units: Vec<AnalysisSpec> = units
+        let mut units: Vec<AnalysisSpec> = units
             .into_iter()
-            .zip(&grid)
-            .map(|(unit, &(_, _, a))| {
-                let mut unit = unit
-                    .unwrap_or_else(|msg| AnalysisSpec::hard_failed(Some(FailureDiag::panic(msg))));
-                // Attribute the diagnosis to the unit that produced it: the
-                // testbench-level diag only names the inner analysis kind
-                // ("dc operating point"), which is ambiguous once several
-                // independent units assemble into one corner record.
-                if let Some(diag) = unit.failure.as_deref_mut().filter(|_| na > 1) {
-                    let label = problem.analysis_name(a);
-                    if !diag.analysis.starts_with(&label) {
-                        diag.analysis = format!("{label}: {}", diag.analysis);
-                    }
-                }
-                unit
+            .map(|unit| {
+                unit.unwrap_or_else(|msg| AnalysisSpec::hard_failed(Some(FailureDiag::panic(msg))))
             })
             .collect();
-        let m = problem.num_constraints();
         let mut out = Vec::with_capacity(batch.len());
-        for (x, units) in batch.iter().zip(units.chunks(k * na)) {
-            let mut corner_specs: Vec<SpecResult> = units
-                .chunks(na)
-                .map(|corner| AnalysisSpec::assemble(m, corner))
+        for (x, units) in batch.iter().zip(units.chunks_mut(k * na)) {
+            let corners = units
+                .chunks_mut(na)
+                .map(|corner| assemble_corner(problem, corner))
                 .collect();
-            let spec = if k <= 1 {
-                corner_specs
-                    .pop()
-                    .expect("single-corner plane has corner 0")
-            } else {
-                SpecResult::worst_case(&corner_specs)
-            };
+            let (spec, corner_specs) = fold_corners(corners);
             out.push(self.record(x.clone(), spec, corner_specs));
         }
         out
@@ -640,15 +622,13 @@ mod tests {
         fn corner_name(&self, k: usize) -> String {
             format!("tightened-{k}")
         }
-        fn evaluate_corner(&self, x: &[f64], k: usize) -> SpecResult {
+        fn evaluate_analysis(&self, x: &[f64], k: usize, _a: usize) -> AnalysisSpec {
             SpecResult {
                 failure: None,
                 objective: x[0] + x[1] + k as f64,
                 constraints: vec![0.3 + 0.1 * k as f64 - x[0]],
             }
-        }
-        fn evaluate(&self, x: &[f64]) -> SpecResult {
-            crate::problem::evaluate_worst_case(self, x)
+            .into()
         }
     }
 
@@ -736,18 +716,6 @@ mod tests {
                 _ => panic!("analysis {a} out of range"),
             }
         }
-        fn evaluate_corner(&self, x: &[f64], k: usize) -> SpecResult {
-            AnalysisSpec::assemble(
-                1,
-                &[
-                    self.evaluate_analysis(x, k, 0),
-                    self.evaluate_analysis(x, k, 1),
-                ],
-            )
-        }
-        fn evaluate(&self, x: &[f64]) -> SpecResult {
-            crate::problem::evaluate_worst_case(self, x)
-        }
     }
 
     #[test]
@@ -808,18 +776,6 @@ mod tests {
                 }
                 _ => panic!("analysis {a} out of range"),
             }
-        }
-        fn evaluate_corner(&self, x: &[f64], k: usize) -> SpecResult {
-            AnalysisSpec::assemble(
-                2,
-                &[
-                    self.evaluate_analysis(x, k, 0),
-                    self.evaluate_analysis(x, k, 1),
-                ],
-            )
-        }
-        fn evaluate(&self, x: &[f64]) -> SpecResult {
-            self.evaluate_corner(x, 0)
         }
     }
 
@@ -909,13 +865,14 @@ mod tests {
         fn num_constraints(&self) -> usize {
             1
         }
-        fn evaluate(&self, x: &[f64]) -> SpecResult {
+        fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
             assert!(x[0] != 0.5, "injected testbench panic");
             SpecResult {
                 failure: None,
                 objective: x[0] + x[1],
                 constraints: vec![0.1 - x[0]],
             }
+            .into()
         }
     }
 
@@ -963,7 +920,8 @@ mod tests {
 
     /// `evaluate(x)` is a one-candidate `evaluate_batch` on every problem
     /// shape: same spec, FoM bits, per-corner records and failure
-    /// diagnosis, at one and at two threads.
+    /// diagnosis, at one and at two threads — and the same spec as the
+    /// problem's own `evaluate`.
     #[test]
     fn evaluate_matches_a_one_candidate_batch() {
         let cases: [(&dyn SizingProblem, &[f64], bool); 5] = [
@@ -994,6 +952,11 @@ mod tests {
                     "{label}"
                 );
                 assert_eq!(single.spec.is_failure(), fails, "{label}");
+                // The direct call runs the same pipeline serially (the
+                // panicking cases have no direct result to compare).
+                if !fails {
+                    assert_eq!(p.evaluate(x), single.spec, "{label}");
+                }
                 // Per-corner records only on a corner problem.
                 let corners = if p.num_corners() > 1 {
                     p.num_corners()

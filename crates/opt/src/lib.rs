@@ -17,21 +17,32 @@
 //! (paper Eq. 4), budget/history bookkeeping ([`Evaluator`], [`History`],
 //! [`RunResult`]) and sampling helpers.
 //!
+//! A problem implements one evaluation body,
+//! [`SizingProblem::evaluate_analysis`]: one (corner, analysis) unit of
+//! its testbench. [`SizingProblem::evaluate`] runs the unit grid serially
+//! and [`Evaluator`] fans it out over the worker pool; both attribute,
+//! assemble and fold the units with the same code, so a direct call
+//! equals the recorded evaluation bit for bit.
+//!
 //! # Example
 //!
 //! ```
-//! use opt::{DifferentialEvolution, Fom, Optimizer, SizingProblem, SpecResult, StopPolicy};
+//! use opt::{
+//!     AnalysisSpec, DifferentialEvolution, Fom, Optimizer, SizingProblem, SpecResult, StopPolicy,
+//! };
 //!
 //! struct Toy;
 //! impl SizingProblem for Toy {
 //!     fn dim(&self) -> usize { 2 }
 //!     fn bounds(&self) -> (Vec<f64>, Vec<f64>) { (vec![-1.0; 2], vec![1.0; 2]) }
 //!     fn num_constraints(&self) -> usize { 1 }
-//!     fn evaluate(&self, x: &[f64]) -> SpecResult {
+//!     // One corner, one analysis: the whole testbench is one unit.
+//!     fn evaluate_analysis(&self, x: &[f64], _corner: usize, _analysis: usize) -> AnalysisSpec {
 //!         SpecResult { failure: None,
 //!             objective: x[0] * x[0] + x[1] * x[1],
 //!             constraints: vec![0.25 - x[0]], // require x0 >= 0.25
 //!         }
+//!         .into()
 //!     }
 //! }
 //!
@@ -63,8 +74,8 @@ pub use history::{
     Evaluation, Evaluator, History, RobustnessReport, RunReport, RunResult, StopPolicy,
 };
 pub use problem::{
-    evaluate_worst_case, from_unit, robust_clip_bounds, to_unit, AnalysisSpec, SizingProblem,
-    SpecResult, FAILURE_PENALTY,
+    from_unit, robust_clip_bounds, to_unit, AnalysisSpec, SizingProblem, SpecResult,
+    FAILURE_PENALTY,
 };
 pub use random::RandomSearch;
 pub use sa::SimulatedAnnealing;

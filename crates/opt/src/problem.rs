@@ -157,7 +157,7 @@ impl SpecResult {
 /// population out over the finer candidate × corner × analysis grid.
 ///
 /// [`AnalysisSpec::assemble`] reassembles the per-analysis partials into
-/// the exact `SpecResult` the monolithic single-call path produces.
+/// the corner's full `SpecResult`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct AnalysisSpec {
     /// The objective value, if this analysis owns the objective.
@@ -168,8 +168,7 @@ pub struct AnalysisSpec {
     /// with `failed` for hard failures; may also tag soft values).
     pub failure: Option<Box<FailureDiag>>,
     /// Hard failure: the assembled result for this (candidate, corner)
-    /// must be the canonical [`SpecResult::failed`] placeholder, exactly
-    /// as if the monolithic evaluation had short-circuited.
+    /// must be the canonical [`SpecResult::failed`] placeholder.
     pub failed: bool,
 }
 
@@ -189,26 +188,12 @@ impl AnalysisSpec {
         }
     }
 
-    /// Wraps a complete [`SpecResult`] as the single analysis owning the
-    /// full layout — the faithful default for monolithic testbenches
-    /// (`assemble` of this partial reproduces `spec` bit-for-bit,
-    /// including raw non-placeholder failure values).
-    pub fn from_full(spec: SpecResult) -> Self {
-        AnalysisSpec {
-            objective: Some(spec.objective),
-            constraints: spec.constraints.iter().copied().enumerate().collect(),
-            failure: spec.failure,
-            failed: false,
-        }
-    }
-
     /// Reassembles per-analysis partials (in analysis order) into the full
     /// [`SpecResult`] of one (candidate, corner) evaluation.
     ///
     /// If any analysis hard-failed, the result is the canonical
     /// [`SpecResult::failed`] placeholder classified by the **first**
-    /// failed analysis' diagnosis — matching a monolithic testbench that
-    /// short-circuits on its first hard failure. Otherwise every partial
+    /// failed analysis' diagnosis. Otherwise every partial
     /// scatters into the layout, and the first attached diagnosis (in
     /// analysis order) tags the result.
     ///
@@ -253,14 +238,33 @@ impl AnalysisSpec {
     }
 }
 
+/// A complete [`SpecResult`] as the single analysis owning the full
+/// layout — the unit of a monolithic testbench (`assemble` of this partial
+/// reproduces `spec` bit-for-bit, including raw non-placeholder failure
+/// values).
+impl From<SpecResult> for AnalysisSpec {
+    fn from(spec: SpecResult) -> Self {
+        AnalysisSpec {
+            objective: Some(spec.objective),
+            constraints: spec.constraints.iter().copied().enumerate().collect(),
+            failure: spec.failure,
+            failed: false,
+        }
+    }
+}
+
 /// A constrained black-box sizing problem (paper Eq. 1):
 ///
 /// ```text
 /// minimize f0(x)   subject to fi(x) ≤ 0,  i = 1..m,   x ∈ [lb, ub]
 /// ```
 ///
-/// Implementations wrap a circuit testbench; `evaluate` is the expensive
-/// "SPICE simulation" every optimizer counts.
+/// Implementations wrap a circuit testbench. The one method a testbench
+/// writes is [`SizingProblem::evaluate_analysis`], the expensive
+/// "SPICE simulation" of one (corner, analysis) unit; `evaluate` and
+/// `evaluate_corner` derive from it through the same attribution,
+/// assembly and worst-case fold [`crate::Evaluator`] applies, so a direct
+/// call and a recorded evaluation agree bit for bit.
 ///
 /// The `Sync` supertrait lets [`crate::Evaluator::evaluate_batch`] fan
 /// candidate populations out across worker threads; implementations are
@@ -275,15 +279,18 @@ pub trait SizingProblem: Sync {
     /// Number of constraints `m`.
     fn num_constraints(&self) -> usize;
 
-    /// Runs the expensive evaluation.
-    ///
-    /// For a corner-indexed problem ([`SizingProblem::num_corners`] > 1)
-    /// this is the **sign-off view**: the worst case over the whole corner
-    /// plane (see [`evaluate_worst_case`]) — one simulation per corner.
-    ///
-    /// Implementations must return [`SpecResult::failed`] (rather than
-    /// panicking) when the underlying simulation does not converge.
-    fn evaluate(&self, x: &[f64]) -> SpecResult;
+    /// The whole evaluation of candidate `x`, run serially: every corner
+    /// via [`SizingProblem::evaluate_corner`], then the worst-case fold
+    /// ([`SpecResult::worst_case`]) — the sign-off view of a corner
+    /// problem. A single-corner problem returns its one corner as is.
+    /// A unit that panics propagates out of this call, where
+    /// [`crate::Evaluator`] records it as a diagnosed failure.
+    fn evaluate(&self, x: &[f64]) -> SpecResult {
+        let corners = (0..self.num_corners())
+            .map(|k| self.evaluate_corner(x, k))
+            .collect();
+        fold_corners(corners).0
+    }
 
     /// Number of scenario corners this problem evaluates each candidate
     /// across. The default (1) is the legacy nominal-only plane; corner
@@ -302,47 +309,25 @@ pub trait SizingProblem: Sync {
         format!("corner{k}")
     }
 
-    /// Evaluates the candidate at one scenario corner. The default (valid
-    /// only for nominal-only problems) delegates to
-    /// [`SizingProblem::evaluate`]; corner problems override this with the
-    /// single-corner testbench and implement `evaluate` as the worst-case
-    /// fold.
-    ///
-    /// **Contract:** any problem whose `evaluate` calls
-    /// [`evaluate_worst_case`] must also implement this method — the
-    /// default delegates back to `evaluate`, and the pair would otherwise
-    /// recurse without bound.
-    ///
-    /// # Panics
-    ///
-    /// The default panics for `k > 0`, and for any problem declaring more
-    /// than one corner (fail-fast on the contract violation above instead
-    /// of recursing to a stack overflow).
+    /// The candidate at one scenario corner: every analysis of corner `k`
+    /// via [`SizingProblem::evaluate_analysis`], attributed to its
+    /// analysis and assembled with [`AnalysisSpec::assemble`].
     fn evaluate_corner(&self, x: &[f64], k: usize) -> SpecResult {
-        assert_eq!(
-            self.num_corners(),
-            1,
-            "corner-indexed problems must implement evaluate_corner"
-        );
-        assert_eq!(
-            k, 0,
-            "problem declares one corner; evaluate_corner({k}) is out of range"
-        );
-        self.evaluate(x)
+        let mut units: Vec<AnalysisSpec> = (0..self.num_analyses())
+            .map(|a| self.evaluate_analysis(x, k, a))
+            .collect();
+        assemble_corner(self, &mut units)
     }
 
     /// Number of independent **analyses** one corner evaluation runs
-    /// (see [`AnalysisSpec`]). The default (1) is the monolithic path:
+    /// (see [`AnalysisSpec`]). The default (1) is a monolithic testbench:
     /// one simulation call produces the whole spec layout. Testbenches
     /// whose per-corner work decomposes into independent simulations
     /// override this, and [`crate::Evaluator`] then fans populations out
     /// over the candidate × corner × analysis grid.
     ///
     /// Contract: the analyses partition the spec layout — the objective
-    /// and every constraint index is owned by exactly one analysis — and
-    /// `evaluate_corner` must equal
-    /// `AnalysisSpec::assemble(m, [evaluate_analysis(x, k, 0..)])`
-    /// bit-for-bit (the hierarchical scheduler relies on it).
+    /// and every constraint index is owned by exactly one analysis.
     fn num_analyses(&self) -> usize {
         1
     }
@@ -359,27 +344,13 @@ pub trait SizingProblem: Sync {
         }
     }
 
-    /// Runs one independent analysis of corner `k`. The default (valid
-    /// only for single-analysis problems) wraps the whole
-    /// [`SizingProblem::evaluate_corner`] result as the one analysis
-    /// owning the full layout.
+    /// Runs analysis `a` of corner `k` — the one simulation unit. A
+    /// monolithic testbench computes its whole [`SpecResult`] and returns
+    /// `spec.into()`.
     ///
-    /// # Panics
-    ///
-    /// The default panics for `a > 0` and for any problem declaring more
-    /// than one analysis (such problems must implement this method).
-    fn evaluate_analysis(&self, x: &[f64], k: usize, a: usize) -> AnalysisSpec {
-        assert_eq!(
-            self.num_analyses(),
-            1,
-            "multi-analysis problems must implement evaluate_analysis"
-        );
-        assert_eq!(
-            a, 0,
-            "problem declares one analysis; evaluate_analysis({a}) is out of range"
-        );
-        AnalysisSpec::from_full(self.evaluate_corner(x, k))
-    }
+    /// Implementations must return a failed unit (rather than panicking)
+    /// when the underlying simulation does not converge.
+    fn evaluate_analysis(&self, x: &[f64], k: usize, a: usize) -> AnalysisSpec;
 
     /// Human-readable problem name.
     fn name(&self) -> &str {
@@ -399,23 +370,38 @@ pub trait SizingProblem: Sync {
     }
 }
 
-/// Evaluates a candidate across a problem's whole corner plane and folds
-/// the per-corner results with [`SpecResult::worst_case`] — the shared
-/// implementation corner problems use for [`SizingProblem::evaluate`]
-/// (a single-corner plane evaluates its one corner directly, so the
-/// nominal path is bit-identical to calling `evaluate_corner(x, 0)`).
-///
-/// **The problem must implement [`SizingProblem::evaluate_corner`]**: the
-/// trait's default delegates back to `evaluate`, so calling this helper
-/// from `evaluate` without overriding `evaluate_corner` recurses without
-/// bound.
-pub fn evaluate_worst_case<P: SizingProblem + ?Sized>(problem: &P, x: &[f64]) -> SpecResult {
-    let k = problem.num_corners();
-    if k <= 1 {
-        return problem.evaluate_corner(x, 0);
+/// Assembles one corner's analysis units (in analysis order) into its
+/// [`SpecResult`]. With several analyses, each unit's diagnosis is first
+/// attributed to the unit that produced it: the testbench-level diag only
+/// names the inner analysis kind ("dc operating point"), which is
+/// ambiguous once several independent units assemble into one corner.
+pub(crate) fn assemble_corner<P: SizingProblem + ?Sized>(
+    problem: &P,
+    units: &mut [AnalysisSpec],
+) -> SpecResult {
+    if problem.num_analyses() > 1 {
+        for (a, unit) in units.iter_mut().enumerate() {
+            if let Some(diag) = unit.failure.as_deref_mut() {
+                let label = problem.analysis_name(a);
+                if !diag.analysis.starts_with(&label) {
+                    diag.analysis = format!("{label}: {}", diag.analysis);
+                }
+            }
+        }
     }
-    let specs: Vec<SpecResult> = (0..k).map(|c| problem.evaluate_corner(x, c)).collect();
-    SpecResult::worst_case(&specs)
+    AnalysisSpec::assemble(problem.num_constraints(), units)
+}
+
+/// Folds one candidate's corner records (in corner order) into its
+/// sign-off spec: the worst case over a corner plane, returned with the
+/// per-corner records; a single-corner plane's one corner as is, with no
+/// per-corner records.
+pub(crate) fn fold_corners(mut corners: Vec<SpecResult>) -> (SpecResult, Vec<SpecResult>) {
+    if corners.len() > 1 {
+        return (SpecResult::worst_case(&corners), corners);
+    }
+    let spec = corners.pop().expect("a plane has at least one corner");
+    (spec, corners)
 }
 
 /// Robust clipping bounds for surrogate-model targets: `(lo, hi)` such
@@ -499,7 +485,7 @@ pub(crate) mod test_problems {
             self.d + 1
         }
 
-        fn evaluate(&self, x: &[f64]) -> SpecResult {
+        fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
             let objective = x.iter().map(|v| (v - 0.3).powi(2)).sum();
             let mut constraints: Vec<f64> = x.iter().map(|v| 0.1 - v).collect();
             constraints.push(x.iter().sum::<f64>() - 0.8 * self.d as f64);
@@ -508,6 +494,7 @@ pub(crate) mod test_problems {
                 objective,
                 constraints,
             }
+            .into()
         }
 
         fn name(&self) -> &str {
@@ -534,7 +521,7 @@ pub(crate) mod test_problems {
             self.d
         }
 
-        fn evaluate(&self, x: &[f64]) -> SpecResult {
+        fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
             let objective = x.iter().sum::<f64>();
             let constraints = x.iter().map(|v| (v - 0.7).abs() - 0.05).collect();
             SpecResult {
@@ -542,6 +529,7 @@ pub(crate) mod test_problems {
                 objective,
                 constraints,
             }
+            .into()
         }
 
         fn name(&self) -> &str {
@@ -796,9 +784,7 @@ mod tests {
         let x = [0.4, 0.4];
         let a = p.evaluate(&x);
         let b = p.evaluate_corner(&x, 0);
-        let c = evaluate_worst_case(&p, &x);
         assert_eq!(a, b);
-        assert_eq!(a, c);
     }
 
     #[test]
@@ -843,7 +829,7 @@ mod tests {
     }
 
     #[test]
-    fn from_full_assembly_is_bit_faithful_even_for_raw_failures() {
+    fn whole_spec_unit_assembles_bit_faithfully_even_for_raw_failures() {
         // A raw (non-placeholder) failure value must survive the partial
         // round trip untouched — the k == 1 history path records it raw.
         let raw = SpecResult {
@@ -851,7 +837,7 @@ mod tests {
             objective: 1.0,
             constraints: vec![f64::INFINITY, -0.2],
         };
-        let out = AnalysisSpec::assemble(2, &[AnalysisSpec::from_full(raw.clone())]);
+        let out = AnalysisSpec::assemble(2, &[raw.clone().into()]);
         assert_eq!(out, raw);
     }
 

@@ -4,8 +4,8 @@
 
 use dnn_opt::{DnnOpt, DnnOptConfig};
 use opt::{
-    BoWei, DifferentialEvolution, Fom, Gaspad, Optimizer, RandomSearch, SimulatedAnnealing,
-    SizingProblem, SpecResult, StopPolicy,
+    AnalysisSpec, BoWei, DifferentialEvolution, Fom, Gaspad, Optimizer, RandomSearch,
+    SimulatedAnnealing, SizingProblem, SpecResult, StopPolicy,
 };
 
 /// Constrained Rosenbrock-flavored problem in 6-d.
@@ -21,7 +21,7 @@ impl SizingProblem for Bench {
     fn num_constraints(&self) -> usize {
         2
     }
-    fn evaluate(&self, x: &[f64]) -> SpecResult {
+    fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
         let obj: f64 = (0..5)
             .map(|i| 4.0 * (x[i + 1] - x[i] * x[i]).powi(2) + (1.0 - x[i]).powi(2))
             .sum();
@@ -30,6 +30,7 @@ impl SizingProblem for Bench {
             objective: obj,
             constraints: vec![x.iter().sum::<f64>() - 4.5, 0.35 - x[0]],
         }
+        .into()
     }
     fn name(&self) -> &str {
         "rosenbrock-6d"

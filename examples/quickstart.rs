@@ -3,7 +3,7 @@
 //! Run with `cargo run --release --example quickstart`.
 
 use dnn_opt::{DnnOpt, DnnOptConfig};
-use opt::{Fom, Optimizer, RunReport, SizingProblem, SpecResult, StopPolicy};
+use opt::{AnalysisSpec, Fom, Optimizer, RunReport, SizingProblem, SpecResult, StopPolicy};
 
 /// A two-variable stand-in for a circuit: minimize "power" x0+x1 subject
 /// to a "gain" constraint x0·x1 ≥ 0.2.
@@ -19,12 +19,13 @@ impl SizingProblem for ToyAmp {
     fn num_constraints(&self) -> usize {
         1
     }
-    fn evaluate(&self, x: &[f64]) -> SpecResult {
+    fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
         SpecResult {
             failure: None,
             objective: x[0] + x[1],
             constraints: vec![0.2 - x[0] * x[1]],
         }
+        .into()
     }
     fn name(&self) -> &str {
         "toy-amp"

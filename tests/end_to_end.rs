@@ -1,9 +1,13 @@
 //! Cross-crate integration tests: the full pipeline from circuits through
 //! optimizers, exercised at small budgets.
 
-use circuits::{FoldedCascodeOta, InverterChain, LevelShifter, StrongArmLatch};
+use circuits::tech::CornerSet;
+use circuits::{Ctle, FoldedCascodeOta, InverterChain, Ldo, LevelShifter, StrongArmLatch};
 use dnn_opt::{DnnOpt, DnnOptConfig, ReducedProblem, SensitivityReport};
-use opt::{DifferentialEvolution, Fom, Optimizer, SizingProblem, StopPolicy};
+use opt::{
+    parallel, DifferentialEvolution, Evaluator, Fom, Optimizer, SizingProblem, SpecResult,
+    StopPolicy,
+};
 
 fn quick_cfg() -> DnnOptConfig {
     DnnOptConfig {
@@ -113,4 +117,99 @@ fn fom_traces_are_monotone_for_all_methods() {
             assert!(w[1] <= w[0] + 1e-12, "{} trace not monotone", method.name());
         }
     }
+}
+
+/// Objective and constraint bits, then the failure diagnosis' Debug text:
+/// everything a recorded spec carries, compared without NaN's `!=`.
+fn spec_fingerprint(spec: &SpecResult) -> (Vec<u64>, String) {
+    let bits = std::iter::once(spec.objective)
+        .chain(spec.constraints.iter().copied())
+        .map(f64::to_bits)
+        .collect();
+    (bits, format!("{:?}", spec.failure))
+}
+
+/// A direct `evaluate(x)` runs the pipeline the `Evaluator` records:
+/// same values, FoM bits and diagnosis at the nominal design and at the
+/// box midpoint of every shipped testbench, at one and at two threads.
+/// (The OTA's midpoint fails its open-loop operating point, so the
+/// attributed failure label is part of the comparison.)
+#[test]
+fn direct_evaluation_equals_the_unit_grid_for_every_testbench() {
+    let problems: [Box<dyn SizingProblem>; 7] = [
+        Box::new(FoldedCascodeOta::new()),
+        Box::new(FoldedCascodeOta::with_corners(CornerSet::pvt5())),
+        Box::new(StrongArmLatch::new()),
+        Box::new(Ctle::new()),
+        Box::new(Ldo::new()),
+        Box::new(LevelShifter::new()),
+        Box::new(InverterChain::new()),
+    ];
+    for (i, p) in problems.iter().enumerate() {
+        let p = p.as_ref();
+        let fom = Fom::uniform(1.0, p.num_constraints());
+        let (lb, ub) = p.bounds();
+        let mid: Vec<f64> = lb.iter().zip(&ub).map(|(l, u)| 0.5 * (l + u)).collect();
+        for (point, x) in [("nominal", p.nominal()), ("midpoint", mid)] {
+            let direct = p.evaluate(&x);
+            if i == 0 && point == "midpoint" {
+                let diag = direct.failure_diag().expect("the OTA midpoint fails");
+                assert!(
+                    diag.analysis.starts_with("open-loop: "),
+                    "{}",
+                    diag.analysis
+                );
+            }
+            for threads in [1usize, 2] {
+                parallel::set_max_threads(threads);
+                let recorded = Evaluator::new(p, &fom, 1).evaluate(&x);
+                parallel::set_max_threads(0);
+                let label = format!("problem {i} ({}) at {point}, threads={threads}", p.name());
+                assert_eq!(
+                    spec_fingerprint(&direct),
+                    spec_fingerprint(&recorded.spec),
+                    "{label}"
+                );
+                assert_eq!(
+                    fom.value(&direct).to_bits(),
+                    recorded.fom.to_bits(),
+                    "{label}"
+                );
+            }
+        }
+    }
+}
+
+/// Pruning the OTA keeps its two-analysis grid: the reduced problem
+/// forwards the inner unit count and names, and its recorded history
+/// equals the full OTA's at the expanded points, bit for bit.
+#[test]
+fn reduced_ota_keeps_its_analysis_grid() {
+    let ota = FoldedCascodeOta::new();
+    // L2, L6, W3 and W6 move; everything else is pinned at nominal.
+    let red = ReducedProblem::new(&ota, ota.nominal(), vec![1, 5, 9, 12]);
+    assert_eq!(red.num_analyses(), 2);
+    assert_eq!(red.analysis_name(0), "open-loop");
+    assert_eq!(red.analysis_name(1), "closed-loop");
+    let (lb, ub) = red.bounds();
+    let mid: Vec<f64> = lb.iter().zip(&ub).map(|(l, u)| 0.5 * (l + u)).collect();
+    let xs = vec![red.nominal(), mid, lb, ub];
+    let full: Vec<Vec<f64>> = xs.iter().map(|x| red.expand(x)).collect();
+    let fom = Fom::new(100.0, vec![0.25; ota.num_constraints()]);
+    let reduced = Evaluator::new(&red, &fom, xs.len()).evaluate_batch(&xs);
+    let reference = Evaluator::new(&ota, &fom, full.len()).evaluate_batch(&full);
+    assert_eq!(reduced.len(), reference.len());
+    for (i, (a, b)) in reduced.iter().zip(&reference).enumerate() {
+        assert_eq!(spec_fingerprint(&a.spec), spec_fingerprint(&b.spec), "#{i}");
+        assert_eq!(a.fom.to_bits(), b.fom.to_bits(), "#{i}");
+        assert!(a.corner_specs.is_empty() && b.corner_specs.is_empty());
+    }
+    // The midpoint fails its open-loop operating point: the comparison
+    // above covered an attributed diagnosis, not only healthy specs.
+    let diag = reduced[1].spec.failure_diag().expect("the midpoint fails");
+    assert!(
+        diag.analysis.starts_with("open-loop: "),
+        "{}",
+        diag.analysis
+    );
 }

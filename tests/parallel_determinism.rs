@@ -15,8 +15,8 @@
 
 use dnn_opt::{DnnOpt, DnnOptConfig};
 use opt::{
-    parallel, DifferentialEvolution, Fom, Optimizer, RandomSearch, RunResult, SizingProblem,
-    SpecResult, StopPolicy,
+    parallel, AnalysisSpec, DifferentialEvolution, Fom, Optimizer, RandomSearch, RunResult,
+    SizingProblem, SpecResult, StopPolicy,
 };
 use spice::{Circuit, SimOptions, Waveform, GND};
 
@@ -34,12 +34,13 @@ impl SizingProblem for ToyAmp {
     fn num_constraints(&self) -> usize {
         1
     }
-    fn evaluate(&self, x: &[f64]) -> SpecResult {
+    fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
         SpecResult {
             failure: None,
             objective: x[0] + x[1],
             constraints: vec![0.2 - x[0] * x[1]],
         }
+        .into()
     }
     fn name(&self) -> &str {
         "toy-amp"
@@ -155,8 +156,8 @@ impl SizingProblem for SparseLadder {
     fn num_constraints(&self) -> usize {
         1
     }
-    fn evaluate(&self, x: &[f64]) -> SpecResult {
-        Self::evaluate_at(x, 1.8)
+    fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
+        Self::evaluate_at(x, 1.8).into()
     }
     fn name(&self) -> &str {
         "sparse-ladder"
@@ -188,11 +189,8 @@ impl SizingProblem for CorneredLadder {
     fn corner_name(&self, k: usize) -> String {
         format!("vdd{:.2}", LADDER_SUPPLIES[k])
     }
-    fn evaluate_corner(&self, x: &[f64], k: usize) -> SpecResult {
-        SparseLadder::evaluate_at(x, LADDER_SUPPLIES[k])
-    }
-    fn evaluate(&self, x: &[f64]) -> SpecResult {
-        opt::evaluate_worst_case(self, x)
+    fn evaluate_analysis(&self, x: &[f64], k: usize, _a: usize) -> AnalysisSpec {
+        SparseLadder::evaluate_at(x, LADDER_SUPPLIES[k]).into()
     }
     fn name(&self) -> &str {
         "cornered-ladder"

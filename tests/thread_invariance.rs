@@ -17,8 +17,8 @@ use circuits::FoldedCascodeOta;
 use dnn_opt::{Critic, DnnOpt, DnnOptConfig};
 use linalg::Matrix;
 use opt::{
-    parallel, DifferentialEvolution, Fom, Optimizer, RunResult, SizingProblem, SpecResult,
-    StopPolicy,
+    parallel, AnalysisSpec, DifferentialEvolution, Fom, Optimizer, RunResult, SizingProblem,
+    SpecResult, StopPolicy,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use spice::{Circuit, SimOptions, Waveform, GND};
@@ -111,8 +111,8 @@ impl SizingProblem for SparseLadder {
     fn num_constraints(&self) -> usize {
         1
     }
-    fn evaluate(&self, x: &[f64]) -> SpecResult {
-        Self::evaluate_at(x, 1.8)
+    fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
+        Self::evaluate_at(x, 1.8).into()
     }
     fn name(&self) -> &str {
         "sparse-ladder"
@@ -142,11 +142,8 @@ impl SizingProblem for CorneredLadder {
     fn corner_name(&self, k: usize) -> String {
         format!("vdd{:.2}", LADDER_SUPPLIES[k])
     }
-    fn evaluate_corner(&self, x: &[f64], k: usize) -> SpecResult {
-        SparseLadder::evaluate_at(x, LADDER_SUPPLIES[k])
-    }
-    fn evaluate(&self, x: &[f64]) -> SpecResult {
-        opt::evaluate_worst_case(self, x)
+    fn evaluate_analysis(&self, x: &[f64], k: usize, _a: usize) -> AnalysisSpec {
+        SparseLadder::evaluate_at(x, LADDER_SUPPLIES[k]).into()
     }
     fn name(&self) -> &str {
         "cornered-ladder"
