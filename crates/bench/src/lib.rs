@@ -340,8 +340,9 @@ pub const CRITIC_STEP_SHAPES: [GemmShape; 8] = [
 /// [`baseline::refresh`]: `gemm_kernel_naive_*` (the reference triple
 /// loop) and `gemm_kernel_blocked_*` (the `gemm` entry point) on
 /// [`GEMM_KERNEL_SHAPES`], then `gemm_kernel_critic_*` (the `gemm` entry
-/// point) on [`CRITIC_STEP_SHAPES`]. `gemm` runs the AVX-512 small path
-/// where the host has it, so the `blocked` rows time that path there.
+/// point) on [`CRITIC_STEP_SHAPES`]. The `blocked` rows keep the name of
+/// the cache-blocked engine `gemm` once ran; they time its register tiles
+/// on the lane backend the host selects.
 pub fn gemm_kernel_rows(c: &mut criterion::Criterion) {
     use criterion::black_box;
     use linalg::{gemm, gemm_naive, GemmWorkspace, Matrix};

@@ -24,7 +24,7 @@ use opt::{AnalysisSpec, SizingProblem, SpecResult};
 use spice::mos::BOLTZMANN;
 use spice::{Circuit, SimOptions, SpiceError, Waveform, GND};
 
-use crate::measure;
+use crate::measure::{self, at_least, at_most};
 use crate::tech::{tech_180nm, Technology};
 
 /// Decoded Table III parameters.
@@ -328,16 +328,6 @@ impl StrongArmLatch {
         (BOLTZMANN * self.opts.temp * t.nmos.noise_gamma / cx).sqrt()
             / (gain * std::f64::consts::SQRT_2)
     }
-}
-
-/// `v` must be at least `limit`: `f = (limit − v)/scale`.
-fn at_least(v: f64, limit: f64, scale: f64) -> f64 {
-    (limit - v) / scale
-}
-
-/// `v` must be at most `limit`: `f = (v − limit)/scale`.
-fn at_most(v: f64, limit: f64, scale: f64) -> f64 {
-    (v - limit) / scale
 }
 
 impl SizingProblem for StrongArmLatch {

@@ -2,7 +2,8 @@
 //!
 //! These helpers turn raw sweeps and waveforms into the figures the paper's
 //! constraint lists are written in: gains in dB, unity-gain frequency,
-//! phase/gain margins, crossing and settling times.
+//! phase/gain margins, crossing and settling times — and the two helpers
+//! that turn a figure and its limit into a normalized constraint.
 
 /// Converts a magnitude ratio to decibels (`-inf` guarded to -400 dB).
 pub fn db(x: f64) -> f64 {
@@ -189,9 +190,29 @@ pub fn peak(freqs: &[f64], mags: &[f64]) -> (f64, f64) {
     (freqs[best], mags[best])
 }
 
+/// Constraint helper: "`v` must be at least `limit`" as the normalized
+/// violation `f = (limit − v)/scale` (`f ≤ 0` is satisfied).
+pub fn at_least(v: f64, limit: f64, scale: f64) -> f64 {
+    (limit - v) / scale
+}
+
+/// Constraint helper: "`v` must be at most `limit`" as the normalized
+/// violation `f = (v − limit)/scale` (`f ≤ 0` is satisfied).
+pub fn at_most(v: f64, limit: f64, scale: f64) -> f64 {
+    (v - limit) / scale
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn constraint_helpers_signs() {
+        assert!(at_least(10.0, 5.0, 1.0) < 0.0); // satisfied
+        assert!(at_least(3.0, 5.0, 1.0) > 0.0); // violated
+        assert!(at_most(3.0, 5.0, 1.0) < 0.0);
+        assert!(at_most(7.0, 5.0, 1.0) > 0.0);
+    }
 
     #[test]
     fn db_roundtrip() {

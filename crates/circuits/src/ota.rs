@@ -30,7 +30,7 @@
 use opt::{AnalysisSpec, SizingProblem};
 use spice::{Circuit, OpPoint, SimOptions, SpiceError, Waveform, GND};
 
-use crate::measure;
+use crate::measure::{self, at_least, at_most};
 use crate::mesh;
 use crate::tech::{tech_180nm, Corner, CornerPlanes, CornerSet, Technology};
 
@@ -645,16 +645,6 @@ impl OpenLoop {
     }
 }
 
-/// Constraint helper: "value must be at least limit" → `f = (limit − v)/scale`.
-fn at_least(v: f64, limit: f64, scale: f64) -> f64 {
-    (limit - v) / scale
-}
-
-/// Constraint helper: "value must be at most limit" → `f = (v − limit)/scale`.
-fn at_most(v: f64, limit: f64, scale: f64) -> f64 {
-    (v - limit) / scale
-}
-
 impl SizingProblem for FoldedCascodeOta {
     fn dim(&self) -> usize {
         20
@@ -1061,14 +1051,6 @@ mod tests {
         let spec = ota.evaluate(&lb);
         assert_eq!(spec.constraints.len(), 29);
         assert!(!spec.feasible(), "minimum-size design cannot meet Eq. 9");
-    }
-
-    #[test]
-    fn constraint_helpers_signs() {
-        assert!(at_least(10.0, 5.0, 1.0) < 0.0); // satisfied
-        assert!(at_least(3.0, 5.0, 1.0) > 0.0); // violated
-        assert!(at_most(3.0, 5.0, 1.0) < 0.0);
-        assert!(at_most(7.0, 5.0, 1.0) > 0.0);
     }
 
     #[test]

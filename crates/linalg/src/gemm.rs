@@ -1,4 +1,4 @@
-//! Cache-blocked dense GEMM engine with register-tiled micro-kernels.
+//! Dense GEMM engine: one register-tiled kernel over per-ISA lane backends.
 //!
 //! One entry point, [`gemm`] (and its epilogue-fusing sibling
 //! [`gemm_with`]), covers every matrix-product shape the workspace needs:
@@ -6,44 +6,37 @@
 //! both operands, so the NN/NT/TN products of an MLP's forward and backward
 //! passes all run through the same kernel.
 //!
-//! # Blocking scheme
+//! # Engine
 //!
-//! The implementation follows the classic Goto/BLIS decomposition:
+//! Every product, of any shape, runs the same loops:
 //!
-//! - the output is processed in `NC`-wide column blocks;
-//! - each column block accumulates over `KC`-deep panels of the inner
-//!   dimension; the `KC × NC` slice of `op(B)` is packed once per panel
-//!   into [`GemmWorkspace::pack_b`], laid out in `NR`-column micro-panels;
-//! - inside a panel, `MC`-tall row blocks of `op(A)` are packed into
-//!   [`GemmWorkspace::pack_a`] as `MR`-row micro-panels;
-//! - a register-tiled micro-kernel then computes `MR × NR` output tiles
-//!   (`4 × 8` f64 accumulators) from the two packed panels, walking both
-//!   with stride-1 loads and no transposition logic in the inner loop.
+//! - `op(B)` is copied once per call into a zero-padded `k × n̄` row-major
+//!   panel held in the [`GemmWorkspace`] (`n̄` rounds `n` up to 8
+//!   columns): a row copy for `NoTrans`, a small transpose for `Trans`;
+//! - `op(A)` is read in place — `NoTrans` broadcasts from row-major rows,
+//!   `Trans` from the contiguous source rows of `A`;
+//! - register tiles of `R` rows × `V` vectors of columns cover the
+//!   output, with shorter tiles (`R/2` or `R/3` rows, then 1 row) for the
+//!   row tail, and one tile of one to `V` vectors for the column tail,
+//!   whose last vector loads and stores only the live columns;
+//! - each output element is one multiply-add chain from zero per `KC`-deep
+//!   panel of the inner dimension (`KC` = 256). The first panel stores
+//!   `α·acc` (`β = 0`) or adds it to `C` (`β = 1`) or to `β·C`; every
+//!   later panel adds `α·acc`.
 //!
-//! Packing handles both transposition and edge padding (partial tiles are
-//! zero-padded to full `MR`/`NR` width), so the micro-kernel is a single
-//! branch-free loop. On x86-64 hosts with AVX2+FMA a fused-multiply-add
-//! variant of the micro-kernel is selected once per process; everywhere
-//! else a portable scalar-tiled kernel runs. Small products (`m·n·k ≤`
-//! [`GEMM_NAIVE_CUTOFF`]) skip the packing machinery entirely and use the
-//! naive reference kernel, which is also exposed as [`gemm_naive`] for
-//! differential testing.
+//! # Lane backends
 //!
-//! # Small path
+//! Only the lane operations — load, broadcast, multiply-add, multiply,
+//! add, and the partial load/store of a column tail — are written per
+//! instruction set. One backend serves every product of a process, chosen
+//! from CPU detection:
 //!
-//! MLP training products (batch 128, widths of a few dozen) are too small
-//! for the Goto loop nest to pay for its packing. On hosts with AVX-512F
-//! they take a register-tiled small path instead: every non-empty product
-//! with `k ≤` [`GEMM_SMALL_MAX_K`] and `n ≤` [`GEMM_SMALL_MAX_N`],
-//! including those at or below [`GEMM_NAIVE_CUTOFF`]. It reads `op(A)` in
-//! place — `NoTrans`
-//! broadcasts from row-major rows, `Trans` from the contiguous source rows
-//! of `A` — and copies `op(B)` once per call into a zero-padded `k × n̄`
-//! row-major panel (`n̄` rounds `n` up to the 8-lane vector width). The
-//! kernel then computes `SMR × 24` output tiles (three `zmm` accumulators
-//! per row), with masked stores for column tails and `SMR / 2`-row and
-//! 1-row tiles for row tails. Every other host runs the blocked and naive
-//! paths only.
+//! - AVX-512F: 8-lane `zmm` vectors in `8 × 24` tiles (24 of the 32
+//!   registers accumulate);
+//! - AVX2+FMA: 4-lane `ymm` vectors in `6 × 8` tiles (12 of the 16
+//!   registers accumulate, leaving two for `op(B)` and one broadcast);
+//! - portable: plain Rust on 2-lane arrays in `6 × 4` tiles, with a
+//!   separate multiply and add, for hosts without FMA and for non-x86.
 //!
 //! # Threading
 //!
@@ -53,18 +46,12 @@
 //!
 //! # Determinism
 //!
-//! The tiling is fixed (compile-time `MC`/`KC`/`NC`/`MR`/`NR`) and the
-//! per-element accumulation order depends only on the operand shapes, so
-//! repeated calls are bit-identical on a given host. The FMA and portable
-//! micro-kernels may differ in final-bit rounding (fused vs separate
-//! multiply-add), but the selection is constant for the lifetime of the
-//! process.
-//!
-//! The small path is bit-identical to the blocked FMA kernel: with
-//! `k ≤ KC` both accumulate every element as a chain of fused
-//! multiply-adds over `p = 0..k` from zero, then take `α·acc`, store it
-//! (`β = 0`) or add it to `C` (`β = 1`) or to `β·C` (otherwise), and run
-//! the epilogue last.
+//! The operations applied to one output element depend only on the
+//! operand shapes, never on the backend's vector width or tile shape, so
+//! repeated calls are bit-identical, and the two FMA backends give the
+//! same bits: results are bit-identical across x86-64 hosts with FMA. The
+//! portable backend rounds each product before adding it, so it rounds
+//! differently; for `k ≤ 256` its values equal [`gemm_naive`]'s.
 //!
 //! # Epilogues
 //!
@@ -100,9 +87,8 @@ impl GemmOp {
 /// `apply` is called exactly once per output element, after the element's
 /// value is final, as `apply(row, col0, seg)` where `seg` is the contiguous
 /// slice `c[row][col0 .. col0 + seg.len()]`. Implementations must treat the
-/// call element-wise (the segmentation — full rows for the naive kernel,
-/// `NC`-wide column blocks for the blocked kernel — is not part of the
-/// contract).
+/// call element-wise (the segmentation — full rows today — is not part of
+/// the contract).
 pub trait Epilogue {
     /// Transforms one finished output-row segment in place.
     fn apply(&mut self, row: usize, col0: usize, seg: &mut [f64]);
@@ -117,16 +103,13 @@ impl Epilogue for NoEpilogue {
     fn apply(&mut self, _row: usize, _col0: usize, _seg: &mut [f64]) {}
 }
 
-/// Reusable packing buffers for the blocked kernel and the small path.
-/// One workspace serves any sequence of [`gemm`] calls; the buffers grow
-/// to the largest panel seen and are reused allocation-free afterwards.
+/// The reusable `op(B)` panel buffer of [`gemm`]. One workspace serves
+/// any sequence of calls; the buffer grows to the largest panel seen and
+/// is reused allocation-free afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct GemmWorkspace {
-    /// `MC × KC` panel of `op(A)`, packed in `MR`-row micro-panels.
-    pack_a: Vec<f64>,
-    /// `KC × NC` panel of `op(B)`, packed in `NR`-column micro-panels —
-    /// or, on the small path, the zero-padded `k × n̄` row-major panel.
-    pack_b: Vec<f64>,
+    /// The zero-padded `k × n̄` row-major panel of `op(B)`.
+    panel: Vec<f64>,
 }
 
 impl GemmWorkspace {
@@ -136,42 +119,17 @@ impl GemmWorkspace {
     }
 }
 
-/// Micro-kernel tile height (rows of `C` per register tile).
-const MR: usize = 4;
-/// Micro-kernel tile width (columns of `C` per register tile).
-const NR: usize = 8;
-/// Row-panel height: rows of `op(A)` packed per inner block.
-const MC: usize = 128;
-/// Depth of one packed panel of the inner dimension.
+/// Depth of one accumulation panel. Each element is one multiply-add chain
+/// per `KC` steps of the inner dimension, so this fixes the rounding of
+/// deeper products: changing it moves their bits.
 const KC: usize = 256;
-/// Column-block width of the outermost loop.
-const NC: usize = 4096;
 
-/// `m·n·k` at or below which [`gemm`] runs the naive reference kernel
-/// instead of the blocked one (packing overhead dominates tiny products),
-/// unless the AVX-512 small path takes the product.
-pub const GEMM_NAIVE_CUTOFF: usize = 4096;
+/// Column padding of the `op(B)` panel: the widest backend's lane count.
+const PANEL_PAD: usize = 8;
 
 /// `m·n·k` at or above which a traced product opens a `gemm` span, so
 /// traced training loops don't drown in micro-product events.
 const TRACE_SPAN_MIN_WORK: usize = 65_536;
-
-/// Deepest inner dimension the AVX-512 small path serves: one `KC` panel,
-/// so its single fused-multiply-add chain per element matches the blocked
-/// kernel's accumulation bit for bit. Deeper products stay blocked.
-pub const GEMM_SMALL_MAX_K: usize = KC;
-
-/// Widest output the AVX-512 small path serves. Beyond it the unpacked
-/// `k × n̄` panel of `op(B)` outgrows the caches that the blocked kernel's
-/// `NR`-column micro-panels stay in: against the serial blocked kernel
-/// the small path wins 1.3–2.7× up to `n = 256`, and its lead shrinks to
-/// 0.98–1.3× at `n = 512`, `k = 256` (`probe_small_path_crossover`).
-pub const GEMM_SMALL_MAX_N: usize = 256;
-
-/// Row height of the small path's full register tiles.
-const SMR: usize = 8;
-/// Lanes of one `zmm` register of f64.
-const LANES: usize = 8;
 
 /// General matrix multiply `C := α·op(A)·op(B) + β·C`.
 ///
@@ -219,31 +177,73 @@ pub fn gemm_with<E: Epilogue>(
 ) {
     debug_assert_finite_operand(a, "A");
     debug_assert_finite_operand(b, "B");
+    product(
+        Backend::host(),
+        (op_a, op_b),
+        alpha,
+        a,
+        b,
+        beta,
+        c,
+        ws,
+        epilogue,
+    );
+}
+
+/// [`gemm_with`] on a given backend: the body of every product, and the
+/// hook through which the tests pin a backend.
+#[allow(clippy::too_many_arguments)]
+fn product<E: Epilogue>(
+    backend: Backend,
+    (op_a, op_b): (GemmOp, GemmOp),
+    alpha: f64,
+    a: &Matrix,
+    b: &Matrix,
+    beta: f64,
+    c: &mut Matrix,
+    ws: &mut GemmWorkspace,
+    epilogue: &mut E,
+) {
     let (m, n, k) = checked_dims(op_a, op_b, a, b);
     prepare_output(beta, m, n, c);
-    let work = m * n * k;
-    if work != 0 && takes_small_path(n, k) {
-        small_body(op_a, op_b, alpha, a, b, beta, c, ws, epilogue, (m, n, k));
-    } else if work <= GEMM_NAIVE_CUTOFF {
-        naive_body(op_a, op_b, alpha, a, b, beta, c, epilogue, (m, n, k));
-    } else {
-        blocked_body(op_a, op_b, alpha, a, b, beta, c, ws, epilogue, (m, n, k));
+    let _span = trace_product(m * n * k);
+    if k == 0 {
+        // No panel to merge: C := β·C, and 0 for β = 0 (C may be stale).
+        if beta == 0.0 {
+            c.as_mut_slice().fill(0.0);
+        } else if beta != 1.0 {
+            c.scale_inplace(beta);
+        }
+    } else if m > 0 && n > 0 {
+        let nb = pack_b(op_b, b, k, n, &mut ws.panel);
+        assert!(ws.panel.len() >= k * nb && c.as_slice().len() == m * n);
+        let operands = Operands {
+            a: a.as_slice().as_ptr(),
+            lda: a.cols(),
+            b: ws.panel.as_ptr(),
+            nb,
+            k,
+            c: c.as_mut_slice().as_mut_ptr(),
+            ldc: n,
+            alpha,
+            beta,
+        };
+        // SAFETY: every `Backend` the engine is handed runs on this host
+        // (`Backend::host`, or a test's detected list); `op(A)` is `m × k`
+        // (`checked_dims`), and the assert covers the panel and the output.
+        unsafe { backend.run(op_a, &operands, m, n) };
+    }
+    // Every panel has merged: the elements are final, so the fused
+    // epilogue runs now, in row order.
+    for i in 0..m {
+        epilogue.apply(i, 0, c.row_mut(i));
     }
 }
 
-/// The small-path dispatch rule for a non-empty product of any size: an
-/// AVX-512F host, `k ≤` [`GEMM_SMALL_MAX_K`] and `n ≤`
-/// [`GEMM_SMALL_MAX_N`]. Tiny products take it too: it beats the
-/// naive loops there, and it keeps inference through a trained network on
-/// the same fused-multiply-add arithmetic at every batch size.
-fn takes_small_path(n: usize, k: usize) -> bool {
-    k <= GEMM_SMALL_MAX_K && n <= GEMM_SMALL_MAX_N && small_path_available()
-}
-
 /// The naive reference kernel: straight i-j-k triple loops with the same
-/// `C := α·op(A)·op(B) + β·C` semantics as [`gemm`]. Used as the
-/// ground truth of the differential property tests and by [`gemm`] itself
-/// at or below [`GEMM_NAIVE_CUTOFF`] when the small path does not apply.
+/// `C := α·op(A)·op(B) + β·C` semantics as [`gemm`], a separate multiply
+/// and add per step and no panels. The ground truth of the differential
+/// tests.
 ///
 /// # Panics
 ///
@@ -279,45 +279,6 @@ pub fn gemm_naive_with<E: Epilogue>(
 ) {
     let (m, n, k) = checked_dims(op_a, op_b, a, b);
     prepare_output(beta, m, n, c);
-    naive_body(op_a, op_b, alpha, a, b, beta, c, epilogue, (m, n, k));
-}
-
-/// Effective `(m, n, k)` of the product, with the inner-dimension check.
-fn checked_dims(op_a: GemmOp, op_b: GemmOp, a: &Matrix, b: &Matrix) -> (usize, usize, usize) {
-    let (m, ka) = op_a.dims(a);
-    let (kb, n) = op_b.dims(b);
-    assert_eq!(ka, kb, "inner dimensions must agree");
-    (m, n, ka)
-}
-
-/// Shapes (or shape-checks) the output for the accumulation. With
-/// `beta == 0` the old contents are never read — the naive kernel assigns
-/// every element and the blocked kernel's first `KC` panel *stores* instead
-/// of accumulating — so the reshape skips the memset.
-fn prepare_output(beta: f64, m: usize, n: usize, c: &mut Matrix) {
-    if beta == 0.0 {
-        c.reshape_for_overwrite(m, n);
-    } else {
-        assert_eq!(
-            (c.rows(), c.cols()),
-            (m, n),
-            "output shape mismatch for beta != 0"
-        );
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn naive_body<E: Epilogue>(
-    op_a: GemmOp,
-    op_b: GemmOp,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c: &mut Matrix,
-    epilogue: &mut E,
-    (m, n, k): (usize, usize, usize),
-) {
     for i in 0..m {
         for j in 0..n {
             let mut s = 0.0;
@@ -341,372 +302,38 @@ fn naive_body<E: Epilogue>(
     }
 }
 
-/// Telemetry of one blocked or small-path product (one gate check when
-/// off): its flops, and a `gemm` span only at or above
-/// [`TRACE_SPAN_MIN_WORK`].
+/// Effective `(m, n, k)` of the product, with the inner-dimension check.
+fn checked_dims(op_a: GemmOp, op_b: GemmOp, a: &Matrix, b: &Matrix) -> (usize, usize, usize) {
+    let (m, ka) = op_a.dims(a);
+    let (kb, n) = op_b.dims(b);
+    assert_eq!(ka, kb, "inner dimensions must agree");
+    (m, n, ka)
+}
+
+/// Shapes (or shape-checks) the output for the accumulation. With
+/// `beta == 0` the old contents are never read — the first `KC` panel
+/// *stores* every element, and `k == 0` fills zeros — so the reshape
+/// skips the memset.
+fn prepare_output(beta: f64, m: usize, n: usize, c: &mut Matrix) {
+    if beta == 0.0 {
+        c.reshape_for_overwrite(m, n);
+    } else {
+        assert_eq!(
+            (c.rows(), c.cols()),
+            (m, n),
+            "output shape mismatch for beta != 0"
+        );
+    }
+}
+
+/// Telemetry of one product (one gate check when off): its flops, and a
+/// `gemm` span only at or above [`TRACE_SPAN_MIN_WORK`].
 fn trace_product(work: usize) -> Option<telemetry::Span> {
     if !telemetry::enabled() {
         return None;
     }
     telemetry::record(telemetry::Metric::GemmFlops, 2 * work as u64);
     (work >= TRACE_SPAN_MIN_WORK).then(|| telemetry::span(telemetry::SpanId::Gemm))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn blocked_body<E: Epilogue>(
-    op_a: GemmOp,
-    op_b: GemmOp,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c: &mut Matrix,
-    ws: &mut GemmWorkspace,
-    epilogue: &mut E,
-    dims: (usize, usize, usize),
-) {
-    let _span = trace_product(dims.0 * dims.1 * dims.2);
-    let ldc = c.cols();
-    compute_region(
-        op_a,
-        op_b,
-        alpha,
-        a,
-        b,
-        beta,
-        c.as_mut_slice(),
-        ldc,
-        ws,
-        dims,
-        select_micro_kernel(),
-    );
-    // All panels have accumulated: the elements are final, so the fused
-    // epilogue runs now, in row order.
-    for i in 0..dims.0 {
-        epilogue.apply(i, 0, c.row_mut(i));
-    }
-}
-
-/// The Goto loop nest over the `m × n` output `c` (row stride `ldc`):
-/// `NC`-column blocks × `KC`-depth panels × `MC`-row blocks, packing from
-/// `ws` and merging through the micro-kernel. The epilogue is *not*
-/// applied here — the caller runs it once the whole output is final.
-#[allow(clippy::too_many_arguments)]
-fn compute_region(
-    op_a: GemmOp,
-    op_b: GemmOp,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c: &mut [f64],
-    ldc: usize,
-    ws: &mut GemmWorkspace,
-    (m, n, k): (usize, usize, usize),
-    kernel: MicroKernel,
-) {
-    let mut jc = 0;
-    while jc < n {
-        let nc = NC.min(n - jc);
-        // One beta pass per column block. beta == 0 needs none: the output
-        // holds stale values (`prepare_output` skips the memset), and the
-        // first KC panel below *stores* its tiles instead of accumulating,
-        // overwriting every element. beta == 1 accumulates as-is.
-        if beta != 0.0 && beta != 1.0 {
-            for i in 0..m {
-                for v in &mut c[i * ldc + jc..i * ldc + jc + nc] {
-                    *v *= beta;
-                }
-            }
-        }
-        let mut pc = 0;
-        while pc < k {
-            let kc = KC.min(k - pc);
-            // The first panel of a beta == 0 product *stores* its tiles
-            // (the stale output is never read); later panels accumulate.
-            let store = beta == 0.0 && pc == 0;
-
-            pack_b(op_b, b, pc, kc, jc, nc, &mut ws.pack_b);
-            let mut ic = 0;
-            while ic < m {
-                let mc = MC.min(m - ic);
-                pack_a(op_a, a, ic, mc, pc, kc, &mut ws.pack_a);
-                macro_kernel(
-                    alpha,
-                    (mc, nc, kc),
-                    &ws.pack_a,
-                    &ws.pack_b,
-                    c,
-                    ldc,
-                    ic,
-                    jc,
-                    kernel,
-                    store,
-                );
-                ic += MC;
-            }
-            pc += KC;
-        }
-        jc += NC;
-    }
-}
-
-/// The small path (see the module docs): copies `op(B)` into the padded
-/// row-major panel, runs the AVX-512 tiles over `op(A)` in place, then
-/// applies the epilogue in row order. Always serial.
-#[allow(clippy::too_many_arguments)]
-fn small_body<E: Epilogue>(
-    op_a: GemmOp,
-    op_b: GemmOp,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c: &mut Matrix,
-    ws: &mut GemmWorkspace,
-    epilogue: &mut E,
-    (m, n, k): (usize, usize, usize),
-) {
-    let _span = trace_product(m * n * k);
-    let nb = pack_small_b(op_b, b, k, n, &mut ws.pack_b);
-    small_product(op_a, a, &ws.pack_b, nb, (alpha, beta), c, (m, n, k));
-    for i in 0..m {
-        epilogue.apply(i, 0, c.row_mut(i));
-    }
-}
-
-/// The tile loops of [`small_body`] over a panel from [`pack_small_b`],
-/// writing the `m × n` output `c` (already shaped by `prepare_output`).
-#[cfg(target_arch = "x86_64")]
-fn small_product(
-    op_a: GemmOp,
-    a: &Matrix,
-    panel: &[f64],
-    nb: usize,
-    (alpha, beta): (f64, f64),
-    c: &mut Matrix,
-    (m, n, k): (usize, usize, usize),
-) {
-    assert!(small_path_available() && panel.len() >= k * nb && c.as_slice().len() == m * n);
-    let operands = SmallOperands {
-        a: a.as_slice().as_ptr(),
-        lda: a.cols(),
-        b: panel.as_ptr(),
-        nb,
-        k,
-        c: c.as_mut_slice().as_mut_ptr(),
-        ldc: n,
-        alpha,
-        beta,
-    };
-    // SAFETY: the assert above covers the AVX-512F requirement, the panel
-    // and the output; `op(A)` is `m × k` (`checked_dims`).
-    unsafe {
-        match op_a {
-            GemmOp::NoTrans => small_rows::<false>(&operands, m, n),
-            GemmOp::Trans => small_rows::<true>(&operands, m, n),
-        }
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn small_product(
-    _: GemmOp,
-    _: &Matrix,
-    _: &[f64],
-    _: usize,
-    _: (f64, f64),
-    _: &mut Matrix,
-    _: (usize, usize, usize),
-) {
-    unreachable!("the small path is only dispatched on AVX-512F hosts");
-}
-
-/// Whether this host runs the small path: AVX-512F, with the blocked
-/// kernel on its FMA micro-kernel (the small path's bit-identity partner).
-#[cfg(target_arch = "x86_64")]
-fn small_path_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx512f") && select_micro_kernel() == MicroKernel::Fma
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn small_path_available() -> bool {
-    false
-}
-
-/// Copies `op(B)` (`k × n`) into `buf` as a row-major `k × n̄` panel,
-/// `n̄ = n` rounded up to [`LANES`], with zeroed padding columns: a plain
-/// row copy for `NoTrans`, a small transpose for `Trans`. Returns `n̄`.
-fn pack_small_b(op: GemmOp, b: &Matrix, k: usize, n: usize, buf: &mut Vec<f64>) -> usize {
-    let nb = n.next_multiple_of(LANES);
-    if buf.len() < k * nb {
-        buf.resize(k * nb, 0.0);
-    }
-    for (p, dst) in buf[..k * nb].chunks_exact_mut(nb).enumerate() {
-        match op {
-            GemmOp::NoTrans => dst[..n].copy_from_slice(b.row(p)),
-            // Effective B[p][j] = b[j][p].
-            GemmOp::Trans => {
-                for (j, v) in dst[..n].iter_mut().enumerate() {
-                    *v = b[(j, p)];
-                }
-            }
-        }
-        dst[n..].fill(0.0);
-    }
-    nb
-}
-
-/// Raw operands of one small-path product: `op(A)` in place (row stride
-/// `lda`), the padded `k × nb` panel of `op(B)`, and the `C` output (row
-/// stride `ldc`).
-#[cfg(target_arch = "x86_64")]
-struct SmallOperands {
-    a: *const f64,
-    lda: usize,
-    b: *const f64,
-    nb: usize,
-    k: usize,
-    c: *mut f64,
-    ldc: usize,
-    alpha: f64,
-    beta: f64,
-}
-
-/// Runs every small-path tile of an `m × n` output: `SMR`-row tiles, one
-/// `SMR / 2`-row tile, then 1-row tiles for the rest of the row tail.
-///
-/// # Safety
-///
-/// Requires AVX-512F, and `s` must describe an `m × k` `op(A)` (laid out
-/// as `TRANS_A` says), a `k × nb` panel and an `m × n` output with no
-/// other live access.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn small_rows<const TRANS_A: bool>(s: &SmallOperands, m: usize, n: usize) {
-    let mut i = 0;
-    // SAFETY: forwarded caller contract; every row block lies in `0..m`.
-    unsafe {
-        while m - i >= SMR {
-            small_row_block::<SMR, TRANS_A>(s, i, n);
-            i += SMR;
-        }
-        if m - i >= SMR / 2 {
-            small_row_block::<{ SMR / 2 }, TRANS_A>(s, i, n);
-            i += SMR / 2;
-        }
-        while i < m {
-            small_row_block::<1, TRANS_A>(s, i, n);
-            i += 1;
-        }
-    }
-}
-
-/// One `R`-row block of the output: full 24-column tiles (three `zmm` per
-/// row), then one tile of one to three vectors for the column tail, whose
-/// last vector stores through a lane mask.
-///
-/// # Safety
-///
-/// Same contract as [`small_rows`], with rows `i0 .. i0 + R` in range.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "avx512f")]
-unsafe fn small_row_block<const R: usize, const TRANS_A: bool>(
-    s: &SmallOperands,
-    i0: usize,
-    n: usize,
-) {
-    const W: usize = 3 * LANES;
-    let full = n - n % W;
-    // SAFETY: forwarded caller contract; every tile lies in `0..n`, and
-    // its vectors read padded panel columns below `nb`.
-    unsafe {
-        for j0 in (0..full).step_by(W) {
-            small_tile::<R, 3, TRANS_A>(s, i0, j0, u8::MAX);
-        }
-        let rem = n - full;
-        if rem > 0 {
-            let vectors = rem.div_ceil(LANES);
-            let mask = u8::MAX >> (vectors * LANES - rem);
-            match vectors {
-                1 => small_tile::<R, 1, TRANS_A>(s, i0, full, mask),
-                2 => small_tile::<R, 2, TRANS_A>(s, i0, full, mask),
-                _ => small_tile::<R, 3, TRANS_A>(s, i0, full, mask),
-            }
-        }
-    }
-}
-
-/// One `R × (V·8)` register tile at `(i0, j0)`: `R·V` accumulators, each
-/// a fused-multiply-add chain over `p = 0..k` from zero; then `α·acc` is
-/// stored (`β = 0`) or added to `C` (`β = 1`) or to `β·C`. `mask` selects
-/// the stored lanes of the last vector of each row.
-///
-/// # Safety
-///
-/// Same contract as [`small_row_block`], with columns `j0 .. j0 + V·8`
-/// inside the panel width `nb`.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "avx512f")]
-unsafe fn small_tile<const R: usize, const V: usize, const TRANS_A: bool>(
-    s: &SmallOperands,
-    i0: usize,
-    j0: usize,
-    mask: u8,
-) {
-    use core::arch::x86_64::*;
-    // op(A)[i0 + r][p] sits at a[(i0 + r)·lda + p] (NoTrans) or at
-    // a[p·lda + i0 + r] (Trans, a contiguous run of one source row).
-    let (row_step, p_step) = if TRANS_A { (1, s.lda) } else { (s.lda, 1) };
-    // SAFETY: the caller guarantees AVX-512F and that every address below
-    // lies inside `op(A)`, the panel, or the tile's own rows of `C`;
-    // masked-out lanes are never read or written.
-    unsafe {
-        let a0 = if TRANS_A {
-            s.a.add(i0)
-        } else {
-            s.a.add(i0 * s.lda)
-        };
-        let mut acc = [[_mm512_setzero_pd(); V]; R];
-        for p in 0..s.k {
-            let brow = s.b.add(p * s.nb + j0);
-            let mut bv = [_mm512_setzero_pd(); V];
-            for (v, b) in bv.iter_mut().enumerate() {
-                *b = _mm512_loadu_pd(brow.add(v * LANES));
-            }
-            let ap = a0.add(p * p_step);
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = _mm512_set1_pd(*ap.add(r * row_step));
-                for (cv, &b) in accr.iter_mut().zip(&bv) {
-                    *cv = _mm512_fmadd_pd(av, b, *cv);
-                }
-            }
-        }
-        let va = _mm512_set1_pd(s.alpha);
-        let vb = _mm512_set1_pd(s.beta);
-        for (r, accr) in acc.iter().enumerate() {
-            let row = s.c.add((i0 + r) * s.ldc + j0);
-            for (v, &x) in accr.iter().enumerate() {
-                let lanes = if v + 1 == V { mask } else { u8::MAX };
-                let dst = row.add(v * LANES);
-                let prod = _mm512_mul_pd(va, x);
-                let out = if s.beta == 0.0 {
-                    prod
-                } else {
-                    let old = _mm512_maskz_loadu_pd(lanes, dst);
-                    let old = if s.beta == 1.0 {
-                        old
-                    } else {
-                        _mm512_mul_pd(vb, old)
-                    };
-                    _mm512_add_pd(old, prod)
-                };
-                _mm512_mask_storeu_pd(dst, lanes, out);
-            }
-        }
-    }
 }
 
 /// Debug-build quarantine tripwire: a NaN or ∞ entering a GEMM operand
@@ -728,288 +355,438 @@ fn debug_assert_finite_operand(m: &Matrix, name: &str) {
     }
 }
 
-/// Packs the `mc × kc` block of `op(A)` at `(ic, pc)` into `MR`-row
-/// micro-panels: panel `t` holds rows `ic + t·MR ..`, laid out so the
-/// micro-kernel reads `buf[t·kc·MR + p·MR + r]` with stride-1 `p` walks.
-/// Partial edge panels are zero-padded to full `MR` height.
-fn pack_a(op: GemmOp, a: &Matrix, ic: usize, mc: usize, pc: usize, kc: usize, buf: &mut Vec<f64>) {
-    let tiles = mc.div_ceil(MR);
-    let need = tiles * kc * MR;
-    if buf.len() < need {
-        buf.resize(need, 0.0);
+/// Copies `op(B)` (`k × n`) into `buf` as a row-major `k × n̄` panel,
+/// `n̄ = n` rounded up to [`PANEL_PAD`], with zeroed padding columns: a
+/// plain row copy for `NoTrans`, a small transpose for `Trans`. Returns
+/// `n̄`.
+fn pack_b(op: GemmOp, b: &Matrix, k: usize, n: usize, buf: &mut Vec<f64>) -> usize {
+    let nb = n.next_multiple_of(PANEL_PAD);
+    if buf.len() < k * nb {
+        buf.resize(k * nb, 0.0);
     }
-    for t in 0..tiles {
-        let base = t * kc * MR;
-        let mr = MR.min(mc - t * MR);
+    for (p, dst) in buf[..k * nb].chunks_exact_mut(nb).enumerate() {
         match op {
-            GemmOp::NoTrans => {
-                for r in 0..mr {
-                    let row = &a.row(ic + t * MR + r)[pc..pc + kc];
-                    for (p, &v) in row.iter().enumerate() {
-                        buf[base + p * MR + r] = v;
-                    }
-                }
-            }
+            GemmOp::NoTrans => dst[..n].copy_from_slice(b.row(p)),
+            // Effective B[p][j] = b[j][p].
             GemmOp::Trans => {
-                // Effective A[i][p] = a[p][i]: each source row is one `p`.
-                for p in 0..kc {
-                    let src = &a.row(pc + p)[ic + t * MR..ic + t * MR + mr];
-                    buf[base + p * MR..base + p * MR + mr].copy_from_slice(src);
+                for (j, v) in dst[..n].iter_mut().enumerate() {
+                    *v = b[(j, p)];
                 }
             }
         }
-        // Zero only the padding lanes of a partial edge tile (the buffer is
-        // reused across calls and may hold stale values there).
-        for p in 0..kc {
-            for r in mr..MR {
-                buf[base + p * MR + r] = 0.0;
-            }
-        }
+        dst[n..].fill(0.0);
     }
+    nb
 }
 
-/// Packs the `kc × nc` block of `op(B)` at `(pc, jc)` into `NR`-column
-/// micro-panels (`buf[u·kc·NR + p·NR + j]`), zero-padding partial edge
-/// panels to full `NR` width.
-fn pack_b(op: GemmOp, b: &Matrix, pc: usize, kc: usize, jc: usize, nc: usize, buf: &mut Vec<f64>) {
-    let tiles = nc.div_ceil(NR);
-    let need = tiles * kc * NR;
-    if buf.len() < need {
-        buf.resize(need, 0.0);
-    }
-    for u in 0..tiles {
-        let base = u * kc * NR;
-        let nr = NR.min(nc - u * NR);
-        match op {
-            GemmOp::NoTrans => {
-                for p in 0..kc {
-                    let src = &b.row(pc + p)[jc + u * NR..jc + u * NR + nr];
-                    buf[base + p * NR..base + p * NR + nr].copy_from_slice(src);
-                }
-            }
-            GemmOp::Trans => {
-                // Effective B[p][j] = b[j][p]: each source row is one `j`.
-                for j in 0..nr {
-                    let src = &b.row(jc + u * NR + j)[pc..pc + kc];
-                    for (p, &v) in src.iter().enumerate() {
-                        buf[base + p * NR + j] = v;
-                    }
-                }
-            }
-        }
-        // Zero only the padding lanes of a partial edge tile.
-        for p in 0..kc {
-            for j in nr..NR {
-                buf[base + p * NR + j] = 0.0;
-            }
-        }
-    }
-}
-
-/// Runs the register-tiled micro-kernel over every `MR × NR` tile of the
-/// packed `mc × nc` block at `(ic, jc)` of the row-major output `c` (row
-/// stride `ldc`) and merges `α`-scaled results into it (`store` replaces
-/// instead of accumulating — the first-panel fast path).
-#[allow(clippy::too_many_arguments)]
-fn macro_kernel(
-    alpha: f64,
-    (mc, nc, kc): (usize, usize, usize),
-    pack_a: &[f64],
-    pack_b: &[f64],
-    c: &mut [f64],
-    ldc: usize,
-    ic: usize,
-    jc: usize,
-    kernel: MicroKernel,
-    store: bool,
-) {
-    let row_tiles = mc.div_ceil(MR);
-    let col_tiles = nc.div_ceil(NR);
-    for u in 0..col_tiles {
-        let jr = u * NR;
-        let nr = NR.min(nc - jr);
-        let bp = &pack_b[u * kc * NR..(u + 1) * kc * NR];
-        for t in 0..row_tiles {
-            let ir = t * MR;
-            let mr = MR.min(mc - ir);
-            let ap = &pack_a[t * kc * MR..(t + 1) * kc * MR];
-            #[cfg(target_arch = "x86_64")]
-            if kernel == MicroKernel::Fma && mr == MR && nr == NR {
-                // Full tile on the FMA kernel: accumulate in registers and
-                // write α-scaled results straight into C — no stack
-                // spill + separate writeback pass. Identical arithmetic to
-                // the buffered path below.
-                let off = (ic + ir) * ldc + jc + jr;
-                let tile = &mut c[off..off + (MR - 1) * ldc + NR];
-                // SAFETY: `tile` holds all `MR` rows of `NR` elements at
-                // stride `ldc`, and the FMA features were detected at
-                // selection time.
-                unsafe { micro_kernel_fma_direct(ap, bp, tile.as_mut_ptr(), ldc, alpha, store) };
-                continue;
-            }
-            let mut acc = [[0.0f64; NR]; MR];
-            run_micro_kernel(ap, bp, &mut acc, kernel);
-            for r in 0..mr {
-                let off = (ic + ir + r) * ldc + jc + jr;
-                let crow = &mut c[off..off + nr];
-                if store {
-                    for (cv, &av) in crow.iter_mut().zip(&acc[r][..nr]) {
-                        *cv = alpha * av;
-                    }
-                } else {
-                    for (cv, &av) in crow.iter_mut().zip(&acc[r][..nr]) {
-                        *cv += alpha * av;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Which micro-kernel implementation the host runs. Selected once per
-/// process, so the accumulation arithmetic is fixed for every call; the
-/// two fused variants produce bit-identical results (both use exactly
-/// rounded fused multiply-adds in the same order).
+/// The lane backend a product runs on (see the module docs). A variant is
+/// only ever run on a host that [`Backend::host`] or the tests' detection
+/// found to support it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MicroKernel {
-    /// 256-bit fused multiply-add tiles.
+enum Backend {
+    /// AVX-512F `zmm` lanes.
     #[cfg(target_arch = "x86_64")]
-    Fma,
-    /// Portable scalar-tiled kernel (separate multiply and add).
-    Reference,
+    Avx512,
+    /// AVX2+FMA `ymm` lanes.
+    #[cfg(target_arch = "x86_64")]
+    Avx2Fma,
+    /// Plain Rust, separate multiply and add.
+    Portable,
 }
 
-/// Dispatches one `MR × NR` tile to the selected kernel.
-#[inline]
-fn run_micro_kernel(ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR], kernel: MicroKernel) {
-    match kernel {
-        // SAFETY: the variant is only constructed when AVX2+FMA were
-        // detected at runtime (see `select_micro_kernel`).
+impl Backend {
+    /// The widest backend this host runs. The standard library caches the
+    /// CPU detection, so every call of a process returns the same backend.
+    fn host() -> Backend {
         #[cfg(target_arch = "x86_64")]
-        MicroKernel::Fma => unsafe { micro_kernel_fma(ap, bp, acc) },
-        MicroKernel::Reference => micro_kernel_ref(ap, bp, acc),
-    }
-}
-
-/// Portable micro-kernel: `MR × NR` independent accumulator chains, one
-/// multiply-add per packed element pair. The `NR`-wide inner loop has no
-/// cross-lane dependencies, so it auto-vectorizes on any SIMD width.
-#[inline]
-fn micro_kernel_ref(ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
-    for (av, bv) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-        for (accr, &a) in acc.iter_mut().zip(av) {
-            for (cv, &b) in accr.iter_mut().zip(bv) {
-                *cv += a * b;
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Backend::Avx512;
+            }
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                return Backend::Avx2Fma;
             }
         }
+        Backend::Portable
     }
-}
 
-/// AVX2+FMA micro-kernel: the same arithmetic as [`micro_kernel_ref`] with
-/// exactly rounded fused multiply-adds, written with explicit 256-bit
-/// intrinsics — each tile row is two `ymm` accumulators, so every packed
-/// `A` element costs one broadcast and two FMAs. (The autovectorizer
-/// leaves the equivalent safe loop as 32 scalar FMAs, which measured ~2×
-/// slower.)
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn micro_kernel_fma(ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
-    use core::arch::x86_64::*;
-    const { assert!(NR == 8, "kernel is written for 8-wide (two ymm) tiles") };
-    // SAFETY: the packed panels hold `kc` complete `MR`/`NR` chunks and
-    // each acc row is exactly NR = 8 doubles (two ymm registers).
-    unsafe {
-        let mut c: [[__m256d; 2]; MR] = [[_mm256_setzero_pd(); 2]; MR];
-        for (cr, accr) in c.iter_mut().zip(acc.iter()) {
-            cr[0] = _mm256_loadu_pd(accr.as_ptr());
-            cr[1] = _mm256_loadu_pd(accr.as_ptr().add(4));
-        }
-        let kc = bp.len() / NR;
-        for p in 0..kc {
-            let b0 = _mm256_loadu_pd(bp.as_ptr().add(p * NR));
-            let b1 = _mm256_loadu_pd(bp.as_ptr().add(p * NR + 4));
-            let a = ap.as_ptr().add(p * MR);
-            for (r, cr) in c.iter_mut().enumerate() {
-                let av = _mm256_set1_pd(*a.add(r));
-                cr[0] = _mm256_fmadd_pd(av, b0, cr[0]);
-                cr[1] = _mm256_fmadd_pd(av, b1, cr[1]);
-            }
-        }
-        for (cr, accr) in c.iter().zip(acc.iter_mut()) {
-            _mm256_storeu_pd(accr.as_mut_ptr(), cr[0]);
-            _mm256_storeu_pd(accr.as_mut_ptr().add(4), cr[1]);
+    /// Runs every register tile of an `m × n` product.
+    ///
+    /// # Safety
+    ///
+    /// The host must run this backend's instruction set, and `s` must
+    /// describe an `m × k` `op(A)` laid out as `op_a` says, a `k × nb`
+    /// panel with `nb ≥ n` rounded up to [`PANEL_PAD`], and an `m × n`
+    /// output with no other live access.
+    unsafe fn run(self, op_a: GemmOp, s: &Operands, m: usize, n: usize) {
+        match (self, op_a) {
+            // `8 × 24` tiles: 24 of the 32 `zmm` registers accumulate.
+            #[cfg(target_arch = "x86_64")]
+            (Backend::Avx512, GemmOp::NoTrans) => rows::<Avx512, 8, 4, 3, false>(s, m, n),
+            #[cfg(target_arch = "x86_64")]
+            (Backend::Avx512, GemmOp::Trans) => rows::<Avx512, 8, 4, 3, true>(s, m, n),
+            // `6 × 8` tiles: 12 of the 16 `ymm` registers accumulate,
+            // leaving two for `op(B)` and one for the broadcast.
+            #[cfg(target_arch = "x86_64")]
+            (Backend::Avx2Fma, GemmOp::NoTrans) => rows::<Avx2Fma, 6, 2, 2, false>(s, m, n),
+            #[cfg(target_arch = "x86_64")]
+            (Backend::Avx2Fma, GemmOp::Trans) => rows::<Avx2Fma, 6, 2, 2, true>(s, m, n),
+            (Backend::Portable, GemmOp::NoTrans) => rows::<Portable, 6, 2, 2, false>(s, m, n),
+            (Backend::Portable, GemmOp::Trans) => rows::<Portable, 6, 2, 2, true>(s, m, n),
         }
     }
 }
 
-/// Full-tile FMA micro-kernel writing `α`-scaled results directly into
-/// `C` (`dst` = `&mut c[i0][j0]`, rows `row_stride` apart): accumulates in
-/// registers from zero and skips the stack-buffer round trip of the
-/// buffered path. Same multiplies/adds in the same order, so the output
-/// bits match the buffered FMA path exactly.
+/// Raw operands of one product: `op(A)` in place (row stride `lda`), the
+/// padded `k × nb` panel of `op(B)`, and the `C` output (row stride `ldc`).
+struct Operands {
+    a: *const f64,
+    lda: usize,
+    b: *const f64,
+    nb: usize,
+    k: usize,
+    c: *mut f64,
+    ldc: usize,
+    alpha: f64,
+    beta: f64,
+}
+
+/// Every tile of an `m × n` output, `V` vectors wide: `R`-row blocks, then
+/// `H`-row blocks, then 1-row blocks for the rest of the row tail.
 ///
 /// # Safety
 ///
-/// Requires AVX2+FMA, `MR` full rows of `NR` elements at `dst`, and packed
-/// panels holding complete `MR`/`NR` chunks.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn micro_kernel_fma_direct(
-    ap: &[f64],
-    bp: &[f64],
-    dst: *mut f64,
-    row_stride: usize,
-    alpha: f64,
-    store: bool,
+/// Same contract as [`Backend::run`], on the backend `L` implements.
+unsafe fn rows<L: Lanes, const R: usize, const H: usize, const V: usize, const TRANS_A: bool>(
+    s: &Operands,
+    m: usize,
+    n: usize,
 ) {
-    use core::arch::x86_64::*;
-    const { assert!(NR == 8, "kernel is written for 8-wide (two ymm) tiles") };
-    unsafe {
-        let mut c: [[__m256d; 2]; MR] = [[_mm256_setzero_pd(); 2]; MR];
-        let kc = bp.len() / NR;
-        for p in 0..kc {
-            let b0 = _mm256_loadu_pd(bp.as_ptr().add(p * NR));
-            let b1 = _mm256_loadu_pd(bp.as_ptr().add(p * NR + 4));
-            let a = ap.as_ptr().add(p * MR);
-            for (r, cr) in c.iter_mut().enumerate() {
-                let av = _mm256_set1_pd(*a.add(r));
-                cr[0] = _mm256_fmadd_pd(av, b0, cr[0]);
-                cr[1] = _mm256_fmadd_pd(av, b1, cr[1]);
-            }
-        }
-        let va = _mm256_set1_pd(alpha);
-        for (r, cr) in c.iter().enumerate() {
-            let row = dst.add(r * row_stride);
-            let lo = _mm256_mul_pd(va, cr[0]);
-            let hi = _mm256_mul_pd(va, cr[1]);
-            if store {
-                _mm256_storeu_pd(row, lo);
-                _mm256_storeu_pd(row.add(4), hi);
-            } else {
-                _mm256_storeu_pd(row, _mm256_add_pd(_mm256_loadu_pd(row), lo));
-                _mm256_storeu_pd(row.add(4), _mm256_add_pd(_mm256_loadu_pd(row.add(4)), hi));
-            }
+    let mut i = 0;
+    while m - i >= R {
+        row_block::<L, R, V, TRANS_A>(s, i, n);
+        i += R;
+    }
+    while m - i >= H {
+        row_block::<L, H, V, TRANS_A>(s, i, n);
+        i += H;
+    }
+    while i < m {
+        row_block::<L, 1, V, TRANS_A>(s, i, n);
+        i += 1;
+    }
+}
+
+/// One `R`-row block of the output: full tiles of `V` vectors, then one
+/// tile of one to `V` vectors for the column tail.
+///
+/// # Safety
+///
+/// Same contract as [`rows`], with rows `i0 .. i0 + R` in range.
+unsafe fn row_block<L: Lanes, const R: usize, const V: usize, const TRANS_A: bool>(
+    s: &Operands,
+    i0: usize,
+    n: usize,
+) {
+    let w = V * L::N;
+    let full = n - n % w;
+    for j0 in (0..full).step_by(w) {
+        L::tile::<R, V, TRANS_A>(s, i0, j0, L::N);
+    }
+    let rem = n - full;
+    if rem > 0 {
+        // Live lanes of the tail's last vector; its padding columns are
+        // zeros in the panel and never reach `C`.
+        let live = (rem - 1) % L::N + 1;
+        const { assert!(V <= 3, "tail tiles are one to three vectors wide") };
+        match rem.div_ceil(L::N) {
+            1 => L::tile::<R, 1, TRANS_A>(s, i0, full, live),
+            2 if V == 3 => L::tile::<R, 2, TRANS_A>(s, i0, full, live),
+            _ => L::tile::<R, V, TRANS_A>(s, i0, full, live),
         }
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-fn select_micro_kernel() -> MicroKernel {
-    use std::sync::OnceLock;
-    static SELECTED: OnceLock<MicroKernel> = OnceLock::new();
-    *SELECTED.get_or_init(|| {
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            MicroKernel::Fma
-        } else {
-            MicroKernel::Reference
+/// One `R × V·N` register tile at `(i0, j0)`. Per `KC` panel, `R·V`
+/// accumulators each run a multiply-add chain from zero; then `α·acc` is
+/// stored (`β = 0`) or added to `C` (`β = 1`) or to `β·C` on the first
+/// panel, and added to `C` on every later one. `live` lanes of the last
+/// vector of each row are loaded and stored.
+///
+/// # Safety
+///
+/// Same contract as [`row_block`], with columns `j0 .. j0 + V·N` inside
+/// the panel width `nb`.
+#[inline(always)]
+unsafe fn tile_loops<L: Lanes, const R: usize, const V: usize, const TRANS_A: bool>(
+    s: &Operands,
+    i0: usize,
+    j0: usize,
+    live: usize,
+) {
+    // op(A)[i0 + r][p] sits at a[(i0 + r)·lda + p] (NoTrans) or at
+    // a[p·lda + i0 + r] (Trans, a contiguous run of one source row).
+    let (row_step, p_step) = if TRANS_A { (1, s.lda) } else { (s.lda, 1) };
+    let a0 = s.a.add(i0 * row_step);
+    let mut beta = s.beta;
+    for p0 in (0..s.k).step_by(KC) {
+        let mut acc = [[L::splat(0.0); V]; R];
+        for p in p0..s.k.min(p0 + KC) {
+            let brow = s.b.add(p * s.nb + j0);
+            let mut bv = [L::splat(0.0); V];
+            for (v, b) in bv.iter_mut().enumerate() {
+                *b = L::load(brow.add(v * L::N), L::N);
+            }
+            let ap = a0.add(p * p_step);
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let av = L::splat(*ap.add(r * row_step));
+                for (cv, &b) in accr.iter_mut().zip(&bv) {
+                    *cv = L::mul_add(av, b, *cv);
+                }
+            }
         }
-    })
+        let va = L::splat(s.alpha);
+        let vb = L::splat(beta);
+        for (r, accr) in acc.iter().enumerate() {
+            let row = s.c.add((i0 + r) * s.ldc + j0);
+            for (v, &x) in accr.iter().enumerate() {
+                let len = if v + 1 == V { live } else { L::N };
+                let dst = row.add(v * L::N);
+                let prod = L::mul(va, x);
+                let out = if beta == 0.0 {
+                    prod
+                } else {
+                    let old = L::load(dst, len);
+                    let old = if beta == 1.0 { old } else { L::mul(vb, old) };
+                    L::add(old, prod)
+                };
+                L::store(dst, len, out);
+            }
+        }
+        beta = 1.0;
+    }
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-fn select_micro_kernel() -> MicroKernel {
-    MicroKernel::Reference
+/// The lane operations of one instruction set: everything the tile loops
+/// do to a vector of `N` f64.
+///
+/// # Safety
+///
+/// Every method needs a host that runs the implementor's instruction set.
+/// `load` and `store` touch the first `len` lanes at `p` (`1 ≤ len ≤ N`;
+/// the other lanes load as zero), which must be valid for that access.
+trait Lanes {
+    /// One vector of `N` lanes.
+    type Vector: Copy;
+    /// Lanes per vector.
+    const N: usize;
+    /// [`tile_loops`] for this backend, with its contract, compiled with
+    /// the backend's instruction set enabled so that the lane operations
+    /// inline into it. The row loops call one such function per tile.
+    unsafe fn tile<const R: usize, const V: usize, const TRANS_A: bool>(
+        s: &Operands,
+        i0: usize,
+        j0: usize,
+        live: usize,
+    );
+    /// Every lane `x`.
+    unsafe fn splat(x: f64) -> Self::Vector;
+    /// `acc + a·b` per lane: fused on the FMA backends, a separate
+    /// multiply and add on the portable one.
+    unsafe fn mul_add(a: Self::Vector, b: Self::Vector, acc: Self::Vector) -> Self::Vector;
+    /// `a·b` per lane.
+    unsafe fn mul(a: Self::Vector, b: Self::Vector) -> Self::Vector;
+    /// `a + b` per lane.
+    unsafe fn add(a: Self::Vector, b: Self::Vector) -> Self::Vector;
+    /// The first `len` lanes at `p`, zeros above.
+    unsafe fn load(p: *const f64, len: usize) -> Self::Vector;
+    /// Writes the first `len` lanes of `v` to `p`.
+    unsafe fn store(p: *mut f64, len: usize, v: Self::Vector);
+}
+
+/// AVX-512F lanes (see [`Lanes`]).
+#[cfg(target_arch = "x86_64")]
+struct Avx512;
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for Avx512 {
+    type Vector = std::arch::x86_64::__m512d;
+    const N: usize = 8;
+
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tile<const R: usize, const V: usize, const TRANS_A: bool>(
+        s: &Operands,
+        i0: usize,
+        j0: usize,
+        live: usize,
+    ) {
+        tile_loops::<Self, R, V, TRANS_A>(s, i0, j0, live)
+    }
+
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self::Vector {
+        std::arch::x86_64::_mm512_set1_pd(x)
+    }
+
+    #[inline(always)]
+    unsafe fn mul_add(a: Self::Vector, b: Self::Vector, acc: Self::Vector) -> Self::Vector {
+        std::arch::x86_64::_mm512_fmadd_pd(a, b, acc)
+    }
+
+    #[inline(always)]
+    unsafe fn mul(a: Self::Vector, b: Self::Vector) -> Self::Vector {
+        std::arch::x86_64::_mm512_mul_pd(a, b)
+    }
+
+    #[inline(always)]
+    unsafe fn add(a: Self::Vector, b: Self::Vector) -> Self::Vector {
+        std::arch::x86_64::_mm512_add_pd(a, b)
+    }
+
+    #[inline(always)]
+    unsafe fn load(p: *const f64, len: usize) -> Self::Vector {
+        use std::arch::x86_64::*;
+        if len == Self::N {
+            _mm512_loadu_pd(p)
+        } else {
+            _mm512_maskz_loadu_pd(u8::MAX >> (Self::N - len), p)
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn store(p: *mut f64, len: usize, v: Self::Vector) {
+        use std::arch::x86_64::*;
+        if len == Self::N {
+            _mm512_storeu_pd(p, v)
+        } else {
+            _mm512_mask_storeu_pd(p, u8::MAX >> (Self::N - len), v)
+        }
+    }
+}
+
+/// AVX2+FMA lanes (see [`Lanes`]).
+#[cfg(target_arch = "x86_64")]
+struct Avx2Fma;
+
+#[cfg(target_arch = "x86_64")]
+impl Avx2Fma {
+    /// The `maskload`/`maskstore` mask selecting the first `len` lanes.
+    #[inline(always)]
+    unsafe fn mask(len: usize) -> std::arch::x86_64::__m256i {
+        use std::arch::x86_64::*;
+        _mm256_cmpgt_epi64(
+            _mm256_set1_epi64x(len as i64),
+            _mm256_setr_epi64x(0, 1, 2, 3),
+        )
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for Avx2Fma {
+    type Vector = std::arch::x86_64::__m256d;
+    const N: usize = 4;
+
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn tile<const R: usize, const V: usize, const TRANS_A: bool>(
+        s: &Operands,
+        i0: usize,
+        j0: usize,
+        live: usize,
+    ) {
+        tile_loops::<Self, R, V, TRANS_A>(s, i0, j0, live)
+    }
+
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self::Vector {
+        std::arch::x86_64::_mm256_set1_pd(x)
+    }
+
+    #[inline(always)]
+    unsafe fn mul_add(a: Self::Vector, b: Self::Vector, acc: Self::Vector) -> Self::Vector {
+        std::arch::x86_64::_mm256_fmadd_pd(a, b, acc)
+    }
+
+    #[inline(always)]
+    unsafe fn mul(a: Self::Vector, b: Self::Vector) -> Self::Vector {
+        std::arch::x86_64::_mm256_mul_pd(a, b)
+    }
+
+    #[inline(always)]
+    unsafe fn add(a: Self::Vector, b: Self::Vector) -> Self::Vector {
+        std::arch::x86_64::_mm256_add_pd(a, b)
+    }
+
+    #[inline(always)]
+    unsafe fn load(p: *const f64, len: usize) -> Self::Vector {
+        use std::arch::x86_64::*;
+        if len == Self::N {
+            _mm256_loadu_pd(p)
+        } else {
+            _mm256_maskload_pd(p, Self::mask(len))
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn store(p: *mut f64, len: usize, v: Self::Vector) {
+        use std::arch::x86_64::*;
+        if len == Self::N {
+            _mm256_storeu_pd(p, v)
+        } else {
+            _mm256_maskstore_pd(p, Self::mask(len), v)
+        }
+    }
+}
+
+/// Portable lanes (see [`Lanes`]): plain arrays, one rounding per
+/// multiply and per add.
+struct Portable;
+
+impl Lanes for Portable {
+    type Vector = [f64; 2];
+    const N: usize = 2;
+
+    unsafe fn tile<const R: usize, const V: usize, const TRANS_A: bool>(
+        s: &Operands,
+        i0: usize,
+        j0: usize,
+        live: usize,
+    ) {
+        tile_loops::<Self, R, V, TRANS_A>(s, i0, j0, live)
+    }
+
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self::Vector {
+        [x; 2]
+    }
+
+    #[inline(always)]
+    unsafe fn mul_add(a: Self::Vector, b: Self::Vector, acc: Self::Vector) -> Self::Vector {
+        [acc[0] + a[0] * b[0], acc[1] + a[1] * b[1]]
+    }
+
+    #[inline(always)]
+    unsafe fn mul(a: Self::Vector, b: Self::Vector) -> Self::Vector {
+        [a[0] * b[0], a[1] * b[1]]
+    }
+
+    #[inline(always)]
+    unsafe fn add(a: Self::Vector, b: Self::Vector) -> Self::Vector {
+        [a[0] + b[0], a[1] + b[1]]
+    }
+
+    #[inline(always)]
+    unsafe fn load(p: *const f64, len: usize) -> Self::Vector {
+        let mut v = [0.0; 2];
+        std::ptr::copy_nonoverlapping(p, v.as_mut_ptr(), len);
+        v
+    }
+
+    #[inline(always)]
+    unsafe fn store(p: *mut f64, len: usize, v: Self::Vector) {
+        std::ptr::copy_nonoverlapping(v.as_ptr(), p, len);
+    }
 }
 
 #[cfg(test)]
@@ -1028,15 +805,33 @@ mod tests {
         }
     }
 
+    /// Every backend this host runs, widest first.
+    fn host_backends() -> Vec<Backend> {
+        let mut backends = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                backends.push(Backend::Avx512);
+            }
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                backends.push(Backend::Avx2Fma);
+            }
+        }
+        backends.push(Backend::Portable);
+        backends
+    }
+
     #[test]
-    fn blocked_matches_naive_across_panel_boundaries() {
-        // m spans two MC panels, k spans two KC panels, edges not multiples
-        // of MR/NR — every padding path is exercised.
-        let (m, n, k) = (MC + 3, NR * 2 + 5, KC + 7);
+    fn matches_naive_across_panel_boundaries() {
+        // k spans two KC panels; m and n are not multiples of any tile
+        // height or width, so every row and column tail runs.
+        let (m, n, k) = (131, 21, 263);
         let a = filled(m, k, |i, j| ((i * 31 + j * 17) % 23) as f64 * 0.37 - 3.0);
         let b = filled(k, n, |i, j| ((i * 13 + j * 29) % 19) as f64 * 0.23 - 1.5);
         let mut ws = GemmWorkspace::new();
-        let mut c_blocked = Matrix::default();
+        let mut c = Matrix::default();
         gemm(
             GemmOp::NoTrans,
             GemmOp::NoTrans,
@@ -1044,7 +839,7 @@ mod tests {
             &a,
             &b,
             0.0,
-            &mut c_blocked,
+            &mut c,
             &mut ws,
         );
         let mut c_naive = Matrix::default();
@@ -1057,12 +852,12 @@ mod tests {
             0.0,
             &mut c_naive,
         );
-        assert_close(&c_blocked, &c_naive, 1e-12);
+        assert_close(&c, &c_naive, 1e-12);
     }
 
     #[test]
     fn all_op_combinations_agree_with_naive() {
-        let (m, n, k) = (37, 26, 41); // above the cutoff: 37·26·41 ≈ 39k
+        let (m, n, k) = (37, 26, 41);
         let mut ws = GemmWorkspace::new();
         for op_a in [GemmOp::NoTrans, GemmOp::Trans] {
             for op_b in [GemmOp::NoTrans, GemmOp::Trans] {
@@ -1085,7 +880,7 @@ mod tests {
 
     #[test]
     fn beta_accumulates_into_existing_output() {
-        let (m, n, k) = (20, 24, 32); // 15k > cutoff
+        let (m, n, k) = (20, 24, 32);
         let a = filled(m, k, |i, j| (i + j) as f64 * 0.1);
         let b = filled(k, n, |i, j| (i as f64 - j as f64) * 0.2);
         let c0 = filled(m, n, |i, j| (i * n + j) as f64 * 0.01);
@@ -1137,7 +932,7 @@ mod tests {
                 }
             }
         }
-        for (m, n, k) in [(3, 4, 5), (33, 29, 17)] {
+        for (m, n, k) in [(3, 4, 5), (33, 29, 17), (5, 6, 0), (9, 11, 300)] {
             let a = filled(m, k, |i, j| (i + j) as f64);
             let b = filled(k, n, |i, j| (i as f64 + 1.0) * (j as f64 - 1.0));
             let mut ws = GemmWorkspace::new();
@@ -1257,30 +1052,6 @@ mod tests {
         }
     }
 
-    /// Runs one product on the small path (`small = true`) or the blocked
-    /// path, bypassing the dispatch rule — the crate-internal hook of the
-    /// bit-identity tests.
-    #[allow(clippy::too_many_arguments)]
-    fn product_on_path(
-        small: bool,
-        (op_a, op_b): (GemmOp, GemmOp),
-        alpha: f64,
-        a: &Matrix,
-        b: &Matrix,
-        beta: f64,
-        c: &mut Matrix,
-        ws: &mut GemmWorkspace,
-        epilogue: &mut MlpEpilogue<'_>,
-    ) {
-        let dims = checked_dims(op_a, op_b, a, b);
-        prepare_output(beta, dims.0, dims.1, c);
-        if small {
-            small_body(op_a, op_b, alpha, a, b, beta, c, ws, epilogue, dims);
-        } else {
-            blocked_body(op_a, op_b, alpha, a, b, beta, c, ws, epilogue, dims);
-        }
-    }
-
     fn operand(op: GemmOp, rows: usize, cols: usize, seed: &[f64], salt: usize) -> Matrix {
         let (r, c) = match op {
             GemmOp::NoTrans => (rows, cols),
@@ -1296,51 +1067,118 @@ mod tests {
         (GemmOp::Trans, GemmOp::Trans),
     ];
 
+    /// The engine's arithmetic written out one element at a time: per
+    /// 256-deep panel a scalar chain from zero — `f64::mul_add` when
+    /// `fused`, a separate multiply and add otherwise — merged into `C`
+    /// as the module docs say, then the epilogue.
+    #[allow(clippy::too_many_arguments)]
+    fn scalar_reference(
+        fused: bool,
+        (op_a, op_b): (GemmOp, GemmOp),
+        alpha: f64,
+        a: &Matrix,
+        b: &Matrix,
+        beta: f64,
+        c: &mut Matrix,
+        epilogue: &mut MlpEpilogue<'_>,
+    ) {
+        let (m, n, k) = checked_dims(op_a, op_b, a, b);
+        let op_a_at = |i: usize, p: usize| match op_a {
+            GemmOp::NoTrans => a[(i, p)],
+            GemmOp::Trans => a[(p, i)],
+        };
+        let op_b_at = |p: usize, j: usize| match op_b {
+            GemmOp::NoTrans => b[(p, j)],
+            GemmOp::Trans => b[(j, p)],
+        };
+        for i in 0..m {
+            for j in 0..n {
+                let mut v = match beta {
+                    0.0 => 0.0,
+                    1.0 => c[(i, j)],
+                    _ => beta * c[(i, j)],
+                };
+                for p0 in (0..k).step_by(256) {
+                    let mut acc = 0.0f64;
+                    for p in p0..k.min(p0 + 256) {
+                        let (x, y) = (op_a_at(i, p), op_b_at(p, j));
+                        acc = if fused {
+                            x.mul_add(y, acc)
+                        } else {
+                            acc + x * y
+                        };
+                    }
+                    v = if p0 == 0 && beta == 0.0 {
+                        alpha * acc
+                    } else {
+                        v + alpha * acc
+                    };
+                }
+                c[(i, j)] = v;
+            }
+            epilogue.apply(i, 0, c.row_mut(i));
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
-        /// The small path is bit-identical to the blocked path for every
-        /// op combination, α ∈ {1, −0.5}, β ∈ {0, 0.5, 1} and every MLP
-        /// epilogue, on shapes covering full tiles, row tails (m = 1..9)
-        /// and column tails around the 8/24-column tile widths, at depths
-        /// up to one `KC` panel.
+        /// Every backend this host runs agrees with the scalar reference
+        /// bit for bit — the FMA backends with the `f64::mul_add` chain,
+        /// the portable one with the separate multiply and add — and the
+        /// portable backend equals `gemm_naive` in value up to one panel
+        /// deep. Covers every op combination, α ∈ {1, −0.5},
+        /// β ∈ {0, 0.5, 1} and every MLP epilogue, on shapes with full
+        /// tiles, row tails (m = 1..9), column tails around every
+        /// backend's vector and tile widths, and depths from 0 to three
+        /// panels.
         #[test]
-        fn small_path_is_bit_identical_to_blocked(
+        fn lane_backends_agree(
             m_sel in 0usize..10,
-            n_sel in 0usize..10,
-            k_sel in 0usize..4,
+            n_sel in 0usize..9,
+            k_sel in 0usize..6,
             epi_sel in 0usize..6,
             seed in proptest::collection::vec(-1.0..1.0f64, 32..200),
         ) {
-            if !small_path_available() {
-                return Ok(());
-            }
             let m = [1, 2, 3, 4, 5, 6, 7, 8, 9, 128][m_sel];
-            let n = [1, 7, 8, 9, 23, 24, 25, 30, 40, 48][n_sel];
-            let k = [1, 40, 128, KC][k_sel];
+            let n = [1, 7, 8, 9, 23, 24, 25, 48, 300][n_sel];
+            let k = [0, 1, 40, 128, 256, 549][k_sel];
             let bias: Vec<f64> = (0..n).map(|j| seed[(5 * j + 1) % seed.len()]).collect();
             let act = Matrix::from_fn(m, n, |i, j| seed[(i + 11 * j) % seed.len()]);
             let c0 = Matrix::from_fn(m, n, |i, j| seed[(3 * i + 5 * j + 2) % seed.len()]);
-            for (op_a, op_b) in OPS {
-                let a = operand(op_a, m, k, &seed, 0);
-                let b = operand(op_b, k, n, &seed, 13);
+            let epi = || match epi_sel {
+                0 => MlpEpilogue::Plain,
+                1 => MlpEpilogue::Bias(&bias),
+                2 => MlpEpilogue::BiasRelu(&bias),
+                3 => MlpEpilogue::BiasTanh(&bias),
+                4 => MlpEpilogue::ReluPrime(&act),
+                _ => MlpEpilogue::TanhPrime(&act),
+            };
+            let backends = host_backends();
+            let ws = &mut GemmWorkspace::new();
+            for ops in OPS {
+                let a = operand(ops.0, m, k, &seed, 0);
+                let b = operand(ops.1, k, n, &seed, 13);
                 for alpha in [1.0, -0.5] {
                     for beta in [0.0, 0.5, 1.0] {
-                        let mut out = [c0.clone(), c0.clone()];
-                        for (small, c) in [true, false].into_iter().zip(&mut out) {
-                            let mut epi = match epi_sel {
-                                0 => MlpEpilogue::Plain,
-                                1 => MlpEpilogue::Bias(&bias),
-                                2 => MlpEpilogue::BiasRelu(&bias),
-                                3 => MlpEpilogue::BiasTanh(&bias),
-                                4 => MlpEpilogue::ReluPrime(&act),
-                                _ => MlpEpilogue::TanhPrime(&act),
-                            };
-                            let ws = &mut GemmWorkspace::new();
-                            product_on_path(small, (op_a, op_b), alpha, &a, &b, beta, c, ws, &mut epi);
-                        }
-                        for (x, y) in out[0].as_slice().iter().zip(out[1].as_slice()) {
-                            proptest::prop_assert_eq!(x.to_bits(), y.to_bits());
+                        let reference = |fused| {
+                            let mut c = c0.clone();
+                            scalar_reference(fused, ops, alpha, &a, &b, beta, &mut c, &mut epi());
+                            c
+                        };
+                        let (fused, plain) = (reference(true), reference(false));
+                        for &backend in &backends {
+                            let mut c = c0.clone();
+                            product(backend, ops, alpha, &a, &b, beta, &mut c, ws, &mut epi());
+                            let expect = if backend == Backend::Portable { &plain } else { &fused };
+                            for (x, y) in c.as_slice().iter().zip(expect.as_slice()) {
+                                proptest::prop_assert!(x.to_bits() == y.to_bits(), "{backend:?}: {x} vs {y}");
+                            }
+                            if backend == Backend::Portable && k <= 256 {
+                                let mut naive = c0.clone();
+                                gemm_naive_with(ops.0, ops.1, alpha, &a, &b, beta, &mut naive, &mut epi());
+                                proptest::prop_assert_eq!(c.as_slice(), naive.as_slice());
+                            }
                         }
                     }
                 }
@@ -1348,83 +1186,51 @@ mod tests {
         }
     }
 
-    /// The blocked kernel's bits, pinned: one `gemm_with` product three
-    /// `KC` panels deep, with α, β = 0.5, a bias + tanh epilogue, and row
-    /// and column edge tiles. Any change to the loop nest's accumulation
-    /// order moves the digest. The digest holds on the AVX2+FMA
-    /// micro-kernel; the portable one rounds differently.
+    /// The engine's bits, pinned: one product three `KC` panels deep, with
+    /// α, β = 0.5, a bias + tanh epilogue, and row and column tail tiles.
+    /// Any change to the per-element operation sequence moves the digest.
+    /// It holds on every FMA backend; the portable one rounds differently.
     #[test]
-    fn blocked_multi_panel_bits_are_pinned() {
-        let (m, n, k) = (MC + 13, 3 * NR + 5, 2 * KC + 37);
+    fn multi_panel_bits_are_pinned() {
+        let (m, n, k) = (141, 29, 549);
         let seed: Vec<f64> = (0..97).map(|i| (i as f64 * 0.37).sin()).collect();
         let a = operand(GemmOp::NoTrans, m, k, &seed, 0);
         let b = operand(GemmOp::Trans, k, n, &seed, 13);
         let bias: Vec<f64> = (0..n).map(|j| seed[(5 * j + 1) % seed.len()]).collect();
-        let mut c = Matrix::from_fn(m, n, |i, j| seed[(3 * i + 5 * j + 2) % seed.len()]);
-        gemm_with(
-            GemmOp::NoTrans,
-            GemmOp::Trans,
-            -0.75,
-            &a,
-            &b,
-            0.5,
-            &mut c,
-            &mut GemmWorkspace::new(),
-            &mut MlpEpilogue::BiasTanh(&bias),
-        );
-        let digest = c.as_slice().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
-            (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-        #[cfg(target_arch = "x86_64")]
-        if select_micro_kernel() == MicroKernel::Fma {
+        let c0 = Matrix::from_fn(m, n, |i, j| seed[(3 * i + 5 * j + 2) % seed.len()]);
+        for backend in host_backends() {
+            if backend == Backend::Portable {
+                continue;
+            }
+            let mut c = c0.clone();
+            product(
+                backend,
+                (GemmOp::NoTrans, GemmOp::Trans),
+                -0.75,
+                &a,
+                &b,
+                0.5,
+                &mut c,
+                &mut GemmWorkspace::new(),
+                &mut MlpEpilogue::BiasTanh(&bias),
+            );
+            let digest = c.as_slice().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+            });
             assert_eq!(
                 digest, 0x131b_ff97_45fb_0cf1,
-                "blocked product bits moved: {digest:#018x}"
+                "{backend:?} product bits moved: {digest:#018x}"
             );
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = digest;
     }
 
-    /// The dispatch rule: the eight products of a critic training step
-    /// (batch 128, widths 40→48→48→30) take the small path on AVX-512F
-    /// hosts; products deeper than one panel or wider than the cap do not.
-    #[test]
-    fn critic_products_take_the_small_path() {
-        let critic = [
-            (128, 48, 40),
-            (128, 48, 48),
-            (128, 30, 48),
-            (30, 48, 128),
-            (128, 48, 30),
-            (48, 48, 128),
-            (128, 48, 48),
-            (48, 40, 128),
-        ];
-        for (m, n, k) in critic {
-            assert!(m * n * k > GEMM_NAIVE_CUTOFF);
-            assert_eq!(
-                takes_small_path(n, k),
-                small_path_available(),
-                "{m}x{n}x{k}"
-            );
-        }
-        assert!(!takes_small_path(48, GEMM_SMALL_MAX_K + 1));
-        assert!(!takes_small_path(GEMM_SMALL_MAX_N + 1, 48));
-    }
-
-    /// Diagnostic (run with `--release -- --ignored --nocapture`): serial
-    /// small path vs blocked path (and the naive kernel on tiny products)
-    /// on the eight critic products and across larger shapes — the
-    /// measurements behind [`GEMM_SMALL_MAX_N`].
+    /// Diagnostic (run with `--release -- --ignored --nocapture`): every
+    /// backend the host runs, and `gemm_naive`, on the eight critic
+    /// products (batch 128, widths 40→48→48→30) and across larger shapes.
     #[test]
     #[ignore]
-    fn probe_small_path_crossover() {
+    fn probe_gemm_backends() {
         type Shape = (usize, usize, usize, (GemmOp, GemmOp));
-        if !small_path_available() {
-            eprintln!("no AVX-512F on this host: nothing to probe");
-            return;
-        }
         let seed: Vec<f64> = (0..97).map(|i| (i as f64 * 0.37).sin()).collect();
         let nn = (GemmOp::NoTrans, GemmOp::NoTrans);
         let nt = (GemmOp::NoTrans, GemmOp::Trans);
@@ -1444,22 +1250,35 @@ mod tests {
                 .into_iter()
                 .flat_map(move |n| [8, 48, 128, KC].map(|k| (m, n, k, nn)))
         });
+        let backends = host_backends();
         let mut ws = GemmWorkspace::new();
         let mut c = Matrix::default();
-        // Best-of-25 µs per product: small path, blocked path, or naive.
-        let mut time = |path: Option<bool>, (m, n, k, ops): Shape| {
+        // Best-of-25 µs per product on a backend (`None`: the naive loops,
+        // best-of-3 single calls on the largest products).
+        let mut time = |path: Option<Backend>, (m, n, k, ops): Shape| {
             let a = operand(ops.0, m, k, &seed, 0);
             let b = operand(ops.1, k, n, &seed, 13);
-            let reps = (2_000_000 / (m * n * k)).clamp(3, 2000);
+            let (reps, tries) = if path.is_none() && m * n * k > 1 << 22 {
+                (1, 3)
+            } else {
+                ((2_000_000 / (m * n * k)).clamp(3, 2000), 25)
+            };
             let mut best = f64::INFINITY;
-            for _ in 0..25 {
+            for _ in 0..tries {
                 let t = std::time::Instant::now();
                 for _ in 0..reps {
-                    let epi = &mut MlpEpilogue::Plain;
                     match path {
-                        Some(small) => {
-                            product_on_path(small, ops, 1.0, &a, &b, 0.0, &mut c, &mut ws, epi)
-                        }
+                        Some(backend) => product(
+                            backend,
+                            ops,
+                            1.0,
+                            &a,
+                            &b,
+                            0.0,
+                            &mut c,
+                            &mut ws,
+                            &mut NoEpilogue,
+                        ),
                         None => gemm_naive(ops.0, ops.1, 1.0, &a, &b, 0.0, &mut c),
                     }
                 }
@@ -1467,26 +1286,28 @@ mod tests {
             }
             best * 1e6
         };
-        let mut step = (0.0, 0.0);
+        let mut step = vec![0.0; backends.len() + 1];
         for (i, shape) in critic.into_iter().chain(sweep).enumerate() {
             let (m, n, k, _) = shape;
-            let ts = time(Some(true), shape);
-            let tb = time(Some(false), shape);
-            let naive = if m * n * k <= GEMM_NAIVE_CUTOFF {
-                format!(" naive {:8.2}us", time(None, shape))
-            } else {
-                String::new()
-            };
-            eprintln!(
-                "m={m:4} n={n:4} k={k:3} small {ts:8.2}us blocked {tb:8.2}us \
-                 blocked/small {:.2}{naive}",
-                tb / ts
-            );
+            let paths = backends.iter().map(|&b| Some(b)).chain([None]);
+            let times: Vec<f64> = paths.map(|path| time(path, shape)).collect();
+            let mut line = format!("m={m:4} n={n:4} k={k:3}");
+            for (path, t) in backends
+                .iter()
+                .map(|b| format!("{b:?}"))
+                .chain(["naive".into()])
+                .zip(&times)
+            {
+                line += &format!(" {path} {t:9.2}us");
+            }
+            eprintln!("{line}");
             if i < critic.len() {
-                step = (step.0 + ts, step.1 + tb);
+                for (s, t) in step.iter_mut().zip(&times) {
+                    *s += t;
+                }
             }
             if i + 1 == critic.len() {
-                eprintln!("critic step: small {:.1}us blocked {:.1}us", step.0, step.1);
+                eprintln!("critic step (backends as above, then naive): {step:.1?} us");
             }
         }
     }

@@ -6,13 +6,13 @@
 //!
 //! - [`Matrix`]: a row-major dense matrix with the usual arithmetic,
 //!   used by the neural-network and Gaussian-process crates.
-//! - [`gemm`] / [`gemm_with`]: a cache-blocked, register-tiled GEMM engine
-//!   covering all `op(A)·op(B)` shapes with packed panels held in a
-//!   reusable [`GemmWorkspace`] and fused output epilogues — the training
-//!   kernel behind the DNN-Opt critic/actor networks. On AVX-512 hosts
-//!   the MLP-sized products take an unpacked register-tiled small path,
-//!   bit-identical to the blocked kernel. Every product runs serially on
-//!   the calling thread.
+//! - [`gemm`] / [`gemm_with`]: a register-tiled GEMM engine covering all
+//!   `op(A)·op(B)` shapes, with the `op(B)` panel held in a reusable
+//!   [`GemmWorkspace`] and fused output epilogues — the training kernel
+//!   behind the DNN-Opt critic/actor networks. One set of tile loops runs
+//!   every product on an AVX-512F, AVX2+FMA or portable lane backend
+//!   chosen from CPU detection; results are bit-identical across x86-64
+//!   hosts with FMA. Every product runs serially on the calling thread.
 //! - [`pool`]: the process-wide worker pool behind the optimizer's
 //!   population grid, sized by `DNNOPT_THREADS` /
 //!   [`pool::set_max_threads`]. It is the only parallel layer: every
@@ -68,7 +68,6 @@ pub use cholesky::Cholesky;
 pub use complex::C64;
 pub use gemm::{
     gemm, gemm_naive, gemm_naive_with, gemm_with, Epilogue, GemmOp, GemmWorkspace, NoEpilogue,
-    GEMM_NAIVE_CUTOFF, GEMM_SMALL_MAX_K, GEMM_SMALL_MAX_N,
 };
 pub use lu::{ComplexLu, Lu, LuT};
 pub use matrix::Matrix;

@@ -3,7 +3,6 @@
 use linalg::{
     gemm, gemm_naive, gemm_with, Cholesky, ComplexLu, CscComplexMatrix, CscMatrix, Epilogue,
     FactorError, GemmOp, GemmWorkspace, Lu, Matrix, SparseComplexLu, SparseLu, C64,
-    GEMM_SMALL_MAX_K,
 };
 use proptest::prelude::*;
 
@@ -469,14 +468,12 @@ fn gemm_operand(op: GemmOp, rows: usize, cols: usize, seed: &[f64], offset: usiz
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The blocked GEMM agrees with the naive reference to ≤1e-12 relative
-    /// for every op combination, alpha/beta case, and sizes straddling the
-    /// naive-dispatch cutoff (`m·n·k` here spans ~1 … 64·GEMM_NAIVE_CUTOFF).
-    /// One case in three runs deeper than the small path serves
-    /// (`k > GEMM_SMALL_MAX_K`), so the blocked kernel accumulates across
-    /// two `KC` panels.
+    /// The GEMM agrees with the naive reference to ≤1e-12 relative for
+    /// every op combination, alpha/beta case, and sizes from one element
+    /// to a few register tiles. One case in three runs deeper than one
+    /// accumulation panel, so the engine merges two panels.
     #[test]
-    fn gemm_blocked_agrees_with_naive(
+    fn gemm_agrees_with_naive(
         m in 1usize..40,
         n in 1usize..40,
         k in 1usize..40,
@@ -488,7 +485,8 @@ proptest! {
         seed in proptest::collection::vec(-1.0..1.0f64, 32..200),
     ) {
         let k = if deep_sel == 0 { deep_k } else { k };
-        assert!(deep_sel != 0 || k > GEMM_SMALL_MAX_K);
+        // 256 is the engine's accumulation-panel depth.
+        assert!(deep_sel != 0 || k > 256);
         let op_a = if ops & 1 == 0 { GemmOp::NoTrans } else { GemmOp::Trans };
         let op_b = if ops & 2 == 0 { GemmOp::NoTrans } else { GemmOp::Trans };
         let beta = [0.0, 1.0, -0.75, 0.5][beta_sel];
@@ -496,11 +494,11 @@ proptest! {
         let b = gemm_operand(op_b, k, n, &seed, 7);
         let c0 = Matrix::from_fn(m, n, |i, j| seed[(3 * i + 5 * j + 11) % seed.len()]);
         let mut ws = GemmWorkspace::new();
-        let mut c_blocked = c0.clone();
-        gemm(op_a, op_b, alpha, &a, &b, beta, &mut c_blocked, &mut ws);
+        let mut c_gemm = c0.clone();
+        gemm(op_a, op_b, alpha, &a, &b, beta, &mut c_gemm, &mut ws);
         let mut c_naive = c0.clone();
         gemm_naive(op_a, op_b, alpha, &a, &b, beta, &mut c_naive);
-        for (x, y) in c_blocked.as_slice().iter().zip(c_naive.as_slice()) {
+        for (x, y) in c_gemm.as_slice().iter().zip(c_naive.as_slice()) {
             let scale = 1.0f64.max(y.abs());
             prop_assert!((x - y).abs() <= 1e-12 * scale, "{} vs {}", x, y);
         }
@@ -508,8 +506,7 @@ proptest! {
 
     /// The fused epilogue is exactly one application per element after the
     /// value is final: `gemm_with(epilogue)` must match `gemm` followed by
-    /// the same transformation as a separate pass — bit for bit, on both
-    /// sides of the blocking cutoff.
+    /// the same transformation as a separate pass — bit for bit.
     #[test]
     fn gemm_fused_epilogue_matches_separate_pass(
         m in 1usize..36,

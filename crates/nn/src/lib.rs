@@ -9,8 +9,9 @@
 //!
 //! - [`Mlp`]: a multi-layer perceptron with ReLU/Tanh hidden activations and
 //!   a linear output layer;
-//! - [`Mlp::backward`]: reverse-mode differentiation returning both
-//!   parameter gradients and the gradient with respect to the input batch;
+//! - [`Mlp::backward_ws`]: reverse-mode differentiation filling both the
+//!   parameter gradients and the gradient with respect to the input batch
+//!   of a [`TrainWorkspace`];
 //! - [`Adam`]: the Adam optimizer;
 //! - [`Scaler`]: feature standardization fitted on training data.
 //!
@@ -39,7 +40,7 @@ mod scaler;
 mod workspace;
 
 pub use adam::Adam;
-pub use mlp::{Activation, ForwardCache, Gradients, Mlp};
+pub use mlp::{Activation, Gradients, Mlp};
 pub use scaler::Scaler;
 pub use workspace::{train_step_mse_ws, TrainWorkspace};
 
@@ -66,24 +67,11 @@ pub fn mse(pred: &Matrix, target: &Matrix) -> f64 {
         / n
 }
 
-/// Gradient of [`mse`] with respect to the predictions: `2(pred − target)/n`.
-pub fn mse_grad(pred: &Matrix, target: &Matrix) -> Matrix {
-    let n = (pred.rows() * pred.cols()) as f64;
-    Matrix::from_fn(pred.rows(), pred.cols(), |i, j| {
-        2.0 * (pred[(i, j)] - target[(i, j)]) / n
-    })
-}
-
 /// One full-batch MSE gradient step: forward, backward, Adam update.
-/// Returns the pre-step loss.
+/// Returns the pre-step loss. Runs [`train_step_mse_ws`] on a fresh
+/// [`TrainWorkspace`]; loops should call that one and reuse the buffers.
 pub fn train_step_mse(net: &mut Mlp, adam: &mut Adam, x: &Matrix, y: &Matrix) -> f64 {
-    telemetry::record(telemetry::Metric::TrainSteps, 1);
-    let (pred, cache) = net.forward_cached(x);
-    let loss = mse(&pred, y);
-    let grad_out = mse_grad(&pred, y);
-    let (grads, _) = net.backward(&cache, &grad_out);
-    adam.step(net, &grads);
-    loss
+    train_step_mse_ws(net, adam, x, y, &mut TrainWorkspace::new())
 }
 
 /// Draws a standard-normal sample via Box-Muller (keeps the workspace free
@@ -115,24 +103,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0]]);
         let b = Matrix::from_rows(&[&[0.0, 0.0]]);
         assert!((mse(&a, &b) - 2.5).abs() < 1e-15);
-    }
-
-    #[test]
-    fn mse_grad_matches_finite_difference() {
-        let a = Matrix::from_rows(&[&[1.0, -2.0], &[0.5, 3.0]]);
-        let b = Matrix::from_rows(&[&[0.0, 1.0], &[0.2, -1.0]]);
-        let g = mse_grad(&a, &b);
-        let h = 1e-6;
-        for i in 0..2 {
-            for j in 0..2 {
-                let mut ap = a.clone();
-                ap[(i, j)] += h;
-                let mut am = a.clone();
-                am[(i, j)] -= h;
-                let fd = (mse(&ap, &b) - mse(&am, &b)) / (2.0 * h);
-                assert!((g[(i, j)] - fd).abs() < 1e-8);
-            }
-        }
     }
 
     #[test]

@@ -118,19 +118,6 @@ impl Gradients {
     }
 }
 
-/// Cached intermediate values of a forward pass, needed by
-/// [`Mlp::backward`].
-///
-/// Since the training kernels moved onto the fused GEMM engine, the cache
-/// is simply an owned [`TrainWorkspace`] holding the layer activations —
-/// both the allocating and the workspace APIs run the exact same kernels,
-/// so their results are bit-identical by construction.
-#[derive(Debug, Clone)]
-pub struct ForwardCache {
-    /// The forward state (layer activations) of the pass.
-    ws: TrainWorkspace,
-}
-
 /// A fully connected network with a linear output layer.
 ///
 /// See the [crate docs](crate) for an end-to-end training example.
@@ -222,36 +209,6 @@ impl Mlp {
         self.forward_ws(x, &mut ws).clone()
     }
 
-    /// Forward pass that also returns the cache required by
-    /// [`Mlp::backward`].
-    pub fn forward_cached(&self, x: &Matrix) -> (Matrix, ForwardCache) {
-        let mut ws = TrainWorkspace::new();
-        let y = self.forward_ws(x, &mut ws).clone();
-        (y, ForwardCache { ws })
-    }
-
-    /// Reverse-mode pass: given `∂L/∂output` for the batch, returns the
-    /// parameter gradients and `∂L/∂input`.
-    ///
-    /// Runs [`Mlp::backward_ws`] on a copy of the cached forward state, so
-    /// the allocating and workspace APIs yield bit-identical gradients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gradient shape does not match the cached batch.
-    pub fn backward(&self, cache: &ForwardCache, grad_out: &Matrix) -> (Gradients, Matrix) {
-        let mut ws = cache.ws.clone();
-        self.backward_ws(&mut ws, grad_out);
-        let dx = std::mem::take(&mut ws.delta);
-        (ws.grads, dx)
-    }
-
-    /// Gradient of the outputs with respect to the inputs only (parameters
-    /// untouched) — the critic-to-actor path of DNN-Opt.
-    pub fn input_gradient(&self, cache: &ForwardCache, grad_out: &Matrix) -> Matrix {
-        self.backward(cache, grad_out).1
-    }
-
     /// Scales the final layer's weights and biases by `s`. With a small
     /// `s` the network initially outputs near-zero values — the DDPG trick
     /// for actor networks whose outputs are corrections.
@@ -300,15 +257,6 @@ mod tests {
         assert_eq!(y1, y2);
     }
 
-    #[test]
-    fn forward_cached_matches_forward() {
-        let net = small_net(Activation::Relu);
-        let x = Matrix::from_rows(&[&[0.5, 0.1, -0.7], &[1.0, -1.0, 0.0]]);
-        let y = net.forward(&x);
-        let (yc, _) = net.forward_cached(&x);
-        assert_eq!(y, yc);
-    }
-
     /// Scalar loss L = Σ w_l·y_l over the batch, with fixed output weights,
     /// checked against finite differences for every parameter.
     #[test]
@@ -321,8 +269,10 @@ mod tests {
                 let y = n.forward(&x);
                 y.hadamard(&wsum).as_slice().iter().sum()
             };
-            let (_, cache) = net.forward_cached(&x);
-            let (grads, _) = net.backward(&cache, &wsum);
+            let mut ws = TrainWorkspace::new();
+            net.forward_ws(&x, &mut ws);
+            net.backward_ws(&mut ws, &wsum);
+            let grads = ws.gradients();
 
             let h = 1e-6;
             for k in 0..net.num_layers() {
@@ -362,8 +312,10 @@ mod tests {
             let net = small_net(act);
             let x = Matrix::from_rows(&[&[0.3, -0.1, 0.8]]);
             let wsum = Matrix::from_rows(&[&[1.0, -2.0]]);
-            let (_, cache) = net.forward_cached(&x);
-            let gin = net.input_gradient(&cache, &wsum);
+            let mut ws = TrainWorkspace::new();
+            net.forward_ws(&x, &mut ws);
+            net.backward_ws(&mut ws, &wsum);
+            let gin = ws.input_gradient();
             let h = 1e-6;
             for j in 0..3 {
                 let mut xp = x.clone();
@@ -387,8 +339,10 @@ mod tests {
     fn gradient_norm_and_scaling() {
         let net = small_net(Activation::Tanh);
         let x = Matrix::from_rows(&[&[0.3, -0.1, 0.8]]);
-        let (_, cache) = net.forward_cached(&x);
-        let (mut g, _) = net.backward(&cache, &Matrix::from_rows(&[&[1.0, 1.0]]));
+        let mut ws = TrainWorkspace::new();
+        net.forward_ws(&x, &mut ws);
+        net.backward_ws(&mut ws, &Matrix::from_rows(&[&[1.0, 1.0]]));
+        let g = ws.gradients_mut();
         let n0 = g.norm_sq();
         assert!(n0 > 0.0);
         g.scale(0.5);

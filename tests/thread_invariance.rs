@@ -235,9 +235,9 @@ fn runs_are_bit_identical_at_every_thread_count() {
     }
 
     // --- The trained critic itself, outside any grid dispatch. Training
-    // shapes (256×64 batches over a width-40 input) take the blocked
-    // GEMM on hosts without AVX-512 and the small path on AVX-512 hosts;
-    // both are serial, so the thread count must not reach them.
+    // shapes (256×64 batches over a width-40 input) run the GEMM's
+    // register tiles, serially on the calling thread, so the thread count
+    // must not reach them.
     // Bit-identical probe predictions at every thread count ⇒
     // bit-identical weights.
     let dim = 20;
