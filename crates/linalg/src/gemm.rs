@@ -1187,11 +1187,37 @@ mod tests {
     }
 
     /// The engine's bits, pinned: one product three `KC` panels deep, with
-    /// α, β = 0.5, a bias + tanh epilogue, and row and column tail tiles.
-    /// Any change to the per-element operation sequence moves the digest.
-    /// It holds on every FMA backend; the portable one rounds differently.
+    /// α, β = 0.5, and row and column tail tiles, under two epilogues. The
+    /// bias + tanh digest pins the fused epilogue path, but tanh saturates
+    /// most outputs to ±1, which hides last-bit moves in the accumulation;
+    /// the plain ([`NoEpilogue`]) digest keeps every output bit, so any
+    /// change to the per-element operation sequence moves it. Both hold on
+    /// every FMA backend; the portable one rounds differently.
     #[test]
     fn multi_panel_bits_are_pinned() {
+        fn digest<E: Epilogue>(
+            backend: Backend,
+            c0: &Matrix,
+            a: &Matrix,
+            b: &Matrix,
+            epilogue: &mut E,
+        ) -> u64 {
+            let mut c = c0.clone();
+            product(
+                backend,
+                (GemmOp::NoTrans, GemmOp::Trans),
+                -0.75,
+                a,
+                b,
+                0.5,
+                &mut c,
+                &mut GemmWorkspace::new(),
+                epilogue,
+            );
+            c.as_slice().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
         let (m, n, k) = (141, 29, 549);
         let seed: Vec<f64> = (0..97).map(|i| (i as f64 * 0.37).sin()).collect();
         let a = operand(GemmOp::NoTrans, m, k, &seed, 0);
@@ -1202,24 +1228,15 @@ mod tests {
             if backend == Backend::Portable {
                 continue;
             }
-            let mut c = c0.clone();
-            product(
-                backend,
-                (GemmOp::NoTrans, GemmOp::Trans),
-                -0.75,
-                &a,
-                &b,
-                0.5,
-                &mut c,
-                &mut GemmWorkspace::new(),
-                &mut MlpEpilogue::BiasTanh(&bias),
-            );
-            let digest = c.as_slice().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
-                (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
-            });
+            let tanh = digest(backend, &c0, &a, &b, &mut MlpEpilogue::BiasTanh(&bias));
             assert_eq!(
-                digest, 0x131b_ff97_45fb_0cf1,
-                "{backend:?} product bits moved: {digest:#018x}"
+                tanh, 0x131b_ff97_45fb_0cf1,
+                "{backend:?} bias + tanh product bits moved: {tanh:#018x}"
+            );
+            let plain = digest(backend, &c0, &a, &b, &mut NoEpilogue);
+            assert_eq!(
+                plain, 0x2270_53b6_26be_4f93,
+                "{backend:?} plain product bits moved: {plain:#018x}"
             );
         }
     }

@@ -22,9 +22,12 @@
 //!   solve): the dense reference the simulator's sparse path is tested
 //!   against.
 //! - [`CscMatrix`] and [`SparseLu`]: KLU-style sparse LU with a recorded
-//!   elimination pattern — one symbolic analysis per topology, a scan-free
-//!   [`SparseLu::refactor_into`] per Newton iteration. The simulator
-//!   solves every MNA system on this path. The whole sparse
+//!   elimination pattern — one symbolic analysis per topology, then per
+//!   Newton iteration a scan-free [`SparseLu::refactor_dependent_into`]
+//!   that replays only the steps the caller's "may change" columns reach
+//!   (the MOSFET columns), or [`SparseLu::refactor_into`] over every step
+//!   after other columns changed. The simulator solves every MNA system
+//!   on this path. The whole sparse
 //!   pipeline is one generic implementation over [`Scalar`]
 //!   ([`CscT`]/[`SparseLuT`]), monomorphized for `f64` and [`C64`], with
 //!   one numeric path: the scalar Gilbert–Peierls replay over flat

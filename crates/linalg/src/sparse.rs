@@ -17,8 +17,14 @@
 //! - [`SparseLuT::refactor_into`] replays that recording on new values:
 //!   no pivot search, no reachability DFS, no per-pivot column scans —
 //!   just gather/scatter over precomputed index lists. This is the
-//!   per-Newton-iteration (and, for the complex instantiation, the
-//!   per-frequency-point) kernel.
+//!   per-frequency-point kernel of the complex instantiation.
+//! - [`SparseLuT::refactor_dependent_into`] replays only the *dependent*
+//!   steps: those whose column is in the caller's "may change" mask
+//!   ([`SparseLuT::set_column_mask`]) or whose U column reads a dependent
+//!   step. Every other step reads an unchanged column and unchanged
+//!   steps, so its stored factors are already what a full replay would
+//!   compute. This is the per-Newton-iteration kernel, where only the
+//!   MOSFET columns move.
 //! - [`SparseLuT::solve_transpose_into`] solves `Aᵀ·y = b` on the same
 //!   factors — the noise analysis' adjoint system shares one
 //!   factorization per frequency point with the forward AC solve.
@@ -30,8 +36,9 @@
 //!
 //! The intended rhythm (mirrored by `spice::NewtonWorkspace`): analyze the
 //! pattern once per topology, `factor` once per solve to pin the pivot
-//! sequence to the current value range, then `refactor_into` every
-//! subsequent iteration.
+//! sequence to the current value range, then `refactor_dependent_into`
+//! every subsequent iteration — or `refactor_into` after the columns
+//! outside the mask changed.
 
 use crate::scalar::Scalar;
 use crate::{FactorError, Matrix};
@@ -440,6 +447,14 @@ pub struct SparseLuT<T: Scalar> {
     u_vals: Vec<T>,
     /// Reciprocal pivots.
     inv_diag: Vec<T>,
+    /// The caller's "may change" mask over the columns of `A`
+    /// ([`SparseLuT::set_column_mask`]); a mask of another length than
+    /// the factored dimension (empty when never set) marks every column.
+    may_change: Vec<bool>,
+    /// Dependent steps, ascending: step `k` is listed when its column
+    /// `q[k]` may change or one of its U entries reads a listed step.
+    /// Rebuilt after every successful factorization.
+    dependent: Vec<u32>,
     /// Dense accumulator indexed by original row; all-zero between calls
     /// (every method that writes it zeroes what it touched).
     work: Vec<T>,
@@ -635,16 +650,84 @@ impl<T: Scalar> SparseLuT<T> {
                 self.work[i] = T::ZERO;
             }
         }
+        self.mark_dependent();
         self.factored = true;
         Ok(())
     }
 
+    /// Sets which columns of `A` may change between refactorizations
+    /// (`may_change[c]`, indexed by column), for
+    /// [`SparseLuT::refactor_dependent_into`]. A mask whose length is not
+    /// the factored dimension marks every column. Rebuilds the dependent
+    /// steps of a stored recording at once; later factorizations rebuild
+    /// them from the same mask.
+    pub fn set_column_mask(&mut self, may_change: &[bool]) {
+        self.may_change.clear();
+        self.may_change.extend_from_slice(may_change);
+        if self.u_colptr.len() == self.n + 1 {
+            self.mark_dependent();
+        }
+    }
+
+    /// The dependent steps of the stored recording, ascending: those whose
+    /// column may change under [`SparseLuT::set_column_mask`], and, by
+    /// closure, those whose U column reads a dependent step.
+    pub fn dependent_steps(&self) -> &[u32] {
+        &self.dependent
+    }
+
+    /// The recorded pattern of step `k`: the column of `A` it factors and
+    /// the pivotal steps of its U entries, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no complete recording holds step `k`.
+    pub fn step_pattern(&self, k: usize) -> (usize, &[u32]) {
+        (
+            self.q[k],
+            &self.u_rows[self.u_colptr[k]..self.u_colptr[k + 1]],
+        )
+    }
+
+    /// The stored numeric factors: the `L` values, the `U` values (both in
+    /// recording order) and the reciprocal pivots.
+    pub fn factor_values(&self) -> (&[T], &[T], &[T]) {
+        (&self.l_vals, &self.u_vals, &self.inv_diag)
+    }
+
+    /// Rebuilds the dependent-step list of a complete recording: one walk
+    /// in ascending step order, since a U entry of step `k` reads a step
+    /// before `k`.
+    fn mark_dependent(&mut self) {
+        let n = self.n;
+        let all = self.may_change.len() != n;
+        self.dependent.clear();
+        for k in 0..n {
+            let u = &self.u_rows[self.u_colptr[k]..self.u_colptr[k + 1]];
+            if all
+                || self.may_change[self.q[k]]
+                || u.iter().any(|j| self.dependent.binary_search(j).is_ok())
+            {
+                self.dependent.push(k as u32);
+            }
+        }
+    }
+
     /// Numeric refactorization on new values with the *same pattern*:
     /// replays the recorded elimination — fixed pivot sequence, fixed fill
-    /// positions — with no pivot search and no reachability analysis. This
-    /// is the per-Newton-iteration (real) and per-frequency-point
-    /// (complex) hot path. `a` must carry the factored pattern (only its
-    /// values may differ).
+    /// positions — with no pivot search and no reachability analysis, for
+    /// every step. This is the refactorization whenever any column may
+    /// have changed: the per-frequency-point kernel of the complex
+    /// instantiation, and the first refactor after the caller restamped
+    /// columns outside its [`SparseLuT::set_column_mask`].
+    /// [`SparseLuT::refactor_dependent_into`] replays only the steps those
+    /// columns reach. `a` must carry the factored pattern (only its values
+    /// may differ).
+    ///
+    /// Both run the arithmetic of [`SparseLuT::factor`] per column:
+    /// scatter `A(:, q[k])`, eliminate in ascending step order skipping
+    /// zero multipliers, take the reciprocal pivot, scale `L`. So a replay
+    /// on the values the factors came from reproduces them bit for bit.
     ///
     /// # Errors
     ///
@@ -656,6 +739,28 @@ impl<T: Scalar> SparseLuT<T> {
     /// [`SparseLuT::factor`]). After an error the previous numeric factors
     /// are invalid.
     pub fn refactor_into(&mut self, a: &CscT<T>) -> Result<(), FactorError> {
+        self.replay(a, false)
+    }
+
+    /// [`SparseLuT::refactor_into`] restricted to the dependent steps
+    /// ([`SparseLuT::dependent_steps`]): the per-Newton-iteration hot path,
+    /// where only the columns in the mask change. Valid when every column
+    /// outside the mask holds the values the stored factors were last
+    /// computed from; a skipped step reads only skipped steps and an
+    /// unchanged column, so it already holds the `L`, `U` and pivot a full
+    /// replay would recompute, and the result is bit-identical to
+    /// [`SparseLuT::refactor_into`] (errors included).
+    ///
+    /// # Errors
+    ///
+    /// As [`SparseLuT::refactor_into`].
+    pub fn refactor_dependent_into(&mut self, a: &CscT<T>) -> Result<(), FactorError> {
+        self.replay(a, true)
+    }
+
+    /// The replay behind both refactorizations: every step, or only the
+    /// dependent ones.
+    fn replay(&mut self, a: &CscT<T>, dependent_only: bool) -> Result<(), FactorError> {
         // A *complete* recording is required: after a failed `factor` the
         // column pointers stop at the singular step, so replaying them
         // would walk off the recorded pattern.
@@ -678,15 +783,22 @@ impl<T: Scalar> SparseLuT<T> {
             u_orig,
             u_vals,
             inv_diag,
+            dependent,
             work,
             ..
         } = self;
         let work = &mut work[..*n];
+        let steps = if dependent_only { dependent.len() } else { *n };
         // `work` is all-zero on entry and every position a column touches
         // lies in its recorded pattern {U rows, pivot, L rows}, so zeroing
         // each entry as it is read leaves it all-zero again — no separate
         // clearing pass.
-        for k in 0..*n {
+        for i in 0..steps {
+            let k = if dependent_only {
+                dependent[i] as usize
+            } else {
+                i
+            };
             let col = q[k];
             let (a0, a1) = (a.col_ptr[col], a.col_ptr[col + 1]);
             for (&r, &v) in a.row_idx[a0..a1].iter().zip(&a.values[a0..a1]) {

@@ -5,6 +5,7 @@ use linalg::{
     FactorError, GemmOp, GemmWorkspace, Lu, Matrix, SparseComplexLu, SparseLu, C64,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// A post-layout-style grid conductance matrix: a `rows`×`cols` mesh with
 /// nearest-neighbor, diagonal, and pitch-2 coupling conductances jittered
@@ -103,6 +104,47 @@ fn sparse_dominant_matrix(n: usize, seed: &[f64]) -> Matrix {
             0.0
         }
     })
+}
+
+/// Random diagonally dominant matrix on a random pattern: each
+/// off-diagonal entry exists with probability about `1 / sparsity`.
+fn random_pattern_matrix(n: usize, seed: &[f64], sparsity: usize) -> Matrix {
+    Matrix::from_fn(n, n, |i, j| {
+        let v = seed[(i * n + j) % seed.len()];
+        if i == j {
+            n as f64 + 1.0 + v.abs()
+        } else if ((v * 1000.0).abs() as usize + i).is_multiple_of(sparsity) {
+            v
+        } else {
+            0.0
+        }
+    })
+}
+
+/// Column start offsets of `CscMatrix::from_dense(dense)`, which stores
+/// exactly the nonzeros, column by column.
+fn csc_col_ptr(dense: &Matrix) -> Vec<usize> {
+    let n = dense.cols();
+    let mut col_ptr = vec![0];
+    for c in 0..n {
+        let nnz = (0..dense.rows()).filter(|&r| dense[(r, c)] != 0.0).count();
+        col_ptr.push(col_ptr[c] + nnz);
+    }
+    col_ptr
+}
+
+/// Asserts two sparse factorizations hold the same `L`, `U` and
+/// reciprocal-pivot bits.
+fn assert_same_factor_bits(a: &SparseLu, b: &SparseLu) -> Result<(), TestCaseError> {
+    let (la, ua, da) = a.factor_values();
+    let (lb, ub, db) = b.factor_values();
+    for (x, y) in [(la, lb), (ua, ub), (da, db)] {
+        prop_assert_eq!(x.len(), y.len());
+        for (v, w) in x.iter().zip(y) {
+            prop_assert_eq!(v.to_bits(), w.to_bits());
+        }
+    }
+    Ok(())
 }
 
 /// Factors a square real matrix with the dense LU.
@@ -268,6 +310,95 @@ proptest! {
         let x_dense = lu_solve(&dense_lu(&dense1).unwrap(), b);
         for (s, d) in x_sparse.iter().zip(&x_dense) {
             prop_assert!((s - d).abs() <= 1e-10 * d.abs().max(1.0), "{} vs {}", s, d);
+        }
+    }
+
+    /// The dependent-step replay equals the full replay bit for bit —
+    /// `L`, `U`, reciprocal pivots and solutions — when only the masked
+    /// columns change: right after `factor`, and along a sequence of
+    /// updates. The dependent list is exactly the closure (a step is
+    /// listed iff its column is masked or a U entry reads a listed step),
+    /// and a pivot collapse in a dependent column is reported like the
+    /// full replay reports it, leaving the accumulator clean for the
+    /// recovery factor.
+    #[test]
+    fn dependent_replay_bit_agrees_with_full_replay(
+        n in 2usize..24,
+        sparsity in 3usize..12,
+        seed in proptest::collection::vec(-1.0..1.0f64, 16..250),
+        picks in proptest::collection::vec(0usize..4, 24),
+        shift in proptest::collection::vec(-0.4..0.4f64, 16..250),
+        rounds in 1usize..5,
+        rhs in proptest::collection::vec(-10.0..10.0f64, 24),
+    ) {
+        let dense = random_pattern_matrix(n, &seed, sparsity);
+        let col_ptr = csc_col_ptr(&dense);
+        let a0 = CscMatrix::from_dense(&dense);
+        let b = &rhs[..n];
+        let mask: Vec<bool> = picks[..n].iter().map(|&p| p == 0).collect();
+        let mut full = SparseLu::new();
+        full.factor(&a0).unwrap();
+        let mut part = SparseLu::new();
+        part.set_column_mask(&mask);
+        part.factor(&a0).unwrap();
+        // A mask set after `factor` lists the same steps at once.
+        let mut late = full.clone();
+        late.set_column_mask(&mask);
+        prop_assert_eq!(late.dependent_steps(), part.dependent_steps());
+
+        // The closure, both ways.
+        let dep = part.dependent_steps().to_vec();
+        let mut listed = vec![false; n];
+        for &k in &dep {
+            listed[k as usize] = true;
+        }
+        prop_assert!(dep.windows(2).all(|w| w[0] < w[1]));
+        for (k, &is_listed) in listed.iter().enumerate() {
+            let (col, u) = part.step_pattern(k);
+            let reads_listed = u.iter().any(|&j| listed[j as usize]);
+            prop_assert!(is_listed == (mask[col] || reads_listed), "step {}", k);
+        }
+
+        // A replay right after `factor`, on the factored values, changes
+        // no bit: `factor` and the replay run the same arithmetic.
+        assert_same_factor_bits(&part, &full)?;
+        part.refactor_dependent_into(&a0).unwrap();
+        assert_same_factor_bits(&part, &full)?;
+
+        // A sequence of updates to the masked columns only.
+        let (mut x_full, mut x_part) = (Vec::new(), Vec::new());
+        let mut a = a0.clone();
+        for round in 0..rounds {
+            for c in (0..n).filter(|&c| mask[c]) {
+                for t in col_ptr[c]..col_ptr[c + 1] {
+                    a.values_mut()[t] += 0.1 * shift[(t + 7 * round) % shift.len()];
+                }
+            }
+            full.refactor_into(&a).unwrap();
+            part.refactor_dependent_into(&a).unwrap();
+            assert_same_factor_bits(&part, &full)?;
+            full.solve_into(b, &mut x_full).unwrap();
+            part.solve_into(b, &mut x_part).unwrap();
+            for (p, f) in x_part.iter().zip(&x_full) {
+                prop_assert_eq!(p.to_bits(), f.to_bits());
+            }
+        }
+
+        // A pivot collapse: zero one masked column. Its step reads only
+        // the zeroed column and zero multipliers, so the pivot is exactly
+        // zero at that step and nowhere before it.
+        if let Some(c) = (0..n).find(|&c| mask[c]) {
+            let mut dead = a.clone();
+            dead.values_mut()[col_ptr[c]..col_ptr[c + 1]].fill(0.0);
+            let step = (0..n).find(|&k| part.step_pattern(k).0 == c).unwrap();
+            let want = Err(FactorError::Singular { pivot: step });
+            prop_assert_eq!(full.refactor_into(&dead), want.clone());
+            prop_assert_eq!(part.refactor_dependent_into(&dead), want);
+            // A dirty accumulator would leak into the recovery factor.
+            part.factor(&a).unwrap();
+            let mut fresh = SparseLu::new();
+            fresh.factor(&a).unwrap();
+            assert_same_factor_bits(&part, &fresh)?;
         }
     }
 

@@ -675,6 +675,21 @@ impl MosTable {
         }
     }
 
+    /// The columns a replay writes, as a mask over the `n` unknowns: the
+    /// terminal columns of every present pattern write. Every other column
+    /// of the assembled matrix holds only the constant segment.
+    pub(crate) fn column_mask(&self, n: usize) -> Vec<bool> {
+        let mut mask = vec![false; n];
+        for t in &self.devs {
+            for (&slot, &(_, c)) in t.slots.iter().zip(&MOS_PATTERN) {
+                if slot != ABSENT {
+                    mask[t.nodes[c] as usize] = true;
+                }
+            }
+        }
+        mask
+    }
+
     /// Stamps every MOSFET of `circuit` linearized at `x` on top of the
     /// CSC `values` and right-hand side `z` — write for write what
     /// [`stamp_mos`] emits through a `SlotStamper` over the same slots.

@@ -29,7 +29,16 @@
 //!    the table — model evaluation plus 12 `values[slot] += c` and 2
 //!    right-hand-side writes per MOSFET — then [`linalg::SparseLu`] runs
 //!    one pivoting factorization per solve session and a scan-free
-//!    [`linalg::SparseLu::refactor_into`] on every later iteration.
+//!    refactorization on every later iteration. The table's terminal
+//!    columns are the LU's "may change" mask, so a refactor replays only
+//!    the dependent steps ([`linalg::SparseLu::refactor_dependent_into`]):
+//!    those on a MOSFET column or reading one. The first refactor after
+//!    the constant segment's matrix values were restamped (a new DC
+//!    solve, a gmin or source-stepping rung, a step halving, a new
+//!    constant-matrix key) replays every step
+//!    ([`linalg::SparseLu::refactor_into`]); a timestep whose constant
+//!    restamp touches only the right-hand side keeps the partial replay.
+//!    Both give the bits of a full replay.
 //!
 //! The table holds topology only (model cards and `MosConsts` are read
 //! from the circuit each iteration), so it stays valid across the
@@ -113,6 +122,10 @@ struct SparseSystem<T: Scalar> {
     /// points of one AC sweep / noise analysis — the pivot sequence is
     /// reused by the scan-free refactorization.
     pivot_session: u64,
+    /// Values outside the LU's column mask were restamped since the last
+    /// factorization, so the next refactor replays every step; otherwise
+    /// it replays only the dependent ones.
+    restamped: bool,
 }
 
 impl<T: Scalar> SparseSystem<T> {
@@ -124,6 +137,7 @@ impl<T: Scalar> SparseSystem<T> {
             csc,
             lu: SparseLuT::new(),
             pivot_session: 0,
+            restamped: true,
         };
         (sys, slots)
     }
@@ -132,11 +146,13 @@ impl<T: Scalar> SparseSystem<T> {
     /// factorization of a session is a full pivoting one, so the pivot
     /// sequence depends only on the system being solved (bit-identical
     /// results whether or not the workspace was reused); every later one
-    /// runs the scan-free refactorization, falling back to a pivoting
-    /// factor if a recorded pivot collapses numerically. Returns `false`
-    /// when the system is singular.
+    /// runs the scan-free refactorization — every step after a restamp
+    /// outside the column mask, only the dependent steps otherwise —
+    /// falling back to a pivoting factor if a recorded pivot collapses
+    /// numerically. Returns `false` when the system is singular.
     fn factor(&mut self, session: u64) -> bool {
         let fresh = self.pivot_session != session || !self.lu.is_factored();
+        let restamped = std::mem::take(&mut self.restamped);
         telemetry::record(
             if fresh {
                 telemetry::Metric::SparseFactors
@@ -150,7 +166,12 @@ impl<T: Scalar> SparseSystem<T> {
             self.lu.factor(&self.csc).is_ok()
         } else {
             let _f = telemetry::span(telemetry::SpanId::Refactor);
-            self.lu.refactor_into(&self.csc).is_ok() || self.lu.factor(&self.csc).is_ok()
+            let replayed = if restamped {
+                self.lu.refactor_into(&self.csc)
+            } else {
+                self.lu.refactor_dependent_into(&self.csc)
+            };
+            replayed.is_ok() || self.lu.factor(&self.csc).is_ok()
         };
         if factored {
             self.pivot_session = session;
@@ -187,9 +208,10 @@ impl NewtonState {
         let circuit = assemble.circuit();
         let n = circuit.num_unknowns();
         let mut mos = MosTable::record(circuit, &mut rec.writes);
-        let (sys, mut slots) = SparseSystem::new(n, &rec.writes);
+        let (mut sys, mut slots) = SparseSystem::new(n, &rec.writes);
         mos.resolve(&slots);
         slots.truncate(cl);
+        sys.lu.set_column_mask(&mos.column_mask(n));
         NewtonState {
             preload: PreloadState {
                 values: vec![0.0; sys.csc.nnz()],
@@ -302,6 +324,8 @@ impl AcWorkspace {
     /// `false` when the write sequence drifted from the recording.
     fn stamp<A: AssembleComplex>(&mut self, circuit: &Circuit, assemble: &mut A) -> bool {
         let state = &mut self.plan.as_mut().expect("plan present").state;
+        // Every column moves with ω: the next refactor replays every step.
+        state.sys.restamped = true;
         let mut st = SlotStamper::new(
             circuit.num_nodes(),
             &state.slots,
@@ -521,6 +545,9 @@ impl NewtonWorkspace {
                 assemble.assemble_constant(&mut st);
                 st.complete()
             } else {
+                // The constant columns may move: the next refactor replays
+                // every step.
+                state.sys.restamped = true;
                 let mut st =
                     SlotStamper::new(self.n_nodes, &pre.const_slots, &mut pre.values, &mut pre.z);
                 assemble.assemble_constant(&mut st);
@@ -625,6 +652,16 @@ pub fn lease_workspace(circuit: &Circuit) -> PooledWorkspace {
     let mut ws = reused.unwrap_or_else(|| NewtonWorkspace::new(circuit));
     ws.ensure(circuit);
     PooledWorkspace { ws: Some(ws) }
+}
+
+#[cfg(test)]
+impl NewtonWorkspace {
+    /// The dependent steps and the dimension of the `kind` plan's stored
+    /// factorization, once the plan is recorded.
+    pub(crate) fn dependent_steps(&self, kind: StampKind) -> Option<(usize, usize)> {
+        let lu = &self.plans[kind as usize].as_ref()?.state.sys.lu;
+        Some((lu.dependent_steps().len(), lu.dim()))
+    }
 }
 
 #[cfg(test)]

@@ -198,7 +198,8 @@ pub enum Metric {
     StepHalvings,
     /// Full pivoting sparse factorizations (fresh session).
     SparseFactors,
-    /// Scan-free sparse refactorizations (`refactor_into`).
+    /// Scan-free sparse refactorizations (`refactor_into` or
+    /// `refactor_dependent_into`), one per replay.
     SparseRefactors,
     /// Workspace-pool checkouts that reused a pooled workspace.
     WorkspaceHits,
