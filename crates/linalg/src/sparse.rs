@@ -500,12 +500,18 @@ impl<T: Scalar> SparseLuT<T> {
 
     /// Computes the fill-reducing column ordering for `a`'s pattern. Called
     /// automatically by [`SparseLuT::factor`] when needed; calling it again
-    /// re-analyzes (use after the pattern itself changed).
+    /// re-analyzes (use after the pattern itself changed). Drops the
+    /// recorded elimination, which belongs to the old order: until the next
+    /// [`SparseLuT::factor`], both refactorizations return
+    /// [`FactorError::Shape`].
     pub fn analyze(&mut self, a: &CscT<T>) {
         self.q = min_degree_order(a);
         self.n = a.n;
         self.analyzed = true;
         self.factored = false;
+        self.l_colptr.clear();
+        self.u_colptr.clear();
+        self.dependent.clear();
     }
 
     /// Full numeric factorization with partial pivoting, recording the
@@ -1119,6 +1125,44 @@ mod tests {
         let mut x = Vec::new();
         lu.solve_into(&[1.0, 2.0, 3.0], &mut x).unwrap();
         assert!(residual(&good, &x, &[1.0, 2.0, 3.0]) < 1e-9);
+    }
+
+    #[test]
+    fn analyze_drops_the_recorded_elimination() {
+        // Factor a 6×6 arrow matrix, then re-analyze for a tridiagonal
+        // pattern: the arrow's recording must not be replayed under the
+        // new order.
+        let n = 6;
+        let mut arrow = Matrix::zeros(n, n);
+        let mut tridiag = Matrix::zeros(n, n);
+        for i in 0..n {
+            arrow[(i, i)] = 4.0;
+            tridiag[(i, i)] = 3.0 + i as f64 * 0.25;
+            if i > 0 {
+                arrow[(0, i)] = 1.0;
+                arrow[(i, 0)] = 1.0;
+                tridiag[(i - 1, i)] = -1.0;
+                tridiag[(i, i - 1)] = -0.5;
+            }
+        }
+        let a = CscMatrix::from_dense(&tridiag);
+        let mut lu = SparseLu::new();
+        lu.factor(&CscMatrix::from_dense(&arrow)).unwrap();
+        lu.analyze(&a);
+        assert!(lu.dependent_steps().is_empty());
+        assert!(matches!(
+            lu.refactor_into(&a),
+            Err(FactorError::Shape { .. })
+        ));
+        assert!(matches!(
+            lu.refactor_dependent_into(&a),
+            Err(FactorError::Shape { .. })
+        ));
+        lu.factor(&a).unwrap();
+        let b = vec![1.0; n];
+        let mut x = Vec::new();
+        lu.solve_into(&b, &mut x).unwrap();
+        assert!(residual(&tridiag, &x, &b) < 1e-12);
     }
 
     #[test]

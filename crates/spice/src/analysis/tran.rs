@@ -714,6 +714,58 @@ mod tests {
         );
     }
 
+    /// Replaying only the dependent steps is bit-identical to replaying
+    /// every step, on a transient plan that lists a step through the
+    /// closure alone: a hub node joined by resistors to four MOS drains of
+    /// the ladder holds no MOS write, but it is eliminated after them, so
+    /// its U column reads MOS steps and its pivot moves with the MOS
+    /// conductances. A replay that skipped it would keep a stale pivot.
+    #[test]
+    fn dependent_replay_matches_full_replay_through_the_closure() {
+        let tick = 50e-12;
+        let mut c = mos_ladder(tick, &test_nmos());
+        let hub = c.node("hub");
+        for i in [5, 11, 17, 23] {
+            let d = c.find_node(&format!("d{i}")).unwrap();
+            c.add_resistor(&format!("RH{i}"), d, hub, 3e3).unwrap();
+        }
+        c.add_capacitor("CH", hub, GND, 2e-15).unwrap();
+        let opts = SimOptions::default();
+        let run = |t_stop: f64, every_step: bool| {
+            let mut ws = crate::workspace::NewtonWorkspace::new(&c);
+            if every_step {
+                // A quiet run of the same topology records the DC and
+                // transient plans; every refactor after it replays every
+                // step.
+                let mut quiet = c.clone();
+                quiet.set_source_dc("VDD", 0.0).unwrap();
+                let _ = transient_with_workspace(&quiet, &opts, tick, tick, &mut ws);
+                ws.replay_every_step();
+            }
+            let r = transient_with_workspace(&c, &opts, t_stop, tick, &mut ws);
+            (r, ws.closure_steps(StampKind::Tran))
+        };
+        let (full, _) = run(5e-9, true);
+        let full = full.unwrap();
+        let (half, half_steps) = run(2.5e-9, false);
+        let (dependent, steps) = run(5e-9, false);
+        let dependent = dependent.expect("the dependent-step replay must converge as the full one");
+        assert!(half.unwrap().len() < dependent.len());
+        assert!(
+            !steps.is_empty(),
+            "no step is dependent through the closure"
+        );
+        assert_eq!(half_steps.len(), steps.len());
+        assert!(
+            half_steps
+                .iter()
+                .zip(&steps)
+                .all(|(a, b)| a.0 == b.0 && a.1.to_bits() != b.1.to_bits()),
+            "the closure steps' pivots must move during the run"
+        );
+        assert_same_bits(&dependent, &full);
+    }
+
     /// A MOS-loaded ladder (sparse path, compiled MOS table) must give the
     /// same bits on a pooled re-run: the constant-slot preload is refreshed
     /// per timestep and never leaks state between runs. The table holds

@@ -18,6 +18,29 @@
 //!
 //! PMOS devices are evaluated in an internal "primed" frame with all
 //! voltages negated, which keeps every formula in NMOS form.
+//!
+//! # Evaluation phases
+//!
+//! The large-signal arithmetic exists once, split into four phases
+//! (`MosPhases`) that every evaluation runs in order:
+//!
+//! 1. **bias** — map the terminal voltages into the NMOS frame (polarity,
+//!    then the drain/source swap for vds < 0), apply the body effect
+//!    (`sqrt`, one divide) and form the softplus argument `x` (one divide);
+//! 2. **exp** — `e = exp(x)`;
+//! 3. **softplus** — `ln(1 + e)` and the sigmoid `e/(1 + e)`, with the
+//!    `|x| > 40` branches;
+//! 4. **finish** — the square law, its partials, and the map back to the
+//!    device's terminals.
+//!
+//! [`eval_mos`] (the report API) and the generic stamp walk run the four
+//! phases on one device. The compiled Newton replay runs each phase over
+//! a chunk of devices before starting the next, so the independent
+//! devices' `sqrt`/`exp`/`ln` calls and divides overlap in the core
+//! instead of waiting on one device's serial chain. Each device still
+//! performs the same IEEE operations in the same order — the phases only
+//! move *when* they run, never what they compute, and `exp`/`ln` are the
+//! same libm calls — so both paths give the same bits.
 
 /// Channel polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -185,158 +208,189 @@ pub fn mos_consts(model: &MosModel, w: f64, l: f64, m: f64) -> MosConsts {
     }
 }
 
-/// The linearization the Newton stamps consume: drain current and its
-/// partials (the first four fields of [`MosEval`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MosStamp {
-    /// Drain terminal current \[A\] (into the drain).
-    pub id: f64,
-    /// ∂id/∂vgs \[S\].
-    pub gm: f64,
-    /// ∂id/∂vds \[S\].
-    pub gds: f64,
-    /// ∂id/∂vbs \[S\].
-    pub gmb: f64,
-}
-
-/// Numerically stable softplus and its derivative (the logistic sigmoid).
-fn softplus(x: f64) -> (f64, f64) {
-    if x > 40.0 {
-        (x, 1.0)
-    } else if x < -40.0 {
-        let e = x.exp();
-        (e, e)
-    } else {
-        let e = x.exp();
-        ((1.0 + e).ln(), e / (1.0 + e))
-    }
-}
-
-/// Normal-mode (vds ≥ 0) drain current and partials in the internal NMOS
-/// frame. Returns `(id, d/dvgs, d/dvds, d/dvbs, vth, vdsat, region)`.
-#[allow(clippy::type_complexity)]
-fn normal_mode(
-    model: &MosModel,
-    k: &MosConsts,
-    vgs: f64,
+/// One MOSFET evaluation, split into the four phases every evaluation runs
+/// in order (see the module docs): [`MosPhases::bias`], [`MosPhases::exp`],
+/// [`MosPhases::softplus`], [`MosPhases::finish`]. The fields carry one
+/// phase's results to the next, so a caller may run each phase over many
+/// devices before starting the next one.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct MosPhases {
+    /// Polarity sign: `1` for NMOS, `−1` for PMOS.
+    sign: f64,
+    /// `vds` in the primed frame, before the drain/source swap.
+    vds_p: f64,
+    /// Conduction reversed: the normal-mode model runs at (vgd, vsd, vbd).
+    reversed: bool,
+    /// `vds` of the normal-mode (vds ≥ 0) evaluation.
     vds: f64,
-    vbs: f64,
-) -> (f64, f64, f64, f64, f64, f64, MosRegion) {
-    let (beta, lambda) = (k.beta, k.lambda);
-    // Body effect; vsb = -vbs, clamped to keep the sqrt real.
-    let arg = (model.phi - vbs).max(1e-3);
-    let sq = arg.sqrt();
-    let vth = model.vth0 + model.gamma * (sq - k.sqrt_phi);
-    let dvth_dvbs = -model.gamma / (2.0 * sq);
+    /// Threshold with body effect \[V\].
+    vth: f64,
+    /// ∂vth/∂vbs.
+    dvth_dvbs: f64,
+    /// Softplus scale `2·n·Vt` \[V\].
+    scale: f64,
+    /// Gain factor `KP·(W·M)/L` \[A/V²\].
+    beta: f64,
+    /// Channel-length modulation \[V⁻¹\].
+    lambda: f64,
+    /// Softplus argument `(vgs − vth)/scale`.
+    x: f64,
+    /// `exp(x)`.
+    e: f64,
+    /// Softplus of `x`.
+    sp: f64,
+    /// Its derivative, the logistic sigmoid of `x`.
+    sig: f64,
+}
 
-    // Smooth overdrive via softplus on scale 2·n·Vt.
-    let scale = 2.0 * model.nsub * VT_300K;
-    let x = (vgs - vth) / scale;
-    let (sp, sig) = softplus(x);
-    let vov = (scale * sp).max(1e-12);
-    let dvov_dvgs = sig;
-    let dvov_dvbs = -sig * dvth_dvbs;
+impl MosPhases {
+    /// Phase 1: maps the physical terminal voltages into the internal
+    /// NMOS frame (polarity, then the drain/source swap for vds < 0),
+    /// applies the body effect and forms the softplus argument.
+    #[inline(always)]
+    pub(crate) fn bias(model: &MosModel, k: &MosConsts, vgs: f64, vds: f64, vbs: f64) -> Self {
+        // Map PMOS into the NMOS ("primed") frame.
+        let (sign, vgs_p, vds_p, vbs_p) = match model.polarity {
+            MosPolarity::Nmos => (1.0, vgs, vds, vbs),
+            MosPolarity::Pmos => (-1.0, -vgs, -vds, -vbs),
+        };
+        let (reversed, vgs, vds, vbs) = if vds_p >= 0.0 {
+            (false, vgs_p, vds_p, vbs_p)
+        } else {
+            // Swap drain and source: evaluate at (vgd, vsd, vbd).
+            (true, vgs_p - vds_p, -vds_p, vbs_p - vds_p)
+        };
+        // Body effect; vsb = -vbs, clamped to keep the sqrt real.
+        let arg = (model.phi - vbs).max(1e-3);
+        let sq = arg.sqrt();
+        let vth = model.vth0 + model.gamma * (sq - k.sqrt_phi);
+        let dvth_dvbs = -model.gamma / (2.0 * sq);
+        // Smooth overdrive via softplus on scale 2·n·Vt.
+        let scale = 2.0 * model.nsub * VT_300K;
+        MosPhases {
+            sign,
+            vds_p,
+            reversed,
+            vds,
+            vth,
+            dvth_dvbs,
+            scale,
+            beta: k.beta,
+            lambda: k.lambda,
+            x: (vgs - vth) / scale,
+            e: 0.0,
+            sp: 0.0,
+            sig: 0.0,
+        }
+    }
 
-    let vdsat = vov;
-    let (id, did_dvov, did_dvds, region) = if vds >= vdsat {
-        let clm_f = 1.0 + lambda * vds;
-        let id = 0.5 * beta * vov * vov * clm_f;
-        (
+    /// Phase 2: `exp(x)`. Computed on every branch; the `x > 40` branch of
+    /// [`MosPhases::softplus`] never reads it.
+    #[inline(always)]
+    pub(crate) fn exp(&mut self) {
+        self.e = self.x.exp();
+    }
+
+    /// Phase 3: numerically stable softplus `ln(1 + e^x)` and its
+    /// derivative, the logistic sigmoid.
+    #[inline(always)]
+    pub(crate) fn softplus(&mut self) {
+        let (x, e) = (self.x, self.e);
+        (self.sp, self.sig) = if x > 40.0 {
+            (x, 1.0)
+        } else if x < -40.0 {
+            (e, e)
+        } else {
+            ((1.0 + e).ln(), e / (1.0 + e))
+        };
+    }
+
+    /// Phase 4: the square law and its partials in the normal-mode frame,
+    /// mapped back to the device's terminals.
+    #[inline(always)]
+    pub(crate) fn finish(&self) -> MosEval {
+        let (beta, lambda, vds) = (self.beta, self.lambda, self.vds);
+        let vov = (self.scale * self.sp).max(1e-12);
+        let dvov_dvgs = self.sig;
+        let dvov_dvbs = -self.sig * self.dvth_dvbs;
+
+        let vdsat = vov;
+        let (id, did_dvov, did_dvds, region) = if vds >= vdsat {
+            let clm_f = 1.0 + lambda * vds;
+            let id = 0.5 * beta * vov * vov * clm_f;
+            (
+                id,
+                beta * vov * clm_f,
+                0.5 * beta * vov * vov * lambda,
+                MosRegion::Saturation,
+            )
+        } else {
+            let clm_f = 1.0 + lambda * vds;
+            let id = beta * (vov - 0.5 * vds) * vds * clm_f;
+            (
+                id,
+                beta * vds * clm_f,
+                beta * ((vov - vds) * clm_f + (vov - 0.5 * vds) * vds * lambda),
+                MosRegion::Triode,
+            )
+        };
+        let region = if vov < 1.5e-3 {
+            MosRegion::Cutoff
+        } else {
+            region
+        };
+
+        let f1 = did_dvov * dvov_dvgs;
+        let f2 = did_dvds;
+        let f3 = did_dvov * dvov_dvbs;
+        let (id_p, gm, gds, gmb) = if self.reversed {
+            // Swapped frame: the partials recombine onto (vgs, vds, vbs).
+            (-id, -f1, f1 + f2 + f3, -f3)
+        } else {
+            (id, f1, f2, f3)
+        };
+
+        // Polarity mapping: id flips with sign, derivatives are invariant
+        // (two sign flips cancel).
+        let id = self.sign * id_p;
+        // A tiny conductance floor keeps the MNA matrix well conditioned when
+        // the device is off.
+        let gds = gds + 1e-12;
+
+        MosEval {
             id,
-            beta * vov * clm_f,
-            0.5 * beta * vov * vov * lambda,
-            MosRegion::Saturation,
-        )
-    } else {
-        let clm_f = 1.0 + lambda * vds;
-        let id = beta * (vov - 0.5 * vds) * vds * clm_f;
-        (
-            id,
-            beta * vds * clm_f,
-            beta * ((vov - vds) * clm_f + (vov - 0.5 * vds) * vds * lambda),
-            MosRegion::Triode,
-        )
-    };
-    let region = if vov < 1.5e-3 {
-        MosRegion::Cutoff
-    } else {
-        region
-    };
-
-    let f1 = did_dvov * dvov_dvgs;
-    let f2 = did_dvds;
-    let f3 = did_dvov * dvov_dvbs;
-    (id, f1, f2, f3, vth, vdsat, region)
+            gm,
+            gds,
+            gmb,
+            vth: self.vth,
+            vdsat,
+            vsat_margin: self.vds_p.abs() - vdsat,
+            region,
+            reversed: self.reversed,
+        }
+    }
 }
 
 /// Evaluates the model at terminal voltages (relative to the source):
 /// `vgs`, `vds`, `vbs` are the *physical* terminal voltage differences.
 pub fn eval_mos(model: &MosModel, w: f64, l: f64, m: f64, vgs: f64, vds: f64, vbs: f64) -> MosEval {
-    eval_with(model, &mos_consts(model, w, l, m), vgs, vds, vbs)
+    eval_mos_stamp(model, &mos_consts(model, w, l, m), vgs, vds, vbs)
 }
 
-/// The Newton stamping path: [`eval_mos`] on precomputed [`MosConsts`],
-/// returning only the linearization (bit-identical to the corresponding
-/// [`eval_mos`] fields).
-#[inline]
+/// The Newton stamping path: [`eval_mos`] on precomputed [`MosConsts`] —
+/// the four [`MosPhases`] run on one device.
+#[inline(always)]
 pub(crate) fn eval_mos_stamp(
     model: &MosModel,
     k: &MosConsts,
     vgs: f64,
     vds: f64,
     vbs: f64,
-) -> MosStamp {
-    let e = eval_with(model, k, vgs, vds, vbs);
-    MosStamp {
-        id: e.id,
-        gm: e.gm,
-        gds: e.gds,
-        gmb: e.gmb,
-    }
-}
-
-/// Shared body of [`eval_mos`] and [`eval_mos_stamp`]; inlined into both
-/// so the stamping copy drops the report-only fields.
-#[inline(always)]
-fn eval_with(model: &MosModel, k: &MosConsts, vgs: f64, vds: f64, vbs: f64) -> MosEval {
-    // Map PMOS into the NMOS ("primed") frame.
-    let (sign, vgs_p, vds_p, vbs_p) = match model.polarity {
-        MosPolarity::Nmos => (1.0, vgs, vds, vbs),
-        MosPolarity::Pmos => (-1.0, -vgs, -vds, -vbs),
-    };
-
-    let (id_p, gm, gds, gmb, vth, vdsat, region, reversed) = if vds_p >= 0.0 {
-        let (id, f1, f2, f3, vth, vdsat, region) = normal_mode(model, k, vgs_p, vds_p, vbs_p);
-        (id, f1, f2, f3, vth, vdsat, region, false)
-    } else {
-        // Swap drain and source: evaluate at (vgd, vsd, vbd).
-        let (id_s, f1, f2, f3, vth, vdsat, region) =
-            normal_mode(model, k, vgs_p - vds_p, -vds_p, vbs_p - vds_p);
-        let id = -id_s;
-        let gm = -f1;
-        let gds = f1 + f2 + f3;
-        let gmb = -f3;
-        (id, gm, gds, gmb, vth, vdsat, region, true)
-    };
-
-    // Polarity mapping: id flips with sign, derivatives are invariant
-    // (two sign flips cancel).
-    let id = sign * id_p;
-    // A tiny conductance floor keeps the MNA matrix well conditioned when
-    // the device is off.
-    let gds = gds + 1e-12;
-
-    MosEval {
-        id,
-        gm,
-        gds,
-        gmb,
-        vth,
-        vdsat,
-        vsat_margin: vds_p.abs() - vdsat,
-        region,
-        reversed,
-    }
+) -> MosEval {
+    let mut p = MosPhases::bias(model, k, vgs, vds, vbs);
+    p.exp();
+    p.softplus();
+    p.finish()
 }
 
 /// Geometry-derived constant capacitances of a device \[F\].
@@ -380,8 +434,38 @@ pub fn mos_noise_psd(model: &MosModel, l: f64, gm: f64, id: f64, f: f64, temp: f
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Which model branches an evaluation `e` of `model` at the physical
+    /// bias `(vgs, vds, vbs)` took: `[cutoff, triode, saturation,
+    /// reversed, x > 40, x < −40, clamp]`, where `x` is the softplus
+    /// argument and the clamp is the `φ − vbs < 1e-3` body-effect floor.
+    pub(crate) fn branches(
+        model: &MosModel,
+        e: &MosEval,
+        vgs: f64,
+        vds: f64,
+        vbs: f64,
+    ) -> [bool; 7] {
+        let sign = match model.polarity {
+            MosPolarity::Nmos => 1.0,
+            MosPolarity::Pmos => -1.0,
+        };
+        // The bias in the internal frame.
+        let (g, d, b) = (sign * vgs, sign * vds, sign * vbs);
+        let (g, b) = if d >= 0.0 { (g, b) } else { (g - d, b - d) };
+        let x = (g - e.vth) / (2.0 * model.nsub * VT_300K);
+        [
+            e.region == MosRegion::Cutoff,
+            e.region == MosRegion::Triode,
+            e.region == MosRegion::Saturation,
+            e.reversed,
+            x > 40.0,
+            x < -40.0,
+            model.phi - b < 1e-3,
+        ]
+    }
 
     fn nmos() -> MosModel {
         MosModel {
@@ -614,6 +698,57 @@ mod tests {
     #[should_panic(expected = "temperature must be positive")]
     fn non_physical_temperature_rejected() {
         let _ = nmos().at_temperature(-10.0);
+    }
+
+    /// Pins the model's bits: one FNV-1a digest of every [`eval_mos`]
+    /// field over a bias grid that visits NMOS and PMOS, forward and
+    /// reversed conduction, saturation, triode and cutoff, both `|x| > 40`
+    /// softplus branches and the `φ − vbs < 1e-3` body-effect clamp. A
+    /// restructuring of the model arithmetic that keeps the bits keeps the
+    /// digest.
+    #[test]
+    fn eval_mos_bits_are_pinned() {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |v: u64| {
+            for byte in v.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let mut seen = [0usize; 7];
+        for model in [nmos(), pmos()] {
+            for i in 0..13 {
+                for j in 0..11 {
+                    for k in 0..9 {
+                        let vgs = (i as f64 - 6.0) * 0.75;
+                        let vds = (j as f64 - 5.0) * 0.6;
+                        let vbs = (k as f64 - 4.0) * 0.3;
+                        let e = eval_mos(&model, 20e-6, 0.5e-6, 2.0, vgs, vds, vbs);
+                        for v in [e.id, e.gm, e.gds, e.gmb, e.vth, e.vdsat, e.vsat_margin] {
+                            fold(v.to_bits());
+                        }
+                        fold(e.region as u64);
+                        fold(u64::from(e.reversed));
+                        for (n, hit) in seen.iter_mut().zip(branches(&model, &e, vgs, vds, vbs)) {
+                            *n += usize::from(hit);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "grid coverage {seen:?}");
+        assert_eq!(hash, 0x83ea_80d0_58e0_dc8a, "eval_mos digest {hash:#018x}");
+    }
+
+    /// Phases 2 and 3 on a bare softplus argument.
+    fn softplus(x: f64) -> (f64, f64) {
+        let mut p = MosPhases {
+            x,
+            ..MosPhases::default()
+        };
+        p.exp();
+        p.softplus();
+        (p.sp, p.sig)
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use linalg::{Scalar, C64};
 
-use crate::mos::{MosEval, MosStamp};
+use crate::mos::{MosEval, MosPhases};
 use crate::netlist::{Circuit, Device, NodeId};
 use crate::waveform::Waveform;
 
@@ -538,7 +538,7 @@ const MOS_PATTERN: [(usize, usize); 12] = [
 
 /// The value of each [`MOS_PATTERN`] write.
 #[inline(always)]
-fn mos_pattern_values(e: &MosStamp) -> [f64; 12] {
+fn mos_pattern_values(e: &MosEval) -> [f64; 12] {
     [
         e.gm, -e.gm, -e.gm, e.gm, e.gds, e.gds, -e.gds, -e.gds, e.gmb, -e.gmb, -e.gmb, e.gmb,
     ]
@@ -549,15 +549,14 @@ fn mos_pattern_values(e: &MosStamp) -> [f64; 12] {
 /// d → s through the device, so it leaves the right-hand side as
 /// `z[d] −= ieq`, `z[s] += ieq`.
 #[inline(always)]
-fn mos_ieq(e: &MosStamp, vgs: f64, vds: f64, vbs: f64) -> f64 {
+fn mos_ieq(e: &MosEval, vgs: f64, vds: f64, vbs: f64) -> f64 {
     e.id - e.gm * vgs - e.gds * vds - e.gmb * vbs
 }
 
 /// Stamps one MOSFET's Norton companion linearized at `x` by walking
-/// [`MOS_PATTERN`] through [`Stamp::add_a`], through the stamping path
-/// ([`crate::mos::eval_mos_stamp`] on the device's precomputed constants)
-/// — or, with `report` set, through the full [`crate::mos::eval_mos`],
-/// whose evaluation is appended to `report`.
+/// [`MOS_PATTERN`] through [`Stamp::add_a`]. The device is evaluated by
+/// [`crate::mos::eval_mos_stamp`] on its precomputed constants; with
+/// `report` set, the evaluation is also appended to `report`.
 #[inline]
 fn stamp_mos<S: Stamp<f64>>(
     dev: &Device,
@@ -571,9 +570,6 @@ fn stamp_mos<S: Stamp<f64>>(
         s,
         b,
         model,
-        w,
-        l,
-        m,
         consts,
         ..
     } = dev
@@ -585,19 +581,10 @@ fn stamp_mos<S: Stamp<f64>>(
     let vs = node_voltage(x, *s);
     let vb = node_voltage(x, *b);
     let (vgs, vds, vbs) = (vg - vs, vd - vs, vb - vs);
-    let e = match report {
-        None => crate::mos::eval_mos_stamp(model, consts, vgs, vds, vbs),
-        Some(evals) => {
-            let e = crate::mos::eval_mos(model, *w, *l, *m, vgs, vds, vbs);
-            evals.push(Some(e));
-            MosStamp {
-                id: e.id,
-                gm: e.gm,
-                gds: e.gds,
-                gmb: e.gmb,
-            }
-        }
-    };
+    let e = crate::mos::eval_mos_stamp(model, consts, vgs, vds, vbs);
+    if let Some(evals) = report {
+        evals.push(Some(e));
+    }
     let ieq = mos_ieq(&e, vgs, vds, vbs);
     let idx = [d, g, s, b].map(|&t| st.node_idx(t));
     for (&(r, c), v) in MOS_PATTERN.iter().zip(mos_pattern_values(&e)) {
@@ -611,6 +598,12 @@ fn stamp_mos<S: Stamp<f64>>(
 /// Sentinel of a [`MosTable`] entry: a ground terminal, or a pattern write
 /// that is absent because one of its terminals is ground.
 const ABSENT: u32 = u32::MAX;
+
+/// Devices per chunk of the batched [`MosTable::stamp`]: enough
+/// independent evaluations to cover the latency of one device's serial
+/// chain, few enough that a chunk's intermediates stay in L1 (32 measured
+/// slower).
+const MOS_CHUNK: usize = 16;
 
 /// One MOSFET's compiled stamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -695,6 +688,17 @@ impl MosTable {
     /// [`stamp_mos`] emits through a `SlotStamper` over the same slots.
     /// Returns `false`, stamping nothing, when the circuit's MOSFET count
     /// disagrees with the table's.
+    ///
+    /// The devices are evaluated in chunks of [`MOS_CHUNK`], one
+    /// [`MosPhases`] phase over the whole chunk at a time: gather the
+    /// terminal voltages and run the bias phase, then `exp`, then the
+    /// softplus, then finish each device and write its slots in device
+    /// order. One device's phases form a serial chain of `sqrt`, divides,
+    /// `exp` and `ln`; within a phase the chunk's devices are independent,
+    /// so the core overlaps their latencies. Each device still runs the
+    /// scalar operations of [`crate::mos::eval_mos`] in the same order, and
+    /// the writes keep the device order, so the bits are those of the
+    /// one-device walk.
     pub(crate) fn stamp(
         &self,
         circuit: &Circuit,
@@ -705,27 +709,46 @@ impl MosTable {
         if circuit.num_mosfets() != self.devs.len() {
             return false;
         }
-        for (dev, t) in circuit.mosfets().zip(&self.devs) {
-            let Device::Mosfet { model, consts, .. } = dev else {
-                unreachable!("mosfets() yields MOSFETs only");
-            };
-            let v = t
-                .nodes
-                .map(|i| if i == ABSENT { 0.0 } else { x[i as usize] });
-            let vs = v[SOURCE];
-            let (vgs, vds, vbs) = (v[GATE] - vs, v[DRAIN] - vs, v[BULK] - vs);
-            let e = crate::mos::eval_mos_stamp(model, consts, vgs, vds, vbs);
-            let ieq = mos_ieq(&e, vgs, vds, vbs);
-            for (&slot, c) in t.slots.iter().zip(mos_pattern_values(&e)) {
-                if slot != ABSENT {
-                    values[slot as usize] += c;
+        let mut mosfets = circuit.mosfets();
+        for chunk in self.devs.chunks(MOS_CHUNK) {
+            let n = chunk.len();
+            let mut bias = [[0.0; 3]; MOS_CHUNK];
+            let mut evals = [MosPhases::default(); MOS_CHUNK];
+            for ((t, dev), (v, p)) in chunk
+                .iter()
+                .zip(mosfets.by_ref())
+                .zip(bias.iter_mut().zip(&mut evals))
+            {
+                let Device::Mosfet { model, consts, .. } = dev else {
+                    unreachable!("mosfets() yields MOSFETs only");
+                };
+                let u = t
+                    .nodes
+                    .map(|i| if i == ABSENT { 0.0 } else { x[i as usize] });
+                let vs = u[SOURCE];
+                *v = [u[GATE] - vs, u[DRAIN] - vs, u[BULK] - vs];
+                *p = MosPhases::bias(model, consts, v[0], v[1], v[2]);
+            }
+            for p in &mut evals[..n] {
+                p.exp();
+            }
+            for p in &mut evals[..n] {
+                p.softplus();
+            }
+            for ((t, &[vgs, vds, vbs]), p) in chunk.iter().zip(&bias).zip(&evals) {
+                let e = p.finish();
+                let ieq = mos_ieq(&e, vgs, vds, vbs);
+                for (&slot, c) in t.slots.iter().zip(mos_pattern_values(&e)) {
+                    if slot != ABSENT {
+                        values[slot as usize] += c;
+                    }
                 }
-            }
-            if t.nodes[DRAIN] != ABSENT {
-                z[t.nodes[DRAIN] as usize] += -ieq;
-            }
-            if t.nodes[SOURCE] != ABSENT {
-                z[t.nodes[SOURCE] as usize] += ieq;
+                if t.nodes[DRAIN] != ABSENT {
+                    z[t.nodes[DRAIN] as usize] += -ieq;
+                }
+                if t.nodes[SOURCE] != ABSENT {
+                    z[t.nodes[SOURCE] as usize] += ieq;
+                }
             }
         }
         true
@@ -900,6 +923,15 @@ pub(crate) mod tests {
         stamp_resistive_linear(c, SourceEval::Dc { scale: 1.0 }, st);
     }
 
+    /// An iterate spread over ±4.5 V, so NMOS and PMOS devices visit the
+    /// forward and the drain/source-swapped linearizations, both far
+    /// softplus branches and the body-effect clamp.
+    fn spread_iterate(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| -4.5 + 9.0 * ((i * 37 + 11) % 23) as f64 / 22.0)
+            .collect()
+    }
+
     /// Replaying a compiled [`MosTable`] on top of the preloaded constant
     /// segment gives the same bits as walking [`stamp_mos`] through a
     /// `SlotStamper` over the same slot map, and the MOS writes keep the
@@ -907,11 +939,7 @@ pub(crate) mod tests {
     fn assert_table_matches_walk(c: &Circuit) {
         let n = c.num_unknowns();
         let nn = c.num_nodes();
-        // Spread the iterate over ±2 V so NMOS and PMOS devices visit the
-        // forward and the drain/source-swapped linearizations.
-        let x: Vec<f64> = (0..n)
-            .map(|i| -2.0 + 4.0 * ((i * 37 + 11) % 23) as f64 / 22.0)
-            .collect();
+        let x = spread_iterate(n);
 
         let mut rec = RecordStamper::new(c);
         stamp_constant(c, &mut rec);
@@ -991,6 +1019,61 @@ pub(crate) mod tests {
             .unwrap();
         assert_table_matches_walk(&c);
         assert_table_matches_walk(&mos_ladder(1e-10, &nmos));
+
+        // 37 devices of both polarities over ten nodes, the supply and
+        // ground: two full chunks of the batched replay and a partial one.
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        c.add_vsource("V1", vdd, GND, Waveform::Dc(1.8)).unwrap();
+        let mut pool = vec![GND, vdd];
+        pool.extend((0..10).map(|i| c.node(&format!("n{i}"))));
+        for (i, &n) in pool[2..].iter().enumerate() {
+            c.add_resistor(&format!("R{i}"), vdd, n, 10e3).unwrap();
+        }
+        for i in 0..37 {
+            let t = |a: usize, b: usize| pool[(i * a + b) % pool.len()];
+            let card = if i % 3 == 1 { &pmos } else { &nmos };
+            let m = 1.0 + (i % 4) as f64;
+            c.add_mosfet(
+                &format!("M{i}"),
+                t(5, 1),
+                t(7, 2),
+                t(3, 5),
+                t(11, 3),
+                card,
+                w,
+                l,
+                m,
+            )
+            .unwrap();
+        }
+        assert!(c.num_mosfets() > 2 * MOS_CHUNK);
+        assert_table_matches_walk(&c);
+        // The iterate drives the table through every model branch.
+        let x = spread_iterate(c.num_unknowns());
+        let mut seen = [false; 7];
+        for dev in c.mosfets() {
+            let Device::Mosfet {
+                d,
+                g,
+                s,
+                b,
+                model,
+                consts,
+                ..
+            } = dev
+            else {
+                unreachable!()
+            };
+            let vs = node_voltage(&x, *s);
+            let [vgs, vds, vbs] = [*g, *d, *b].map(|t| node_voltage(&x, t) - vs);
+            let e = crate::mos::eval_mos_stamp(model, consts, vgs, vds, vbs);
+            let hits = crate::mos::tests::branches(model, &e, vgs, vds, vbs);
+            for (seen, hit) in seen.iter_mut().zip(hits) {
+                *seen |= hit;
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "model branches reached: {seen:?}");
     }
 
     /// The bit pattern of a stamped value.

@@ -662,6 +662,30 @@ impl NewtonWorkspace {
         let lu = &self.plans[kind as usize].as_ref()?.state.sys.lu;
         Some((lu.dependent_steps().len(), lu.dim()))
     }
+
+    /// The steps of the `kind` plan's stored factorization that are
+    /// dependent only through the closure — listed, though the column they
+    /// factor lies outside the MOS column mask — each with its reciprocal
+    /// pivot.
+    pub(crate) fn closure_steps(&self, kind: StampKind) -> Vec<(u32, f64)> {
+        let plan = self.plans[kind as usize].as_ref().expect("plan recorded");
+        let lu = &plan.state.sys.lu;
+        let mask = plan.state.mos.column_mask(lu.dim());
+        let inv_diag = lu.factor_values().2;
+        lu.dependent_steps()
+            .iter()
+            .filter(|&&k| !mask[lu.step_pattern(k as usize).0])
+            .map(|&k| (k, inv_diag[k as usize]))
+            .collect()
+    }
+
+    /// Makes every later refactorization of the recorded plans replay
+    /// every step: an empty column mask marks every column dependent.
+    pub(crate) fn replay_every_step(&mut self) {
+        for plan in self.plans.iter_mut().flatten() {
+            plan.state.sys.lu.set_column_mask(&[]);
+        }
+    }
 }
 
 #[cfg(test)]
