@@ -3,7 +3,7 @@
 //! the restricted-bounds machinery.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dnn_opt::pseudo::{all_pseudo_samples, sample_pseudo_batch};
+use dnn_opt::pseudo::{all_pseudo_samples, PseudoSampler};
 use dnn_opt::restricted_bounds;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -21,7 +21,9 @@ fn bench_ablation(c: &mut Criterion) {
     });
 
     c.bench_function("pseudo_subsample_1024", |b| {
-        b.iter(|| sample_pseudo_batch(&xs, &fs, 1024, &mut rng))
+        let targets = linalg::Matrix::from_fn(120, 30, |i, j| fs[i][j]);
+        let (mut inp, mut out) = (linalg::Matrix::default(), linalg::Matrix::default());
+        b.iter(|| PseudoSampler::new(&xs, &targets).sample_into(1024, &mut rng, &mut inp, &mut out))
     });
 
     c.bench_function("restricted_bounds_elite10_d20", |b| {

@@ -338,11 +338,10 @@ pub const CRITIC_STEP_SHAPES: [GemmShape; 8] = [
 
 /// The GEMM-engine rows, shared by `benches/gemm_kernels.rs` and
 /// [`baseline::refresh`]: `gemm_kernel_naive_*` (the reference triple
-/// loop) and `gemm_kernel_blocked_*` (the `gemm` entry point) on
-/// [`GEMM_KERNEL_SHAPES`], then `gemm_kernel_critic_*` (the `gemm` entry
-/// point) on [`CRITIC_STEP_SHAPES`]. The `blocked` rows keep the name of
-/// the cache-blocked engine `gemm` once ran; they time its register tiles
-/// on the lane backend the host selects.
+/// loop) and `gemm_kernel_tiled_*` (the `gemm` entry point: its register
+/// tiles on the lane backend the host selects) on [`GEMM_KERNEL_SHAPES`],
+/// then `gemm_kernel_critic_*` (the `gemm` entry point) on
+/// [`CRITIC_STEP_SHAPES`].
 pub fn gemm_kernel_rows(c: &mut criterion::Criterion) {
     use criterion::black_box;
     use linalg::{gemm, gemm_naive, GemmWorkspace, Matrix};
@@ -388,7 +387,7 @@ pub fn gemm_kernel_rows(c: &mut criterion::Criterion) {
                 black_box(out.as_slice()[0])
             })
         });
-        entry(c, &format!("gemm_kernel_blocked_{label}"), shape.4, &a, &b);
+        entry(c, &format!("gemm_kernel_tiled_{label}"), shape.4, &a, &b);
     }
     for shape @ (label, ..) in CRITIC_STEP_SHAPES {
         let (a, b) = operands(shape);

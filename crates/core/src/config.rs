@@ -37,15 +37,6 @@ pub struct DnnOptConfig {
     pub noise_final: f64,
     /// Base RNG seed component (combined with the per-run seed).
     pub seed_offset: u64,
-    /// Corner-resolved critic (opt-in): on a corner-indexed problem, train
-    /// the critic on the per-corner constraint vector (`1 + K·m` wide —
-    /// [`opt::SizingProblem::num_corners`] × constraints) instead of the
-    /// worst-case aggregate, against the corner-tiled FoM
-    /// ([`opt::Fom::tiled`]). The surrogate then sees *which* corner a
-    /// candidate violates, not just that one does; history recording,
-    /// elite selection and the budget stay on the aggregate. Off by
-    /// default (no effect on single-corner problems either way).
-    pub corner_critic: bool,
 }
 
 impl Default for DnnOptConfig {
@@ -64,7 +55,6 @@ impl Default for DnnOptConfig {
             noise_initial: 0.10,
             noise_final: 0.03,
             seed_offset: 0x5eed,
-            corner_critic: false,
         }
     }
 }

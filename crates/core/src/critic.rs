@@ -5,7 +5,7 @@ use nn::{Activation, Adam, Mlp, Scaler, TrainWorkspace};
 use rand::Rng;
 
 use crate::config::DnnOptConfig;
-use crate::pseudo::{all_pseudo_samples_into, sample_pseudo_batch_into};
+use crate::pseudo::{all_pseudo_samples_into, PseudoSampler};
 
 /// A trained critic: predicts the full spec vector `[f0, f1, …, fm]` of a
 /// design step `(x, Δx)` in unit-cube coordinates.
@@ -52,9 +52,11 @@ impl Critic {
         let mo = fs[0].len();
         let n = xs.len();
 
-        // Fit the target scaler on the raw specs.
+        // Fit the target scaler on the raw specs and standardize them once:
+        // every pseudo-sample target is a copy of one of these rows.
         let f_mat = Matrix::from_fn(n, mo, |i, j| fs[i][j]);
         let y_scaler = Scaler::fit(&f_mat);
+        let targets = y_scaler.transform(&f_mat);
 
         let mut sizes = vec![2 * d];
         for _ in 0..cfg.depth {
@@ -64,26 +66,26 @@ impl Critic {
         let mut net = Mlp::new(&sizes, Activation::Relu, rng);
         let mut adam = Adam::new(cfg.critic_lr);
 
-        // Every per-epoch buffer — pseudo-sample batch, scaled targets, and
-        // the network's forward/backward state — is allocated once here and
-        // reused for all `critic_epochs` gradient steps.
+        // The pseudo-sample batch and the network's forward/backward state
+        // are allocated once here and reused for all `critic_epochs`
+        // gradient steps; the step never sums the loss it does not report.
         let mut inp = Matrix::default();
-        let mut raw_out = Matrix::default();
         let mut out = Matrix::default();
         let mut ws = TrainWorkspace::new();
-        let full_pairs = n * n;
-        let use_full_set = full_pairs <= cfg.critic_batch;
-        if use_full_set {
+        if n * n <= cfg.critic_batch {
             // The full N² Cartesian set is deterministic: build it once.
-            all_pseudo_samples_into(xs, fs, &mut inp, &mut raw_out);
-            y_scaler.transform_into(&raw_out, &mut out);
-        }
-        for _ in 0..cfg.critic_epochs {
-            if !use_full_set {
-                sample_pseudo_batch_into(xs, fs, cfg.critic_batch, rng, &mut inp, &mut raw_out);
-                y_scaler.transform_into(&raw_out, &mut out);
+            all_pseudo_samples_into(xs, &targets, &mut inp, &mut out);
+            for _ in 0..cfg.critic_epochs {
+                nn::train_step_mse_ws(&mut net, &mut adam, &inp, &out, &mut ws);
             }
-            nn::train_step_mse_ws(&mut net, &mut adam, &inp, &out, &mut ws);
+        } else {
+            // One sampler for the fit: its tournament distances are
+            // computed once per pair of designs, not once per draw.
+            let mut sampler = PseudoSampler::new(xs, &targets);
+            for _ in 0..cfg.critic_epochs {
+                sampler.sample_into(cfg.critic_batch, rng, &mut inp, &mut out);
+                nn::train_step_mse_ws(&mut net, &mut adam, &inp, &out, &mut ws);
+            }
         }
         Critic {
             net,

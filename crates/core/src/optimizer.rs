@@ -80,18 +80,6 @@ impl Optimizer for DnnOpt {
         let d = problem.dim();
         let mut ev = Evaluator::new(problem, fom, budget);
 
-        // Corner-resolved critic mode (opt-in): on a corner-indexed problem
-        // the surrogate trains on the per-corner spec vector — 1 + K·m
-        // wide — against the corner-tiled FoM, so it learns *which* corner
-        // pushes a candidate out of spec. History, elite selection and the
-        // simulated FoM stay on the worst-case aggregate either way.
-        let per_corner = cfg.corner_critic && problem.num_corners() > 1;
-        let surrogate_fom = if per_corner {
-            fom.tiled(problem.num_corners())
-        } else {
-            fom.clone()
-        };
-
         // Line 1: initial population, evaluated as one parallel batch.
         // Results are recorded in candidate order, so runs are identical
         // for any thread count. Under FirstFeasible the whole batch is
@@ -114,16 +102,7 @@ impl Optimizer for DnnOpt {
             // otherwise dominate the critic's target standardization and
             // flatten every real spec to numerical zero.
             let xs: Vec<Vec<f64>> = history.iter().map(|e| to_unit(&e.x, &lb, &ub)).collect();
-            let mut fs: Vec<Vec<f64>> = history
-                .iter()
-                .map(|e| {
-                    if per_corner {
-                        e.corner_vector()
-                    } else {
-                        e.spec.as_vector()
-                    }
-                })
-                .collect();
+            let mut fs: Vec<Vec<f64>> = history.iter().map(|e| e.spec.as_vector()).collect();
             // NaN quarantine: a failed evaluation may leave NaN/∞ in a spec
             // slot (e.g. a measurement on a truncated waveform). Map every
             // non-finite target to the failure penalty before clipping so
@@ -157,15 +136,7 @@ impl Optimizer for DnnOpt {
             let (lb_rest, ub_rest) = restricted_bounds(&elite);
             let actor = {
                 let _at = telemetry::span(telemetry::SpanId::ActorTrain);
-                Actor::train(
-                    cfg,
-                    &critic,
-                    &surrogate_fom,
-                    &elite,
-                    &lb_rest,
-                    &ub_rest,
-                    &mut rng,
-                )
+                Actor::train(cfg, &critic, fom, &elite, &lb_rest, &ub_rest, &mut rng)
             };
             model_time += tm.elapsed();
 
@@ -237,8 +208,8 @@ impl Optimizer for DnnOpt {
                 let ei = idx / variants;
                 let r = ei * (variants + 1) + (idx % variants);
                 let r0 = ei * (variants + 1) + variants;
-                let g_step = surrogate_fom.value_of_vector(preds.row(r));
-                let g_base = surrogate_fom.value_of_vector(preds.row(r0));
+                let g_step = fom.value_of_vector(preds.row(r));
+                let g_base = fom.value_of_vector(preds.row(r0));
                 // Improvement credit is capped: differencing two network
                 // outputs doubles their noise, and uncapped optimistic
                 // outliers would dominate the argmin (winner's curse).
@@ -447,32 +418,18 @@ mod tests {
     }
 
     #[test]
-    fn corner_resolved_critic_optimizes_the_corner_plane() {
+    fn worst_case_critic_optimizes_the_corner_plane() {
         let p = CorneredSphere { d: 3, k: 3 };
         let fom = Fom::uniform(1.0, p.num_constraints());
-        let cfg = DnnOptConfig {
-            corner_critic: true,
-            ..quick_cfg()
-        };
-        let run = DnnOpt::new(cfg).run(&p, &fom, 60, StopPolicy::Exhaust, 11);
+        let run = DnnOpt::new(quick_cfg()).run(&p, &fom, 60, StopPolicy::Exhaust, 11);
         assert_eq!(run.history.len(), 60);
-        // Every entry carries the per-corner records the wide critic
-        // trained on.
-        for e in run.history.entries() {
-            assert_eq!(e.corner_specs.len(), 3);
-            assert_eq!(e.corner_vector().len(), 1 + 3 * p.num_constraints());
-        }
         // A feasible design satisfies the *tightest* corner.
         let best = run.history.best_feasible().expect("feasible on the plane");
         for v in &best.x {
             assert!(*v >= 0.1 + 0.05 * 2.0 - 1e-9, "worst corner enforced: {v}");
         }
-        // Determinism contract holds in the corner-resolved mode too.
-        let cfg2 = DnnOptConfig {
-            corner_critic: true,
-            ..quick_cfg()
-        };
-        let again = DnnOpt::new(cfg2).run(&p, &fom, 60, StopPolicy::Exhaust, 11);
+        // The determinism contract holds on a corner plane.
+        let again = DnnOpt::new(quick_cfg()).run(&p, &fom, 60, StopPolicy::Exhaust, 11);
         assert_eq!(run.history.best_trace(), again.history.best_trace());
     }
 

@@ -56,10 +56,17 @@
 //! # Epilogues
 //!
 //! [`gemm_with`] applies an [`Epilogue`] to every finished output element
-//! exactly once, after all `KC`-panel contributions have accumulated. This
-//! is how the NN crate fuses bias-add + activation into the forward GEMM
-//! and the activation-derivative product into the backward GEMM without an
-//! extra pass over the output.
+//! exactly once, after all `KC`-panel contributions have accumulated. It
+//! runs row block by row block: once the last tile of an `R`-row block is
+//! stored, the block's rows go to the epilogue while they are still in L1
+//! (8 rows × 48 columns, 3 KB, on the critic), so no second pass over `C`
+//! follows the product. Only `k = 0`, which has no panel, runs it row by
+//! row. One dynamic call per row block reaches the epilogue, so the tiles
+//! are compiled once for every epilogue. This is how the NN crate fuses
+//! bias-add + activation into the forward GEMM and the
+//! activation-derivative product into the backward GEMM.
+
+use std::ops::Range;
 
 use crate::Matrix;
 
@@ -87,8 +94,8 @@ impl GemmOp {
 /// `apply` is called exactly once per output element, after the element's
 /// value is final, as `apply(row, col0, seg)` where `seg` is the contiguous
 /// slice `c[row][col0 .. col0 + seg.len()]`. Implementations must treat the
-/// call element-wise (the segmentation — full rows today — is not part of
-/// the contract).
+/// call element-wise (the segmentation — full rows today, one register row
+/// block at a time — is not part of the contract).
 pub trait Epilogue {
     /// Transforms one finished output-row segment in place.
     fn apply(&mut self, row: usize, col0: usize, seg: &mut [f64]);
@@ -208,11 +215,15 @@ fn product<E: Epilogue>(
     prepare_output(beta, m, n, c);
     let _span = trace_product(m * n * k);
     if k == 0 {
-        // No panel to merge: C := β·C, and 0 for β = 0 (C may be stale).
+        // No panel to merge: C := β·C, and 0 for β = 0 (C may be stale);
+        // the elements are final, so the epilogue runs row by row.
         if beta == 0.0 {
             c.as_mut_slice().fill(0.0);
         } else if beta != 1.0 {
             c.scale_inplace(beta);
+        }
+        for i in 0..m {
+            epilogue.apply(i, 0, c.row_mut(i));
         }
     } else if m > 0 && n > 0 {
         let nb = pack_b(op_b, b, k, n, &mut ws.panel);
@@ -231,12 +242,7 @@ fn product<E: Epilogue>(
         // SAFETY: every `Backend` the engine is handed runs on this host
         // (`Backend::host`, or a test's detected list); `op(A)` is `m × k`
         // (`checked_dims`), and the assert covers the panel and the output.
-        unsafe { backend.run(op_a, &operands, m, n) };
-    }
-    // Every panel has merged: the elements are final, so the fused
-    // epilogue runs now, in row order.
-    for i in 0..m {
-        epilogue.apply(i, 0, c.row_mut(i));
+        unsafe { backend.run(op_a, &operands, m, n, epilogue) };
     }
 }
 
@@ -420,21 +426,21 @@ impl Backend {
     /// describe an `m × k` `op(A)` laid out as `op_a` says, a `k × nb`
     /// panel with `nb ≥ n` rounded up to [`PANEL_PAD`], and an `m × n`
     /// output with no other live access.
-    unsafe fn run(self, op_a: GemmOp, s: &Operands, m: usize, n: usize) {
+    unsafe fn run(self, op_a: GemmOp, s: &Operands, m: usize, n: usize, e: &mut dyn BlockEpilogue) {
         match (self, op_a) {
             // `8 × 24` tiles: 24 of the 32 `zmm` registers accumulate.
             #[cfg(target_arch = "x86_64")]
-            (Backend::Avx512, GemmOp::NoTrans) => rows::<Avx512, 8, 4, 3, false>(s, m, n),
+            (Backend::Avx512, GemmOp::NoTrans) => rows::<Avx512, 8, 4, 3, false>(s, m, n, e),
             #[cfg(target_arch = "x86_64")]
-            (Backend::Avx512, GemmOp::Trans) => rows::<Avx512, 8, 4, 3, true>(s, m, n),
+            (Backend::Avx512, GemmOp::Trans) => rows::<Avx512, 8, 4, 3, true>(s, m, n, e),
             // `6 × 8` tiles: 12 of the 16 `ymm` registers accumulate,
             // leaving two for `op(B)` and one for the broadcast.
             #[cfg(target_arch = "x86_64")]
-            (Backend::Avx2Fma, GemmOp::NoTrans) => rows::<Avx2Fma, 6, 2, 2, false>(s, m, n),
+            (Backend::Avx2Fma, GemmOp::NoTrans) => rows::<Avx2Fma, 6, 2, 2, false>(s, m, n, e),
             #[cfg(target_arch = "x86_64")]
-            (Backend::Avx2Fma, GemmOp::Trans) => rows::<Avx2Fma, 6, 2, 2, true>(s, m, n),
-            (Backend::Portable, GemmOp::NoTrans) => rows::<Portable, 6, 2, 2, false>(s, m, n),
-            (Backend::Portable, GemmOp::Trans) => rows::<Portable, 6, 2, 2, true>(s, m, n),
+            (Backend::Avx2Fma, GemmOp::Trans) => rows::<Avx2Fma, 6, 2, 2, true>(s, m, n, e),
+            (Backend::Portable, GemmOp::NoTrans) => rows::<Portable, 6, 2, 2, false>(s, m, n, e),
+            (Backend::Portable, GemmOp::Trans) => rows::<Portable, 6, 2, 2, true>(s, m, n, e),
         }
     }
 }
@@ -463,24 +469,28 @@ unsafe fn rows<L: Lanes, const R: usize, const H: usize, const V: usize, const T
     s: &Operands,
     m: usize,
     n: usize,
+    e: &mut dyn BlockEpilogue,
 ) {
     let mut i = 0;
     while m - i >= R {
-        row_block::<L, R, V, TRANS_A>(s, i, n);
+        row_block::<L, R, V, TRANS_A>(s, i, n, e);
         i += R;
     }
     while m - i >= H {
-        row_block::<L, H, V, TRANS_A>(s, i, n);
+        row_block::<L, H, V, TRANS_A>(s, i, n, e);
         i += H;
     }
     while i < m {
-        row_block::<L, 1, V, TRANS_A>(s, i, n);
+        row_block::<L, 1, V, TRANS_A>(s, i, n, e);
         i += 1;
     }
 }
 
 /// One `R`-row block of the output: full tiles of `V` vectors, then one
-/// tile of one to `V` vectors for the column tail.
+/// tile of one to `V` vectors for the column tail. Each tile returns with
+/// every panel merged, so once the last one is stored the block's elements
+/// are final, and the epilogue runs on its rows while they are still in
+/// L1.
 ///
 /// # Safety
 ///
@@ -489,6 +499,7 @@ unsafe fn row_block<L: Lanes, const R: usize, const V: usize, const TRANS_A: boo
     s: &Operands,
     i0: usize,
     n: usize,
+    e: &mut dyn BlockEpilogue,
 ) {
     let w = V * L::N;
     let full = n - n % w;
@@ -505,6 +516,29 @@ unsafe fn row_block<L: Lanes, const R: usize, const V: usize, const TRANS_A: boo
             1 => L::tile::<R, 1, TRANS_A>(s, i0, full, live),
             2 if V == 3 => L::tile::<R, 2, TRANS_A>(s, i0, full, live),
             _ => L::tile::<R, V, TRANS_A>(s, i0, full, live),
+        }
+    }
+    e.finish(s, i0..i0 + R, n);
+}
+
+/// An [`Epilogue`] as the row loops call it: once per finished row block,
+/// through one dynamic call, so that the loops and the tiles are compiled
+/// once for every epilogue.
+trait BlockEpilogue {
+    /// Runs the epilogue on the first `n` columns of the rows `rows` of
+    /// the output of `s`.
+    ///
+    /// # Safety
+    ///
+    /// The rows must lie inside the output of `s`, with no other live
+    /// access to them.
+    unsafe fn finish(&mut self, s: &Operands, rows: Range<usize>, n: usize);
+}
+
+impl<E: Epilogue> BlockEpilogue for E {
+    unsafe fn finish(&mut self, s: &Operands, rows: Range<usize>, n: usize) {
+        for i in rows {
+            self.apply(i, 0, std::slice::from_raw_parts_mut(s.c.add(i * s.ldc), n));
         }
     }
 }
@@ -1178,6 +1212,67 @@ mod tests {
                                 let mut naive = c0.clone();
                                 gemm_naive_with(ops.0, ops.1, alpha, &a, &b, beta, &mut naive, &mut epi());
                                 proptest::prop_assert_eq!(c.as_slice(), naive.as_slice());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The epilogue runs on each register row block right after the
+    /// block's last `KC` panel. On every backend the host runs, for NN and
+    /// TN products one panel deep, exactly one, just over one and just over
+    /// two, with row and column tails, the fused result equals a plain
+    /// product followed by a separate row pass of the same epilogue, bit
+    /// for bit. An epilogue that ran before the last panel had merged would
+    /// see a partial sum and fail here.
+    #[test]
+    fn fused_epilogue_equals_a_separate_pass() {
+        let seed: Vec<f64> = (0..89).map(|i| (i as f64 * 0.61).cos()).collect();
+        let ws = &mut GemmWorkspace::new();
+        for backend in host_backends() {
+            for ops in [
+                (GemmOp::NoTrans, GemmOp::NoTrans),
+                (GemmOp::Trans, GemmOp::NoTrans),
+            ] {
+                for k in [KC - 1, KC, KC + 1, 2 * KC + 3] {
+                    // 8·3 + 5 rows and 24 + 7 columns: full tiles, then
+                    // every row tail height and a partial column vector.
+                    let (m, n) = (29, 31);
+                    let a = operand(ops.0, m, k, &seed, 0);
+                    let b = operand(ops.1, k, n, &seed, 13);
+                    let bias: Vec<f64> = (0..n).map(|j| seed[(5 * j + 1) % seed.len()]).collect();
+                    let act = Matrix::from_fn(m, n, |i, j| seed[(i + 11 * j) % seed.len()]);
+                    let c0 = Matrix::from_fn(m, n, |i, j| seed[(3 * i + 5 * j + 2) % seed.len()]);
+                    for beta in [0.0, 0.5] {
+                        for mut epi in [
+                            MlpEpilogue::BiasRelu(&bias),
+                            MlpEpilogue::BiasTanh(&bias),
+                            MlpEpilogue::TanhPrime(&act),
+                        ] {
+                            let mut fused = c0.clone();
+                            product(backend, ops, 1.0, &a, &b, beta, &mut fused, ws, &mut epi);
+                            let mut separate = c0.clone();
+                            product(
+                                backend,
+                                ops,
+                                1.0,
+                                &a,
+                                &b,
+                                beta,
+                                &mut separate,
+                                ws,
+                                &mut NoEpilogue,
+                            );
+                            for i in 0..m {
+                                epi.apply(i, 0, separate.row_mut(i));
+                            }
+                            for (x, y) in fused.as_slice().iter().zip(separate.as_slice()) {
+                                assert!(
+                                    x.to_bits() == y.to_bits(),
+                                    "{backend:?} {ops:?} k = {k}, beta = {beta}: {x} vs {y}"
+                                );
                             }
                         }
                     }

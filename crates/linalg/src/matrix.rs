@@ -205,7 +205,7 @@ impl Matrix {
     /// stale values (only a grown tail is zeroed). For kernels that
     /// overwrite every element anyway — skips [`Matrix::reshape_zeroed`]'s
     /// full memset on the hot path.
-    pub(crate) fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
+    pub fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.data.resize(rows * cols, 0.0);

@@ -69,9 +69,13 @@ pub fn mse(pred: &Matrix, target: &Matrix) -> f64 {
 
 /// One full-batch MSE gradient step: forward, backward, Adam update.
 /// Returns the pre-step loss. Runs [`train_step_mse_ws`] on a fresh
-/// [`TrainWorkspace`]; loops should call that one and reuse the buffers.
+/// [`TrainWorkspace`], which still holds the pre-step predictions
+/// afterwards; loops that never read the loss should call that one and
+/// reuse the buffers.
 pub fn train_step_mse(net: &mut Mlp, adam: &mut Adam, x: &Matrix, y: &Matrix) -> f64 {
-    train_step_mse_ws(net, adam, x, y, &mut TrainWorkspace::new())
+    let mut ws = TrainWorkspace::new();
+    train_step_mse_ws(net, adam, x, y, &mut ws);
+    mse(ws.output(), y)
 }
 
 /// Draws a standard-normal sample via Box-Muller (keeps the workspace free

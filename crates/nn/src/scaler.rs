@@ -78,22 +78,6 @@ impl Scaler {
         })
     }
 
-    /// Standardizes a matrix into a caller-owned buffer (reshaped to fit,
-    /// reusing its allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column count differs from the fitted data.
-    pub fn transform_into(&self, x: &Matrix, out: &mut Matrix) {
-        assert_eq!(x.cols(), self.dim(), "column mismatch");
-        out.copy_from(x);
-        for i in 0..out.rows() {
-            for ((v, &m), &s) in out.row_mut(i).iter_mut().zip(&self.mean).zip(&self.std) {
-                *v = (*v - m) / s;
-            }
-        }
-    }
-
     /// Inverts [`Scaler::transform`].
     ///
     /// # Panics

@@ -6,8 +6,10 @@
 //! engine with a **fused epilogue**:
 //!
 //! - forward: `acts[k+1] = act(acts[k]·Wᵀ + b)` is one GEMM whose output
-//!   tiles receive the bias-add and activation in place — no pre-activation
-//!   matrix is materialized and no second pass touches the output;
+//!   tiles receive the bias-add and activation in place, each block of
+//!   register rows right after its last accumulation panel, while it is
+//!   still in L1 — no pre-activation matrix is materialized and no second
+//!   pass touches the output;
 //! - backward: the delta propagation `δ_{k-1} = (δ_k·W) ⊙ act'(a)` fuses
 //!   the activation-derivative product into the propagation GEMM's output
 //!   tiles, with the derivative computed from the stored activation
@@ -18,6 +20,9 @@
 //! A [`TrainWorkspace`] owns all buffers, including the
 //! [`linalg::GemmWorkspace`] panel, so one full forward + backward +
 //! Adam step performs **zero heap allocations** once the buffers are warm.
+//! [`train_step_mse_ws`] computes only what the weights depend on: the
+//! loss gradient, written straight into the backward pass's delta buffer,
+//! never the loss value.
 
 use linalg::{gemm, gemm_with, Epilogue, GemmOp, GemmWorkspace, Matrix};
 
@@ -59,8 +64,6 @@ pub struct TrainWorkspace {
     pub(crate) delta_tmp: Matrix,
     /// Parameter gradients, shaped like the network.
     pub(crate) grads: Gradients,
-    /// Scratch for loss gradients (used by `train_step_mse_ws`).
-    pub(crate) grad_out: Matrix,
     /// GEMM pack panels shared by every layer's products.
     pub(crate) gemm: GemmWorkspace,
 }
@@ -311,7 +314,6 @@ impl Mlp {
         param_grads: bool,
         input_grad: bool,
     ) {
-        let last = self.num_layers() - 1;
         assert_eq!(
             grad_out.cols(),
             self.output_dim(),
@@ -323,6 +325,13 @@ impl Mlp {
             "gradient batch mismatch"
         );
         ws.delta.copy_from(grad_out);
+        self.backprop(ws, param_grads, input_grad);
+    }
+
+    /// The reverse-mode pass of the `backward_*_ws` methods, starting from
+    /// the output gradient already held in `ws.delta`.
+    fn backprop(&self, ws: &mut TrainWorkspace, param_grads: bool, input_grad: bool) {
+        let last = self.num_layers() - 1;
         for k in (0..=last).rev() {
             if param_grads {
                 // dW[k] = δᵀ·x_in without materializing the transpose.
@@ -387,46 +396,45 @@ impl Mlp {
 }
 
 /// One full-batch MSE gradient step using preallocated buffers: forward,
-/// backward and Adam update with zero per-step allocations. Returns the
-/// pre-step loss. [`crate::train_step_mse`] runs it on a fresh workspace.
+/// backward and Adam update with zero per-step allocations. The loss itself
+/// is never summed: the step needs only its gradient. After the step,
+/// `ws.output()` still holds the pre-step predictions, from which
+/// [`crate::train_step_mse`] computes the pre-step loss.
 pub fn train_step_mse_ws(
     net: &mut Mlp,
     adam: &mut Adam,
     x: &Matrix,
     y: &Matrix,
     ws: &mut TrainWorkspace,
-) -> f64 {
+) {
     telemetry::record(telemetry::Metric::TrainSteps, 1);
-    let mut grad_out = std::mem::take(&mut ws.grad_out);
     net.forward_ws(x, ws);
-    let pred = ws.output();
+    // The loss gradient goes straight into the backward pass's delta
+    // buffer; plain training never reads the input gradient, so the pass
+    // is parameter-only.
+    mse_gradient_into(&ws.acts[ws.acts.len() - 1], y, &mut ws.delta);
+    net.backprop(ws, true, false);
+    adam.step(net, &ws.grads);
+}
+
+/// The gradient of [`crate::mse`] in the predictions, `2(pred − target)/n`,
+/// into `grad` (reshaped to fit; every element is written).
+fn mse_gradient_into(pred: &Matrix, y: &Matrix, grad: &mut Matrix) {
     assert_eq!(
         (pred.rows(), pred.cols()),
         (y.rows(), y.cols()),
         "mse: shape mismatch"
     );
-    // Loss and its gradient 2(pred − target)/n in one fused pass over the
-    // predictions, written into the reusable buffer. Identical summation
-    // order to `crate::mse`.
     let n = (pred.rows() * pred.cols()) as f64;
-    grad_out.reshape_zeroed(pred.rows(), pred.cols());
-    let mut loss = 0.0;
-    for ((g, &p), &t) in grad_out
+    grad.reshape_for_overwrite(pred.rows(), pred.cols());
+    for ((g, &p), &t) in grad
         .as_mut_slice()
         .iter_mut()
         .zip(pred.as_slice())
         .zip(y.as_slice())
     {
-        let e = p - t;
-        loss += e * e;
-        *g = 2.0 * e / n;
+        *g = 2.0 * (p - t) / n;
     }
-    loss /= n;
-    // Plain training never reads the input gradient: parameter-only pass.
-    net.backward_params_ws(ws, &grad_out);
-    ws.grad_out = grad_out;
-    adam.step(net, &ws.grads);
-    loss
 }
 
 #[cfg(test)]
@@ -458,12 +466,13 @@ mod tests {
     /// against central differences of [`crate::mse`] in the predictions.
     #[test]
     fn train_step_loss_gradient_matches_finite_difference() {
-        let mut net = small_net();
+        let net = small_net();
         let x = Matrix::from_fn(2, 3, |i, j| (i as f64 - j as f64) * 0.4);
         let y = Matrix::from_rows(&[&[0.0, 1.0], &[0.2, -1.0]]);
         let pred = net.forward(&x);
-        let mut ws = TrainWorkspace::new();
-        train_step_mse_ws(&mut net, &mut Adam::new(1e-2), &x, &y, &mut ws);
+        // A stale, wrongly shaped buffer: every element must be rewritten.
+        let mut grad = Matrix::from_fn(3, 3, |_, _| f64::NAN);
+        mse_gradient_into(&pred, &y, &mut grad);
         let h = 1e-6;
         for i in 0..2 {
             for j in 0..2 {
@@ -472,7 +481,7 @@ mod tests {
                 let mut pm = pred.clone();
                 pm[(i, j)] -= h;
                 let fd = (crate::mse(&pp, &y) - crate::mse(&pm, &y)) / (2.0 * h);
-                assert!((ws.grad_out[(i, j)] - fd).abs() < 1e-8);
+                assert!((grad[(i, j)] - fd).abs() < 1e-8);
             }
         }
     }

@@ -57,30 +57,6 @@ impl Fom {
         self.weights.len()
     }
 
-    /// The corner-resolved FoM over a `k`-corner scenario plane: the same
-    /// objective weight, with the per-constraint weights tiled once per
-    /// corner. Applied to the widened spec vector
-    /// `[f0, c_0@corner0, …, c_{m−1}@corner0, c_0@corner1, …]` this is
-    /// Eq. 4 where every (constraint, corner) pair is its own spec — a
-    /// feasible design still scores `w0·f0`, and each corner a constraint
-    /// is violated at adds its own clipped penalty. This is the FoM the
-    /// corner-resolved critic mode trains against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn tiled(&self, k: usize) -> Fom {
-        assert!(k >= 1, "a scenario plane has at least one corner");
-        let mut weights = Vec::with_capacity(self.weights.len() * k);
-        for _ in 0..k {
-            weights.extend_from_slice(&self.weights);
-        }
-        Fom {
-            w0: self.w0,
-            weights,
-        }
-    }
-
     /// Evaluates Eq. 4 on a spec result.
     ///
     /// # Panics
@@ -229,22 +205,6 @@ mod tests {
         let worse = fom.value(&spec(0.0, &[0.8]));
         let better = fom.value(&spec(0.0, &[0.2]));
         assert!(better < worse);
-    }
-
-    #[test]
-    fn tiled_fom_repeats_constraint_weights() {
-        let fom = Fom::new(0.5, vec![1.0, 2.0]);
-        let wide = fom.tiled(3);
-        assert_eq!(wide.w0, 0.5);
-        assert_eq!(wide.weights, vec![1.0, 2.0, 1.0, 2.0, 1.0, 2.0]);
-        assert_eq!(fom.tiled(1), fom);
-        // A design feasible at every corner still scores w0·f0.
-        let v = [2.0, -1.0, -0.5, -1.0, -0.5, -1.0, -0.5];
-        assert!((wide.value_of_vector(&v) - 1.0).abs() < 1e-15);
-        // One violated (constraint, corner) pair adds its own penalty.
-        let mut v2 = v;
-        v2[3] = 0.25; // constraint 0 at corner 1, weight 1.0
-        assert!((wide.value_of_vector(&v2) - 1.25).abs() < 1e-15);
     }
 
     #[test]

@@ -27,41 +27,6 @@ pub struct Evaluation {
     pub corner_specs: Vec<SpecResult>,
 }
 
-impl Evaluation {
-    /// The corner-resolved spec vector
-    /// `[f0_worst, c_0@corner0, …, c_{m−1}@corner0, c_0@corner1, …]` —
-    /// the widened critic input of the corner-resolved surrogate mode
-    /// (pairs with [`crate::Fom::tiled`]).
-    ///
-    /// A failed/non-finite corner contributes the [`SpecResult::failed`]
-    /// placeholder constraints instead of its raw values — the same
-    /// sanitization the worst-case merge applies to the aggregate — so a
-    /// single NaN corner cannot poison surrogate training targets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the evaluation carries no per-corner records.
-    pub fn corner_vector(&self) -> Vec<f64> {
-        assert!(
-            !self.corner_specs.is_empty(),
-            "evaluation has no per-corner records"
-        );
-        let m = self.corner_specs[0].constraints.len();
-        let mut v = Vec::with_capacity(1 + m * self.corner_specs.len());
-        v.push(self.spec.objective);
-        for cs in &self.corner_specs {
-            if cs.is_failure() {
-                // The same placeholder the aggregate fold produces, from
-                // the one source of truth.
-                v.extend(SpecResult::failed(m).constraints);
-            } else {
-                v.extend_from_slice(&cs.constraints);
-            }
-        }
-        v
-    }
-}
-
 /// Full history of a run: every evaluation in order, plus derived
 /// statistics the paper reports (first-feasible index, best-FoM trace).
 #[derive(Debug, Clone, Default)]
@@ -645,12 +610,6 @@ mod tests {
         assert!(e.feasible);
         // One history entry per candidate, not per corner.
         assert_eq!(ev.used(), 1);
-        // The corner-resolved vector: worst f0 then per-corner constraints.
-        let v = e.corner_vector();
-        assert_eq!(v.len(), 1 + 3);
-        assert_eq!(v[0], e.spec.objective);
-        assert_eq!(v[1], 0.3 - 0.6);
-        assert_eq!(v[3], 0.5 - 0.6);
         // Feasible only when every corner passes.
         let e2 = ev.evaluate(&[0.45, 0.0]);
         assert!(!e2.feasible, "corner 2 requires x0 > 0.5");
@@ -813,43 +772,6 @@ mod tests {
                 b.spec.failure_diag().map(|d| format!("{d:?}"))
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "no per-corner records")]
-    fn corner_vector_requires_corner_records() {
-        let _ = eval(1.0, false).corner_vector();
-    }
-
-    #[test]
-    fn corner_vector_sanitizes_failed_corners() {
-        // A NaN corner must contribute the finite failed placeholder, not
-        // raw NaN — otherwise corner-critic training targets go NaN and
-        // every network weight follows.
-        let good = SpecResult {
-            failure: None,
-            objective: 1.0,
-            constraints: vec![-0.5, 0.25],
-        };
-        let nan = SpecResult {
-            failure: None,
-            objective: 1.0,
-            constraints: vec![f64::NAN, 0.0],
-        };
-        let e = Evaluation {
-            x: vec![0.0],
-            spec: SpecResult::worst_case(&[good.clone(), nan.clone()]),
-            fom: 0.0,
-            feasible: false,
-            corner_specs: vec![good, nan],
-        };
-        let v = e.corner_vector();
-        assert_eq!(v.len(), 1 + 2 * 2);
-        assert!(v.iter().all(|x| x.is_finite()), "no NaN may survive: {v:?}");
-        // The healthy corner's values pass through untouched; the failed
-        // corner is the placeholder.
-        assert_eq!(&v[1..3], &[-0.5, 0.25]);
-        assert_eq!(&v[3..5], &[1e12, 1e12]);
     }
 
     /// Sphere that panics whenever the first coordinate is exactly 0.5.

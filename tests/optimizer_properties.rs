@@ -112,3 +112,64 @@ mod pseudo_props {
         }
     }
 }
+
+/// FNV-1a over the bit patterns of a slice of values.
+fn fnv1a(values: &[f64]) -> u64 {
+    values.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+        (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The trained model bits, pinned: a critic fitted on a synthetic
+/// population and an actor trained through it, each digested over its
+/// predictions. n = 30 gives 900 pairs, so the critic draws a random
+/// 128-row batch per step; n = 8 gives 64 pairs, so it trains on the
+/// whole N² set. Any change to the pseudo-sample batches, the target
+/// scaling, the GEMM rounding or the Adam step moves a digest. Holds on
+/// every x86-64 host with FMA.
+#[test]
+fn critic_and_actor_bits_are_pinned() {
+    use dnn_opt::{Actor, Critic, DnnOptConfig};
+    use linalg::Matrix;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    let cfg = DnnOptConfig {
+        critic_epochs: 60,
+        actor_epochs: 30,
+        ..Default::default()
+    };
+    let digests: Vec<(u64, u64)> = [30usize, 8]
+        .into_iter()
+        .map(|n| {
+            let mut rng = StdRng::seed_from_u64(0xc0ffee + n as u64);
+            let xs: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..4).map(|_| rng.gen::<f64>()).collect())
+                .collect();
+            let fs: Vec<Vec<f64>> = xs
+                .iter()
+                .map(|x| {
+                    let f0: f64 = x.iter().map(|v| (v - 0.4) * (v - 0.4)).sum();
+                    vec![f0, 0.3 - x[0] * x[1], 1e3 * (x[2] - x[3])]
+                })
+                .collect();
+            let critic = Critic::train(&cfg, &xs, &fs, &mut rng);
+            let probe = Matrix::from_fn(16, 8, |i, j| ((i * 8 + j) as f64 * 0.37).sin() * 0.5);
+            let elite = &xs[..6];
+            let fom = Fom::uniform(1.0, 2);
+            let actor = Actor::train(&cfg, &critic, &fom, elite, &[0.1; 4], &[0.9; 4], &mut rng);
+            let x = Matrix::from_fn(elite.len(), 4, |i, j| elite[i][j]);
+            (
+                fnv1a(critic.predict(&probe).as_slice()),
+                fnv1a(actor.propose(&x).as_slice()),
+            )
+        })
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            (0xc5be_9f13_00fd_5449, 0x9639_4b72_0380_dbe8),
+            (0x7d91_8d73_6038_29e1, 0xe72e_f1bb_8ef5_48f3),
+        ],
+        "model bits moved: {digests:#018x?}"
+    );
+}

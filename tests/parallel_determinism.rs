@@ -319,7 +319,6 @@ fn serial_and_parallel_runs_are_bit_identical() {
         (Box::new(DifferentialEvolution::default()), 36),
         (
             Box::new(DnnOpt::new(DnnOptConfig {
-                corner_critic: true,
                 critic_epochs: 60,
                 actor_epochs: 20,
                 critic_batch: 64,
