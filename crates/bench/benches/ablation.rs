@@ -1,6 +1,8 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
-//! pseudo-sample construction cost (full N² vs subsampled) and the cost of
-//! the restricted-bounds machinery.
+//! Ablation benchmarks for two DNN-Opt design choices: pseudo-sample
+//! construction cost, full N² (paper Eq. 2) against the locality-biased
+//! subsample `dnn_opt::pseudo::PseudoSampler` draws once N² outgrows the
+//! per-epoch budget, and the cost of the restricted-bounds machinery
+//! (paper Eq. 6).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dnn_opt::pseudo::{all_pseudo_samples, PseudoSampler};

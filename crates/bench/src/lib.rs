@@ -403,9 +403,7 @@ pub fn gemm_kernel_rows(c: &mut criterion::Criterion) {
 pub mod baseline {
     use crate::{assemble_linear_small_signal, build_mos_ladder, build_rc_ladder, complex_csc};
     use criterion::{black_box, Criterion};
-    use linalg::{
-        ComplexLu, CscComplexMatrix, CscMatrix, Lu, Matrix, SparseComplexLu, SparseLu, C64,
-    };
+    use linalg::{CscComplexMatrix, CscMatrix, Matrix, SparseComplexLu, SparseLu, C64};
     use opt::{parallel, Evaluator, Fom, SizingProblem};
     use spice::stamp::{stamp_resistive_system, RealStamper, SourceEval, Stamp};
 
@@ -415,19 +413,9 @@ pub mod baseline {
     fn record_rows(path: &std::path::Path) {
         std::env::set_var("CRITERION_JSON", path);
         let mut c = Criterion::default().sample_size(10);
-        for (label_ws, label_sparse, ckt, x_guess) in [
-            (
-                "newton_dc_kernel_workspace_n62",
-                "newton_dc_kernel_sparse_n62",
-                build_rc_ladder(60),
-                0.0,
-            ),
-            (
-                "newton_dc_kernel_workspace_n32",
-                "newton_dc_kernel_sparse_n32",
-                build_mos_ladder(30),
-                0.4,
-            ),
+        for (label, ckt, x_guess) in [
+            ("newton_dc_kernel_sparse_n62", build_rc_ladder(60), 0.0),
+            ("newton_dc_kernel_sparse_n32", build_mos_ladder(30), 0.4),
         ] {
             let n = ckt.num_unknowns();
             let mut st = RealStamper::new(&ckt);
@@ -435,16 +423,7 @@ pub mod baseline {
             st.clear();
             st.load_gmin(1e-12);
             stamp_resistive_system(&ckt, &x0, SourceEval::Dc { scale: 1.0 }, &mut st);
-            c.bench_function(label_ws, |b| {
-                let mut lu = Lu::new(n);
-                let mut x = vec![0.0; n];
-                b.iter(|| {
-                    lu.factor(black_box(st.a.as_slice()), n).unwrap();
-                    lu.solve_into(&st.z, &mut x).unwrap();
-                    black_box(x[0])
-                })
-            });
-            c.bench_function(label_sparse, |b| {
+            c.bench_function(label, |b| {
                 let csc = CscMatrix::from_dense(&Matrix::from_vec(n, n, st.a.clone()));
                 let mut slu = SparseLu::new();
                 slu.factor(&csc).unwrap();
@@ -487,10 +466,10 @@ pub mod baseline {
             });
         }
 
-        // The AC-sweep kernels (identical bodies to
+        // The AC-sweep kernel (identical body to
         // `benches/spice_kernels.rs::bench_ac_sweep_kernel`): factor +
-        // solve at all 26 points of the n = 62 RC-ladder sweep, the dense
-        // per-point reference row vs the sparse pattern-shared kernel.
+        // solve at all 26 points of the n = 62 RC-ladder sweep on the
+        // sparse pattern-shared kernel.
         {
             let ckt = build_rc_ladder(60);
             let n = ckt.num_unknowns();
@@ -506,17 +485,6 @@ pub mod baseline {
                 .collect();
             let cscs: Vec<CscComplexMatrix> =
                 systems.iter().map(|(a, _)| complex_csc(a, n)).collect();
-            c.bench_function("ac_sweep_kernel_dense_n62", |b| {
-                let mut lu = ComplexLu::new(n);
-                let mut x = Vec::new();
-                b.iter(|| {
-                    for (a, z) in &systems {
-                        lu.factor(black_box(a), n).unwrap();
-                        lu.solve_into(z, &mut x).unwrap();
-                    }
-                    black_box(x[0])
-                })
-            });
             c.bench_function("ac_sweep_kernel_sparse_n62", |b| {
                 let mut slu = SparseComplexLu::new();
                 slu.factor(&cscs[0]).unwrap();

@@ -4,10 +4,11 @@
 //! circuits "a very advanced technology node". Both PDKs are proprietary, so
 //! this module provides generic Level-1+ parameter sets with representative
 //! magnitudes: a 180nm-class card (1.8 V) and a FinFET-era-class card
-//! (0.75 V, higher drive, stronger channel-length modulation). These are the
-//! documented SPICE/PDK substitutions from DESIGN.md — absolute performance
-//! numbers differ from silicon, but the optimization landscape (headroom,
-//! gain/speed/power/noise trade-offs) is preserved.
+//! (0.75 V, higher drive, stronger channel-length modulation). They stand
+//! in for the proprietary PDKs and their foundry SPICE models: absolute
+//! performance numbers differ from silicon, but the optimization landscape
+//! (headroom, gain/speed/power/noise trade-offs) is preserved, and that
+//! landscape is what the sizing methods are compared on.
 //!
 //! On top of the nominal cards sits the **PVT scenario plane**: a
 //! [`Corner`] combines a five-letter [`ProcessCorner`] (TT/FF/SS/SF/FS via

@@ -1,5 +1,4 @@
-//! Minimal complex arithmetic for AC analysis (the dense complex LU is
-//! [`crate::ComplexLu`], the `C64` instance of [`crate::LuT`]).
+//! Minimal complex arithmetic for AC analysis.
 
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 

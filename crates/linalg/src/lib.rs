@@ -17,10 +17,6 @@
 //!   population grid, sized by `DNNOPT_THREADS` /
 //!   [`pool::set_max_threads`]. It is the only parallel layer: every
 //!   kernel in this crate runs serially inside a grid worker.
-//! - [`LuT`]: dense LU with partial pivoting, written once over [`Scalar`]
-//!   in reusable storage — [`Lu`] and [`ComplexLu`] (with a transpose
-//!   solve): the dense reference the simulator's sparse path is tested
-//!   against.
 //! - [`CscMatrix`] and [`SparseLu`]: KLU-style sparse LU with a recorded
 //!   elimination pattern — one symbolic analysis per topology, then per
 //!   Newton iteration a scan-free [`SparseLu::refactor_dependent_into`]
@@ -35,33 +31,22 @@
 //! - [`Cholesky`]: factorization of symmetric positive-definite matrices in
 //!   reusable storage, used by Gaussian-process regression (with jitter
 //!   escalation and log-determinants for the marginal likelihood).
+//! - [`reference`](mod@reference): a textbook dense Gaussian elimination over
+//!   [`Scalar`] (`solve` and `det`), the independent oracle the sparse
+//!   path is tested against. No solver path calls it.
 //! - [`C64`]: minimal complex arithmetic for AC small-signal analysis.
 //! - [`CscComplexMatrix`] and [`SparseComplexLu`]: the [`C64`] instances
 //!   of the same generic sparse pipeline, for the frequency-domain MNA
 //!   systems `G + jωC`, with a transpose solve for the noise analysis'
 //!   adjoint system. The simulator solves every AC/noise point on this
 //!   path.
-//!
-//! # Example
-//!
-//! ```
-//! use linalg::{Lu, Matrix};
-//!
-//! let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]);
-//! let mut lu = Lu::new(2);
-//! lu.factor(a.as_slice(), 2).expect("non-singular");
-//! let mut x = Vec::new();
-//! lu.solve_into(&[1.0, 2.0], &mut x).unwrap();
-//! assert!((4.0 * x[0] + x[1] - 1.0).abs() < 1e-12);
-//! assert!((x[0] + 3.0 * x[1] - 2.0).abs() < 1e-12);
-//! ```
 
 mod cholesky;
 mod complex;
 mod gemm;
-mod lu;
 mod matrix;
 pub mod pool;
+pub mod reference;
 mod scalar;
 mod sparse;
 mod sparse_complex;
@@ -72,7 +57,6 @@ pub use complex::C64;
 pub use gemm::{
     gemm, gemm_naive, gemm_naive_with, gemm_with, Epilogue, GemmOp, GemmWorkspace, NoEpilogue,
 };
-pub use lu::{ComplexLu, Lu, LuT};
 pub use matrix::Matrix;
 pub use scalar::Scalar;
 pub use sparse::{CscMatrix, CscT, SparseLu, SparseLuT};

@@ -1,8 +1,9 @@
 //! The scalar abstraction shared by the real and complex LU paths.
 //!
-//! `lu.rs` (dense) and `sparse.rs` are written once over [`Scalar`] and
-//! monomorphized for `f64` (DC/transient Newton systems) and [`C64`]
-//! (frequency-domain `G + jωC` systems). The trait pins down exactly the
+//! The sparse LU (`sparse.rs`) and the dense reference solver
+//! (`reference.rs`) are written once over [`Scalar`] and monomorphized for
+//! `f64` (DC/transient Newton systems) and [`C64`] (frequency-domain
+//! `G + jωC` systems). The trait pins down exactly the
 //! operations the elimination needs — zero/one, magnitude for pivot
 //! checks, and the reciprocal used to turn divisions into
 //! multiplications — plus the `From<f64>` conversion the simulator's MNA
@@ -21,9 +22,9 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
 use crate::complex::C64;
 
-/// Element type of the generic dense and sparse factorizations
-/// ([`crate::Lu`]/[`crate::SparseLu`] = `f64`,
-/// [`crate::ComplexLu`]/[`crate::SparseComplexLu`] = [`C64`]).
+/// Element type of the generic sparse factorization
+/// ([`crate::SparseLu`] = `f64`, [`crate::SparseComplexLu`] = [`C64`]) and
+/// of the dense [`crate::reference`] solver.
 ///
 /// Implemented for `f64` and [`C64`] only; the methods exist for the
 /// solver internals and are not a general numeric-tower abstraction.

@@ -44,8 +44,8 @@ use crate::scalar::Scalar;
 use crate::{FactorError, Matrix};
 
 /// Pivots whose magnitude is not above this absolute threshold are treated
-/// as singular, by the sparse [`SparseLuT`] and the dense [`crate::LuT`]
-/// alike, so the paths agree on what "singular" means.
+/// as singular, by the sparse [`SparseLuT`] and the dense
+/// [`crate::reference`] alike, so the two agree on what "singular" means.
 pub(crate) const PIVOT_EPS: f64 = 1e-300;
 
 /// A square sparse matrix in compressed-sparse-column (CSC) form, generic
@@ -948,7 +948,6 @@ impl<T: Scalar> SparseLuT<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Lu;
 
     fn residual(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
         a.matvec(x)
@@ -1034,10 +1033,7 @@ mod tests {
         lu.solve_into(&b, &mut x).unwrap();
         assert!(residual(&dense1, &x, &b) < 1e-9);
         // And the refactor agrees with a fresh dense solve to tight tol.
-        let mut dense_lu = Lu::new(n);
-        dense_lu.factor(dense1.as_slice(), n).unwrap();
-        let mut x_dense = Vec::new();
-        dense_lu.solve_into(&b, &mut x_dense).unwrap();
+        let x_dense = crate::reference::solve(dense1.as_slice(), n, &b).unwrap();
         for (s, d) in x.iter().zip(&x_dense) {
             assert!((s - d).abs() <= 1e-10 * d.abs().max(1.0), "{s} vs {d}");
         }

@@ -1,8 +1,8 @@
 //! Property-based tests on the factorization kernels.
 
 use linalg::{
-    gemm, gemm_naive, gemm_with, Cholesky, ComplexLu, CscComplexMatrix, CscMatrix, Epilogue,
-    FactorError, GemmOp, GemmWorkspace, Lu, Matrix, SparseComplexLu, SparseLu, C64,
+    gemm, gemm_naive, gemm_with, reference, Cholesky, CscComplexMatrix, CscMatrix, Epilogue,
+    FactorError, GemmOp, GemmWorkspace, Matrix, SparseComplexLu, SparseLu, C64,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -147,24 +147,27 @@ fn assert_same_factor_bits(a: &SparseLu, b: &SparseLu) -> Result<(), TestCaseErr
     Ok(())
 }
 
-/// Factors a square real matrix with the dense LU.
-fn dense_lu(a: &Matrix) -> Result<Lu, FactorError> {
-    let mut lu = Lu::new(a.rows());
-    lu.factor(a.as_slice(), a.rows())?;
-    Ok(lu)
+/// Solves a square real system with the dense reference elimination.
+fn dense_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, FactorError> {
+    reference::solve(a.as_slice(), a.rows(), b)
 }
 
-/// Solves with a factored dense LU into a fresh vector.
-fn lu_solve(lu: &Lu, b: &[f64]) -> Vec<f64> {
-    let mut x = Vec::new();
-    lu.solve_into(b, &mut x).unwrap();
-    x
+/// The dense reference determinant of a square real matrix.
+fn dense_det(a: &Matrix) -> f64 {
+    reference::det(a.as_slice(), a.rows())
+}
+
+/// The transpose of a row-major `G + jωC` system.
+fn transposed(rows: &[Vec<C64>]) -> Vec<C64> {
+    let n = rows.len();
+    (0..n * n).map(|k| rows[k % n][k / n]).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// LU solve residual is tiny for diagonally dominant systems.
+    /// The reference solve's residual is tiny for diagonally dominant
+    /// systems.
     #[test]
     fn lu_solves_dominant_systems(
         n in 1usize..12,
@@ -173,61 +176,14 @@ proptest! {
     ) {
         let a = dominant_matrix(n, &seed);
         let b = &rhs[..n];
-        let x = lu_solve(&dense_lu(&a).unwrap(), b);
+        let x = dense_solve(&a, b).unwrap();
         let r = a.matvec(&x);
         for (ri, bi) in r.iter().zip(b) {
             prop_assert!((ri - bi).abs() < 1e-8);
         }
     }
 
-    /// The buffer-donating entry point factors bit-identically to the
-    /// copying one (they share the elimination).
-    #[test]
-    fn lu_factor_in_place_agrees_with_factor(
-        n in 1usize..12,
-        seed in proptest::collection::vec(-1.0..1.0f64, 16..200),
-        rhs in proptest::collection::vec(-10.0..10.0f64, 12),
-    ) {
-        let a = dominant_matrix(n, &seed);
-        let b = &rhs[..n];
-        let x_copied = lu_solve(&dense_lu(&a).unwrap(), b);
-        let mut lu = Lu::new(n);
-        lu.factor_in_place(&mut a.clone().into_vec(), n).unwrap();
-        prop_assert_eq!(lu_solve(&lu, b), x_copied);
-    }
-
-    /// Reuse across differently sized systems stays correct, for both
-    /// scalars: each size factors a real system and a complex `G + jωC`
-    /// one into the same two factor stores.
-    #[test]
-    fn lu_workspace_reuse_is_sound(
-        sizes in proptest::collection::vec(1usize..10, 2..6),
-        seed in proptest::collection::vec(-1.0..1.0f64, 32..200),
-    ) {
-        let mut lu = Lu::new(1);
-        let mut clu = ComplexLu::new(1);
-        let (mut x, mut z) = (Vec::new(), Vec::new());
-        for &n in &sizes {
-            let a = dominant_matrix(n, &seed);
-            let b: Vec<f64> = (0..n).map(|i| seed[i % seed.len()] * 3.0).collect();
-            lu.factor(a.as_slice(), n).unwrap();
-            lu.solve_into(&b, &mut x).unwrap();
-            let r = a.matvec(&x);
-            for (ri, bi) in r.iter().zip(&b) {
-                prop_assert!((ri - bi).abs() < 1e-8);
-            }
-            let ac = sparse_ac_matrix(n, 1.5, &seed);
-            let bc = complex_rhs(n, &seed);
-            clu.factor(&ac.concat(), n).unwrap();
-            clu.solve_into(&bc, &mut z).unwrap();
-            for (row, bi) in ac.iter().zip(&bc) {
-                let s = row.iter().zip(&z).fold(C64::ZERO, |s, (&aij, &zj)| s + aij * zj);
-                prop_assert!((s - *bi).abs() < 1e-8);
-            }
-        }
-    }
-
-    /// det(A·A) = det(A)² through the LU determinant.
+    /// det(A·A) = det(A)² through the reference determinant.
     #[test]
     fn lu_det_is_multiplicative(
         n in 1usize..6,
@@ -235,8 +191,8 @@ proptest! {
     ) {
         let a = dominant_matrix(n, &seed);
         let aa = a.matmul(&a);
-        let da = dense_lu(&a).unwrap().det();
-        let daa = dense_lu(&aa).unwrap().det();
+        let da = dense_det(&a);
+        let daa = dense_det(&aa);
         prop_assert!((daa - da * da).abs() < 1e-6 * da.abs().max(1.0) * da.abs().max(1.0));
     }
 
@@ -261,8 +217,8 @@ proptest! {
         for (ri, bi) in r.iter().zip(b) {
             prop_assert!((ri - bi).abs() < 1e-7);
         }
-        // log|A| finite and consistent with the LU determinant.
-        let det_lu = dense_lu(&a).unwrap().det();
+        // log|A| finite and consistent with the reference determinant.
+        let det_lu = dense_det(&a);
         prop_assert!((ch.log_det() - det_lu.ln()).abs() < 1e-6);
     }
 
@@ -281,9 +237,9 @@ proptest! {
         prop_assert!((&g - &gt).max_abs() < 1e-12);
     }
 
-    /// The sparse `refactor_into` path agrees with the dense
-    /// `Lu::factor` path within 1e-10 on random sparse systems — the
-    /// dense reference the simulator's sparse kernel is held to.
+    /// The sparse `refactor_into` path agrees with the dense reference
+    /// elimination within 1e-10 on random sparse systems — the oracle the
+    /// simulator's sparse kernel is held to.
     #[test]
     fn sparse_refactor_agrees_with_dense_factor(
         n in 1usize..14,
@@ -307,7 +263,7 @@ proptest! {
         let mut x_sparse = Vec::new();
         slu.solve_into(b, &mut x_sparse).unwrap();
 
-        let x_dense = lu_solve(&dense_lu(&dense1).unwrap(), b);
+        let x_dense = dense_solve(&dense1, b).unwrap();
         for (s, d) in x_sparse.iter().zip(&x_dense) {
             prop_assert!((s - d).abs() <= 1e-10 * d.abs().max(1.0), "{} vs {}", s, d);
         }
@@ -402,9 +358,9 @@ proptest! {
         }
     }
 
-    /// Singular-detection parity: when the dense path reports a singular
-    /// matrix, so does the sparse path (and vice versa on these inputs).
-    /// A failed dense factor invalidates the one stored before it.
+    /// Singular-detection parity: when the dense reference reports a
+    /// singular matrix, so does the sparse path (and vice versa on these
+    /// inputs).
     #[test]
     fn sparse_and_dense_agree_on_singularity(
         n in 2usize..10,
@@ -426,9 +382,7 @@ proptest! {
             }
         }
         let healthy = sparse_dominant_matrix(n, &seed);
-        let mut lu = dense_lu(&healthy).unwrap();
-        let dense_result = lu.factor(dense.as_slice(), n);
-        prop_assert!(lu.solve_into(&vec![1.0; n], &mut Vec::new()).is_err());
+        let dense_result = dense_solve(&dense, &vec![1.0; n]);
         let mut slu = SparseLu::new();
         // from_dense drops exact zeros; a fully zeroed row is structural.
         let sparse_result = slu.factor(&CscMatrix::from_dense(&dense));
@@ -441,11 +395,12 @@ proptest! {
             "sparse path must flag singular, got {:?}", sparse_result
         );
         // And the same pipelines succeed on the unmodified matrix.
-        prop_assert!(lu.factor(healthy.as_slice(), n).is_ok());
+        prop_assert!(dense_solve(&healthy, &vec![1.0; n]).is_ok());
         prop_assert!(slu.factor(&CscMatrix::from_dense(&healthy)).is_ok());
     }
 
-    /// Complex LU solves diagonally dominant complex systems.
+    /// The complex reference solve handles diagonally dominant complex
+    /// systems.
     #[test]
     fn complex_lu_solves(
         n in 1usize..8,
@@ -468,10 +423,7 @@ proptest! {
             .collect();
         let b: Vec<C64> =
             (0..n).map(|i| C64::new(seed[i % seed.len()], seed[(i + 3) % seed.len()])).collect();
-        let mut lu = ComplexLu::new(n);
-        lu.factor(&a.concat(), n).unwrap();
-        let mut x = Vec::new();
-        lu.solve_into(&b, &mut x).unwrap();
+        let x = reference::solve(&a.concat(), n, &b).unwrap();
         for i in 0..n {
             let mut s = C64::ZERO;
             for j in 0..n {
@@ -480,12 +432,14 @@ proptest! {
             prop_assert!((s - b[i]).abs() < 1e-8);
         }
         // Bad right-hand sides are rejected.
-        prop_assert!(lu.solve_into(&vec![C64::ZERO; n + 1], &mut x).is_err());
+        prop_assert!(reference::solve(&a.concat(), n, &vec![C64::ZERO; n + 1]).is_err());
     }
 
-    /// The sparse complex kernel agrees with the dense complex LU within 1e-10 on random well-conditioned `G + jωC` systems —
-    /// forward *and* transpose (adjoint) solves — the dense reference the
-    /// AC/noise engine's sparse kernel is held to.
+    /// The sparse complex kernel agrees with the dense reference within
+    /// 1e-10 on random well-conditioned `G + jωC` systems — forward *and*
+    /// transpose (adjoint) solves, the reference solving the explicitly
+    /// transposed matrix — the oracle the AC/noise engine's sparse kernel
+    /// is held to.
     #[test]
     fn sparse_complex_agrees_with_dense_complex(
         n in 1usize..14,
@@ -497,27 +451,23 @@ proptest! {
         let a = CscComplexMatrix::from_dense_rows(&dense);
         let mut slu = SparseComplexLu::new();
         slu.factor(&a).unwrap();
-        let mut ws = ComplexLu::new(n);
-        ws.factor(&dense.concat(), n).unwrap();
-
-        let (mut xs, mut xd) = (Vec::new(), Vec::new());
+        let mut xs = Vec::new();
         slu.solve_into(&b, &mut xs).unwrap();
-        ws.solve_into(&b, &mut xd).unwrap();
+        let xd = reference::solve(&dense.concat(), n, &b).unwrap();
         for (s, d) in xs.iter().zip(&xd) {
             prop_assert!((*s - *d).abs() <= 1e-10 * d.abs().max(1.0), "{} vs {}", s, d);
         }
-        let (mut ys, mut yd) = (Vec::new(), Vec::new());
+        let mut ys = Vec::new();
         slu.solve_transpose_into(&b, &mut ys).unwrap();
-        ws.solve_transpose_into(&b, &mut yd).unwrap();
+        let yd = reference::solve(&transposed(&dense), n, &b).unwrap();
         for (s, d) in ys.iter().zip(&yd) {
             prop_assert!((*s - *d).abs() <= 1e-10 * d.abs().max(1.0), "adjoint {} vs {}", s, d);
         }
     }
 
     /// Singular-detection parity for the complex kernels: when the dense
-    /// path reports a singular matrix, so does the sparse path (and both
-    /// succeed on the unmodified system). A failed dense factor
-    /// invalidates the one stored before it.
+    /// reference reports a singular matrix, so does the sparse path (and
+    /// both succeed on the unmodified system).
     #[test]
     fn sparse_and_dense_complex_agree_on_singularity(
         n in 2usize..10,
@@ -536,10 +486,8 @@ proptest! {
             }
         }
         let healthy = sparse_ac_matrix(n, omega, &seed);
-        let mut ws = ComplexLu::new(n);
-        ws.factor(&healthy.concat(), n).unwrap();
-        let dense_result = ws.factor(&dense.concat(), n);
-        prop_assert!(ws.solve_into(&vec![C64::ONE; n], &mut Vec::new()).is_err());
+        let ones = vec![C64::ONE; n];
+        let dense_result = reference::solve(&dense.concat(), n, &ones);
         let mut slu = SparseComplexLu::new();
         // from_dense_rows drops exact zeros; a zeroed row is structural.
         let sparse_result = slu.factor(&CscComplexMatrix::from_dense_rows(&dense));
@@ -551,7 +499,7 @@ proptest! {
             matches!(sparse_result, Err(FactorError::Singular { .. })),
             "sparse complex path must flag singular, got {:?}", sparse_result
         );
-        prop_assert!(ws.factor(&healthy.concat(), n).is_ok());
+        prop_assert!(reference::solve(&healthy.concat(), n, &ones).is_ok());
         prop_assert!(slu.factor(&CscComplexMatrix::from_dense_rows(&healthy)).is_ok());
     }
 
@@ -682,7 +630,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The sparse LU agrees with the dense partial-pivoting [`Lu`] to
+    /// The sparse LU agrees with the dense partial-pivoting reference to
     /// 1e-10 relative on mesh systems of n = 16…144 unknowns, whose
     /// factors fill into dense trailing blocks. The two eliminations order
     /// their updates differently, so bitwise equality is not expected
@@ -702,10 +650,7 @@ proptest! {
         slu.factor(&CscMatrix::from_dense(&dense)).unwrap();
         let mut x_sparse = Vec::new();
         slu.solve_into(b, &mut x_sparse).unwrap();
-        let mut lu = Lu::new(n);
-        lu.factor(dense.as_slice(), n).unwrap();
-        let mut x_dense = Vec::new();
-        lu.solve_into(b, &mut x_dense).unwrap();
+        let x_dense = dense_solve(&dense, b).unwrap();
         for (s, d) in x_sparse.iter().zip(&x_dense) {
             prop_assert!(
                 (s - d).abs() <= 1e-10 * d.abs().max(1.0),

@@ -11,10 +11,13 @@
 //! α(x) = Π_i PoF_i(x)                 (no feasible design yet)
 //! ```
 //!
-//! with an inner DE on the cheap surrogate. Fidelity/cost trade-offs versus
-//! the original (documented in DESIGN.md): training inputs are windowed to
-//! the best `max_train` points, and kernel hyperparameters are re-tuned
-//! every `refit_every` iterations instead of every iteration.
+//! with an inner DE on the cheap surrogate. Two fidelity/cost trade-offs
+//! depart from the original: training inputs are windowed to the best
+//! `max_train` points, and kernel hyperparameters are re-tuned every
+//! `refit_every` iterations instead of every iteration. An exact GP fit
+//! costs O(N³) in the training-set size, so without the window and the
+//! sparser re-tuning the baseline's model time would grow cubically over a
+//! run of hundreds of simulations.
 
 use std::time::{Duration, Instant};
 

@@ -567,9 +567,9 @@ mod tests {
         assert_multi_matches_single(&c, &LADDER_EXCITATIONS);
     }
 
-    /// The nearly dense clique solves, at every point of a sweep, what a
-    /// dense complex LU solves on the dense reference assembly of the same
-    /// `G + jωC` and excitation.
+    /// The nearly dense clique solves, at every point of a sweep, what the
+    /// dense reference elimination solves on the dense reference assembly
+    /// of the same `G + jωC` and excitation.
     #[test]
     fn dense_clique_sweep_matches_the_dense_reference() {
         let c = driven_clique(6);
@@ -596,10 +596,7 @@ mod tests {
             }
             .assemble(&mut st);
             stamp_excitation(&c, &mags, &mut st.z);
-            let mut lu = linalg::ComplexLu::new(n);
-            lu.factor(&st.a, n).unwrap();
-            let mut want = Vec::new();
-            lu.solve_into(&st.z, &mut want).unwrap();
+            let want = linalg::reference::solve(&st.a, n, &st.z).unwrap();
             let scale = want.iter().fold(0.0_f64, |m, w| m.max(w.abs()));
             for node in 1..c.num_nodes() {
                 let (got, want) = (sweep.voltage(fi, node), want[node - 1]);

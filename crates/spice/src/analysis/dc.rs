@@ -721,8 +721,8 @@ mod tests {
         let opts = SimOptions::default();
         let mut ws = NewtonWorkspace::new(&c);
         let op = op_with_workspace(&c, &opts, None, &mut ws).unwrap();
-        // Each Newton step solves what a dense LU solves on the dense
-        // reference assembly of the same linearization.
+        // Each Newton step solves what the dense reference elimination
+        // solves on the dense reference assembly of the same linearization.
         for x in [vec![0.0; 3], vec![1.8, 0.7, -1e-4], op.raw().to_vec()] {
             let mut asm = DcAssemble {
                 circuit: &c,
@@ -734,10 +734,7 @@ mod tests {
             let mut st = crate::stamp::RealStamper::new(&c);
             st.load_gmin(opts.gmin);
             crate::stamp::stamp_resistive_system(&c, &x, SourceEval::Dc { scale: 1.0 }, &mut st);
-            let mut lu = linalg::Lu::new(3);
-            lu.factor(&st.a, 3).unwrap();
-            let mut want = Vec::new();
-            lu.solve_into(&st.z, &mut want).unwrap();
+            let want = linalg::reference::solve(&st.a, 3, &st.z).unwrap();
             let scale = want.iter().fold(0.0_f64, |m, w| m.max(w.abs()));
             for (got, want) in ws.x_new.iter().zip(&want) {
                 assert!((got - want).abs() <= 1e-12 * scale, "{got} vs {want}");

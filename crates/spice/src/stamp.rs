@@ -32,8 +32,8 @@ use crate::waveform::Waveform;
 /// dispatch:
 ///
 /// - [`DenseStamper`]: classic row-major `a[i·n + j] += v` into a dense
-///   matrix — the reference assembly that tests and the dense-LU bench
-///   rows solve, never the simulator's own;
+///   matrix — the reference assembly that tests and the mesh bench
+///   builders use, never the simulator's own;
 /// - `RecordStamper`: logs each `(row, col)` once to learn the sequence,
 ///   which becomes a CSC pattern plus a stamp→slot map;
 /// - `SlotStamper`: replays through the slot map —
@@ -460,26 +460,20 @@ pub(crate) enum DeviceFilter {
 }
 
 /// Shared assembly walk: stamps every device selected by `filter` (the
-/// MOSFETs through [`stamp_mos`]), collecting each stamped device's
-/// evaluation (`None` for non-MOS devices) in device order when `report`
-/// is set.
+/// MOSFETs through [`stamp_mos`]).
 fn stamp_resistive_impl<S: Stamp<f64>>(
     circuit: &Circuit,
     x: &[f64],
     sources: SourceEval,
     st: &mut S,
     filter: DeviceFilter,
-    mut report: Option<&mut Vec<Option<MosEval>>>,
 ) {
     for dev in circuit.devices() {
         if let Device::Mosfet { .. } = dev {
             if filter == DeviceFilter::All {
-                stamp_mos(dev, x, st, report.as_deref_mut());
+                stamp_mos(dev, x, st);
             }
             continue;
-        }
-        if let Some(evals) = report.as_deref_mut() {
-            evals.push(None);
         }
         match dev {
             Device::Resistor { a, b, g, .. } => st.conductance(*a, *b, *g),
@@ -555,15 +549,9 @@ fn mos_ieq(e: &MosEval, vgs: f64, vds: f64, vbs: f64) -> f64 {
 
 /// Stamps one MOSFET's Norton companion linearized at `x` by walking
 /// [`MOS_PATTERN`] through [`Stamp::add_a`]. The device is evaluated by
-/// [`crate::mos::eval_mos_stamp`] on its precomputed constants; with
-/// `report` set, the evaluation is also appended to `report`.
+/// [`crate::mos::eval_mos_stamp`] on its precomputed constants.
 #[inline]
-fn stamp_mos<S: Stamp<f64>>(
-    dev: &Device,
-    x: &[f64],
-    st: &mut S,
-    report: Option<&mut Vec<Option<MosEval>>>,
-) {
+fn stamp_mos<S: Stamp<f64>>(dev: &Device, x: &[f64], st: &mut S) {
     let Device::Mosfet {
         d,
         g,
@@ -582,9 +570,6 @@ fn stamp_mos<S: Stamp<f64>>(
     let vb = node_voltage(x, *b);
     let (vgs, vds, vbs) = (vg - vs, vd - vs, vb - vs);
     let e = crate::mos::eval_mos_stamp(model, consts, vgs, vds, vbs);
-    if let Some(evals) = report {
-        evals.push(Some(e));
-    }
     let ieq = mos_ieq(&e, vgs, vds, vbs);
     let idx = [d, g, s, b].map(|&t| st.node_idx(t));
     for (&(r, c), v) in MOS_PATTERN.iter().zip(mos_pattern_values(&e)) {
@@ -756,30 +741,15 @@ impl MosTable {
 }
 
 /// Stamps the *resistive* (memoryless) part of every device, linearized at
-/// the unknown vector `x`. Returns the MOSFET evaluations in device order
-/// (`None` for non-MOS devices) so callers can check convergence and build
-/// operating-point reports.
-pub fn stamp_resistive(
-    circuit: &Circuit,
-    x: &[f64],
-    sources: SourceEval,
-    st: &mut RealStamper,
-) -> Vec<Option<MosEval>> {
-    let mut evals = Vec::with_capacity(circuit.devices().len());
-    stamp_resistive_impl(circuit, x, sources, st, DeviceFilter::All, Some(&mut evals));
-    evals
-}
-
-/// Allocation-free variant of [`stamp_resistive`]: the assembled system
-/// without the per-device evaluations — the full linearized Newton system
-/// that the compiled replay (constant segment plus `MosTable`) must match.
+/// the unknown vector `x`: the full linearized Newton system that the
+/// compiled replay (constant segment plus `MosTable`) must match.
 pub fn stamp_resistive_system<S: Stamp<f64>>(
     circuit: &Circuit,
     x: &[f64],
     sources: SourceEval,
     st: &mut S,
 ) {
-    stamp_resistive_impl(circuit, x, sources, st, DeviceFilter::All, None);
+    stamp_resistive_impl(circuit, x, sources, st, DeviceFilter::All);
 }
 
 /// Stamps only the linear (x-independent) devices — the constant segment
@@ -789,7 +759,7 @@ pub(crate) fn stamp_resistive_linear<S: Stamp<f64>>(
     sources: SourceEval,
     st: &mut S,
 ) {
-    stamp_resistive_impl(circuit, &[], sources, st, DeviceFilter::LinearOnly, None);
+    stamp_resistive_impl(circuit, &[], sources, st, DeviceFilter::LinearOnly);
 }
 
 /// One small-signal assembly routine, generic over the stamp sink so each
@@ -816,7 +786,7 @@ pub(crate) mod tests {
         let b = c.node("b");
         c.add_resistor("R", a, b, 0.5).unwrap(); // g = 2
         let mut st = RealStamper::new(&c);
-        stamp_resistive(&c, &[0.0, 0.0], SourceEval::Dc { scale: 1.0 }, &mut st);
+        stamp_resistive_system(&c, &[0.0, 0.0], SourceEval::Dc { scale: 1.0 }, &mut st);
         assert_eq!(st.a, [2.0, -2.0, -2.0, 2.0]);
     }
 
@@ -826,7 +796,7 @@ pub(crate) mod tests {
         let a = c.node("a");
         c.add_resistor("R", a, GND, 1.0).unwrap();
         let mut st = RealStamper::new(&c);
-        stamp_resistive(&c, &[0.0], SourceEval::Dc { scale: 1.0 }, &mut st);
+        stamp_resistive_system(&c, &[0.0], SourceEval::Dc { scale: 1.0 }, &mut st);
         assert_eq!(st.a, [1.0]);
     }
 
@@ -836,7 +806,7 @@ pub(crate) mod tests {
         let a = c.node("a");
         c.add_vsource("V", a, GND, Waveform::Dc(3.0)).unwrap();
         let mut st = RealStamper::new(&c);
-        stamp_resistive(&c, &[0.0, 0.0], SourceEval::Dc { scale: 1.0 }, &mut st);
+        stamp_resistive_system(&c, &[0.0, 0.0], SourceEval::Dc { scale: 1.0 }, &mut st);
         // node row gets +1 on branch column; branch row +1 on node column.
         assert_eq!(st.a, [0.0, 1.0, 1.0, 0.0]);
         assert_eq!(st.z[1], 3.0);
@@ -848,7 +818,7 @@ pub(crate) mod tests {
         let a = c.node("a");
         c.add_vsource("V", a, GND, Waveform::Dc(2.0)).unwrap();
         let mut st = RealStamper::new(&c);
-        stamp_resistive(&c, &[0.0, 0.0], SourceEval::Dc { scale: 0.25 }, &mut st);
+        stamp_resistive_system(&c, &[0.0, 0.0], SourceEval::Dc { scale: 0.25 }, &mut st);
         assert_eq!(st.z[1], 0.5);
     }
 
@@ -859,7 +829,7 @@ pub(crate) mod tests {
         let b = c.node("b");
         c.add_isource("I", a, b, Waveform::Dc(1e-3)).unwrap();
         let mut st = RealStamper::new(&c);
-        stamp_resistive(&c, &[0.0, 0.0], SourceEval::Dc { scale: 1.0 }, &mut st);
+        stamp_resistive_system(&c, &[0.0, 0.0], SourceEval::Dc { scale: 1.0 }, &mut st);
         assert_eq!(st.z[0], -1e-3);
         assert_eq!(st.z[1], 1e-3);
     }
@@ -947,7 +917,7 @@ pub(crate) mod tests {
         let mut walk = rec.clone();
         let mut classic = rec.clone();
         for dev in c.mosfets() {
-            stamp_mos(dev, &x, &mut walk, None);
+            stamp_mos(dev, &x, &mut walk);
             let Device::Mosfet { d, g, s, b, .. } = *dev else {
                 unreachable!()
             };
@@ -968,7 +938,7 @@ pub(crate) mod tests {
         let mut st = SlotStamper::new(nn, &slots, &mut walk_values, &mut walk_z);
         stamp_constant(c, &mut st);
         for dev in c.mosfets() {
-            stamp_mos(dev, &x, &mut st, None);
+            stamp_mos(dev, &x, &mut st);
         }
         assert!(st.complete());
 
