@@ -13,10 +13,11 @@
 //!   every product on an AVX-512F, AVX2+FMA or portable lane backend
 //!   chosen from CPU detection; results are bit-identical across x86-64
 //!   hosts with FMA. Every product runs serially on the calling thread.
-//! - [`pool`]: the process-wide worker pool behind the optimizer's
-//!   population grid, sized by `DNNOPT_THREADS` /
-//!   [`pool::set_max_threads`]. It is the only parallel layer: every
-//!   kernel in this crate runs serially inside a grid worker.
+//! - [`pool`]: the process-wide thread budget of the optimizer's
+//!   population grid, set by `DNNOPT_THREADS` /
+//!   [`pool::set_max_threads`]. The grid (`opt::parallel`) is the only
+//!   parallel layer: every kernel in this crate runs serially on the grid
+//!   thread that calls it.
 //! - [`CscMatrix`] and [`SparseLu`]: KLU-style sparse LU with a recorded
 //!   elimination pattern — one symbolic analysis per topology, then per
 //!   Newton iteration a scan-free [`SparseLu::refactor_dependent_into`]

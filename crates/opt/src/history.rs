@@ -267,7 +267,7 @@ impl<'a> Evaluator<'a> {
     /// Runs (and records) one expensive evaluation: a one-candidate
     /// [`Evaluator::evaluate_batch`], so even one-candidate-per-iteration
     /// optimizers (DNN-Opt's main loop, SA) fan a corner problem's units
-    /// out across the worker pool.
+    /// out across the grid's threads.
     ///
     /// # Panics
     ///
@@ -286,7 +286,7 @@ impl<'a> Evaluator<'a> {
     /// The population is flattened into the candidate × corner × analysis
     /// unit grid (`(i, c, a)` in lexicographic order; a plain problem has
     /// one corner and one analysis, so one unit per candidate) and the
-    /// grid is fanned out over the worker pool (see [`crate::parallel`]).
+    /// grid is mapped over self-scheduled threads (see [`crate::parallel`]).
     /// Each unit is one [`SizingProblem::evaluate_analysis`] call; a unit
     /// that panics becomes a hard-failed unit with a panic diagnosis, never
     /// a dead batch. Units then go through the pipeline of
@@ -312,27 +312,24 @@ impl<'a> Evaluator<'a> {
             .flat_map(|i| (0..k).flat_map(move |c| (0..na).map(move |a| (i, c, a))))
             .collect();
         let _eb = telemetry::span_with(telemetry::SpanId::EvalBatch, grid.len() as u64);
-        // Each worker keeps one simulator-time accumulator for its whole
-        // share of the grid; summing them keeps `sim_time` the total
-        // simulator time (not batch wall-clock) for any thread count.
-        let (units, worker_times) = crate::parallel::try_par_map_with(
-            &grid,
-            || Duration::ZERO,
-            |spent, &(i, c, a)| {
-                let _cand = telemetry::span_with(telemetry::SpanId::Candidate, i as u64);
-                let _corner = telemetry::span_with(telemetry::SpanId::Corner, c as u64);
-                let _an = telemetry::span_with(telemetry::SpanId::Analysis, a as u64);
-                let t0 = Instant::now();
-                let unit = problem.evaluate_analysis(&batch[i], c, a);
-                *spent += t0.elapsed();
-                unit
-            },
-        );
-        self.sim_time += worker_times.iter().sum::<Duration>();
+        let units = crate::parallel::try_par_map(&grid, |&(i, c, a)| {
+            let _cand = telemetry::span_with(telemetry::SpanId::Candidate, i as u64);
+            let _corner = telemetry::span_with(telemetry::SpanId::Corner, c as u64);
+            let _an = telemetry::span_with(telemetry::SpanId::Analysis, a as u64);
+            let t0 = Instant::now();
+            let unit = problem.evaluate_analysis(&batch[i], c, a);
+            (unit, t0.elapsed())
+        });
+        // `sim_time` sums every unit's simulator time (not batch
+        // wall-clock); a panicking unit's time is not counted.
         let mut units: Vec<AnalysisSpec> = units
             .into_iter()
-            .map(|unit| {
-                unit.unwrap_or_else(|msg| AnalysisSpec::hard_failed(Some(FailureDiag::panic(msg))))
+            .map(|unit| match unit {
+                Ok((unit, spent)) => {
+                    self.sim_time += spent;
+                    unit
+                }
+                Err(msg) => AnalysisSpec::hard_failed(Some(FailureDiag::panic(msg))),
             })
             .collect();
         let mut out = Vec::with_capacity(batch.len());
@@ -686,8 +683,7 @@ mod tests {
         let mut ev_mono = Evaluator::new(&CorneredSphere, &fom, xs.len());
         let reference = ev_mono.evaluate_batch(&xs);
         let split = SplitCorneredSphere;
-        // 1, an even, and an odd thread count (odd catches remainder bugs
-        // in the round-robin reassembly).
+        // 1, an even, and an odd thread count.
         for threads in [1usize, 2, 7] {
             crate::parallel::set_max_threads(threads);
             let mut ev = Evaluator::new(&split, &fom, xs.len());

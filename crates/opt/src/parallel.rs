@@ -1,44 +1,37 @@
 //! Deterministic data parallelism for population evaluation.
 //!
 //! Optimizers evaluate candidate populations through
-//! [`crate::Evaluator::evaluate_batch`], which fans the candidate ×
-//! corner × analysis unit grid out over the process-wide worker pool
-//! ([`linalg::pool`]) via [`try_par_map_with`]. Parallelism changes
-//! **wall-clock time only**, never results:
+//! [`crate::Evaluator::evaluate_batch`], which maps the candidate ×
+//! corner × analysis unit grid over scoped threads via [`try_par_map`].
+//! Parallelism changes **wall-clock time only**, never results:
 //!
 //! - candidates are generated *before* evaluation (with per-candidate
 //!   seeded RNGs where generation is stochastic, see [`candidate_seed`]),
-//! - work units are assigned to workers by a fixed round-robin rule
-//!   (worker `t` of `T` owns units `t, t + T, t + 2T, …` — a pure
-//!   function of unit index and thread count, with no queue and no
-//!   stealing) and results are reassembled in input order, so the output
-//!   vector is independent of thread count and scheduling,
+//! - every unit's result depends on the unit alone, and results are
+//!   reassembled in input order, so the output vector is independent of
+//!   thread count and of which worker ran which unit,
 //! - evaluations are recorded into the history in the original candidate
 //!   order.
 //!
-//! Round-robin (rather than contiguous-chunk) assignment keeps workers
-//! balanced on hierarchical unit grids: a candidate's corner × analysis
-//! units land on different workers instead of one worker owning all the
-//! expensive units of one candidate.
+//! Workers are self-scheduled: each claims the next unit index from one
+//! shared counter. Unit costs on a hierarchical grid are far from uniform
+//! (a closed-loop transient costs several open-loop analyses), and any
+//! fixed deal can stack the expensive units on one worker; claiming keeps
+//! every worker busy until the grid runs dry. The assignment then depends
+//! on timing, which is safe because nothing a unit computes depends on
+//! its thread: solver workspaces come from `spice`'s topology-keyed pool,
+//! whose reuse is bit-neutral (stamp→slot maps, sparse patterns, factor
+//! storage; enforced by `tests/parallel_determinism.rs`), and fault-plane
+//! scopes are keyed per unit.
 //!
 //! The worker count defaults to the machine's available parallelism,
 //! clamped by the `DNNOPT_THREADS` environment variable and overridable
 //! programmatically with [`set_max_threads`] (used by the determinism
 //! tests to compare serial and parallel runs). This grid is the
-//! workspace's only parallel layer: the kernels a unit runs — sparse and
-//! dense solves, GEMM — are serial, so a fan-out never oversubscribes the
-//! host.
-//!
-//! Each worker's private context lives for its whole share of the batch;
-//! the evaluator keeps a simulator-time accumulator there. Solver state
-//! is reused without it: every testbench leases its simulator workspaces
-//! from `spice`'s topology-keyed pool, so a worker evaluating its share
-//! of the grid reuses the same recorded solver state (stamp→slot maps,
-//! sparse patterns, factor storage) across all of its units — per-thread
-//! while a batch is in flight, shared across batches afterwards — without
-//! ever affecting results (enforced by `tests/parallel_determinism.rs`).
+//! workspace's only parallel layer: the kernels a unit runs — sparse
+//! solves, GEMM — are serial, so a fan-out never oversubscribes the host.
 
-// The budget lives in `linalg::pool` beside the workers it sizes;
+// The budget lives in `linalg::pool`, the bottom of the crate graph;
 // re-exported here because the optimizer-facing API has always been
 // `opt::parallel::{set_max_threads, max_threads}`.
 pub use linalg::pool::{max_threads, set_max_threads};
@@ -67,105 +60,111 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Applies `f` to every item over the worker pool and returns the results
-/// **in input order**, each mapped inside `catch_unwind`: one panicking
-/// item yields one `Err(message)` slot while the rest of the batch
-/// completes normally, bit-identically on the serial and parallel paths
-/// (both catch per item). Items are dealt round-robin: worker `t` of `T`
-/// maps items `t, t + T, t + 2T, …`.
+/// Applies `f` to every item and returns the results **in input order**,
+/// each mapped inside `catch_unwind`: one panicking item yields one
+/// `Err(message)` slot while the rest of the batch completes normally,
+/// bit-identically on the serial and parallel paths (both catch per item).
 ///
-/// Every worker builds one context via `init` and threads it through all
-/// its items — the hook for per-thread accumulators that should live
-/// across items. Returns the in-order results plus every worker's final
-/// context (serial path: exactly one context).
-///
-/// Determinism contract: `f`'s *result* must not depend on the context's
-/// contents — contexts may only carry caches and accumulators — because
-/// which items share a context depends on the thread count. A worker
-/// whose context saw a panicking item simply keeps going, so `f` must
-/// leave the context usable when it unwinds.
-pub fn try_par_map_with<T, U, C, Init, F>(
-    items: &[T],
-    init: Init,
-    f: F,
-) -> (Vec<Result<U, String>>, Vec<C>)
+/// With a budget of `T = max_threads().min(items.len()) > 1` threads, the
+/// map opens one [`std::thread::scope`]: the caller runs slot 0 and spawns
+/// slots `1..T` (named `dnnopt-pool-<slot>`). Every slot claims the next
+/// unclaimed index from one shared counter until none is left, so a slot
+/// stuck on an expensive item never holds cheap ones back. Each slot keeps
+/// its `(index, result)` pairs, and the caller puts them back into input
+/// order after the join. Which slot maps an item depends on timing, so
+/// `f`'s result must depend only on the item.
+pub fn try_par_map<T, U, F>(items: &[T], f: F) -> Vec<Result<U, String>>
 where
     T: Sync,
     U: Send,
-    C: Send,
-    Init: Fn() -> C + Sync,
-    F: Fn(&mut C, &T) -> U + Sync,
+    F: Fn(&T) -> U + Sync,
 {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    let catch = |ctx: &mut C, item: &T| {
-        catch_unwind(AssertUnwindSafe(|| f(ctx, item))).map_err(panic_message)
-    };
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let catch = |item: &T| catch_unwind(AssertUnwindSafe(|| f(item))).map_err(panic_message);
     let threads = max_threads().min(items.len());
     if threads <= 1 {
-        let mut ctx = init();
-        let out = items.iter().map(|item| catch(&mut ctx, item)).collect();
-        return (out, vec![ctx]);
+        return items.iter().map(catch).collect();
     }
-    // Worker `t` owns items `t, t + T, t + 2T, …` — the fixed round-robin
-    // assignment. Each slot deposits its in-order partial results plus its
-    // context; the mutexes are per-slot and uncontended (one writer each).
-    type SlotOut<U, C> = Option<(Vec<Result<U, String>>, C)>;
-    let slots: Vec<std::sync::Mutex<SlotOut<U, C>>> =
-        (0..threads).map(|_| std::sync::Mutex::new(None)).collect();
-    linalg::pool::run(threads, &|slot| {
+    let next = AtomicUsize::new(0);
+    // One slot's share: claim indices until the counter runs past the end.
+    // `spawned_ns` is the telemetry clock at the slot's spawn call (`None`
+    // for the caller, which starts at once, and when tracing is off).
+    let share = |slot: usize, spawned_ns: Option<u64>| {
+        telemetry::set_thread_slot(slot);
         let _gs = telemetry::span_with(telemetry::SpanId::GridSlot, slot as u64);
-        let mut ctx = init();
-        let mut out = Vec::with_capacity(items.len().div_ceil(threads));
-        let mut i = slot;
-        while i < items.len() {
-            out.push(catch(&mut ctx, &items[i]));
-            i += threads;
+        let start_ns = telemetry::enabled().then(telemetry::clock_ns);
+        if let (Some(start), Some(spawned)) = (start_ns, spawned_ns) {
+            telemetry::record(
+                telemetry::Metric::PoolDispatchNs,
+                start.saturating_sub(spawned),
+            );
         }
-        *slots[slot].lock().unwrap() = Some((out, ctx));
+        let mut out = Vec::new();
+        loop {
+            // The read-modify-write hands out each index once; the counter
+            // publishes nothing else (results travel back through `join`).
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            out.push((i, catch(&items[i])));
+        }
+        if let Some(start) = start_ns {
+            let busy = telemetry::clock_ns().saturating_sub(start);
+            telemetry::record(telemetry::Metric::PoolBusyNs, busy);
+        }
+        out
+    };
+    let mut pairs = std::thread::scope(|s| {
+        let share = &share;
+        let workers: Vec<_> = (1..threads)
+            .map(|slot| {
+                let spawned_ns = telemetry::enabled().then(telemetry::clock_ns);
+                std::thread::Builder::new()
+                    .name(format!("dnnopt-pool-{slot}"))
+                    .spawn_scoped(s, move || share(slot, spawned_ns))
+                    .expect("failed to spawn a grid worker")
+            })
+            .collect();
+        let mut pairs = share(0, None);
+        for w in workers {
+            pairs.extend(w.join().unwrap_or_else(|payload| resume_unwind(payload)));
+        }
+        pairs
     });
-    let mut contexts = Vec::with_capacity(threads);
-    let mut per_slot = Vec::with_capacity(threads);
-    for cell in slots {
-        // Every slot ran exactly once (the pool's contract), and workers
-        // cannot panic out of the deposit (every item is caught).
-        let (out, ctx) = cell
-            .into_inner()
-            .unwrap()
-            .expect("pool slot never deposited its results");
-        per_slot.push(out.into_iter());
-        contexts.push(ctx);
-    }
-    // Inverse of the round-robin split: item `i` is the next undrained
-    // result of slot `i mod T`.
-    let results = (0..items.len())
-        .map(|i| {
-            per_slot[i % threads]
-                .next()
-                .expect("slot result count mismatch")
-        })
-        .collect();
-    (results, contexts)
+    // Every index was claimed exactly once; sorting scatters the pairs
+    // back into input order.
+    pairs.sort_unstable_by_key(|&(i, _)| i);
+    pairs.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// `try_par_map_with` without a context, unwrapping every slot.
+    /// `try_par_map`, unwrapping every slot.
     fn map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
-        let (out, _) = try_par_map_with(items, || (), |(), item| f(item));
-        out.into_iter()
+        try_par_map(items, f)
+            .into_iter()
             .map(|r| r.expect("no item panics"))
             .collect()
     }
 
     #[test]
     fn preserves_input_order() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let items: Vec<usize> = (0..103).collect();
+        let hits: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
         set_max_threads(4);
-        let out = map(&items, |&x| x * 2);
+        let out = map(&items, |&x| {
+            hits[x].fetch_add(1, Ordering::Relaxed);
+            x * 2
+        });
         set_max_threads(0);
         assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+        // Every index was claimed exactly once.
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
@@ -187,45 +186,16 @@ mod tests {
     }
 
     #[test]
-    fn reuses_one_context_per_worker() {
-        let items: Vec<u32> = (0..37).collect();
-        set_max_threads(4);
-        let (out, ctxs) = try_par_map_with(
-            &items,
-            || 0usize,
-            |count, &x| {
-                *count += 1;
-                x * 3
-            },
-        );
-        set_max_threads(0);
-        let out: Vec<u32> = out.into_iter().map(Result::unwrap).collect();
-        assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
-        // Every item was seen exactly once, spread over the workers.
-        assert_eq!(ctxs.iter().sum::<usize>(), items.len());
-        assert!(ctxs.len() <= 4 && !ctxs.is_empty());
-        // Serial path: a single context sees everything.
-        set_max_threads(1);
-        let (_, ctxs) = try_par_map_with(&items, || 0usize, |c, _| *c += 1);
-        set_max_threads(0);
-        assert_eq!(ctxs, vec![items.len()]);
-    }
-
-    #[test]
     fn panicking_item_yields_err_and_intact_ordered_batch() {
         let items: Vec<u32> = (0..23).collect();
         for threads in [1usize, 4] {
             set_max_threads(threads);
-            let (out, _) = try_par_map_with(
-                &items,
-                || (),
-                |(), &x| {
-                    if x == 7 {
-                        panic!("boom on {x}");
-                    }
-                    x * 2
-                },
-            );
+            let out = try_par_map(&items, |&x| {
+                if x == 7 {
+                    panic!("boom on {x}");
+                }
+                x * 2
+            });
             set_max_threads(0);
             assert_eq!(out.len(), items.len(), "threads={threads}");
             for (i, r) in out.iter().enumerate() {

@@ -4,7 +4,7 @@
 //! (`run → generation → candidate → corner → analysis → solve →
 //! factor/gemm`) with RAII guards and monotonic-clock timing, plus
 //! **counters and log2-bucket histograms** ([`Metric`]) for the solver,
-//! pool and training internals. Three **sinks** render the result: a
+//! grid and training internals. Three **sinks** render the result: a
 //! pretty summary ([`Summary`], absorbed into `opt`'s `RunReport`), a
 //! JSONL event stream, and Chrome `trace_event` JSON loadable in
 //! `chrome://tracing` or Perfetto — selected by the `DNNOPT_TRACE`
@@ -27,12 +27,14 @@
 //!
 //! # Threading
 //!
-//! Aggregation is sharded by worker slot: `linalg::pool` workers tag
-//! themselves with [`set_thread_slot`], the caller/main thread is slot 0,
-//! and all increments go to the owning shard — disjoint cache lines, no
-//! contention. Shards are merged by [`snapshot`]/[`finish`] into one
-//! [`Summary`]; span events carry the slot as the Chrome `tid`, so pool
-//! workers' spans interleave correctly in the trace viewer.
+//! Aggregation is sharded by worker slot: the evaluation grid's threads
+//! (`opt::parallel`) tag themselves with [`set_thread_slot`], any other
+//! thread is slot 0, and all increments go to the owning shard — disjoint
+//! cache lines, no contention. Shards are merged by
+//! [`snapshot`]/[`finish`] into one [`Summary`]; span events carry the
+//! slot as the Chrome `tid`, so grid workers' spans interleave correctly
+//! in the trace viewer. A slot names a position in the grid, not an OS
+//! thread: each batch spawns fresh threads that take slots `1..T` again.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -146,14 +148,16 @@ pub(crate) fn now_ns() -> u64 {
 
 /// The telemetry clock (monotonic nanoseconds, process-relative), for
 /// instrumentation sites that measure cross-thread latencies — e.g. the
-/// pool stamps a job's post time so workers can histogram dispatch
-/// latency. Only meaningful while telemetry is enabled.
+/// evaluation grid stamps each worker's spawn call so the worker can
+/// histogram its start latency. Only meaningful while telemetry is
+/// enabled.
 pub fn clock_ns() -> u64 {
     now_ns()
 }
 
-/// Shards: one per pool worker slot (slot 0 is the caller/main thread),
-/// with the last shard shared by any overflow threads.
+/// Shards: one per grid worker slot (slot 0 is the grid's caller and any
+/// thread that never set a slot), with the last shard shared by any
+/// overflow slots.
 pub(crate) const MAX_SLOTS: usize = 33;
 
 thread_local! {
@@ -162,10 +166,10 @@ thread_local! {
     static DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
 }
 
-/// Tags the current thread with its pool worker slot so its counters land
-/// in a private shard and its span events carry a stable Chrome `tid`.
-/// Called by `linalg::pool`'s worker loop; the dispatching caller is
-/// always slot 0.
+/// Tags the current thread with its grid worker slot so its counters land
+/// in the slot's shard and its span events carry the slot as Chrome `tid`.
+/// Called by every thread of an `opt::parallel` grid map as it starts its
+/// share; the caller runs slot 0.
 pub fn set_thread_slot(slot: usize) {
     SLOT.with(|c| c.set(slot.min(MAX_SLOTS - 1)));
 }
@@ -213,9 +217,10 @@ pub enum Metric {
     /// `linalg.gemm_threaded_calls`; removing it waits for a change to
     /// that benchmark.
     GemmSplitWidth,
-    /// Nanoseconds from pool job post to a worker picking it up.
+    /// Nanoseconds from a grid worker's spawn call to its first claim
+    /// (spawned slots only; the caller starts at once).
     PoolDispatchNs,
-    /// Nanoseconds a pool slot spent running its share of a job.
+    /// Nanoseconds a grid slot spent on its share of one batch.
     PoolBusyNs,
     /// Deterministic fault-plane injections that fired.
     FaultsInjected,
@@ -355,14 +360,12 @@ pub enum SpanId {
     ActorTrain,
     /// One GP regressor fit.
     GpFit,
-    /// One pool slot executing one dispatched job (`linalg::pool`).
-    PoolJob,
     /// Instant marker: a deterministic fault injection fired.
     Fault,
 }
 
 /// Number of [`SpanId`] variants.
-pub const NUM_SPANS: usize = 22;
+pub const NUM_SPANS: usize = 21;
 
 impl SpanId {
     /// Every span id, in declaration order.
@@ -387,7 +390,6 @@ impl SpanId {
         SpanId::CriticTrain,
         SpanId::ActorTrain,
         SpanId::GpFit,
-        SpanId::PoolJob,
         SpanId::Fault,
     ];
 
@@ -414,7 +416,6 @@ impl SpanId {
             SpanId::CriticTrain => "critic_train",
             SpanId::ActorTrain => "actor_train",
             SpanId::GpFit => "gp_fit",
-            SpanId::PoolJob => "pool_job",
             SpanId::Fault => "fault",
         }
     }

@@ -238,7 +238,7 @@ pub(crate) fn write_jsonl(
 
 /// Writes Chrome `trace_event` JSON (the "JSON array format"): load the
 /// file in `chrome://tracing` or <https://ui.perfetto.dev>. Timestamps are
-/// microseconds; the worker slot becomes the `tid`, so pool workers get
+/// microseconds; the worker slot becomes the `tid`, so grid workers get
 /// their own rows in the viewer.
 pub(crate) fn write_chrome(path: &str, events: &[Event], summary: &Summary) -> std::io::Result<()> {
     let mut out = open_out(Some(path))?;

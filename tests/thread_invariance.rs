@@ -1,6 +1,6 @@
-//! Thread-count invariance: the whole stack — population fan-out over the
-//! shared worker pool and the hierarchical candidate×corner×analysis grid
-//! — must produce bit-identical results at **any** thread count, not just
+//! Thread-count invariance: the whole stack — the hierarchical
+//! candidate×corner×analysis grid mapped over self-scheduled threads —
+//! must produce bit-identical results at **any** thread count, not just
 //! serial vs "8".
 //!
 //! `tests/parallel_determinism.rs` pins serial ≡ 8-thread for the
@@ -120,8 +120,8 @@ impl SizingProblem for SparseLadder {
 }
 
 /// The ladder with a three-corner supply plane: candidates expand into the
-/// candidate×corner grid, whose round-robin worker assignment varies with
-/// thread count while the recorded histories must not.
+/// candidate×corner grid, whose worker assignment varies with thread
+/// count and timing while the recorded histories must not.
 struct CorneredLadder;
 
 const LADDER_SUPPLIES: [f64; 3] = [1.62, 1.8, 1.98];
