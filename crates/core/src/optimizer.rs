@@ -1,10 +1,8 @@
 //! The DNN-Opt optimization loop (paper Algorithm 1).
 
-use std::time::{Duration, Instant};
-
 use linalg::Matrix;
 use opt::sampling::latin_hypercube;
-use opt::{to_unit, Evaluator, Fom, Optimizer, RunResult, SizingProblem, StopPolicy};
+use opt::{from_unit, to_unit, Evaluator, Optimizer};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::actor::Actor;
@@ -63,37 +61,25 @@ impl Optimizer for DnnOpt {
         "DNN-Opt"
     }
 
-    fn run(
-        &self,
-        problem: &dyn SizingProblem,
-        fom: &Fom,
-        budget: usize,
-        stop: StopPolicy,
-        seed: u64,
-    ) -> RunResult {
-        let t0 = Instant::now();
-        let _run = telemetry::span_with(telemetry::SpanId::Run, budget as u64);
-        let mut model_time = Duration::ZERO;
+    fn search(&self, ev: &mut Evaluator<'_>, seed: u64) {
         let cfg = &self.config;
         let mut rng = StdRng::seed_from_u64(seed ^ cfg.seed_offset);
-        let (lb, ub) = problem.bounds();
-        let d = problem.dim();
-        let mut ev = Evaluator::new(problem, fom, budget);
+        let fom = ev.fom();
+        let (lb, ub) = ev.problem().bounds();
+        let d = ev.problem().dim();
+        let budget = ev.budget();
 
         // Line 1: initial population, evaluated as one parallel batch.
         // Results are recorded in candidate order, so runs are identical
         // for any thread count. Under FirstFeasible the whole batch is
-        // still simulated and recorded (batch semantics), unlike the old
-        // serial loop which returned mid-population.
-        let n_init = cfg.n_init.min(budget);
-        let init = latin_hypercube(&mut rng, &lb, &ub, n_init);
-        let init_evals = ev.evaluate_batch(&init);
-        if stop == StopPolicy::FirstFeasible && init_evals.iter().any(|e| e.feasible) {
-            return finish(self.name(), ev, t0, model_time);
-        }
+        // still simulated and recorded (batch semantics).
+        let init = latin_hypercube(&mut rng, &lb, &ub, cfg.n_init.min(budget));
+        ev.evaluate_batch(&init);
 
-        // Main loop (lines 2–16): one simulation per iteration.
-        while !ev.exhausted() {
+        // Main loop (lines 2–16): one simulation per iteration, until
+        // the budget is spent or, under FirstFeasible, line 11's return
+        // condition holds.
+        while !ev.done() {
             let _gen = telemetry::span_with(telemetry::SpanId::Generation, ev.used() as u64);
             let history = ev.history().entries();
             let n = history.len();
@@ -125,20 +111,18 @@ impl Optimizer for DnnOpt {
             let foms: Vec<f64> = history.iter().map(|e| e.fom).collect();
 
             // Lines 3–6: fresh networks, critic then actor.
-            let tm = Instant::now();
-            let critic = {
+            let critic = ev.model(|| {
                 let _ct = telemetry::span(telemetry::SpanId::CriticTrain);
                 Critic::train(cfg, &xs, &fs, &mut rng)
-            };
+            });
             // Lines 7–8: elite population and its bounding box.
             let elite_idx = elite_indices(&foms, cfg.n_elite);
             let elite: Vec<Vec<f64>> = elite_idx.iter().map(|&i| xs[i].clone()).collect();
             let (lb_rest, ub_rest) = restricted_bounds(&elite);
-            let actor = {
+            let actor = ev.model(|| {
                 let _at = telemetry::span(telemetry::SpanId::ActorTrain);
                 Actor::train(cfg, &critic, fom, &elite, &lb_rest, &ub_rest, &mut rng)
-            };
-            model_time += tm.elapsed();
+            });
 
             // Line 9 + Eq. 8: candidates from every elite design with
             // exploration noise, ranked by the critic's FoM.
@@ -220,12 +204,7 @@ impl Optimizer for DnnOpt {
             }
             let (cand_unit, pred_g) = best.expect("elite population is never empty");
             // Line 10: simulate the selected candidate.
-            let cand: Vec<f64> = cand_unit
-                .iter()
-                .enumerate()
-                .map(|(j, &u)| lb[j] + u * (ub[j] - lb[j]))
-                .collect();
-            let e = ev.evaluate(&cand);
+            let e = ev.evaluate(&from_unit(&cand_unit, &lb, &ub));
             if std::env::var_os("DNNOPT_ITER_TRACE").is_some() {
                 let best_now = ev.history().best().map(|b| b.fom).unwrap_or(f64::NAN);
                 eprintln!(
@@ -238,30 +217,15 @@ impl Optimizer for DnnOpt {
                     sigma
                 );
             }
-            // Line 11: return condition.
-            if stop == StopPolicy::FirstFeasible && e.feasible {
-                break;
-            }
         }
-        finish(self.name(), ev, t0, model_time)
-    }
-}
-
-fn finish(name: &str, ev: Evaluator<'_>, t0: Instant, model_time: Duration) -> RunResult {
-    let (history, sim_time) = ev.into_parts();
-    RunResult {
-        optimizer: name.to_string(),
-        history,
-        model_time,
-        sim_time,
-        total_time: t0.elapsed(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opt::{AnalysisSpec, SpecResult};
+    use opt::{AnalysisSpec, Fom, SizingProblem, SpecResult, StopPolicy};
+    use std::time::Duration;
 
     /// Constrained quadratic: minimize ‖x−0.3‖², s.t. every x_i ≥ 0.1 and
     /// Σx ≤ 0.8·d (a generous feasible region).
@@ -345,6 +309,37 @@ mod tests {
         let opt = DnnOpt::new(quick_cfg());
         let run = opt.run(&p, &fom, 100, StopPolicy::FirstFeasible, 2);
         assert!(run.sims_to_feasible().is_some());
+    }
+
+    /// Under `FirstFeasible` DNN-Opt finishes its initial batch, then
+    /// stops at the first feasible design of its one-at-a-time main loop.
+    #[test]
+    fn first_feasible_stops_after_the_batch_or_the_design_that_found_it() {
+        let sphere = Sphere { d: 3 };
+        let band = Band { d: 2 };
+        let problems: [(&dyn SizingProblem, f64); 2] = [(&sphere, 1.0), (&band, 0.1)];
+        let opt = DnnOpt::new(quick_cfg());
+        let (budget, n_init) = (60, opt.config.n_init);
+        let mut found = 0;
+        for (p, w0) in problems {
+            let fom = Fom::uniform(w0, p.num_constraints());
+            for seed in 0..5 {
+                let run = opt.run(p, &fom, budget, StopPolicy::FirstFeasible, seed);
+                let expected = match run.sims_to_feasible() {
+                    Some(n) => {
+                        found += 1;
+                        n.max(n_init)
+                    }
+                    None => budget,
+                };
+                let label = format!("{}-d problem, seed {seed}", p.dim());
+                assert_eq!(run.history.len(), expected, "{label}");
+            }
+        }
+        assert!(
+            found >= 8,
+            "only {found} of 10 runs found a feasible design"
+        );
     }
 
     #[test]

@@ -19,16 +19,12 @@
 //! sparser re-tuning the baseline's model time would grow cubically over a
 //! run of hundreds of simulations.
 
-use std::time::{Duration, Instant};
-
 use gp::{probability_of_feasibility, weighted_expected_improvement, GpRegressor, RbfKernel};
 use linalg::Matrix;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::de::finish_with_model_time;
-use crate::fom::Fom;
-use crate::history::{Evaluation, Evaluator, RunResult, StopPolicy};
-use crate::problem::{to_unit, SizingProblem};
+use crate::history::{Evaluation, Evaluator};
+use crate::problem::{from_unit, robust_clip_bounds, to_unit};
 use crate::sampling::latin_hypercube;
 use crate::Optimizer;
 
@@ -79,85 +75,75 @@ impl Optimizer for BoWei {
         "BO-wEI"
     }
 
-    fn run(
-        &self,
-        problem: &dyn SizingProblem,
-        fom: &Fom,
-        budget: usize,
-        stop: StopPolicy,
-        seed: u64,
-    ) -> RunResult {
-        let t0 = Instant::now();
-        let mut model_time = Duration::ZERO;
+    fn search(&self, ev: &mut Evaluator<'_>, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (lb, ub) = problem.bounds();
-        let d = problem.dim();
-        let m = problem.num_constraints();
+        let (lb, ub) = ev.problem().bounds();
+        let d = ev.problem().dim();
+        let m = ev.problem().num_constraints();
         let n_init = if self.n_init > 0 {
             self.n_init
         } else {
             (2 * d).max(20)
         }
-        .min(budget);
-        let mut ev = Evaluator::new(problem, fom, budget);
+        .min(ev.budget());
 
         for x in latin_hypercube(&mut rng, &lb, &ub, n_init) {
-            if ev.exhausted() {
+            if ev.done() {
                 break;
             }
-            let e = ev.evaluate(&x);
-            if stop == StopPolicy::FirstFeasible && e.feasible {
-                return finish_with_model_time(self.name(), ev, t0, model_time);
-            }
+            ev.evaluate(&x);
         }
 
         let mut lengthscale = 0.5;
         let mut iter = 0usize;
-        while !ev.exhausted() {
-            let history = ev.history().entries().to_vec();
-            let idx = training_window(&history, self.max_train);
-            let n = idx.len();
-            let xs = Matrix::from_fn(n, d, |i, j| to_unit(&history[idx[i]].x, &lb, &ub)[j]);
-
-            let tm = Instant::now();
-            // Objective GP: hyper-tuned periodically, cached lengthscale
-            // otherwise.
-            let y_obj: Vec<f64> = {
-                let raw: Vec<f64> = idx.iter().map(|&i| history[i].spec.objective).collect();
-                let (clo, chi) = crate::problem::robust_clip_bounds(&raw);
+        while !ev.done() {
+            let history = ev.history().entries();
+            let idx = training_window(history, self.max_train);
+            let rows: Vec<Vec<f64>> = idx
+                .iter()
+                .map(|&i| to_unit(&history[i].x, &lb, &ub))
+                .collect();
+            let xs = Matrix::from_fn(rows.len(), d, |i, j| rows[i][j]);
+            // Robustly clipped targets for the objective and each constraint.
+            let clip = |raw: Vec<f64>| -> Vec<f64> {
+                let (clo, chi) = robust_clip_bounds(&raw);
                 raw.iter().map(|y| y.clamp(clo, chi)).collect()
             };
-            let obj_gp = if iter.is_multiple_of(self.refit_every) {
-                let g = GpRegressor::fit_hyperopt(xs.clone(), y_obj.clone());
-                if let Ok(ref gg) = g {
-                    // Probe the chosen lengthscale through a 1-point predict
-                    // is not possible; track via LML re-fit instead: keep a
-                    // small grid ourselves.
-                    lengthscale = best_lengthscale(&xs, &y_obj).unwrap_or(lengthscale);
-                    let _ = gg;
-                }
-                g.ok()
-            } else {
-                fit_plain(&xs, &y_obj, lengthscale)
-            };
-            // Constraint GPs share the cached lengthscale.
-            let mut con_gps: Vec<Option<GpRegressor>> = Vec::with_capacity(m);
-            for c in 0..m {
-                let raw: Vec<f64> = idx
-                    .iter()
-                    .map(|&i| history[i].spec.constraints[c])
-                    .collect();
-                let (clo, chi) = crate::problem::robust_clip_bounds(&raw);
-                let yc: Vec<f64> = raw.iter().map(|y| y.clamp(clo, chi)).collect();
-                con_gps.push(fit_plain(&xs, &yc, lengthscale));
-            }
-            model_time += tm.elapsed();
-
+            let y_obj = clip(idx.iter().map(|&i| history[i].spec.objective).collect());
+            let y_cons: Vec<Vec<f64>> = (0..m)
+                .map(|c| {
+                    clip(
+                        idx.iter()
+                            .map(|&i| history[i].spec.constraints[c])
+                            .collect(),
+                    )
+                })
+                .collect();
             let best_feasible_obj = history
                 .iter()
                 .filter(|e| e.feasible)
                 .map(|e| e.spec.objective)
                 .fold(f64::INFINITY, f64::min);
+
+            let (obj_gp, con_gps) = ev.model(|| {
+                // Objective GP: hyper-tuned periodically, cached
+                // lengthscale otherwise.
+                let obj_gp = if iter.is_multiple_of(self.refit_every) {
+                    let g = GpRegressor::fit_hyperopt(xs.clone(), y_obj.clone());
+                    if g.is_ok() {
+                        lengthscale = best_lengthscale(&xs, &y_obj).unwrap_or(lengthscale);
+                    }
+                    g.ok()
+                } else {
+                    fit_plain(&xs, &y_obj, lengthscale)
+                };
+                // Constraint GPs share the cached lengthscale.
+                let con_gps: Vec<Option<GpRegressor>> = y_cons
+                    .iter()
+                    .map(|yc| fit_plain(&xs, yc, lengthscale))
+                    .collect();
+                (obj_gp, con_gps)
+            });
 
             // Acquisition (to maximize).
             let acq = |u: &[f64]| -> f64 {
@@ -182,18 +168,9 @@ impl Optimizer for BoWei {
 
             // Inner DE in the unit cube on the surrogate.
             let next_u = maximize_with_de(&acq, d, self.acq_pop, self.acq_gens, &mut rng);
-            let next: Vec<f64> = next_u
-                .iter()
-                .enumerate()
-                .map(|(j, &u)| lb[j] + u * (ub[j] - lb[j]))
-                .collect();
-            let e = ev.evaluate(&next);
-            if stop == StopPolicy::FirstFeasible && e.feasible {
-                break;
-            }
+            ev.evaluate(&from_unit(&next_u, &lb, &ub));
             iter += 1;
         }
-        finish_with_model_time(self.name(), ev, t0, model_time)
     }
 }
 
@@ -282,6 +259,8 @@ pub(crate) fn maximize_with_de<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::problem::test_problems::Sphere;
+    use crate::{Fom, SizingProblem, StopPolicy};
+    use std::time::Duration;
 
     #[test]
     fn beats_random_on_sphere() {

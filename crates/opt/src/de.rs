@@ -1,12 +1,8 @@
 //! Differential Evolution (the paper's model-free baseline).
 
-use std::time::{Duration, Instant};
-
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::fom::Fom;
-use crate::history::{Evaluator, RunResult, StopPolicy};
-use crate::problem::SizingProblem;
+use crate::history::Evaluator;
 use crate::sampling::latin_hypercube;
 use crate::Optimizer;
 
@@ -77,35 +73,19 @@ impl Optimizer for DifferentialEvolution {
         "DE"
     }
 
-    fn run(
-        &self,
-        problem: &dyn SizingProblem,
-        fom: &Fom,
-        budget: usize,
-        stop: StopPolicy,
-        seed: u64,
-    ) -> RunResult {
-        let t0 = Instant::now();
+    fn search(&self, ev: &mut Evaluator<'_>, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (lb, ub) = problem.bounds();
-        let d = problem.dim();
-        let np = self.pop_size(d).min(budget.max(1));
-        let mut ev = Evaluator::new(problem, fom, budget);
+        let (lb, ub) = ev.problem().bounds();
+        let d = ev.problem().dim();
+        let np = self.pop_size(d).min(ev.budget().max(1));
 
-        // Initial population, evaluated as one parallel batch.
+        // Initial population, evaluated as one parallel batch. A budget
+        // smaller than the population ends the run here (`done`).
         let mut pop = latin_hypercube(&mut rng, &lb, &ub, np);
-        let evals = ev.evaluate_batch(&pop);
-        if stop == StopPolicy::FirstFeasible && evals.iter().any(|e| e.feasible) {
-            return finish(self.name(), ev, t0);
-        }
-        // Budget smaller than the population: return what we have.
-        if evals.len() < np {
-            return finish(self.name(), ev, t0);
-        }
-        let mut fit: Vec<f64> = evals.iter().map(|e| e.fom).collect();
+        let mut fit: Vec<f64> = ev.evaluate_batch(&pop).iter().map(|e| e.fom).collect();
 
         let mut generation: u64 = 0;
-        while !ev.exhausted() {
+        while !ev.done() {
             generation += 1;
             // Breed a full trial generation from the current population
             // snapshot. Each trial uses its own deterministic RNG, so the
@@ -152,39 +132,13 @@ impl Optimizer for DifferentialEvolution {
                 .collect();
             // Parallel batch evaluation, then one-to-one selection.
             let evals = ev.evaluate_batch(&trials);
-            let mut saw_feasible = false;
             for (i, e) in evals.iter().enumerate() {
                 if e.fom <= fit[i] {
                     pop[i].copy_from_slice(&trials[i]);
                     fit[i] = e.fom;
                 }
-                saw_feasible |= e.feasible;
-            }
-            if stop == StopPolicy::FirstFeasible && saw_feasible {
-                break;
             }
         }
-        finish(self.name(), ev, t0)
-    }
-}
-
-pub(crate) fn finish(name: &str, ev: Evaluator<'_>, t0: Instant) -> RunResult {
-    finish_with_model_time(name, ev, t0, Duration::ZERO)
-}
-
-pub(crate) fn finish_with_model_time(
-    name: &str,
-    ev: Evaluator<'_>,
-    t0: Instant,
-    model_time: Duration,
-) -> RunResult {
-    let (history, sim_time) = ev.into_parts();
-    RunResult {
-        optimizer: name.to_string(),
-        history,
-        model_time,
-        sim_time,
-        total_time: t0.elapsed(),
     }
 }
 
@@ -192,6 +146,7 @@ pub(crate) fn finish_with_model_time(
 mod tests {
     use super::*;
     use crate::problem::test_problems::{NarrowBand, Sphere};
+    use crate::{Fom, SizingProblem, StopPolicy};
 
     #[test]
     fn solves_constrained_sphere() {

@@ -9,17 +9,13 @@
 //! lower-confidence-bound. Constraint handling rides on the FoM (Eq. 4)
 //! exactly as in the DNN-Opt comparison protocol.
 
-use std::time::{Duration, Instant};
-
 use gp::lower_confidence_bound;
 use linalg::Matrix;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::bo_wei::{best_lengthscale, fit_plain};
-use crate::de::finish_with_model_time;
-use crate::fom::Fom;
-use crate::history::{Evaluator, RunResult, StopPolicy};
-use crate::problem::{to_unit, SizingProblem};
+use crate::history::Evaluator;
+use crate::problem::to_unit;
 use crate::sampling::latin_hypercube;
 use crate::Optimizer;
 
@@ -61,19 +57,10 @@ impl Optimizer for Gaspad {
         "GASPAD"
     }
 
-    fn run(
-        &self,
-        problem: &dyn SizingProblem,
-        fom: &Fom,
-        budget: usize,
-        stop: StopPolicy,
-        seed: u64,
-    ) -> RunResult {
-        let t0 = Instant::now();
-        let mut model_time = Duration::ZERO;
+    fn search(&self, ev: &mut Evaluator<'_>, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (lb, ub) = problem.bounds();
-        let d = problem.dim();
+        let (lb, ub) = ev.problem().bounds();
+        let d = ev.problem().dim();
         let np = if self.population > 0 {
             self.population
         } else {
@@ -84,22 +71,18 @@ impl Optimizer for Gaspad {
         } else {
             (2 * d).max(20)
         }
-        .min(budget);
-        let mut ev = Evaluator::new(problem, fom, budget);
+        .min(ev.budget());
 
         for x in latin_hypercube(&mut rng, &lb, &ub, n_init) {
-            if ev.exhausted() {
+            if ev.done() {
                 break;
             }
-            let e = ev.evaluate(&x);
-            if stop == StopPolicy::FirstFeasible && e.feasible {
-                return finish_with_model_time(self.name(), ev, t0, model_time);
-            }
+            ev.evaluate(&x);
         }
 
         let mut lengthscale = 0.5;
         let mut iter = 0usize;
-        while !ev.exhausted() {
+        while !ev.done() {
             let history = ev.history().entries();
             // Population = best `np` designs so far.
             let mut order: Vec<usize> = (0..history.len()).collect();
@@ -110,18 +93,19 @@ impl Optimizer for Gaspad {
             // GP on FoM over the most recent window.
             let start = history.len().saturating_sub(self.max_train);
             let window = &history[start..];
-            let xs = Matrix::from_fn(window.len(), d, |i, j| to_unit(&window[i].x, &lb, &ub)[j]);
+            let rows: Vec<Vec<f64>> = window.iter().map(|e| to_unit(&e.x, &lb, &ub)).collect();
+            let xs = Matrix::from_fn(rows.len(), d, |i, j| rows[i][j]);
             // Robust-clip the FoM targets: failure penalties are cliffs of
             // ~1e14 that would otherwise flatten the whole GP landscape.
             let raw_ys: Vec<f64> = window.iter().map(|e| e.fom).collect();
             let (clo, chi) = crate::problem::robust_clip_bounds(&raw_ys);
             let ys: Vec<f64> = raw_ys.iter().map(|y| y.clamp(clo, chi)).collect();
-            let tm = Instant::now();
-            if iter.is_multiple_of(self.refit_every) {
-                lengthscale = best_lengthscale(&xs, &ys).unwrap_or(lengthscale);
-            }
-            let gp = fit_plain(&xs, &ys, lengthscale);
-            model_time += tm.elapsed();
+            let gp = ev.model(|| {
+                if iter.is_multiple_of(self.refit_every) {
+                    lengthscale = best_lengthscale(&xs, &ys).unwrap_or(lengthscale);
+                }
+                fit_plain(&xs, &ys, lengthscale)
+            });
 
             // Breed one offspring per population member; prescreen with LCB.
             let npop = pop.len();
@@ -150,13 +134,9 @@ impl Optimizer for Gaspad {
                 }
             }
             let (child, _) = best_child.expect("population is non-empty");
-            let e = ev.evaluate(&child);
-            if stop == StopPolicy::FirstFeasible && e.feasible {
-                break;
-            }
+            ev.evaluate(&child);
             iter += 1;
         }
-        finish_with_model_time(self.name(), ev, t0, model_time)
     }
 }
 
@@ -165,6 +145,8 @@ mod tests {
     use super::*;
     use crate::problem::test_problems::Sphere;
     use crate::random::RandomSearch;
+    use crate::{Fom, SizingProblem, StopPolicy};
+    use std::time::Duration;
 
     #[test]
     fn beats_random_search() {

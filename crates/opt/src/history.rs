@@ -243,24 +243,31 @@ impl std::fmt::Display for RobustnessReport {
 }
 
 /// Budgeted, history-recording wrapper around a [`SizingProblem`]: the one
-/// object optimizers call to spend simulations.
+/// object optimizers call to spend simulations. [`crate::Optimizer::run`]
+/// builds one per run and turns it into the [`RunResult`].
 pub struct Evaluator<'a> {
     problem: &'a dyn SizingProblem,
     fom: &'a Fom,
     budget: usize,
-    history: History,
-    sim_time: Duration,
+    pub(crate) stop: StopPolicy,
+    pub(crate) history: History,
+    pub(crate) sim_time: Duration,
+    pub(crate) model_time: Duration,
 }
 
 impl<'a> Evaluator<'a> {
-    /// Creates an evaluator with a simulation budget.
+    /// Creates an evaluator with a simulation budget and the
+    /// [`StopPolicy::Exhaust`] policy, so [`Evaluator::done`] is
+    /// [`Evaluator::exhausted`].
     pub fn new(problem: &'a dyn SizingProblem, fom: &'a Fom, budget: usize) -> Self {
         Evaluator {
             problem,
             fom,
             budget,
+            stop: StopPolicy::Exhaust,
             history: History::new(),
             sim_time: Duration::ZERO,
+            model_time: Duration::ZERO,
         }
     }
 
@@ -271,8 +278,8 @@ impl<'a> Evaluator<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the budget is already exhausted; optimizers must check
-    /// [`Evaluator::exhausted`] first.
+    /// Panics if the budget is already exhausted; optimizers stop when
+    /// [`Evaluator::done`], which covers that.
     pub fn evaluate(&mut self, x: &[f64]) -> Evaluation {
         assert!(!self.exhausted(), "simulation budget exhausted");
         self.evaluate_batch(&[x.to_vec()])
@@ -368,6 +375,29 @@ impl<'a> Evaluator<'a> {
         self.history.len() >= self.budget
     }
 
+    /// True when the search must stop: no budget remains, or the stop
+    /// policy is [`StopPolicy::FirstFeasible`] and a feasible design has
+    /// been recorded.
+    pub fn done(&self) -> bool {
+        self.exhausted()
+            || (self.stop == StopPolicy::FirstFeasible && self.history.first_feasible().is_some())
+    }
+
+    /// Runs `f`, surrogate-model work such as a fit or a training pass,
+    /// and adds its wall-clock time to the run's
+    /// [`RunResult::model_time`].
+    pub fn model<T>(&mut self, f: impl FnOnce() -> T) -> T {
+        let t0 = Instant::now();
+        let out = f();
+        self.model_time += t0.elapsed();
+        out
+    }
+
+    /// The simulation budget.
+    pub fn budget(&self) -> usize {
+        self.budget
+    }
+
     /// Simulations remaining.
     pub fn remaining(&self) -> usize {
         self.budget.saturating_sub(self.history.len())
@@ -378,13 +408,14 @@ impl<'a> Evaluator<'a> {
         self.history.len()
     }
 
-    /// The underlying problem.
-    pub fn problem(&self) -> &dyn SizingProblem {
+    /// The underlying problem. The reference outlives the borrow of the
+    /// evaluator, so a search can hold it across [`Evaluator::evaluate`].
+    pub fn problem(&self) -> &'a dyn SizingProblem {
         self.problem
     }
 
-    /// The FoM in use.
-    pub fn fom(&self) -> &Fom {
+    /// The FoM in use (held like [`Evaluator::problem`]).
+    pub fn fom(&self) -> &'a Fom {
         self.fom
     }
 
@@ -397,11 +428,6 @@ impl<'a> Evaluator<'a> {
     /// [`SizingProblem::evaluate_analysis`], summed over every unit.
     pub fn sim_time(&self) -> Duration {
         self.sim_time
-    }
-
-    /// Consumes the evaluator, returning the history and simulation time.
-    pub fn into_parts(self) -> (History, Duration) {
-        (self.history, self.sim_time)
     }
 }
 
@@ -472,13 +498,22 @@ impl std::fmt::Display for RunReport {
     }
 }
 
-/// When an optimizer should stop.
+/// When an optimizer should stop. [`Evaluator::done`] applies it; every
+/// optimizer checks `done` between evaluations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopPolicy {
     /// Use the whole simulation budget (needed for FoM-curve figures).
     Exhaust,
     /// Return as soon as a feasible design is simulated (paper Alg. 1
     /// line 11, and the industrial Table V protocol).
+    ///
+    /// SA, GASPAD and BO-wEI evaluate one design at a time, so they stop
+    /// right at the first feasible one: their history is exactly
+    /// [`RunResult::sims_to_feasible`] entries long. DE, random search and
+    /// DNN-Opt's initial Latin-hypercube sample evaluate a batch at a time
+    /// and finish the batch that found it, so up to one batch minus one
+    /// evaluation follows the first feasible design. DNN-Opt's main loop
+    /// evaluates one design at a time.
     FirstFeasible,
 }
 

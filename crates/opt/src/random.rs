@@ -1,13 +1,8 @@
 //! Pure random search — the sanity-floor baseline.
 
-use std::time::Instant;
-
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::de::finish;
-use crate::fom::Fom;
-use crate::history::{Evaluator, RunResult, StopPolicy};
-use crate::problem::SizingProblem;
+use crate::history::Evaluator;
 use crate::sampling::sample_uniform;
 use crate::Optimizer;
 
@@ -32,27 +27,14 @@ impl Optimizer for RandomSearch {
         "Random"
     }
 
-    fn run(
-        &self,
-        problem: &dyn SizingProblem,
-        fom: &Fom,
-        budget: usize,
-        stop: StopPolicy,
-        seed: u64,
-    ) -> RunResult {
-        let t0 = Instant::now();
+    fn search(&self, ev: &mut Evaluator<'_>, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (lb, ub) = problem.bounds();
-        let mut ev = Evaluator::new(problem, fom, budget);
-        while !ev.exhausted() {
+        let (lb, ub) = ev.problem().bounds();
+        while !ev.done() {
             let n = ev.remaining().min(Self::BATCH);
             let xs = sample_uniform(&mut rng, &lb, &ub, n);
-            let evals = ev.evaluate_batch(&xs);
-            if stop == StopPolicy::FirstFeasible && evals.iter().any(|e| e.feasible) {
-                break;
-            }
+            ev.evaluate_batch(&xs);
         }
-        finish(self.name(), ev, t0)
     }
 }
 
@@ -60,6 +42,7 @@ impl Optimizer for RandomSearch {
 mod tests {
     use super::*;
     use crate::problem::test_problems::Sphere;
+    use crate::{Fom, SizingProblem, StopPolicy};
 
     #[test]
     fn uses_exact_budget() {

@@ -2,14 +2,9 @@
 //! optimizer based on Simulated Annealing" the paper uses as the industrial
 //! baseline (Table V).
 
-use std::time::Instant;
-
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::de::finish;
-use crate::fom::Fom;
-use crate::history::{Evaluator, RunResult, StopPolicy};
-use crate::problem::SizingProblem;
+use crate::history::Evaluator;
 use crate::Optimizer;
 
 /// Classic single-chain simulated annealing on the FoM landscape with a
@@ -42,27 +37,17 @@ impl Optimizer for SimulatedAnnealing {
         "SA"
     }
 
-    fn run(
-        &self,
-        problem: &dyn SizingProblem,
-        fom: &Fom,
-        budget: usize,
-        stop: StopPolicy,
-        seed: u64,
-    ) -> RunResult {
-        let t0 = Instant::now();
+    fn search(&self, ev: &mut Evaluator<'_>, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (lb, ub) = problem.bounds();
-        let d = problem.dim();
-        let mut ev = Evaluator::new(problem, fom, budget);
+        let (lb, ub) = ev.problem().bounds();
 
-        let per_chain = (budget / self.restarts.max(1)).max(1);
+        let per_chain = (ev.budget() / self.restarts.max(1)).max(1);
         let cool = (self.t_final / self.t_initial).powf(1.0 / per_chain.max(2) as f64);
 
         let mut best_x: Option<Vec<f64>> = None;
         let mut best_f = f64::INFINITY;
 
-        'outer: for restart in 0..self.restarts.max(1) {
+        for restart in 0..self.restarts.max(1) {
             // Start from incumbent best after the first chain.
             let mut x: Vec<f64> = match (&best_x, restart) {
                 (Some(b), r) if r > 0 => b.clone(),
@@ -72,21 +57,17 @@ impl Optimizer for SimulatedAnnealing {
                     .map(|(&l, &u)| if u > l { rng.gen_range(l..u) } else { l })
                     .collect(),
             };
-            if ev.exhausted() {
+            if ev.done() {
                 break;
             }
-            let e = ev.evaluate(&x);
-            let mut fx = e.fom;
+            let mut fx = ev.evaluate(&x).fom;
             if fx < best_f {
                 best_f = fx;
                 best_x = Some(x.clone());
             }
-            if stop == StopPolicy::FirstFeasible && e.feasible {
-                break 'outer;
-            }
 
             let mut temp = self.t_initial;
-            while !ev.exhausted() && temp > self.t_final {
+            while !ev.done() && temp > self.t_final {
                 // Temperature-scaled Gaussian move on every coordinate.
                 let scale = self.step_fraction * (temp / self.t_initial).sqrt();
                 let cand: Vec<f64> = x
@@ -110,9 +91,6 @@ impl Optimizer for SimulatedAnnealing {
                     best_f = e.fom;
                     best_x = Some(e.x.clone());
                 }
-                if stop == StopPolicy::FirstFeasible && e.feasible {
-                    break 'outer;
-                }
                 temp *= cool;
             }
         }
@@ -120,7 +98,7 @@ impl Optimizer for SimulatedAnnealing {
         if let Some(bx) = best_x {
             let mut x = bx;
             let mut fx = best_f;
-            while !ev.exhausted() {
+            while !ev.done() {
                 let cand: Vec<f64> = x
                     .iter()
                     .enumerate()
@@ -134,13 +112,8 @@ impl Optimizer for SimulatedAnnealing {
                     x = cand;
                     fx = e.fom;
                 }
-                if stop == StopPolicy::FirstFeasible && e.feasible {
-                    break;
-                }
             }
         }
-        let _ = d;
-        finish(self.name(), ev, t0)
     }
 }
 
@@ -160,6 +133,7 @@ fn nn_gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 mod tests {
     use super::*;
     use crate::problem::test_problems::{NarrowBand, Sphere};
+    use crate::{Fom, SizingProblem, StopPolicy};
 
     #[test]
     fn improves_over_random_start() {

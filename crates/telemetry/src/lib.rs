@@ -320,7 +320,8 @@ pub fn record(m: Metric, v: u64) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum SpanId {
-    /// One full optimizer run (`core::DnnOpt::run` and friends).
+    /// One full optimizer run: `opt::Optimizer::run`, which every
+    /// optimizer shares, opens it with the budget as its argument.
     Run,
     /// One optimizer iteration/generation inside a run.
     Generation,

@@ -1,4 +1,4 @@
-//! All five optimizers side by side on a cheap synthetic sizing problem.
+//! All six optimizers side by side on a cheap synthetic sizing problem.
 //!
 //! Run with `cargo run --release --example baseline_shootout`.
 

@@ -7,7 +7,8 @@
 //!    shards can be merged in any order without changing the summary.
 //! 2. **Span accounting** — span counts over the hierarchical evaluation
 //!    grid are identical at 1/2/7 pool threads, nesting depth returns to
-//!    zero, and the hierarchy reaches ≥ 5 levels.
+//!    zero, and the hierarchy reaches ≥ 5 levels. Every optimizer's run
+//!    opens exactly one `run` span.
 //! 3. **Neutrality** — a full DNN-Opt run's history is bit-identical with
 //!    tracing off and with a Chrome event sink hot, at 1 and 2 threads:
 //!    telemetry reads clocks but never feeds numerics.
@@ -20,7 +21,10 @@ use std::sync::Mutex;
 use circuits::tech::CornerSet;
 use circuits::{FoldedCascodeOta, StrongArmLatch};
 use dnn_opt::{DnnOpt, DnnOptConfig};
-use opt::{parallel, Evaluator, Fom, Optimizer, RunResult, SizingProblem, StopPolicy};
+use opt::{
+    parallel, AnalysisSpec, BoWei, DifferentialEvolution, Evaluator, Fom, Gaspad, Optimizer,
+    RandomSearch, RunResult, SimulatedAnnealing, SizingProblem, SpecResult, StopPolicy,
+};
 use proptest::prelude::*;
 use spice::fault::{self, FaultKind, FaultPlan, FaultSolves};
 use telemetry::{Metric, SinkKind, SpanId};
@@ -316,6 +320,61 @@ fn traced_runs_are_bit_identical_to_untraced() {
         let ends = text.matches("\"ph\":\"E\"").count();
         assert_eq!(begins, ends, "begin/end events balance @ {threads} threads");
         assert!(begins > 0, "trace is non-empty");
+    }
+}
+
+/// A cheap two-variable problem with one constraint.
+struct Toy;
+
+impl SizingProblem for Toy {
+    fn dim(&self) -> usize {
+        2
+    }
+    fn bounds(&self) -> (Vec<f64>, Vec<f64>) {
+        (vec![0.0; 2], vec![1.0; 2])
+    }
+    fn num_constraints(&self) -> usize {
+        1
+    }
+    fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
+        SpecResult {
+            failure: None,
+            objective: (x[0] - 0.3).powi(2) + (x[1] - 0.6).powi(2),
+            constraints: vec![0.4 - x[1]],
+        }
+        .into()
+    }
+}
+
+/// Every optimizer runs under the shared harness: one `run` span per run
+/// at the root of its tree, and the span depth unwinds to zero.
+#[test]
+fn every_optimizer_records_one_run_span() {
+    let _l = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = Scoped;
+    let fom = Fom::uniform(1.0, 1);
+    let opts: Vec<Box<dyn Optimizer>> = vec![
+        Box::new(DifferentialEvolution::default()),
+        Box::new(SimulatedAnnealing::default()),
+        Box::new(RandomSearch),
+        Box::new(BoWei {
+            acq_pop: 8,
+            acq_gens: 4,
+            ..Default::default()
+        }),
+        Box::new(Gaspad::default()),
+        Box::new(DnnOpt::new(quick_cfg())),
+    ];
+    for o in &opts {
+        telemetry::install(Some(SinkKind::Summary));
+        telemetry::reset();
+        let run = o.run(&Toy, &fom, 24, StopPolicy::Exhaust, 0);
+        let summary = telemetry::finish().expect("plane is installed");
+        telemetry::install(None);
+        assert_eq!(run.history.len(), 24, "{}", o.name());
+        assert_eq!(summary.span_count(SpanId::Run), 1, "{}", o.name());
+        assert!(summary.span_count(SpanId::EvalBatch) >= 1, "{}", o.name());
+        assert_eq!(telemetry::current_depth(), 0, "{}", o.name());
     }
 }
 
