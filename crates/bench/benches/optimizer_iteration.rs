@@ -1,7 +1,8 @@
 //! Criterion benchmark of whole optimizer iterations on a cheap synthetic
 //! problem (the fixed per-simulation overhead each method adds), plus the
 //! serial-vs-parallel population-evaluation comparison on a problem whose
-//! `evaluate` runs a real Newton solve.
+//! `evaluate` runs a real Newton solve. The OTA population rows
+//! (`population_eval_16_ota_*`) live in `bench::parallel_scaling_rows`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dnn_opt::{DnnOpt, DnnOptConfig};
@@ -75,10 +76,8 @@ impl SizingProblem for SpiceStage {
     }
 }
 
-/// Population evaluation at two workload scales — the cheap 2-variable
-/// SPICE stage (24-point DC sweep per candidate) and the full
-/// folded-cascode OTA testbench (~13 ms per candidate) — one worker vs
-/// all cores. Results are identical either way (see
+/// Population evaluation of the cheap 2-variable SPICE stage (24-point DC
+/// sweep per candidate), one worker vs all cores. Results are identical either way (see
 /// `tests/parallel_determinism.rs`); the wall-clock gap is the point, and
 /// it only appears once per-candidate work dwarfs thread startup.
 fn bench_population_eval(c: &mut Criterion) {
@@ -106,38 +105,6 @@ fn bench_population_eval(c: &mut Criterion) {
         b.iter(|| {
             let mut ev = Evaluator::new(&problem, &fom, pop.len());
             black_box(ev.evaluate_batch(&pop).len())
-        })
-    });
-
-    let ota = circuits::FoldedCascodeOta::new();
-    let ota_fom = Fom::uniform(1.0, ota.num_constraints());
-    let nominal = ota.nominal();
-    let (lb, ub) = ota.bounds();
-    let ota_pop: Vec<Vec<f64>> = (0..16)
-        .map(|i| {
-            let t = (i as f64 / 15.0 - 0.5) * 0.1;
-            nominal
-                .iter()
-                .zip(lb.iter().zip(&ub))
-                .map(|(&x, (&l, &u))| (x + t * (u - l)).clamp(l, u))
-                .collect()
-        })
-        .collect();
-
-    c.bench_function("population_eval_16_ota_serial", |b| {
-        parallel::set_max_threads(1);
-        b.iter(|| {
-            let mut ev = Evaluator::new(&ota, &ota_fom, ota_pop.len());
-            black_box(ev.evaluate_batch(&ota_pop).len())
-        });
-        parallel::set_max_threads(0);
-    });
-
-    c.bench_function("population_eval_16_ota_parallel", |b| {
-        parallel::set_max_threads(0);
-        b.iter(|| {
-            let mut ev = Evaluator::new(&ota, &ota_fom, ota_pop.len());
-            black_box(ev.evaluate_batch(&ota_pop).len())
         })
     });
 }

@@ -20,7 +20,7 @@
 use bench::{ascii_plot, building_block_suite, secs, write_traces_csv, MethodRuns, Scale};
 use circuits::{Ctle, FoldedCascodeOta, InverterChain, Ldo, LevelShifter, StrongArmLatch};
 use dnn_opt::{DnnOpt, DnnOptConfig, ReducedProblem, SensitivityReport};
-use opt::{Fom, Optimizer, SimulatedAnnealing, SizingProblem, StopPolicy};
+use opt::{Optimizer, SimulatedAnnealing, SizingProblem, StopPolicy};
 
 fn print_bounds_table(title: &str, problem: &dyn SizingProblem) {
     println!("\n=== {title} ===");
@@ -84,12 +84,8 @@ fn print_stats_table(title: &str, methods: &[MethodRuns], scale: &Scale, obj_uni
 
 fn run_ota(scale: &Scale) {
     let ota = FoldedCascodeOta::new();
-    // Eq. 4 weights: objective in ~[0.5, 5] mW scaled to ~[0.05, 0.5];
-    // constraint weights 0.25 keep typical violations inside the linear
-    // band of the min/max clipping (see `opt::Fom`).
-    let fom = Fom::new(100.0, vec![0.25; ota.num_constraints()]);
     eprintln!("[ota] running Table II / Fig. 3 suite...");
-    let methods = building_block_suite(&ota, &fom, scale, StopPolicy::Exhaust);
+    let methods = building_block_suite(&ota, &ota.paper_fom(), scale, StopPolicy::Exhaust);
     print_stats_table(
         "Table II — folded-cascode OTA",
         &methods,
@@ -106,10 +102,8 @@ fn run_ota(scale: &Scale) {
 
 fn run_latch(scale: &Scale) {
     let latch = StrongArmLatch::new();
-    // Objective is power in W (µW range); w0 scales it to ~0.1–1.
-    let fom = Fom::new(3e4, vec![0.25; latch.num_constraints()]);
     eprintln!("[latch] running Table IV / Fig. 4 suite...");
-    let methods = building_block_suite(&latch, &fom, scale, StopPolicy::Exhaust);
+    let methods = building_block_suite(&latch, &latch.paper_fom(), scale, StopPolicy::Exhaust);
     print_stats_table("Table IV — StrongARM latch", &methods, scale, ("uW", 1e6));
     write_traces_csv("results/fig4.csv", &methods, scale.budget).expect("write fig4.csv");
     println!(
@@ -123,7 +117,6 @@ fn industrial_row(
     name: &str,
     problem: &dyn SizingProblem,
     device_count: f64,
-    fom: &Fom,
     scale: &Scale,
     sa_budget: usize,
     dnn_budget: usize,
@@ -133,6 +126,7 @@ fn industrial_row(
     let rep = SensitivityReport::compute(problem, &nominal, 0.05);
     let critical = rep.critical_variables(0.1);
     let reduced = ReducedProblem::new(problem, nominal, critical.clone());
+    let fom = reduced.paper_fom();
     eprintln!(
         "[{name}] {} -> {} critical variables",
         problem.dim(),
@@ -146,7 +140,7 @@ fn industrial_row(
     for rep_i in 0..scale.repeats {
         let r = sa.run(
             &reduced,
-            fom,
+            &fom,
             sa_budget,
             StopPolicy::FirstFeasible,
             rep_i as u64,
@@ -154,7 +148,7 @@ fn industrial_row(
         sa_sims.push(r.sims_to_feasible());
         let r = dnn.run(
             &reduced,
-            fom,
+            &fom,
             dnn_budget,
             StopPolicy::FirstFeasible,
             rep_i as u64,
@@ -199,52 +193,18 @@ fn run_table5(scale: &Scale) {
     let dnn_budget = scale.budget;
 
     let inv = InverterChain::new();
-    let fom = Fom::new(1.0, vec![0.5; inv.num_constraints()]);
-    industrial_row(
-        "Inverter Chain",
-        &inv,
-        8.0,
-        &fom,
-        scale,
-        sa_budget,
-        dnn_budget,
-    );
-
     let ls = LevelShifter::new();
-    let fom = Fom::new(1.0, vec![0.5; ls.num_constraints()]);
-    industrial_row(
-        "Level Shifter",
-        &ls,
-        ls.device_count(),
-        &fom,
-        scale,
-        sa_budget,
-        dnn_budget,
-    );
-
     let ldo = Ldo::new();
-    let fom = Fom::new(1e3, vec![0.5; ldo.num_constraints()]);
-    industrial_row(
-        "LDO",
-        &ldo,
-        ldo.device_count(),
-        &fom,
-        scale,
-        sa_budget,
-        dnn_budget,
-    );
-
     let ctle = Ctle::new();
-    let fom = Fom::new(100.0, vec![0.5; ctle.num_constraints()]);
-    industrial_row(
-        "CTLE",
-        &ctle,
-        ctle.device_count(),
-        &fom,
-        scale,
-        sa_budget,
-        dnn_budget,
-    );
+    let rows: [(&str, &dyn SizingProblem, f64); 4] = [
+        ("Inverter Chain", &inv, inv.device_count()),
+        ("Level Shifter", &ls, ls.device_count()),
+        ("LDO", &ldo, ldo.device_count()),
+        ("CTLE", &ctle, ctle.device_count()),
+    ];
+    for (name, problem, device_count) in rows {
+        industrial_row(name, problem, device_count, scale, sa_budget, dnn_budget);
+    }
 }
 
 /// §II-B ablation: critic with (x, Δx) pseudo-samples vs a d-input network

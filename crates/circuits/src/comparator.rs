@@ -20,7 +20,7 @@
 //! simulator substrate's scope; the estimator uses the standard
 //! `√(2kTγ/C_X)/G_int` sampling-noise form on simulated operating data).
 
-use opt::{AnalysisSpec, SizingProblem, SpecResult};
+use opt::{AnalysisSpec, Fom, SizingProblem, SpecResult};
 use spice::mos::BOLTZMANN;
 use spice::{Circuit, SimOptions, SpiceError, Waveform, GND};
 
@@ -372,6 +372,11 @@ impl SizingProblem for StrongArmLatch {
 
     fn nominal(&self) -> Vec<f64> {
         self.nominal()
+    }
+
+    /// Objective is power in W (µW range); `w0` scales it to ~0.1–1.
+    fn paper_fom(&self) -> Fom {
+        Fom::new(3e4, vec![0.25; self.num_constraints()])
     }
 
     fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {

@@ -15,7 +15,7 @@
 //! ([`SizingProblem::evaluate_analysis`]); `opt` derives the per-corner
 //! and worst-case views of a [`Ctle::with_corners`] plane from it.
 
-use opt::{AnalysisSpec, SizingProblem, SpecResult};
+use opt::{AnalysisSpec, Fom, SizingProblem, SpecResult};
 use spice::{Circuit, SimOptions, SpiceError, Waveform, GND};
 
 use crate::measure;
@@ -313,6 +313,12 @@ impl SizingProblem for Ctle {
 
     fn nominal(&self) -> Vec<f64> {
         self.nominal()
+    }
+
+    /// Objective is power in W; `w0 = 100` reads it in units of 10 mW.
+    /// Constraint weights 0.5.
+    fn paper_fom(&self) -> Fom {
+        Fom::new(100.0, vec![0.5; self.num_constraints()])
     }
 
     fn num_corners(&self) -> usize {

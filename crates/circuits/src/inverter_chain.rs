@@ -7,7 +7,7 @@
 //! parasitics are applied before every simulation, mirroring the paper's
 //! MLParest-in-the-loop flow.
 
-use opt::{AnalysisSpec, SizingProblem, SpecResult};
+use opt::{AnalysisSpec, Fom, SizingProblem, SpecResult};
 use spice::{Circuit, SimOptions, SpiceError, Waveform, GND};
 
 use crate::measure;
@@ -160,6 +160,12 @@ impl InverterChain {
         update_parasitics(&mut ckt, &self.parasitics)?;
         Ok((ckt, self.io.0, self.io.1))
     }
+
+    /// Expanded MOS count of the netlist (array-aware), 8 as in the
+    /// paper's Table V.
+    pub fn device_count(&self) -> f64 {
+        self.template.expanded_mosfet_count()
+    }
 }
 
 impl SizingProblem for InverterChain {
@@ -187,6 +193,12 @@ impl SizingProblem for InverterChain {
 
     fn nominal(&self) -> Vec<f64> {
         self.nominal()
+    }
+
+    /// Objective is energy per transition in pJ, taken unscaled; constraint
+    /// weights 0.5.
+    fn paper_fom(&self) -> Fom {
+        Fom::new(1.0, vec![0.5; self.num_constraints()])
     }
 
     fn evaluate_analysis(&self, x: &[f64], _k: usize, _a: usize) -> AnalysisSpec {
@@ -315,5 +327,10 @@ mod tests {
         assert_eq!(chain.dim(), 8);
         assert_eq!(chain.num_constraints(), 2);
         assert_eq!(chain.variable_names().len(), 8);
+    }
+
+    #[test]
+    fn device_count_matches_paper_scale() {
+        assert_eq!(InverterChain::new().device_count(), 8.0);
     }
 }

@@ -16,7 +16,7 @@
 //! ([`SizingProblem::evaluate_analysis`]); `opt` derives the per-corner
 //! and worst-case views of an [`Ldo::with_corners`] plane from it.
 
-use opt::{AnalysisSpec, SizingProblem, SpecResult};
+use opt::{AnalysisSpec, Fom, SizingProblem, SpecResult};
 use spice::{Circuit, SimOptions, SpiceError, Waveform, GND};
 
 use crate::measure;
@@ -313,6 +313,12 @@ impl SizingProblem for Ldo {
 
     fn nominal(&self) -> Vec<f64> {
         self.nominal()
+    }
+
+    /// Objective is quiescent current in A; `w0 = 1e3` reads it in mA.
+    /// Constraint weights 0.5.
+    fn paper_fom(&self) -> Fom {
+        Fom::new(1e3, vec![0.5; self.num_constraints()])
     }
 
     fn num_corners(&self) -> usize {

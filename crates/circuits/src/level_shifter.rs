@@ -19,7 +19,7 @@
 //! (decap array geometry, a dummy output load) that sensitivity analysis
 //! is expected to prune, mirroring the paper's flow.
 
-use opt::{AnalysisSpec, SizingProblem, SpecResult};
+use opt::{AnalysisSpec, Fom, SizingProblem, SpecResult};
 use spice::{Circuit, SimOptions, SpiceError, Waveform, GND};
 
 use crate::measure;
@@ -267,6 +267,12 @@ impl SizingProblem for LevelShifter {
 
     fn nominal(&self) -> Vec<f64> {
         self.nominal()
+    }
+
+    /// Objective is the worst corner's energy per transition in pJ, taken
+    /// unscaled; constraint weights 0.5.
+    fn paper_fom(&self) -> Fom {
+        Fom::new(1.0, vec![0.5; self.num_constraints()])
     }
 
     /// One supply corner of the scenario plane: the full 10-measurement

@@ -192,3 +192,78 @@ mod nominal_bits_tests {
         );
     }
 }
+
+#[cfg(test)]
+mod paper_fom_tests {
+    use crate::tech::CornerSet;
+    use crate::{Ctle, FoldedCascodeOta, InverterChain, Ldo, LevelShifter, StrongArmLatch};
+    use opt::{Fom, SizingProblem};
+
+    /// Each testbench's Eq. 4 weighting, as the reproduced tables score it.
+    #[test]
+    fn paper_fom_weights_are_pinned() {
+        let cases: [(&str, Box<dyn SizingProblem>, f64, f64); 8] = [
+            ("ota", Box::new(FoldedCascodeOta::new()), 100.0, 0.25),
+            (
+                "ota post-layout",
+                Box::new(FoldedCascodeOta::post_layout()),
+                100.0,
+                0.25,
+            ),
+            (
+                "ota pvt5",
+                Box::new(FoldedCascodeOta::with_corners(CornerSet::pvt5())),
+                100.0,
+                0.25,
+            ),
+            ("latch", Box::new(StrongArmLatch::new()), 3e4, 0.25),
+            ("inverter chain", Box::new(InverterChain::new()), 1.0, 0.5),
+            ("level shifter", Box::new(LevelShifter::new()), 1.0, 0.5),
+            ("ldo", Box::new(Ldo::new()), 1e3, 0.5),
+            ("ctle", Box::new(Ctle::new()), 100.0, 0.5),
+        ];
+        for (name, p, w0, wi) in &cases {
+            let expected = Fom::new(*w0, vec![*wi; p.num_constraints()]);
+            assert_eq!(p.paper_fom(), expected, "{name}");
+        }
+    }
+
+    /// The nominal design's paper FoM, pinned to the bit (README's "Paper
+    /// setup" table quotes these values).
+    #[test]
+    fn paper_fom_of_the_nominal_design_is_pinned() {
+        let fom_bits =
+            |p: &dyn SizingProblem| p.paper_fom().value(&p.evaluate(&p.nominal())).to_bits();
+        let cases: [(&str, Box<dyn SizingProblem>, u64); 7] = [
+            ("ota", Box::new(FoldedCascodeOta::new()), 0x3fbd10615e5c4996),
+            (
+                "ota post-layout",
+                Box::new(FoldedCascodeOta::post_layout()),
+                0x3fbd106309eb6a8f,
+            ),
+            ("latch", Box::new(StrongArmLatch::new()), 0x3fd59540a01e101d),
+            (
+                "inverter chain",
+                Box::new(InverterChain::new()),
+                0x3fa062904cf63483,
+            ),
+            (
+                "level shifter",
+                Box::new(LevelShifter::new()),
+                0x3fa843ab5dbeb86d,
+            ),
+            ("ldo", Box::new(Ldo::new()), 0x3fab9eab46903504),
+            ("ctle", Box::new(Ctle::new()), 0x3fbf2c0d3264c7f0),
+        ];
+        for (name, p, bits) in &cases {
+            let got = fom_bits(p.as_ref());
+            assert_eq!(
+                got,
+                *bits,
+                "{name}: {} != {}",
+                f64::from_bits(got),
+                f64::from_bits(*bits)
+            );
+        }
+    }
+}

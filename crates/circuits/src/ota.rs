@@ -27,7 +27,7 @@
 //! noise integration and a step transient for settling time and static
 //! error, both from one operating point.
 
-use opt::{AnalysisSpec, SizingProblem};
+use opt::{AnalysisSpec, Fom, SizingProblem};
 use spice::{Circuit, OpPoint, SimOptions, SpiceError, Waveform, GND};
 
 use crate::measure::{self, at_least, at_most};
@@ -695,6 +695,13 @@ impl SizingProblem for FoldedCascodeOta {
 
     fn nominal(&self) -> Vec<f64> {
         self.nominal()
+    }
+
+    /// Objective in ~[0.5, 5] mW scaled to ~[0.05, 0.5]; constraint
+    /// weights 0.25 keep typical violations inside the linear band of the
+    /// min/max clipping (see [`Fom`]).
+    fn paper_fom(&self) -> Fom {
+        Fom::new(100.0, vec![0.25; self.num_constraints()])
     }
 
     fn num_corners(&self) -> usize {

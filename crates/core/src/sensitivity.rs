@@ -275,6 +275,10 @@ impl SizingProblem for ReducedProblem<'_> {
     fn nominal(&self) -> Vec<f64> {
         self.active.iter().map(|&j| self.base[j]).collect()
     }
+
+    fn paper_fom(&self) -> Fom {
+        self.inner.paper_fom()
+    }
 }
 
 #[cfg(test)]
@@ -347,6 +351,13 @@ mod tests {
             red.variable_names(),
             vec!["x0".to_string(), "x2".to_string()]
         );
+    }
+
+    #[test]
+    fn reduced_problem_keeps_the_paper_fom() {
+        let ctle = circuits::Ctle::new();
+        let red = ReducedProblem::new(&ctle, ctle.nominal(), vec![0, 1]);
+        assert_eq!(red.paper_fom(), ctle.paper_fom());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The constrained sizing-problem abstraction (paper Eq. 1).
 
 use crate::failure::FailureDiag;
+use crate::fom::Fom;
 
 /// Penalty magnitude a failed evaluation reports for the objective and
 /// every constraint. Finite by design: surrogate models can ingest the
@@ -367,6 +368,13 @@ pub trait SizingProblem: Sync {
     fn nominal(&self) -> Vec<f64> {
         let (lb, ub) = self.bounds();
         lb.iter().zip(&ub).map(|(l, u)| 0.5 * (l + u)).collect()
+    }
+
+    /// The paper Eq. 4 weighting this problem is scored under in the
+    /// reproduced tables; defaults to `w0 = 1` and unit constraint
+    /// weights. Paper testbenches override it with their own weights.
+    fn paper_fom(&self) -> Fom {
+        Fom::uniform(1.0, self.num_constraints())
     }
 }
 

@@ -5,7 +5,7 @@
 
 use circuits::FoldedCascodeOta;
 use dnn_opt::{DnnOpt, DnnOptConfig};
-use opt::{Fom, Optimizer, RunReport, SizingProblem, StopPolicy};
+use opt::{Optimizer, RunReport, SizingProblem, StopPolicy};
 
 fn main() {
     let budget: usize = std::env::args()
@@ -33,7 +33,7 @@ fn main() {
 
     // 2. Size from scratch with DNN-Opt.
     println!("\n== DNN-Opt sizing run (budget {budget}) ==");
-    let fom = Fom::new(100.0, vec![0.25; ota.num_constraints()]);
+    let fom = ota.paper_fom();
     let run = DnnOpt::new(DnnOptConfig::default()).run(&ota, &fom, budget, StopPolicy::Exhaust, 1);
     println!(
         "best FoM        : {:.3}",

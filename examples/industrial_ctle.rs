@@ -5,7 +5,7 @@
 
 use circuits::Ctle;
 use dnn_opt::{DnnOpt, DnnOptConfig, ReducedProblem, SensitivityReport};
-use opt::{Fom, Optimizer, SizingProblem, StopPolicy};
+use opt::{Optimizer, SizingProblem, StopPolicy};
 
 fn main() {
     let ctle = Ctle::new();
@@ -25,7 +25,7 @@ fn main() {
 
     // Optimize only the critical subset.
     let reduced = ReducedProblem::new(&ctle, nominal, critical);
-    let fom = Fom::new(100.0, vec![0.5; reduced.num_constraints()]);
+    let fom = reduced.paper_fom();
     let run =
         DnnOpt::new(DnnOptConfig::default()).run(&reduced, &fom, 120, StopPolicy::FirstFeasible, 0);
     match run.sims_to_feasible() {

@@ -5,7 +5,7 @@
 
 use circuits::StrongArmLatch;
 use dnn_opt::{DnnOpt, DnnOptConfig};
-use opt::{Fom, Optimizer, SizingProblem, StopPolicy};
+use opt::{Optimizer, SizingProblem, StopPolicy};
 
 fn main() {
     let budget: usize = std::env::args()
@@ -40,7 +40,7 @@ fn main() {
     }
 
     println!("\n== DNN-Opt sizing run (budget {budget}) ==");
-    let fom = Fom::new(3e4, vec![0.25; latch.num_constraints()]);
+    let fom = latch.paper_fom();
     let run =
         DnnOpt::new(DnnOptConfig::default()).run(&latch, &fom, budget, StopPolicy::Exhaust, 1);
     println!(

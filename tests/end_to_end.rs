@@ -46,7 +46,7 @@ fn latch_nominal_is_feasible() {
 #[test]
 fn dnn_opt_runs_on_the_real_ota() {
     let ota = FoldedCascodeOta::new();
-    let fom = Fom::new(100.0, vec![0.25; ota.num_constraints()]);
+    let fom = ota.paper_fom();
     let run = DnnOpt::new(quick_cfg()).run(&ota, &fom, 30, StopPolicy::Exhaust, 0);
     assert_eq!(run.history.len(), 30);
     // Every recorded evaluation carries the full Eq. 9 constraint vector.
@@ -60,7 +60,7 @@ fn dnn_opt_runs_on_the_real_ota() {
 #[test]
 fn de_runs_on_the_real_latch() {
     let latch = StrongArmLatch::new();
-    let fom = Fom::new(3e4, vec![0.25; latch.num_constraints()]);
+    let fom = latch.paper_fom();
     let run = DifferentialEvolution::default().run(&latch, &fom, 40, StopPolicy::Exhaust, 1);
     assert_eq!(run.history.len(), 40);
     assert!(run.history.best().is_some());
@@ -110,7 +110,7 @@ fn reduced_problem_optimizes_inverter_chain() {
 #[test]
 fn fom_traces_are_monotone_for_all_methods() {
     let ota = FoldedCascodeOta::new();
-    let fom = Fom::new(100.0, vec![0.25; ota.num_constraints()]);
+    let fom = ota.paper_fom();
     for method in [&DifferentialEvolution::default() as &dyn Optimizer] {
         let run = method.run(&ota, &fom, 25, StopPolicy::Exhaust, 2);
         for w in run.history.best_trace().windows(2) {
@@ -195,7 +195,7 @@ fn reduced_ota_keeps_its_analysis_grid() {
     let mid: Vec<f64> = lb.iter().zip(&ub).map(|(l, u)| 0.5 * (l + u)).collect();
     let xs = vec![red.nominal(), mid, lb, ub];
     let full: Vec<Vec<f64>> = xs.iter().map(|x| red.expand(x)).collect();
-    let fom = Fom::new(100.0, vec![0.25; ota.num_constraints()]);
+    let fom = ota.paper_fom();
     let reduced = Evaluator::new(&red, &fom, xs.len()).evaluate_batch(&xs);
     let reference = Evaluator::new(&ota, &fom, full.len()).evaluate_batch(&full);
     assert_eq!(reduced.len(), reference.len());

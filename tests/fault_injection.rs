@@ -164,13 +164,16 @@ impl SizingProblem for LocalOta {
     fn name(&self) -> &str {
         "local-ota"
     }
+    fn paper_fom(&self) -> Fom {
+        self.ota.paper_fom()
+    }
 }
 
 #[test]
 fn dnn_opt_reaches_feasibility_under_injected_failures() {
     let _lock = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let problem = LocalOta::new(0.2);
-    let fom = Fom::new(100.0, vec![0.25; problem.num_constraints()]);
+    let fom = problem.paper_fom();
 
     let plan = e2e_plan(42);
     let _installed = InstalledPlan::new(plan);
@@ -193,7 +196,7 @@ fn dnn_opt_reaches_feasibility_under_injected_failures() {
 fn de_reaches_feasibility_under_injected_failures() {
     let _lock = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let problem = LocalOta::new(0.2);
-    let fom = Fom::new(100.0, vec![0.25; problem.num_constraints()]);
+    let fom = problem.paper_fom();
 
     let plan = e2e_plan(43);
     let _installed = InstalledPlan::new(plan);
@@ -213,7 +216,7 @@ fn de_reaches_feasibility_under_injected_failures() {
 fn injected_faults_preserve_the_determinism_contract() {
     let _lock = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let ota = FoldedCascodeOta::new();
-    let fom = Fom::new(100.0, vec![0.25; SizingProblem::num_constraints(&ota)]);
+    let fom = ota.paper_fom();
     let plan = e2e_plan(7);
     let _installed = InstalledPlan::new(plan);
 
@@ -273,7 +276,7 @@ fn corner_plane_fault_accounting_is_exact() {
                 .collect()
         })
         .collect();
-    let fom = Fom::new(100.0, vec![0.25; SizingProblem::num_constraints(&ota)]);
+    let fom = ota.paper_fom();
     let mut ev = Evaluator::new(&ota, &fom, xs.len());
     ev.evaluate_batch(&xs);
 

@@ -125,7 +125,7 @@ fn batch_summary(
     xs: &[Vec<f64>],
     threads: usize,
 ) -> telemetry::Summary {
-    let fom = Fom::new(100.0, vec![0.25; problem.num_constraints()]);
+    let fom = problem.paper_fom();
     parallel::set_max_threads(threads);
     telemetry::install(Some(SinkKind::Summary));
     telemetry::reset();
@@ -273,7 +273,7 @@ fn traced_runs_are_bit_identical_to_untraced() {
     let _l = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _guard = Scoped;
     let ota = FoldedCascodeOta::new();
-    let fom = Fom::new(100.0, vec![0.25; SizingProblem::num_constraints(&ota)]);
+    let fom = ota.paper_fom();
     let dnn = DnnOpt::new(quick_cfg());
 
     for threads in [1usize, 2] {
@@ -388,7 +388,7 @@ fn unit_grid_attributes_failures_per_analysis() {
     let _l = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _guard = Scoped;
     let ota = FoldedCascodeOta::new();
-    let fom = Fom::new(100.0, vec![0.25; SizingProblem::num_constraints(&ota)]);
+    let fom = ota.paper_fom();
     let (lb, ub) = ota.bounds();
     let nominal = ota.nominal();
     let xs: Vec<Vec<f64>> = (0..3)

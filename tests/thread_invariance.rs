@@ -217,7 +217,7 @@ fn runs_are_bit_identical_at_every_thread_count() {
         // The OTA runs the two-analysis unit grid (candidate × corner ×
         // analysis) — the deepest level of the hierarchical scheduler.
         let ota = FoldedCascodeOta::with_corners(CornerSet::pvt5());
-        let ota_fom = Fom::new(100.0, vec![0.25; SizingProblem::num_constraints(&ota)]);
+        let ota_fom = ota.paper_fom();
         runs.push((
             de.run(&ota, &ota_fom, 12, StopPolicy::Exhaust, 3),
             "de ota unit grid",
